@@ -41,7 +41,7 @@ from .census import (
 from .exact_count import (
     CountTable,
     Representation,
-    count_by_convolution,
+    count_by_recurrence,
     count_representations,
     counts_excluding_one_weight,
     uniform_sample,

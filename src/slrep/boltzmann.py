@@ -279,30 +279,41 @@ def rejection_uniform_sample(params: BoltzmannParams, census: IrrepCensus,
 
 # ---- exact distribution curves under the product measure ----
 
+def _extremal_cdf(census, beta, keys, terms, ell):
+    """exp of the sum of terms over keys > ell, for a scalar ell or a 1-D
+    array of them, with the shared truncation error of exact_prob_*_le."""
+    ells = np.asarray(ell, dtype=float)
+    if ells.ndim > 1:
+        raise ValueError("ell must be a scalar or a 1-D array")
+    values = [math.exp(float(np.sum(terms[keys > x]))) for x in np.atleast_1d(ells)]
+    t0 = _moment_err(census, beta, 0) / (-np.expm1(-beta * census.max_dim))
+    err = max(values) * -math.expm1(-t0)
+    return (values[0] if ells.ndim == 0 else np.array(values)), err
+
+
 def exact_prob_max_dim_le(params: BoltzmannParams, census: IrrepCensus, ell):
     """(value, err): Q(largest used dimension <= ell), as
     prod over dims m > ell of (1 - q^m)^rho(m).  True value lies in
-    [value - err, value]."""
+    [value - err, value].
+
+    ell is a scalar or a 1-D array; an array gives an array of values from
+    one pass over the census, and err bounds every one of them."""
     beta = params.beta
-    m, rho, qm, one_minus = _term_arrays(census, beta)
-    mask = m > ell
-    logs = float(np.sum(rho[mask] * np.log1p(-qm[mask])))
-    t0 = _moment_err(census, beta, 0) / (-np.expm1(-beta * census.max_dim))
-    value = math.exp(logs)
-    return value, value * -math.expm1(-t0)
+    m, rho, qm, _ = _term_arrays(census, beta)
+    return _extremal_cdf(census, beta, m, rho * np.log1p(-qm), ell)
 
 
 def exact_prob_height_le(params: BoltzmannParams, census: IrrepCensus, ell):
     """(value, err): Q(largest weight height <= ell), the product of
     (1 - q^a) over all weights k with L(k - 1) > ell.  Needs a census with
-    weights.  True value lies in [value - err, value]."""
+    weights.  True value lies in [value - err, value].
+
+    ell is a scalar or a 1-D array, as for exact_prob_max_dim_le."""
     dims, _, h2 = flatten_weights(census)
     beta = params.beta
-    mask = h2 > 2.0 * ell
-    logs = float(np.sum(np.log1p(-np.exp(-beta * dims[mask].astype(float)))))
-    t0 = _moment_err(census, beta, 0) / (-np.expm1(-beta * census.max_dim))
-    value = math.exp(logs)
-    return value, value * -math.expm1(-t0)
+    terms = np.log1p(-np.exp(-beta * dims.astype(float)))
+    # h2 is an exact integer, so h2 / 2 > ell exactly when h2 > 2 ell
+    return _extremal_cdf(census, beta, h2 / 2.0, terms, ell)
 
 
 def exact_expected_shape(params: BoltzmannParams, census: IrrepCensus, t):

@@ -35,7 +35,7 @@ from .boltzmann import (
     solve_saddle,
     truncation_tv_bound,
 )
-from .census import enumerate_irreps, region_volume, write_csv
+from .census import BudgetError, enumerate_irreps, region_volume, write_csv
 from .exact_count import count_representations, uniform_sample
 from .limits import compute_constants
 from .stats import stat_height, stat_max_dim, stat_num_irreps
@@ -458,10 +458,7 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         return args.func(args, started)
-    except ConfigError as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, NotImplementedError) as exc:
+    except (ValueError, NotImplementedError, BudgetError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2
 

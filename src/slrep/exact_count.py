@@ -2,36 +2,33 @@
 
 A representation of total dimension n is a multiset of irreducible modules
 whose dimensions add to n, i.e. a finitely supported multiplicity function
-on highest weights.  Writing rho(m) for the number of weights of dimension
-m, the counting generating function is prod_m (1 - t^m)^(-rho(m)), and the
-counts p(n) satisfy the Euler-transform recurrence
+on highest weights.  Writing rho(d) for the number of weights of dimension
+d, the counting generating function is prod_d (1 - t^d)^(-rho(d)), and its
+logarithmic derivative gives the Euler identity
 
-    n p(n) = sum_{j=1}^{n} c(j) p(n-j),   c(j) = sum_{d | j} d rho(d),
+    n p(n) = sum_d sum_{k>=1} d rho(d) p(n - k d).
 
-which is how `count_representations` fills its table (exact integers, the
-division by n never leaves a remainder).  `count_by_convolution` is an
-independent second route that multiplies the product out term by term; the
-two must agree coefficient for coefficient.
+`count_representations` fills its table by multiplying the product out,
+one factor 1/(1 - t^d) per weight.  `count_by_recurrence` runs the Euler
+identity as a recurrence instead (exact integers, the division by n never
+leaves a remainder); it is the independent oracle the tests compare the
+table with, coefficient for coefficient.
 
-`uniform_sample` draws an exactly uniform representation of dimension n via
-a layered DP over dimension classes: the number of multisets using only the
-i smallest distinct dimensions is
-
-    P_i(v) = sum_c binom(c + rho_i - 1, rho_i - 1) P_{i-1}(v - c m_i),
-
-and a top-down pass picks each class total c with its exact posterior
-weight, then splits c uniformly over the rho_i weights by stars and bars.
-All randomness comes from `random.Random`, whose big-int randrange keeps
-the draw exact at any table size.
+`uniform_sample` draws an exactly uniform representation of dimension n by
+the recursive method (Nijenhuis & Wilf, Combinatorial Algorithms, 1978):
+read the Euler identity at v as a law on its terms, pick one weight of
+dimension d and a step k with probability d p(v - k d) / (v p(v)), add k to
+that weight's multiplicity and go on at v - k d.  It reads only the count
+table.  All randomness comes from `random.Random`, whose big-int randrange
+keeps the draw exact at any table size.
 """
 
 from __future__ import annotations
 
-import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .census import BudgetError, IrrepCensus, enumerate_irreps
+from .census import IrrepCensus, enumerate_irreps
 from .weights import dim_irrep
 
 
@@ -57,10 +54,11 @@ class CountTable:
     max_total: int
     counts: list
     census: IrrepCensus
-    _layers: dict = field(default=None, repr=False, compare=False)
 
 
 def _census_for(r, n, census, keep_weights):
+    if n < 0:
+        raise ValueError(f"total dimension must be >= 0, got {n}")
     if census is None:
         return enumerate_irreps(r, max(n, 1), keep_weights=keep_weights)
     if census.max_dim < n:
@@ -70,21 +68,33 @@ def _census_for(r, n, census, keep_weights):
     return census
 
 
+def _classes(census, n):
+    """(dimension, number of weights) for every dimension class up to n."""
+    return [(int(d), int(rho)) for d, rho in zip(census.dims, census.counts)
+            if d <= n]
+
+
 def count_representations(r: int, n: int, census: IrrepCensus | None = None) -> CountTable:
     """Exact table of representation counts for totals 0..n."""
-    if n < 0:
-        raise ValueError(f"total dimension must be >= 0, got {n}")
     census = _census_for(r, n, census, keep_weights=True)
+    p = [1] + [0] * n
+    for d, rho in _classes(census, n):
+        for _ in range(rho):
+            # in-place multiplication by 1/(1 - t^d)
+            for v in range(d, n + 1):
+                p[v] += p[v - d]
+    return CountTable(rank=r, max_total=n, counts=p, census=census)
+
+
+def count_by_recurrence(r: int, n: int, census: IrrepCensus | None = None) -> list:
+    """Second exact route: the counts by the Euler-identity recurrence."""
+    census = _census_for(r, n, census, keep_weights=False)
 
     # c[j] = sum of d*rho(d) over divisors d <= n of j, by sieving
     c = [0] * (n + 1)
-    for m, rho in zip(census.dims, census.counts):
-        m, rho = int(m), int(rho)
-        if m > n:
-            break
-        add = m * rho
-        for j in range(m, n + 1, m):
-            c[j] += add
+    for d, rho in _classes(census, n):
+        for j in range(d, n + 1, d):
+            c[j] += d * rho
 
     p = [0] * (n + 1)
     p[0] = 1
@@ -96,24 +106,6 @@ def count_representations(r: int, n: int, census: IrrepCensus | None = None) -> 
         if rem:
             raise ArithmeticError(f"Euler recurrence not divisible at v={v}")
         p[v] = q
-    return CountTable(rank=r, max_total=n, counts=p, census=census)
-
-
-def count_by_convolution(r: int, n: int, census: IrrepCensus | None = None) -> list:
-    """Second exact route: multiply prod_m (1-t^m)^(-rho(m)) out directly."""
-    if n < 0:
-        raise ValueError(f"total dimension must be >= 0, got {n}")
-    census = _census_for(r, n, census, keep_weights=False)
-    p = [0] * (n + 1)
-    p[0] = 1
-    for m, rho in zip(census.dims, census.counts):
-        m, rho = int(m), int(rho)
-        if m > n:
-            break
-        for _ in range(rho):
-            # in-place multiplication by 1/(1 - t^m)
-            for v in range(m, n + 1):
-                p[v] += p[v - m]
     return p
 
 
@@ -126,84 +118,39 @@ def counts_excluding_one_weight(table: CountTable, a: int) -> list:
     return [p[v] - (p[v - a] if v >= a else 0) for v in range(len(p))]
 
 
-# ---- exact-uniform sampling ----
-
-def _build_layers(table: CountTable, budget_cells: int):
-    """Layered counts over dimension classes, cached on the table."""
-    if table._layers is not None:
-        return table._layers
-    census = table.census
-    if census.weights is None:
-        raise ValueError("uniform sampling needs a census built with keep_weights=True")
-    n = table.max_total
-    classes = [(int(m), int(rho)) for m, rho in zip(census.dims, census.counts)
-               if int(m) <= n]
-    cells = (len(classes) + 1) * (n + 1)
-    if cells > budget_cells:
-        raise BudgetError(
-            f"uniform-sampling DP needs {cells} cells, budget is {budget_cells}")
-    layers = [[1] + [0] * n]
-    for m, rho in classes:
-        prev = layers[-1]
-        cur = [0] * (n + 1)
-        for v in range(n + 1):
-            acc = 0
-            for c in range(v // m + 1):
-                acc += math.comb(c + rho - 1, rho - 1) * prev[v - c * m]
-            cur[v] = acc
-        layers.append(cur)
-    if layers[-1][n] != table.counts[n]:
-        raise ArithmeticError("layered DP disagrees with the Euler-transform table")
-    table._layers = (classes, layers)
-    return table._layers
+def _pick_term(classes, p, v, u):
+    """Weight, step k and dimension d of the Euler-identity term at v whose
+    block of integers holds u, for 0 <= u < v p(v)."""
+    for (d, rho), group in classes:
+        if d > v:
+            break
+        for k in range(1, v // d + 1):
+            block = d * p[v - k * d]
+            if u < rho * block:
+                return group[u // block], k, d
+            u -= rho * block
+    raise ArithmeticError(f"Euler identity fails at total {v}")
 
 
-def _split_stars_and_bars(c: int, labels, rng: random.Random):
-    """Uniform multiset of size c over the given labels, as {label: count}."""
-    g = len(labels)
-    if g == 1:
-        return {labels[0]: c} if c else {}
-    bars = sorted(rng.sample(range(c + g - 1), g - 1))
-    out = {}
-    prev = -1
-    for j, b in enumerate(bars):
-        x = b - prev - 1
-        if x:
-            out[labels[j]] = x
-        prev = b
-    x = (c + g - 1) - prev - 1
-    if x:
-        out[labels[g - 1]] = x
-    return out
-
-
-def uniform_sample(table: CountTable, n: int, rng: random.Random,
-                   budget_cells: int = 2_000_000) -> Representation:
+def uniform_sample(table: CountTable, n: int, rng: random.Random) -> Representation:
     """Exactly uniform representation of total dimension n.
 
-    Raises ValueError when no representation of dimension n exists and
-    BudgetError when the layered DP would exceed budget_cells.
+    Raises ValueError when no representation of dimension n exists or the
+    table's census was built without weights.
     """
     if not 0 <= n <= table.max_total:
         raise ValueError(f"total {n} outside table range [0, {table.max_total}]")
     if table.counts[n] == 0:
         raise ValueError(f"no representation has total dimension {n}")
-    classes, layers = _build_layers(table, budget_cells)
+    census = table.census
+    if census.weights is None:
+        raise ValueError("uniform sampling needs a census built with keep_weights=True")
+    classes = list(zip(_classes(census, n), census.weights))
     mult = {}
     v = n
-    for i in range(len(classes), 0, -1):
-        m, rho = classes[i - 1]
-        u = rng.randrange(layers[i][v])
-        c = 0
-        while True:
-            w = math.comb(c + rho - 1, rho - 1) * layers[i - 1][v - c * m]
-            if u < w:
-                break
-            u -= w
-            c += 1
-        if c:
-            # census.dims may include dims > n; classes is the aligned prefix
-            group = table.census.weights[i - 1]
-            mult.update(_split_stars_and_bars(c, group, rng))
-            v -= c * m
+    while v:
+        weight, k, d = _pick_term(classes, table.counts, v,
+                                  rng.randrange(v * table.counts[v]))
+        mult[weight] = mult.get(weight, 0) + k
+        v -= k * d
     return Representation(rank=table.rank, mult=mult)

@@ -530,25 +530,20 @@ def compare_exact_to_limit(r: int, n: int, which: str, *,
     if params is None:
         params = solve_saddle(r, n)
     own_census = census is None
-    if own_census and which != "shape":
+    if own_census and which in ("D", "H", "mgf"):
         census = enumerate_irreps(r, params.cutoff, keep_weights=which == "H")
     constants = compute_constants(r, n, s=params.s)
     s = params.s
 
     if which in ("D", "H"):
         xs = np.linspace(-3.0, 6.0, 181) if x_grid is None else np.asarray(x_grid)
-        exact = np.empty(xs.size)
-        err = 0.0
         if which == "D":
             center, scale = constants.max_dim_center, constants.max_dim_scale
             prob = exact_prob_max_dim_le
         else:
             center, scale = constants.height_center, constants.height_scale
             prob = exact_prob_height_le
-        for i, x in enumerate(xs):
-            value, e = prob(params, census, center + scale * x)
-            exact[i] = value
-            err = max(err, e)
+        exact, err = prob(params, census, center + scale * xs)
         limit = gumbel_cdf(xs)
         gap = float(np.max(np.abs(exact - limit)))
         return LimitGapReport(which, r, n, xs, exact, limit, gap, False, err,

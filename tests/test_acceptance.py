@@ -28,7 +28,7 @@ from slrep.boltzmann import (
     solve_saddle,
 )
 from slrep.census import cumulative_count, enumerate_irreps, region_volume
-from slrep.exact_count import count_by_convolution, count_representations, uniform_sample
+from slrep.exact_count import count_by_recurrence, count_representations, uniform_sample
 from slrep.limits import compute_constants, gumbel_cdf, saddle_scale_constant, variance_scale_constant
 from slrep.stats import normalize, stat_max_dim
 from slrep.verify import (
@@ -107,7 +107,7 @@ def test_criterion_1_exact_counting(criterion_report):
         failures.append(f"pinned rank-2 counts differ: {table2.counts[1:9]}")
 
     for r in (1, 2, 3):
-        if count_by_convolution(r, 200) != count_representations(r, 200).counts:
+        if count_by_recurrence(r, 200) != count_representations(r, 200).counts:
             failures.append(f"recurrence vs truncated product differ at rank {r}")
 
     elapsed = time.monotonic() - started

@@ -173,6 +173,19 @@ def test_exact_prob_anchors():
     assert 0.0 < value < 1.0  # probability of the empty representation
 
 
+@pytest.mark.parametrize("prob", [exact_prob_max_dim_le, exact_prob_height_le])
+def test_exact_prob_grid_equals_pointwise_calls(prob):
+    params = solve_saddle(2, 300)
+    census = sampling_census(params)
+    ells = np.array([0.0, 1.5, 4.0, 12.0, 40.0, 160.0])
+    values, err = prob(params, census, ells)
+    pointwise = [prob(params, census, float(ell)) for ell in ells]
+    assert values.tolist() == [value for value, _ in pointwise]
+    assert err == max(e for _, e in pointwise)
+    with pytest.raises(ValueError):
+        prob(params, census, ells.reshape(2, 3))
+
+
 def test_exact_expected_shape_matches_direct_sum():
     params = solve_saddle(2, 300)
     census = sampling_census(params)

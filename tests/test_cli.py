@@ -71,6 +71,7 @@ def test_constants_reports_normalizers(capsys):
 
 
 @pytest.mark.parametrize("mode,n", [("uniform-dp", 50),
+                                    ("uniform-dp", 10000),
                                     ("uniform-rejection", 30),
                                     ("boltzmann", 100)])
 def test_sample_jsonl_records(capsys, mode, n):
@@ -199,6 +200,7 @@ def test_verify_limits_trend_mode(capsys):
      "--seed", "-1"),
     ("verify", "weyl", "--rank", "2", "--N", "4", "--eps", "0.5"),
     ("verify", "weyl", "--rank", "2", "--N", "3", "--eps", "0.03125"),
+    ("census", "--rank", "1", "--max-dim", "60000000"),
 ])
 def test_invalid_configurations_exit_two(capsys, argv):
     code, _, err = run_cli(capsys, *argv)

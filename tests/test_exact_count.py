@@ -6,10 +6,10 @@ from collections import Counter
 import pytest
 from scipy.stats import chisquare
 
-from slrep.census import BudgetError, enumerate_irreps
+from slrep.census import enumerate_irreps
 from slrep.exact_count import (
     Representation,
-    count_by_convolution,
+    count_by_recurrence,
     count_representations,
     counts_excluding_one_weight,
     uniform_sample,
@@ -78,7 +78,7 @@ def test_counts_match_multiset_enumeration():
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_recurrence_equals_truncated_product(r):
     table = count_representations(r, 120)
-    assert count_by_convolution(r, 120) == table.counts
+    assert count_by_recurrence(r, 120) == table.counts
 
 
 def test_count_accepts_prebuilt_census():
@@ -117,12 +117,14 @@ def test_representation_accessors():
     assert empty.num_irreps() == 0
 
 
-def test_uniform_sample_hits_every_class_uniformly():
-    table = count_representations(2, 4)
-    classes = set(enumerate_reps(2, 4))
-    assert len(classes) == 3
+@pytest.mark.parametrize("r, n", [(2, 4), (3, 12)])
+def test_uniform_sample_hits_every_class_uniformly(r, n):
+    table = count_representations(r, n)
+    classes = set(enumerate_reps(r, n))
+    assert len(classes) == table.counts[n]
     rng = random.Random(11)
-    seen = Counter(canonical(uniform_sample(table, 4, rng)) for _ in range(3000))
+    seen = Counter(canonical(uniform_sample(table, n, rng))
+                   for _ in range(1000 * len(classes)))
     assert set(seen) == classes
     _, pvalue = chisquare(list(seen.values()))
     assert pvalue > 1e-3
@@ -150,8 +152,8 @@ def test_uniform_sample_edge_cases():
     assert uniform_sample(table, 0, random.Random(1)).mult == {}
     with pytest.raises(ValueError):
         uniform_sample(table, 13, random.Random(1))
-    # the layered DP is cached on first use, so exercise the budget check
-    # on a table that has not sampled yet
-    fresh = count_representations(2, 12)
-    with pytest.raises(BudgetError):
-        uniform_sample(fresh, 12, random.Random(1), budget_cells=5)
+    # the sampler names weights, so a census without them is refused
+    bare = count_representations(2, 12, census=enumerate_irreps(2, 12))
+    assert bare.counts == table.counts
+    with pytest.raises(ValueError):
+        uniform_sample(bare, 12, random.Random(1))
