@@ -4,9 +4,11 @@ Under the product measure with parameter q in (0, 1), the multiplicities
 X_k of the irreducible modules are independent geometrics,
 P(X_k = l) = (1 - q^a) q^{a l} with a the module dimension.  Conditioned on
 total dimension n this measure is exactly uniform, which is what the
-rejection sampler exploits.  `solve_saddle` tunes q so the expected total
-dimension equals n; writing q = exp(-s^nu) with nu = r(r+1)/2, the solved s
-shrinks like n^{-2/(r(r+3))}.
+rejection sampler exploits: it draws every class but the trivial module and
+accepts with probability q^k, k the dimension left to it, at an expected
+(1 - q) sqrt(2 pi sigma^2) attempts per sample.  `solve_saddle` tunes q so
+the expected total dimension equals n; writing q = exp(-s^nu) with
+nu = r(r+1)/2, the solved s shrinks like n^{-2/(r(r+3))}.
 
 Every truncated sum here carries a certified tail bound derived from the
 census growth envelope, returned as the second element of a (value, err)
@@ -234,40 +236,54 @@ def rejection_uniform_sample(params: BoltzmannParams, census: IrrepCensus,
                              delta: float = 1e-12) -> list:
     """Exactly uniform representations of dimension n by rejection.
 
-    Each attempt draws, per dimension class, the class total
-    c_m ~ NegBin(rho(m), 1 - q^m) (the sum of the rho(m) independent
-    geometrics), and is accepted when sum m c_m = n; accepted class totals
-    are then split uniformly over ordered compositions, which is the exact
-    conditional law.  Attempts are vectorized in batches; expected attempts
-    per accepted sample is about sqrt(2 pi sigma_n^2).
+    Probabilistic divide-and-conquer (Arratia & DeSalvo 2016), deterministic
+    second half.  Each attempt draws, per dimension class m >= 2, the class
+    total c_m ~ NegBin(rho(m), 1 - q^m) (the sum of the rho(m) independent
+    geometrics), sets k = n - sum m c_m, and is accepted when k >= 0 and
+    U < q^k with U uniform; the trivial module (the census's first class,
+    dimension 1) then takes multiplicity k.  Its own total is
+    Geometric(1 - q), so accepted rows follow the product law conditioned on
+    total n, and an attempt succeeds with probability P(T = n) / (1 - q).
+    Accepted class totals are split uniformly over ordered compositions,
+    which is the exact conditional law.  Attempts are vectorized in batches;
+    expected attempts per sample is about (1 - q) sqrt(2 pi sigma_n^2).
 
-    Raises RuntimeError when the attempt budget (default
-    100 sqrt(2 pi sigma2) per requested sample) is exhausted.
+    Raises RuntimeError when the attempt budget (default 100 times that
+    count, at least 100, per requested sample) is exhausted, and ValueError
+    for a census that does not start at the trivial module.
     """
     _require_sampling_census(params, census, delta)
+    if census.dims[0] != 1 or census.counts[0] != 1:
+        raise ValueError("rejection sampling needs a census that starts at "
+                         "the trivial module")
     n = params.n
-    expected = math.sqrt(2.0 * math.pi * params.sigma2)
+    trivial = census.weights[0][0]
+    expected = max(-math.expm1(-params.beta)
+                   * math.sqrt(2.0 * math.pi * params.sigma2), 1.0)
     if max_attempts is None:
         max_attempts = int(math.ceil(100.0 * expected)) * num_samples
-    m_vec = census.dims
-    rho_vec = census.counts
+    m_vec = census.dims[1:]
+    rho_vec = census.counts[1:]
     p_vec = -np.expm1(-params.beta * m_vec.astype(float))
+    max_rows = max((1 << 22) // max(len(m_vec), 1), 32)  # 32 MB batches
 
     out = []
     attempts = 0
     while len(out) < num_samples:
         rows = int(np.clip(2.0 * expected * (num_samples - len(out)),
-                           4096, 250_000))
+                           32, max_rows))
         rows = min(rows, max(max_attempts - attempts, 1))
         mat = rng.negative_binomial(rho_vec, p_vec, size=(rows, len(m_vec)))
-        totals = mat @ m_vec
-        for ridx in np.nonzero(totals == n)[0]:
+        ks = n - mat @ m_vec
+        u = rng.random(rows)
+        accepted = (ks >= 0) & (u < np.exp(-params.beta * np.maximum(ks, 0)))
+        for ridx in np.nonzero(accepted)[0]:
             if len(out) >= num_samples:
                 break
             row = mat[ridx]
-            mult = {}
+            mult = {trivial: int(ks[ridx])} if ks[ridx] else {}
             for i in np.nonzero(row)[0]:
-                _split_composition(int(row[i]), census.weights[i], rng, mult)
+                _split_composition(int(row[i]), census.weights[i + 1], rng, mult)
             out.append(Representation(rank=params.rank, mult=mult))
         attempts += rows
         if len(out) < num_samples and attempts >= max_attempts:

@@ -6,6 +6,9 @@ in each coordinate (each nested loop stops as soon as the cheapest
 completion overshoots).  The result is stored as a compact table of distinct
 dimensions with multiplicities; the number of weights up to x grows like
 C_r x^{2/(r+1)}, where C_r is the volume of the region {y > 0 : dim form <= 1}.
+By homogeneity C_r = (1/r) * integral over the unit simplex of P^{-2/(r+1)}
+(P the dimension form): 2^{-1/3} Gamma(1/3)^2 / Gamma(2/3) at rank 2 and
+sqrt(3) Gamma(1/4)^4 / (6 pi) at rank 3.
 
 The census is immutable and shared: samplers, exact distribution curves and
 tail bounds all read from the same table.
@@ -15,13 +18,11 @@ from __future__ import annotations
 
 import csv
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
-from scipy.optimize import brentq
+from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn, gammaincc
 
 from .weights import _dim2, _dim3, superfactorial, twice_height, weyl_numerator
@@ -200,7 +201,7 @@ def write_csv(census: IrrepCensus, fileobj) -> None:
         w.writerow([int(m), int(c), int(s)])
 
 
-# ---- the boundary of {dim form <= 1} and its volume ----
+# ---- the region {dim form <= 1} and its volume ----
 
 def _boundary_root_r2(y1: float) -> float:
     """Largest y2 with y1*y2*(y1+y2)/2 <= 1, in closed form.
@@ -211,56 +212,32 @@ def _boundary_root_r2(y1: float) -> float:
     return 4.0 / (y1 * (math.sqrt(y1 * y1 + 8.0 / y1) + y1))
 
 
-def _boundary_root_r3(y1: float, y2: float) -> float:
-    """Largest y3 with the rank-3 dimension form at most 1 (Brent solve)."""
-    def f(y3):
-        return (y1 * y2 * y3 * (y1 + y2) * (y2 + y3) * (y1 + y2 + y3)) - 12.0
-
-    hi = 1.0
-    while f(hi) < 0.0:
-        hi *= 2.0
-    return brentq(f, 0.0, hi, xtol=1e-15, rtol=8.9e-16)
-
-
-def _quad_full_line(f, epsabs, epsrel):
-    """integral of f over (0, inf), split at 1 with u = 1/y on the far half.
-
-    Roundoff warnings are silenced: the returned error estimate already
-    accounts for the achieved (not requested) accuracy."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        v1, e1 = quad(f, 0.0, 1.0, epsabs=epsabs, epsrel=epsrel, limit=300)
-        v2, e2 = quad(lambda u: f(1.0 / u) / (u * u), 0.0, 1.0,
-                      epsabs=epsabs, epsrel=epsrel, limit=300)
-    return v1 + v2, e1 + e2
-
-
 @lru_cache(maxsize=None)
-def region_volume(r: int, method: str = "quadrature", seed: int = 7,
+def region_volume(r: int, method: str = "closed-form", seed: int = 7,
                   samples: int = 8_000_000, box: float = 40.0):
-    """Volume C_r of {y > 0 : dim form <= 1}, with an error estimate.
+    """Volume C_r of {y > 0 : dim form <= 1}, with an error bound.
 
-    Returns (value, err).  r = 1 is exactly 1.  The quadrature route
-    integrates the exact boundary curve (closed form for r = 2, root-find
-    for r = 3); the Monte Carlo route (r = 2 only) throws uniform points in
-    [0, box]^2 and adds the two analytic axis tails, with a 3-sigma error
-    bar.  Ranks above 3 are not supported; every consumer in this package
-    needs r <= 3.
+    Returns (value, err).  The dimension form P has degree r(r+1)/2, so
+    integrating along rays gives C_r = (1/r) * integral over the unit
+    simplex of P^(-2/(r+1)): C_1 = 1, C_2 = (1/2) 2^(2/3) B(1/3, 1/3) =
+    2^(-1/3) Gamma(1/3)^2 / Gamma(2/3), and C_3 = sqrt(3) Gamma(1/4)^4 /
+    (6 pi) (complete elliptic integrals); err bounds their float rounding
+    by 64 ulps.  The Monte Carlo route (method="mc", r = 2 only) throws
+    uniform points in [0, box]^2 and adds the two analytic axis tails,
+    with a 3-sigma error bar.  Ranks above 3 raise NotImplementedError.
     """
     if r == 1:
         return 1.0, 0.0
-    if method == "quadrature":
+    if method == "closed-form":
         if r == 2:
-            return _quad_full_line(_boundary_root_r2, 1e-12, 1e-11)
-        if r == 3:
-            def inner(y1):
-                v, _ = _quad_full_line(lambda y2: _boundary_root_r3(y1, y2),
-                                       1e-12, 1e-10)
-                return v
-
-            val, err = _quad_full_line(inner, 1e-10, 1e-8)
-            return val, err + 1e-7  # slack for the inner tolerance
-        raise NotImplementedError(f"region quadrature implemented for rank <= 3, got {r}")
+            value = float(2.0 ** (-1.0 / 3.0) * gamma_fn(1.0 / 3.0) ** 2
+                          / gamma_fn(2.0 / 3.0))
+        elif r == 3:
+            value = float(math.sqrt(3.0) * gamma_fn(0.25) ** 4 / (6.0 * math.pi))
+        else:
+            raise NotImplementedError(
+                f"region volume known in closed form for rank <= 3, got {r}")
+        return value, 64.0 * 2.0**-52 * value
     if method == "mc":
         if r != 2:
             raise NotImplementedError(f"Monte Carlo volume implemented for rank 2, got {r}")

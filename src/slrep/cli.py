@@ -461,6 +461,9 @@ def main(argv=None) -> int:
     except (ValueError, NotImplementedError, BudgetError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"failed: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

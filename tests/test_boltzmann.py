@@ -1,12 +1,14 @@
 """Boltzmann calibration, samplers, and exact product-law distributions."""
 
+import dataclasses
 import math
 import random
+from collections import Counter
 
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.stats import chi2_contingency
+from scipy.stats import chi2_contingency, chisquare
 
 from slrep.boltzmann import (
     BoltzmannParams,
@@ -27,6 +29,7 @@ from slrep.boltzmann import (
 from slrep.census import enumerate_irreps, flatten_weights
 from slrep.exact_count import count_representations, uniform_sample
 from slrep.stats import stat_height, stat_max_dim
+from slrep.weights import dim_irrep
 
 
 def mp_moment(census, q, p):
@@ -262,3 +265,41 @@ def test_rejection_sampler_attempt_budget():
     rng = np.random.default_rng(33)
     with pytest.raises(RuntimeError):
         rejection_uniform_sample(params, census, 50, rng, max_attempts=1)
+
+
+def test_rejection_sampler_is_uniform_at_rank_three():
+    # 16 representations of dimension 12 at rank 3, 1000 expected draws each
+    n = 12
+    params = solve_saddle(3, n)
+    census = sampling_census(params)
+    rng = np.random.default_rng(34)
+    reps = rejection_uniform_sample(params, census, 16_000, rng)
+    seen = Counter(tuple(sorted(rep.mult.items())) for rep in reps)
+    assert len(seen) == count_representations(3, n).counts[n] == 16
+    _, pvalue = chisquare(list(seen.values()))
+    assert pvalue > 1e-3
+
+
+def test_rejection_sampler_fills_the_trivial_weight():
+    n = 2000
+    params = solve_saddle(2, n)
+    census = sampling_census(params)
+    trivial = census.weights[0][0]
+    assert trivial == (1, 1)
+    rng = np.random.default_rng(35)
+    reps = rejection_uniform_sample(params, census, 200, rng)
+    for rep in reps:
+        rest = sum(dim_irrep(2, k) * c for k, c in rep.mult.items() if k != trivial)
+        assert rep.mult.get(trivial, 0) == n - rest
+    assert any(rep.mult.get(trivial, 0) > 0 for rep in reps)
+
+
+def test_rejection_sampler_refuses_census_without_trivial_class():
+    params = solve_saddle(2, 30)
+    census = sampling_census(params)
+    cut = dataclasses.replace(census, dims=census.dims[1:],
+                              counts=census.counts[1:],
+                              cumulative=census.cumulative[1:] - 1,
+                              weights=census.weights[1:])
+    with pytest.raises(ValueError):
+        rejection_uniform_sample(params, cut, 1, np.random.default_rng(36))

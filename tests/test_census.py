@@ -4,6 +4,7 @@ import io
 import math
 from collections import Counter
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn
@@ -32,9 +33,9 @@ from census_terms import (
 
 # closed form for the rank-2 region volume: 2^{-1/3} Gamma(1/3)^2 / Gamma(2/3)
 VOLUME_R2 = 2.0 ** (-1.0 / 3.0) * gamma_fn(1.0 / 3.0) ** 2 / gamma_fn(2.0 / 3.0)
-# rank-3 volume pinned from an independent high-precision reduction of the
-# triple integral to the unit simplex (mpmath, 25 significant digits)
-VOLUME_R3 = 15.877561531050693
+# rank-3 volume sqrt(3) Gamma(1/4)^4 / (6 pi) = 15.877561531051038665..., the
+# nearest double; test_region_volume_matches_simplex_reduction rederives it
+VOLUME_R3 = 15.877561531051038
 
 
 def brute_census(r, X):
@@ -146,14 +147,33 @@ def test_region_volume_rank_one_exact():
 
 def test_region_volume_rank_two_against_closed_form():
     value, err = region_volume(2)
-    assert err < 1e-9
+    assert err <= 1e-12
     assert abs(value - VOLUME_R2) <= err
 
 
 def test_region_volume_rank_three_against_pinned():
     value, err = region_volume(3)
-    assert err < 1e-5
+    assert err <= 1e-12
     assert abs(value - VOLUME_R3) <= err
+
+
+def test_region_volume_matches_simplex_reduction():
+    # C_r = (1/r) * integral over the unit simplex of P^(-2/(r+1)), with P
+    # the dimension form, evaluated in 30-digit arithmetic.  Rank 2 is a
+    # beta integral.  At rank 3 the inner integral along each line is a
+    # complete elliptic integral, C_3 = (4/sqrt 3) int_0^1 K(1-z) dz /
+    # sqrt(z(1-z)); z = sin^2(phi) and K(cos^2 phi) = pi / (2 agm(1, sin phi))
+    # leave a single log singularity at phi = 0.
+    with mp.workdps(30):
+        third = mp.mpf(1) / 3
+        c2 = mp.mpf(2) ** (2 * third) * mp.beta(third, third) / 2
+        c3 = 8 / mp.sqrt(3) * mp.quad(
+            lambda phi: mp.pi / (2 * mp.agm(1, mp.sin(phi))), [0, mp.pi / 2])
+    for r, exact in ((2, c2), (3, c3)):
+        value, err = region_volume(r)
+        assert err <= 1e-12
+        assert abs(value - float(exact)) <= err
+    assert float(c3) == VOLUME_R3
 
 
 def test_region_volume_monte_carlo_brackets_quadrature():

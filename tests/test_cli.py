@@ -201,11 +201,24 @@ def test_verify_limits_trend_mode(capsys):
     ("verify", "weyl", "--rank", "2", "--N", "4", "--eps", "0.5"),
     ("verify", "weyl", "--rank", "2", "--N", "3", "--eps", "0.03125"),
     ("census", "--rank", "1", "--max-dim", "60000000"),
+    ("saddle", "--rank", "4", "--n", "1000"),
 ])
 def test_invalid_configurations_exit_two(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert "invalid config" in err
+
+
+def test_failed_computation_exits_one_without_traceback(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise RuntimeError("rejection sampler exceeded 1 attempts (0/1 accepted)")
+
+    monkeypatch.setattr("slrep.cli.rejection_uniform_sample", exhausted)
+    code, _, err = run_cli(capsys, "sample", "--mode", "uniform-rejection",
+                           "--rank", "2", "--n", "30", "--seed", "7")
+    assert code == 1
+    assert err.startswith("failed: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_unsafe_lifts_rank_bound(capsys):
