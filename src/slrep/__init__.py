@@ -8,6 +8,10 @@ model), and compares exact finite-n distributions of their observables
 against the limit laws, with certified truncation errors throughout.
 """
 
+from time import monotonic as _monotonic
+
+_IMPORT_STARTED = _monotonic()  # the manifest's import_s counts from here
+
 from .boltzmann import (
     BoltzmannParams,
     boltzmann_sample,
@@ -35,6 +39,7 @@ from .census import (
     inverse_moment_tail,
     region_volume,
     remainder_envelope,
+    upper_incomplete_gamma,
     weighted_tail_bound,
     write_csv,
 )
@@ -59,6 +64,7 @@ from .limits import (
     limit_shape,
     saddle_scale_constant,
     variance_scale_constant,
+    zeta,
 )
 from .stats import (
     STAT_NAMES,

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .census import (IrrepCensus, enumerate_irreps, flatten_weights,
                      weighted_tail_bound)
@@ -98,16 +97,31 @@ def default_cutoff(r: int, n: int, chi: float = 48.0) -> int:
     return max(int(math.ceil(chi / beta_guess)), 8)
 
 
+def _saddle_gap(arrays, s: float, nu: int, n: int):
+    """E_s[total] - n on the census arrays (dims, counts), with its
+    derivative in s: -nu s^(nu-1) sum rho m^2 q^m / (1 - q^m)^2, q^m =
+    exp(-s^nu m).  The gap is summed exactly rounded; the derivative only
+    steers Newton steps, so a plain sum serves."""
+    m, rho = arrays
+    beta = s**nu
+    qm = np.exp(-beta * m)
+    one_minus = -np.expm1(-beta * m)
+    terms = rho * m * qm / one_minus
+    slope = -nu * s ** (nu - 1) * float(np.sum(terms * m / one_minus))
+    return math.fsum(terms) - n, slope
+
+
 def solve_saddle(r: int, n: int, tol: float = 1e-8,
                  census: IrrepCensus | None = None,
                  chi: float = 48.0) -> BoltzmannParams:
     """Solve E_q[total dimension] = n for q, with |E - n| <= tol * n certified.
 
-    Monotone in s = (-log q)^{1/nu}: Brent on the census-truncated
+    Monotone in s = (-log q)^{1/nu}: Newton steps on the census-truncated
     expectation (a strict lower bound of the true one, so bracket signs are
-    certain), then the truncation error at the root is checked against the
-    tolerance budget.  When the census is built internally it is enlarged
-    and the solve retried if that check ever fails.
+    certain), kept inside the bracket by bisection, then the truncation
+    error at the root is checked against the tolerance budget.  When the
+    census is built internally it is enlarged and the solve retried if that
+    check ever fails.
     """
     if n < 1:
         raise ValueError(f"target dimension must be >= 1, got {n}")
@@ -120,22 +134,29 @@ def solve_saddle(r: int, n: int, tol: float = 1e-8,
         if own_census:
             census = enumerate_irreps(r, X)
         arrays = census.dims.astype(float), census.counts.astype(float)
-
-        def gap(s):
-            m, rho = arrays
-            qm = np.exp(-(s**nu) * m)
-            return math.fsum(rho * m * qm / (-np.expm1(-(s**nu) * m))) - n
-
         lo, hi = s_guess / 4.0, s_guess * 4.0
         for _ in range(80):
-            if gap(lo) > 0.0:
+            if _saddle_gap(arrays, lo, nu, n)[0] > 0.0:
                 break
             lo /= 2.0
         for _ in range(80):
-            if gap(hi) < 0.0:
+            if _saddle_gap(arrays, hi, nu, n)[0] < 0.0:
                 break
             hi *= 2.0
-        s = brentq(gap, lo, hi, xtol=1e-300, rtol=1e-14)
+        s = s_guess if lo < s_guess < hi else 0.5 * (lo + hi)
+        for _ in range(200):
+            g, slope = _saddle_gap(arrays, s, nu, n)
+            if g == 0.0:
+                break
+            if g > 0.0:
+                lo = s
+            else:
+                hi = s
+            step = g / slope
+            if abs(step) <= 4.0 * math.ulp(s):
+                s -= step
+                break
+            s = s - step if lo < s - step < hi else 0.5 * (lo + hi)
 
         beta = s**nu
         value = _moment_value(census, beta, 1)

@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gamma as gamma_fn, gammaincc
 
 from .weights import _dim2, _dim3, superfactorial, twice_height, weyl_numerator
 
@@ -230,10 +228,10 @@ def region_volume(r: int, method: str = "closed-form", seed: int = 7,
         return 1.0, 0.0
     if method == "closed-form":
         if r == 2:
-            value = float(2.0 ** (-1.0 / 3.0) * gamma_fn(1.0 / 3.0) ** 2
-                          / gamma_fn(2.0 / 3.0))
+            value = (2.0 ** (-1.0 / 3.0) * math.gamma(1.0 / 3.0) ** 2
+                     / math.gamma(2.0 / 3.0))
         elif r == 3:
-            value = float(math.sqrt(3.0) * gamma_fn(0.25) ** 4 / (6.0 * math.pi))
+            value = math.sqrt(3.0) * math.gamma(0.25) ** 4 / (6.0 * math.pi)
         else:
             raise NotImplementedError(
                 f"region volume known in closed form for rank <= 3, got {r}")
@@ -241,6 +239,8 @@ def region_volume(r: int, method: str = "closed-form", seed: int = 7,
     if method == "mc":
         if r != 2:
             raise NotImplementedError(f"Monte Carlo volume implemented for rank 2, got {r}")
+        from scipy.integrate import quad
+
         rng = np.random.default_rng(seed)
         hits = 0
         chunk = 1_000_000
@@ -259,6 +259,61 @@ def region_volume(r: int, method: str = "closed-form", seed: int = 7,
     raise ValueError(f"unknown method {method!r}")
 
 
+_U = 2.0**-53          # unit roundoff of a double
+_TINY = 2.0**-1022     # smallest normal double
+
+
+def upper_incomplete_gamma(a: float, x: float):
+    """(value, err): Gamma(a, x) = int_x^inf t^(a-1) e^(-t) dt for
+    0 < a <= 16 and x >= 0.
+
+    For x > a + 1 Legendre's continued fraction
+        Gamma(a, x) = x^a e^(-x) / (x+1-a - 1(1-a) / (x+3-a - 2(2-a) / ...))
+    is evaluated by the modified Lentz method until a step moves it by at
+    most one unit roundoff u; otherwise Gamma(a, x) = Gamma(a) - gamma(a, x)
+    with gamma(a, x) = x^a e^(-x) sum_k x^k / (a (a+1) ... (a+k)).  err
+    counts 8u per Lentz step, 2u per series term, 32u for math.gamma
+    (measured within 8u on (0, 17]), the geometric tail of the series, and
+    an absolute 2^-1022, so that a value lost to underflow is still covered.
+    """
+    if not (0.0 < a <= 16.0 and x >= 0.0):
+        raise ValueError(f"upper incomplete gamma needs 0 < a <= 16 and x >= 0, "
+                         f"got a = {a}, x = {x}")
+    if x > a + 1.0:
+        if a * math.log(x) - x < -708.0:
+            return 0.0, _TINY  # Gamma(a, x) <= x^a e^(-x) / 2 < 2^-1022
+        half = math.exp(-0.5 * x)
+        b = x + 1.0 - a
+        c, d = math.inf, 1.0 / b
+        h = d
+        for k in range(1, 10_000):
+            an = -k * (k - a)
+            b += 2.0
+            d = 1.0 / (an * d + b)
+            c = b + an / c
+            delta = c * d
+            h *= delta
+            if abs(delta - 1.0) <= _U:
+                break
+        value = x**a * half * half * h
+        return value, (8 * k + 32) * _U * value + _TINY
+    prefactor = x**a * math.exp(-x)
+    term = total = 1.0 / a
+    for k in range(1, 10_000):
+        term *= x / (a + k)
+        total += term
+        if term <= _U * total:
+            break
+    ratio = x / (a + k + 1)  # every later term shrinks by at least this
+    tail = term * ratio / (1.0 - ratio)
+    lower = prefactor * total
+    gamma_a = math.gamma(a)
+    value = gamma_a - lower
+    err = (32 * _U * gamma_a + (2 * k + 16) * _U * lower + prefactor * tail
+           + 2 * _U * value + _TINY)
+    return value, err
+
+
 def weighted_tail_bound(census: IrrepCensus, beta: float, p: float,
                         envelope: float | None = None) -> float:
     """Upper bound for sum over m > max_dim of rho(m) m^p e^{-beta m}.
@@ -270,7 +325,10 @@ def weighted_tail_bound(census: IrrepCensus, beta: float, p: float,
         sum_{m > X} rho(m) f(m) <= C' f(X) X^c
                                    + C' c beta^{-(p+c)} Gamma(p+c, beta X),
 
-    Gamma(.,.) the upper incomplete gamma function.
+    Gamma(.,.) the upper incomplete gamma function, taken at its value plus
+    its error bound.  The result is rounded up by (beta X + 16) * 2u (u the
+    unit roundoff): the exponentials amplify the rounding of beta X by
+    beta X, and every other operation adds at most u.
     """
     X = float(census.max_dim)
     if beta <= 0:
@@ -282,9 +340,12 @@ def weighted_tail_bound(census: IrrepCensus, beta: float, p: float,
     if envelope is None:
         envelope = growth_envelope(census)
     c = 2.0 / (census.rank + 1)
-    fX = X**p * math.exp(-beta * X)
-    incomplete = gammaincc(p + c, beta * X) * gamma_fn(p + c)
-    return envelope * (fX * X**c + c * beta ** (-(p + c)) * incomplete)
+    x = beta * X
+    fX = X**p * math.exp(-x)
+    incomplete, incomplete_err = upper_incomplete_gamma(p + c, x)
+    bound = envelope * (fX * X**c
+                        + c * beta ** (-(p + c)) * (incomplete + incomplete_err))
+    return bound * (1.0 + (x + 16.0) * 2.0 * _U)
 
 
 def inverse_moment_tail(census: IrrepCensus, j: int,

@@ -1,12 +1,12 @@
 """Command-line entry point.
 
 Every invocation prints a JSON run manifest to standard output: the echoed
-configuration, library versions, wall time, and whatever certified error
-bounds the computation carries.  Tables are CSV and samples are JSONL;
-they go to --out when given, otherwise they follow the manifest on
-standard output.  Exit status 0 means success, 1 means a check failed or
-a computation could not be certified, 2 means the configuration was
-rejected (one-line diagnosis on standard error).
+configuration, library versions, import and wall time, and whatever
+certified error bounds the computation carries.  Tables are CSV and
+samples are JSONL; they go to --out when given, otherwise they follow the
+manifest on standard output.  Exit status 0 means success, 1 means a
+check failed or a computation could not be certified, 2 means the
+configuration was rejected (one-line diagnosis on standard error).
 
 Determinism contract: identical configuration and seed produce identical
 output bytes.  Per-sample generators are derived from (seed, index), so
@@ -25,9 +25,9 @@ import sys
 import time
 
 import numpy as np
-import scipy
+import scipy  # the package alone, for its version; its submodules load lazily
 
-from . import __version__
+from . import _IMPORT_STARTED, __version__
 from .boltzmann import (
     boltzmann_sample,
     rejection_uniform_sample,
@@ -102,6 +102,7 @@ def _manifest(args, results: dict, started: float, outputs) -> str:
                      "python": sys.version.split()[0],
                      "numpy": np.__version__,
                      "scipy": scipy.__version__},
+        "import_s": round(_IMPORT_S, 3),
         "wall_time_s": round(time.monotonic() - started, 3),
         "outputs": outputs,
         "results": _json_safe(results),
@@ -465,6 +466,9 @@ def main(argv=None) -> int:
         print(f"failed: {exc}", file=sys.stderr)
         return 1
 
+
+# from the first statement of slrep/__init__.py to here, where main can start
+_IMPORT_S = time.monotonic() - _IMPORT_STARTED
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2_contingency, chisquare
 
+import slrep.boltzmann
 from slrep.boltzmann import (
     BoltzmannParams,
     boltzmann_sample,
@@ -28,8 +29,9 @@ from slrep.boltzmann import (
 )
 from slrep.census import enumerate_irreps, flatten_weights
 from slrep.exact_count import count_representations, uniform_sample
+from slrep.limits import asymptotic_saddle
 from slrep.stats import stat_height, stat_max_dim
-from slrep.weights import dim_irrep
+from slrep.weights import degree, dim_irrep
 
 
 def mp_moment(census, q, p):
@@ -83,6 +85,54 @@ def test_solve_saddle_certifies_target(r, n):
     wide = enumerate_irreps(r, 2 * params.cutoff)
     value, err = expected_dim(r, params.q, wide)
     assert abs(value - n) <= 1e-8 * n + err
+
+
+def brent_saddle(r, n, cutoff):
+    """(s, gap evaluations): the census-truncated saddle equation solved by
+    scipy's brentq after the solver's bracket search, on censuses from the
+    default cutoff doubling up to `cutoff`, as the solver enlarges them."""
+    from scipy.optimize import brentq
+
+    nu, calls = degree(r), 0
+    X = default_cutoff(r, n)
+    while X <= cutoff:
+        census = enumerate_irreps(r, X)
+        m, rho = census.dims.astype(float), census.counts.astype(float)
+
+        def gap(s):
+            nonlocal calls
+            calls += 1
+            return math.fsum(rho * m * np.exp(-(s**nu) * m)
+                             / -np.expm1(-(s**nu) * m)) - n
+
+        s_guess = asymptotic_saddle(r, n)
+        lo, hi = s_guess / 4.0, s_guess * 4.0
+        while gap(lo) <= 0.0:
+            lo /= 2.0
+        while gap(hi) >= 0.0:
+            hi *= 2.0
+        s = brentq(gap, lo, hi, xtol=1e-300, rtol=1e-14)
+        X *= 2
+    return s, calls
+
+
+@pytest.mark.parametrize("r,n", [(1, 10**6), (2, 10**4), (2, 10**6),
+                                 (2, 10**9), (3, 10**5), (3, 10**8)])
+def test_solve_saddle_agrees_with_brent(monkeypatch, r, n):
+    calls = 0
+    gap = slrep.boltzmann._saddle_gap
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return gap(*args)
+
+    monkeypatch.setattr(slrep.boltzmann, "_saddle_gap", counted)
+    params = solve_saddle(r, n)
+    s, brent_calls = brent_saddle(r, n, params.cutoff)
+    assert params.s == pytest.approx(s, rel=1e-13, abs=0.0)
+    # bracketed Newton needs no more gap evaluations than Brent did
+    assert calls <= brent_calls
 
 
 def test_solve_saddle_is_monotone_in_target():

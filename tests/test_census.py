@@ -1,5 +1,6 @@
 """Census enumeration, counting function, volumes, and tail envelopes."""
 
+import functools
 import io
 import math
 from collections import Counter
@@ -19,6 +20,7 @@ from slrep.census import (
     inverse_moment_tail,
     region_volume,
     remainder_envelope,
+    upper_incomplete_gamma,
     weighted_tail_bound,
     write_csv,
 )
@@ -259,6 +261,56 @@ def test_weighted_tail_bound_majorizes_true_tail():
     mask = m > X
     partial = float(np.sum(big.counts[mask] * m[mask] ** p * np.exp(-beta * m[mask])))
     assert partial <= bound
+
+
+@functools.lru_cache(maxsize=None)
+def incomplete_gamma_grid():
+    """(a, x, Gamma(a, x) in 40 digits) for a = p + 2/(r+1), p = 0, 1, 2,
+    r = 1..6 (the orders weighted_tail_bound asks for), x from p to 800:
+    both sides of the branch point x = a + 1, and values that underflow."""
+    grid = []
+    with mp.workdps(40):
+        for p in (0, 1, 2):
+            for r in range(1, 7):
+                a = p + 2.0 / (r + 1)
+                xs = {float(p), a, a + 1.0, math.nextafter(a + 1.0, math.inf),
+                      *np.geomspace(max(p, 1e-3), 800.0, 40).tolist()}
+                grid += [(p, r, a, x, mp.gammainc(a, x)) for x in sorted(xs)]
+    return grid
+
+
+def test_upper_incomplete_gamma_against_mpmath():
+    tiny = 2.0**-1022
+    grid = incomplete_gamma_grid()
+    for _, _, a, x, exact in grid:
+        value, err = upper_incomplete_gamma(a, x)
+        assert abs(mp.mpf(value) - exact) <= err, (a, x)
+        assert err <= 1e-12 * exact + tiny, (a, x)
+    assert any(x > a + 1.0 for _, _, a, x, _ in grid)
+    assert any(x <= a + 1.0 for _, _, a, x, _ in grid)
+    assert any(exact < tiny for *_, exact in grid)
+    for a, x in ((0.0, 1.0), (17.0, 1.0), (1.0, -1.0)):
+        with pytest.raises(ValueError):
+            upper_incomplete_gamma(a, x)
+
+
+def test_weighted_tail_bound_majorizes_its_formula():
+    # the float bound is at least C' (f(X) X^c + c beta^-(p+c) Gamma(p+c, beta X))
+    # evaluated in 40 digits; X is a power of two so beta X = x exactly
+    X = 2**12
+    censuses = {r: enumerate_irreps(r, X) for r in range(1, 7)}
+    for p, r, a, x, exact in incomplete_gamma_grid():
+        census = censuses[r]
+        beta = x / X
+        if beta == 0.0:
+            continue
+        envelope = growth_envelope(census)
+        bound = weighted_tail_bound(census, beta, p, envelope=envelope)
+        c = 2.0 / (r + 1)
+        with mp.workdps(40):
+            formula = envelope * (mp.mpf(X) ** (p + c) * mp.exp(-mp.mpf(x))
+                                  + c * mp.mpf(beta) ** -a * exact)
+            assert bound >= formula, (p, r, x)
 
 
 def test_weighted_tail_bound_validation():

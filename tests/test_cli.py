@@ -3,11 +3,17 @@
 import filecmp
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import slrep
 from slrep.cli import main
 from slrep.weights import dim_irrep
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(slrep.__file__)))
 
 
 def run_cli(capsys, *argv):
@@ -31,6 +37,7 @@ def test_count_manifest_and_table(capsys):
     assert manifest["results"]["count_n"] == "9"
     assert {"slrep", "python", "numpy", "scipy"} <= set(manifest["versions"])
     assert isinstance(manifest["wall_time_s"], float)
+    assert isinstance(manifest["import_s"], float) and manifest["import_s"] >= 0.0
     lines = data.strip().splitlines()
     assert lines[0] == "n,count"
     assert lines[-1] == "8,9"
@@ -227,3 +234,109 @@ def test_unsafe_lifts_rank_bound(capsys):
     assert code == 0
     manifest, _ = split_manifest(out)
     assert manifest["results"]["num_irreps"] > 0
+
+
+def run_fresh(*argv, code=None):
+    """Run the CLI in a fresh interpreter.  With `code`, run that script
+    (it reads the CLI arguments from sys.argv[1:]) instead of the module."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    head = ["-c", code] if code else ["-m", "slrep.cli"]
+    return subprocess.run([sys.executable, *head, *argv], capture_output=True,
+                          text=True, env=env, timeout=300)
+
+
+# Runs main, then reports its exit status and the scipy modules loaded.
+SCIPY_PROBE = """
+import contextlib, io, json, sys
+from slrep.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps({"code": code, "scipy": sorted(
+    m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}))
+"""
+
+HEAVY_SCIPY = ("scipy.optimize", "scipy.special", "scipy.integrate")
+
+
+# the benchmark's commands at its sizes
+BENCHMARK_COMMANDS = {
+    "count": ("count", "--rank", "2", "--n", "10000"),
+    "uniform-dp": ("sample", "--rank", "2", "--mode", "uniform-dp", "--n", "2000",
+                   "--samples", "20", "--seed", "1"),
+    "boltzmann": ("sample", "--rank", "2", "--mode", "boltzmann",
+                  "--n", "100000000", "--samples", "20", "--seed", "1"),
+    "uniform-rejection": ("sample", "--rank", "2", "--mode", "uniform-rejection",
+                          "--n", "10000", "--samples", "8", "--seed", "1"),
+    "saddle-r2": ("saddle", "--rank", "2", "--n", "1000000000"),
+    "saddle-r3": ("saddle", "--rank", "3", "--n", "100000000"),
+    "dist-D": ("dist", "--rank", "2", "--n", "1000000", "--stat", "D"),
+    "dist-H": ("dist", "--rank", "2", "--n", "1000000", "--stat", "H"),
+    "dist-mult": ("dist", "--rank", "2", "--n", "1000000", "--stat", "mult",
+                  "--k", "1,1"),
+    "dist-mgf": ("dist", "--rank", "2", "--n", "1000000", "--stat", "mgf"),
+    "ensembles": ("verify", "ensembles", "--rank", "2", "--n-grid", "100,500,2500",
+                  "--k", "1,1"),
+    "weyl-r3": ("verify", "weyl", "--rank", "3", "--N", "8", "--eps", "0.03125",
+                "--num-thetas", "1000", "--seed", "1"),
+    "weyl-r2": ("verify", "weyl", "--rank", "2", "--N", "32", "--eps", "0.03125",
+                "--num-thetas", "1000", "--seed", "1"),
+}
+
+
+@pytest.mark.parametrize("label", BENCHMARK_COMMANDS)
+def test_cli_runs_without_scipy_submodules(label):
+    # scipy's optimizers, special functions and quadrature stay out of the
+    # process
+    proc = run_fresh(*BENCHMARK_COMMANDS[label], code=SCIPY_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["code"] == 0
+    assert not set(HEAVY_SCIPY) & set(report["scipy"])
+
+
+def test_shape_report_is_the_quadrature_command():
+    proc = run_fresh("dist", "--rank", "2", "--n", "1000000", "--stat", "shape",
+                     code=SCIPY_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["code"] == 0
+    assert "scipy.integrate" in report["scipy"]
+
+
+# Above rank 3 the region volume has no closed form, so every command that
+# needs it refuses the configuration; the others run.
+RANK_FOUR_REFUSED = {
+    "saddle": ("saddle", "--rank", "4", "--n", "1000"),
+    "constants": ("constants", "--rank", "4", "--n", "1000"),
+    "dist-D": ("dist", "--rank", "4", "--n", "1000", "--stat", "D"),
+    "dist-mult": ("dist", "--rank", "4", "--n", "1000", "--stat", "mult"),
+    "boltzmann": ("sample", "--rank", "4", "--n", "100", "--mode", "boltzmann"),
+    "uniform-rejection": ("sample", "--rank", "4", "--n", "100",
+                          "--mode", "uniform-rejection"),
+    "ensembles": ("verify", "ensembles", "--rank", "4", "--n-grid", "20,60"),
+    "limits": ("verify", "limits", "--rank", "4", "--stat", "D", "--n", "1000"),
+}
+RANK_FOUR_RUNS = {
+    "census": ("census", "--rank", "4", "--max-dim", "100"),
+    "count": ("count", "--rank", "4", "--n", "50"),
+    "uniform-dp": ("sample", "--rank", "4", "--n", "50", "--mode", "uniform-dp",
+                   "--samples", "3"),
+    "weyl": ("verify", "weyl", "--rank", "4", "--N", "4", "--eps", "0.03125",
+             "--num-thetas", "50"),
+}
+
+
+@pytest.mark.parametrize("label", [*RANK_FOUR_REFUSED, *RANK_FOUR_RUNS])
+def test_rank_four_support(label):
+    if label in RANK_FOUR_RUNS:
+        proc = run_fresh(*RANK_FOUR_RUNS[label])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        return
+    proc = run_fresh(*RANK_FOUR_REFUSED[label])
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("invalid config:")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""

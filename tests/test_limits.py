@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
@@ -22,6 +23,7 @@ from slrep.limits import (
     moment_box_quadrature,
     saddle_scale_constant,
     variance_scale_constant,
+    zeta,
 )
 from slrep.weights import degree, dim_poly
 
@@ -59,6 +61,17 @@ def test_moment_integral_validation():
         dim_moment_integral(2, 3)
     with pytest.raises(ValueError):
         moment_box_quadrature(0)
+
+
+@pytest.mark.parametrize("s", [1.0 + 2.0 / (r + 1) for r in range(1, 7)]
+                         + [1.0001, 1.01, 1.5, 3.0, 4.5, 10.0, 40.0])
+def test_zeta_against_mpmath(s):
+    # 1 + 2/(r+1) is where dim_moment_integral reads zeta, ranks 1..6
+    with mp.workdps(40):
+        exact = mp.zeta(mp.mpf(s))
+        assert abs(mp.mpf(zeta(s)) - exact) <= 4e-16 * exact
+    with pytest.raises(ValueError):
+        zeta(1.0)
 
 
 def test_rank_one_saddle_constant_is_pi_over_sqrt_six():
