@@ -54,6 +54,7 @@ from .exact_count import (
 from .limits import (
     LimitConstants,
     asymptotic_saddle,
+    bose_tail,
     compute_constants,
     count_mgf,
     count_mgf_log_modulus,

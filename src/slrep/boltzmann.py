@@ -121,42 +121,47 @@ def solve_saddle(r: int, n: int, tol: float = 1e-8,
     certain), kept inside the bracket by bisection, then the truncation
     error at the root is checked against the tolerance budget.  When the
     census is built internally it is enlarged and the solve retried if that
-    check ever fails.
+    check ever fails.  The retry starts from the root just found, inside
+    the bracket of the first search: a larger census only raises the
+    truncated expectation, so the lower end stays valid unchecked and
+    only the upper end is tested again.
     """
     if n < 1:
         raise ValueError(f"target dimension must be >= 1, got {n}")
     nu = degree(r)
-    s_guess = asymptotic_saddle(r, n)
+    s = asymptotic_saddle(r, n)
     own_census = census is None
     X = default_cutoff(r, n, chi) if own_census else census.max_dim
+    lo, hi = s / 4.0, s * 4.0
 
-    for _ in range(4):
+    for attempt in range(4):
         if own_census:
             census = enumerate_irreps(r, X)
         arrays = census.dims.astype(float), census.counts.astype(float)
-        lo, hi = s_guess / 4.0, s_guess * 4.0
-        for _ in range(80):
-            if _saddle_gap(arrays, lo, nu, n)[0] > 0.0:
-                break
-            lo /= 2.0
+        if attempt == 0:
+            for _ in range(80):
+                if _saddle_gap(arrays, lo, nu, n)[0] > 0.0:
+                    break
+                lo /= 2.0
         for _ in range(80):
             if _saddle_gap(arrays, hi, nu, n)[0] < 0.0:
                 break
             hi *= 2.0
-        s = s_guess if lo < s_guess < hi else 0.5 * (lo + hi)
+        below, above = lo, hi   # Newton narrows a copy of the bracket
+        s = s if below < s < above else 0.5 * (below + above)
         for _ in range(200):
             g, slope = _saddle_gap(arrays, s, nu, n)
             if g == 0.0:
                 break
             if g > 0.0:
-                lo = s
+                below = s
             else:
-                hi = s
+                above = s
             step = g / slope
             if abs(step) <= 4.0 * math.ulp(s):
                 s -= step
                 break
-            s = s - step if lo < s - step < hi else 0.5 * (lo + hi)
+            s = s - step if below < s - step < above else 0.5 * (below + above)
 
         beta = s**nu
         value = _moment_value(census, beta, 1)

@@ -201,18 +201,8 @@ def write_csv(census: IrrepCensus, fileobj) -> None:
 
 # ---- the region {dim form <= 1} and its volume ----
 
-def _boundary_root_r2(y1: float) -> float:
-    """Largest y2 with y1*y2*(y1+y2)/2 <= 1, in closed form.
-
-    Rationalized so the large-y1 branch (root ~ 2/y1^2) suffers no
-    cancellation: the naive (-y1 + sqrt(y1^2 + 8/y1)) / 2 loses every
-    significant digit past y1 ~ 1e5."""
-    return 4.0 / (y1 * (math.sqrt(y1 * y1 + 8.0 / y1) + y1))
-
-
 @lru_cache(maxsize=None)
-def region_volume(r: int, method: str = "closed-form", seed: int = 7,
-                  samples: int = 8_000_000, box: float = 40.0):
+def region_volume(r: int):
     """Volume C_r of {y > 0 : dim form <= 1}, with an error bound.
 
     Returns (value, err).  The dimension form P has degree r(r+1)/2, so
@@ -220,43 +210,19 @@ def region_volume(r: int, method: str = "closed-form", seed: int = 7,
     simplex of P^(-2/(r+1)): C_1 = 1, C_2 = (1/2) 2^(2/3) B(1/3, 1/3) =
     2^(-1/3) Gamma(1/3)^2 / Gamma(2/3), and C_3 = sqrt(3) Gamma(1/4)^4 /
     (6 pi) (complete elliptic integrals); err bounds their float rounding
-    by 64 ulps.  The Monte Carlo route (method="mc", r = 2 only) throws
-    uniform points in [0, box]^2 and adds the two analytic axis tails,
-    with a 3-sigma error bar.  Ranks above 3 raise NotImplementedError.
+    by 64 ulps.  Ranks above 3 raise NotImplementedError.
     """
     if r == 1:
         return 1.0, 0.0
-    if method == "closed-form":
-        if r == 2:
-            value = (2.0 ** (-1.0 / 3.0) * math.gamma(1.0 / 3.0) ** 2
-                     / math.gamma(2.0 / 3.0))
-        elif r == 3:
-            value = math.sqrt(3.0) * math.gamma(0.25) ** 4 / (6.0 * math.pi)
-        else:
-            raise NotImplementedError(
-                f"region volume known in closed form for rank <= 3, got {r}")
-        return value, 64.0 * 2.0**-52 * value
-    if method == "mc":
-        if r != 2:
-            raise NotImplementedError(f"Monte Carlo volume implemented for rank 2, got {r}")
-        from scipy.integrate import quad
-
-        rng = np.random.default_rng(seed)
-        hits = 0
-        chunk = 1_000_000
-        done = 0
-        while done < samples:
-            b = min(chunk, samples - done)
-            y = rng.uniform(0.0, box, size=(b, 2))
-            a = y[:, 0] * y[:, 1] * (y[:, 0] + y[:, 1]) / 2.0
-            hits += int(np.count_nonzero(a <= 1.0))
-            done += b
-        p = hits / samples
-        vol_box = p * box * box
-        sigma = box * box * math.sqrt(max(p * (1.0 - p), 1e-300) / samples)
-        tail, tail_err = quad(_boundary_root_r2, box, np.inf, limit=300)
-        return vol_box + 2.0 * tail, 3.0 * sigma + 2.0 * tail_err
-    raise ValueError(f"unknown method {method!r}")
+    if r == 2:
+        value = (2.0 ** (-1.0 / 3.0) * math.gamma(1.0 / 3.0) ** 2
+                 / math.gamma(2.0 / 3.0))
+    elif r == 3:
+        value = math.sqrt(3.0) * math.gamma(0.25) ** 4 / (6.0 * math.pi)
+    else:
+        raise NotImplementedError(
+            f"region volume known in closed form for rank <= 3, got {r}")
+    return value, 64.0 * 2.0**-52 * value
 
 
 _U = 2.0**-53          # unit roundoff of a double

@@ -25,7 +25,6 @@ import sys
 import time
 
 import numpy as np
-import scipy  # the package alone, for its version; its submodules load lazily
 
 from . import _IMPORT_STARTED, __version__
 from .boltzmann import (
@@ -100,8 +99,7 @@ def _manifest(args, results: dict, started: float, outputs) -> str:
         "config": config,
         "versions": {"slrep": __version__,
                      "python": sys.version.split()[0],
-                     "numpy": np.__version__,
-                     "scipy": scipy.__version__},
+                     "numpy": np.__version__},
         "import_s": round(_IMPORT_S, 3),
         "wall_time_s": round(time.monotonic() - started, 3),
         "outputs": outputs,

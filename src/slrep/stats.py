@@ -16,7 +16,7 @@ import numpy as np
 from .boltzmann import BoltzmannParams
 from .exact_count import Representation
 from .limits import LimitConstants
-from .weights import dim_irrep, twice_height
+from .weights import degree, dim_irrep, twice_height
 
 STAT_NAMES = ("D", "H", "N", "mult", "shape")
 
@@ -56,9 +56,11 @@ def stat_shape(rep: Representation, t) -> int:
                if all(kj >= tj for kj, tj in zip(k, t)))
 
 
-def default_shape_grid(lo: float = 0.1, hi: float = 5.0, num: int = 16):
-    """Diagonal corner grid: geometric between lo and hi."""
-    return np.geomspace(lo, hi, num)
+def default_shape_grid(r: int, lo: float = 0.1, num: int = 16):
+    """Diagonal corner grid: geometric from lo to hi = 5^(3/nu), nu the
+    degree of the dimension form, so that P(hi, ..., hi) = 125 at every
+    rank and the far corners' shape values stay well above underflow."""
+    return np.geomspace(lo, 5.0 ** (3.0 / degree(r)), num)
 
 
 @dataclass

@@ -133,6 +133,11 @@ def test_solve_saddle_agrees_with_brent(monkeypatch, r, n):
     assert params.s == pytest.approx(s, rel=1e-13, abs=0.0)
     # bracketed Newton needs no more gap evaluations than Brent did
     assert calls <= brent_calls
+    if (r, n) == (3, 10**5):
+        # this solve enlarges its census once; the retry starts from the
+        # first root (22 evaluations when it restarted from scratch)
+        assert params.cutoff > default_cutoff(r, n)
+        assert calls <= 14
 
 
 def test_solve_saddle_is_monotone_in_target():

@@ -32,6 +32,7 @@ from census_terms import (
     mellin_barnes_integral,
     mordell_tornheim_diagonal,
 )
+from oracles import region_volume_mc
 
 # closed form for the rank-2 region volume: 2^{-1/3} Gamma(1/3)^2 / Gamma(2/3)
 VOLUME_R2 = 2.0 ** (-1.0 / 3.0) * gamma_fn(1.0 / 3.0) ** 2 / gamma_fn(2.0 / 3.0)
@@ -179,18 +180,16 @@ def test_region_volume_matches_simplex_reduction():
 
 
 def test_region_volume_monte_carlo_brackets_quadrature():
-    mc, mc_err = region_volume(2, method="mc", samples=2_000_000)
+    mc, mc_err = region_volume_mc(2, samples=2_000_000)
     assert mc_err < 0.5
     assert abs(mc - VOLUME_R2) <= mc_err
 
 
 def test_region_volume_rejects_unknown_inputs():
-    with pytest.raises(ValueError):
-        region_volume(2, method="dartboard")
     with pytest.raises(NotImplementedError):
         region_volume(4)
     with pytest.raises(NotImplementedError):
-        region_volume(3, method="mc")
+        region_volume_mc(3)
 
 
 @pytest.mark.parametrize("r", [2, 3])

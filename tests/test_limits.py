@@ -5,13 +5,14 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.integrate import dblquad
+from scipy.integrate import dblquad, tplquad
 from scipy.special import gamma as gamma_fn, zeta
 
 from slrep.boltzmann import solve_saddle
 from slrep.census import enumerate_irreps, region_volume
 from slrep.limits import (
     asymptotic_saddle,
+    bose_tail,
     compute_constants,
     count_mgf,
     count_mgf_log_modulus,
@@ -20,12 +21,18 @@ from slrep.limits import (
     exp_cdf,
     gumbel_cdf,
     limit_shape,
-    moment_box_quadrature,
     saddle_scale_constant,
     variance_scale_constant,
     zeta,
 )
+from slrep.stats import default_shape_grid
 from slrep.weights import degree, dim_poly
+
+from oracles import (
+    bose_tail_reference,
+    limit_shape_simplex_reference,
+    moment_box_quadrature,
+)
 
 
 def test_rank_one_moment_integrals_closed_forms():
@@ -72,6 +79,37 @@ def test_zeta_against_mpmath(s):
         assert abs(mp.mpf(zeta(s)) - exact) <= 4e-16 * exact
     with pytest.raises(ValueError):
         zeta(1.0)
+
+
+@pytest.mark.parametrize("s", [2.0 / (r + 1) for r in range(2, 7)]
+                         + [1e-3, 0.1, 0.25, 0.75, 0.9, 0.999])
+def test_zeta_below_one_against_mpmath(s):
+    # zeta(c), c = 2/(r+1), is the constant of bose_tail's series branch;
+    # the Euler-Maclaurin terms cancel there, so a few ulps of the largest
+    # term (about 10, against |zeta| >= 1/2) are allowed
+    with mp.workdps(40):
+        exact = mp.zeta(mp.mpf(s))
+        assert abs(mp.mpf(zeta(s)) - exact) <= 5e-15 * abs(exact)
+    for bad in (0.0, -0.5):
+        with pytest.raises(ValueError):
+            zeta(bad)
+
+
+@pytest.mark.parametrize("c", [2.0 / 3.0, 0.5])
+def test_bose_tail_against_mpmath(c):
+    xs = np.concatenate([np.geomspace(1e-8, 700.0, 25),
+                         [np.nextafter(3.0, 0.0), 3.0, np.nextafter(3.0, 4.0)]])
+    assert np.any(xs < 3.0) and np.any(xs >= 3.0)  # both branches
+    values, err = bose_tail(c, xs)
+    with mp.workdps(30):
+        for x, value, e in zip(xs, values, err):
+            exact = bose_tail_reference(c, x)
+            assert abs(mp.mpf(value) - exact) <= e, x
+            assert e <= 1e-11 * exact, x
+    with pytest.raises(ValueError):
+        bose_tail(1.0, xs)
+    with pytest.raises(ValueError):
+        bose_tail(c, [0.0])
 
 
 def test_rank_one_saddle_constant_is_pi_over_sqrt_six():
@@ -122,8 +160,9 @@ def test_gumbel_and_exponential_reference_cdfs():
 
 def test_limit_shape_rank_one_closed_form():
     for t in (0.1, 0.7, 2.0, 5.0):
-        assert limit_shape(1, t) == pytest.approx(-math.log(-math.expm1(-t)),
-                                                  rel=1e-12)
+        value, err = limit_shape(1, t)
+        assert value == pytest.approx(-math.log(-math.expm1(-t)), rel=1e-12)
+        assert 0.0 < err <= 1e-14 * value
 
 
 @pytest.mark.parametrize("t", [0.5, 1.5])
@@ -137,24 +176,57 @@ def test_limit_shape_rank_two_against_direct_quadrature(t):
 
     hi = (60.0 / t) ** 0.5 + t
     direct, _ = dblquad(f, t, hi, t, hi, epsabs=1e-10, epsrel=1e-9)
-    assert limit_shape(2, (t, t)) == pytest.approx(direct, rel=1e-6)
+    value, _ = limit_shape(2, (t, t))
+    assert value == pytest.approx(direct, rel=1e-6)
+
+
+def test_limit_shape_rank_two_against_simplex_reduction():
+    # the default corners and three off the diagonal, against the simplex
+    # integral in mpmath; err must be a true bound and at most 1e-6
+    corners = np.array([(t, t) for t in default_shape_grid(2)]
+                       + [(0.5, 2.0), (2.0, 0.5), (1.0, 3.0)])
+    values, err = limit_shape(2, corners)
+    assert values.shape == err.shape == (len(corners),)
+    with mp.workdps(20):
+        for (t1, t2), value, e in zip(corners, values, err):
+            exact = limit_shape_simplex_reference(t1, t2)
+            assert abs(mp.mpf(value) - exact) <= e, (t1, t2)
+            assert 0.0 < e <= 1e-6 * value, (t1, t2)
+
+
+@pytest.mark.parametrize("t", [(1.0, 1.0, 1.0), (0.5, 1.0, 2.0), (0.3, 0.3, 1.5)])
+def test_limit_shape_rank_three_against_tplquad(t):
+    # the cube route the package used before the reduction: y_j = t_j -
+    # log u_j maps the corner set onto the unit cube
+    def f(u3, u2, u1):
+        y = (t[0] - math.log(u1), t[1] - math.log(u2), t[2] - math.log(u3))
+        a = dim_poly(3, y)
+        return 0.0 if a > 700.0 else math.exp(-a) / -math.expm1(-a) / (u1 * u2 * u3)
+
+    direct, _ = tplquad(f, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, epsabs=1e-10, epsrel=1e-7)
+    value, err = limit_shape(3, t)
+    assert abs(value - direct) <= err + 1e-7 * direct
+    assert 0.0 < err <= 1e-6 * value
 
 
 def test_limit_shape_symmetry_and_validation():
-    assert limit_shape(2, (0.5, 1.5)) == pytest.approx(limit_shape(2, (1.5, 0.5)),
-                                                       rel=1e-8)
-    assert limit_shape(3, (1.0, 1.0, 1.0)) > 0.0
+    left, left_err = limit_shape(2, (0.5, 1.5))
+    right, right_err = limit_shape(2, (1.5, 0.5))
+    assert abs(left - right) <= left_err + right_err
+    assert limit_shape(3, (1.0, 1.0, 1.0))[0] > 0.0
     with pytest.raises(ValueError):
         limit_shape(2, (1.0,))
     with pytest.raises(ValueError):
         limit_shape(2, (-1.0, 1.0))
+    with pytest.raises(ValueError):
+        limit_shape(2, np.ones((2, 2, 2)))
     with pytest.raises(NotImplementedError):
         limit_shape(4, (1.0, 1.0, 1.0, 1.0))
 
 
 def test_limit_shape_is_decreasing_in_the_corner():
-    values = [limit_shape(2, (t, t)) for t in (0.2, 0.5, 1.0, 2.0, 4.0)]
-    assert values == sorted(values, reverse=True)
+    values, _ = limit_shape(2, np.repeat([[0.2], [0.5], [1.0], [2.0], [4.0]], 2, axis=1))
+    assert list(values) == sorted(values, reverse=True)
 
 
 def test_count_mgf_normalization_and_validation():

@@ -67,12 +67,18 @@ def test_shape_counts_dominating_corners():
 
 
 def test_default_shape_grid_is_geometric():
-    grid = default_shape_grid()
+    grid = default_shape_grid(2)
     assert len(grid) == 16
     assert grid[0] == pytest.approx(0.1)
     assert grid[-1] == pytest.approx(5.0)
     ratios = grid[1:] / grid[:-1]
     np.testing.assert_allclose(ratios, ratios[0])
+    # the rank-2 grid is the one the shape report always used, bit for bit
+    assert np.array_equal(grid, np.geomspace(0.1, 5.0, 16))
+    # every rank ends where the dimension form is 5^3 on the diagonal
+    for r in (1, 2, 3, 4):
+        hi = default_shape_grid(r)[-1]
+        assert hi ** degree(r) == pytest.approx(125.0, rel=1e-12)
 
 
 @pytest.fixture(scope="module")

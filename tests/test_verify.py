@@ -233,6 +233,10 @@ def test_compare_shape_certifies_every_corner():
     report = compare_exact_to_limit(2, 10**4, "shape", params=params)
     assert np.all(report.exact > 0.0)
     assert np.all(report.exact_err <= 1e-6 * report.exact)
+    # limit_err is the largest relative error of the limit column, proven
+    # at rank 2
+    assert 0.0 < report.limit_err <= 1e-6
+    assert report.note.endswith("certified")
     far = math.ceil(float(report.grid.max()) / params.s)
     assert dim_irrep(2, (far, far)) > params.cutoff
 
