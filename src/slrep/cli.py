@@ -19,7 +19,6 @@ import argparse
 import io
 import json
 import math
-import os
 import random
 import sys
 import time
@@ -93,7 +92,6 @@ def _json_safe(value):
 def _manifest(args, results: dict, started: float, outputs) -> str:
     config = {k: _json_safe(v) for k, v in sorted(vars(args).items())
               if k != "func" and not k.startswith("_")}
-    config["threads"] = os.environ.get("SLREP_THREADS", "default")
     body = {
         "command": args.subcommand,
         "config": config,
@@ -291,7 +289,6 @@ def _cmd_verify_weyl(args, started):
         "sin2_bound": report.sin2_bound,
         "min_sin2_lower": float(report.sin2_lower.min()),
         "violations": report.violations,
-        "ambiguous_points_excluded": int(report.ambiguous.sum()),
     }
     if args.rank == 2:
         ladder = appendix_window_check(args.N, args.eps, thetas, grid_note=note)
@@ -304,7 +301,6 @@ def _cmd_verify_weyl(args, started):
             "run_length_bound": ladder.run_length_bound,
             "max_run_length": int(ladder.run_max_lengths.max()),
             "follow_violations": int(ladder.run_follow_violations.sum()),
-            "ambiguous_points_excluded": [int(x) for x in ladder.ambiguous],
         }
         results["pass"] = bool(report.passed and ladder.passed)
     return _emit(args, started, results, failed=not results["pass"])

@@ -6,20 +6,30 @@ of box steps behind them), exact total-variation distances between the
 uniform and Boltzmann ensembles, and exact-vs-limit gap reports for the
 five observables.
 
-Fractional parts theta * a must be resolved far below the window width
-even when a ~ 10^13, where a plain double product carries an absolute
-error of order 1e-3.  The splitting route keeps everything certified:
-theta splits into two 26-bit halves (Veltkamp), a splits into high and
-low 26-bit integer halves, the four cross products are then exact in
-double precision, and each reduces modulo 1 exactly, so the final sum
-carries only three rounding errors.  Every window comparison uses the
-resulting margin; points landing within the margin of a window edge are
-counted as ambiguous and never claimed for a bound.
+Window tests need the fractional part of theta * a for dimension values a
+up to 2^53, where a plain double product carries an absolute error of
+order 1e-3.  They are exact integer comparisons instead.  A double theta
+in [0, 1] is m 2^-sh exactly (float.as_integer_ratio), so the fractional
+part of theta * a is ((m a) mod 2^sh) / 2^sh, and the window kernel
+computes F = floor(2^64 frac(theta a)) in 64-bit words:
+
+* sh <= 64: F is the wrapping product a * (m 2^(64 - sh)), with no
+  remainder;
+* 64 < sh <= 127: m a = H 2^64 + L with L the wrapping product a * m and
+  H <= 2^42 (m and a lie below 2^53).  The double a m 2^-64 is within
+  2^-11 of m a 2^-64, so rounding it minus L 2^-64 returns H exactly, and
+  F = floor(m a / 2^(sh - 64)) mod 2^64 follows by shifts.
+
+D = min(F, 2^64 - F) is then 2^64 times the distance of theta * a to the
+nearest integer when sh <= 64, and within one unit of it otherwise.  A
+window w is passed when D > floor(2^64 w), an integer comparison.  With
+sh > 64, only D = floor(2^64 w) and the unit above it can disagree with
+the truth; those points are settled with Python integers.  So every
+window count is exact and no point is ever set aside.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,72 +56,81 @@ from .limits import (
 from .stats import default_shape_grid
 from .weights import degree, dim_irrep, superfactorial
 
-_SPLIT_FACTOR = float(2**27 + 1)
-_LOW_BITS = 26
-_LOW_MASK = (1 << _LOW_BITS) - 1
-# Three roundings on sums in [0, 4) plus the 1 - f flip: 2^-48 dominates.
-FRAC_MARGIN = 2.0**-48
-_MAX_EXACT_DIM = 2**52
+_MAX_DIM = 2**53
+_MAX_SHIFT = 127
 
 
-def _veltkamp_split(x: float):
-    """x as an exact sum hi + lo of two doubles with 26-bit significands."""
-    t = _SPLIT_FACTOR * x
-    hi = t - (t - x)
-    return hi, x - hi
+def _window_kernel(dims):
+    """Exact window tests of theta * dims against the integers.
 
-
-def exact_frac_parts(theta: float, dims: np.ndarray) -> np.ndarray:
-    """Fractional parts of theta * dims with absolute error <= FRAC_MARGIN.
-
-    dims must be a nonnegative integer array below 2^52.  The result lives
-    in [0, 1); errors are understood modulo 1 (a true value just under 1
-    may be reported just above 0 and vice versa, shifted by the margin).
+    dims must be nonnegative integers below 2^53.  Returns a callable
+    (theta, window) -> (outside, D) for theta in [0, 1] with at most 127
+    binary places (every double from 2^-75 up): outside marks the points
+    whose distance to the nearest integer exceeds window, exactly; D
+    (uint64) is less than one unit from 2^64 times that distance, and
+    equal to it when theta has at most 64 binary places.  D is a reused
+    buffer: consume it before the next call.
     """
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError(f"frequency must lie in [0, 1], got {theta}")
-    dims = np.asarray(dims)
-    if dims.size and int(dims.max()) >= _MAX_EXACT_DIM:
-        raise NotImplementedError(
-            "dimension values at or above 2^52 exceed the exact-splitting range")
-    a_hi = (dims >> _LOW_BITS).astype(np.float64)
-    a_lo = (dims & _LOW_MASK).astype(np.float64)
-    t_hi, t_lo = _veltkamp_split(theta)
-    total = np.zeros(dims.shape, dtype=np.float64)
-    work = np.empty(dims.shape, dtype=np.float64)
-    flo = np.empty(dims.shape, dtype=np.float64)
-    for t_part in (t_hi, t_lo):
-        for a_part, shift in ((a_hi, float(1 << _LOW_BITS)), (a_lo, 1.0)):
-            np.multiply(a_part, t_part, out=work)  # exact: 26 + 26 bits
-            if shift != 1.0:
-                work *= shift  # exact: power-of-two scaling
-            np.floor(work, out=flo)
-            work -= flo  # exact: Sterbenz subtraction
-            total += work
-    np.floor(total, out=flo)
-    total -= flo
-    return total
+    dims = np.asarray(dims, dtype=np.int64)
+    if dims.size and int(dims.max()) >= _MAX_DIM:
+        raise NotImplementedError("dimension values at or above 2^53 exceed the "
+                                  "exact window kernel")
+    as_float = dims.astype(np.float64)
+    high = np.empty(dims.shape, dtype=np.uint64)
+    estimate = np.empty(dims.shape, dtype=np.float64)
+    low = np.empty(dims.shape, dtype=np.float64)
+    unsigned = dims.view(np.uint64)
+    frac = np.empty(dims.shape, dtype=np.uint64)
+    signed = frac.view(np.int64)
+    flip = np.empty(dims.shape, dtype=np.uint64)
 
+    def evaluate(theta: float, window: float):
+        if not 0.0 <= theta <= 1.0:
+            raise ValueError(f"frequency must lie in [0, 1], got {theta}")
+        m, denominator = float(theta).as_integer_ratio()
+        sh = denominator.bit_length() - 1
+        if sh > _MAX_SHIFT:
+            raise NotImplementedError(
+                f"frequency {theta!r} has {sh} binary places, above the "
+                f"{_MAX_SHIFT} of the exact window kernel")
+        if sh <= 64:
+            np.multiply(unsigned, np.uint64((m << (64 - sh)) % 2**64), out=frac)
+        else:
+            # m a = H 2^64 + L.  With L read as a signed word L - b 2^64
+            # (b = 1 when L >= 2^63), the double a m 2^-64 - L 2^-64 lies
+            # within 2^-10 of H + b <= 2^42 and rounds to it exactly; the
+            # arithmetic shift of the signed L takes b 2^(128 - sh) back
+            # off, so the wrapping sum is floor(m a / 2^(sh - 64)) mod 2^64.
+            np.multiply(unsigned, np.uint64(m), out=frac)
+            np.multiply(as_float, m * 2.0**-64, out=estimate)
+            np.multiply(signed, 2.0**-64, out=low)
+            np.subtract(estimate, low, out=estimate)
+            np.rint(estimate, out=estimate)
+            np.copyto(high, estimate, casting="unsafe")
+            np.left_shift(high, 128 - sh, out=high)
+            np.right_shift(signed, sh - 64, out=signed)
+            np.add(frac, high, out=frac)
+        np.negative(frac, out=flip)
+        np.minimum(frac, flip, out=frac)  # frac now holds D
+        wp, wq = float(window).as_integer_ratio()
+        threshold = np.uint64((wp << 64) // wq)
+        outside = frac > threshold
+        if sh > 64:
+            # D is off by less than one unit, so only D = T and D = T + 1
+            # against T = floor(2^64 window) can disagree with the truth
+            np.subtract(frac, threshold, out=flip)
+            for i in np.flatnonzero(flip <= 1):
+                residue = (m * int(dims[i])) % denominator
+                nearest = min(residue, denominator - residue)
+                outside[i] = nearest * wq > wp * denominator
+        return outside, frac
 
-def _window_distances(theta: float, dims: np.ndarray) -> np.ndarray:
-    """Distances of theta * dims to the nearest integer, error <= FRAC_MARGIN."""
-    f = exact_frac_parts(theta, dims)
-    return np.minimum(f, 1.0 - f)
-
-
-def lambda_window(r: int, box_size: int):
-    """Iterate over the lattice box box_size <= k_j <= (j + 2) * box_size.
-
-    The box has exactly prod_j ((j + 1) * box_size + 1) points.
-    """
-    if box_size < 4:
-        raise ValueError(f"box parameter must be at least 4, got {box_size}")
-    ranges = [range(box_size, (j + 2) * box_size + 1) for j in range(1, r + 1)]
-    return itertools.product(*ranges)
+    return evaluate
 
 
 def _lambda_dims(r: int, box_size: int) -> np.ndarray:
-    """Dimensions over the lambda_window box as a flat int64 array."""
+    """Dimensions over the lattice box box_size <= k_j <= (j + 2) * box_size,
+    which holds prod_j ((j + 1) * box_size + 1) points, as a flat int64 array."""
     corner = [(j + 2) * box_size for j in range(1, r + 1)]
     c = superfactorial(r)
     if dim_irrep(r, corner) * c >= 2**62:
@@ -137,7 +156,7 @@ def _lambda_dims(r: int, box_size: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WeylWindowReport:
-    """Certified window counts and sin^2 lower bounds over a lattice box."""
+    """Exact window counts and certified sin^2 lower bounds over a lattice box."""
 
     rank: int
     box_size: int
@@ -148,7 +167,6 @@ class WeylWindowReport:
     thetas: np.ndarray
     counts: np.ndarray
     sin2_lower: np.ndarray
-    ambiguous: np.ndarray
     grid_note: str
 
     @property
@@ -161,76 +179,35 @@ class WeylWindowReport:
         return self.violations == 0
 
 
-def _frac_distance_engine(dims: np.ndarray):
-    """Per-frequency distance evaluator over a fixed dimension array.
-
-    Returns a callable theta -> nearest-integer distances of theta * dims,
-    writing into a reused buffer.  The splitting of dims is hoisted out of
-    the per-frequency loop; the remaining operations replay the rounding
-    sequence of `exact_frac_parts` step for step (a_hi * t then the exact
-    power-of-two scale equals the precomputed (a_hi << 26) * t, and the
-    first accumulation into zero equals an assignment), so results agree
-    bit for bit and carry the same FRAC_MARGIN certificate.
-    """
-    dims = np.asarray(dims)
-    if dims.size and int(dims.max()) >= _MAX_EXACT_DIM:
-        raise NotImplementedError(
-            "dimension values at or above 2^52 exceed the exact-splitting range")
-    high = ((dims >> _LOW_BITS) << _LOW_BITS).astype(np.float64)
-    low = (dims & _LOW_MASK).astype(np.float64)
-    total = np.empty(dims.shape, dtype=np.float64)
-    work = np.empty(dims.shape, dtype=np.float64)
-    flo = np.empty(dims.shape, dtype=np.float64)
-
-    def distances(theta: float) -> np.ndarray:
-        if not 0.0 <= theta <= 1.0:
-            raise ValueError(f"frequency must lie in [0, 1], got {theta}")
-        t_hi, t_lo = _veltkamp_split(theta)
-        first = True
-        for t_part in (t_hi, t_lo):
-            for a_part in (high, low):
-                np.multiply(a_part, t_part, out=work)  # exact: 26 + 26 bits
-                np.floor(work, out=flo)
-                np.subtract(work, flo, out=work)  # exact: Sterbenz subtraction
-                if first:
-                    total[:] = work
-                    first = False
-                else:
-                    np.add(total, work, out=total)
-        np.floor(total, out=flo)
-        np.subtract(total, flo, out=total)
-        np.subtract(1.0, total, out=work)
-        np.minimum(total, work, out=work)
-        return work
-
-    return distances
-
-
 def _window_arrays(thetas, dims, window):
-    """Certified (counts, sin2 lower bounds, ambiguous counts) per theta.
+    """Exact window counts and certified sin^2 lower bounds per theta.
 
-    sin^2(pi d) >= 4 d^2 on 0 <= d <= 1/2 turns the margin-reduced
-    distances into a transcendental-free lower bound for the sin^2 sum.
-    Equal dimension values are collapsed to multiplicity weights first;
-    box sizes of practical interest repeat roughly a quarter of them.
+    sin^2(pi d) >= 4 d^2 on 0 <= d <= 1/2, and D - 1 (floored at zero)
+    lies below 2^64 d, so 4 * 2^-128 sum (D - 1)^2 bounds the sin^2 sum
+    without transcendentals.  Its float evaluation is scaled down by
+    1 - (n + 3) 2^-53 for n distinct dimensions: all terms are
+    nonnegative and each passes through at most n + 3 roundings (the
+    conversion, the square, the weight, n - 1 additions and the final
+    scaling).  Equal dimension values are collapsed to multiplicity
+    weights first; box sizes of practical interest repeat roughly a
+    quarter of them.
     """
     unique, mult = np.unique(np.asarray(dims), return_counts=True)
     multf = mult.astype(np.float64)
-    distance_at = _frac_distance_engine(unique)
+    kernel = _window_kernel(unique)
+    shrink = (1.0 - (unique.size + 3) * 2.0**-53) * 2.0**-126
+    lower = np.empty(unique.shape, dtype=np.uint64)
     counts = np.empty(len(thetas), dtype=np.int64)
     sin2_lower = np.empty(len(thetas))
-    ambiguous = np.empty(len(thetas), dtype=np.int64)
     for i, theta in enumerate(thetas):
-        d = distance_at(float(theta))
-        outside = int(np.sum(mult * (d > window + FRAC_MARGIN)))
-        near_or_out = int(np.sum(mult * (d >= window - FRAC_MARGIN)))
-        counts[i] = outside
-        ambiguous[i] = near_or_out - outside
-        d -= FRAC_MARGIN
-        np.clip(d, 0.0, None, out=d)
+        outside, distances = kernel(float(theta), window)
+        counts[i] = int(np.dot(multf, outside))
+        np.maximum(distances, 1, out=lower)
+        lower -= 1
+        d = lower.view(np.int64).astype(np.float64)
         d *= d
-        sin2_lower[i] = 4.0 * float(np.dot(d, multf))
-    return counts, sin2_lower, ambiguous
+        sin2_lower[i] = float(np.dot(d, multf)) * shrink
+    return counts, sin2_lower
 
 
 def theta_grid(r: int, box_size: int, epsilon: float, num_random: int = 10_000,
@@ -268,7 +245,7 @@ def weyl_lower_bound_check(r: int, box_size: int, epsilon: float,
     For every theta in [epsilon N^-nu, 1/2], at least N^r / 32 box points
     must keep theta * a(k) at distance > 2^-nu epsilon from the integers,
     and the sin^2 sum must reach sin^2(2^-nu pi epsilon) / 32 * N^r.
-    Counts are certified (margin-ambiguous points are excluded), so a
+    Counts are exact and the sin^2 sums certified lower bounds, so a
     reported pass is a proof and a reported violation is a bug.
     """
     if r < 2:
@@ -286,18 +263,18 @@ def weyl_lower_bound_check(r: int, box_size: int, epsilon: float,
         raise ValueError("frequencies must lie in [epsilon N^-nu, 1/2]")
     dims = _lambda_dims(r, box_size)
     window = epsilon * 2.0**-nu
-    counts, sin2_lower, ambiguous = _window_arrays(thetas, dims, window)
+    counts, sin2_lower = _window_arrays(thetas, dims, window)
     return WeylWindowReport(
         rank=r, box_size=box_size, epsilon=epsilon, window=window,
         count_bound=box_size**r / 32.0,
         sin2_bound=math.sin(math.pi * epsilon * 2.0**-nu) ** 2 / 32.0 * box_size**r,
         thetas=thetas, counts=counts, sin2_lower=sin2_lower,
-        ambiguous=ambiguous, grid_note=grid_note)
+        grid_note=grid_note)
 
 
 @dataclass(frozen=True)
 class AppendixReport:
-    """Certified results for the rank-2 ladder: the main box-window count,
+    """Exact results for the rank-2 ladder: the main box-window count,
     the sliding odd-multiplier window count, and the run structure of the
     odd-multiplier sequence."""
 
@@ -313,7 +290,6 @@ class AppendixReport:
     run_max_lengths: np.ndarray
     run_length_bound: float
     run_follow_violations: np.ndarray
-    ambiguous: np.ndarray
 
     @property
     def passed(self) -> bool:
@@ -323,22 +299,12 @@ class AppendixReport:
                 and not np.any(self.run_follow_violations))
 
 
-def _odd_run_structure(theta: float, epsilon: float, box_size: int):
-    """(max run length in the edge set, follow violations, ambiguous) for
-    the sequence of fractional parts of (2k+1) theta, 3N <= k < 6N.
+def _odd_run_structure(flags: list[bool]) -> tuple[int, bool]:
+    """(max run length, follow violation) of an edge-set membership list.
 
-    Edge set: distance to the integers <= epsilon / 2.  A follow violation
-    is an edge run of length ell whose successor lies outside the edge set
-    while one of the next ell - 1 terms falls back in.  Run lengths use
-    over-inclusive membership (so a reported maximum certifiably bounds
-    the true one); the follow check needs exact membership and is only
-    certified when no point lands within the margin of the edge.
+    A follow violation is an edge run of length ell whose successor lies
+    outside the edge set while one of the next ell - 1 terms falls back in.
     """
-    k = np.arange(3 * box_size, 6 * box_size, dtype=np.int64)
-    d = _window_distances(theta, 2 * k + 1)
-    half = epsilon / 2.0
-    ambiguous = int(np.sum(np.abs(d - half) <= FRAC_MARGIN))
-    flags = (d <= half + FRAC_MARGIN).tolist()
     npts = len(flags)
     follow_violation = False
     lengths = []
@@ -354,7 +320,7 @@ def _odd_run_structure(theta: float, epsilon: float, box_size: int):
         lengths.append(ell)
         if pos < npts and any(flags[pos + 1:pos + ell]):
             follow_violation = True
-    return max(lengths, default=0), follow_violation and ambiguous == 0, ambiguous
+    return max(lengths, default=0), follow_violation
 
 
 def appendix_window_check(box_size: int, epsilon: float, thetas,
@@ -364,9 +330,10 @@ def appendix_window_check(box_size: int, epsilon: float, thetas,
     Main check, for theta in [epsilon N^-3, 1/2]: at least N^2 / 32 points
     of the box N <= k <= 3N, N <= j <= 4N keep theta * a(k, j) at distance
     > epsilon / 8 from the integers.  Ladder checks run on the sub-ranges
-    where their hypotheses hold: the odd-multiplier window count >= N / 8
-    on every length-N slice of 3N <= k <= 5N (theta >= epsilon / N), and
-    the run structure of the odd-multiplier sequence (edge runs no longer
+    where their hypotheses hold, over the odd multipliers 2k + 1 with
+    3N <= k < 6N: the window count (distance > epsilon / 2) >= N / 8 on
+    every length-N slice of them (theta >= epsilon / N), and the run
+    structure of their edge set (distance <= epsilon / 2: runs no longer
     than N / 2 + 1, with matching follow runs) for theta in
     [epsilon / N, 1/2 - epsilon / N].
     """
@@ -386,41 +353,30 @@ def appendix_window_check(box_size: int, epsilon: float, thetas,
     if numerator.max() % 2:
         raise ArithmeticError("rank-2 dimension polynomial must be even")
     box_dims = (numerator // 2).reshape(-1)
-    box_counts, _, box_amb = _window_arrays(thetas, box_dims, epsilon / 8.0)
+    box_counts, _ = _window_arrays(thetas, box_dims, epsilon / 8.0)
 
     ladder_mask = thetas >= epsilon / box_size
     ladder_thetas = thetas[ladder_mask]
-    odd = 2 * np.arange(3 * box_size, 6 * box_size, dtype=np.int64) + 1
+    run_mask = ladder_thetas <= 0.5 - epsilon / box_size
+    kernel = _window_kernel(2 * np.arange(3 * box_size, 6 * box_size) + 1)
+    starts = np.arange(0, 2 * box_size + 1)
     min_counts = np.empty(ladder_thetas.size, dtype=np.int64)
-    ladder_amb = np.zeros(ladder_thetas.size, dtype=np.int64)
+    runs = []
     for i, theta in enumerate(ladder_thetas):
-        d = _window_distances(float(theta), odd)
-        ladder_amb[i] = int(np.sum(np.abs(d - epsilon / 2.0) <= FRAC_MARGIN))
-        inside = (d > epsilon / 2.0 + FRAC_MARGIN).astype(np.int64)
-        sliding = np.cumsum(np.concatenate(([0], inside)))
-        starts = np.arange(0, 2 * box_size + 1)
+        outside, _ = kernel(float(theta), epsilon / 2.0)
+        sliding = np.concatenate(([0], np.cumsum(outside)))
         min_counts[i] = int((sliding[starts + box_size] - sliding[starts]).min())
-
-    run_mask = (thetas >= epsilon / box_size) & (thetas <= 0.5 - epsilon / box_size)
-    run_thetas = thetas[run_mask]
-    run_max = np.empty(run_thetas.size, dtype=np.int64)
-    run_follow = np.empty(run_thetas.size, dtype=bool)
-    run_amb = np.zeros(run_thetas.size, dtype=np.int64)
-    for i, theta in enumerate(run_thetas):
-        max_run, follow, amb = _odd_run_structure(float(theta), epsilon, box_size)
-        run_max[i] = max_run
-        run_follow[i] = follow
-        run_amb[i] = amb
-    ambiguous = np.array([int(box_amb.sum()), int(ladder_amb.sum()),
-                          int(run_amb.sum())])
+        if run_mask[i]:
+            runs.append(_odd_run_structure((~outside).tolist()))
     return AppendixReport(
         box_size=box_size, epsilon=epsilon, thetas=thetas,
         box_counts=box_counts, box_bound=box_size**2 / 32.0,
         ladder_thetas=ladder_thetas, ladder_min_counts=min_counts,
         ladder_bound=box_size / 8.0,
-        run_thetas=run_thetas, run_max_lengths=run_max,
+        run_thetas=ladder_thetas[run_mask],
+        run_max_lengths=np.array([r for r, _ in runs], dtype=np.int64),
         run_length_bound=box_size / 2.0 + 1.0,
-        run_follow_violations=run_follow, ambiguous=ambiguous)
+        run_follow_violations=np.array([f for _, f in runs], dtype=bool))
 
 
 def ensembles_tv(r: int, n: int, k, table: CountTable | None = None,

@@ -1,13 +1,15 @@
-"""Slow, independent routes kept as test oracles (they use scipy and mpmath).
+"""Slow, independent routes kept as test oracles (some use scipy and mpmath).
 
 The package computes the region volume C_2 and the moment integrals in
-closed form, and the limit shape by a certified one-dimensional rule.
-These routes reach the same numbers another way: a Monte Carlo volume
-with an analytic tail, an adaptive box quadrature with an analytic strip
-correction, and the simplex reduction of the rank-2 shape in mpmath.
-Only tests call them.
+closed form, the limit shape by a certified one-dimensional rule, and the
+window-box dimensions as one vectorized array.  These routes reach the
+same numbers another way: a Monte Carlo volume with an analytic tail, an
+adaptive box quadrature with an analytic strip correction, the simplex
+reduction of the rank-2 shape in mpmath, and a point-by-point walk over
+the window box.  Only tests call them.
 """
 
+import itertools
 import math
 import warnings
 
@@ -23,6 +25,17 @@ def boundary_root_r2(y1: float) -> float:
     cancellation: the naive (-y1 + sqrt(y1^2 + 8/y1)) / 2 loses every
     significant digit past y1 ~ 1e5."""
     return 4.0 / (y1 * (math.sqrt(y1 * y1 + 8.0 / y1) + y1))
+
+
+def lambda_window(r: int, box_size: int):
+    """Iterate over the lattice box box_size <= k_j <= (j + 2) * box_size.
+
+    The box has exactly prod_j ((j + 1) * box_size + 1) points.
+    """
+    if box_size < 4:
+        raise ValueError(f"box parameter must be at least 4, got {box_size}")
+    ranges = [range(box_size, (j + 2) * box_size + 1) for j in range(1, r + 1)]
+    return itertools.product(*ranges)
 
 
 def region_volume_mc(r: int, seed: int = 7, samples: int = 8_000_000,

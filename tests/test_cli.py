@@ -313,7 +313,12 @@ def test_cli_runs_without_scipy_submodules(label):
     assert report["scipy"] == []
 
 
+ENVIRONMENT_READS = {("os", "environ"), ("os", "getenv")}
+
+
 def test_package_sources_do_not_import_scipy():
+    # nor read the environment: nothing outside the command line and its
+    # echoed configuration may change what a run computes
     package = os.path.join(SRC, "slrep")
     sources = sorted(name for name in os.listdir(package) if name.endswith(".py"))
     assert "limits.py" in sources
@@ -321,10 +326,14 @@ def test_package_sources_do_not_import_scipy():
         with open(os.path.join(package, name)) as fh:
             tree = ast.parse(fh.read(), filename=name)
         for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                assert (node.value.id, node.attr) not in ENVIRONMENT_READS, name
             if isinstance(node, ast.Import):
                 modules = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
                 modules = [node.module or ""]
+                assert not any((node.module, alias.name) in ENVIRONMENT_READS
+                               for alias in node.names), name
             else:
                 continue
             assert not any(m == "scipy" or m.startswith("scipy.") for m in modules), name

@@ -10,46 +10,106 @@ from slrep.boltzmann import solve_saddle
 from slrep.census import enumerate_irreps
 from slrep.exact_count import count_representations
 from slrep.verify import (
-    FRAC_MARGIN,
     appendix_window_check,
     compare_exact_to_limit,
     ensembles_tv,
-    exact_frac_parts,
     ks_distance,
-    lambda_window,
     shrinking,
     theta_grid,
     weyl_lower_bound_check,
     _lambda_dims,
+    _window_kernel,
 )
 from slrep.limits import gumbel_cdf
 from slrep.weights import dim_irrep
 
+from oracles import lambda_window
 
-def test_exact_frac_parts_against_rational_arithmetic():
+
+def residue_distance(theta: float, a: int):
+    """(D, distance) of theta * a to the nearest integer in Python integers:
+    the distance as a Fraction, and D = min(F, 2^64 - F) for
+    F = floor(2^64 frac(theta * a))."""
+    m, q = float(theta).as_integer_ratio()
+    residue = (m * a) % q
+    frac_word = (residue << 64) // q
+    return (min(frac_word, (2**64 - frac_word) % 2**64),
+            Fraction(min(residue, q - residue), q))
+
+
+def outside_reference(theta: float, dims, window: float):
+    """Whether each distance of theta * dims to the integers exceeds window."""
+    return [residue_distance(theta, int(a))[1] > Fraction(window) for a in dims]
+
+
+KERNEL_THETAS = (
+    0.0, 1.0, 0.5, 0.25, 1.0 / 3.0, math.sqrt(2.0) - 1.0, 1.0 - 1e-9,
+    # both sides of 2^-12: 64 binary places above, 65 below
+    np.nextafter(2.0**-12, 1.0), 2.0**-12, np.nextafter(2.0**-12, 0.0),
+    1e-9, 1.2715657552083333e-07,
+    # the kernel's floor: 127 binary places, and 100 with a one-bit mantissa
+    2.0**-75 * (1.0 + 2.0**-52), 2.0**-100,
+)
+
+
+def kernel_dims():
     rng = np.random.default_rng(17)
-    dims = rng.integers(1, 2**50, size=2000, dtype=np.int64)
-    dims[:4] = [1, 2**50 - 1, 3, 2**49 + 1]
-    for theta in (0.5, 0.25, 1.0 / 3.0, math.sqrt(2.0) - 1.0, 0.0, 1.0,
-                  math.pi / 4.0, 1e-9, 1.0 - 1e-9):
-        got = exact_frac_parts(theta, dims)
-        exact_theta = Fraction(theta)
-        for d, g in zip(dims[:200], got[:200]):
-            frac = (exact_theta * int(d)) % 1
-            # distance on the circle: a true part just below 1 may be
-            # reported as a value just above 0 and vice versa
-            diff = abs(g - float(frac))
-            assert min(diff, 1.0 - diff) <= FRAC_MARGIN
-        assert np.all((got >= 0.0) & (got < 1.0))
+    dims = rng.integers(0, 2**53, size=400, dtype=np.int64)
+    dims[:8] = [0, 1, 2, 3, 2**53 - 1, 2**52, 2**52 + 1, 2**26 + 1]
+    return dims
 
 
-def test_exact_frac_parts_guards():
+@pytest.mark.parametrize("theta", KERNEL_THETAS)
+def test_window_kernel_distances_against_python_integers(theta):
+    dims = kernel_dims()
+    kernel = _window_kernel(dims)
+    # 2^-11 is a multiple of 2^-64, (1 + 2^-52) 2^-20 and 1e-25 are not
+    reference = [residue_distance(theta, int(a)) for a in dims]
+    for window in (2.0**-11, (1.0 + 2.0**-52) * 2.0**-20, 1e-25, 0.0):
+        outside, distances = kernel(theta, window)
+        # the residues themselves, not only the masks: a slip in the high
+        # word shows up in D long before it flips a window test
+        assert [int(x) for x in distances] == [word for word, _ in reference]
+        assert outside.tolist() == [dist > Fraction(window) for _, dist in reference]
+
+
+@pytest.mark.parametrize("theta", KERNEL_THETAS)
+def test_window_kernel_settles_windows_at_each_distance(theta):
+    # a window equal to a point's own distance (rounded to a double), or one
+    # double either side, sits within a unit of D: the kernel must decide it
+    # exactly with Python integers when theta has more than 64 binary places
+    dims = kernel_dims()[:40]
+    kernel = _window_kernel(dims)
+    for a in dims:
+        distance = float(residue_distance(theta, int(a))[1])
+        for window in (distance, np.nextafter(distance, 0.0),
+                       np.nextafter(distance, 1.0)):
+            outside, _ = kernel(theta, window)
+            assert outside.tolist() == outside_reference(theta, dims, window)
+
+
+def test_window_kernel_at_simple_frequencies():
+    dims = np.arange(0, 50, dtype=np.int64)
+    kernel = _window_kernel(dims)
+    for theta in (0.0, 1.0):
+        outside, distances = kernel(theta, 0.0)
+        assert not distances.any() and not outside.any()
+    outside, distances = kernel(0.5, 0.25)
+    assert np.array_equal(distances, np.where(dims % 2 == 1, np.uint64(2**63), 0))
+    assert np.array_equal(outside, dims % 2 == 1)
+
+
+def test_window_kernel_guards():
     with pytest.raises(NotImplementedError):
-        exact_frac_parts(0.5, np.array([2**52], dtype=np.int64))
-    with pytest.raises(ValueError):
-        exact_frac_parts(1.5, np.array([1], dtype=np.int64))
-    with pytest.raises(ValueError):
-        exact_frac_parts(-0.1, np.array([1], dtype=np.int64))
+        _window_kernel(np.array([2**53], dtype=np.int64))
+    kernel = _window_kernel(np.array([1, 2**53 - 1], dtype=np.int64))
+    for theta in (1.5, -0.1, float("nan")):
+        with pytest.raises(ValueError):
+            kernel(theta, 0.01)
+    # 128 binary places: beyond the two-word route
+    with pytest.raises(NotImplementedError):
+        kernel(2.0**-76 * (1.0 + 2.0**-52), 0.01)
+    kernel(2.0**-75 * (1.0 + 2.0**-52), 0.01)
 
 
 def test_lambda_window_box_cardinality_and_ranges():
@@ -102,6 +162,49 @@ def test_weyl_certified_sum_bounds_true_sum():
         true_sum = float(np.sum(np.sin(math.pi * ((dims * Fraction(theta)) % 1)
                                        .astype(float)) ** 2))
         assert report.sin2_lower[0] <= true_sum + 1e-9
+        # the quantity the bound certifies: sum 4 d^2 over exact distances
+        four_d2 = sum(4 * residue_distance(theta, int(a))[1] ** 2 for a in dims)
+        assert report.sin2_lower[0] <= four_d2
+
+
+def test_weyl_count_is_exact_where_points_sit_next_to_the_window():
+    # theta = (1/30) 8^-6 from the adversarial grid puts several box points
+    # within 2^-48 of the window edge 2^-11; every one is now decided
+    theta = 1.2715657552083333e-07
+    eps = 1.0 / 32.0
+    dims = _lambda_dims(3, 8)
+    expected = sum(outside_reference(theta, dims, eps * 2.0**-6))
+    report = weyl_lower_bound_check(3, 8, eps, np.array([theta]), "pin")
+    assert int(report.counts[0]) == expected == 13997
+
+
+def test_ladder_flags_and_runs_against_python_integers():
+    # points of this frequency sit on the edge of the epsilon / 2 window,
+    # where the ladder's sliding count and run structure must be exact
+    theta, eps, box = 0.010584677419354838, 1.0 / 32.0, 8
+    odd = [2 * k + 1 for k in range(3 * box, 6 * box)]
+    edge = [not x for x in outside_reference(theta, odd, eps / 2.0)]
+    outside, _ = _window_kernel(np.array(odd))(theta, eps / 2.0)
+    assert (~outside).tolist() == edge
+
+    runs, follow = [], False
+    start = None
+    for i, flag in enumerate(edge + [False]):
+        if flag and start is None:
+            start = i
+        elif not flag and start is not None:
+            ell = i - start
+            runs.append(ell)
+            if i < len(edge) and any(edge[i + 1:i + ell]):
+                follow = True
+            start = None
+    windows = [box - sum(edge[s:s + box]) for s in range(2 * box + 1)]
+
+    report = appendix_window_check(box, eps, np.array([theta]), "pin")
+    assert report.run_thetas.tolist() == [theta]
+    assert int(report.run_max_lengths[0]) == max(runs) == 1
+    assert not follow and not report.run_follow_violations[0]
+    assert int(report.ladder_min_counts[0]) == min(windows) == 7
 
 
 def test_weyl_check_validation():
