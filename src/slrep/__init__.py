@@ -31,14 +31,13 @@ from .boltzmann import (
 from .census import (
     BudgetError,
     IrrepCensus,
+    counting_remainder,
     cumulative_count,
     dim_count,
     enumerate_irreps,
     flatten_weights,
-    growth_envelope,
     inverse_moment_tail,
     region_volume,
-    remainder_envelope,
     upper_incomplete_gamma,
     weighted_tail_bound,
     write_csv,

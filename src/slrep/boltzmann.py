@@ -10,9 +10,14 @@ accepts with probability q^k, k the dimension left to it, at an expected
 the expected total dimension equals n; writing q = exp(-s^nu) with
 nu = r(r+1)/2, the solved s shrinks like n^{-2/(r(r+3))}.
 
-Every truncated sum here carries a certified tail bound derived from the
-census growth envelope, returned as the second element of a (value, err)
-pair or recorded on the params object.
+Every truncated sum here carries a certified tail bound, returned as the
+second element of a (value, err) pair or recorded on the params object.
+The bounds rest on R(x) <= C_r x^{2/(r+1)} for the number R(x) of weights
+with dim <= x: the dimension form increases in each coordinate, so the
+unit cubes [k - 1, k] of the counted weights are disjoint and lie in
+{y >= 0 : dim form <= x}, of volume C_r x^{2/(r+1)} (`census.region_volume`,
+`census.counting_remainder`).  Ranks above 3 have no closed-form C_r and
+are refused.
 """
 
 from __future__ import annotations
@@ -57,10 +62,10 @@ def _moment_value(census, beta, p):
     return math.fsum(rho * m**p * qm / one_minus**p)
 
 
-def _moment_err(census, beta, p, envelope=None):
+def _moment_err(census, beta, p):
     X = census.max_dim
     scale = (-np.expm1(-beta * X)) ** (-p) if p else 1.0
-    return scale * weighted_tail_bound(census, beta, p, envelope=envelope)
+    return scale * weighted_tail_bound(census, beta, p)
 
 
 def _check_q(q):

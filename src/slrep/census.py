@@ -8,7 +8,9 @@ dimensions with multiplicities; the number of weights up to x grows like
 C_r x^{2/(r+1)}, where C_r is the volume of the region {y > 0 : dim form <= 1}.
 By homogeneity C_r = (1/r) * integral over the unit simplex of P^{-2/(r+1)}
 (P the dimension form): 2^{-1/3} Gamma(1/3)^2 / Gamma(2/3) at rank 2 and
-sqrt(3) Gamma(1/4)^4 / (6 pi) at rank 3.
+sqrt(3) Gamma(1/4)^4 / (6 pi) at rank 3.  Lattice cubes prove
+C_r x^{2/(r+1)} - K_r x^{2/(r+2)} <= R(x) <= C_r x^{2/(r+1)} for every x
+(`counting_remainder`), and the tail bounds beyond a census rest on that.
 
 The census is immutable and shared: samplers, exact distribution curves and
 tail bounds all read from the same table.
@@ -225,6 +227,45 @@ def region_volume(r: int):
     return value, 64.0 * 2.0**-52 * value
 
 
+def counting_remainder(r: int) -> float:
+    """K_r with C_r x^c - K_r x^(2/(r+2)) <= R(x) <= C_r x^c for all x >= 0,
+    R(x) the number of weights with dim <= x and c = 2/(r+1).
+
+    A one-sided form of Davenport's lemma ("On a principle of Lipschitz",
+    J. London Math. Soc. 26, 1951).  The dimension form P increases in each
+    coordinate, so the unit cubes [k - 1, k] of the counted weights k are
+    disjoint and lie in {y >= 0 : P(y) <= x}, of volume C_r x^c.  Flooring
+    maps every z >= 1 with P(z) <= x to a counted weight, so the cubes
+    [k, k + 1] cover {z >= 1 : P(z) <= x}; what they may miss lies in the
+    strips {z_j < 1}.  On a strip, P(z) >= z_j Q_j(the other coordinates)
+    with Q_j homogeneous of degree nu - 1, so the strip has volume at most
+    (r+2)/r area{Q_j <= 1} x^(2/(r+2)):
+
+        rank 1: R(x) = floor(x) >= x - 1, so K_1 = 1;
+        rank 2: Q_1 = z_2^2 / 2, two strips of 2 sqrt(2x) each, K_2 = 4 sqrt 2;
+        rank 3: Q_1 = z_2^2 z_3 (z_2 + z_3)^2 / 12 (Q_3 mirrors it) and
+                Q_2 = z_1^2 z_3^2 (z_1 + z_3) / 12, whose areas are Beta
+                integrals: K_3 = (5/3) (1/2) 12^(2/5) (2 B(1/5, 3/5)
+                + B(1/5, 1/5)) = 47.84...
+
+    The float value is rounded up by 64 ulps, well above the rounding of
+    its evaluation.  Ranks above 3 raise NotImplementedError.
+    """
+    if r == 1:
+        return 1.0
+    if r == 2:
+        value = 4.0 * math.sqrt(2.0)
+    elif r == 3:
+        def beta(a, b):
+            return math.gamma(a) * math.gamma(b) / math.gamma(a + b)
+        value = (5.0 / 6.0 * 12.0**0.4
+                 * (2.0 * beta(0.2, 0.6) + beta(0.2, 0.2)))
+    else:
+        raise NotImplementedError(
+            f"counting remainder known in closed form for rank <= 3, got {r}")
+    return value * (1.0 + 64.0 * 2.0**-52)
+
+
 _U = 2.0**-53          # unit roundoff of a double
 _TINY = 2.0**-1022     # smallest normal double
 
@@ -280,21 +321,22 @@ def upper_incomplete_gamma(a: float, x: float):
     return value, err
 
 
-def weighted_tail_bound(census: IrrepCensus, beta: float, p: float,
-                        envelope: float | None = None) -> float:
+def weighted_tail_bound(census: IrrepCensus, beta: float, p: float) -> float:
     """Upper bound for sum over m > max_dim of rho(m) m^p e^{-beta m}.
 
-    Abel summation against the growth envelope R(x) <= C' x^c, c = 2/(r+1):
-    with f(t) = t^p e^{-beta t} decreasing past the cutoff X (this needs
-    X >= p/beta, or the bound is invalid and we raise),
+    Abel summation against the proven bound R(x) <= C_r x^c, c = 2/(r+1)
+    (see `counting_remainder`; C_r is taken at its value plus its error
+    bound): with f(t) = t^p e^{-beta t} decreasing past the cutoff X (this
+    needs X >= p/beta, or the bound is invalid and we raise),
 
-        sum_{m > X} rho(m) f(m) <= C' f(X) X^c
-                                   + C' c beta^{-(p+c)} Gamma(p+c, beta X),
+        sum_{m > X} rho(m) f(m) <= C_r f(X) X^c
+                                   + C_r c beta^{-(p+c)} Gamma(p+c, beta X),
 
     Gamma(.,.) the upper incomplete gamma function, taken at its value plus
     its error bound.  The result is rounded up by (beta X + 16) * 2u (u the
     unit roundoff): the exponentials amplify the rounding of beta X by
-    beta X, and every other operation adds at most u.
+    beta X, and every other operation adds at most u.  Ranks above 3 raise
+    NotImplementedError, as region_volume does.
     """
     X = float(census.max_dim)
     if beta <= 0:
@@ -303,8 +345,7 @@ def weighted_tail_bound(census: IrrepCensus, beta: float, p: float,
         raise ValueError(
             f"census cutoff {census.max_dim} too small for a certified tail "
             f"(need at least {p / beta:.3g})")
-    if envelope is None:
-        envelope = growth_envelope(census)
+    envelope = sum(region_volume(census.rank))
     c = 2.0 / (census.rank + 1)
     x = beta * X
     fX = X**p * math.exp(-x)
@@ -314,64 +355,30 @@ def weighted_tail_bound(census: IrrepCensus, beta: float, p: float,
     return bound * (1.0 + (x + 16.0) * 2.0 * _U)
 
 
-def inverse_moment_tail(census: IrrepCensus, j: int,
-                        volume: float | None = None):
+def inverse_moment_tail(census: IrrepCensus, j: int):
     """(estimate, err) for sum over m > max_dim of rho(m) / m^j, j >= 1.
 
-    Abel summation with R(t) = C_r t^c + O(t^{c'}) gives the main term
-    C_r c/(j-c) X^{c-j}; the error uses the fitted remainder envelope.
+    Write R(t) = C_r t^c + E(t), c = 2/(r+1), with -K_r t^c' <= E(t) <= 0,
+    c' = 2/(r+2) (`counting_remainder`).  Summing by parts over (X, inf),
+
+        sum_{m > X} rho(m) / m^j = C_r c/(j-c) X^(c-j)
+                                   - E(X) X^-j + j int_X^inf E(t) t^(-j-1) dt.
+
+    The first term is the estimate.  The second lies in [0, K_r X^(c'-j)]
+    and the third in [-K_r j/(j-c') X^(c'-j), 0], so err = K_r j/(j-c')
+    X^(c'-j), plus the error bound of C_r times c/(j-c) X^(c-j).  Ranks
+    above 3 raise NotImplementedError, as region_volume does.
     """
     r = census.rank
     if r < 2:
         raise ValueError("inverse-moment tails need rank >= 2 (divergent at rank 1)")
-    if volume is None:
-        volume, _ = region_volume(r)
+    volume, volume_err = region_volume(r)
     c = 2.0 / (r + 1)
-    cprime = 2.0 * (r - 1) / (r * r)
+    cprime = 2.0 / (r + 2)
     if j <= c:
         raise ValueError(f"moment order {j} must exceed the growth exponent {c}")
     X = float(census.max_dim)
-    K = remainder_envelope(census, volume)
     est = volume * c / (j - c) * X ** (c - j)
-    err = K * (1.0 + cprime / (j - cprime)) * X ** (cprime - j)
+    err = (counting_remainder(r) * j / (j - cprime) * X ** (cprime - j)
+           + volume_err * c / (j - c) * X ** (c - j))
     return est, err
-
-
-def growth_envelope(census: IrrepCensus) -> float:
-    """Fitted constant C' with cumulative_count(x) <= C' x^{2/(r+1)} on range.
-
-    Twice the maximum observed ratio; used to majorize census tails.  Exact
-    on the census range; beyond it the bound rests on the power law with
-    the known exponent holding with a factor-2 margin.
-    """
-    c = 2.0 / (census.rank + 1)
-    ratios = census.cumulative / np.power(census.dims.astype(float), c)
-    return 2.0 * float(ratios.max())
-
-
-def remainder_envelope(census: IrrepCensus, volume: float | None = None,
-                       tail_fraction: float = 1.0 / 16.0) -> float:
-    """Fitted K with |cumulative_count(x) - C_r x^{2/(r+1)}| <= K x^{c'},
-    c' = 2(r-1)/r^2, checked at both sides of every jump of the counting
-    step function.
-
-    The fit runs over dims >= tail_fraction * max_dim because the envelope
-    is only ever used to extrapolate beyond max_dim; the first few dims sit
-    far from the power law and would inflate K by an order of magnitude.
-    Falls back to the full range when the tail window holds no jumps.
-    """
-    r = census.rank
-    if volume is None:
-        volume, _ = region_volume(r)
-    c = 2.0 / (r + 1)
-    cprime = 2.0 * (r - 1) / (r * r) if r > 1 else 0.0
-    start = np.searchsorted(census.dims, tail_fraction * census.max_dim)
-    if start >= census.dims.size:
-        start = 0
-    x = census.dims[start:].astype(float)
-    main = volume * np.power(x, c)
-    hi = census.cumulative[start:]
-    lo = census.cumulative[start - 1:-1] if start > 0 else np.concatenate(
-        ([0], census.cumulative[:-1]))
-    dev = np.maximum(np.abs(hi - main), np.abs(lo - main))
-    return 2.0 * float((dev / np.power(x, cprime)).max())

@@ -294,8 +294,6 @@ def _cmd_verify_weyl(args, started):
         ladder = appendix_window_check(args.N, args.eps, thetas, grid_note=note)
         results["ladder"] = {
             "pass": ladder.passed,
-            "box_bound": ladder.box_bound,
-            "min_box_count": int(ladder.box_counts.min()),
             "window_bound": ladder.ladder_bound,
             "min_window_count": int(ladder.ladder_min_counts.min()),
             "run_length_bound": ladder.run_length_bound,

@@ -499,10 +499,6 @@ def limit_shape(r: int, corners):
 
 # ---- moment generating function of the limiting component count ----
 
-def _tail_moments(census, volume):
-    return {j: inverse_moment_tail(census, j, volume) for j in (1, 2, 3, 4)}
-
-
 def count_mgf(r: int, u, census: IrrepCensus):
     """(value, err): M(u) = prod over weights (1 - u/a)^{-1}, the mgf of the
     limiting scaled component count.  Meromorphic with poles at the module
@@ -526,8 +522,7 @@ def count_mgf(r: int, u, census: IrrepCensus):
         raise ValueError(f"u = {u} is within 1e-9 of a pole of the product")
     log_main = -complex(np.sum(rho * np.log(rel)))
 
-    vol, _ = region_volume(r)
-    tails = _tail_moments(census, vol)
+    tails = {j: inverse_moment_tail(census, j) for j in (1, 2, 3, 4)}
     log_tail = sum(uc**j / j * tails[j][0] for j in (1, 2, 3))
     err_log = sum(abs(uc) ** j / j * tails[j][1] for j in (1, 2, 3))
     s4 = tails[4][0] + tails[4][1]
@@ -545,19 +540,19 @@ def count_mgf_log_modulus(r: int, t: float, census: IrrepCensus):
 
     The certified decay diagnostic: only even powers of t/m enter, so the
     tail expansion is t^2/2 * S_2 - t^4/4 * S_4 with S_j the inverse-moment
-    tails, plus a sixth-order remainder."""
+    tails, plus a sixth-order remainder of at most t^6/6 * S_6.  Summing by
+    parts against R(x) <= C_r x^c gives S_6 <= 6 C_r/(6-c) X^(c-6)."""
     if r < 2:
         raise ValueError("count mgf diverges at rank 1 (harmonic series); need r >= 2")
     m = census.dims.astype(float)
     rho = census.counts.astype(float)
     value = -0.5 * float(np.sum(rho * np.log1p((t / m) ** 2)))
-    vol, _ = region_volume(r)
-    t2, t4 = inverse_moment_tail(census, 2, vol), inverse_moment_tail(census, 4, vol)
+    t2, t4 = inverse_moment_tail(census, 2), inverse_moment_tail(census, 4)
     X = float(census.max_dim)
     if abs(t) > X / 2.0:
         raise ValueError(f"|t| = {abs(t):.3g} too large for census cutoff {X}")
     tail = -(t * t / 2.0 * t2[0] - t**4 / 4.0 * t4[0])
-    sixth = abs(t) ** 6 / 6.0 * (vol * (2 / (r + 1)) / (6 - 2 / (r + 1))
-                                 * X ** (2 / (r + 1) - 6) * 4.0)
+    c = 2.0 / (r + 1)
+    sixth = abs(t) ** 6 * sum(region_volume(r)) / (6.0 - c) * X ** (c - 6.0)
     err = t * t / 2.0 * t2[1] + t**4 / 4.0 * t4[1] + sixth
     return value + tail, err

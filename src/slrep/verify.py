@@ -274,15 +274,12 @@ def weyl_lower_bound_check(r: int, box_size: int, epsilon: float,
 
 @dataclass(frozen=True)
 class AppendixReport:
-    """Exact results for the rank-2 ladder: the main box-window count,
-    the sliding odd-multiplier window count, and the run structure of the
-    odd-multiplier sequence."""
+    """Exact results for the rank-2 ladder: the sliding odd-multiplier
+    window count and the run structure of the odd-multiplier sequence."""
 
     box_size: int
     epsilon: float
     thetas: np.ndarray
-    box_counts: np.ndarray
-    box_bound: float
     ladder_thetas: np.ndarray
     ladder_min_counts: np.ndarray
     ladder_bound: float
@@ -293,8 +290,7 @@ class AppendixReport:
 
     @property
     def passed(self) -> bool:
-        return (not np.any(self.box_counts < self.box_bound)
-                and not np.any(self.ladder_min_counts < self.ladder_bound)
+        return (not np.any(self.ladder_min_counts < self.ladder_bound)
                 and not np.any(self.run_max_lengths > self.run_length_bound)
                 and not np.any(self.run_follow_violations))
 
@@ -325,16 +321,17 @@ def _odd_run_structure(flags: list[bool]) -> tuple[int, bool]:
 
 def appendix_window_check(box_size: int, epsilon: float, thetas,
                           grid_note: str = "caller-supplied") -> AppendixReport:
-    """Check the rank-2 box-window count with its two ladder steps.
+    """Check the two ladder steps of the rank-2 box-window count.
 
-    Main check, for theta in [epsilon N^-3, 1/2]: at least N^2 / 32 points
-    of the box N <= k <= 3N, N <= j <= 4N keep theta * a(k, j) at distance
-    > epsilon / 8 from the integers.  Ladder checks run on the sub-ranges
-    where their hypotheses hold, over the odd multipliers 2k + 1 with
-    3N <= k < 6N: the window count (distance > epsilon / 2) >= N / 8 on
-    every length-N slice of them (theta >= epsilon / N), and the run
-    structure of their edge set (distance <= epsilon / 2: runs no longer
-    than N / 2 + 1, with matching follow runs) for theta in
+    The box count itself (at least N^2 / 32 points of the box N <= k <= 3N,
+    N <= j <= 4N keep theta * a(k, j) at distance > epsilon / 8 from the
+    integers, for theta in [epsilon N^-3, 1/2]) is
+    weyl_lower_bound_check(2, N, epsilon, thetas).  The ladder checks run
+    on the sub-ranges where their hypotheses hold, over the odd multipliers
+    2k + 1 with 3N <= k < 6N: the window count (distance > epsilon / 2)
+    >= N / 8 on every length-N slice of them (theta >= epsilon / N), and
+    the run structure of their edge set (distance <= epsilon / 2: runs no
+    longer than N / 2 + 1, with matching follow runs) for theta in
     [epsilon / N, 1/2 - epsilon / N].
     """
     if not 0.0 < epsilon <= 1.0 / 32.0:
@@ -347,14 +344,6 @@ def appendix_window_check(box_size: int, epsilon: float, thetas,
         raise ValueError("no frequencies supplied")
     if float(thetas.min()) < lo or float(thetas.max()) > 0.5:
         raise ValueError("frequencies must lie in [epsilon N^-3, 1/2]")
-    k = np.arange(box_size, 3 * box_size + 1, dtype=np.int64)[:, None]
-    j = np.arange(box_size, 4 * box_size + 1, dtype=np.int64)[None, :]
-    numerator = k * j * (k + j)
-    if numerator.max() % 2:
-        raise ArithmeticError("rank-2 dimension polynomial must be even")
-    box_dims = (numerator // 2).reshape(-1)
-    box_counts, _ = _window_arrays(thetas, box_dims, epsilon / 8.0)
-
     ladder_mask = thetas >= epsilon / box_size
     ladder_thetas = thetas[ladder_mask]
     run_mask = ladder_thetas <= 0.5 - epsilon / box_size
@@ -370,7 +359,6 @@ def appendix_window_check(box_size: int, epsilon: float, thetas,
             runs.append(_odd_run_structure((~outside).tolist()))
     return AppendixReport(
         box_size=box_size, epsilon=epsilon, thetas=thetas,
-        box_counts=box_counts, box_bound=box_size**2 / 32.0,
         ladder_thetas=ladder_thetas, ladder_min_counts=min_counts,
         ladder_bound=box_size / 8.0,
         run_thetas=ladder_thetas[run_mask],

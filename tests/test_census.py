@@ -1,4 +1,5 @@
-"""Census enumeration, counting function, volumes, and tail envelopes."""
+"""Census enumeration, counting function, volumes, counting bounds and
+tail bounds."""
 
 import functools
 import io
@@ -12,14 +13,13 @@ from scipy.special import gamma as gamma_fn
 
 from slrep.census import (
     BudgetError,
+    counting_remainder,
     cumulative_count,
     dim_count,
     enumerate_irreps,
     flatten_weights,
-    growth_envelope,
     inverse_moment_tail,
     region_volume,
-    remainder_envelope,
     upper_incomplete_gamma,
     weighted_tail_bound,
     write_csv,
@@ -192,23 +192,66 @@ def test_region_volume_rejects_unknown_inputs():
         region_volume_mc(3)
 
 
-@pytest.mark.parametrize("r", [2, 3])
+def _strip_area(q):
+    """area{w >= 0 : q(w) <= 1} for q homogeneous of degree 5 in two
+    variables, in polar coordinates: (1/2) int_0^{pi/2} q(cos, sin)^(-2/5).
+    Both halves are folded onto [0, pi/4] (so no cosine is taken near
+    pi/2), and phi = v^5 removes the endpoint singularities."""
+    def folded(v):
+        c, s = mp.cos(v**5), mp.sin(v**5)
+        return (q(c, s) ** (-mp.mpf(2) / 5) + q(s, c) ** (-mp.mpf(2) / 5)) * 5 * v**4
+    return mp.quad(folded, [0, (mp.pi / 4) ** (mp.mpf(1) / 5)]) / 2
+
+
+def test_counting_remainder_matches_strip_quadrature():
+    # on the strip z_j < 1 the rank-3 form is at least z_j Q_j(the others),
+    # and each strip holds at most (5/3) area{Q_j <= 1} x^(2/5)
+    def dim3(z1, z2, z3):
+        return z1 * z2 * z3 * (z1 + z2) * (z2 + z3) * (z1 + z2 + z3) / 12.0
+
+    def q1(a, b):
+        return a * a * b * (a + b) ** 2 / 12
+
+    def q2(a, b):
+        return a * a * b * b * (a + b) / 12
+
+    z = np.random.default_rng(5).uniform(0.0, 4.0, size=(1000, 3))
+    z1, z2, z3 = z.T
+    assert np.all(dim3(z1, z2, z3) >= z1 * q1(z2, z3))
+    assert np.all(dim3(z1, z2, z3) >= z2 * q2(z1, z3))
+    assert np.all(dim3(z1, z2, z3) >= z3 * q1(z2, z1))
+    with mp.workdps(30):
+        k3 = mp.mpf(5) / 3 * (2 * _strip_area(q1) + _strip_area(q2))
+        assert 0 <= counting_remainder(3) - k3 <= 1e-13 * k3
+        assert 0 <= counting_remainder(2) - 4 * mp.sqrt(2) <= 1e-13
+    assert float(k3) == pytest.approx(47.84, abs=0.005)
+    assert counting_remainder(1) == 1.0
+    with pytest.raises(NotImplementedError):
+        counting_remainder(4)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
 def test_envelopes_extrapolate_to_larger_census(r):
-    small = enumerate_irreps(r, 500)
-    big = enumerate_irreps(r, 5000)
+    # C_r x^c - K_r x^(2/(r+2)) <= R(x) <= C_r x^c holds for every x, so
+    # it must hold on both sides of every jump of the counting function:
+    # R(x) at the jump meets the upper bound, its left limit the lower one.
+    # Measured: max R(x)/x^c is 3.93 <= C_2 = 4.21 and 11.48 <= C_3 = 15.88;
+    # the lowest (R(x-) - C_r x^c)/x^c' is -4.54 >= -5.66 and -27.8 >= -47.8
+    top = {1: 10**4, 2: 10**7, 3: 10**8}[r]
+    census = enumerate_irreps(r, top)
     c = 2.0 / (r + 1)
-    cprime = 2.0 * (r - 1) / (r * r)
-    vol, _ = region_volume(r)
-    x = big.dims.astype(float)
-    after = big.cumulative.astype(float)
-    before = after - big.counts.astype(float)
-
-    cp = growth_envelope(small)
-    assert float((after / x**c).max()) <= cp
-
-    K = remainder_envelope(small)
-    dev = np.maximum(np.abs(after - vol * x**c), np.abs(before - vol * x**c))
-    assert float((dev / x**cprime).max()) <= K
+    cprime = 2.0 / (r + 2)
+    vol, vol_err = region_volume(r)
+    K = counting_remainder(r)
+    x = census.dims.astype(float)
+    after = census.cumulative.astype(float)
+    before = after - census.counts.astype(float)
+    assert np.all(after <= (vol + vol_err) * x**c)
+    assert np.all(before - vol * x**c >= -K * x**cprime)
+    if r == 1:
+        # R(x) = floor(x) exactly, and C_1 = K_1 = 1
+        assert np.array_equal(census.cumulative, np.arange(1, top + 1))
+        assert (vol, vol_err, K) == (1.0, 0.0, 1.0)
 
 
 def _counting_law_residuals(r, volume, top):
@@ -252,14 +295,16 @@ def test_mellin_barnes_route_recovers_two_zeta_three():
 def test_weighted_tail_bound_majorizes_true_tail():
     # split a big census at a small cutoff: the bound computed from the
     # small prefix must cover the exactly known middle part of the tail
-    r, X, beta, p = 2, 200, 0.05, 1.0
-    small = enumerate_irreps(r, X)
-    big = enumerate_irreps(r, 20 * X)
-    bound = weighted_tail_bound(small, beta, p)
-    m = big.dims.astype(float)
-    mask = m > X
-    partial = float(np.sum(big.counts[mask] * m[mask] ** p * np.exp(-beta * m[mask])))
-    assert partial <= bound
+    X, beta, p = 200, 0.05, 1.0
+    for r in (2, 3):
+        small = enumerate_irreps(r, X)
+        big = enumerate_irreps(r, 20 * X)
+        bound = weighted_tail_bound(small, beta, p)
+        m = big.dims.astype(float)
+        mask = m > X
+        partial = float(np.sum(big.counts[mask] * m[mask] ** p
+                               * np.exp(-beta * m[mask])))
+        assert partial <= bound, r
 
 
 @functools.lru_cache(maxsize=None)
@@ -294,21 +339,30 @@ def test_upper_incomplete_gamma_against_mpmath():
 
 
 def test_weighted_tail_bound_majorizes_its_formula():
-    # the float bound is at least C' (f(X) X^c + c beta^-(p+c) Gamma(p+c, beta X))
-    # evaluated in 40 digits; X is a power of two so beta X = x exactly
+    # the float bound is at least C_r (f(X) X^c + c beta^-(p+c) Gamma(p+c, beta X))
+    # evaluated in 40 digits; X is a power of two so beta X = x exactly.
+    # Ranks above 3 have no closed-form C_r and are refused.
     X = 2**12
     censuses = {r: enumerate_irreps(r, X) for r in range(1, 7)}
+    with mp.workdps(40):
+        volumes = {1: mp.mpf(1),
+                   2: mp.mpf(2) ** (-mp.mpf(1) / 3) * mp.gamma(mp.mpf(1) / 3) ** 2
+                   / mp.gamma(mp.mpf(2) / 3),
+                   3: mp.sqrt(3) * mp.gamma(mp.mpf(1) / 4) ** 4 / (6 * mp.pi)}
     for p, r, a, x, exact in incomplete_gamma_grid():
         census = censuses[r]
         beta = x / X
         if beta == 0.0:
             continue
-        envelope = growth_envelope(census)
-        bound = weighted_tail_bound(census, beta, p, envelope=envelope)
+        if r > 3:
+            with pytest.raises(NotImplementedError):
+                weighted_tail_bound(census, beta, p)
+            continue
+        bound = weighted_tail_bound(census, beta, p)
         c = 2.0 / (r + 1)
         with mp.workdps(40):
-            formula = envelope * (mp.mpf(X) ** (p + c) * mp.exp(-mp.mpf(x))
-                                  + c * mp.mpf(beta) ** -a * exact)
+            formula = volumes[r] * (mp.mpf(X) ** (p + c) * mp.exp(-mp.mpf(x))
+                                    + c * mp.mpf(beta) ** -a * exact)
             assert bound >= formula, (p, r, x)
 
 
@@ -322,15 +376,18 @@ def test_weighted_tail_bound_validation():
 
 
 def test_inverse_moment_tail_brackets_partial_sums():
-    small = enumerate_irreps(2, 500)
-    big = enumerate_irreps(2, 10_000)
-    for j in (1, 2, 3):
-        est, err = inverse_moment_tail(small, j)
+    for r in (2, 3):
+        small = enumerate_irreps(r, 500)
+        big = enumerate_irreps(r, 10_000)
         m = big.dims.astype(float)
         mask = m > 500
-        partial = float(np.sum(big.counts[mask] / m[mask] ** j))
-        rest_hi, _ = inverse_moment_tail(big, j)
-        assert partial <= est + err
-        assert partial + rest_hi >= est - err
+        for j in (1, 2, 3):
+            est, err = inverse_moment_tail(small, j)
+            partial = float(np.sum(big.counts[mask] / m[mask] ** j))
+            rest_hi, _ = inverse_moment_tail(big, j)
+            assert partial <= est + err, (r, j)
+            assert partial + rest_hi >= est - err, (r, j)
     with pytest.raises(ValueError):
         inverse_moment_tail(enumerate_irreps(1, 50), 1)
+    with pytest.raises(NotImplementedError):
+        inverse_moment_tail(enumerate_irreps(4, 50), 1)

@@ -241,11 +241,20 @@ def test_appendix_check_passes_and_reports_structure():
     thetas = np.unique(np.concatenate([random_t, adversarial_t]))
     report = appendix_window_check(8, eps, thetas, "unit test grid")
     assert report.passed
-    assert report.box_bound == 64.0 / 32.0
     assert report.ladder_bound == 8.0 / 8.0
     assert report.run_length_bound == 8.0 / 2.0 + 1.0
-    assert np.all(report.box_counts >= report.box_bound)
     assert len(report.ladder_thetas) <= len(thetas)
+    # the ladder's box count is the rank-2 Weyl check: the dimensions
+    # k j (k + j) / 2 over N <= k <= 3N, N <= j <= 4N, window eps / 8 and
+    # bound N^2 / 32
+    k = np.arange(8, 3 * 8 + 1)[:, None]
+    j = np.arange(8, 4 * 8 + 1)[None, :]
+    assert np.array_equal(np.sort(_lambda_dims(2, 8)),
+                          np.sort((k * j * (k + j) // 2).reshape(-1)))
+    box = weyl_lower_bound_check(2, 8, eps, thetas, "unit test grid")
+    assert box.window == eps / 8.0
+    assert box.count_bound == 64.0 / 32.0
+    assert np.all(box.counts >= box.count_bound)
 
 
 def test_ensembles_tv_against_first_principles_at_total_one():
