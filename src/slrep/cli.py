@@ -305,7 +305,15 @@ def _cmd_verify_weyl(args, started):
 
 
 def _cmd_verify_ensembles(args, started):
+    # refused before the count table is built: the Boltzmann side solves the
+    # saddle, which needs the region volume, known for ranks up to 3
+    _check_bounds(args, exact=True)
+    if args.rank > 3:
+        raise ConfigError("region volume known in closed form for rank <= 3, "
+                          f"got {args.rank}")
     grid = _parse_grid(args.n_grid)
+    if min(grid) < 1:
+        raise ConfigError(f"n-grid point {min(grid)} below 1")
     if not getattr(args, "unsafe", False) and max(grid) > MAX_N_EXACT:
         raise ConfigError(f"n-grid point {max(grid)} above the exact-counting "
                           f"bound {MAX_N_EXACT} (pass --unsafe to override)")

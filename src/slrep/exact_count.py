@@ -9,10 +9,25 @@ logarithmic derivative gives the Euler identity
     n p(n) = sum_d sum_{k>=1} d rho(d) p(n - k d).
 
 `count_representations` fills its table by multiplying the product out,
-one factor 1/(1 - t^d) per weight.  `count_by_recurrence` runs the Euler
-identity as a recurrence instead (exact integers, the division by n never
-leaves a remainder); it is the independent oracle the tests compare the
-table with, coefficient for coefficient.
+one factor 1/(1 - t^d) per weight, the classes in ascending dimension.  The
+table is an (n + 1, L) int64 array: row v holds p(v) in L limbs of radix
+2^31, least significant first, p(v) = sum_i limb_i 2^(31 i).  A factor is
+the in-place recurrence p[v] += p[v - d], run as one vectorized add per
+block of d rows, `p[j:j+d] += p[j-d:j]`; above n/2 a pass is a single
+slice add.  Carries are lazy: limbs are added limb by limb, and a Python
+integer `bound` caps every limb.  After a pass each new entry is a sum of at
+most m = n // d + 1 old entries, so every limb is at most bound * m.  The
+pass runs only when bound * m < 2^62; otherwise the limbs are first
+normalized: carries are rippled up and limbs appended while the top one
+carries, which leaves every limb below 2^31 and resets `bound` to 2^31 - 1.
+A limb below 2^62 plus a carry below 2^32 stays below 2^63, so no int64
+ever overflows (for n < 2^31, so that (2^31 - 1) m < 2^62).  At the end
+every row becomes a Python int.
+
+`count_by_recurrence` runs the Euler identity as a recurrence instead
+(exact integers, the division by n never leaves a remainder); it is the
+independent oracle the tests compare the table with, coefficient for
+coefficient.
 
 `uniform_sample` draws an exactly uniform representation of dimension n by
 the recursive method (Nijenhuis & Wilf, Combinatorial Algorithms, 1978):
@@ -28,8 +43,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .census import IrrepCensus, enumerate_irreps
 from .weights import dim_irrep
+
+_LIMB_BITS = 31
+_LIMB_MASK = (1 << _LIMB_BITS) - 1
+_LIMB_CAP = 1 << 62  # limbs below this take a normalization's carries in int64
 
 
 @dataclass
@@ -75,15 +96,48 @@ def _classes(census, n):
 
 
 def count_representations(r: int, n: int, census: IrrepCensus | None = None) -> CountTable:
-    """Exact table of representation counts for totals 0..n."""
+    """Exact table of representation counts for totals 0..n.
+
+    Multiplies out prod_d (1 - t^d)^(-rho(d)) on int64 limbs of radix 2^31
+    with lazy carries (see the module docstring for the no-overflow
+    argument); `counts` is a list of Python ints.
+    """
     census = _census_for(r, n, census, keep_weights=True)
-    p = [1] + [0] * n
+    p = np.zeros((n + 1, 1), dtype=np.int64)
+    p[0, 0] = 1
+    bound = 1  # every limb of p is at most bound
     for d, rho in _classes(census, n):
+        m = n // d + 1
+        whole = n + 1 - d  # blocks starting below row `whole` are d rows long
         for _ in range(rho):
-            # in-place multiplication by 1/(1 - t^d)
-            for v in range(d, n + 1):
-                p[v] += p[v - d]
-    return CountTable(rank=r, max_total=n, counts=p, census=census)
+            if bound * m >= _LIMB_CAP:
+                p = _normalize(p)
+                bound = _LIMB_MASK
+            # in-place multiplication by 1/(1 - t^d), one block of d rows at a time
+            j = d
+            while j < whole:
+                p[j:j + d] += p[j - d:j]
+                j += d
+            p[j:] += p[j - d:whole]
+            bound *= m
+    counts = p[:, -1].astype(object)
+    for i in range(p.shape[1] - 2, -1, -1):
+        counts = (counts << _LIMB_BITS) + p[:, i].astype(object)
+    return CountTable(rank=r, max_total=n, counts=counts.tolist(), census=census)
+
+
+def _normalize(p):
+    """Ripple the carries of the limb array p up, so every limb is below
+    2^31; limbs are appended while the top one carries."""
+    for i in range(p.shape[1] - 1):
+        p[:, i + 1] += p[:, i] >> _LIMB_BITS
+        p[:, i] &= _LIMB_MASK
+    while True:
+        top = p[:, -1] >> _LIMB_BITS
+        if not top.any():
+            return p
+        p[:, -1] &= _LIMB_MASK
+        p = np.concatenate([p, top[:, None]], axis=1)
 
 
 def count_by_recurrence(r: int, n: int, census: IrrepCensus | None = None) -> list:

@@ -14,6 +14,7 @@ import pytest
 import slrep
 from slrep.cli import main
 from slrep.weights import dim_irrep
+from test_exact_count import COUNT_R2_10000
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(slrep.__file__)))
 
@@ -246,6 +247,38 @@ def test_failed_computation_exits_one_without_traceback(capsys, monkeypatch):
     assert code == 1
     assert err.startswith("failed: ") and len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--rank", "4", "--n-grid", "20,60"), "rank <= 3"),
+    (("--rank", "4", "--n-grid", "20,60", "--unsafe"), "rank <= 3"),
+    (("--rank", "7", "--n-grid", "20,60"), "outside the default bound 1..6"),
+    (("--rank", "2", "--n-grid", "0,60"), "n-grid point 0 below 1"),
+    (("--rank", "2", "--n-grid", "20,60000"), "above the exact-counting bound"),
+])
+def test_verify_ensembles_refuses_before_counting(capsys, monkeypatch, argv, message):
+    def never(*args, **kwargs):
+        raise AssertionError("count table built for a refused configuration")
+
+    monkeypatch.setattr("slrep.cli.count_representations", never)
+    code, out, err = run_cli(capsys, "verify", "ensembles", *argv)
+    assert code == 2
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("invalid config:")
+    assert message in lines[0]
+    assert out == ""
+
+
+def test_count_at_the_exact_cap():
+    # a correctness guard at the advertised cap, not a timing assertion
+    proc = run_fresh("count", "--rank", "2", "--n", "10000")
+    assert proc.returncode == 0, proc.stderr
+    manifest, data = split_manifest(proc.stdout)
+    lines = data.strip().splitlines()
+    assert len(lines) == 10**4 + 2
+    assert lines[0] == "n,count"
+    assert lines[-1] == f"10000,{COUNT_R2_10000}"
+    assert manifest["results"]["count_n"] == str(COUNT_R2_10000)
 
 
 def test_unsafe_lifts_rank_bound(capsys):

@@ -3,9 +3,11 @@
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from slrep import exact_count
 from slrep.census import enumerate_irreps
 from slrep.exact_count import (
     Representation,
@@ -15,6 +17,9 @@ from slrep.exact_count import (
     uniform_sample,
 )
 from slrep.weights import dim_irrep
+
+# p(10^4) at rank 2, the CLI's exact-counting cap
+COUNT_R2_10000 = 77286174609560949994788618084033615667449698306709202996900417272344870000
 
 
 def partition_numbers(n):
@@ -81,10 +86,63 @@ def test_recurrence_equals_truncated_product(r):
     assert count_by_recurrence(r, 120) == table.counts
 
 
+@pytest.mark.parametrize("r, n", [(1, 1000), (2, 1500), (3, 2000), (4, 1000)])
+def test_limb_table_equals_recurrence(r, n, monkeypatch):
+    # sizes whose counts outgrow one 31-bit limb, so the table normalizes
+    # its lazy carries and appends limbs on the way
+    calls = []
+    normalize = exact_count._normalize
+
+    def counted(p):
+        calls.append(p.shape[1])
+        return normalize(p)
+
+    monkeypatch.setattr(exact_count, "_normalize", counted)
+    table = count_representations(r, n)
+    assert len(calls) >= 2 and calls[-1] > calls[0]  # limbs were appended
+    assert table.counts[n].bit_length() > exact_count._LIMB_BITS
+    assert table.counts == count_by_recurrence(r, n)
+
+
+def test_normalize_at_the_limb_bound():
+    # the largest limbs a pass may leave carry through without int64
+    # overflow, and the appended limbs end below 2^31 as well
+    top = exact_count._LIMB_CAP - 1
+    p = np.full((3, 2), top, dtype=np.int64)
+    q = exact_count._normalize(p)
+    assert q.shape[1] > 2
+    assert (q >= 0).all() and (q <= exact_count._LIMB_MASK).all()
+    value = top + (top << exact_count._LIMB_BITS)
+    for row in q:
+        assert sum(int(x) << (exact_count._LIMB_BITS * i)
+                   for i, x in enumerate(row)) == value
+
+
+def test_smallest_tables():
+    assert count_representations(2, 0).counts == [1]
+    assert count_representations(2, 1).counts == [1, 1]
+    assert count_representations(1, 1).counts == [1, 1]
+
+
+def test_counts_are_python_ints():
+    # the sampler's randrange(v * p[v]) and the CLI's str() need exact ints
+    counts = count_representations(2, 1500).counts
+    assert isinstance(counts, list)
+    assert all(type(c) is int for c in counts)
+
+
+def test_count_at_the_exact_cap_is_pinned():
+    assert count_representations(2, 10**4).counts[-1] == COUNT_R2_10000
+
+
 def test_count_accepts_prebuilt_census():
     census = enumerate_irreps(2, 64, keep_weights=True)
     assert count_representations(2, 50, census=census).counts == \
         count_representations(2, 50).counts
+    # a census reaching past n leaves the table unchanged at limb sizes too
+    census = enumerate_irreps(2, 2000, keep_weights=True)
+    assert count_representations(2, 1500, census=census).counts == \
+        count_representations(2, 1500).counts
 
 
 def test_count_rejects_negative_total():
