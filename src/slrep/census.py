@@ -1,11 +1,12 @@
 """Census of irreducible sl_{r+1} modules ordered by dimension.
 
 `enumerate_irreps` lists every highest weight whose module dimension is at
-most a cutoff X, exploiting that the dimension form is strictly increasing
-in each coordinate (each nested loop stops as soon as the cheapest
-completion overshoots).  The result is stored as a compact table of distinct
-dimensions with multiplicities; the number of weights up to x grows like
-C_r x^{2/(r+1)}, where C_r is the volume of the region {y > 0 : dim form <= 1}.
+most a cutoff X by one depth-first scan for every rank, exploiting that the
+dimension form is strictly increasing in each coordinate (each loop stops
+as soon as the cheapest completion overshoots).  The result is stored as a
+compact table of distinct dimensions with multiplicities; the number of
+weights up to x grows like C_r x^{2/(r+1)}, where C_r is the volume of the
+region {y > 0 : dim form <= 1}.
 By homogeneity C_r = (1/r) * integral over the unit simplex of P^{-2/(r+1)}
 (P the dimension form): 2^{-1/3} Gamma(1/3)^2 / Gamma(2/3) at rank 2 and
 sqrt(3) Gamma(1/4)^4 / (6 pi) at rank 3.  Lattice cubes prove
@@ -20,16 +21,19 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate, count, islice, repeat
+from math import prod
 
 import numpy as np
 
-from .weights import _dim2, _dim3, superfactorial, twice_height, weyl_numerator
+from .weights import superfactorial, twice_height, weyl_numerator
 
 
 class BudgetError(RuntimeError):
-    """Raised when an enumeration or DP would exceed its configured budget."""
+    """Raised when a census would hold more than MAX_WEIGHTS weights."""
 
 
 @dataclass(frozen=True)
@@ -55,38 +59,62 @@ class IrrepCensus:
         return int(self.cumulative[-1]) if len(self.dims) else 0
 
 
-def _enumerate_generic(r, X, record, budget_left):
-    """Depth-first scan; prune on the cheapest completion (all-ones tail)."""
+MAX_WEIGHTS = 50_000_000
+"""Most weights one census may hold; a larger one raises BudgetError."""
+
+
+def _scan(r: int, X: int, keep_weights: bool):
+    """(dims, weights): every weight with dim <= X in lexicographic order,
+    with its dimension; weights is empty unless keep_weights.
+
+    A depth-first scan over the prefix k_1..k_{r-1}; for each prefix the
+    last coordinate runs in one tight loop, whose Weyl numerator is
+    weyl_numerator(r - 1, prefix) * prod_l (k_l + ... + k_{r-1} + k_r).  The
+    form increases in each coordinate, so the loop stops at the first
+    overshoot, and a prefix whose cheapest completion (every later
+    coordinate 1, the loop's first row) overshoots ends the scan one level up.
+    """
     c = superfactorial(r)
-    k = [1] * r
+    limit = c * X
+    dims, weights = [], []
+    append = dims.append
+    prefix = [1] * (r - 1)
 
     def scan(depth):
-        nonlocal budget_left
-        k[depth] = 1
-        while True:
-            h = weyl_numerator(r, k[: depth + 1] + [1] * (r - depth - 1))
-            a = h // c
-            if a > X:
+        # True when some weight extends prefix[:depth]
+        if depth < r - 1:
+            prefix[depth] = 1
+            while scan(depth + 1):
+                prefix[depth] += 1
+            return prefix[depth] > 1
+        base = weyl_numerator(r - 1, prefix)
+        start = len(dims)
+        # row t holds the factors t, k_{r-1} + t, ..., k_1 + ... + k_{r-1} + t
+        for row in zip(*map(count, accumulate(reversed(prefix), initial=1))):
+            numerator = base * prod(row)
+            if numerator > limit:
                 break
-            if depth == r - 1:
-                budget_left -= 1
-                if budget_left < 0:
-                    raise BudgetError(f"census budget exhausted at cutoff {X}")
-                record(a, tuple(k))
-            else:
-                scan(depth + 1)
-            k[depth] += 1
-        k[depth] = 1
+            append(numerator // c)
+        if len(dims) > MAX_WEIGHTS:
+            raise BudgetError(f"census budget exhausted at cutoff {X}")
+        found = len(dims) - start
+        if keep_weights:
+            weights.extend(zip(*map(repeat, prefix), range(1, found + 1)))
+        return found > 0
 
     scan(0)
+    return dims, weights
 
 
-def enumerate_irreps(r: int, max_dim, keep_weights: bool = False,
-                     budget: int = 50_000_000) -> IrrepCensus:
-    """Census of all weights with dim <= max_dim.
+def enumerate_irreps(r: int, max_dim, keep_weights: bool = False) -> IrrepCensus:
+    """Census of all weights with dim <= max_dim; inside each dimension
+    class the weights stay in lexicographic order.
 
-    Raises BudgetError if more than `budget` weights would be stored, and
+    Raises BudgetError if more than MAX_WEIGHTS weights would be stored, and
     ValueError for max_dim outside [1, 2^63) (dimensions are kept in int64).
+    Where the region volume C_r is known (ranks <= 3) the proven bound
+    R(X) <= C_r X^(2/(r+1)) refuses an oversized census before the scan
+    (at rank 1 exactly X > MAX_WEIGHTS); above that the scan counts.
     """
     X = int(max_dim)
     if X < 1:
@@ -95,62 +123,29 @@ def enumerate_irreps(r: int, max_dim, keep_weights: bool = False,
         raise ValueError(f"max_dim {max_dim} does not fit 64-bit storage")
     if r < 1:
         raise ValueError(f"rank must be >= 1, got {r}")
-
-    counts: dict[int, int] = {}
-    weights_by_dim: dict[int, list] = {} if keep_weights else None
-
-    def record(a, kt):
-        counts[a] = counts.get(a, 0) + 1
-        if keep_weights:
-            weights_by_dim.setdefault(a, []).append(kt)
-
-    if r == 1:
-        if X > budget:
-            raise BudgetError(f"census budget exhausted at cutoff {X}")
-        for m in range(1, X + 1):
-            record(m, (m,))
-    elif r == 2:
-        used = 0
-        k1 = 1
-        while _dim2(k1, 1) <= X:
-            k2 = 1
-            while True:
-                a = _dim2(k1, k2)
-                if a > X:
-                    break
-                used += 1
-                if used > budget:
-                    raise BudgetError(f"census budget exhausted at cutoff {X}")
-                record(a, (k1, k2))
-                k2 += 1
-            k1 += 1
-    elif r == 3:
-        used = 0
-        k1 = 1
-        while _dim3(k1, 1, 1) <= X:
-            k2 = 1
-            while _dim3(k1, k2, 1) <= X:
-                k3 = 1
-                while True:
-                    a = _dim3(k1, k2, k3)
-                    if a > X:
-                        break
-                    used += 1
-                    if used > budget:
-                        raise BudgetError(f"census budget exhausted at cutoff {X}")
-                    record(a, (k1, k2, k3))
-                    k3 += 1
-                k2 += 1
-            k1 += 1
+    try:
+        volume, volume_err = region_volume(r)
+    except NotImplementedError:
+        pass
     else:
-        _enumerate_generic(r, X, record, budget)
+        bound = (volume + volume_err) * X ** (2.0 / (r + 1))
+        if bound > MAX_WEIGHTS:
+            raise BudgetError(f"census at cutoff {X} may hold up to {bound:.3g} "
+                              f"weights, above the cap {MAX_WEIGHTS}")
 
-    dims = np.array(sorted(counts), dtype=np.int64)
-    cnts = np.array([counts[int(m)] for m in dims], dtype=np.int64)
-    cumulative = np.cumsum(cnts, dtype=np.int64)
+    found, weights = _scan(r, X, keep_weights)
+    counts = Counter(found)
+    dims = sorted(counts)
+    cnts = list(map(counts.__getitem__, dims))
     wtuple = None
     if keep_weights:
-        wtuple = tuple(tuple(weights_by_dim[int(m)]) for m in dims)
+        # a stable sort keeps each class in scan order
+        order = map(weights.__getitem__,
+                    sorted(range(len(found)), key=found.__getitem__))
+        wtuple = tuple(tuple(islice(order, n)) for n in cnts)
+    dims = np.array(dims, dtype=np.int64)
+    cnts = np.array(cnts, dtype=np.int64)
+    cumulative = np.cumsum(cnts, dtype=np.int64)
     return IrrepCensus(rank=r, max_dim=X, dims=dims, counts=cnts,
                        cumulative=cumulative, weights=wtuple)
 

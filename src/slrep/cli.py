@@ -127,11 +127,21 @@ def _parse_weight(text: str, r: int):
     return parts
 
 
-def _parse_grid(text: str):
+def _parse_grid(args, exact: bool):
+    """The --n-grid sizes, each checked against the bound `_check_bounds`
+    applies to --n."""
     try:
-        return [int(x) for x in text.split(",")]
+        grid = [int(x) for x in args.n_grid.split(",")]
     except ValueError as exc:
-        raise ConfigError(f"bad integer grid {text!r}") from exc
+        raise ConfigError(f"bad integer grid {args.n_grid!r}") from exc
+    if min(grid) < 1:
+        raise ConfigError(f"n-grid point {min(grid)} below 1")
+    bound = MAX_N_EXACT if exact else MAX_N_NUMERIC
+    if not getattr(args, "unsafe", False) and max(grid) > bound:
+        kind = "exact-counting" if exact else "numeric"
+        raise ConfigError(f"n-grid point {max(grid)} above the {kind} "
+                          f"bound {bound} (pass --unsafe to override)")
+    return grid
 
 
 # ---- subcommands ----
@@ -311,12 +321,7 @@ def _cmd_verify_ensembles(args, started):
     if args.rank > 3:
         raise ConfigError("region volume known in closed form for rank <= 3, "
                           f"got {args.rank}")
-    grid = _parse_grid(args.n_grid)
-    if min(grid) < 1:
-        raise ConfigError(f"n-grid point {min(grid)} below 1")
-    if not getattr(args, "unsafe", False) and max(grid) > MAX_N_EXACT:
-        raise ConfigError(f"n-grid point {max(grid)} above the exact-counting "
-                          f"bound {MAX_N_EXACT} (pass --unsafe to override)")
+    grid = _parse_grid(args, exact=True)
     k = (_parse_weight(args.k, args.rank) if args.k
          else (1,) * args.rank)
     table = count_representations(args.rank, max(grid))
@@ -334,7 +339,10 @@ def _cmd_verify_limits(args, started):
     _check_bounds(args, exact=False)
     k = _parse_weight(args.k, args.rank) if args.k else None
     if args.n_grid:
-        grid = _parse_grid(args.n_grid)
+        if args.tol is not None:
+            raise ConfigError("--tol applies to a single --n; an --n-grid "
+                              "asserts the shrinking trend instead")
+        grid = _parse_grid(args, exact=False)
         reports = [compare_exact_to_limit(args.rank, n, args.stat, k=k)
                    for n in grid]
         gaps = [rep.gap for rep in reports]

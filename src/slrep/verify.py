@@ -54,7 +54,7 @@ from .limits import (
     limit_shape,
 )
 from .stats import default_shape_grid
-from .weights import degree, dim_irrep, superfactorial
+from .weights import degree, dim_irrep, superfactorial, weyl_numerator
 
 _MAX_DIM = 2**53
 _MAX_SHIFT = 127
@@ -138,14 +138,7 @@ def _lambda_dims(r: int, box_size: int) -> np.ndarray:
     axes = [np.arange(box_size, (j + 2) * box_size + 1, dtype=np.int64)
             for j in range(1, r + 1)]
     grids = np.meshgrid(*axes, indexing="ij", sparse=True)
-    prefix = [np.int64(0)]
-    for g in grids:
-        prefix.append(prefix[-1] + g)
-    numerator = np.ones((1,) * r, dtype=np.int64)
-    for j in range(1, r + 1):
-        for ell in range(1, j + 1):
-            numerator = numerator * (prefix[j] - prefix[ell - 1])
-    flat = numerator.reshape(-1)
+    flat = weyl_numerator(r, grids).reshape(-1)
     if flat.size != math.prod((j + 1) * box_size + 1 for j in range(1, r + 1)):
         raise AssertionError("box enumeration lost points")
     quotient, remainder = np.divmod(flat, c)

@@ -50,8 +50,9 @@ def _check_weight(r, k, positive=True):
 def weyl_numerator(r: int, k: Sequence):
     """prod over 1 <= l <= j <= r of (k_l + ... + k_j).
 
-    Works for exact integers and for floats; no positivity check so it can
-    be evaluated at real points for quadrature.
+    Works for exact integers, for floats and for broadcasting numpy arrays
+    (one per coordinate); no positivity check so it can be evaluated at real
+    points for quadrature.
     """
     # prefix[j] = k_1 + ... + k_j, so each factor is prefix[j] - prefix[l-1]
     prefix = [0]
@@ -90,11 +91,3 @@ def height_functional(r: int, k: Sequence[int]) -> float:
     """L(k), a half-integer; use `twice_height` to stay in exact arithmetic."""
     return twice_height(r, k) / 2.0
 
-
-# fast closed forms used by the census enumeration hot loop
-def _dim2(k1: int, k2: int) -> int:
-    return k1 * k2 * (k1 + k2) // 2
-
-
-def _dim3(k1: int, k2: int, k3: int) -> int:
-    return k1 * k2 * k3 * (k1 + k2) * (k2 + k3) * (k1 + k2 + k3) // 12

@@ -4,13 +4,13 @@ tail bounds."""
 import functools
 import io
 import math
-from collections import Counter
 
 import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn
 
+import slrep.census as census_module
 from slrep.census import (
     BudgetError,
     counting_remainder,
@@ -42,16 +42,17 @@ VOLUME_R3 = 15.877561531051038
 
 
 def brute_census(r, X):
-    """Counter dim -> multiplicity by scanning the full coordinate box.
+    """dim -> list of its weights, in scan order, by scanning the full
+    coordinate box in lexicographic order.
 
     The dimension is coordinatewise increasing and at least max(k), so the
     box k_j <= X with early inner breaks is exhaustive."""
-    out = Counter()
+    out = {}
     k = [1] * r
     while True:
         d = dim_irrep(r, k)
         if d <= X:
-            out[d] += 1
+            out.setdefault(d, []).append(tuple(k))
             k[-1] += 1
             continue
         # carry: reset trailing coordinate, advance the previous one
@@ -66,17 +67,26 @@ def brute_census(r, X):
             k[i] = 1
 
 
-@pytest.mark.parametrize("r,X", [(1, 40), (2, 200), (2, 500), (3, 500)])
+@pytest.mark.parametrize("r,X", [(1, 40), (2, 200), (2, 500), (3, 500),
+                                 (4, 10**6), (5, 10**6), (6, 10**7)])
 def test_enumeration_matches_box_scan(r, X):
+    # the weights of each class must come in the box scan's order, which is
+    # the order the samplers index
     census = enumerate_irreps(r, X, keep_weights=True)
     expected = brute_census(r, X)
     got = {int(m): int(c) for m, c in zip(census.dims, census.counts)}
-    assert got == dict(expected)
-    assert census.num_weights == sum(expected.values())
+    assert got == {d: len(group) for d, group in expected.items()}
+    assert census.num_weights == sum(got.values())
+    assert r == 1 or any(c > 1 for c in got.values())
     for m, group in zip(census.dims, census.weights):
-        assert len(group) == got[int(m)]
+        assert list(group) == expected[int(m)]
         for k in group:
             assert dim_irrep(r, k) == int(m)
+    plain = enumerate_irreps(r, X)
+    assert plain.weights is None
+    for a, b in ((plain.dims, census.dims), (plain.counts, census.counts),
+                 (plain.cumulative, census.cumulative)):
+        assert np.array_equal(a, b)
 
 
 def test_rank_two_small_census_pinned():
@@ -112,13 +122,36 @@ def test_cumulative_is_cumsum_of_counts():
     assert np.array_equal(census.cumulative, np.cumsum(census.counts))
 
 
-def test_enumeration_validation_and_budget():
+def test_enumeration_validation_and_budget(monkeypatch):
     with pytest.raises(ValueError):
         enumerate_irreps(2, 0)
     with pytest.raises(ValueError):
         enumerate_irreps(0, 10)
-    with pytest.raises(BudgetError):
-        enumerate_irreps(2, 10**6, budget=100)
+    with pytest.raises(ValueError):
+        enumerate_irreps(2, 2**63)
+    # ranks >= 4: the scan counts, and refuses one weight past the cap
+    held = {r: enumerate_irreps(r, 10**6).num_weights for r in (4, 5, 6)}
+    for r, n in held.items():
+        monkeypatch.setattr(census_module, "MAX_WEIGHTS", n)
+        assert enumerate_irreps(r, 10**6).num_weights == n
+        monkeypatch.setattr(census_module, "MAX_WEIGHTS", n - 1)
+        with pytest.raises(BudgetError):
+            enumerate_irreps(r, 10**6, keep_weights=True)
+    # ranks <= 3: refused from the bound C_r X^(2/(r+1)) before the scan,
+    # even where fewer weights exist (16 at rank 3, X = 40, bound 100.4);
+    # at rank 1 that is exactly X > MAX_WEIGHTS
+    monkeypatch.setattr(census_module, "MAX_WEIGHTS", 100)
+    assert enumerate_irreps(1, 100).num_weights == 100
+    assert enumerate_irreps(2, 100).num_weights <= 100   # bound 90.6
+    assert enumerate_irreps(3, 39).num_weights <= 100    # bound 99.2
+
+    def never(*args):
+        raise AssertionError("scan ran for an oversized census")
+
+    monkeypatch.setattr(census_module, "_scan", never)
+    for r, X in ((1, 101), (2, 200), (3, 40), (2, 10**6), (3, 10**8)):
+        with pytest.raises(BudgetError):
+            enumerate_irreps(r, X)
 
 
 def test_flatten_weights_rows():

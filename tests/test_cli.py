@@ -230,8 +230,22 @@ def test_verify_limits_trend_mode(capsys):
     ("verify", "weyl", "--rank", "2", "--N", "3", "--eps", "0.03125"),
     ("census", "--rank", "1", "--max-dim", "60000000"),
     ("saddle", "--rank", "4", "--n", "1000"),
+    ("census", "--rank", "2", "--max-dim", "10000000000000"),
+    ("census", "--rank", "3", "--max-dim", "100000000000000000"),
+    ("verify", "limits", "--rank", "2", "--stat", "mult", "--k", "1,1",
+     "--n-grid", "100,100000000000"),
+    ("verify", "limits", "--rank", "2", "--stat", "mult", "--k", "1,1",
+     "--n-grid", "0,1000"),
+    ("verify", "limits", "--rank", "2", "--stat", "mult", "--k", "1,1",
+     "--n-grid", "1000,10000", "--tol", "0.0"),
 ])
-def test_invalid_configurations_exit_two(capsys, argv):
+def test_invalid_configurations_exit_two(capsys, monkeypatch, argv):
+    # every case is refused before a census is enumerated or a report built
+    def never(*args, **kwargs):
+        raise AssertionError("work started for a refused configuration")
+
+    monkeypatch.setattr("slrep.census._scan", never)
+    monkeypatch.setattr("slrep.cli.compare_exact_to_limit", never)
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert "invalid config" in err
