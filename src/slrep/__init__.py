@@ -24,7 +24,6 @@ from .boltzmann import (
     rejection_uniform_sample,
     sampling_census,
     solve_saddle,
-    third_moment_dim,
     truncation_tv_bound,
     variance_dim,
 )
@@ -33,9 +32,7 @@ from .census import (
     IrrepCensus,
     counting_remainder,
     cumulative_count,
-    dim_count,
     enumerate_irreps,
-    flatten_weights,
     inverse_moment_tail,
     region_volume,
     upper_incomplete_gamma,
@@ -56,7 +53,6 @@ from .limits import (
     bose_tail,
     compute_constants,
     count_mgf,
-    count_mgf_log_modulus,
     dim_moment_integral,
     dispersion_constant,
     exp_cdf,

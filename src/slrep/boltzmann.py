@@ -8,7 +8,12 @@ rejection sampler exploits: it draws every class but the trivial module and
 accepts with probability q^k, k the dimension left to it, at an expected
 (1 - q) sqrt(2 pi sigma^2) attempts per sample.  `solve_saddle` tunes q so
 the expected total dimension equals n; writing q = exp(-s^nu) with
-nu = r(r+1)/2, the solved s shrinks like n^{-2/(r(r+3))}.
+nu = r(r+1)/2, the solved s shrinks like n^{-2/(r(r+3))}.  The solved
+parameters keep the census the solve was certified on (`params.census`);
+`sampling_census` returns it when it also certifies the sampling bound, and
+the exact distribution curves read it, so one census serves every stage.
+The samplers draw census rows and turn them into weight tuples once per
+sample.
 
 Every truncated sum here carries a certified tail bound, returned as the
 second element of a (value, err) pair or recorded on the params object.
@@ -23,20 +28,20 @@ are refused.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .census import (IrrepCensus, enumerate_irreps, flatten_weights,
-                     weighted_tail_bound)
-from .exact_count import Representation
+from .census import IrrepCensus, enumerate_irreps, weighted_tail_bound
+from .exact_count import Representation, _representation
 from .limits import asymptotic_saddle
 from .weights import degree
 
 
 @dataclass(frozen=True)
 class BoltzmannParams:
-    """Solved saddle point: E_q[total dimension] = n within solver_tol * n."""
+    """Solved saddle point: E_q[total dimension] = n within solver_tol * n,
+    certified on `census`, which every later stage reads."""
 
     rank: int
     n: int
@@ -44,9 +49,14 @@ class BoltzmannParams:
     s: float
     beta: float       # -log q = s^nu
     sigma2: float     # Var_q(total dimension), census part
-    cutoff: int       # census max_dim used by the solver
     tail_bound: float  # certified truncation error of E_q[dim] at the solution
     solver_tol: float
+    census: IrrepCensus = field(repr=False, compare=False)
+
+    @property
+    def cutoff(self) -> int:
+        """Cutoff (max_dim) of the census the solve was certified on."""
+        return self.census.max_dim
 
 
 def _term_arrays(census, beta):
@@ -90,16 +100,13 @@ def variance_dim(r: int, q: float, census: IrrepCensus):
     return _moment_value(census, beta, 2), _moment_err(census, beta, 2)
 
 
-def third_moment_dim(r: int, q: float, census: IrrepCensus):
-    """(value, err): sum over weights of a^3 q^a / (1-q^a)^3."""
-    beta = _check_q(q)
-    return _moment_value(census, beta, 3), _moment_err(census, beta, 3)
+_CHI = 48.0
 
 
-def default_cutoff(r: int, n: int, chi: float = 48.0) -> int:
-    """Census cutoff heuristic: dims where q^m has decayed to e^{-chi}."""
+def default_cutoff(r: int, n: int) -> int:
+    """Census cutoff heuristic: dims where q^m has decayed to e^{-48}."""
     beta_guess = asymptotic_saddle(r, n) ** degree(r)
-    return max(int(math.ceil(chi / beta_guess)), 8)
+    return max(int(math.ceil(_CHI / beta_guess)), 8)
 
 
 def _saddle_gap(arrays, s: float, nu: int, n: int):
@@ -116,32 +123,29 @@ def _saddle_gap(arrays, s: float, nu: int, n: int):
     return math.fsum(terms) - n, slope
 
 
-def solve_saddle(r: int, n: int, tol: float = 1e-8,
-                 census: IrrepCensus | None = None,
-                 chi: float = 48.0) -> BoltzmannParams:
+def solve_saddle(r: int, n: int, tol: float = 1e-8) -> BoltzmannParams:
     """Solve E_q[total dimension] = n for q, with |E - n| <= tol * n certified.
 
     Monotone in s = (-log q)^{1/nu}: Newton steps on the census-truncated
     expectation (a strict lower bound of the true one, so bracket signs are
     certain), kept inside the bracket by bisection, then the truncation
-    error at the root is checked against the tolerance budget.  When the
-    census is built internally it is enlarged and the solve retried if that
+    error at the root is checked against the tolerance budget.  The census
+    starts at `default_cutoff`; it is doubled and the solve retried if that
     check ever fails.  The retry starts from the root just found, inside
     the bracket of the first search: a larger census only raises the
     truncated expectation, so the lower end stays valid unchecked and
-    only the upper end is tested again.
+    only the upper end is tested again.  The returned parameters keep the
+    census the solve was certified on.
     """
     if n < 1:
         raise ValueError(f"target dimension must be >= 1, got {n}")
     nu = degree(r)
     s = asymptotic_saddle(r, n)
-    own_census = census is None
-    X = default_cutoff(r, n, chi) if own_census else census.max_dim
+    X = default_cutoff(r, n)
     lo, hi = s / 4.0, s * 4.0
 
     for attempt in range(4):
-        if own_census:
-            census = enumerate_irreps(r, X)
+        census = enumerate_irreps(r, X)
         arrays = census.dims.astype(float), census.counts.astype(float)
         if attempt == 0:
             for _ in range(80):
@@ -174,13 +178,8 @@ def solve_saddle(r: int, n: int, tol: float = 1e-8,
         if err <= tol * n / 2.0 and abs(value - n) <= tol * n / 2.0:
             sigma2 = _moment_value(census, beta, 2)
             return BoltzmannParams(rank=r, n=n, q=math.exp(-beta), s=s,
-                                   beta=beta, sigma2=sigma2,
-                                   cutoff=census.max_dim, tail_bound=err,
-                                   solver_tol=tol)
-        if not own_census:
-            raise ValueError(
-                f"census cutoff {census.max_dim} cannot certify |E - n| <= "
-                f"{tol} * n (tail bound {err:.3g})")
+                                   beta=beta, sigma2=sigma2, tail_bound=err,
+                                   solver_tol=tol, census=census)
         X *= 2
     raise RuntimeError(f"saddle solve failed to certify after enlargements (r={r}, n={n})")
 
@@ -192,24 +191,24 @@ def truncation_tv_bound(params: BoltzmannParams, census: IrrepCensus) -> float:
 
 
 def sampling_census(params: BoltzmannParams, delta: float = 1e-12) -> IrrepCensus:
-    """Weight-bearing census wide enough to sample within delta in TV.
+    """Census wide enough to sample within delta in TV.
 
-    The solver cutoff targets moment accuracy; sampling needs the stricter
-    truncation bound, so the cutoff doubles until it certifies."""
-    X = params.cutoff
-    for _ in range(20):
-        census = enumerate_irreps(params.rank, X, keep_weights=True)
-        if truncation_tv_bound(params, census) <= delta:
-            return census
-        X *= 2
-    raise RuntimeError(f"no cutoff up to {X} certifies truncation TV <= {delta}")
+    The solver's census targets moment accuracy and is returned when it
+    already certifies the stricter truncation bound sampling needs;
+    otherwise the cutoff doubles until it certifies."""
+    census, enlargements = params.census, 0
+    while truncation_tv_bound(params, census) > delta:
+        if enlargements == 19:
+            raise RuntimeError(f"no cutoff up to {census.max_dim} certifies "
+                               f"truncation TV <= {delta}")
+        census = enumerate_irreps(params.rank, 2 * census.max_dim)
+        enlargements += 1
+    return census
 
 
 def _require_sampling_census(params, census, delta):
     if census.rank != params.rank:
         raise ValueError(f"census rank {census.rank} != params rank {params.rank}")
-    if census.weights is None:
-        raise ValueError("sampling needs a census built with keep_weights=True")
     tv = truncation_tv_bound(params, census)
     if tv > delta:
         raise ValueError(
@@ -218,22 +217,22 @@ def _require_sampling_census(params, census, delta):
     return tv
 
 
-def _split_composition(c, group, rng, mult):
-    """Uniform ordered composition of c over the labels in group (numpy rng)."""
-    g = len(group)
+def _split_composition(c, first, g, rng, mult):
+    """Uniform ordered composition of c over the g census rows from first
+    on (numpy rng); mult maps census row -> multiplicity."""
     if g == 1:
-        mult[group[0]] = mult.get(group[0], 0) + c
+        mult[first] = mult.get(first, 0) + c
         return
     bars = np.sort(rng.choice(c + g - 1, size=g - 1, replace=False))
     prev = -1
     for j, b in enumerate(bars):
         x = int(b) - prev - 1
         if x:
-            mult[group[j]] = mult.get(group[j], 0) + x
+            mult[first + j] = mult.get(first + j, 0) + x
         prev = int(b)
     x = (c + g - 1) - prev - 1
     if x:
-        mult[group[g - 1]] = mult.get(group[g - 1], 0) + x
+        mult[first + g - 1] = mult.get(first + g - 1, 0) + x
 
 
 def boltzmann_sample(params: BoltzmannParams, census: IrrepCensus,
@@ -250,15 +249,19 @@ def boltzmann_sample(params: BoltzmannParams, census: IrrepCensus,
     beta = params.beta
     m, rho, qm, one_minus = _term_arrays(census, beta)
     hits = rng.binomial(census.counts, qm)
-    mult = {}
-    for i in np.nonzero(hits)[0]:
-        group = census.weights[i]
-        g, b = len(group), int(hits[i])
-        chosen = rng.choice(g, size=b, replace=False) if b < g else np.arange(g)
-        values = rng.geometric(one_minus[i], size=b)
-        for j, x in zip(chosen, values):
-            mult[group[int(j)]] = int(x)
-    return Representation(rank=params.rank, mult=mult)
+    hit = np.flatnonzero(hits)
+    if not hit.size:
+        return Representation(rank=params.rank, mult={})
+    drawn = hits[hit]
+    chosen, values = [], []
+    for g, b, p in zip(census.counts[hit].tolist(), drawn.tolist(),
+                       one_minus[hit].tolist()):
+        chosen.append(rng.choice(g, size=b, replace=False) if b < g else np.arange(g))
+        values.append(rng.geometric(p, size=b))
+    # census row of each chosen weight: its class's first row plus its index
+    first = np.repeat(census.cumulative[hit] - census.counts[hit], drawn)
+    return _representation(census, first + np.concatenate(chosen),
+                           np.concatenate(values).tolist())
 
 
 def rejection_uniform_sample(params: BoltzmannParams, census: IrrepCensus,
@@ -288,13 +291,14 @@ def rejection_uniform_sample(params: BoltzmannParams, census: IrrepCensus,
         raise ValueError("rejection sampling needs a census that starts at "
                          "the trivial module")
     n = params.n
-    trivial = census.weights[0][0]
     expected = max(-math.expm1(-params.beta)
                    * math.sqrt(2.0 * math.pi * params.sigma2), 1.0)
     if max_attempts is None:
         max_attempts = int(math.ceil(100.0 * expected)) * num_samples
     m_vec = census.dims[1:]
     rho_vec = census.counts[1:]
+    starts = (census.cumulative - census.counts).tolist()
+    sizes = census.counts.tolist()
     p_vec = -np.expm1(-params.beta * m_vec.astype(float))
     max_rows = max((1 << 22) // max(len(m_vec), 1), 32)  # 32 MB batches
 
@@ -312,10 +316,11 @@ def rejection_uniform_sample(params: BoltzmannParams, census: IrrepCensus,
             if len(out) >= num_samples:
                 break
             row = mat[ridx]
-            mult = {trivial: int(ks[ridx])} if ks[ridx] else {}
+            mult = {0: int(ks[ridx])} if ks[ridx] else {}  # row 0: trivial module
             for i in np.nonzero(row)[0]:
-                _split_composition(int(row[i]), census.weights[i + 1], rng, mult)
-            out.append(Representation(rank=params.rank, mult=mult))
+                _split_composition(int(row[i]), starts[i + 1], sizes[i + 1],
+                                   rng, mult)
+            out.append(_representation(census, list(mult), mult.values()))
         attempts += rows
         if len(out) < num_samples and attempts >= max_attempts:
             raise RuntimeError(
@@ -352,15 +357,19 @@ def exact_prob_max_dim_le(params: BoltzmannParams, census: IrrepCensus, ell):
 
 def exact_prob_height_le(params: BoltzmannParams, census: IrrepCensus, ell):
     """(value, err): Q(largest weight height <= ell), the product of
-    (1 - q^a) over all weights k with L(k - 1) > ell.  Needs a census with
-    weights.  True value lies in [value - err, value].
+    (1 - q^a) over all weights k with L(k - 1) > ell.  True value lies in
+    [value - err, value].
 
     ell is a scalar or a 1-D array, as for exact_prob_max_dim_le."""
-    dims, _, h2 = flatten_weights(census)
+    r = census.rank
+    j = np.arange(1, r + 1)
+    # 2 L(k - 1) = sum_j j (r + 1 - j) (k_j - 1), one exact int64 product
+    h2 = (census.weights - 1) @ (j * (r + 1 - j))
     beta = params.beta
-    terms = np.log1p(-np.exp(-beta * dims.astype(float)))
+    terms = np.log1p(-np.exp(-beta * census.dims.astype(float)))
     # h2 is an exact integer, so h2 / 2 > ell exactly when h2 > 2 ell
-    return _extremal_cdf(census, beta, h2 / 2.0, terms, ell)
+    return _extremal_cdf(census, beta, h2 / 2.0,
+                         np.repeat(terms, census.counts), ell)
 
 
 def exact_expected_shape(params: BoltzmannParams, census: IrrepCensus, t):
@@ -371,13 +380,13 @@ def exact_expected_shape(params: BoltzmannParams, census: IrrepCensus, t):
     t is one corner point (rank coordinates) or an (m, rank) array of
     corner points; an array gives an array of values from a single pass
     over the census weights, and err bounds every one of them."""
-    dims, K, _ = flatten_weights(census)
     t = np.asarray(t, dtype=float)
     if t.ndim not in (1, 2) or t.shape[-1] != census.rank:
         raise ValueError(f"corner point must have {census.rank} coordinates")
     beta = params.beta
-    a = dims.astype(float)
-    terms = np.exp(-beta * a) / (-np.expm1(-beta * a))
+    a = census.dims.astype(float)
+    terms = np.repeat(np.exp(-beta * a) / (-np.expm1(-beta * a)), census.counts)
+    K = census.weights
     values = [float(np.sum(terms[np.all(K >= corner[None, :], axis=1)]))
               for corner in np.atleast_2d(t)]
     t0 = _moment_err(census, beta, 0) / (-np.expm1(-beta * census.max_dim))

@@ -3,33 +3,33 @@
 `enumerate_irreps` lists every highest weight whose module dimension is at
 most a cutoff X by one depth-first scan for every rank, exploiting that the
 dimension form is strictly increasing in each coordinate (each loop stops
-as soon as the cheapest completion overshoots).  The result is stored as a
-compact table of distinct dimensions with multiplicities; the number of
-weights up to x grows like C_r x^{2/(r+1)}, where C_r is the volume of the
-region {y > 0 : dim form <= 1}.
+as soon as the cheapest completion overshoots).  The result is a table of
+distinct dimensions with multiplicities plus one int64 array holding every
+weight, ordered by dimension.  The number of weights up to x grows like
+C_r x^{2/(r+1)}, where C_r is the volume of the region {y > 0 : dim form <= 1}.
 By homogeneity C_r = (1/r) * integral over the unit simplex of P^{-2/(r+1)}
 (P the dimension form): 2^{-1/3} Gamma(1/3)^2 / Gamma(2/3) at rank 2 and
 sqrt(3) Gamma(1/4)^4 / (6 pi) at rank 3.  Lattice cubes prove
 C_r x^{2/(r+1)} - K_r x^{2/(r+2)} <= R(x) <= C_r x^{2/(r+1)} for every x
 (`counting_remainder`), and the tail bounds beyond a census rest on that.
 
-The census is immutable and shared: samplers, exact distribution curves and
-tail bounds all read from the same table.
+The census is immutable and shared: the saddle solver keeps the census it
+certified on its parameters, and the samplers, exact distribution curves
+and tail bounds read that same table instead of enumerating their own.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, count, islice, repeat
+from itertools import accumulate, count
 from math import prod
 
 import numpy as np
 
-from .weights import superfactorial, twice_height, weyl_numerator
+from .weights import superfactorial, weyl_numerator
 
 
 class BudgetError(RuntimeError):
@@ -44,7 +44,9 @@ class IrrepCensus:
     counts      number of highest weights at each dimension (int64)
     cumulative  running total of counts (int64); cumulative[i] counts all
                 weights with dimension <= dims[i]
-    weights     optional tuple, aligned with dims, of tuples of weight vectors
+    weights     (num_weights, rank) int64 array of every highest weight,
+                ordered by class: class i is rows cumulative[i-1]:cumulative[i]
+                (from 0 for i = 0), each class in lexicographic order
     """
 
     rank: int
@@ -52,7 +54,7 @@ class IrrepCensus:
     dims: np.ndarray
     counts: np.ndarray
     cumulative: np.ndarray
-    weights: tuple | None = None
+    weights: np.ndarray
 
     @property
     def num_weights(self) -> int:
@@ -62,13 +64,22 @@ class IrrepCensus:
 MAX_WEIGHTS = 50_000_000
 """Most weights one census may hold; a larger one raises BudgetError."""
 
+_CHUNK = 1 << 16  # scanned dims held as Python ints before they move to int64
 
-def _scan(r: int, X: int, keep_weights: bool):
-    """(dims, weights): every weight with dim <= X in lexicographic order,
-    with its dimension; weights is empty unless keep_weights.
 
-    A depth-first scan over the prefix k_1..k_{r-1}; for each prefix the
-    last coordinate runs in one tight loop, whose Weyl numerator is
+def _scan(r: int, X: int):
+    """(dims, heads, runs): every weight with dim <= X in lexicographic
+    order, as runs of the last coordinate.
+
+    dims is an int64 array of each weight's dimension; the scan moves them
+    there from a list every _CHUNK weights, since a Python int costs five
+    times the memory.  Each prefix k_1..k_{r-1} that some weight extends
+    adds its coordinates to the flat list heads and its run length to runs;
+    its weights are the prefix followed by k_r = 1..run, in that order in
+    dims.
+
+    A depth-first scan over the prefix; for each prefix the last
+    coordinate runs in one tight loop, whose Weyl numerator is
     weyl_numerator(r - 1, prefix) * prod_l (k_l + ... + k_{r-1} + k_r).  The
     form increases in each coordinate, so the loop stops at the first
     overshoot, and a prefix whose cheapest completion (every later
@@ -76,8 +87,9 @@ def _scan(r: int, X: int, keep_weights: bool):
     """
     c = superfactorial(r)
     limit = c * X
-    dims, weights = [], []
+    dims, heads, runs = [], [], []
     append = dims.append
+    chunks = []
     prefix = [1] * (r - 1)
 
     def scan(depth):
@@ -95,18 +107,23 @@ def _scan(r: int, X: int, keep_weights: bool):
             if numerator > limit:
                 break
             append(numerator // c)
-        if len(dims) > MAX_WEIGHTS:
+        if len(dims) + len(chunks) * _CHUNK > MAX_WEIGHTS:
             raise BudgetError(f"census budget exhausted at cutoff {X}")
         found = len(dims) - start
-        if keep_weights:
-            weights.extend(zip(*map(repeat, prefix), range(1, found + 1)))
+        if found:
+            heads.extend(prefix)
+            runs.append(found)
+        while len(dims) >= _CHUNK:
+            chunks.append(np.array(dims[:_CHUNK], dtype=np.int64))
+            del dims[:_CHUNK]
         return found > 0
 
     scan(0)
-    return dims, weights
+    chunks.append(np.array(dims, dtype=np.int64))
+    return np.concatenate(chunks), heads, runs
 
 
-def enumerate_irreps(r: int, max_dim, keep_weights: bool = False) -> IrrepCensus:
+def enumerate_irreps(r: int, max_dim) -> IrrepCensus:
     """Census of all weights with dim <= max_dim; inside each dimension
     class the weights stay in lexicographic order.
 
@@ -133,31 +150,31 @@ def enumerate_irreps(r: int, max_dim, keep_weights: bool = False) -> IrrepCensus
             raise BudgetError(f"census at cutoff {X} may hold up to {bound:.3g} "
                               f"weights, above the cap {MAX_WEIGHTS}")
 
-    found, weights = _scan(r, X, keep_weights)
-    counts = Counter(found)
-    dims = sorted(counts)
-    cnts = list(map(counts.__getitem__, dims))
-    wtuple = None
-    if keep_weights:
-        # a stable sort keeps each class in scan order
-        order = map(weights.__getitem__,
-                    sorted(range(len(found)), key=found.__getitem__))
-        wtuple = tuple(tuple(islice(order, n)) for n in cnts)
-    dims = np.array(dims, dtype=np.int64)
-    cnts = np.array(cnts, dtype=np.int64)
-    cumulative = np.cumsum(cnts, dtype=np.int64)
-    return IrrepCensus(rank=r, max_dim=X, dims=dims, counts=cnts,
-                       cumulative=cumulative, weights=wtuple)
-
-
-def dim_count(census: IrrepCensus, m: int) -> int:
-    """Number of irreducible modules of dimension exactly m."""
-    if not 1 <= m <= census.max_dim:
-        raise ValueError(f"dimension {m} outside census range [1, {census.max_dim}]")
-    i = int(np.searchsorted(census.dims, m))
-    if i < len(census.dims) and census.dims[i] == m:
-        return int(census.counts[i])
-    return 0
+    found, heads, runs = _scan(r, X)
+    # a stable sort keeps each class in scan order; order[i] is the scan
+    # position of the i-th weight by dimension
+    order = np.argsort(found, kind="stable")
+    found = found[order]
+    first = np.flatnonzero(np.diff(found, prepend=0))  # each class's first row
+    dims = found[first]
+    counts = np.diff(first, append=found.size)
+    del found
+    runs = np.array(runs, dtype=np.int64)
+    run_of = np.repeat(np.arange(runs.size), runs)[order]
+    # filled column by column in place, so no second array of the weights
+    # exists; every index is in range, and mode="clip" lets take write
+    # straight into a column instead of through a buffer
+    weights = np.empty((order.size, r), dtype=np.int64)
+    last = weights[:, -1]
+    np.take(np.cumsum(runs) - runs, run_of, out=last, mode="clip")
+    np.subtract(order, last, out=last)
+    last += 1  # the last coordinate counts up from 1 along its run
+    del order
+    heads = np.array(heads, dtype=np.int64).reshape(runs.size, r - 1)
+    for j in range(r - 1):
+        np.take(heads[:, j], run_of, out=weights[:, j], mode="clip")
+    return IrrepCensus(rank=r, max_dim=X, dims=dims, counts=counts,
+                       cumulative=np.cumsum(counts), weights=weights)
 
 
 def cumulative_count(census: IrrepCensus, x) -> int:
@@ -166,26 +183,6 @@ def cumulative_count(census: IrrepCensus, x) -> int:
         raise ValueError(f"argument {x} outside census range [0, {census.max_dim}]")
     i = int(np.searchsorted(census.dims, math.floor(x), side="right"))
     return int(census.cumulative[i - 1]) if i else 0
-
-
-def flatten_weights(census: IrrepCensus):
-    """Per-weight arrays (dim, weight matrix, twice the shifted height).
-
-    The height column is 2 L(k - 1), the exact-integer form of the height
-    statistic contribution of each weight.
-    """
-    if census.weights is None:
-        raise ValueError("census was built without keep_weights=True")
-    r = census.rank
-    dims, rows, h2 = [], [], []
-    for m, group in zip(census.dims, census.weights):
-        for k in group:
-            dims.append(int(m))
-            rows.append(k)
-            h2.append(twice_height(r, [x - 1 for x in k]))
-    return (np.array(dims, dtype=np.int64),
-            np.array(rows, dtype=np.int64).reshape(len(rows), r),
-            np.array(h2, dtype=np.int64))
 
 
 def write_csv(census: IrrepCensus, fileobj) -> None:

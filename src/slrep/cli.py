@@ -157,7 +157,7 @@ def _cmd_census(args, started):
         vol = vol_err = None  # no certified volume route above rank 3
     results = {
         "num_dimension_classes": int(census.dims.size),
-        "num_irreps": int(census.cumulative[-1]) if census.dims.size else 0,
+        "num_irreps": census.num_weights,
         "volume": vol, "volume_err": vol_err,
     }
     return _emit(args, started, results, buf.getvalue())

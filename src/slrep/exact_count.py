@@ -77,11 +77,11 @@ class CountTable:
     census: IrrepCensus
 
 
-def _census_for(r, n, census, keep_weights):
+def _census_for(r, n, census):
     if n < 0:
         raise ValueError(f"total dimension must be >= 0, got {n}")
     if census is None:
-        return enumerate_irreps(r, max(n, 1), keep_weights=keep_weights)
+        return enumerate_irreps(r, max(n, 1))
     if census.max_dim < n:
         raise ValueError(f"census cutoff {census.max_dim} below requested total {n}")
     if census.rank != r:
@@ -102,7 +102,7 @@ def count_representations(r: int, n: int, census: IrrepCensus | None = None) -> 
     with lazy carries (see the module docstring for the no-overflow
     argument); `counts` is a list of Python ints.
     """
-    census = _census_for(r, n, census, keep_weights=True)
+    census = _census_for(r, n, census)
     p = np.zeros((n + 1, 1), dtype=np.int64)
     p[0, 0] = 1
     bound = 1  # every limb of p is at most bound
@@ -142,7 +142,7 @@ def _normalize(p):
 
 def count_by_recurrence(r: int, n: int, census: IrrepCensus | None = None) -> list:
     """Second exact route: the counts by the Euler-identity recurrence."""
-    census = _census_for(r, n, census, keep_weights=False)
+    census = _census_for(r, n, census)
 
     # c[j] = sum of d*rho(d) over divisors d <= n of j, by sieving
     c = [0] * (n + 1)
@@ -172,16 +172,26 @@ def counts_excluding_one_weight(table: CountTable, a: int) -> list:
     return [p[v] - (p[v - a] if v >= a else 0) for v in range(len(p))]
 
 
+def _representation(census, rows, mults) -> Representation:
+    """The representation with multiplicity mults[i] at the weight in census
+    row rows[i]; all rows become weight tuples in one conversion."""
+    weights = map(tuple, census.weights[rows].tolist())
+    return Representation(rank=census.rank, mult=dict(zip(weights, mults)))
+
+
 def _pick_term(classes, p, v, u):
-    """Weight, step k and dimension d of the Euler-identity term at v whose
-    block of integers holds u, for 0 <= u < v p(v)."""
-    for (d, rho), group in classes:
+    """Census row of the weight, step k and dimension d of the Euler-identity
+    term at v whose block of integers holds u, for 0 <= u < v p(v).
+
+    classes pairs each (dimension, number of weights) with the census row
+    of the class's first weight."""
+    for (d, rho), first in classes:
         if d > v:
             break
         for k in range(1, v // d + 1):
             block = d * p[v - k * d]
             if u < rho * block:
-                return group[u // block], k, d
+                return first + u // block, k, d
             u -= rho * block
     raise ArithmeticError(f"Euler identity fails at total {v}")
 
@@ -189,22 +199,20 @@ def _pick_term(classes, p, v, u):
 def uniform_sample(table: CountTable, n: int, rng: random.Random) -> Representation:
     """Exactly uniform representation of total dimension n.
 
-    Raises ValueError when no representation of dimension n exists or the
-    table's census was built without weights.
+    Raises ValueError when no representation of dimension n exists.
     """
     if not 0 <= n <= table.max_total:
         raise ValueError(f"total {n} outside table range [0, {table.max_total}]")
     if table.counts[n] == 0:
         raise ValueError(f"no representation has total dimension {n}")
     census = table.census
-    if census.weights is None:
-        raise ValueError("uniform sampling needs a census built with keep_weights=True")
-    classes = list(zip(_classes(census, n), census.weights))
-    mult = {}
+    classes = list(zip(_classes(census, n),
+                       (census.cumulative - census.counts).tolist()))
+    mult = {}  # census row -> multiplicity
     v = n
     while v:
-        weight, k, d = _pick_term(classes, table.counts, v,
-                                  rng.randrange(v * table.counts[v]))
-        mult[weight] = mult.get(weight, 0) + k
+        row, k, d = _pick_term(classes, table.counts, v,
+                               rng.randrange(v * table.counts[v]))
+        mult[row] = mult.get(row, 0) + k
         v -= k * d
-    return Representation(rank=table.rank, mult=mult)
+    return _representation(census, list(mult), mult.values())

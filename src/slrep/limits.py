@@ -533,26 +533,3 @@ def count_mgf(r: int, u, census: IrrepCensus):
     if isinstance(u, complex):
         return value, err
     return value.real, err
-
-
-def count_mgf_log_modulus(r: int, t: float, census: IrrepCensus):
-    """(value, err) for log |M(it)| = -1/2 sum rho(m) log(1 + t^2/m^2).
-
-    The certified decay diagnostic: only even powers of t/m enter, so the
-    tail expansion is t^2/2 * S_2 - t^4/4 * S_4 with S_j the inverse-moment
-    tails, plus a sixth-order remainder of at most t^6/6 * S_6.  Summing by
-    parts against R(x) <= C_r x^c gives S_6 <= 6 C_r/(6-c) X^(c-6)."""
-    if r < 2:
-        raise ValueError("count mgf diverges at rank 1 (harmonic series); need r >= 2")
-    m = census.dims.astype(float)
-    rho = census.counts.astype(float)
-    value = -0.5 * float(np.sum(rho * np.log1p((t / m) ** 2)))
-    t2, t4 = inverse_moment_tail(census, 2), inverse_moment_tail(census, 4)
-    X = float(census.max_dim)
-    if abs(t) > X / 2.0:
-        raise ValueError(f"|t| = {abs(t):.3g} too large for census cutoff {X}")
-    tail = -(t * t / 2.0 * t2[0] - t**4 / 4.0 * t4[0])
-    c = 2.0 / (r + 1)
-    sixth = abs(t) ** 6 * sum(region_volume(r)) / (6.0 - c) * X ** (c - 6.0)
-    err = t * t / 2.0 * t2[1] + t**4 / 4.0 * t4[1] + sixth
-    return value + tail, err

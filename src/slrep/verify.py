@@ -44,7 +44,7 @@ from .boltzmann import (
     exact_prob_max_dim_le,
     solve_saddle,
 )
-from .census import IrrepCensus, enumerate_irreps
+from .census import enumerate_irreps
 from .exact_count import CountTable, count_representations, counts_excluding_one_weight
 from .limits import (
     compute_constants,
@@ -439,16 +439,15 @@ class LimitGapReport:
 
 
 _MGF_GRID = (-0.5, -0.25, 0.25, 0.5)
+_MGF_LIMIT_MAX_DIM = 2_000_000  # census cutoff of the limit product's exact factors
+_STATISTICS = ("D", "H", "mult", "shape", "mgf")
 # certified truncation error of the shape report, relative to each corner value
 SHAPE_REL_ERR = 1e-6
 
 
 def compare_exact_to_limit(r: int, n: int, which: str, *,
                            params: BoltzmannParams | None = None,
-                           census: IrrepCensus | None = None,
-                           x_grid=None, t_grid=None, u_grid=None,
-                           k=None, limit_census: IrrepCensus | None = None,
-                           limit_max_dim: int = 2_000_000) -> LimitGapReport:
+                           t_grid=None, u_grid=None, k=None) -> LimitGapReport:
     """Gap between an exact Boltzmann-model distribution at size n and its
     limit law, computed without any sampling.
 
@@ -460,21 +459,22 @@ def compare_exact_to_limit(r: int, n: int, which: str, *,
     shape on a corner grid, relatively; "mgf" compares the exact
     transformed-count mgf against the limit product on a u-grid.
 
-    The shape report needs a census that reaches every corner: its own
-    census doubles its cutoff until the certified truncation error is at
-    most SHAPE_REL_ERR of the exact value at every corner, and a census
-    passed in that cannot meet this is refused with a ValueError.
+    D, H and mgf read the census the saddle was certified on.  The shape
+    report needs a census that reaches every corner: it doubles its cutoff
+    until the certified truncation error is at most SHAPE_REL_ERR of the
+    exact value at every corner.
     """
+    if which not in _STATISTICS:
+        raise ValueError(f"unknown observable {which!r}; "
+                         f"expected one of {', '.join(_STATISTICS)}")
     if params is None:
         params = solve_saddle(r, n)
-    own_census = census is None
-    if own_census and which in ("D", "H", "mgf"):
-        census = enumerate_irreps(r, params.cutoff, keep_weights=which == "H")
+    census = params.census
     constants = compute_constants(r, n, s=params.s)
     s = params.s
 
     if which in ("D", "H"):
-        xs = np.linspace(-3.0, 6.0, 181) if x_grid is None else np.asarray(x_grid)
+        xs = np.linspace(-3.0, 6.0, 181)
         if which == "D":
             center, scale = constants.max_dim_center, constants.max_dim_scale
             prob = exact_prob_max_dim_le
@@ -503,22 +503,15 @@ def compare_exact_to_limit(r: int, n: int, which: str, *,
     if which == "shape":
         ts = default_shape_grid(r) if t_grid is None else np.asarray(t_grid)
         corners = np.repeat(ts[:, None] / s, r, axis=1)
-        if own_census:
-            # the farthest corner starts at dim(K, ..., K); twice that cutoff
-            # leaves a tail far below the corner's own value
-            far = math.ceil(float(corners.max()))
-            cutoff = max(params.cutoff, 2 * dim_irrep(r, (far,) * r))
+        # the farthest corner starts at dim(K, ..., K); twice that cutoff
+        # leaves a tail far below the corner's own value
+        far = math.ceil(float(corners.max()))
+        cutoff = max(params.cutoff, 2 * dim_irrep(r, (far,) * r))
         for _ in range(8):
-            if own_census:
-                census = enumerate_irreps(r, cutoff, keep_weights=True)
+            census = enumerate_irreps(r, cutoff)
             values, err = exact_expected_shape(params, census, corners)
             if err <= SHAPE_REL_ERR * float(values.min()):
                 break
-            if not own_census:
-                raise ValueError(
-                    f"census cutoff {census.max_dim} leaves a shape truncation "
-                    f"error {err:.3g} above {SHAPE_REL_ERR} of the smallest "
-                    f"corner value {float(values.min()):.3g}; enlarge the census")
             cutoff *= 2
         else:
             raise RuntimeError(f"no census up to cutoff {cutoff} certifies "
@@ -534,25 +527,21 @@ def compare_exact_to_limit(r: int, n: int, which: str, *,
             f"census truncation certified below {SHAPE_REL_ERR} of every corner; "
             f"limit_err is the largest relative error of the limit column, {kind}")
 
-    if which == "mgf":
-        us = np.asarray(_MGF_GRID if u_grid is None else u_grid, dtype=float)
-        if limit_census is None:
-            limit_census = enumerate_irreps(r, limit_max_dim)
-        exact = np.empty(us.size)
-        limit = np.empty(us.size)
-        exact_err = 0.0
-        limit_err = 0.0
-        for i, u in enumerate(us):
-            value, e = exact_count_mgf(params, census, float(u))
-            exact[i] = value
-            exact_err = max(exact_err, e)
-            lvalue, le = count_mgf(r, float(u), limit_census)
-            limit[i] = lvalue
-            limit_err = max(limit_err, le)
-        gap = float(np.max(np.abs(exact - limit)))
-        return LimitGapReport(
-            which, r, n, us, exact, limit, gap, False, exact_err, limit_err,
-            "transformed-count mgf on the standard u-grid")
-
-    raise ValueError(f"unknown observable {which!r}; "
-                     "expected one of D, H, mult, shape, mgf")
+    # which == "mgf"
+    us = np.asarray(_MGF_GRID if u_grid is None else u_grid, dtype=float)
+    product_census = enumerate_irreps(r, _MGF_LIMIT_MAX_DIM)
+    exact = np.empty(us.size)
+    limit = np.empty(us.size)
+    exact_err = 0.0
+    limit_err = 0.0
+    for i, u in enumerate(us):
+        value, e = exact_count_mgf(params, census, float(u))
+        exact[i] = value
+        exact_err = max(exact_err, e)
+        lvalue, le = count_mgf(r, float(u), product_census)
+        limit[i] = lvalue
+        limit_err = max(limit_err, le)
+    gap = float(np.max(np.abs(exact - limit)))
+    return LimitGapReport(
+        which, r, n, us, exact, limit, gap, False, exact_err, limit_err,
+        "transformed-count mgf on the standard u-grid")

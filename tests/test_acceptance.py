@@ -67,9 +67,9 @@ def enumerate_partitions(n, largest):
 
 def enumerate_reps(r, n):
     """All weight multisets of total dimension n, as canonical keys."""
-    census = enumerate_irreps(r, max(n, 1), keep_weights=True)
-    flat = [(tuple(k), int(m)) for m, group in zip(census.dims, census.weights)
-            for k in group]
+    census = enumerate_irreps(r, max(n, 1))
+    flat = list(zip(map(tuple, census.weights.tolist()),
+                    np.repeat(census.dims, census.counts).tolist()))
     out = []
 
     def go(i, left, acc):

@@ -23,15 +23,14 @@ from slrep.boltzmann import (
     rejection_uniform_sample,
     sampling_census,
     solve_saddle,
-    third_moment_dim,
     truncation_tv_bound,
     variance_dim,
 )
-from slrep.census import enumerate_irreps, flatten_weights
+from slrep.census import enumerate_irreps
 from slrep.exact_count import count_representations, uniform_sample
 from slrep.limits import asymptotic_saddle
 from slrep.stats import stat_height, stat_max_dim
-from slrep.weights import degree, dim_irrep
+from slrep.weights import degree, dim_irrep, twice_height
 
 
 def mp_moment(census, q, p):
@@ -49,7 +48,7 @@ def mp_moment(census, q, p):
 def test_moments_match_high_precision_sums(r):
     census = enumerate_irreps(r, 200)
     q = 0.5
-    for fn, p in ((expected_dim, 1), (variance_dim, 2), (third_moment_dim, 3)):
+    for fn, p in ((expected_dim, 1), (variance_dim, 2)):
         value, err = fn(r, q, census)
         assert value == pytest.approx(mp_moment(census, q, p), rel=1e-12)
         assert 0.0 <= err < 1e-30  # at q = 1/2 the tail beyond 200 is ~ 2^-200
@@ -145,10 +144,17 @@ def test_solve_saddle_is_monotone_in_target():
     assert qs == sorted(qs)
 
 
-def test_solve_saddle_rejects_undersized_census():
-    census = enumerate_irreps(2, 12)
-    with pytest.raises(ValueError):
-        solve_saddle(2, 10_000, census=census)
+def test_solve_saddle_keeps_its_census():
+    # r = 3, n = 1e5 enlarges its census once; the params keep the last one,
+    # on which the expectation is certified
+    for r, n in ((2, 10_000), (3, 10**5)):
+        params = solve_saddle(r, n)
+        census = params.census
+        assert census.rank == r and census.max_dim == params.cutoff
+        assert params.cutoff == default_cutoff(r, n) * (1 if r == 2 else 2)
+        value, err = expected_dim(r, params.q, census)
+        assert err == pytest.approx(params.tail_bound, rel=1e-9)
+        assert abs(value - n) <= params.solver_tol * n
     with pytest.raises(ValueError):
         solve_saddle(2, 0)
 
@@ -160,22 +166,28 @@ def test_default_cutoff_grows_with_target():
 
 
 def test_sampling_census_certifies_truncation():
+    # the saddle's census is returned when it already certifies the bound
+    params = solve_saddle(2, 10**8)
+    assert truncation_tv_bound(params, params.census) <= 1e-12
+    assert sampling_census(params) is params.census
+    # at n = 300 it does not, and the cutoff doubles once (537 -> 1074)
     params = solve_saddle(2, 300)
     census = sampling_census(params, delta=1e-12)
-    assert census.weights is not None
+    assert truncation_tv_bound(params, params.census) > 1e-12
+    assert census.max_dim == 2 * params.cutoff
     assert truncation_tv_bound(params, census) <= 1e-12
     # widening the census can only shrink the bound
     wide = enumerate_irreps(2, 2 * census.max_dim)
     assert truncation_tv_bound(params, wide) <= truncation_tv_bound(params, census)
 
 
-def test_boltzmann_sampler_requires_weights_and_coverage():
+def test_boltzmann_sampler_requires_coverage():
     params = solve_saddle(2, 300)
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        boltzmann_sample(params, enumerate_irreps(2, params.cutoff), rng)
+        boltzmann_sample(params, params.census, rng)
     with pytest.raises(ValueError):
-        boltzmann_sample(params, enumerate_irreps(2, 20, keep_weights=True), rng)
+        boltzmann_sample(params, enumerate_irreps(2, 20), rng)
 
 
 def _boltzmann_draws(n, num, seed):
@@ -231,6 +243,19 @@ def test_exact_prob_anchors():
     assert 0.0 < value < 1.0  # probability of the empty representation
 
 
+def test_exact_prob_height_matches_direct_product():
+    params = solve_saddle(2, 300)
+    census = sampling_census(params)
+    dims = np.repeat(census.dims, census.counts)
+    heights = [twice_height(2, [x - 1 for x in k]) / 2.0
+               for k in census.weights.tolist()]
+    for ell in (0.0, 1.5, 4.0, 12.0):
+        value, _ = exact_prob_height_le(params, census, ell)
+        direct = math.fsum(math.log1p(-params.q ** int(a))
+                           for a, h in zip(dims, heights) if h > ell)
+        assert value == pytest.approx(math.exp(direct), rel=1e-12)
+
+
 @pytest.mark.parametrize("prob", [exact_prob_max_dim_le, exact_prob_height_le])
 def test_exact_prob_grid_equals_pointwise_calls(prob):
     params = solve_saddle(2, 300)
@@ -247,7 +272,7 @@ def test_exact_prob_grid_equals_pointwise_calls(prob):
 def test_exact_expected_shape_matches_direct_sum():
     params = solve_saddle(2, 300)
     census = sampling_census(params)
-    dims, K, _ = flatten_weights(census)
+    dims, K = np.repeat(census.dims, census.counts), census.weights
     for t in ((1.0, 1.0), (2.0, 3.0), (5.5, 1.5)):
         value, err = exact_expected_shape(params, census, t)
         direct = math.fsum(
@@ -339,7 +364,7 @@ def test_rejection_sampler_fills_the_trivial_weight():
     n = 2000
     params = solve_saddle(2, n)
     census = sampling_census(params)
-    trivial = census.weights[0][0]
+    trivial = tuple(census.weights[0].tolist())
     assert trivial == (1, 1)
     rng = np.random.default_rng(35)
     reps = rejection_uniform_sample(params, census, 200, rng)

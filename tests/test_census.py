@@ -15,16 +15,14 @@ from slrep.census import (
     BudgetError,
     counting_remainder,
     cumulative_count,
-    dim_count,
     enumerate_irreps,
-    flatten_weights,
     inverse_moment_tail,
     region_volume,
     upper_incomplete_gamma,
     weighted_tail_bound,
     write_csv,
 )
-from slrep.weights import dim_irrep, twice_height
+from slrep.weights import dim_irrep
 
 from census_terms import (
     counting_law,
@@ -72,21 +70,23 @@ def brute_census(r, X):
 def test_enumeration_matches_box_scan(r, X):
     # the weights of each class must come in the box scan's order, which is
     # the order the samplers index
-    census = enumerate_irreps(r, X, keep_weights=True)
+    census = enumerate_irreps(r, X)
     expected = brute_census(r, X)
     got = {int(m): int(c) for m, c in zip(census.dims, census.counts)}
     assert got == {d: len(group) for d, group in expected.items()}
     assert census.num_weights == sum(got.values())
     assert r == 1 or any(c > 1 for c in got.values())
-    for m, group in zip(census.dims, census.weights):
-        assert list(group) == expected[int(m)]
-        for k in group:
+    for a in (census.dims, census.counts, census.cumulative, census.weights):
+        assert a.dtype == np.int64
+    assert census.weights.shape == (census.num_weights, r)
+    # class i is rows cumulative[i-1]:cumulative[i] of the weight array
+    rows = [tuple(k) for k in census.weights.tolist()]
+    start = 0
+    for m, end in zip(census.dims, census.cumulative):
+        assert rows[start:end] == expected[int(m)]
+        for k in rows[start:end]:
             assert dim_irrep(r, k) == int(m)
-    plain = enumerate_irreps(r, X)
-    assert plain.weights is None
-    for a, b in ((plain.dims, census.dims), (plain.counts, census.counts),
-                 (plain.cumulative, census.cumulative)):
-        assert np.array_equal(a, b)
+        start = end
 
 
 def test_rank_two_small_census_pinned():
@@ -94,7 +94,8 @@ def test_rank_two_small_census_pinned():
     assert list(census.dims) == [1, 3, 6, 8, 10]
     assert list(census.counts) == [1, 2, 2, 1, 2]
     assert list(census.cumulative) == [1, 3, 5, 6, 8]
-    assert census.weights is None
+    assert census.weights.tolist() == [[1, 1], [1, 2], [2, 1], [1, 3], [3, 1],
+                                       [2, 2], [1, 4], [4, 1]]
 
 
 def test_rank_one_census_is_all_integers():
@@ -109,12 +110,8 @@ def test_counting_function_queries():
     assert cumulative_count(census, 9.5) == 6
     assert cumulative_count(census, 1) == 1
     assert cumulative_count(census, 0.99) == 0
-    assert dim_count(census, 6) == 2
-    assert dim_count(census, 7) == 0
     with pytest.raises(ValueError):
         cumulative_count(census, 11)
-    with pytest.raises(ValueError):
-        dim_count(census, 0)
 
 
 def test_cumulative_is_cumsum_of_counts():
@@ -136,7 +133,7 @@ def test_enumeration_validation_and_budget(monkeypatch):
         assert enumerate_irreps(r, 10**6).num_weights == n
         monkeypatch.setattr(census_module, "MAX_WEIGHTS", n - 1)
         with pytest.raises(BudgetError):
-            enumerate_irreps(r, 10**6, keep_weights=True)
+            enumerate_irreps(r, 10**6)
     # ranks <= 3: refused from the bound C_r X^(2/(r+1)) before the scan,
     # even where fewer weights exist (16 at rank 3, X = 40, bound 100.4);
     # at rank 1 that is exactly X > MAX_WEIGHTS
@@ -154,16 +151,22 @@ def test_enumeration_validation_and_budget(monkeypatch):
             enumerate_irreps(r, X)
 
 
-def test_flatten_weights_rows():
-    census = enumerate_irreps(2, 10, keep_weights=True)
-    dims, K, h2 = flatten_weights(census)
-    assert dims.shape == (8,) and K.shape == (8, 2) and h2.shape == (8,)
-    assert list(dims) == sorted(dims)
-    for d, k, h in zip(dims, K, h2):
-        assert dim_irrep(2, tuple(k)) == int(d)
-        assert int(h) == twice_height(2, [x - 1 for x in k])
-    with pytest.raises(ValueError):
-        flatten_weights(enumerate_irreps(2, 10))
+def test_scan_moves_dims_to_int64_in_chunks(monkeypatch):
+    # the scan parks its dims in int64 chunks; tiny chunks, split inside
+    # runs, must give the same census and keep the weight cap exact
+    expected = {(r, X): enumerate_irreps(r, X)
+                for r, X in ((1, 50), (2, 500), (3, 500), (4, 10**5))}
+    monkeypatch.setattr(census_module, "_CHUNK", 7)
+    for (r, X), census in expected.items():
+        chunked = enumerate_irreps(r, X)
+        for field in ("dims", "counts", "cumulative", "weights"):
+            assert np.array_equal(getattr(chunked, field), getattr(census, field))
+    n = expected[4, 10**5].num_weights
+    monkeypatch.setattr(census_module, "MAX_WEIGHTS", n)
+    assert enumerate_irreps(4, 10**5).num_weights == n
+    monkeypatch.setattr(census_module, "MAX_WEIGHTS", n - 1)
+    with pytest.raises(BudgetError):
+        enumerate_irreps(4, 10**5)
 
 
 def test_write_csv_round_trip():

@@ -2,6 +2,7 @@
 
 import ast
 import filecmp
+import hashlib
 import json
 import math
 import os
@@ -12,6 +13,7 @@ import time
 import pytest
 
 import slrep
+import slrep.census
 from slrep.cli import main
 from slrep.weights import dim_irrep
 from test_exact_count import COUNT_R2_10000
@@ -122,6 +124,66 @@ def test_sample_seed_changes_output(tmp_path, capsys):
                 "--n", "100", "--samples", "2", "--seed", seed,
                 "--out", str(path))
     assert not filecmp.cmp(*paths, shallow=False)
+
+
+# sha256 of the data stream of seeded sample runs, recorded when the census
+# kept its weights as per-class tuples; any change to the samplers' use of
+# the census or of the random streams shows here
+PINNED_SAMPLES = {
+    ("2", "300", "boltzmann", "5"):
+        "b42a6d1c6de20f2297f4702e35f2a993b9558ef475d44c509d325e5704c86170",
+    ("2", "300", "uniform-rejection", "5"):
+        "91c7c96ba4b0da10b51cdc1f6385ecc6ea68c4ebc72b265e81bff32c8d7f8a1a",
+    ("2", "300", "uniform-dp", "5"):
+        "795a6fbe39a7dfb447fe47340ee38e93a9016112771ad7ef80d2cebde7d5a1cb",
+    ("3", "1000", "boltzmann", "3"):
+        "5e96f91c3d80d61f0d21b0ac0be314cea31beedef0c2eaba723d8bcefe477fee",
+}
+
+
+@pytest.mark.parametrize("rank,n,mode,samples", PINNED_SAMPLES)
+def test_seeded_samples_are_pinned(tmp_path, capsys, rank, n, mode, samples):
+    path = tmp_path / "samples.jsonl"
+    code, _, _ = run_cli(capsys, "sample", "--rank", rank, "--n", n,
+                         "--mode", mode, "--samples", samples, "--seed", "3",
+                         "--out", str(path))
+    assert code == 0
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == PINNED_SAMPLES[rank, n, mode, samples]
+
+
+# census enumerations per command: the saddle's census serves every later
+# stage that it certifies; mgf adds its limit census and shape its own cutoff
+CENSUS_BUILDS = {
+    "boltzmann": (("sample", "--rank", "2", "--n", "100000000", "--mode",
+                   "boltzmann", "--samples", "1"), 1),
+    "uniform-rejection": (("sample", "--rank", "2", "--n", "10000", "--mode",
+                           "uniform-rejection", "--samples", "1"), 1),
+    "dist-D": (("dist", "--rank", "2", "--n", "1000000", "--stat", "D"), 1),
+    "dist-H": (("dist", "--rank", "2", "--n", "1000000", "--stat", "H"), 1),
+    "dist-mgf": (("dist", "--rank", "2", "--n", "1000000", "--stat", "mgf"), 2),
+    "dist-shape": (("dist", "--rank", "2", "--n", "1000000", "--stat", "shape"), 2),
+}
+
+
+@pytest.mark.parametrize("label", CENSUS_BUILDS)
+def test_census_builds_per_command(capsys, monkeypatch, label):
+    argv, expected = CENSUS_BUILDS[label]
+    original = slrep.census.enumerate_irreps
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        name = getattr(module, "__name__", "")
+        if (name == "slrep" or name.startswith("slrep.")) and \
+                getattr(module, "enumerate_irreps", None) is original:
+            monkeypatch.setattr(module, "enumerate_irreps", counted)
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert len(calls) == expected, calls
 
 
 def test_out_file_is_listed_in_manifest(tmp_path, capsys):

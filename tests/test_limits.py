@@ -15,7 +15,6 @@ from slrep.limits import (
     bose_tail,
     compute_constants,
     count_mgf,
-    count_mgf_log_modulus,
     dim_moment_integral,
     dispersion_constant,
     exp_cdf,
@@ -257,16 +256,3 @@ def test_count_mgf_complex_argument():
     assert isinstance(value, complex)
     conj, _ = count_mgf(2, 0.3 - 0.2j, census)
     assert conj == pytest.approx(value.conjugate(), rel=1e-12)
-
-
-def test_count_mgf_log_modulus_matches_direct_product():
-    # the value on a 500 times larger census agrees within both errors; the
-    # truncated product alone would omit a tail of the size of err
-    census = enumerate_irreps(2, 20_000)
-    wide = enumerate_irreps(2, 10**7)
-    for t in (0.5, 2.0):
-        value, err = count_mgf_log_modulus(2, t, census)
-        wide_value, wide_err = count_mgf_log_modulus(2, t, wide)
-        assert abs(value - wide_value) <= err + wide_err
-        mgf_value, mgf_err = count_mgf(2, 1j * t, census)
-        assert math.log(abs(mgf_value)) == pytest.approx(value, abs=err + 1e-9)
