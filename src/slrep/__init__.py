@@ -77,7 +77,6 @@ from .weights import (
     degree,
     dim_irrep,
     dim_poly,
-    height_functional,
     superfactorial,
     twice_height,
     weyl_numerator,

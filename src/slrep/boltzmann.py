@@ -12,8 +12,6 @@ nu = r(r+1)/2, the solved s shrinks like n^{-2/(r(r+3))}.  The solved
 parameters keep the census the solve was certified on (`params.census`);
 `sampling_census` returns it when it also certifies the sampling bound, and
 the exact distribution curves read it, so one census serves every stage.
-The samplers draw census rows and turn them into weight tuples once per
-sample.
 
 Every truncated sum here carries a certified tail bound, returned as the
 second element of a (value, err) pair or recorded on the params object.
@@ -33,9 +31,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .census import IrrepCensus, enumerate_irreps, weighted_tail_bound
-from .exact_count import Representation, _representation
+from .exact_count import Representation
 from .limits import asymptotic_saddle
-from .weights import degree
+from .weights import degree, twice_height
 
 
 @dataclass(frozen=True)
@@ -190,54 +188,47 @@ def truncation_tv_bound(params: BoltzmannParams, census: IrrepCensus) -> float:
     return weighted_tail_bound(census, params.beta, 0)
 
 
-def sampling_census(params: BoltzmannParams, delta: float = 1e-12) -> IrrepCensus:
-    """Census wide enough to sample within delta in TV.
+SAMPLING_TV = 1e-12
+"""Largest truncation TV distance a sampling census may leave."""
+
+
+def sampling_census(params: BoltzmannParams) -> IrrepCensus:
+    """Census wide enough to sample within SAMPLING_TV in TV.
 
     The solver's census targets moment accuracy and is returned when it
     already certifies the stricter truncation bound sampling needs;
     otherwise the cutoff doubles until it certifies."""
     census, enlargements = params.census, 0
-    while truncation_tv_bound(params, census) > delta:
+    while truncation_tv_bound(params, census) > SAMPLING_TV:
         if enlargements == 19:
             raise RuntimeError(f"no cutoff up to {census.max_dim} certifies "
-                               f"truncation TV <= {delta}")
+                               f"truncation TV <= {SAMPLING_TV}")
         census = enumerate_irreps(params.rank, 2 * census.max_dim)
         enlargements += 1
     return census
 
 
-def _require_sampling_census(params, census, delta):
+def _require_sampling_census(params, census):
     if census.rank != params.rank:
         raise ValueError(f"census rank {census.rank} != params rank {params.rank}")
     tv = truncation_tv_bound(params, census)
-    if tv > delta:
+    if tv > SAMPLING_TV:
         raise ValueError(
             f"census cutoff {census.max_dim} leaves truncation TV {tv:.3g} "
-            f"> delta {delta:.3g}; enlarge the census")
-    return tv
+            f"> {SAMPLING_TV:.3g}; enlarge the census")
 
 
-def _split_composition(c, first, g, rng, mult):
-    """Uniform ordered composition of c over the g census rows from first
-    on (numpy rng); mult maps census row -> multiplicity."""
+def _split_composition(c, g, rng):
+    """Uniform ordered composition of c into g nonnegative parts (numpy rng),
+    by stars and bars."""
     if g == 1:
-        mult[first] = mult.get(first, 0) + c
-        return
+        return np.array([c])
     bars = np.sort(rng.choice(c + g - 1, size=g - 1, replace=False))
-    prev = -1
-    for j, b in enumerate(bars):
-        x = int(b) - prev - 1
-        if x:
-            mult[first + j] = mult.get(first + j, 0) + x
-        prev = int(b)
-    x = (c + g - 1) - prev - 1
-    if x:
-        mult[first + g - 1] = mult.get(first + g - 1, 0) + x
+    return np.diff(bars, prepend=-1, append=c + g - 1) - 1
 
 
 def boltzmann_sample(params: BoltzmannParams, census: IrrepCensus,
-                     rng: np.random.Generator,
-                     delta: float = 1e-12) -> Representation:
+                     rng: np.random.Generator) -> Representation:
     """One free (unconditioned) draw from the truncated product measure.
 
     Per dimension class, the number of weights with nonzero multiplicity is
@@ -245,29 +236,26 @@ def boltzmann_sample(params: BoltzmannParams, census: IrrepCensus,
     conditional multiplicities 1 + geometric, which is exactly numpy's
     geometric(1 - q^m).
     """
-    _require_sampling_census(params, census, delta)
+    _require_sampling_census(params, census)
     beta = params.beta
     m, rho, qm, one_minus = _term_arrays(census, beta)
     hits = rng.binomial(census.counts, qm)
     hit = np.flatnonzero(hits)
-    if not hit.size:
-        return Representation(rank=params.rank, mult={})
     drawn = hits[hit]
-    chosen, values = [], []
+    chosen, values = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
     for g, b, p in zip(census.counts[hit].tolist(), drawn.tolist(),
                        one_minus[hit].tolist()):
         chosen.append(rng.choice(g, size=b, replace=False) if b < g else np.arange(g))
         values.append(rng.geometric(p, size=b))
     # census row of each chosen weight: its class's first row plus its index
     first = np.repeat(census.cumulative[hit] - census.counts[hit], drawn)
-    return _representation(census, first + np.concatenate(chosen),
-                           np.concatenate(values).tolist())
+    return Representation.from_rows(census, first + np.concatenate(chosen),
+                                    np.concatenate(values))
 
 
 def rejection_uniform_sample(params: BoltzmannParams, census: IrrepCensus,
                              num_samples: int, rng: np.random.Generator,
-                             max_attempts: int | None = None,
-                             delta: float = 1e-12) -> list:
+                             max_attempts: int | None = None) -> list:
     """Exactly uniform representations of dimension n by rejection.
 
     Probabilistic divide-and-conquer (Arratia & DeSalvo 2016), deterministic
@@ -286,7 +274,7 @@ def rejection_uniform_sample(params: BoltzmannParams, census: IrrepCensus,
     count, at least 100, per requested sample) is exhausted, and ValueError
     for a census that does not start at the trivial module.
     """
-    _require_sampling_census(params, census, delta)
+    _require_sampling_census(params, census)
     if census.dims[0] != 1 or census.counts[0] != 1:
         raise ValueError("rejection sampling needs a census that starts at "
                          "the trivial module")
@@ -315,12 +303,13 @@ def rejection_uniform_sample(params: BoltzmannParams, census: IrrepCensus,
         for ridx in np.nonzero(accepted)[0]:
             if len(out) >= num_samples:
                 break
-            row = mat[ridx]
-            mult = {0: int(ks[ridx])} if ks[ridx] else {}  # row 0: trivial module
-            for i in np.nonzero(row)[0]:
-                _split_composition(int(row[i]), starts[i + 1], sizes[i + 1],
-                                   rng, mult)
-            out.append(_representation(census, list(mult), mult.values()))
+            # census row 0 is the trivial module; class i + 1 is column i
+            picked, mult = [np.zeros(1, dtype=np.int64)], [ks[ridx:ridx + 1]]
+            for i in np.nonzero(mat[ridx])[0] + 1:
+                picked.append(np.arange(starts[i], starts[i] + sizes[i]))
+                mult.append(_split_composition(int(mat[ridx, i - 1]), sizes[i], rng))
+            out.append(Representation.from_rows(census, np.concatenate(picked),
+                                                np.concatenate(mult)))
         attempts += rows
         if len(out) < num_samples and attempts >= max_attempts:
             raise RuntimeError(
@@ -361,10 +350,7 @@ def exact_prob_height_le(params: BoltzmannParams, census: IrrepCensus, ell):
     [value - err, value].
 
     ell is a scalar or a 1-D array, as for exact_prob_max_dim_le."""
-    r = census.rank
-    j = np.arange(1, r + 1)
-    # 2 L(k - 1) = sum_j j (r + 1 - j) (k_j - 1), one exact int64 product
-    h2 = (census.weights - 1) @ (j * (r + 1 - j))
+    h2 = twice_height(census.rank, census.weights - 1)
     beta = params.beta
     terms = np.log1p(-np.exp(-beta * census.dims.astype(float)))
     # h2 is an exact integer, so h2 / 2 > ell exactly when h2 > 2 ell

@@ -78,8 +78,8 @@ def _check_seed(seed: int) -> None:
 def _json_safe(value):
     if isinstance(value, (np.integer,)):
         return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
+    if isinstance(value, (float, np.floating)):
+        return float(value) if math.isfinite(value) else None
     if isinstance(value, np.ndarray):
         return [_json_safe(v) for v in value.tolist()]
     if isinstance(value, dict):
@@ -186,16 +186,15 @@ def _cmd_saddle(args, started):
 
 
 def _sample_record(index: int, rep) -> dict:
-    components = sorted((list(k), int(c)) for k, c in rep.mult.items())
-    record = {
+    empty = not rep.rows.size
+    return {
         "index": index,
         "total_dim": rep.total_dim(),
         "N": stat_num_irreps(rep),
-        "D": stat_max_dim(rep) if rep.mult else None,
-        "H": stat_height(rep) if rep.mult else None,
-        "components": components,
+        "D": None if empty else stat_max_dim(rep),
+        "H": None if empty else stat_height(rep),
+        "components": rep.components(),
     }
-    return record
 
 
 def _cmd_sample(args, started):
@@ -229,6 +228,18 @@ def _cmd_sample(args, started):
     return _emit(args, started, results, "\n".join(lines) + "\n")
 
 
+def _gap_results(report) -> dict:
+    """The results every single-n gap report shares."""
+    return {
+        "stat": report.statistic, "gap": report.gap,
+        "gap_is_relative": report.gap_is_relative,
+        "exact_err": report.exact_err, "limit_err": report.limit_err,
+        "note": report.note,
+        "tolerance_note": "no finite-n rate is available; any threshold "
+                          "applied to this gap is an engineering choice",
+    }
+
+
 def _cmd_dist(args, started):
     _check_bounds(args, exact=False)
     k = _parse_weight(args.k, args.rank) if args.k else None
@@ -238,14 +249,7 @@ def _cmd_dist(args, started):
     lines = ["grid,exact,limit,gap"]
     lines += [f"{float(g)!r},{float(e)!r},{float(l)!r},{float(d)!r}"
               for g, e, l, d in zip(report.grid, report.exact, report.limit, gaps)]
-    results = {
-        "stat": report.statistic, "gap": report.gap,
-        "gap_is_relative": report.gap_is_relative,
-        "exact_err": report.exact_err, "limit_err": report.limit_err,
-        "note": report.note,
-        "tolerance_note": "no finite-n rate is available; any threshold "
-                          "applied to this gap is an engineering choice",
-    }
+    results = _gap_results(report)
     failed = False
     if args.tol is not None:
         results["tol"] = args.tol
@@ -357,15 +361,8 @@ def _cmd_verify_limits(args, started):
         }
         return _emit(args, started, results, failed=not ok)
     report = compare_exact_to_limit(args.rank, args.n, args.stat, k=k)
-    results = {
-        "pass": None if args.tol is None else bool(report.gap <= args.tol),
-        "stat": args.stat, "gap": report.gap,
-        "gap_is_relative": report.gap_is_relative,
-        "exact_err": report.exact_err, "limit_err": report.limit_err,
-        "note": report.note,
-        "tolerance_note": "no finite-n rate is available; any threshold "
-                          "applied to this gap is an engineering choice",
-    }
+    results = _gap_results(report)
+    results["pass"] = None if args.tol is None else bool(report.gap <= args.tol)
     return _emit(args, started, results,
                  failed=results["pass"] is False)
 

@@ -46,25 +46,53 @@ from dataclasses import dataclass
 import numpy as np
 
 from .census import IrrepCensus, enumerate_irreps
-from .weights import dim_irrep
 
 _LIMB_BITS = 31
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
 _LIMB_CAP = 1 << 62  # limbs below this take a normalization's carries in int64
 
 
-@dataclass
+@dataclass(eq=False)
 class Representation:
-    """Multiset of highest weights; mult maps weight tuple -> multiplicity."""
+    """Multiset of irreducibles: mult[i] copies of the weight in census row
+    rows[i]; rows sorted and distinct, mult positive, both int64."""
 
-    rank: int
-    mult: dict
+    census: IrrepCensus
+    rows: np.ndarray
+    mult: np.ndarray
+
+    @classmethod
+    def from_rows(cls, census: IrrepCensus, rows, mult) -> "Representation":
+        """rows in any order; a repeated row adds up, a zero total is dropped."""
+        rows, inverse = np.unique(np.asarray(rows, dtype=np.int64),
+                                  return_inverse=True)
+        total = np.zeros(rows.size, dtype=np.int64)
+        np.add.at(total, inverse, np.asarray(mult, dtype=np.int64))
+        return cls(census, rows[total > 0], total[total > 0])
+
+    @property
+    def rank(self) -> int:
+        return self.census.rank
+
+    def weights(self) -> np.ndarray:
+        return self.census.weights[self.rows]
+
+    def dims(self) -> np.ndarray:
+        """Each component's dimension, the entry of its census class."""
+        c = self.census
+        return c.dims[np.searchsorted(c.cumulative, self.rows, side="right")]
 
     def total_dim(self) -> int:
-        return sum(dim_irrep(self.rank, k) * x for k, x in self.mult.items())
+        return int(self.dims() @ self.mult)
 
     def num_irreps(self) -> int:
-        return sum(self.mult.values())
+        return int(self.mult.sum())
+
+    def components(self) -> list:
+        """(weight tuple, multiplicity) pairs in lexicographic weight order."""
+        table = np.column_stack([self.weights(), self.mult])
+        table = table[np.lexsort(table[:, -2::-1].T)].tolist()
+        return [(tuple(row[:-1]), row[-1]) for row in table]
 
 
 @dataclass
@@ -172,13 +200,6 @@ def counts_excluding_one_weight(table: CountTable, a: int) -> list:
     return [p[v] - (p[v - a] if v >= a else 0) for v in range(len(p))]
 
 
-def _representation(census, rows, mults) -> Representation:
-    """The representation with multiplicity mults[i] at the weight in census
-    row rows[i]; all rows become weight tuples in one conversion."""
-    weights = map(tuple, census.weights[rows].tolist())
-    return Representation(rank=census.rank, mult=dict(zip(weights, mults)))
-
-
 def _pick_term(classes, p, v, u):
     """Census row of the weight, step k and dimension d of the Euler-identity
     term at v whose block of integers holds u, for 0 <= u < v p(v).
@@ -208,11 +229,12 @@ def uniform_sample(table: CountTable, n: int, rng: random.Random) -> Representat
     census = table.census
     classes = list(zip(_classes(census, n),
                        (census.cumulative - census.counts).tolist()))
-    mult = {}  # census row -> multiplicity
+    rows, mult = [], []  # a row drawn twice adds up its steps
     v = n
     while v:
         row, k, d = _pick_term(classes, table.counts, v,
                                rng.randrange(v * table.counts[v]))
-        mult[row] = mult.get(row, 0) + k
+        rows.append(row)
+        mult.append(k)
         v -= k * d
-    return _representation(census, list(mult), mult.values())
+    return Representation.from_rows(census, rows, mult)

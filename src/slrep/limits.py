@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -156,8 +155,8 @@ class LimitConstants:
 def compute_constants(r: int, n, s: float | None = None) -> LimitConstants:
     """Evaluate every normalizer at the saddle s (pass the solved value from
     `boltzmann.solve_saddle` for finite-n curves; defaults to the asymptotic
-    saddle).  Warns when n is too small for the height normalizer (its
-    log-scale parameter must be positive)."""
+    saddle).  A normalizer whose log-scale parameter is not positive (n too
+    small) is left NaN."""
     if s is None:
         s = asymptotic_saddle(r, n)
     vol, _ = region_volume(r)
@@ -171,8 +170,6 @@ def compute_constants(r: int, n, s: float | None = None) -> LimitConstants:
         a_d = b_d * (omega - (r - 1) / (r + 1) * math.log(omega)
                      + math.log(2.0 * vol / (r + 1)))
     else:
-        warnings.warn(f"saddle {s} too coarse for the max-dimension normalizer "
-                      f"(log scale {omega} <= 0)")
         a_d = math.nan
 
     if alpha > 0.0:
@@ -181,8 +178,6 @@ def compute_constants(r: int, n, s: float | None = None) -> LimitConstants:
         a_h = b_h * (alpha / math.factorial(r - 1)
                      - (r - 1) / r * math.log(alpha))
     else:
-        warnings.warn(f"saddle {s} too coarse for the height normalizer "
-                      f"(log scale {alpha} <= 0)")
         a_h, b_h = math.nan, math.nan
 
     return LimitConstants(rank=r, n=float(n), s=s, volume=vol,

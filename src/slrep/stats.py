@@ -23,17 +23,16 @@ STAT_NAMES = ("D", "H", "N", "mult", "shape")
 
 def stat_max_dim(rep: Representation) -> int:
     """D: largest dimension among the irreducible components."""
-    if not rep.mult:
+    if not rep.rows.size:
         raise ValueError("the zero representation has no largest dimension")
-    return max(dim_irrep(rep.rank, k) for k in rep.mult)
+    return int(rep.dims().max())
 
 
 def stat_height(rep: Representation) -> float:
     """H: largest height L(k - 1) among the components (a half-integer)."""
-    if not rep.mult:
+    if not rep.rows.size:
         raise ValueError("the zero representation has no height")
-    r = rep.rank
-    return max(twice_height(r, [x - 1 for x in k]) for k in rep.mult) / 2.0
+    return int(twice_height(rep.rank, rep.weights() - 1).max()) / 2.0
 
 
 def stat_num_irreps(rep: Representation) -> int:
@@ -43,17 +42,16 @@ def stat_num_irreps(rep: Representation) -> int:
 
 def stat_multiplicity(rep: Representation, k) -> int:
     """X_k: multiplicity of the weight k."""
-    return rep.mult.get(tuple(k), 0)
+    return int(rep.mult[np.all(rep.weights() == np.asarray(k), axis=1)].sum())
 
 
 def stat_shape(rep: Representation, t) -> int:
     """shape(t): number of components (with multiplicity) whose weight
     dominates the corner t coordinatewise."""
-    t = tuple(t)
-    if len(t) != rep.rank:
+    t = np.asarray(t)
+    if t.shape != (rep.rank,):
         raise ValueError(f"corner must have {rep.rank} coordinates")
-    return sum(x for k, x in rep.mult.items()
-               if all(kj >= tj for kj, tj in zip(k, t)))
+    return int(rep.mult[np.all(rep.weights() >= t, axis=1)].sum())
 
 
 def default_shape_grid(r: int, lo: float = 0.1, num: int = 16):

@@ -459,10 +459,11 @@ def compare_exact_to_limit(r: int, n: int, which: str, *,
     shape on a corner grid, relatively; "mgf" compares the exact
     transformed-count mgf against the limit product on a u-grid.
 
-    D, H and mgf read the census the saddle was certified on.  The shape
-    report needs a census that reaches every corner: it doubles its cutoff
-    until the certified truncation error is at most SHAPE_REL_ERR of the
-    exact value at every corner.
+    D and H raise ValueError when n is too small for their normalizer (NaN
+    center or scale).  D, H and mgf read the census the saddle was certified
+    on.  The shape report needs a census that reaches every corner: it
+    doubles its cutoff until the certified truncation error is at most
+    SHAPE_REL_ERR of the exact value at every corner.
     """
     if which not in _STATISTICS:
         raise ValueError(f"unknown observable {which!r}; "
@@ -481,6 +482,9 @@ def compare_exact_to_limit(r: int, n: int, which: str, *,
         else:
             center, scale = constants.height_center, constants.height_scale
             prob = exact_prob_height_le
+        if not (math.isfinite(center) and math.isfinite(scale)):
+            raise ValueError(f"n = {n} is too small for the {which} normalizer "
+                             f"at rank {r} (center {center}, scale {scale})")
         exact, err = prob(params, census, center + scale * xs)
         limit = gumbel_cdf(xs)
         gap = float(np.max(np.abs(exact - limit)))

@@ -18,6 +18,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Sequence
 
+import numpy as np
+
 
 @lru_cache(maxsize=None)
 def superfactorial(r: int) -> int:
@@ -36,15 +38,14 @@ def degree(r: int) -> int:
     return r * (r + 1) // 2
 
 
-def _check_weight(r, k, positive=True):
+def _check_weight(r, k):
     if r < 1:
         raise ValueError(f"rank must be >= 1, got {r}")
     if len(k) != r:
         raise ValueError(f"weight has {len(k)} coordinates, expected {r}")
-    lo = 1 if positive else 0
     for x in k:
-        if x < lo:
-            raise ValueError(f"weight coordinates must be >= {lo}, got {tuple(k)}")
+        if x < 1:
+            raise ValueError(f"weight coordinates must be >= 1, got {tuple(k)}")
 
 
 def weyl_numerator(r: int, k: Sequence):
@@ -81,13 +82,9 @@ def dim_poly(r: int, y: Sequence[float]) -> float:
     return weyl_numerator(r, y) / superfactorial(r)
 
 
-def twice_height(r: int, k: Sequence[int]) -> int:
-    """2 L(k) = sum_j j (r+1-j) k_j, exact."""
-    _check_weight(r, k, positive=False)
-    return sum(j * (r + 1 - j) * x for j, x in enumerate(k, start=1))
-
-
-def height_functional(r: int, k: Sequence[int]) -> float:
-    """L(k), a half-integer; use `twice_height` to stay in exact arithmetic."""
-    return twice_height(r, k) / 2.0
+def twice_height(r: int, k):
+    """2 L(k) = sum_j j (r+1-j) k_j, exact in int64, for one weight k or for
+    each row of an (m, r) int array of weights."""
+    j = np.arange(1, r + 1)
+    return np.asarray(k, dtype=np.int64) @ (j * (r + 1 - j))
 

@@ -6,7 +6,8 @@ window-box dimensions as one vectorized array.  These routes reach the
 same numbers another way: a Monte Carlo volume with an analytic tail, an
 adaptive box quadrature with an analytic strip correction, the simplex
 reduction of the rank-2 shape in mpmath, and a point-by-point walk over
-the window box.  Only tests call them.
+the window box.  Only tests call them.  `representation` builds a
+representation from a dict of weights, the form tests write by hand.
 """
 
 import itertools
@@ -15,7 +16,18 @@ import warnings
 
 import numpy as np
 
-from slrep.weights import dim_poly
+from slrep.census import enumerate_irreps
+from slrep.exact_count import Representation
+from slrep.weights import dim_irrep, dim_poly
+
+
+def representation(r: int, mult: dict) -> Representation:
+    """The representation with multiplicity mult[k] at each weight tuple k,
+    its rows looked up in a census that reaches every weight."""
+    census = enumerate_irreps(r, max((dim_irrep(r, k) for k in mult), default=1))
+    index = {k: i for i, k in enumerate(map(tuple, census.weights.tolist()))}
+    return Representation.from_rows(census, [index[k] for k in mult],
+                                    list(mult.values()))
 
 
 def boundary_root_r2(y1: float) -> float:

@@ -90,7 +90,7 @@ def enumerate_reps(r, n):
 
 
 def canonical(rep):
-    return tuple(sorted(rep.mult.items()))
+    return tuple(rep.components())
 
 
 def test_criterion_1_exact_counting(criterion_report):
@@ -290,7 +290,7 @@ def _criterion_7_sample():
     raws = []
     for _ in range(5000):
         rep = boltzmann_sample(params, census, rng)
-        raws.append(stat_max_dim(rep) if rep.mult else 0)
+        raws.append(stat_max_dim(rep) if rep.num_irreps() else 0)
     blob = json.dumps(raws, separators=(",", ":")).encode()
     constants = compute_constants(2, n, s=params.s)
     normalized = normalize("D", raws, params, constants).normalized

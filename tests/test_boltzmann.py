@@ -29,8 +29,8 @@ from slrep.boltzmann import (
 from slrep.census import enumerate_irreps
 from slrep.exact_count import count_representations, uniform_sample
 from slrep.limits import asymptotic_saddle
-from slrep.stats import stat_height, stat_max_dim
-from slrep.weights import degree, dim_irrep, twice_height
+from slrep.stats import stat_height, stat_max_dim, stat_multiplicity
+from slrep.weights import degree, dim_irrep
 
 
 def mp_moment(census, q, p):
@@ -172,7 +172,7 @@ def test_sampling_census_certifies_truncation():
     assert sampling_census(params) is params.census
     # at n = 300 it does not, and the cutoff doubles once (537 -> 1074)
     params = solve_saddle(2, 300)
-    census = sampling_census(params, delta=1e-12)
+    census = sampling_census(params)
     assert truncation_tv_bound(params, params.census) > 1e-12
     assert census.max_dim == 2 * params.cutoff
     assert truncation_tv_bound(params, census) <= 1e-12
@@ -205,7 +205,7 @@ def test_boltzmann_marginals_match_product_law():
     # multiplicity of the dimension-1 weight is geometric with mean q/(1-q)
     mean_mult = q / (1.0 - q)
     var_mult = q / (1.0 - q) ** 2
-    observed = sum(rep.mult.get((1, 1), 0) for rep in reps) / num
+    observed = sum(stat_multiplicity(rep, (1, 1)) for rep in reps) / num
     assert abs(observed - mean_mult) <= 5.0 * math.sqrt(var_mult / num)
 
     # total dimension has mean n (calibration) and variance sigma2
@@ -218,7 +218,7 @@ def test_exact_max_dim_distribution_against_monte_carlo():
     params, census, reps = _boltzmann_draws(300, num, seed=22)
     for ell in (10, 40, 160):
         value, err = exact_prob_max_dim_le(params, census, ell)
-        empirical = sum(1 for rep in reps if not rep.mult
+        empirical = sum(1 for rep in reps if not rep.num_irreps()
                         or stat_max_dim(rep) <= ell) / num
         sigma = math.sqrt(max(value * (1.0 - value), 1e-12) / num)
         assert abs(empirical - value) <= 5.0 * sigma + err
@@ -229,7 +229,7 @@ def test_exact_height_distribution_against_monte_carlo():
     params, census, reps = _boltzmann_draws(300, num, seed=23)
     for ell in (1.0, 4.0, 12.0):
         value, err = exact_prob_height_le(params, census, ell)
-        empirical = sum(1 for rep in reps if not rep.mult
+        empirical = sum(1 for rep in reps if not rep.num_irreps()
                         or stat_height(rep) <= ell) / num
         sigma = math.sqrt(max(value * (1.0 - value), 1e-12) / num)
         assert abs(empirical - value) <= 5.0 * sigma + err
@@ -247,8 +247,8 @@ def test_exact_prob_height_matches_direct_product():
     params = solve_saddle(2, 300)
     census = sampling_census(params)
     dims = np.repeat(census.dims, census.counts)
-    heights = [twice_height(2, [x - 1 for x in k]) / 2.0
-               for k in census.weights.tolist()]
+    # L(k - 1) = (2 (k_1 - 1) + 2 (k_2 - 1)) / 2 at rank 2, weight by weight
+    heights = [float(k1 + k2 - 2) for k1, k2 in census.weights.tolist()]
     for ell in (0.0, 1.5, 4.0, 12.0):
         value, _ = exact_prob_height_le(params, census, ell)
         direct = math.fsum(math.log1p(-params.q ** int(a))
@@ -289,7 +289,7 @@ def test_exact_shape_against_monte_carlo():
     params, census, reps = _boltzmann_draws(300, num, seed=24)
     t = (2.0, 2.0)
     value, err = exact_expected_shape(params, census, t)
-    counts = [sum(x for k, x in rep.mult.items() if k[0] >= 2 and k[1] >= 2)
+    counts = [sum(x for k, x in rep.components() if k[0] >= 2 and k[1] >= 2)
               for rep in reps]
     mean = sum(counts) / num
     spread = math.sqrt(sum((c - mean) ** 2 for c in counts) / (num - 1) / num)
@@ -330,7 +330,7 @@ def test_rejection_sampler_totals_and_agreement_with_dp():
     dp_reps = [uniform_sample(table, 10, dp_rng) for _ in range(2000)]
 
     def key(rep):
-        return tuple(sorted(rep.mult.items()))
+        return tuple(rep.components())
 
     classes = sorted({key(rep) for rep in reps} | {key(rep) for rep in dp_reps})
     contingency = [[sum(1 for rep in group if key(rep) == c) for c in classes]
@@ -354,7 +354,7 @@ def test_rejection_sampler_is_uniform_at_rank_three():
     census = sampling_census(params)
     rng = np.random.default_rng(34)
     reps = rejection_uniform_sample(params, census, 16_000, rng)
-    seen = Counter(tuple(sorted(rep.mult.items())) for rep in reps)
+    seen = Counter(tuple(rep.components()) for rep in reps)
     assert len(seen) == count_representations(3, n).counts[n] == 16
     _, pvalue = chisquare(list(seen.values()))
     assert pvalue > 1e-3
@@ -369,9 +369,10 @@ def test_rejection_sampler_fills_the_trivial_weight():
     rng = np.random.default_rng(35)
     reps = rejection_uniform_sample(params, census, 200, rng)
     for rep in reps:
-        rest = sum(dim_irrep(2, k) * c for k, c in rep.mult.items() if k != trivial)
-        assert rep.mult.get(trivial, 0) == n - rest
-    assert any(rep.mult.get(trivial, 0) > 0 for rep in reps)
+        mult = dict(rep.components())
+        rest = sum(dim_irrep(2, k) * c for k, c in mult.items() if k != trivial)
+        assert mult.get(trivial, 0) == n - rest
+    assert any(stat_multiplicity(rep, trivial) > 0 for rep in reps)
 
 
 def test_rejection_sampler_refuses_census_without_trivial_class():

@@ -14,6 +14,7 @@ import pytest
 
 import slrep
 import slrep.census
+import slrep.weights
 from slrep.cli import main
 from slrep.weights import dim_irrep
 from test_exact_count import COUNT_R2_10000
@@ -126,9 +127,10 @@ def test_sample_seed_changes_output(tmp_path, capsys):
     assert not filecmp.cmp(*paths, shallow=False)
 
 
-# sha256 of the data stream of seeded sample runs, recorded when the census
-# kept its weights as per-class tuples; any change to the samplers' use of
-# the census or of the random streams shows here
+# sha256 of the data stream of seeded sample runs.  The first four were
+# recorded when the census kept its weights as per-class tuples, the last two
+# when a representation was a dict of weight tuples; any change to the
+# samplers' use of the census or of the random streams shows here
 PINNED_SAMPLES = {
     ("2", "300", "boltzmann", "5"):
         "b42a6d1c6de20f2297f4702e35f2a993b9558ef475d44c509d325e5704c86170",
@@ -138,6 +140,10 @@ PINNED_SAMPLES = {
         "795a6fbe39a7dfb447fe47340ee38e93a9016112771ad7ef80d2cebde7d5a1cb",
     ("3", "1000", "boltzmann", "3"):
         "5e96f91c3d80d61f0d21b0ac0be314cea31beedef0c2eaba723d8bcefe477fee",
+    ("4", "200", "uniform-dp", "3"):
+        "8a09531551686c5e7804d42503a3d2028d805406ca8fd7ec438f91bfb418168c",
+    ("3", "1000", "uniform-rejection", "3"):
+        "77b66471a2c62b1b7eaa7db79e12c567b179faca5bc06ad5c6ba12f7d468f17e",
 }
 
 
@@ -150,6 +156,27 @@ def test_seeded_samples_are_pinned(tmp_path, capsys, rank, n, mode, samples):
     assert code == 0
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == PINNED_SAMPLES[rank, n, mode, samples]
+
+
+@pytest.mark.parametrize("mode", ["uniform-dp", "boltzmann", "uniform-rejection"])
+def test_sample_reads_dimensions_from_the_census(capsys, monkeypatch, mode):
+    # every dimension of a sample record is a census entry: no sampler and
+    # no record evaluates the Weyl formula weight by weight
+    original = slrep.weights.dim_irrep
+
+    def never(*args, **kwargs):
+        raise AssertionError("dim_irrep called while sampling")
+
+    for module in list(sys.modules.values()):
+        name = getattr(module, "__name__", "")
+        if (name == "slrep" or name.startswith("slrep.")) and \
+                getattr(module, "dim_irrep", None) is original:
+            monkeypatch.setattr(module, "dim_irrep", never)
+    code, out, _ = run_cli(capsys, "sample", "--rank", "2", "--n", "300",
+                           "--mode", mode, "--samples", "3", "--seed", "3")
+    assert code == 0
+    _, data = split_manifest(out)
+    assert len(data.strip().splitlines()) == 3
 
 
 # census enumerations per command: the saddle's census serves every later
@@ -237,6 +264,34 @@ def test_dist_shape_rank_three_certifies_every_corner():
     assert 0.0 < res["exact_err"] <= 1e-6 * min(row[1] for row in rows)
     assert 0.0 < res["limit_err"] <= 1e-6
     assert "estimate" in res["note"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("dist", "--rank", "1", "--n", "1", "--stat", "D"),
+    ("verify", "limits", "--rank", "1", "--stat", "D", "--n-grid", "1,2,5"),
+])
+def test_gap_report_refuses_an_undefined_normalizer(argv):
+    # at rank 1 and n = 1 the max-dimension center is NaN; a gap against it
+    # would compare the exact CDF at NaN, which reads 1 everywhere
+    proc = run_fresh(*argv)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("invalid config:")
+    assert "too small for the D normalizer" in lines[0]
+    assert proc.stdout == ""
+
+
+def test_constants_writes_undefined_normalizers_as_null():
+    def strict(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    proc = run_fresh("constants", "--rank", "2", "--n", "3")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    manifest = json.loads(proc.stdout, parse_constant=strict)
+    res = manifest["results"]
+    assert res["max_dim_center"] is None
+    assert res["max_dim_scale"] > 0.0 and res["height_center"] > 0.0
 
 
 def test_verify_weyl_passes(capsys):

@@ -18,6 +18,8 @@ from slrep.exact_count import (
 )
 from slrep.weights import dim_irrep
 
+from oracles import representation
+
 # p(10^4) at rank 2, the CLI's exact-counting cap
 COUNT_R2_10000 = 77286174609560949994788618084033615667449698306709202996900417272344870000
 
@@ -58,7 +60,7 @@ def enumerate_reps(r, n):
 
 
 def canonical(rep):
-    return frozenset((k, x) for k, x in rep.mult.items())
+    return frozenset(rep.components())
 
 
 def test_rank_one_counts_are_partition_numbers():
@@ -167,12 +169,18 @@ def test_excluded_weight_validation():
 
 
 def test_representation_accessors():
-    rep = Representation(rank=2, mult={(1, 1): 2, (2, 1): 1})
+    rep = representation(2, {(2, 1): 1, (1, 1): 2})
     assert rep.total_dim() == 5
     assert rep.num_irreps() == 3
-    empty = Representation(rank=2, mult={})
+    assert rep.rank == 2
+    assert rep.components() == [((1, 1), 2), ((2, 1), 1)]
+    empty = representation(2, {})
     assert empty.total_dim() == 0
     assert empty.num_irreps() == 0
+    assert empty.components() == []
+    # rows come in any order: a repeated row adds up, a zero total is dropped
+    merged = Representation.from_rows(rep.census, [2, 0, 2, 1], [1, 2, 2, 0])
+    assert merged.components() == [((1, 1), 2), ((2, 1), 3)]
 
 
 @pytest.mark.parametrize("r, n", [(2, 4), (3, 12)])
@@ -194,8 +202,9 @@ def test_uniform_sample_total_dimension_is_exact():
     for _ in range(50):
         rep = uniform_sample(table, 30, rng)
         assert rep.total_dim() == 30
-        for k in rep.mult:
-            assert dim_irrep(2, k) <= 30
+        # each component's census dimension is its Weyl dimension
+        assert rep.dims().tolist() == [dim_irrep(2, k) for k in rep.weights().tolist()]
+        assert max(rep.dims()) <= 30
 
 
 def test_uniform_sample_is_seed_deterministic():
@@ -207,6 +216,6 @@ def test_uniform_sample_is_seed_deterministic():
 
 def test_uniform_sample_edge_cases():
     table = count_representations(2, 12)
-    assert uniform_sample(table, 0, random.Random(1)).mult == {}
+    assert uniform_sample(table, 0, random.Random(1)).components() == []
     with pytest.raises(ValueError):
         uniform_sample(table, 13, random.Random(1))

@@ -1,6 +1,7 @@
 """Limit-law constants, reference distributions, shape, and count mgf."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -141,9 +142,18 @@ def test_compute_constants_fields():
     assert constants.height_center > 0.0 and constants.height_scale > 0.0
 
 
-def test_compute_constants_warns_when_scale_degenerates():
-    with pytest.warns(UserWarning):
-        compute_constants(2, 1)
+def test_compute_constants_nan_when_scale_degenerates():
+    # a log scale <= 0 leaves that normalizer undefined: its fields are NaN,
+    # quietly, and the other normalizer is unaffected
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        small_n = compute_constants(2, 1)
+        coarse_s = compute_constants(2, 1, s=2.0)
+    assert math.isnan(small_n.max_dim_center)
+    assert small_n.max_dim_scale > 0.0
+    assert small_n.height_center > 0.0 and small_n.height_scale > 0.0
+    assert coarse_s.alpha <= 0.0
+    assert math.isnan(coarse_s.height_center) and math.isnan(coarse_s.height_scale)
 
 
 def test_gumbel_and_exponential_reference_cdfs():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from slrep.boltzmann import solve_saddle
-from slrep.exact_count import Representation
 from slrep.limits import compute_constants
 from slrep.stats import (
     STAT_NAMES,
@@ -18,9 +17,11 @@ from slrep.stats import (
 )
 from slrep.weights import degree
 
+from oracles import representation
+
 
 def rep(mult):
-    return Representation(rank=2, mult=mult)
+    return representation(2, mult)
 
 
 def test_stat_names_enumeration():
