@@ -8,10 +8,10 @@ distinct dimensions with multiplicities plus one int64 array holding every
 weight, ordered by dimension.  The number of weights up to x grows like
 C_r x^{2/(r+1)}, where C_r is the volume of the region {y > 0 : dim form <= 1}.
 By homogeneity C_r = (1/r) * integral over the unit simplex of P^{-2/(r+1)}
-(P the dimension form): 2^{-1/3} Gamma(1/3)^2 / Gamma(2/3) at rank 2 and
-sqrt(3) Gamma(1/4)^4 / (6 pi) at rank 3.  Lattice cubes prove
-C_r x^{2/(r+1)} - K_r x^{2/(r+2)} <= R(x) <= C_r x^{2/(r+1)} for every x
-(`counting_remainder`), and the tail bounds beyond a census rest on that.
+(P the dimension form), a Selberg integral (`region_volume`).  Lattice cubes
+prove R(x) <= C_r x^{2/(r+1)} for every x, which caps a census before its
+scan and bounds every tail beyond one, and a lower bound
+C_r x^{2/(r+1)} - K_r x^{2/(r+2)} at ranks <= 3 (`counting_remainder`).
 
 The census is immutable and shared: the saddle solver keeps the census it
 certified on its parameters, and the samplers, exact distribution curves
@@ -33,7 +33,7 @@ from .weights import superfactorial, weyl_numerator
 
 
 class BudgetError(RuntimeError):
-    """Raised when a census would hold more than MAX_WEIGHTS weights."""
+    """Raised when a census may hold more than MAX_WEIGHTS weights."""
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ class IrrepCensus:
 
 
 MAX_WEIGHTS = 50_000_000
-"""Most weights one census may hold; a larger one raises BudgetError."""
+"""Most weights one census may hold, judged from its proven bound."""
 
 _CHUNK = 1 << 16  # scanned dims held as Python ints before they move to int64
 
@@ -107,8 +107,6 @@ def _scan(r: int, X: int):
             if numerator > limit:
                 break
             append(numerator // c)
-        if len(dims) + len(chunks) * _CHUNK > MAX_WEIGHTS:
-            raise BudgetError(f"census budget exhausted at cutoff {X}")
         found = len(dims) - start
         if found:
             heads.extend(prefix)
@@ -127,11 +125,10 @@ def enumerate_irreps(r: int, max_dim) -> IrrepCensus:
     """Census of all weights with dim <= max_dim; inside each dimension
     class the weights stay in lexicographic order.
 
-    Raises BudgetError if more than MAX_WEIGHTS weights would be stored, and
-    ValueError for max_dim outside [1, 2^63) (dimensions are kept in int64).
-    Where the region volume C_r is known (ranks <= 3) the proven bound
-    R(X) <= C_r X^(2/(r+1)) refuses an oversized census before the scan
-    (at rank 1 exactly X > MAX_WEIGHTS); above that the scan counts.
+    Raises ValueError for max_dim outside [1, 2^63) (dimensions are kept in
+    int64), and BudgetError before the scan when the proven bound
+    R(X) <= C_r X^(2/(r+1)) exceeds MAX_WEIGHTS (at rank 1 exactly when
+    X > MAX_WEIGHTS).
     """
     X = int(max_dim)
     if X < 1:
@@ -140,15 +137,10 @@ def enumerate_irreps(r: int, max_dim) -> IrrepCensus:
         raise ValueError(f"max_dim {max_dim} does not fit 64-bit storage")
     if r < 1:
         raise ValueError(f"rank must be >= 1, got {r}")
-    try:
-        volume, volume_err = region_volume(r)
-    except NotImplementedError:
-        pass
-    else:
-        bound = (volume + volume_err) * X ** (2.0 / (r + 1))
-        if bound > MAX_WEIGHTS:
-            raise BudgetError(f"census at cutoff {X} may hold up to {bound:.3g} "
-                              f"weights, above the cap {MAX_WEIGHTS}")
+    bound = sum(region_volume(r)) * X ** (2.0 / (r + 1))
+    if bound > MAX_WEIGHTS:
+        raise BudgetError(f"census at cutoff {X} may hold up to {bound:.3g} "
+                          f"weights, above the cap {MAX_WEIGHTS}")
 
     found, heads, runs = _scan(r, X)
     # a stable sort keeps each class in scan order; order[i] is the scan
@@ -193,30 +185,45 @@ def write_csv(census: IrrepCensus, fileobj) -> None:
         w.writerow([int(m), int(c), int(s)])
 
 
+_U = 2.0**-53          # unit roundoff of a double
+_TINY = 2.0**-1022     # smallest normal double
+
+
 # ---- the region {dim form <= 1} and its volume ----
 
 @lru_cache(maxsize=None)
 def region_volume(r: int):
     """Volume C_r of {y > 0 : dim form <= 1}, with an error bound.
 
-    Returns (value, err).  The dimension form P has degree r(r+1)/2, so
-    integrating along rays gives C_r = (1/r) * integral over the unit
-    simplex of P^(-2/(r+1)): C_1 = 1, C_2 = (1/2) 2^(2/3) B(1/3, 1/3) =
-    2^(-1/3) Gamma(1/3)^2 / Gamma(2/3), and C_3 = sqrt(3) Gamma(1/4)^4 /
-    (6 pi) (complete elliptic integrals); err bounds their float rounding
-    by 64 ulps.  Ranks above 3 raise NotImplementedError.
+    Returns (value, err).  Integrating along rays gives C_r = (1/r) *
+    integral over the unit simplex of P^(-c), c = 2/(r+1).  In the partial
+    sums 0 = x_0 < x_1 < ... < x_r = 1 of a simplex point, P is the
+    Vandermonde prod_{i<j} (x_j - x_i) / sf(r), sf(r) = 1! 2! ... r!, so
+    C_r = sf(r)^c / r! * S_{r-1}(a, a, g), Selberg's integral over the r - 1
+    inner points with a = (r-1)/(r+1), g = -1/(r+1) (A. Selberg, Norsk Mat.
+    Tidsskr. 26, 1944; Forrester and Warnaar, Bull. AMS 45, 2008).  In its
+    Gamma product, Gamma(1 + (j+1) g) and Gamma(2a + (r+j-2) g) are both
+    Gamma((r-j)/(r+1)) and cancel:
+
+        C_r = sf(r)^c / r! * prod_{k<r} Gamma(k/(r+1))^2 / Gamma(r/(r+1))^(r-1),
+
+    so C_1 = 1, C_2 = 2^(-1/3) Gamma(1/3)^2 / Gamma(2/3) and C_3 = sqrt(3)
+    Gamma(1/4)^4 / (6 pi).  err = (128 (r-1) + 8 log sf(r)) u C_r (u the
+    unit roundoff) covers 34u per Gamma value (32u for math.gamma, measured
+    within 8u on (0, 17], and 2u for its rounded argument x, as |x psi(x)|
+    < 1.06 on (0, 1)), the 2r roundings of products, powers and exp, and
+    at most 8 log sf(r) u for the exponent c log sf(r) - log r! (logarithms
+    keep sf(r) out of the float range).  At rank 1 all is exact: err = 0.
     """
-    if r == 1:
-        return 1.0, 0.0
-    if r == 2:
-        value = (2.0 ** (-1.0 / 3.0) * math.gamma(1.0 / 3.0) ** 2
-                 / math.gamma(2.0 / 3.0))
-    elif r == 3:
-        value = math.sqrt(3.0) * math.gamma(0.25) ** 4 / (6.0 * math.pi)
-    else:
-        raise NotImplementedError(
-            f"region volume known in closed form for rank <= 3, got {r}")
-    return value, 64.0 * 2.0**-52 * value
+    if r < 1:
+        raise ValueError(f"rank must be >= 1, got {r}")
+    c = 2.0 / (r + 1)
+    sf = superfactorial(r)
+    value = math.exp(c * math.log(sf) - math.log(math.factorial(r)))
+    for k in range(1, r):
+        value *= math.gamma(k / (r + 1)) ** 2
+    value /= math.gamma(r / (r + 1)) ** (r - 1)
+    return value, (128.0 * (r - 1) + 8.0 * math.log(sf)) * _U * value
 
 
 def counting_remainder(r: int) -> float:
@@ -256,10 +263,6 @@ def counting_remainder(r: int) -> float:
         raise NotImplementedError(
             f"counting remainder known in closed form for rank <= 3, got {r}")
     return value * (1.0 + 64.0 * 2.0**-52)
-
-
-_U = 2.0**-53          # unit roundoff of a double
-_TINY = 2.0**-1022     # smallest normal double
 
 
 def upper_incomplete_gamma(a: float, x: float):
@@ -327,8 +330,7 @@ def weighted_tail_bound(census: IrrepCensus, beta: float, p: float) -> float:
     Gamma(.,.) the upper incomplete gamma function, taken at its value plus
     its error bound.  The result is rounded up by (beta X + 16) * 2u (u the
     unit roundoff): the exponentials amplify the rounding of beta X by
-    beta X, and every other operation adds at most u.  Ranks above 3 raise
-    NotImplementedError, as region_volume does.
+    beta X, and every other operation adds at most u.
     """
     X = float(census.max_dim)
     if beta <= 0:
@@ -359,7 +361,7 @@ def inverse_moment_tail(census: IrrepCensus, j: int):
     The first term is the estimate.  The second lies in [0, K_r X^(c'-j)]
     and the third in [-K_r j/(j-c') X^(c'-j), 0], so err = K_r j/(j-c')
     X^(c'-j), plus the error bound of C_r times c/(j-c) X^(c-j).  Ranks
-    above 3 raise NotImplementedError, as region_volume does.
+    above 3 raise NotImplementedError, as counting_remainder does.
     """
     r = census.rank
     if r < 2:

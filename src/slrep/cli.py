@@ -151,10 +151,7 @@ def _cmd_census(args, started):
     census = enumerate_irreps(args.rank, args.max_dim)
     buf = io.StringIO()
     write_csv(census, buf)
-    if args.rank <= 3:
-        vol, vol_err = region_volume(args.rank)
-    else:
-        vol = vol_err = None  # no certified volume route above rank 3
+    vol, vol_err = region_volume(args.rank)
     results = {
         "num_dimension_classes": int(census.dims.size),
         "num_irreps": census.num_weights,
@@ -319,12 +316,7 @@ def _cmd_verify_weyl(args, started):
 
 
 def _cmd_verify_ensembles(args, started):
-    # refused before the count table is built: the Boltzmann side solves the
-    # saddle, which needs the region volume, known for ranks up to 3
     _check_bounds(args, exact=True)
-    if args.rank > 3:
-        raise ConfigError("region volume known in closed form for rank <= 3, "
-                          f"got {args.rank}")
     grid = _parse_grid(args, exact=True)
     k = (_parse_weight(args.k, args.rank) if args.k
          else (1,) * args.rank)

@@ -159,6 +159,42 @@ def test_solve_saddle_keeps_its_census():
         solve_saddle(2, 0)
 
 
+@pytest.mark.parametrize("r", [4, 5, 6])
+def test_solve_saddle_certifies_high_ranks(r):
+    # the asymptotic seed overshoots the root's decay rate at high rank (at
+    # rank 6, n = 10^6 it guesses beta = 4.0e-3 for a root at 1.56e-4), so
+    # the cutoff doubles until the tail bound certifies: five censuses there.
+    # At n = 1000 the seed cutoff lies below 1/beta, where no tail bound
+    # exists, and is doubled too.
+    for n in (1, 10**3, 10**6, 10**9):
+        params = solve_saddle(r, n)
+        value, err = expected_dim(r, params.q, params.census)
+        assert params.census.max_dim * params.beta >= 1.0
+        assert err == pytest.approx(params.tail_bound, rel=1e-9)
+        assert err <= params.solver_tol * n / 2.0
+        assert abs(value - n) <= params.solver_tol * n / 2.0
+    if r == 6:
+        assert solve_saddle(6, 10**6).cutoff == 16 * default_cutoff(6, 10**6)
+        params = solve_saddle(6, 10**3)
+        assert default_cutoff(6, 10**3) * params.beta < 1.0
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf, 1.0, 5.0, 1e-16])
+def test_solve_saddle_rejects_unreachable_tolerance(monkeypatch, tol):
+    def never(*args):
+        raise AssertionError("census built for a refused tolerance")
+
+    monkeypatch.setattr(slrep.boltzmann, "enumerate_irreps", never)
+    with pytest.raises(ValueError, match="tolerance"):
+        solve_saddle(2, 1000, tol=tol)
+
+
+def test_solve_saddle_accepts_the_tolerance_floor():
+    params = solve_saddle(3, 1000, tol=1e-12)
+    value, err = expected_dim(3, params.q, params.census)
+    assert err + abs(value - 1000) <= 1e-12 * 1000
+
+
 def test_default_cutoff_grows_with_target():
     cuts = [default_cutoff(2, n) for n in (10, 1000, 100_000)]
     assert cuts == sorted(cuts)

@@ -22,7 +22,7 @@ from slrep.census import (
     weighted_tail_bound,
     write_csv,
 )
-from slrep.weights import dim_irrep
+from slrep.weights import dim_irrep, superfactorial
 
 from census_terms import (
     counting_law,
@@ -37,6 +37,21 @@ VOLUME_R2 = 2.0 ** (-1.0 / 3.0) * gamma_fn(1.0 / 3.0) ** 2 / gamma_fn(2.0 / 3.0)
 # rank-3 volume sqrt(3) Gamma(1/4)^4 / (6 pi) = 15.877561531051038665..., the
 # nearest double; test_region_volume_matches_simplex_reduction rederives it
 VOLUME_R3 = 15.877561531051038
+
+
+def selberg_volume(r):
+    """C_r = sf(r)^c / (r (r-1)!) S_{r-1}(a, a, g), c = 2/(r+1),
+    a = (r-1)/(r+1), g = -1/(r+1), in mpmath at the working precision,
+    with Selberg's product taken term by term as published."""
+    n = r - 1
+    a = mp.mpf(r - 1) / (r + 1)
+    g = -mp.mpf(1) / (r + 1)
+    product = mp.mpf(1)
+    for j in range(n):
+        product *= (mp.gamma(a + j * g) ** 2 * mp.gamma(1 + (j + 1) * g)
+                    / (mp.gamma(2 * a + (n + j - 1) * g) * mp.gamma(1 + g)))
+    return (mp.mpf(superfactorial(r)) ** (mp.mpf(2) / (r + 1))
+            / (r * mp.factorial(r - 1)) * product)
 
 
 def brute_census(r, X):
@@ -126,27 +141,34 @@ def test_enumeration_validation_and_budget(monkeypatch):
         enumerate_irreps(0, 10)
     with pytest.raises(ValueError):
         enumerate_irreps(2, 2**63)
-    # ranks >= 4: the scan counts, and refuses one weight past the cap
-    held = {r: enumerate_irreps(r, 10**6).num_weights for r in (4, 5, 6)}
-    for r, n in held.items():
-        monkeypatch.setattr(census_module, "MAX_WEIGHTS", n)
-        assert enumerate_irreps(r, 10**6).num_weights == n
-        monkeypatch.setattr(census_module, "MAX_WEIGHTS", n - 1)
-        with pytest.raises(BudgetError):
-            enumerate_irreps(r, 10**6)
-    # ranks <= 3: refused from the bound C_r X^(2/(r+1)) before the scan,
+    # every rank is refused from the bound C_r X^(2/(r+1)) before the scan,
     # even where fewer weights exist (16 at rank 3, X = 40, bound 100.4);
     # at rank 1 that is exactly X > MAX_WEIGHTS
     monkeypatch.setattr(census_module, "MAX_WEIGHTS", 100)
     assert enumerate_irreps(1, 100).num_weights == 100
     assert enumerate_irreps(2, 100).num_weights <= 100   # bound 90.6
     assert enumerate_irreps(3, 39).num_weights <= 100    # bound 99.2
+    # ranks 4-6 under a cap of 10^4: the largest cutoffs the bound admits
+    # are 382,160, 101,798 and 7,423, and they hold 2,544, 789 and 150
+    # weights
+    cap = 10**4
+    monkeypatch.setattr(census_module, "MAX_WEIGHTS", cap)
+    largest = {}
+    for r in (4, 5, 6):
+        X = int((cap / sum(region_volume(r))) ** ((r + 1) / 2.0))
+        assert enumerate_irreps(r, X).num_weights <= cap
+        largest[r] = X
 
     def never(*args):
         raise AssertionError("scan ran for an oversized census")
 
     monkeypatch.setattr(census_module, "_scan", never)
-    for r, X in ((1, 101), (2, 200), (3, 40), (2, 10**6), (3, 10**8)):
+    for r, X in ((4, largest[4] + 1), (5, largest[5] + 1), (6, largest[6] + 1),
+                 (6, 10**9)):
+        with pytest.raises(BudgetError):
+            enumerate_irreps(r, X)
+    monkeypatch.setattr(census_module, "MAX_WEIGHTS", 100)
+    for r, X in ((1, 101), (2, 200), (3, 40), (2, 10**6), (3, 10**8), (5, 1)):
         with pytest.raises(BudgetError):
             enumerate_irreps(r, X)
 
@@ -161,10 +183,19 @@ def test_scan_moves_dims_to_int64_in_chunks(monkeypatch):
         chunked = enumerate_irreps(r, X)
         for field in ("dims", "counts", "cumulative", "weights"):
             assert np.array_equal(getattr(chunked, field), getattr(census, field))
-    n = expected[4, 10**5].num_weights
-    monkeypatch.setattr(census_module, "MAX_WEIGHTS", n)
-    assert enumerate_irreps(4, 10**5).num_weights == n
-    monkeypatch.setattr(census_module, "MAX_WEIGHTS", n - 1)
+    # the cap is judged from the bound before the scan, so chunking has no
+    # say in it: rank 4, X = 10^5 holds 1,271 weights and is refused under
+    # a cap of 5,849, just below its bound
+    bound = sum(region_volume(4)) * 1e5 ** 0.4
+    monkeypatch.setattr(census_module, "MAX_WEIGHTS", math.ceil(bound))
+    assert np.array_equal(enumerate_irreps(4, 10**5).weights,
+                          expected[4, 10**5].weights)
+
+    def never(*args):
+        raise AssertionError("scan ran for an oversized census")
+
+    monkeypatch.setattr(census_module, "_scan", never)
+    monkeypatch.setattr(census_module, "MAX_WEIGHTS", math.floor(bound))
     with pytest.raises(BudgetError):
         enumerate_irreps(4, 10**5)
 
@@ -215,6 +246,23 @@ def test_region_volume_matches_simplex_reduction():
     assert float(c3) == VOLUME_R3
 
 
+def test_region_volume_matches_selberg_product():
+    # the Selberg product in 30 digits, before the Gamma factors that cancel
+    # are taken out; C_4..C_6 are pinned to its nearest doubles
+    pinned = {4: 58.49272122021737, 5: 214.16706892659877, 6: 783.6446378531721}
+    with mp.workdps(30):
+        exact = {r: selberg_volume(r) for r in range(1, 7)}
+    assert exact[1] == 1
+    assert float(exact[2]) == pytest.approx(VOLUME_R2, rel=1e-15)
+    assert float(exact[3]) == VOLUME_R3
+    for r, volume in exact.items():
+        value, err = region_volume(r)
+        assert abs(value - volume) <= err, r
+        assert err <= 1e-13 * value, r
+        if r in pinned:
+            assert float(volume) == pinned[r]
+
+
 def test_region_volume_monte_carlo_brackets_quadrature():
     mc, mc_err = region_volume_mc(2, samples=2_000_000)
     assert mc_err < 0.5
@@ -222,8 +270,9 @@ def test_region_volume_monte_carlo_brackets_quadrature():
 
 
 def test_region_volume_rejects_unknown_inputs():
-    with pytest.raises(NotImplementedError):
-        region_volume(4)
+    # every rank >= 1 has a volume; rank 0 is no algebra
+    with pytest.raises(ValueError):
+        region_volume(0)
     with pytest.raises(NotImplementedError):
         region_volume_mc(3)
 
@@ -288,6 +337,19 @@ def test_envelopes_extrapolate_to_larger_census(r):
         # R(x) = floor(x) exactly, and C_1 = K_1 = 1
         assert np.array_equal(census.cumulative, np.arange(1, top + 1))
         assert (vol, vol_err, K) == (1.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("r", [4, 5, 6])
+def test_volume_bounds_census_at_high_rank(r):
+    # R(x) <= C_r x^c at every jump of the counting function up to 10^9;
+    # measured: max R(x)/x^c is 27.25 at rank 4 against C_4 = 58.49, and
+    # lower-order terms keep the census far below the bound at ranks 5, 6
+    census = enumerate_irreps(r, 10**9)
+    c = 2.0 / (r + 1)
+    vol, vol_err = region_volume(r)
+    x = census.dims.astype(float)
+    assert np.all(census.cumulative <= (vol + vol_err) * x**c)
+    assert census.num_weights <= 0.5 * vol * 1e9**c
 
 
 def _counting_law_residuals(r, volume, top):
@@ -376,23 +438,16 @@ def test_upper_incomplete_gamma_against_mpmath():
 
 def test_weighted_tail_bound_majorizes_its_formula():
     # the float bound is at least C_r (f(X) X^c + c beta^-(p+c) Gamma(p+c, beta X))
-    # evaluated in 40 digits; X is a power of two so beta X = x exactly.
-    # Ranks above 3 have no closed-form C_r and are refused.
+    # evaluated in 40 digits, with C_r from Selberg's product; X is a power
+    # of two so beta X = x exactly
     X = 2**12
     censuses = {r: enumerate_irreps(r, X) for r in range(1, 7)}
     with mp.workdps(40):
-        volumes = {1: mp.mpf(1),
-                   2: mp.mpf(2) ** (-mp.mpf(1) / 3) * mp.gamma(mp.mpf(1) / 3) ** 2
-                   / mp.gamma(mp.mpf(2) / 3),
-                   3: mp.sqrt(3) * mp.gamma(mp.mpf(1) / 4) ** 4 / (6 * mp.pi)}
+        volumes = {r: selberg_volume(r) for r in range(1, 7)}
     for p, r, a, x, exact in incomplete_gamma_grid():
         census = censuses[r]
         beta = x / X
         if beta == 0.0:
-            continue
-        if r > 3:
-            with pytest.raises(NotImplementedError):
-                weighted_tail_bound(census, beta, p)
             continue
         bound = weighted_tail_bound(census, beta, p)
         c = 2.0 / (r + 1)

@@ -346,7 +346,6 @@ def test_verify_limits_trend_mode(capsys):
     ("verify", "weyl", "--rank", "2", "--N", "4", "--eps", "0.5"),
     ("verify", "weyl", "--rank", "2", "--N", "3", "--eps", "0.03125"),
     ("census", "--rank", "1", "--max-dim", "60000000"),
-    ("saddle", "--rank", "4", "--n", "1000"),
     ("census", "--rank", "2", "--max-dim", "10000000000000"),
     ("census", "--rank", "3", "--max-dim", "100000000000000000"),
     ("verify", "limits", "--rank", "2", "--stat", "mult", "--k", "1,1",
@@ -355,6 +354,13 @@ def test_verify_limits_trend_mode(capsys):
      "--n-grid", "0,1000"),
     ("verify", "limits", "--rank", "2", "--stat", "mult", "--k", "1,1",
      "--n-grid", "1000,10000", "--tol", "0.0"),
+    # a saddle tolerance outside [1e-12, 1) is unreachable or meaningless
+    ("saddle", "--rank", "2", "--n", "1000", "--tol", "0"),
+    ("saddle", "--rank", "2", "--n", "1000", "--tol", "-1"),
+    ("saddle", "--rank", "2", "--n", "1000", "--tol", "nan"),
+    ("saddle", "--rank", "2", "--n", "1000", "--tol", "5"),
+    ("saddle", "--rank", "3", "--n", "1000", "--tol", "1e-16"),
+    ("census", "--rank", "6", "--max-dim", "1000000000000000000"),
 ])
 def test_invalid_configurations_exit_two(capsys, monkeypatch, argv):
     # every case is refused before a census is enumerated or a report built
@@ -381,8 +387,9 @@ def test_failed_computation_exits_one_without_traceback(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (("--rank", "4", "--n-grid", "20,60"), "rank <= 3"),
-    (("--rank", "4", "--n-grid", "20,60", "--unsafe"), "rank <= 3"),
+    (("--rank", "4", "--n-grid", "20,x"), "bad integer grid"),
+    (("--rank", "4", "--n-grid", "20,60", "--k", "1,1"),
+     "weight must be 4 positive integers"),
     (("--rank", "7", "--n-grid", "20,60"), "outside the default bound 1..6"),
     (("--rank", "2", "--n-grid", "0,60"), "n-grid point 0 below 1"),
     (("--rank", "2", "--n-grid", "20,60000"), "above the exact-counting bound"),
@@ -503,9 +510,9 @@ def test_package_sources_do_not_import_scipy():
             assert not any(m == "scipy" or m.startswith("scipy.") for m in modules), name
 
 
-# Above rank 3 the region volume has no closed form, so every command that
-# needs it refuses the configuration; the others run.
-RANK_FOUR_REFUSED = {
+# every command runs at rank 4; the region volume is a Selberg integral at
+# every rank
+RANK_FOUR_RUNS = {
     "saddle": ("saddle", "--rank", "4", "--n", "1000"),
     "constants": ("constants", "--rank", "4", "--n", "1000"),
     "dist-D": ("dist", "--rank", "4", "--n", "1000", "--stat", "D"),
@@ -515,8 +522,6 @@ RANK_FOUR_REFUSED = {
                           "--mode", "uniform-rejection"),
     "ensembles": ("verify", "ensembles", "--rank", "4", "--n-grid", "20,60"),
     "limits": ("verify", "limits", "--rank", "4", "--stat", "D", "--n", "1000"),
-}
-RANK_FOUR_RUNS = {
     "census": ("census", "--rank", "4", "--max-dim", "100"),
     "count": ("count", "--rank", "4", "--n", "50"),
     "uniform-dp": ("sample", "--rank", "4", "--n", "50", "--mode", "uniform-dp",
@@ -526,16 +531,65 @@ RANK_FOUR_RUNS = {
 }
 
 
-@pytest.mark.parametrize("label", [*RANK_FOUR_REFUSED, *RANK_FOUR_RUNS])
+@pytest.mark.parametrize("label", RANK_FOUR_RUNS)
 def test_rank_four_support(label):
-    if label in RANK_FOUR_RUNS:
-        proc = run_fresh(*RANK_FOUR_RUNS[label])
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stderr == ""
-        return
-    proc = run_fresh(*RANK_FOUR_REFUSED[label])
-    assert proc.returncode == 2
-    lines = proc.stderr.splitlines()
+    proc = run_fresh(*RANK_FOUR_RUNS[label])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    if label == "census":
+        manifest, _ = split_manifest(proc.stdout)
+        assert manifest["results"]["volume"] == pytest.approx(58.49272122021737)
+
+
+# the commands that need the region volume, at n = 10^6; at rank 6 the
+# saddle's seed census is too small and doubles past the four builds the
+# solver once allowed
+HIGH_RANK_RUNS = {
+    "saddle": ("saddle", "--n", "1000000"),
+    "saddle-cap": ("saddle", "--n", "1000000000"),
+    "constants": ("constants", "--n", "1000000"),
+    "dist-D": ("dist", "--n", "1000000", "--stat", "D"),
+    "dist-H": ("dist", "--n", "1000000", "--stat", "H"),
+    "dist-mult": ("dist", "--n", "1000000", "--stat", "mult"),
+    "boltzmann": ("sample", "--n", "1000000", "--mode", "boltzmann",
+                  "--samples", "2"),
+    "uniform-rejection": ("sample", "--n", "1000000",
+                          "--mode", "uniform-rejection", "--samples", "2"),
+    "ensembles": ("verify", "ensembles", "--n-grid", "100,500,2500"),
+    "limits": ("verify", "limits", "--stat", "D", "--n", "1000000"),
+}
+
+
+@pytest.mark.parametrize("rank", ["4", "5", "6"])
+@pytest.mark.parametrize("label", HIGH_RANK_RUNS)
+def test_high_rank_support(capsys, label, rank):
+    code, out, err = run_cli(capsys, *HIGH_RANK_RUNS[label], "--rank", rank)
+    assert code == 0, err
+    assert err == ""
+    if label.startswith("saddle"):
+        res = split_manifest(out)[0]["results"]
+        assert res["tail_bound"] <= res["expected_dim_err"] / 2.0
+
+
+@pytest.mark.parametrize("rank", ["4", "6"])
+@pytest.mark.parametrize("argv", [
+    ("dist", "--n", "1000000", "--stat", "mgf"),
+    ("dist", "--n", "1000000", "--stat", "shape"),
+    ("verify", "limits", "--stat", "mgf", "--n", "1000000"),
+    ("verify", "limits", "--stat", "shape", "--n-grid", "10000,1000000"),
+])
+def test_rank_limited_statistics_refused_before_any_census(capsys, monkeypatch,
+                                                           argv, rank):
+    # mgf and shape need K_r and W_t, known for ranks <= 3
+    def never(*args, **kwargs):
+        raise AssertionError("census built for a refused statistic")
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "enumerate_irreps", None) is slrep.census.enumerate_irreps:
+            monkeypatch.setattr(module, "enumerate_irreps", never)
+    code, out, err = run_cli(capsys, *argv, "--rank", rank)
+    assert code == 2
+    lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("invalid config:")
-    assert "Traceback" not in proc.stderr
-    assert proc.stdout == ""
+    assert "limit is known for rank <= 3" in lines[0]
+    assert out == ""

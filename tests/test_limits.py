@@ -156,6 +156,28 @@ def test_compute_constants_nan_when_scale_degenerates():
     assert math.isnan(coarse_s.height_center) and math.isnan(coarse_s.height_scale)
 
 
+@pytest.mark.parametrize("r", [4, 5, 6])
+def test_compute_constants_at_high_rank(r):
+    # at the asymptotic saddle every center and scale is finite and positive
+    # from n = 1000 on; below that only the D center is NaN, up to n = 10,
+    # 100 and 300 at ranks 4, 5 and 6.  At the solved saddle, which the gap
+    # reports use, all are finite down to n = 1.
+    for n in (10**3, 10**6, 10**9):
+        constants = compute_constants(r, n)
+        for value in (constants.max_dim_center, constants.max_dim_scale,
+                      constants.height_center, constants.height_scale,
+                      constants.volume, constants.saddle_scale):
+            assert math.isfinite(value) and value > 0.0, (n, value)
+    nan_up_to = {4: 10, 5: 100, 6: 300}[r]
+    for n in (1, 10, 100, 300):
+        constants = compute_constants(r, n)
+        assert math.isnan(constants.max_dim_center) == (n <= nan_up_to), n
+        assert constants.max_dim_scale > 0.0
+        assert constants.height_center > 0.0 and constants.height_scale > 0.0
+        solved = compute_constants(r, n, s=solve_saddle(r, n).s)
+        assert solved.max_dim_center > 0.0 and solved.height_center > 0.0
+
+
 def test_gumbel_and_exponential_reference_cdfs():
     assert gumbel_cdf(0.0) == pytest.approx(math.exp(-1.0), abs=1e-15)
     assert float(gumbel_cdf(50.0)) == pytest.approx(1.0, abs=1e-15)

@@ -360,3 +360,16 @@ def test_compare_rejects_unknown_statistic(monkeypatch):
     monkeypatch.setattr("slrep.verify.solve_saddle", never)
     with pytest.raises(ValueError, match="unknown observable 'Z'"):
         compare_exact_to_limit(2, 500, "Z")
+
+
+@pytest.mark.parametrize("which", ["shape", "mgf"])
+def test_compare_refuses_rank_limited_statistics_first(monkeypatch, which):
+    # the shape and mgf limits need W_t and K_r, known for ranks <= 3; above
+    # that the report is refused before the saddle is solved
+    def never(*args, **kwargs):
+        raise AssertionError("saddle solved for a refused statistic")
+
+    monkeypatch.setattr("slrep.verify.solve_saddle", never)
+    for r in (4, 6):
+        with pytest.raises(NotImplementedError, match=f"{which} limit"):
+            compare_exact_to_limit(r, 10**6, which)
