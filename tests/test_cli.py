@@ -128,9 +128,11 @@ def test_sample_seed_changes_output(tmp_path, capsys):
 
 
 # sha256 of the data stream of seeded sample runs.  The first four were
-# recorded when the census kept its weights as per-class tuples, the last two
-# when a representation was a dict of weight tuples; any change to the
-# samplers' use of the census or of the random streams shows here
+# recorded when the census kept its weights as per-class tuples, the next two
+# when a representation was a dict of weight tuples, and the last three when
+# every step of the exact sampler scanned the Euler identity in big integers;
+# any change to the samplers' use of the census or of the random streams
+# shows here
 PINNED_SAMPLES = {
     ("2", "300", "boltzmann", "5"):
         "b42a6d1c6de20f2297f4702e35f2a993b9558ef475d44c509d325e5704c86170",
@@ -144,6 +146,12 @@ PINNED_SAMPLES = {
         "8a09531551686c5e7804d42503a3d2028d805406ca8fd7ec438f91bfb418168c",
     ("3", "1000", "uniform-rejection", "3"):
         "77b66471a2c62b1b7eaa7db79e12c567b179faca5bc06ad5c6ba12f7d468f17e",
+    ("2", "2000", "uniform-dp", "20"):
+        "844aff85454cdeb186484c12b7c16d775fbe1d140a6007fffaffd4e3b392e608",
+    ("1", "2000", "uniform-dp", "5"):
+        "f807343ef16cff074ebedc4aa54f6f9165d40965586c476661e5b24e9f9adf92",
+    ("2", "10000", "uniform-dp", "3"):
+        "be76f9074d22cd40920732b719492766a14ef3a5617f43939ad2744735bd0516",
 }
 
 
