@@ -462,6 +462,9 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"failed: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # --unsafe sizes may outgrow the machine
+        print(f"failed: out of memory ({str(exc) or 'no detail'})", file=sys.stderr)
+        return 1
 
 
 # from the first statement of slrep/__init__.py to here, where main can start

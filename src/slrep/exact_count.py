@@ -21,8 +21,9 @@ pass runs only when bound * m < 2^62; otherwise the limbs are first
 normalized: carries are rippled up and limbs appended while the top one
 carries, which leaves every limb below 2^31 and resets `bound` to 2^31 - 1.
 A limb below 2^62 plus a carry below 2^32 stays below 2^63, so no int64
-ever overflows (for n < 2^31, so that (2^31 - 1) m < 2^62).  At the end
-every row becomes a Python int.
+ever overflows as long as (2^31 - 1) m < 2^62, which holds for n < 2^31;
+`count_representations` refuses larger n.  At the end every row becomes a
+Python int.
 
 `count_by_recurrence` runs the Euler identity as a recurrence instead
 (exact integers, the division by n never leaves a remainder); it is the
@@ -35,13 +36,39 @@ read the Euler identity at v as a law on its terms, pick one weight of
 dimension d and a step k with probability d p(v - k d) / (v p(v)), add k to
 that weight's multiplicity and go on at v - k d.  It reads only the count
 table.  All randomness comes from `random.Random`, whose big-int randrange
-keeps the draw exact at any table size.
+keeps the draw exact at any table size: each step draws u uniform in
+[0, v p(v)) and takes the term whose block of integers holds u, the terms
+in class order, then k ascending, then weight by weight.
+
+The exact scan of those blocks, `_pick_term`, adds big-int products from
+d = 1 on.  Each step first reads the answer from floats instead
+(`_screen_term`).  With S = p(max_total), the step gathers the m terms
+rho d q(v - k d), q(w) = p(w) / S, of the classes with d <= v, forms their
+cumsum, and searches x = u / S in it; inside the chosen (class, k) term
+the weight is the floor of the remaining offset over d q(w).  Every
+quotient is a correctly rounded int / int division, and x < v because p
+never decreases (the trivial module has dimension 1), so nothing
+overflows.  All terms are positive, so each difference the screen compares
+is within gamma_{m+6} V + (m + 2)(c + 1) 2^-1075 of its exact value, where
+V = v p(v) / S is the exact total, c bounds d rho, and
+gamma_j = j 2^-53 / (1 - j 2^-53) (Higham, Accuracy and Stability of
+Numerical Algorithms, 2002, Lemma 3.1): q, the product by d rho and the
+m - 1 additions of a cumsum entry make m + 1 roundings, x one, the offset
+x - lo one, and the weight boundary j fl(d q) three; the second term covers
+underflow, at most half the smallest subnormal per rounded product.  The
+screen answers only when x and the offset lie more than twice that bound
+from every boundary they fall between, which proves its answer equal to
+the exact one; otherwise the step returns `_pick_term`'s answer.  Both
+routes consume the same u, so seeded streams do not depend on which one
+settles a step.  The floats of q and the class arrays are built once per
+table; the m terms, floor(v / d) for each class with d <= v, are gathered
+at each visited v, so memory stays O(n).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,6 +77,9 @@ from .census import IrrepCensus, enumerate_irreps
 _LIMB_BITS = 31
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
 _LIMB_CAP = 1 << 62  # limbs below this take a normalization's carries in int64
+_MAX_TOTAL = 1 << 31  # the no-overflow proof needs (2^31 - 1)(n + 1) < 2^62
+_UNIT = 2.0 ** -53  # unit roundoff of float64
+_TINY = 2.0 ** -1074  # smallest positive float64
 
 
 @dataclass(eq=False)
@@ -103,6 +133,8 @@ class CountTable:
     max_total: int
     counts: list
     census: IrrepCensus
+    _screen: "_Screen | None" = field(default=None, init=False, repr=False,
+                                      compare=False)
 
 
 def _census_for(r, n, census):
@@ -130,6 +162,9 @@ def count_representations(r: int, n: int, census: IrrepCensus | None = None) -> 
     with lazy carries (see the module docstring for the no-overflow
     argument); `counts` is a list of Python ints.
     """
+    if n >= _MAX_TOTAL:
+        raise ValueError(f"count table needs n < 2^31 for its int64 limbs "
+                         f"to provably not overflow, got {n}")
     census = _census_for(r, n, census)
     p = np.zeros((n + 1, 1), dtype=np.int64)
     p[0, 0] = 1
@@ -217,6 +252,89 @@ def _pick_term(classes, p, v, u):
     raise ArithmeticError(f"Euler identity fails at total {v}")
 
 
+def _gamma(m):
+    """gamma_m = m u / (1 - m u), u = 2^-53: the relative error of m
+    roundings of positive quantities; infinite once m u reaches 1."""
+    mu = m * _UNIT
+    return mu / (1.0 - mu) if mu < 1.0 else np.inf
+
+
+@dataclass
+class _Screen:
+    """What `_screen_term` reads, built once per count table.
+
+    scale        p(max_total), the one denominator of every float here
+    q            q[w] = p(w) / scale, correctly rounded
+    dims, rho    dimension and number of weights of each class up to max_total
+    first        census row of each class's first weight
+    coef         d rho of each class, exact in float64
+    coef_max     the largest d rho, as an int
+    classes      the same classes in the form `_pick_term` reads
+    """
+
+    scale: int
+    q: np.ndarray
+    dims: np.ndarray
+    rho: np.ndarray
+    first: np.ndarray
+    coef: np.ndarray
+    coef_max: int
+    classes: list
+
+    @classmethod
+    def of(cls, table: CountTable) -> "_Screen":
+        if table._screen is None:
+            census, n = table.census, table.max_total
+            keep = census.dims <= n
+            dims, rho = census.dims[keep], census.counts[keep]
+            first = (census.cumulative - census.counts)[keep]
+            coef = dims * rho
+            scale = table.counts[n]
+            table._screen = cls(
+                scale=scale, q=np.array([c / scale for c in table.counts]),
+                dims=dims, rho=rho, first=first, coef=coef.astype(float),
+                coef_max=int(coef.max(initial=0)),
+                classes=list(zip(_classes(census, n), first.tolist())))
+        return table._screen
+
+
+def _screen_term(screen: _Screen, p, v, u):
+    """`_pick_term(screen.classes, p, v, u)` read from floats, or None when
+    rounding might change the answer (module docstring)."""
+    c = int(np.searchsorted(screen.dims, v, side="right"))
+    dims = screen.dims[:c]
+    lens = v // dims  # class i has the terms k = 1..lens[i]
+    ends = np.cumsum(lens)
+    m = int(ends[-1])
+    # w = v - k d in term order: a cumsum of d steps restarted at each class
+    step = np.repeat(dims, lens)
+    step[ends[:-1]] -= (lens * dims)[:-1]
+    w = v - np.cumsum(step)
+    cum = np.cumsum(np.repeat(screen.coef[:c], lens) * screen.q[w])
+    x = u / screen.scale
+    margin = (2.0 * _gamma(m + 6) * (v * p[v] / screen.scale)
+              + (m + 2) * (screen.coef_max + 1) * _TINY)
+    t = int(np.searchsorted(cum, x, side="right"))
+    if t == m:
+        return None
+    offset = x - float(cum[t - 1]) if t else x  # the first term starts at 0
+    if not ((not t or offset > margin) and float(cum[t]) - x > margin):
+        return None
+    i = int(np.searchsorted(ends, t, side="right"))
+    k = t + 1 - int(ends[i] - lens[i])
+    d, rho = int(dims[i]), int(screen.rho[i])
+    j = 0
+    if rho > 1:
+        width = d * float(screen.q[v - k * d])  # one weight's share of the term
+        if width <= margin:
+            return None
+        j = min(int(offset // width), rho - 1)
+        if not (offset - j * width > margin
+                and (j + 1 == rho or (j + 1) * width - offset > margin)):
+            return None
+    return int(screen.first[i]) + j, k, d
+
+
 def uniform_sample(table: CountTable, n: int, rng: random.Random) -> Representation:
     """Exactly uniform representation of total dimension n.
 
@@ -224,17 +342,17 @@ def uniform_sample(table: CountTable, n: int, rng: random.Random) -> Representat
     """
     if not 0 <= n <= table.max_total:
         raise ValueError(f"total {n} outside table range [0, {table.max_total}]")
-    if table.counts[n] == 0:
+    p = table.counts
+    if p[n] == 0:
         raise ValueError(f"no representation has total dimension {n}")
-    census = table.census
-    classes = list(zip(_classes(census, n),
-                       (census.cumulative - census.counts).tolist()))
+    screen = _Screen.of(table)
     rows, mult = [], []  # a row drawn twice adds up its steps
     v = n
     while v:
-        row, k, d = _pick_term(classes, table.counts, v,
-                               rng.randrange(v * table.counts[v]))
+        u = rng.randrange(v * p[v])
+        row, k, d = (_screen_term(screen, p, v, u)
+                     or _pick_term(screen.classes, p, v, u))
         rows.append(row)
         mult.append(k)
         v -= k * d
-    return Representation.from_rows(census, rows, mult)
+    return Representation.from_rows(table.census, rows, mult)

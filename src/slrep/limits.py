@@ -39,6 +39,8 @@ import numpy as np
 from .census import _U, IrrepCensus, inverse_moment_tail, region_volume
 from .weights import degree
 
+_FLOAT_MAX = float(np.finfo(np.float64).max)
+
 
 @lru_cache(maxsize=None)
 def _bernoulli_ratios(count: int) -> tuple:
@@ -118,6 +120,9 @@ def asymptotic_saddle(r: int, n) -> float:
     """Leading-order saddle scale s_n (seed and cross-check for the solver)."""
     if n < 1:
         raise ValueError(f"target dimension must be >= 1, got {n}")
+    if not n < _FLOAT_MAX:  # also refuses inf and nan
+        raise ValueError(f"target dimension must be below the largest float, "
+                         f"{_FLOAT_MAX:.4g}: the saddle scale is computed from float(n)")
     return saddle_scale_constant(r) * float(n) ** (-2.0 / (r * (r + 3)))
 
 

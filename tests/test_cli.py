@@ -369,6 +369,8 @@ def test_verify_limits_trend_mode(capsys):
     ("saddle", "--rank", "2", "--n", "1000", "--tol", "5"),
     ("saddle", "--rank", "3", "--n", "1000", "--tol", "1e-16"),
     ("census", "--rank", "6", "--max-dim", "1000000000000000000"),
+    # the count table's int64 limbs are proven safe only below 2^31
+    ("count", "--rank", "2", "--n", "2147483648", "--unsafe"),
 ])
 def test_invalid_configurations_exit_two(capsys, monkeypatch, argv):
     # every case is refused before a census is enumerated or a report built
@@ -392,6 +394,31 @@ def test_failed_computation_exits_one_without_traceback(capsys, monkeypatch):
     assert code == 1
     assert err.startswith("failed: ") and len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("detail", ["Unable to allocate 16.0 GiB for an array", ""])
+def test_out_of_memory_exits_one_without_traceback(capsys, monkeypatch, detail):
+    # --unsafe sizes may outgrow the machine; that is a failed run, not a crash
+    def exhausted(*args, **kwargs):
+        raise MemoryError(detail)
+
+    monkeypatch.setattr("slrep.cli.count_representations", exhausted)
+    code, out, err = run_cli(capsys, "count", "--rank", "2", "--n", "5")
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert lines == [f"failed: out of memory ({detail or 'no detail'})"]
+
+
+@pytest.mark.parametrize("command", [
+    ("saddle",), ("dist", "--stat", "D"), ("constants",)])
+def test_dimension_beyond_floats_is_refused(command):
+    # 10^400 has no float, and every saddle starts from float(n)
+    proc = run_fresh(*command, "--rank", "2", "--unsafe", "--n", str(10**400))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("invalid config:")
+    assert "largest float" in lines[0]
 
 
 @pytest.mark.parametrize("argv, message", [

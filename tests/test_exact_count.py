@@ -152,6 +152,17 @@ def test_count_rejects_negative_total():
         count_representations(2, -1)
 
 
+def test_count_refuses_totals_beyond_the_limb_proof(monkeypatch):
+    # the int64 limbs are proven not to overflow only for n < 2^31; the
+    # refusal comes before any census or table is built
+    def never(*args, **kwargs):
+        raise AssertionError("census built for a refused total")
+
+    monkeypatch.setattr(exact_count, "enumerate_irreps", never)
+    with pytest.raises(ValueError, match="2\\^31"):
+        count_representations(2, 2**31)
+
+
 @pytest.mark.parametrize("a", [1, 3, 6])
 def test_excluded_weight_counts_resum_to_totals(a):
     # removing one weight of dimension a and resumming its geometric layers
@@ -219,3 +230,90 @@ def test_uniform_sample_edge_cases():
     assert uniform_sample(table, 0, random.Random(1)).components() == []
     with pytest.raises(ValueError):
         uniform_sample(table, 13, random.Random(1))
+
+
+def euler_boundaries(table, v):
+    """Every integer boundary of the blocks `_pick_term` scans at v: the
+    start of each (weight, k) block in class, k, weight order, and v p(v)."""
+    census = table.census
+    bounds, b = [0], 0
+    for d, rho in zip(census.dims.tolist(), census.counts.tolist()):
+        if d > v:
+            break
+        for k in range(1, v // d + 1):
+            for _ in range(rho):
+                b += d * table.counts[v - k * d]
+                bounds.append(b)
+    assert b == v * table.counts[v]  # the Euler identity
+    return bounds
+
+
+def screened_agrees(table, v, u):
+    """True when the float screen answers the step (v, u) and False when it
+    hands the step to the exact scan; an answer must equal the exact one."""
+    screen = exact_count._Screen.of(table)
+    screened = exact_count._screen_term(screen, table.counts, v, u)
+    if screened is None:
+        return False
+    assert screened == exact_count._pick_term(screen.classes, table.counts, v, u), (v, u)
+    return True
+
+
+def near_boundaries(table, v, bounds):
+    """u = b - 1, b, b + 1 for each boundary b, kept inside [0, v p(v))."""
+    return [u for b in bounds for u in (b - 1, b, b + 1)
+            if 0 <= u < v * table.counts[v]]
+
+
+@pytest.mark.parametrize("r, n", [(1, 40), (2, 60), (3, 60)])
+def test_screened_step_at_every_block_boundary(r, n):
+    # u next to a boundary is where a float position can land on the wrong
+    # side, so these are the draws the screen must hand to the exact scan
+    table = count_representations(r, n)
+    answers = Counter(screened_agrees(table, v, u) for v in range(1, n + 1)
+                      for u in near_boundaries(table, v, euler_boundaries(table, v)))
+    assert answers[True] and answers[False]
+
+
+def test_screened_step_near_boundaries_of_large_counts():
+    # at (2, 2000) one unit of u is far below the floats' resolution, so
+    # both neighbours of a boundary must go to the exact scan
+    table = count_representations(2, 2000)
+    rng = random.Random(2024)
+    answers = Counter()
+    for _ in range(40):
+        v = rng.randrange(1000, 2001)
+        bounds = rng.sample(euler_boundaries(table, v)[1:-1], 10)
+        answers.update(screened_agrees(table, v, u)
+                       for u in near_boundaries(table, v, bounds))
+    assert answers[False] == 1200
+    for _ in range(3000):
+        v = rng.randrange(1, 2001)
+        answers.update([screened_agrees(table, v, rng.randrange(v * table.counts[v]))])
+    assert answers[True] > 2900  # the screen settles almost every step itself
+
+
+@pytest.mark.parametrize("r, n", [(1, 40), (2, 40)])
+def test_boundaries_defeat_a_screen_without_margin(r, n, monkeypatch):
+    # the boundary draws above are sharp: with the rounding margin taken
+    # away, the float screen answers some of them wrongly
+    monkeypatch.setattr(exact_count, "_gamma", lambda m: 0.0)
+    monkeypatch.setattr(exact_count, "_TINY", 0.0)
+    table = count_representations(r, n)
+    screen = exact_count._Screen.of(table)
+    p = table.counts
+    wrong = sum(exact_count._screen_term(screen, p, v, u)
+                not in (None, exact_count._pick_term(screen.classes, p, v, u))
+                for v in range(1, n + 1)
+                for u in near_boundaries(table, v, euler_boundaries(table, v)))
+    assert wrong
+
+
+def test_screen_is_built_once_per_table():
+    # one table serves every sample and every total up to its maximum
+    table = count_representations(2, 40)
+    uniform_sample(table, 40, random.Random(1))
+    screen = table._screen
+    rep = uniform_sample(table, 30, random.Random(2))
+    assert table._screen is screen
+    assert rep.total_dim() == 30

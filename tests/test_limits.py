@@ -131,6 +131,13 @@ def test_asymptotic_saddle_tracks_solver():
         asymptotic_saddle(2, 0)
 
 
+@pytest.mark.parametrize("n", [10**400, math.inf, math.nan])
+def test_asymptotic_saddle_refuses_dimensions_beyond_floats(n):
+    with pytest.raises(ValueError, match="largest float"):
+        asymptotic_saddle(2, n)
+    assert asymptotic_saddle(2, 10**300) > 0.0
+
+
 def test_compute_constants_fields():
     params = solve_saddle(2, 10**4)
     constants = compute_constants(2, 10**4, s=params.s)
