@@ -54,13 +54,13 @@ V = v p(v) / S is the exact total, c bounds d rho, and
 gamma_j = j 2^-53 / (1 - j 2^-53) (Higham, Accuracy and Stability of
 Numerical Algorithms, 2002, Lemma 3.1): q, the product by d rho and the
 m - 1 additions of a cumsum entry make m + 1 roundings, x one, the offset
-x - lo one, and the weight boundary j fl(d q) three; the second term covers
-underflow, at most half the smallest subnormal per rounded product.  The
-screen answers only when x and the offset lie more than twice that bound
-from every boundary they fall between, which proves its answer equal to
-the exact one; otherwise the step returns `_pick_term`'s answer.  Both
-routes consume the same u, so seeded streams do not depend on which one
-settles a step.  The floats of q and the class arrays are built once per
+of x from the start of its term one, and the weight boundary j fl(d q)
+three; the second term covers underflow, at most half the smallest
+subnormal per rounded product.  The screen answers only when x and the
+offset lie more than twice that bound from every boundary they fall
+between, which proves its answer equal to the exact one; otherwise the
+step returns `_pick_term`'s answer.  Both routes consume the same u, so
+seeded streams do not depend on which one settles a step.  The floats of q and the class arrays are built once per
 table; the m terms, floor(v / d) for each class with d <= v, are gathered
 at each visited v, so memory stays O(n).
 """
