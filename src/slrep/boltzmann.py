@@ -6,12 +6,19 @@ P(X_k = l) = (1 - q^a) q^{a l} with a the module dimension.  Conditioned on
 total dimension n this measure is exactly uniform, which is what the
 rejection sampler exploits: it draws every class but the trivial module and
 accepts with probability q^k, k the dimension left to it, at an expected
-(1 - q) sqrt(2 pi sigma^2) attempts per sample.  `solve_saddle` tunes q so
-the expected total dimension equals n; writing q = exp(-s^nu) with
-nu = r(r+1)/2, the solved s shrinks like n^{-2/(r(r+3))}.  The solved
-parameters keep the census the solve was certified on (`params.census`);
-`sampling_census` returns it when it also certifies the sampling bound, and
-the exact distribution curves read it, so one census serves every stage.
+(1 - q) sqrt(2 pi sigma^2) attempts per sample.  Both samplers make their
+within-class choices in one batch, whatever the number of classes: which
+weights of a class are occupied, and how a class total splits over its
+weights, are uniform subsets drawn by `_uniform_subsets`, which ranks one
+random 64-bit key per slot with a single sort and redraws every key when
+one repeats within a class.
+
+`solve_saddle` tunes q so the expected total dimension equals n; writing
+q = exp(-s^nu) with nu = r(r+1)/2, the solved s shrinks like
+n^{-2/(r(r+3))}.  The solved parameters keep the census the solve was
+certified on (`params.census`); `sampling_census` returns it when it also
+certifies the sampling bound, and the exact distribution curves read it,
+so one census serves every stage.
 
 Every truncated sum here carries a certified tail bound, returned as the
 second element of a (value, err) pair or recorded on the params object.
@@ -218,39 +225,77 @@ def _require_sampling_census(params, census):
             f"> {SAMPLING_TV:.3g}; enlarge the census")
 
 
-def _split_composition(c, g, rng):
-    """Uniform ordered composition of c into g nonnegative parts (numpy rng),
-    by stars and bars."""
-    if g == 1:
-        return np.array([c])
-    bars = np.sort(rng.choice(c + g - 1, size=g - 1, replace=False))
-    return np.diff(bars, prepend=-1, append=c + g - 1) - 1
+def _uniform_subsets(sizes, picks, rng):
+    """Uniform picks[i]-subsets of range(sizes[i]) for every class i at once.
+
+    Returns a boolean mask over the slots of all classes laid end to end,
+    class i owning sizes[i] consecutive slots, with picks[i] of them set.
+    Every slot gets one random 64-bit key from a single generator call; one
+    lexsort by (class, key) ranks the slots of each class, and the picks[i]
+    smallest keys are chosen.  Given distinct keys within each class, the
+    ranking of a class is a uniform permutation, independent across classes,
+    so each subset is exactly uniform.  A repeated key within a class (at
+    most sum sizes^2 2^-65 likely) redraws every key, never settled by sort
+    order."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    picks = np.asarray(picks, dtype=np.int64)
+    # cls is sorted, so the j-th slot of the sorted order lies in class cls[j]
+    cls = np.repeat(np.arange(sizes.size), sizes)
+    while True:
+        keys = rng.integers(0, 1 << 64, size=cls.size, dtype=np.uint64)
+        order = np.lexsort((keys, cls))
+        ranked = keys[order]
+        if not np.any((ranked[1:] == ranked[:-1]) & (cls[1:] == cls[:-1])):
+            break
+    first = np.cumsum(sizes) - sizes
+    mask = np.zeros(cls.size, dtype=bool)
+    mask[order[np.arange(cls.size) - first[cls] < picks[cls]]] = True
+    return mask
+
+
+def _compositions(totals, sizes, rng):
+    """Uniform ordered compositions of totals[i] into sizes[i] nonnegative
+    parts for every class i at once, concatenated class by class.
+
+    Stars and bars: class i lays out totals[i] + sizes[i] - 1 slots and
+    `_uniform_subsets` sets sizes[i] - 1 of them as bars; a star belongs to
+    the part numbered by the bars before it in its class."""
+    totals = np.asarray(totals, dtype=np.int64)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    bars = _uniform_subsets(totals + sizes - 1, sizes - 1, rng)
+    cls = np.repeat(np.arange(sizes.size), totals + sizes - 1)
+    # bars before a slot overall, plus one per earlier class, is its part
+    part = np.cumsum(bars) - bars + cls
+    return np.bincount(part[~bars], minlength=int(sizes.sum()))
+
+
+def _class_rows(census, classes):
+    """Census rows of every weight of the given classes, class by class."""
+    sizes = census.counts[classes]
+    first = census.cumulative[classes] - sizes
+    return np.repeat(first - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())
 
 
 def boltzmann_sample(params: BoltzmannParams, census: IrrepCensus,
                      rng: np.random.Generator) -> Representation:
     """One free (unconditioned) draw from the truncated product measure.
 
-    Per dimension class, the number of weights with nonzero multiplicity is
-    Binomial(rho, q^m) since P(X_k >= 1) = q^a; those weights get
-    conditional multiplicities 1 + geometric, which is exactly numpy's
-    geometric(1 - q^m).
+    Per dimension class, the number b of weights with nonzero multiplicity
+    is Binomial(rho, q^m) since P(X_k >= 1) = q^a; which b weights is a
+    uniform subset of the class, and they get conditional multiplicities
+    1 + geometric, which is exactly numpy's geometric(1 - q^m).  The draw is
+    batched over all hit classes: one binomial call, one call for the
+    64-bit keys that pick every class's subset (`_uniform_subsets`, which
+    redraws all keys when one repeats within a class), and one geometric
+    call, however many classes are hit.
     """
     _require_sampling_census(params, census)
-    beta = params.beta
-    m, rho, qm, one_minus = _term_arrays(census, beta)
+    m, rho, qm, one_minus = _term_arrays(census, params.beta)
     hits = rng.binomial(census.counts, qm)
     hit = np.flatnonzero(hits)
-    drawn = hits[hit]
-    chosen, values = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
-    for g, b, p in zip(census.counts[hit].tolist(), drawn.tolist(),
-                       one_minus[hit].tolist()):
-        chosen.append(rng.choice(g, size=b, replace=False) if b < g else np.arange(g))
-        values.append(rng.geometric(p, size=b))
-    # census row of each chosen weight: its class's first row plus its index
-    first = np.repeat(census.cumulative[hit] - census.counts[hit], drawn)
-    return Representation.from_rows(census, first + np.concatenate(chosen),
-                                    np.concatenate(values))
+    chosen = _uniform_subsets(census.counts[hit], hits[hit], rng)
+    values = rng.geometric(np.repeat(one_minus[hit], hits[hit]))
+    return Representation.from_rows(census, _class_rows(census, hit)[chosen], values)
 
 
 def rejection_uniform_sample(params: BoltzmannParams, census: IrrepCensus,
@@ -267,8 +312,11 @@ def rejection_uniform_sample(params: BoltzmannParams, census: IrrepCensus,
     Geometric(1 - q), so accepted rows follow the product law conditioned on
     total n, and an attempt succeeds with probability P(T = n) / (1 - q).
     Accepted class totals are split uniformly over ordered compositions,
-    which is the exact conditional law.  Attempts are vectorized in batches;
-    expected attempts per sample is about (1 - q) sqrt(2 pi sigma_n^2).
+    which is the exact conditional law: one `_compositions` call per
+    accepted row splits all its classes with one draw of 64-bit keys
+    (redrawn whole when one repeats within a class).  Attempts are
+    vectorized in batches; expected attempts per sample is about
+    (1 - q) sqrt(2 pi sigma_n^2).
 
     Raises RuntimeError when the attempt budget (default 100 times that
     count, at least 100, per requested sample) is exhausted, and ValueError
@@ -285,8 +333,6 @@ def rejection_uniform_sample(params: BoltzmannParams, census: IrrepCensus,
         max_attempts = int(math.ceil(100.0 * expected)) * num_samples
     m_vec = census.dims[1:]
     rho_vec = census.counts[1:]
-    starts = (census.cumulative - census.counts).tolist()
-    sizes = census.counts.tolist()
     p_vec = -np.expm1(-params.beta * m_vec.astype(float))
     max_rows = max((1 << 22) // max(len(m_vec), 1), 32)  # 32 MB batches
 
@@ -300,16 +346,13 @@ def rejection_uniform_sample(params: BoltzmannParams, census: IrrepCensus,
         ks = n - mat @ m_vec
         u = rng.random(rows)
         accepted = (ks >= 0) & (u < np.exp(-params.beta * np.maximum(ks, 0)))
-        for ridx in np.nonzero(accepted)[0]:
-            if len(out) >= num_samples:
-                break
+        for ridx in np.flatnonzero(accepted)[:num_samples - len(out)]:
             # census row 0 is the trivial module; class i + 1 is column i
-            picked, mult = [np.zeros(1, dtype=np.int64)], [ks[ridx:ridx + 1]]
-            for i in np.nonzero(mat[ridx])[0] + 1:
-                picked.append(np.arange(starts[i], starts[i] + sizes[i]))
-                mult.append(_split_composition(int(mat[ridx, i - 1]), sizes[i], rng))
-            out.append(Representation.from_rows(census, np.concatenate(picked),
-                                                np.concatenate(mult)))
+            used = np.flatnonzero(mat[ridx]) + 1
+            mult = _compositions(mat[ridx, used - 1], census.counts[used], rng)
+            out.append(Representation.from_rows(
+                census, np.append(0, _class_rows(census, used)),
+                np.append(ks[ridx], mult)))
         attempts += rows
         if len(out) < num_samples and attempts >= max_attempts:
             raise RuntimeError(

@@ -13,6 +13,8 @@ from scipy.stats import chi2_contingency, chisquare
 import slrep.boltzmann
 from slrep.boltzmann import (
     BoltzmannParams,
+    _compositions,
+    _uniform_subsets,
     boltzmann_sample,
     default_cutoff,
     exact_count_mgf,
@@ -249,6 +251,29 @@ def test_boltzmann_marginals_match_product_law():
     assert abs(sum(totals) / num - 300.0) <= 5.0 * math.sqrt(params.sigma2 / num)
 
 
+def test_boltzmann_within_class_law():
+    # the class of dimension 15 holds four weights; under the product law each
+    # is occupied with probability q^15, independently of the others
+    num = 4000
+    params, census, reps = _boltzmann_draws(300, num, seed=26)
+    cls = int(np.flatnonzero(census.dims == 15)[0])
+    weights = [tuple(w) for w in census.weights[
+        census.cumulative[cls] - census.counts[cls]:census.cumulative[cls]].tolist()]
+    assert sorted(weights) == [(1, 5), (2, 3), (3, 2), (5, 1)]
+    occupied = np.array([[stat_multiplicity(rep, w) > 0 for w in weights]
+                         for rep in reps])
+
+    def close(freq, p):
+        return abs(freq - p) <= 5.0 * math.sqrt(p * (1.0 - p) / num)
+
+    p1 = params.q**15
+    for j in range(4):
+        assert close(occupied[:, j].mean(), p1)
+    for i in range(4):
+        for j in range(i + 1, 4):
+            assert close((occupied[:, i] & occupied[:, j]).mean(), p1 * p1)
+
+
 def test_exact_max_dim_distribution_against_monte_carlo():
     num = 4000
     params, census, reps = _boltzmann_draws(300, num, seed=22)
@@ -420,3 +445,101 @@ def test_rejection_sampler_refuses_census_without_trivial_class():
                               weights=census.weights[1:])
     with pytest.raises(ValueError):
         rejection_uniform_sample(params, cut, 1, np.random.default_rng(36))
+
+
+class _CountingRng:
+    """A numpy Generator that counts the calls made to each of its methods."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.calls = Counter()
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return method(*args, **kwargs)
+        return counted
+
+
+def test_uniform_subsets_edge_cases():
+    rng = np.random.default_rng(41)
+    sizes = [3, 5, 1, 1, 4, 0]
+    picks = [0, 5, 1, 0, 4, 0]
+    mask = _uniform_subsets(sizes, picks, rng)
+    assert mask.dtype == bool
+    assert mask.tolist() == [False] * 3 + [True] * 5 + [True, False] + [True] * 4
+    assert _uniform_subsets([], [], rng).size == 0
+    # b = 0, b = g and g = 1 split as stars and bars: one part or every star
+    assert _compositions([4, 0, 2], [1, 3, 1], rng).tolist() == [4, 0, 0, 0, 2]
+    assert _compositions([], [], rng).size == 0
+
+
+def test_uniform_subsets_are_uniform():
+    num = 6000
+    mask = _uniform_subsets([4] * num, [2] * num, np.random.default_rng(42))
+    subsets = Counter(tuple(np.flatnonzero(row)) for row in mask.reshape(num, 4))
+    assert len(subsets) == 6
+    assert all(len(s) == 2 for s in subsets)
+    _, pvalue = chisquare(list(subsets.values()))
+    assert pvalue > 1e-3
+
+
+def test_compositions_are_uniform():
+    num = 10_000
+    parts = _compositions([3] * num, [3] * num, np.random.default_rng(43))
+    seen = Counter(map(tuple, parts.reshape(num, 3).tolist()))
+    assert len(seen) == 10
+    assert all(sum(c) == 3 and min(c) >= 0 for c in seen)
+    _, pvalue = chisquare(list(seen.values()))
+    assert pvalue > 1e-3
+
+
+def test_uniform_subsets_redraw_a_repeated_key():
+    class Stub:
+        def __init__(self, draws):
+            self.draws = list(draws)
+
+        def integers(self, *args, size, **kwargs):
+            keys = np.array(self.draws.pop(0), dtype=np.uint64)
+            assert keys.size == size
+            return keys
+
+    # a key repeated within a class redraws every key; the second draw ranks
+    # slot 1 (key 10) and slot 3 (key 20) of the first class lowest
+    stub = Stub([[7, 7, 1, 2, 5, 9], [40, 10, 30, 20, 9, 5]])
+    mask = _uniform_subsets([4, 2], [2, 1], stub)
+    assert stub.draws == []
+    assert np.flatnonzero(mask).tolist() == [1, 3, 5]
+    # equal keys in different classes are no tie, even when adjacent in the
+    # sorted order
+    stub = Stub([[1, 5, 5, 9]])
+    assert np.flatnonzero(_uniform_subsets([2, 2], [1, 1], stub)).tolist() == [0, 2]
+
+
+def test_sampler_generator_calls_do_not_grow_with_classes():
+    per_draw = []
+    for n in (300, 10**6):
+        params = solve_saddle(2, n)
+        census = sampling_census(params)
+        rng = _CountingRng(np.random.default_rng(44))
+        for _ in range(3):
+            boltzmann_sample(params, census, rng)
+        per_draw.append(rng.calls.total() / 3)
+    assert per_draw[0] == per_draw[1] == 3
+
+    # rejection: two calls per batch of attempts, one per accepted sample
+    params = solve_saddle(2, 10**4)
+    census = sampling_census(params)
+    rng = _CountingRng(np.random.default_rng(45))
+    reps = rejection_uniform_sample(params, census, 8, rng)
+    batches = rng.calls["negative_binomial"]
+    assert rng.calls["random"] == batches
+    assert rng.calls["integers"] == len(reps) == 8
+    assert rng.calls.total() == 2 * batches + 8
+    # a call per split class would make more than ten times as many
+    split = sum(np.unique(np.searchsorted(census.cumulative, rep.rows[rep.rows > 0],
+                                          side="right")).size
+                for rep in reps)
+    assert split > 10 * rng.calls.total()
