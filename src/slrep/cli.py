@@ -276,8 +276,14 @@ def _cmd_constants(args, started):
 
 def _cmd_verify_weyl(args, started):
     _check_seed(args.seed)
-    if not 1 <= args.rank <= MAX_RANK:
-        raise ConfigError(f"rank {args.rank} outside 1..{MAX_RANK}")
+    if not 2 <= args.rank <= MAX_RANK:
+        raise ConfigError(f"--rank {args.rank} outside 2..{MAX_RANK}")
+    if not 0.0 < args.eps <= 1.0 / 32.0:  # refuses nan and inf too
+        raise ConfigError(f"--eps must lie in (0, 1/32], got {args.eps}")
+    if args.N < 4:
+        raise ConfigError(f"--N must be at least 4, got {args.N}")
+    if args.num_thetas < 0:
+        raise ConfigError(f"--num-thetas must be nonnegative, got {args.num_thetas}")
     box_points = math.prod((j + 1) * args.N + 1
                            for j in range(1, args.rank + 1))
     if not getattr(args, "unsafe", False) and box_points > 2_000_000:

@@ -9,23 +9,40 @@ five observables.
 Window tests need the fractional part of theta * a for dimension values a
 up to 2^53, where a plain double product carries an absolute error of
 order 1e-3.  They are exact integer comparisons instead.  A double theta
-in [0, 1] is m 2^-sh exactly (float.as_integer_ratio), so the fractional
-part of theta * a is ((m a) mod 2^sh) / 2^sh, and the window kernel
-computes F = floor(2^64 frac(theta a)) in 64-bit words:
+in [0, 1] is m 2^-sh exactly (float.as_integer_ratio, m odd), so the
+fractional part of theta * a is ((m a) mod 2^sh) / 2^sh, and the window
+kernel computes F = floor(2^64 frac(theta a)) in 64-bit words:
 
 * sh <= 64: F is the wrapping product a * (m 2^(64 - sh)), with no
   remainder;
-* 64 < sh <= 127: m a = H 2^64 + L with L the wrapping product a * m and
+* 64 < sh <= 96: split m at bit k = sh - 64 into m_hi 2^k + m_lo, and a
+  at bit 32 into a_hi 2^32 + a_lo.  Then
+  floor(m a / 2^k) = m_hi a + m_lo a_hi 2^(32 - k) + floor(m_lo a_lo / 2^k),
+  where m_lo a_lo < 2^(k + 32) <= 2^64, so F is three wrapping products,
+  a shift and two additions, all exact;
+* 96 < sh <= 127: m a = H 2^64 + L with L the wrapping product a * m and
   H <= 2^42 (m and a lie below 2^53).  The double a m 2^-64 is within
   2^-11 of m a 2^-64, so rounding it minus L 2^-64 returns H exactly, and
   F = floor(m a / 2^(sh - 64)) mod 2^64 follows by shifts.
 
-D = min(F, 2^64 - F) is then 2^64 times the distance of theta * a to the
-nearest integer when sh <= 64, and within one unit of it otherwise.  A
-window w is passed when D > floor(2^64 w), an integer comparison.  With
-sh > 64, only D = floor(2^64 w) and the unit above it can disagree with
-the truth; those points are settled with Python integers.  So every
-window count is exact and no point is ever set aside.
+D = min(F, 2^64 - F) is |F| read as a signed word: F > 2^63 reads as
+F - 2^64, whose absolute value is 2^64 - F, and F = 2^63 reads as -2^63,
+whose absolute value wraps to itself, 2^63 as an unsigned word.  So one
+pass gives D, which is 2^64 times the distance of theta * a to the
+nearest integer when sh <= 64, and less than one unit from it otherwise.
+A window w is passed when D > T = floor(2^64 w), an integer comparison.
+With sh > 64, only D = T and D = T + 1 can disagree with the truth; those
+points are settled with Python integers.  So every window count is exact
+and no point is ever set aside.
+
+The kernel evaluates a block of frequencies at once, one row of a
+(frequencies x dimensions) word array per frequency, with as many rows as
+keep the block within _BLOCK_ELEMENTS words; a box with more distinct
+dimensions than that runs one row per block.  Each block holds the
+frequencies of one of the three routes, so a block is a few whole-array
+passes with per-row words and shifts broadcast along the rows.  The points
+inside a window are gathered as a sparse set of flat indices, so a count
+is the box size minus a weighted bincount of that set.
 """
 
 from __future__ import annotations
@@ -58,74 +75,117 @@ from .weights import degree, dim_irrep, superfactorial, weyl_numerator
 
 _MAX_DIM = 2**53
 _MAX_SHIFT = 127
+# words (frequencies x distinct dimensions) that one block of the window
+# kernel may hold: a block's work arrays then stay in a core's cache
+_BLOCK_ELEMENTS = 2**16
 
 
-def _window_kernel(dims):
-    """Exact window tests of theta * dims against the integers.
+def _window_blocks(thetas, dims, window):
+    """Exact window tests of theta * dims against the integers, a block of
+    frequencies at a time.
 
-    dims must be nonnegative integers below 2^53.  Returns a callable
-    (theta, window) -> (outside, D) for theta in [0, 1] with at most 127
-    binary places (every double from 2^-75 up): outside marks the points
-    whose distance to the nearest integer exceeds window, exactly; D
-    (uint64) is less than one unit from 2^64 times that distance, and
-    equal to it when theta has at most 64 binary places.  D is a reused
-    buffer: consume it before the next call.
+    dims must be nonnegative integers below 2^53, and every theta must lie
+    in [0, 1] with at most 127 binary places (every double from 2^-75 up);
+    both are checked before the first block.  Yields (block, D, inside):
+    block is an index array into thetas, with at most
+    max(1, _BLOCK_ELEMENTS // len(dims)) entries, and the blocks together
+    take every index once.  D (uint64) has one row per frequency of the
+    block; it is less than one unit from 2^64 times the distance of
+    theta * dims to the nearest integer, and equal to it when theta has at
+    most 64 binary places.  inside holds the flat indices into D of the
+    points at distance at most window, exactly.  D is a reused buffer:
+    consume it before asking for the next block.
     """
     dims = np.asarray(dims, dtype=np.int64)
     if dims.size and int(dims.max()) >= _MAX_DIM:
         raise NotImplementedError("dimension values at or above 2^53 exceed the "
                                   "exact window kernel")
-    as_float = dims.astype(np.float64)
-    high = np.empty(dims.shape, dtype=np.uint64)
-    estimate = np.empty(dims.shape, dtype=np.float64)
-    low = np.empty(dims.shape, dtype=np.float64)
-    unsigned = dims.view(np.uint64)
-    frac = np.empty(dims.shape, dtype=np.uint64)
-    signed = frac.view(np.int64)
-    flip = np.empty(dims.shape, dtype=np.uint64)
-
-    def evaluate(theta: float, window: float):
+    ratios = []
+    # per frequency: the word a is multiplied by (m 2^(64 - sh) mod 2^64,
+    # m_hi or m), m_lo and k = sh - 64, in the notation of the module
+    # docstring
+    words = np.empty(len(thetas), dtype=np.uint64)
+    lows = np.zeros(len(thetas), dtype=np.uint64)
+    shifts = np.zeros(len(thetas), dtype=np.uint64)
+    for i, theta in enumerate(thetas):
+        theta = float(theta)
         if not 0.0 <= theta <= 1.0:
             raise ValueError(f"frequency must lie in [0, 1], got {theta}")
-        m, denominator = float(theta).as_integer_ratio()
+        m, denominator = theta.as_integer_ratio()
         sh = denominator.bit_length() - 1
         if sh > _MAX_SHIFT:
             raise NotImplementedError(
                 f"frequency {theta!r} has {sh} binary places, above the "
                 f"{_MAX_SHIFT} of the exact window kernel")
         if sh <= 64:
-            np.multiply(unsigned, np.uint64((m << (64 - sh)) % 2**64), out=frac)
+            words[i] = (m << (64 - sh)) % 2**64
+        elif sh <= 96:
+            words[i], lows[i] = divmod(m, 1 << (sh - 64))
         else:
-            # m a = H 2^64 + L.  With L read as a signed word L - b 2^64
-            # (b = 1 when L >= 2^63), the double a m 2^-64 - L 2^-64 lies
-            # within 2^-10 of H + b <= 2^42 and rounds to it exactly; the
+            words[i] = m
+        shifts[i] = max(sh - 64, 0)
+        ratios.append((m, denominator))
+    wp, wq = float(window).as_integer_ratio()
+    threshold = np.uint64((wp << 64) // wq)
+    n = dims.size
+    rows = max(1, _BLOCK_ELEMENTS // max(n, 1))
+    unsigned = dims.view(np.uint64)
+    dims_high = unsigned >> np.uint64(32)
+    dims_low = unsigned & np.uint64(2**32 - 1)
+    shape = (min(rows, len(thetas)), n)
+    frac = np.empty(shape, dtype=np.uint64)
+    spare = np.empty(shape, dtype=np.uint64)
+    estimate = np.empty(shape, dtype=np.float64)
+    # each block runs on one route: one word, the split, then the high word
+    routes = (shifts > 0).astype(np.int8) + (shifts > 32)
+    blocks = [group[start:start + rows]
+              for group in (np.flatnonzero(routes == route) for route in range(3))
+              for start in range(0, group.size, rows)]
+    for block in blocks:
+        F = frac[:block.size]
+        np.multiply(unsigned, words[block, None], out=F)
+        signed = F.view(np.int64)
+        route = routes[block[0]]
+        k = shifts[block, None]
+        G = spare[:block.size]
+        if route == 1:
+            # F = m_hi a + m_lo a_hi 2^(32 - k) + floor(m_lo a_lo 2^-k)
+            np.multiply(dims_high, lows[block, None] << (np.uint64(32) - k), out=G)
+            np.add(F, G, out=F)
+            np.multiply(dims_low, lows[block, None], out=G)
+            np.right_shift(G, k, out=G)
+            np.add(F, G, out=F)
+        elif route == 2:
+            # F holds L.  With L read as a signed word L - b 2^64 (b = 1
+            # when L >= 2^63), the double a m 2^-64 - L 2^-64 lies within
+            # 2^-10 of H + b <= 2^42 and rounds to it exactly; the
             # arithmetic shift of the signed L takes b 2^(128 - sh) back
             # off, so the wrapping sum is floor(m a / 2^(sh - 64)) mod 2^64.
-            np.multiply(unsigned, np.uint64(m), out=frac)
-            np.multiply(as_float, m * 2.0**-64, out=estimate)
-            np.multiply(signed, 2.0**-64, out=low)
-            np.subtract(estimate, low, out=estimate)
-            np.rint(estimate, out=estimate)
-            np.copyto(high, estimate, casting="unsafe")
-            np.left_shift(high, 128 - sh, out=high)
-            np.right_shift(signed, sh - 64, out=signed)
-            np.add(frac, high, out=frac)
-        np.negative(frac, out=flip)
-        np.minimum(frac, flip, out=frac)  # frac now holds D
-        wp, wq = float(window).as_integer_ratio()
-        threshold = np.uint64((wp << 64) // wq)
-        outside = frac > threshold
-        if sh > 64:
-            # D is off by less than one unit, so only D = T and D = T + 1
-            # against T = floor(2^64 window) can disagree with the truth
-            np.subtract(frac, threshold, out=flip)
-            for i in np.flatnonzero(flip <= 1):
-                residue = (m * int(dims[i])) % denominator
-                nearest = min(residue, denominator - residue)
-                outside[i] = nearest * wq > wp * denominator
-        return outside, frac
-
-    return evaluate
+            est, lo = estimate[:block.size], G.view(np.float64)
+            np.multiply(dims, words[block, None] * 2.0**-64, out=est)
+            np.multiply(signed, 2.0**-64, out=lo)
+            np.subtract(est, lo, out=est)
+            np.rint(est, out=est)
+            np.copyto(G, est, casting="unsafe")
+            np.left_shift(G, np.uint64(64) - k, out=G)
+            np.right_shift(signed, k.view(np.int64), out=signed)
+            np.add(F, G, out=F)
+        np.abs(signed, out=signed)  # F now holds D
+        flat = F.reshape(-1)
+        if route == 0:
+            yield block, F, np.flatnonzero(flat <= threshold)
+            continue
+        # D is off by less than one unit, so only D = T and D = T + 1
+        # against T = floor(2^64 window) can disagree with the truth
+        near = np.flatnonzero(flat <= threshold + np.uint64(1))
+        values = flat[near]
+        keep = values <= threshold
+        for j in np.flatnonzero(values >= threshold):
+            row, col = divmod(int(near[j]), n)
+            m, denominator = ratios[block[row]]
+            residue = (m * int(dims[col])) % denominator
+            keep[j] = min(residue, denominator - residue) * wq <= wp * denominator
+        yield block, F, near[keep]
 
 
 def _lambda_dims(r: int, box_size: int) -> np.ndarray:
@@ -175,31 +235,47 @@ class WeylWindowReport:
 def _window_arrays(thetas, dims, window):
     """Exact window counts and certified sin^2 lower bounds per theta.
 
-    sin^2(pi d) >= 4 d^2 on 0 <= d <= 1/2, and D - 1 (floored at zero)
-    lies below 2^64 d, so 4 * 2^-128 sum (D - 1)^2 bounds the sin^2 sum
-    without transcendentals.  Its float evaluation is scaled down by
-    1 - (n + 3) 2^-53 for n distinct dimensions: all terms are
-    nonnegative and each passes through at most n + 3 roundings (the
-    conversion, the square, the weight, n - 1 additions and the final
-    scaling).  Equal dimension values are collapsed to multiplicity
-    weights first; box sizes of practical interest repeat roughly a
-    quarter of them.
+    Equal dimension values are collapsed to multiplicity weights first (box
+    sizes of practical interest repeat roughly a quarter of them), and
+    `_window_blocks` evaluates the frequencies a block at a time.  A count
+    is the box size minus the weighted bincount, by row, of the block's
+    sparse inside set.
+
+    sin^2(pi d) >= 4 d^2 on 0 <= d <= 1/2, and (D - 1)_+ lies below 2^64 d
+    (D is less than one unit from it).  With D <= 2^63,
+    (D - 1)_+^2 >= D^2 - 2 D >= D^2 - 2^64, so over M box points
+    2^-126 (sum mult D^2) - M 2^-62 bounds the sin^2 sum without
+    transcendentals.  D^2 is squared in floats from the signed view of D,
+    whose one negative value -2^63 has the same square.  Every term is
+    nonnegative, and each passes through at most n + 4 roundings for n
+    distinct dimensions (the conversion, the square, the weight, n - 1
+    additions in any order, the scaling and the subtraction), each a
+    factor of at most 1 + 2^-53; so the sum is scaled down by
+    1 - (n + 4) 2^-53 before M 2^-62 (exact) is taken off, and the result
+    is clamped at zero.
     """
     unique, mult = np.unique(np.asarray(dims), return_counts=True)
-    multf = mult.astype(np.float64)
-    kernel = _window_kernel(unique)
-    shrink = (1.0 - (unique.size + 3) * 2.0**-53) * 2.0**-126
-    lower = np.empty(unique.shape, dtype=np.uint64)
+    total = int(mult.sum())
+    mult = mult.astype(np.float64)
+    shrink = (1.0 - (unique.size + 4) * 2.0**-53) * 2.0**-126
+    slack = total * 2.0**-62
     counts = np.empty(len(thetas), dtype=np.int64)
     sin2_lower = np.empty(len(thetas))
-    for i, theta in enumerate(thetas):
-        outside, distances = kernel(float(theta), window)
-        counts[i] = int(np.dot(multf, outside))
-        np.maximum(distances, 1, out=lower)
-        lower -= 1
-        d = lower.view(np.int64).astype(np.float64)
-        d *= d
-        sin2_lower[i] = float(np.dot(d, multf)) * shrink
+    squares = np.empty(max(_BLOCK_ELEMENTS, unique.size))
+    weights = mult  # mult once per row of a block, flat like the block
+    for block, distances, inside in _window_blocks(thetas, unique, window):
+        if weights.size < distances.size:
+            weights = np.tile(mult, len(distances))
+        counts[block] = total - np.bincount(inside // unique.size,
+                                            weights=weights[inside],
+                                            minlength=len(distances))
+        square = squares[:distances.size].reshape(distances.shape)
+        np.copyto(square, distances.view(np.int64), casting="unsafe")
+        square *= square
+        sums = square @ mult
+        sums *= shrink
+        sums -= slack
+        sin2_lower[block] = np.maximum(sums, 0.0)
     return counts, sin2_lower
 
 
@@ -288,30 +364,6 @@ class AppendixReport:
                 and not np.any(self.run_follow_violations))
 
 
-def _odd_run_structure(flags: list[bool]) -> tuple[int, bool]:
-    """(max run length, follow violation) of an edge-set membership list.
-
-    A follow violation is an edge run of length ell whose successor lies
-    outside the edge set while one of the next ell - 1 terms falls back in.
-    """
-    npts = len(flags)
-    follow_violation = False
-    lengths = []
-    pos = 0
-    while pos < npts:
-        if not flags[pos]:
-            pos += 1
-            continue
-        start = pos
-        while pos < npts and flags[pos]:
-            pos += 1
-        ell = pos - start
-        lengths.append(ell)
-        if pos < npts and any(flags[pos + 1:pos + ell]):
-            follow_violation = True
-    return max(lengths, default=0), follow_violation
-
-
 def appendix_window_check(box_size: int, epsilon: float, thetas,
                           grid_note: str = "caller-supplied") -> AppendixReport:
     """Check the two ladder steps of the rank-2 box-window count.
@@ -340,24 +392,44 @@ def appendix_window_check(box_size: int, epsilon: float, thetas,
     ladder_mask = thetas >= epsilon / box_size
     ladder_thetas = thetas[ladder_mask]
     run_mask = ladder_thetas <= 0.5 - epsilon / box_size
-    kernel = _window_kernel(2 * np.arange(3 * box_size, 6 * box_size) + 1)
-    starts = np.arange(0, 2 * box_size + 1)
+    odd = 2 * np.arange(3 * box_size, 6 * box_size) + 1
+    length = odd.size
     min_counts = np.empty(ladder_thetas.size, dtype=np.int64)
-    runs = []
-    for i, theta in enumerate(ladder_thetas):
-        outside, _ = kernel(float(theta), epsilon / 2.0)
-        sliding = np.concatenate(([0], np.cumsum(outside)))
-        min_counts[i] = int((sliding[starts + box_size] - sliding[starts]).min())
-        if run_mask[i]:
-            runs.append(_odd_run_structure((~outside).tolist()))
+    max_lengths = np.empty(ladder_thetas.size, dtype=np.int64)
+    follows = np.empty(ladder_thetas.size, dtype=bool)
+    for block, distances, inside in _window_blocks(ladder_thetas, odd,
+                                                   epsilon / 2.0):
+        rows = len(distances)
+        edge = np.zeros(distances.shape, dtype=np.int8)
+        edge.reshape(-1)[inside] = 1
+        # prefix[i, j]: edge points among the first j of row i
+        prefix = np.zeros((rows, length + 1), dtype=np.int64)
+        np.cumsum(edge, axis=1, out=prefix[:, 1:])
+        slices = prefix[:, box_size:] - prefix[:, :-box_size]
+        min_counts[block] = box_size - slices.max(axis=1)
+        # an edge run [first, end) of length ell is followed by the outside
+        # point end; it violates when one of the points end + 1 .. end +
+        # ell - 1 falls back in the edge set (none exist past the row, so
+        # a run that ends the row cannot violate)
+        steps = np.diff(edge, axis=1, prepend=0, append=0)
+        row, first = np.nonzero(steps == 1)
+        end = np.nonzero(steps == -1)[1]
+        ell = end - first
+        longest = np.zeros(rows, dtype=np.int64)
+        np.maximum.at(longest, row, ell)
+        max_lengths[block] = longest
+        after = np.minimum(end + 1, length)
+        reach = np.minimum(end + ell, length)
+        violation = prefix[row, reach] > prefix[row, after]
+        follows[block] = np.bincount(row[violation], minlength=rows) > 0
     return AppendixReport(
         box_size=box_size, epsilon=epsilon, thetas=thetas,
         ladder_thetas=ladder_thetas, ladder_min_counts=min_counts,
         ladder_bound=box_size / 8.0,
         run_thetas=ladder_thetas[run_mask],
-        run_max_lengths=np.array([r for r, _ in runs], dtype=np.int64),
+        run_max_lengths=max_lengths[run_mask],
         run_length_bound=box_size / 2.0 + 1.0,
-        run_follow_violations=np.array([f for _, f in runs], dtype=bool))
+        run_follow_violations=follows[run_mask])
 
 
 def ensembles_tv(r: int, n: int, k, table: CountTable | None = None,

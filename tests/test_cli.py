@@ -314,6 +314,52 @@ def test_verify_weyl_passes(capsys):
     assert manifest["command"] == "verify.weyl"
 
 
+@pytest.mark.parametrize("argv, option", [
+    (("--eps", "nan"), "--eps"),
+    (("--eps", "inf"), "--eps"),
+    (("--eps", "0"), "--eps"),
+    (("--eps", "-0.01"), "--eps"),
+    (("--eps", "0.03125", "--rank", "1"), "--rank"),
+    (("--eps", "0.03125", "--N", "3"), "--N"),
+    (("--eps", "0.03125", "--num-thetas", "-1"), "--num-thetas"),
+])
+def test_verify_weyl_names_the_refused_option(capsys, argv, option):
+    code, out, err = run_cli(capsys, "verify", "weyl", "--rank", "2", "--N", "4",
+                             *argv)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"invalid config: {option} ")
+
+
+# `verify weyl` at the benchmark's two configurations, recorded with the
+# per-frequency window kernel that the blocked one replaced.  Counts are
+# exact, so every field repeats exactly; the sin^2 minimum is a certified
+# float bound and may move in its last digits
+WEYL_PINS = {
+    ("3", "8"): {"pass": True, "num_thetas": 5437, "min_count": 1152,
+                 "violations": 0, "min_sin2_lower": 436.8000000113519},
+    ("2", "32"): {"pass": True, "num_thetas": 3634, "min_count": 1398,
+                  "violations": 0, "min_sin2_lower": 621.3333333339535,
+                  "ladder": {"pass": True, "window_bound": 4.0,
+                             "min_window_count": 21, "run_length_bound": 17.0,
+                             "max_run_length": 6, "follow_violations": 0}},
+}
+
+
+@pytest.mark.parametrize("rank,N", WEYL_PINS)
+def test_verify_weyl_results_are_pinned(capsys, rank, N):
+    code, out, _ = run_cli(capsys, "verify", "weyl", "--rank", rank, "--N", N,
+                           "--eps", "0.03125", "--num-thetas", "1000", "--seed", "1")
+    assert code == 0
+    results = split_manifest(out)[0]["results"]
+    pinned = dict(WEYL_PINS[rank, N])
+    assert results["min_sin2_lower"] == pytest.approx(pinned.pop("min_sin2_lower"),
+                                                      rel=1e-12)
+    for field, value in pinned.items():
+        assert results[field] == value, field
+    assert ("ladder" in results) == ("ladder" in pinned)
+
+
 def test_verify_ensembles_trend(capsys):
     code, out, _ = run_cli(capsys, "verify", "ensembles", "--rank", "2",
                            "--n-grid", "20,60,180")
@@ -373,14 +419,24 @@ def test_verify_limits_trend_mode(capsys):
     ("census", "--rank", "6", "--max-dim", "1000000000000000000"),
     # the count table's int64 limbs are proven safe only below 2^31
     ("count", "--rank", "2", "--n", "2147483648", "--unsafe"),
+    # window options are checked before the frequency grid is drawn
+    ("verify", "weyl", "--rank", "2", "--N", "4", "--eps", "nan"),
+    ("verify", "weyl", "--rank", "2", "--N", "4", "--eps", "inf"),
+    ("verify", "weyl", "--rank", "2", "--N", "4", "--eps", "0"),
+    ("verify", "weyl", "--rank", "2", "--N", "4", "--eps", "-0.01"),
+    ("verify", "weyl", "--rank", "1", "--N", "4", "--eps", "0.03125"),
+    ("verify", "weyl", "--rank", "2", "--N", "4", "--eps", "0.03125",
+     "--num-thetas", "-1"),
 ])
 def test_invalid_configurations_exit_two(capsys, monkeypatch, argv):
-    # every case is refused before a census is enumerated or a report built
+    # every case is refused before a census is enumerated, a frequency grid
+    # drawn or a report built
     def never(*args, **kwargs):
         raise AssertionError("work started for a refused configuration")
 
     monkeypatch.setattr("slrep.census._scan", never)
     monkeypatch.setattr("slrep.cli.compare_exact_to_limit", never)
+    monkeypatch.setattr("slrep.cli.theta_grid", never)
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert "invalid config" in err

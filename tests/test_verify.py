@@ -17,7 +17,8 @@ from slrep.verify import (
     theta_grid,
     weyl_lower_bound_check,
     _lambda_dims,
-    _window_kernel,
+    _window_arrays,
+    _window_blocks,
 )
 from slrep.limits import gumbel_cdf
 from slrep.weights import dim_irrep
@@ -58,18 +59,61 @@ def kernel_dims():
     return dims
 
 
+def kernel_rows(thetas, dims, window):
+    """(outside, D) of the blocked window kernel, one row per frequency in
+    the order of thetas, after checking that its blocks take every
+    frequency once and each runs on one route."""
+    outside = np.ones((len(thetas), len(dims)), dtype=bool)
+    distances = np.empty((len(thetas), len(dims)), dtype=np.uint64)
+    taken = []
+    for block, D, inside in _window_blocks(thetas, dims, window):
+        assert D.shape == (block.size, len(dims))
+        assert len({route(thetas[i]) for i in block}) == 1
+        distances[block] = D
+        rows = np.ones(D.shape, dtype=bool)
+        rows.reshape(-1)[inside] = False
+        outside[block] = rows
+        taken.extend(block.tolist())
+    assert sorted(taken) == list(range(len(thetas)))
+    return outside, distances
+
+
+def route(theta: float) -> int:
+    """The kernel's route for theta = m 2^-sh: one word (sh <= 64), the
+    split (sh <= 96) or the high-word estimate."""
+    sh = float(theta).as_integer_ratio()[1].bit_length() - 1
+    return (sh > 64) + (sh > 96)
+
+
+def run_structure(edge):
+    """(longest edge run, follow violation) by a direct scan: a violation is
+    a run of length ell whose successor lies outside the edge set while one
+    of the next ell - 1 points falls back in."""
+    runs, follow = [], False
+    start = None
+    for i, flag in enumerate(list(edge) + [False]):
+        if flag and start is None:
+            start = i
+        elif not flag and start is not None:
+            ell = i - start
+            runs.append(ell)
+            if i < len(edge) and any(edge[i + 1:i + ell]):
+                follow = True
+            start = None
+    return max(runs, default=0), follow
+
+
 @pytest.mark.parametrize("theta", KERNEL_THETAS)
 def test_window_kernel_distances_against_python_integers(theta):
     dims = kernel_dims()
-    kernel = _window_kernel(dims)
     # 2^-11 is a multiple of 2^-64, (1 + 2^-52) 2^-20 and 1e-25 are not
     reference = [residue_distance(theta, int(a)) for a in dims]
     for window in (2.0**-11, (1.0 + 2.0**-52) * 2.0**-20, 1e-25, 0.0):
-        outside, distances = kernel(theta, window)
+        outside, distances = kernel_rows([theta], dims, window)
         # the residues themselves, not only the masks: a slip in the high
         # word shows up in D long before it flips a window test
-        assert [int(x) for x in distances] == [word for word, _ in reference]
-        assert outside.tolist() == [dist > Fraction(window) for _, dist in reference]
+        assert [int(x) for x in distances[0]] == [word for word, _ in reference]
+        assert outside[0].tolist() == [dist > Fraction(window) for _, dist in reference]
 
 
 @pytest.mark.parametrize("theta", KERNEL_THETAS)
@@ -78,37 +122,87 @@ def test_window_kernel_settles_windows_at_each_distance(theta):
     # double either side, sits within a unit of D: the kernel must decide it
     # exactly with Python integers when theta has more than 64 binary places
     dims = kernel_dims()[:40]
-    kernel = _window_kernel(dims)
     for a in dims:
         distance = float(residue_distance(theta, int(a))[1])
         for window in (distance, np.nextafter(distance, 0.0),
                        np.nextafter(distance, 1.0)):
-            outside, _ = kernel(theta, window)
-            assert outside.tolist() == outside_reference(theta, dims, window)
+            outside, _ = kernel_rows([theta], dims, window)
+            assert outside[0].tolist() == outside_reference(theta, dims, window)
 
 
 def test_window_kernel_at_simple_frequencies():
     dims = np.arange(0, 50, dtype=np.int64)
-    kernel = _window_kernel(dims)
-    for theta in (0.0, 1.0):
-        outside, distances = kernel(theta, 0.0)
-        assert not distances.any() and not outside.any()
-    outside, distances = kernel(0.5, 0.25)
-    assert np.array_equal(distances, np.where(dims % 2 == 1, np.uint64(2**63), 0))
-    assert np.array_equal(outside, dims % 2 == 1)
+    outside, distances = kernel_rows([0.0, 1.0], dims, 0.0)
+    assert not distances.any() and not outside.any()
+    outside, distances = kernel_rows([0.5], dims, 0.25)
+    assert np.array_equal(distances[0], np.where(dims % 2 == 1, np.uint64(2**63), 0))
+    assert np.array_equal(outside[0], dims % 2 == 1)
 
 
 def test_window_kernel_guards():
     with pytest.raises(NotImplementedError):
-        _window_kernel(np.array([2**53], dtype=np.int64))
-    kernel = _window_kernel(np.array([1, 2**53 - 1], dtype=np.int64))
+        list(_window_blocks([0.25], np.array([2**53], dtype=np.int64), 0.01))
+    dims = np.array([1, 2**53 - 1], dtype=np.int64)
     for theta in (1.5, -0.1, float("nan")):
         with pytest.raises(ValueError):
-            kernel(theta, 0.01)
+            list(_window_blocks([theta], dims, 0.01))
     # 128 binary places: beyond the two-word route
     with pytest.raises(NotImplementedError):
-        kernel(2.0**-76 * (1.0 + 2.0**-52), 0.01)
-    kernel(2.0**-75 * (1.0 + 2.0**-52), 0.01)
+        list(_window_blocks([2.0**-76 * (1.0 + 2.0**-52)], dims, 0.01))
+    list(_window_blocks([2.0**-75 * (1.0 + 2.0**-52)], dims, 0.01))
+    # every frequency is checked before the first block is evaluated
+    with pytest.raises(ValueError):
+        next(_window_blocks([0.25, 1.5], dims, 0.01))
+
+
+# KERNEL_THETAS (both neighbours of 2^-12 and the tie frequency among them)
+# plus both two-word routes at their edge: 96 binary places with a 32-bit
+# low part m_lo, the widest the split takes, and 97 with 33 bits
+MIXED_THETAS = KERNEL_THETAS + (0.8 * 2.0**-44, 2.0 / 3.0 * 2.0**-44, 0.3)
+
+
+@pytest.mark.parametrize("rows", [None, 3])
+def test_window_kernel_blocks_mix_routes(monkeypatch, rows):
+    # every route in one call, interleaved; at the module's block size each
+    # route is one partial block, and at 3 rows the one-word and split
+    # routes (10 and 4 frequencies) span full blocks and a partial one
+    dims = kernel_dims()
+    if rows is not None:
+        monkeypatch.setattr("slrep.verify._BLOCK_ELEMENTS", rows * dims.size)
+    assert sorted({route(t) for t in MIXED_THETAS}) == [0, 1, 2]
+    assert len(MIXED_THETAS) % 3 != 0
+    window = (1.0 + 2.0**-52) * 2.0**-20
+    outside, distances = kernel_rows(MIXED_THETAS, dims, window)
+    for i, theta in enumerate(MIXED_THETAS):
+        reference = [residue_distance(theta, int(a)) for a in dims]
+        assert [int(x) for x in distances[i]] == [word for word, _ in reference]
+        assert outside[i].tolist() == [dist > Fraction(window)
+                                       for _, dist in reference]
+
+
+def test_window_kernel_runs_one_row_per_block_on_a_large_box():
+    # (3, 16) has more distinct dimensions than a block holds, so every
+    # block is one frequency; counts and sin^2 bounds still hold exactly
+    dims = _lambda_dims(3, 16)
+    unique, mult = np.unique(dims, return_counts=True)
+    assert unique.size > 2**16
+    thetas = [0.5, math.sqrt(2.0) - 1.0, 1.2715657552083333e-07, 1e-9,
+              2.0 / 3.0 * 2.0**-44]
+    assert sorted({route(t) for t in thetas}) == [0, 1, 2]
+    window = 2.0**-11
+    assert all(D.shape[0] == 1 for _, D, _ in _window_blocks(thetas, unique, window))
+    counts, sin2_lower = _window_arrays(np.array(thetas), dims, window)
+    wp, wq = window.as_integer_ratio()
+    for theta, count, lower in zip(thetas, counts, sin2_lower):
+        m, q = theta.as_integer_ratio()
+        nearest = [min(r, q - r) for r in (m * int(a) % q for a in unique)]
+        outside = sum(int(c) for c, x in zip(mult, nearest) if x * wq > wp * q)
+        assert int(count) == outside
+        four_d2 = Fraction(4 * sum(int(c) * x * x for c, x in zip(mult, nearest)),
+                           q * q)
+        assert 0.0 < lower <= four_d2
+        # the certified margin: n + 4 roundings of 2^-53 over n dimensions
+        assert lower == pytest.approx(float(four_d2), rel=(unique.size + 8) * 2.0**-53)
 
 
 def test_lambda_window_box_cardinality_and_ranges():
@@ -155,15 +249,24 @@ def test_weyl_counts_at_one_half_are_odd_dimensions():
 
 def test_weyl_certified_sum_bounds_true_sum():
     rng = np.random.default_rng(5)
-    dims = _lambda_dims(2, 8)
-    for theta in rng.uniform(1.0 / 32.0 / 8**3, 0.5, size=5):
-        report = weyl_lower_bound_check(2, 8, 1.0 / 32.0, np.array([theta]), "pin")
-        true_sum = float(np.sum(np.sin(math.pi * ((dims * Fraction(theta)) % 1)
-                                       .astype(float)) ** 2))
-        assert report.sin2_lower[0] <= true_sum + 1e-9
-        # the quantity the bound certifies: sum 4 d^2 over exact distances
-        four_d2 = sum(4 * residue_distance(theta, int(a))[1] ** 2 for a in dims)
-        assert report.sin2_lower[0] <= four_d2
+    for r, N in ((2, 8), (3, 4)):
+        dims = _lambda_dims(r, N)
+        lo = 1.0 / 32.0 / N ** (r * (r + 1) // 2)
+        # uniform draws sit on the one-word route; log-uniform ones below
+        # 2^-12 have more than 64 binary places
+        thetas = np.concatenate([
+            rng.uniform(lo, 0.5, size=5),
+            np.exp(rng.uniform(math.log(lo), math.log(2.0**-12), size=3))])
+        assert {route(t) for t in thetas} == {0, 1}
+        for theta in thetas:
+            report = weyl_lower_bound_check(r, N, 1.0 / 32.0, np.array([theta]),
+                                            "pin")
+            true_sum = float(np.sum(np.sin(math.pi * ((dims * Fraction(theta)) % 1)
+                                           .astype(float)) ** 2))
+            assert report.sin2_lower[0] <= true_sum + 1e-9
+            # the quantity the bound certifies: sum 4 d^2 over exact distances
+            four_d2 = sum(4 * residue_distance(theta, int(a))[1] ** 2 for a in dims)
+            assert report.sin2_lower[0] <= four_d2
 
 
 def test_weyl_count_is_exact_where_points_sit_next_to_the_window():
@@ -183,27 +286,49 @@ def test_ladder_flags_and_runs_against_python_integers():
     theta, eps, box = 0.010584677419354838, 1.0 / 32.0, 8
     odd = [2 * k + 1 for k in range(3 * box, 6 * box)]
     edge = [not x for x in outside_reference(theta, odd, eps / 2.0)]
-    outside, _ = _window_kernel(np.array(odd))(theta, eps / 2.0)
-    assert (~outside).tolist() == edge
+    outside, _ = kernel_rows([theta], np.array(odd), eps / 2.0)
+    assert (~outside[0]).tolist() == edge
 
-    runs, follow = [], False
-    start = None
-    for i, flag in enumerate(edge + [False]):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            ell = i - start
-            runs.append(ell)
-            if i < len(edge) and any(edge[i + 1:i + ell]):
-                follow = True
-            start = None
+    longest, follow = run_structure(edge)
     windows = [box - sum(edge[s:s + box]) for s in range(2 * box + 1)]
 
     report = appendix_window_check(box, eps, np.array([theta]), "pin")
     assert report.run_thetas.tolist() == [theta]
-    assert int(report.run_max_lengths[0]) == max(runs) == 1
+    assert int(report.run_max_lengths[0]) == longest == 1
     assert not follow and not report.run_follow_violations[0]
     assert int(report.ladder_min_counts[0]) == min(windows) == 7
+
+
+def test_ladder_run_structure_against_a_direct_scan(monkeypatch):
+    # no real frequency breaks the follow rule (that is what the ladder
+    # checks), so a stand-in kernel feeds it random edge sets, in blocks of
+    # 7 rows, and the sliding minimum and run structure are compared with a
+    # direct scan of each row
+    eps, box = 1.0 / 32.0, 8
+    length = 3 * box
+    rng = np.random.default_rng(3)
+    edges = rng.random((200, length)) < rng.uniform(0.05, 0.95, size=(200, 1))
+    edges[:2] = [[False], [True]]
+
+    def blocks(thetas, dims, window):
+        assert len(dims) == length and window == eps / 2.0
+        for start in range(0, len(thetas), 7):
+            block = np.arange(start, min(start + 7, len(thetas)))
+            yield (block, np.zeros((block.size, length), dtype=np.uint64),
+                   np.flatnonzero(edges[block]))
+
+    monkeypatch.setattr("slrep.verify._window_blocks", blocks)
+    thetas = np.linspace(eps / box, 0.5 - eps / box, 200)
+    report = appendix_window_check(box, eps, thetas, "stand-in")
+    assert report.run_thetas.size == 200
+    for i, edge in enumerate(edges.tolist()):
+        longest, follow = run_structure(edge)
+        assert int(report.run_max_lengths[i]) == longest
+        assert bool(report.run_follow_violations[i]) == follow
+        windows = [box - sum(edge[s:s + box]) for s in range(2 * box + 1)]
+        assert int(report.ladder_min_counts[i]) == min(windows)
+    assert 0 < report.run_follow_violations.sum() < 200
+    assert 0 in report.run_max_lengths and length in report.run_max_lengths
 
 
 def test_weyl_check_validation():
