@@ -30,7 +30,6 @@ from .boltzmann import (
 from .census import (
     BudgetError,
     IrrepCensus,
-    counting_remainder,
     cumulative_count,
     enumerate_irreps,
     inverse_moment_tail,

@@ -10,8 +10,9 @@ C_r x^{2/(r+1)}, where C_r is the volume of the region {y > 0 : dim form <= 1}.
 By homogeneity C_r = (1/r) * integral over the unit simplex of P^{-2/(r+1)}
 (P the dimension form), a Selberg integral (`region_volume`).  Lattice cubes
 prove R(x) <= C_r x^{2/(r+1)} for every x, which caps a census before its
-scan and bounds every tail beyond one, and a lower bound
-C_r x^{2/(r+1)} - K_r x^{2/(r+2)} at ranks <= 3 (`counting_remainder`).
+scan and bounds every tail beyond one.  Dilation proves R(lam^nu y) >=
+lam^r R(y) for every integer lam >= 1 (`inverse_moment_tail`), so a census
+also bounds the counting function beyond its cutoff from below.
 
 The census is immutable and shared: the saddle solver keeps the census it
 certified on its parameters, and the samplers, exact distribution curves
@@ -29,7 +30,7 @@ from math import prod
 
 import numpy as np
 
-from .weights import superfactorial, weyl_numerator
+from .weights import degree, superfactorial, weyl_numerator
 
 
 class BudgetError(RuntimeError):
@@ -226,45 +227,6 @@ def region_volume(r: int):
     return value, (128.0 * (r - 1) + 8.0 * math.log(sf)) * _U * value
 
 
-def counting_remainder(r: int) -> float:
-    """K_r with C_r x^c - K_r x^(2/(r+2)) <= R(x) <= C_r x^c for all x >= 0,
-    R(x) the number of weights with dim <= x and c = 2/(r+1).
-
-    A one-sided form of Davenport's lemma ("On a principle of Lipschitz",
-    J. London Math. Soc. 26, 1951).  The dimension form P increases in each
-    coordinate, so the unit cubes [k - 1, k] of the counted weights k are
-    disjoint and lie in {y >= 0 : P(y) <= x}, of volume C_r x^c.  Flooring
-    maps every z >= 1 with P(z) <= x to a counted weight, so the cubes
-    [k, k + 1] cover {z >= 1 : P(z) <= x}; what they may miss lies in the
-    strips {z_j < 1}.  On a strip, P(z) >= z_j Q_j(the other coordinates)
-    with Q_j homogeneous of degree nu - 1, so the strip has volume at most
-    (r+2)/r area{Q_j <= 1} x^(2/(r+2)):
-
-        rank 1: R(x) = floor(x) >= x - 1, so K_1 = 1;
-        rank 2: Q_1 = z_2^2 / 2, two strips of 2 sqrt(2x) each, K_2 = 4 sqrt 2;
-        rank 3: Q_1 = z_2^2 z_3 (z_2 + z_3)^2 / 12 (Q_3 mirrors it) and
-                Q_2 = z_1^2 z_3^2 (z_1 + z_3) / 12, whose areas are Beta
-                integrals: K_3 = (5/3) (1/2) 12^(2/5) (2 B(1/5, 3/5)
-                + B(1/5, 1/5)) = 47.84...
-
-    The float value is rounded up by 64 ulps, well above the rounding of
-    its evaluation.  Ranks above 3 raise NotImplementedError.
-    """
-    if r == 1:
-        return 1.0
-    if r == 2:
-        value = 4.0 * math.sqrt(2.0)
-    elif r == 3:
-        def beta(a, b):
-            return math.gamma(a) * math.gamma(b) / math.gamma(a + b)
-        value = (5.0 / 6.0 * 12.0**0.4
-                 * (2.0 * beta(0.2, 0.6) + beta(0.2, 0.2)))
-    else:
-        raise NotImplementedError(
-            f"counting remainder known in closed form for rank <= 3, got {r}")
-    return value * (1.0 + 64.0 * 2.0**-52)
-
-
 def upper_incomplete_gamma(a: float, x: float):
     """(value, err): Gamma(a, x) = int_x^inf t^(a-1) e^(-t) dt for
     0 < a <= 16 and x >= 0.
@@ -320,9 +282,9 @@ def weighted_tail_bound(census: IrrepCensus, beta: float, p: float) -> float:
     """Upper bound for sum over m > max_dim of rho(m) m^p e^{-beta m}.
 
     Abel summation against the proven bound R(x) <= C_r x^c, c = 2/(r+1)
-    (see `counting_remainder`; C_r is taken at its value plus its error
-    bound): with f(t) = t^p e^{-beta t} decreasing past the cutoff X (this
-    needs X >= p/beta, or the bound is invalid and we raise),
+    (C_r taken at its value plus its error bound): with f(t) = t^p
+    e^{-beta t} decreasing past the cutoff X (this needs X >= p/beta, or
+    the bound is invalid and we raise),
 
         sum_{m > X} rho(m) f(m) <= C_r f(X) X^c
                                    + C_r c beta^{-(p+c)} Gamma(p+c, beta X),
@@ -349,30 +311,60 @@ def weighted_tail_bound(census: IrrepCensus, beta: float, p: float) -> float:
     return bound * (1.0 + (x + 16.0) * 2.0 * _U)
 
 
+_DILATIONS = 4000  # last lam of the lower bound; the terms it drops are positive
+
+
 def inverse_moment_tail(census: IrrepCensus, j: int):
-    """(estimate, err) for sum over m > max_dim of rho(m) / m^j, j >= 1.
+    """(estimate, err) for T = sum over m > X of rho(m) / m^j, j >= 1, X the
+    census cutoff, bracketed from the census alone at every rank >= 2.
 
-    Write R(t) = C_r t^c + E(t), c = 2/(r+1), with -K_r t^c' <= E(t) <= 0,
-    c' = 2/(r+2) (`counting_remainder`).  Summing by parts over (X, inf),
+    By parts, T = -R(X) X^-j + j int_X^inf R(t) t^(-j-1) dt, R the counting
+    function.  Above, R(t) <= C_r t^c, c = 2/(r+1), gives
+    T <= -R(X) X^-j + C_r j/(j-c) X^(c-j).  Below, dilation: the form P is
+    homogeneous of degree nu = r(r+1)/2 and increasing in each coordinate,
+    so each weight k with P(k) <= y gives lam^r weights lam k - e,
+    e in {0..lam-1}^r, with P <= lam^nu y, distinct as e is their residue
+    mod lam: R(lam^nu y) >= lam^r R(y).  Putting t = lam^nu y on
+    (X (lam-1)^nu, X lam^nu], so y in (a_lam, X], a_lam = X (1 - 1/lam)^nu,
 
-        sum_{m > X} rho(m) / m^j = C_r c/(j-c) X^(c-j)
-                                   - E(X) X^-j + j int_X^inf E(t) t^(-j-1) dt.
+        T >= -R(X) X^-j + sum_{lam >= 2} lam^(r - nu j) G(a_lam),
+        G(a) = j int_a^X R(y) y^(-j-1) dy
+             = R(a) a^-j + sum_{a < m <= X} rho(m) m^-j - R(X) X^-j,
 
-    The first term is the estimate.  The second lies in [0, K_r X^(c'-j)]
-    and the third in [-K_r j/(j-c') X^(c'-j), 0], so err = K_r j/(j-c')
-    X^(c'-j), plus the error bound of C_r times c/(j-c) X^(c-j).  Ranks
-    above 3 raise NotImplementedError, as counting_remainder does.
+    with every G read by one searchsorted on the census prefix sums, the
+    sum stopped at lam = _DILATIONS and the lower end clamped at 0.
+
+    The estimate is the midpoint of the ends, err the half-width plus a
+    rounding bound.  Each end sums nonnegative terms, each within a few
+    units u of roundoff, with at most one subtraction per term, and G is
+    continuous with |G'(a)| <= j R(X) a^(-j-1), so rounding a_lam (relative
+    (nu + 2) u) moves G by at most j (nu + 2) u R(X) a^-j.  So each end is
+    within (K + _DILATIONS + 8 nu j + 64) u of the sum of the magnitudes of
+    its terms, K the number of dimension classes.
     """
     r = census.rank
     if r < 2:
         raise ValueError("inverse-moment tails need rank >= 2 (divergent at rank 1)")
-    volume, volume_err = region_volume(r)
     c = 2.0 / (r + 1)
-    cprime = 2.0 / (r + 2)
     if j <= c:
         raise ValueError(f"moment order {j} must exceed the growth exponent {c}")
+    nu = degree(r)
     X = float(census.max_dim)
-    est = volume * c / (j - c) * X ** (c - j)
-    err = (counting_remainder(r) * j / (j - cprime) * X ** (cprime - j)
-           + volume_err * c / (j - c) * X ** (c - j))
-    return est, err
+    tail_X = census.num_weights * X ** -j  # R(X) X^-j
+    m = census.dims.astype(float)
+    prefix = np.cumsum(census.counts * m ** -j)  # sum of rho m^-j up to each class
+    lam = np.arange(2.0, _DILATIONS + 1.0)
+    a = X * (1.0 - 1.0 / lam) ** nu
+    below = np.searchsorted(m, a, side="right") - 1  # last class with m <= a
+    a_j = a ** -j
+    G = (np.where(below >= 0, census.cumulative[below] * a_j - prefix[below], 0.0)
+         + prefix[-1] - tail_X)
+    dilation = lam ** (r - nu * j)
+    lower = max(float(dilation @ G) - tail_X, 0.0)
+    volume, volume_err = region_volume(r)
+    envelope = (volume + volume_err) * j / (j - c) * X ** (c - j)
+    upper = envelope - tail_X
+    magnitude = (envelope + 2.0 * tail_X + float(
+        dilation @ (census.num_weights * a_j + tail_X + 2.0 * prefix[-1])))
+    rounding = (m.size + _DILATIONS + 8 * nu * j + 64) * _U * magnitude
+    return 0.5 * (lower + upper), 0.5 * (upper - lower) + rounding

@@ -120,6 +120,11 @@ def _emit(args, started, results: dict, data: str | None = None,
     return 1 if failed else 0
 
 
+def _check_tol(args) -> None:
+    if args.tol is not None and not 0.0 <= args.tol < math.inf:  # refuses nan too
+        raise ConfigError(f"--tol must be finite and nonnegative, got {args.tol}")
+
+
 def _parse_weight(text: str, r: int):
     parts = tuple(int(x) for x in text.split(","))
     if len(parts) != r or min(parts) < 1:
@@ -239,6 +244,7 @@ def _gap_results(report) -> dict:
 
 def _cmd_dist(args, started):
     _check_bounds(args, exact=False)
+    _check_tol(args)
     k = _parse_weight(args.k, args.rank) if args.k else None
     report = compare_exact_to_limit(args.rank, args.n, args.stat, k=k)
     denom = report.limit if report.gap_is_relative else 1.0
@@ -339,6 +345,7 @@ def _cmd_verify_ensembles(args, started):
 
 def _cmd_verify_limits(args, started):
     _check_bounds(args, exact=False)
+    _check_tol(args)
     k = _parse_weight(args.k, args.rank) if args.k else None
     if args.n_grid:
         if args.tol is not None:

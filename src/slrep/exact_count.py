@@ -60,9 +60,10 @@ subnormal per rounded product.  The screen answers only when x and the
 offset lie more than twice that bound from every boundary they fall
 between, which proves its answer equal to the exact one; otherwise the
 step returns `_pick_term`'s answer.  Both routes consume the same u, so
-seeded streams do not depend on which one settles a step.  The floats of q and the class arrays are built once per
-table; the m terms, floor(v / d) for each class with d <= v, are gathered
-at each visited v, so memory stays O(n).
+seeded streams do not depend on which one settles a step.  The floats of
+q and the class arrays are built once per table; the m terms, floor(v / d)
+for each class with d <= v, are gathered at each visited v, so memory
+stays O(n).
 """
 
 from __future__ import annotations

@@ -29,7 +29,6 @@ closed form and the integrand is completely monotone, which is what lets
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -503,33 +502,35 @@ def count_mgf(r: int, u, census: IrrepCensus):
     """(value, err): M(u) = prod over weights (1 - u/a)^{-1}, the mgf of the
     limiting scaled component count.  Meromorphic with poles at the module
     dimensions; converges only for r >= 2 (the rank-1 product diverges like
-    the harmonic series).  Accepts complex u.  Census factors are exact;
-    the tail uses a three-term log expansion with certified remainders, and
-    needs |u| <= max_dim / 2.
+    the harmonic series).  u is one point or an array of points, real or
+    complex; an array gives arrays of values and errors, one per point, all
+    from one set of census tails.  Census factors are exact; the tail uses a
+    three-term log expansion whose sums come from `inverse_moment_tail`
+    with their certified errors, and needs |u| <= max_dim / 2.
     """
     if r < 2:
         raise ValueError("count mgf diverges at rank 1 (harmonic series); need r >= 2")
     if census.rank != r:
         raise ValueError(f"census has rank {census.rank}, expected {r}")
-    uc = complex(u)
+    uc = np.asarray(u, dtype=complex)
+    size = np.abs(uc)
     X = census.max_dim
-    if abs(uc) > X / 2.0:
-        raise ValueError(f"|u| = {abs(uc):.3g} too large for census cutoff {X}")
-    m = census.dims.astype(float)
-    rho = census.counts.astype(float)
-    rel = 1.0 - uc / m
+    if np.any(size > X / 2.0):
+        raise ValueError(f"|u| = {size.max():.3g} too large for census cutoff {X}")
+    rel = 1.0 - uc[..., None] / census.dims.astype(float)
     if np.min(np.abs(rel)) < 1e-9:
         raise ValueError(f"u = {u} is within 1e-9 of a pole of the product")
-    log_main = -complex(np.sum(rho * np.log(rel)))
+    log_main = -np.sum(census.counts * np.log(rel), axis=-1)
 
     tails = {j: inverse_moment_tail(census, j) for j in (1, 2, 3, 4)}
     log_tail = sum(uc**j / j * tails[j][0] for j in (1, 2, 3))
-    err_log = sum(abs(uc) ** j / j * tails[j][1] for j in (1, 2, 3))
+    err_log = sum(size**j / j * tails[j][1] for j in (1, 2, 3))
     s4 = tails[4][0] + tails[4][1]
-    err_log += abs(uc) ** 4 / (4.0 * (1.0 - abs(uc) / X)) * s4
+    err_log += size**4 / (4.0 * (1.0 - size / X)) * s4
 
-    value = cmath.exp(log_main + log_tail)
-    err = abs(value) * math.expm1(err_log) if err_log < 700 else math.inf
-    if isinstance(u, complex):
-        return value, err
-    return value.real, err
+    value = np.exp(log_main + log_tail)
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = np.where(err_log < 700.0, np.abs(value) * np.expm1(err_log), math.inf)
+    if not np.iscomplexobj(u):
+        value = value.real
+    return (value.item(), err.item()) if uc.ndim == 0 else (value, err)

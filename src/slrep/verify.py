@@ -536,15 +536,19 @@ def compare_exact_to_limit(r: int, n: int, which: str, *,
     on.  The shape report needs a census that reaches every corner: it
     doubles its cutoff until the certified truncation error is at most
     SHAPE_REL_ERR of the exact value at every corner, as `solve_saddle`
-    does, so only the census cap (BudgetError) ends the loop.  Above rank 3, shape
-    and mgf raise NotImplementedError first: they need W_t and K_r.
+    does, so only the census cap (BudgetError) ends the loop.  Before the
+    saddle is solved, shape raises NotImplementedError above rank 3, where
+    W_t is unknown, and mgf raises ValueError at rank 1, where the limit
+    product diverges.
     """
     if which not in _STATISTICS:
         raise ValueError(f"unknown observable {which!r}; "
                          f"expected one of {', '.join(_STATISTICS)}")
-    if which in ("shape", "mgf") and r > 3:
-        raise NotImplementedError(f"the {which} limit is known for rank <= 3, "
-                                  f"got {r}")
+    if which == "shape" and r > 3:
+        raise NotImplementedError(f"the shape limit is known for rank <= 3, got {r}")
+    if which == "mgf" and r < 2:
+        raise ValueError("the mgf limit diverges at rank 1 (harmonic series); "
+                         "need rank >= 2")
     if params is None:
         params = solve_saddle(r, n)
     census = params.census
@@ -607,19 +611,10 @@ def compare_exact_to_limit(r: int, n: int, which: str, *,
 
     # which == "mgf"
     us = np.asarray(_MGF_GRID if u_grid is None else u_grid, dtype=float)
-    product_census = enumerate_irreps(r, _MGF_LIMIT_MAX_DIM)
-    exact = np.empty(us.size)
-    limit = np.empty(us.size)
-    exact_err = 0.0
-    limit_err = 0.0
-    for i, u in enumerate(us):
-        value, e = exact_count_mgf(params, census, float(u))
-        exact[i] = value
-        exact_err = max(exact_err, e)
-        lvalue, le = count_mgf(r, float(u), product_census)
-        limit[i] = lvalue
-        limit_err = max(limit_err, le)
+    exact, exact_err = np.array(
+        [exact_count_mgf(params, census, float(u)) for u in us]).T
+    limit, limit_err = count_mgf(r, us, enumerate_irreps(r, _MGF_LIMIT_MAX_DIM))
     gap = float(np.max(np.abs(exact - limit)))
     return LimitGapReport(
-        which, r, n, us, exact, limit, gap, False, exact_err, limit_err,
-        "transformed-count mgf on the standard u-grid")
+        which, r, n, us, exact, limit, gap, False, float(exact_err.max()),
+        float(limit_err.max()), "transformed-count mgf on the standard u-grid")

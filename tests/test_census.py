@@ -13,7 +13,6 @@ from scipy.special import gamma as gamma_fn
 import slrep.census as census_module
 from slrep.census import (
     BudgetError,
-    counting_remainder,
     cumulative_count,
     enumerate_irreps,
     inverse_moment_tail,
@@ -22,7 +21,7 @@ from slrep.census import (
     weighted_tail_bound,
     write_csv,
 )
-from slrep.weights import dim_irrep, superfactorial
+from slrep.weights import degree, dim_irrep, superfactorial
 
 from census_terms import (
     counting_law,
@@ -277,66 +276,30 @@ def test_region_volume_rejects_unknown_inputs():
         region_volume_mc(3)
 
 
-def _strip_area(q):
-    """area{w >= 0 : q(w) <= 1} for q homogeneous of degree 5 in two
-    variables, in polar coordinates: (1/2) int_0^{pi/2} q(cos, sin)^(-2/5).
-    Both halves are folded onto [0, pi/4] (so no cosine is taken near
-    pi/2), and phi = v^5 removes the endpoint singularities."""
-    def folded(v):
-        c, s = mp.cos(v**5), mp.sin(v**5)
-        return (q(c, s) ** (-mp.mpf(2) / 5) + q(s, c) ** (-mp.mpf(2) / 5)) * 5 * v**4
-    return mp.quad(folded, [0, (mp.pi / 4) ** (mp.mpf(1) / 5)]) / 2
-
-
-def test_counting_remainder_matches_strip_quadrature():
-    # on the strip z_j < 1 the rank-3 form is at least z_j Q_j(the others),
-    # and each strip holds at most (5/3) area{Q_j <= 1} x^(2/5)
-    def dim3(z1, z2, z3):
-        return z1 * z2 * z3 * (z1 + z2) * (z2 + z3) * (z1 + z2 + z3) / 12.0
-
-    def q1(a, b):
-        return a * a * b * (a + b) ** 2 / 12
-
-    def q2(a, b):
-        return a * a * b * b * (a + b) / 12
-
-    z = np.random.default_rng(5).uniform(0.0, 4.0, size=(1000, 3))
-    z1, z2, z3 = z.T
-    assert np.all(dim3(z1, z2, z3) >= z1 * q1(z2, z3))
-    assert np.all(dim3(z1, z2, z3) >= z2 * q2(z1, z3))
-    assert np.all(dim3(z1, z2, z3) >= z3 * q1(z2, z1))
-    with mp.workdps(30):
-        k3 = mp.mpf(5) / 3 * (2 * _strip_area(q1) + _strip_area(q2))
-        assert 0 <= counting_remainder(3) - k3 <= 1e-13 * k3
-        assert 0 <= counting_remainder(2) - 4 * mp.sqrt(2) <= 1e-13
-    assert float(k3) == pytest.approx(47.84, abs=0.005)
-    assert counting_remainder(1) == 1.0
-    with pytest.raises(NotImplementedError):
-        counting_remainder(4)
-
-
-@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
 def test_envelopes_extrapolate_to_larger_census(r):
-    # C_r x^c - K_r x^(2/(r+2)) <= R(x) <= C_r x^c holds for every x, so
-    # it must hold on both sides of every jump of the counting function:
-    # R(x) at the jump meets the upper bound, its left limit the lower one.
-    # Measured: max R(x)/x^c is 3.93 <= C_2 = 4.21 and 11.48 <= C_3 = 15.88;
-    # the lowest (R(x-) - C_r x^c)/x^c' is -4.54 >= -5.66 and -27.8 >= -47.8
-    top = {1: 10**4, 2: 10**7, 3: 10**8}[r]
+    # R(x) <= C_r x^c holds for every x, so it must hold at every jump of
+    # the counting function.  Dilation gives R(lam^nu y) >= lam^r R(y): R(y)
+    # is constant from one jump to the next and R(lam^nu y) is smallest at
+    # the left end, so checking at every jump y with lam^nu y inside the
+    # census checks every such y.  Measured: max R(x)/x^c is 3.93 <= C_2 =
+    # 4.21 and 11.48 <= C_3 = 15.88
+    top = {1: 10**4, 2: 10**7, 3: 10**8, 4: 10**7, 5: 10**9, 6: 10**11}[r]
     census = enumerate_irreps(r, top)
     c = 2.0 / (r + 1)
-    cprime = 2.0 / (r + 2)
     vol, vol_err = region_volume(r)
-    K = counting_remainder(r)
     x = census.dims.astype(float)
-    after = census.cumulative.astype(float)
-    before = after - census.counts.astype(float)
-    assert np.all(after <= (vol + vol_err) * x**c)
-    assert np.all(before - vol * x**c >= -K * x**cprime)
+    assert np.all(census.cumulative <= (vol + vol_err) * x**c)
+    for lam in (2, 3):
+        y = census.dims[census.dims <= top // lam ** degree(r)]
+        assert y.size, lam
+        dilated = np.searchsorted(census.dims, lam ** degree(r) * y, side="right")
+        assert np.all(census.cumulative[dilated - 1]
+                      >= lam**r * census.cumulative[:y.size]), lam
     if r == 1:
-        # R(x) = floor(x) exactly, and C_1 = K_1 = 1
+        # R(x) = floor(x) exactly, and C_1 = 1
         assert np.array_equal(census.cumulative, np.arange(1, top + 1))
-        assert (vol, vol_err, K) == (1.0, 0.0, 1.0)
+        assert (vol, vol_err) == (1.0, 0.0)
 
 
 @pytest.mark.parametrize("r", [4, 5, 6])
@@ -467,18 +430,47 @@ def test_weighted_tail_bound_validation():
 
 
 def test_inverse_moment_tail_brackets_partial_sums():
-    for r in (2, 3):
+    # the bracket from a cutoff of 500 holds the exact sum over the classes
+    # of a census to 10^6 plus that census's own bracket, at every rank
+    for r in (2, 3, 4, 5, 6):
         small = enumerate_irreps(r, 500)
-        big = enumerate_irreps(r, 10_000)
+        big = enumerate_irreps(r, 10**6)
         m = big.dims.astype(float)
         mask = m > 500
         for j in (1, 2, 3):
             est, err = inverse_moment_tail(small, j)
             partial = float(np.sum(big.counts[mask] / m[mask] ** j))
-            rest_hi, _ = inverse_moment_tail(big, j)
-            assert partial <= est + err, (r, j)
-            assert partial + rest_hi >= est - err, (r, j)
+            rest, rest_err = inverse_moment_tail(big, j)
+            assert partial + rest - rest_err <= est + err, (r, j)
+            assert partial + rest + rest_err >= est - err, (r, j)
+            assert rest_err < err, (r, j)
+        if r <= 3:
+            # the dilation bound already lifts the lower end off zero
+            est, err = inverse_moment_tail(small, 1)
+            assert est - err > 0.0, r
     with pytest.raises(ValueError):
         inverse_moment_tail(enumerate_irreps(1, 50), 1)
-    with pytest.raises(NotImplementedError):
-        inverse_moment_tail(enumerate_irreps(4, 50), 1)
+
+
+def test_inverse_moment_tail_matches_its_direct_sum():
+    # the ends of the bracket against the bound summed term by term, G(a)
+    # straight from its definition sum_{m <= X} rho(m) (max(a, m)^-j - X^-j)
+    X = 500
+    for r in (2, 3, 4, 6):
+        census = enumerate_irreps(r, X)
+        nu = degree(r)
+        c = 2.0 / (r + 1)
+        vol, vol_err = region_volume(r)
+        m = census.dims.astype(float)
+        lam = np.arange(2.0, census_module._DILATIONS + 1.0)
+        a = X * (1.0 - 1.0 / lam) ** nu
+        for j in (1, 2, 3):
+            G = np.sum(census.counts * (np.maximum(a[:, None], m) ** -j - X**-j),
+                       axis=1)
+            tail_X = census.num_weights * X**-j
+            lower = max(float(lam ** (r - nu * j) @ G) - tail_X, 0.0)
+            upper = (vol + vol_err) * j / (j - c) * X ** (c - j) - tail_X
+            est, err = inverse_moment_tail(census, j)
+            assert est - err <= lower and est + err >= upper, (r, j)
+            slack = 1e-8 * upper  # room for the rounding bound in err
+            assert est - err >= lower - slack and est + err <= upper + slack, (r, j)

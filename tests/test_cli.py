@@ -442,6 +442,24 @@ def test_invalid_configurations_exit_two(capsys, monkeypatch, argv):
     assert "invalid config" in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("command", [("dist", "--stat", "D"),
+                                     ("verify", "limits", "--stat", "D")])
+def test_bad_tolerance_is_refused(capsys, monkeypatch, command, tol):
+    # before, nan failed with "tol": null, inf passed with "tol": null and a
+    # negative tolerance failed every run
+    def never(*args, **kwargs):
+        raise AssertionError("report built for a refused tolerance")
+
+    monkeypatch.setattr("slrep.cli.compare_exact_to_limit", never)
+    code, out, err = run_cli(capsys, *command, "--rank", "2", "--n", "1000",
+                             f"--tol={tol}")
+    assert code == 2
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("invalid config: --tol")
+    assert out == ""
+
+
 def test_failed_computation_exits_one_without_traceback(capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise RuntimeError("rejection sampler exceeded 1 attempts (0/1 accepted)")
@@ -650,6 +668,8 @@ HIGH_RANK_RUNS = {
                           "--mode", "uniform-rejection", "--samples", "2"),
     "ensembles": ("verify", "ensembles", "--n-grid", "100,500,2500"),
     "limits": ("verify", "limits", "--stat", "D", "--n", "1000000"),
+    "dist-mgf": ("dist", "--n", "1000000", "--stat", "mgf"),
+    "limits-mgf": ("verify", "limits", "--stat", "mgf", "--n-grid", "10000,1000000"),
 }
 
 
@@ -659,21 +679,26 @@ def test_high_rank_support(capsys, label, rank):
     code, out, err = run_cli(capsys, *HIGH_RANK_RUNS[label], "--rank", rank)
     assert code == 0, err
     assert err == ""
+    res = split_manifest(out)[0]["results"]
     if label.startswith("saddle"):
-        res = split_manifest(out)[0]["results"]
         assert res["tail_bound"] <= res["expected_dim_err"] / 2.0
+    if label == "dist-mgf":
+        # the census-only tail bracket certifies the limit product here too
+        assert res["limit_err"] is not None and 0.0 < res["limit_err"] < 0.05
 
 
-@pytest.mark.parametrize("rank", ["4", "6"])
-@pytest.mark.parametrize("argv", [
-    ("dist", "--n", "1000000", "--stat", "mgf"),
-    ("dist", "--n", "1000000", "--stat", "shape"),
-    ("verify", "limits", "--stat", "mgf", "--n", "1000000"),
-    ("verify", "limits", "--stat", "shape", "--n-grid", "10000,1000000"),
+@pytest.mark.parametrize("argv, rank", [
+    (("dist", "--n", "1000000", "--stat", "shape"), "4"),
+    (("dist", "--n", "1000000", "--stat", "shape"), "6"),
+    (("verify", "limits", "--stat", "shape", "--n-grid", "10000,1000000"), "4"),
+    (("verify", "limits", "--stat", "shape", "--n-grid", "10000,1000000"), "6"),
+    (("dist", "--n", "1000", "--stat", "mgf"), "1"),
+    (("verify", "limits", "--stat", "mgf", "--n", "1000000"), "1"),
 ])
 def test_rank_limited_statistics_refused_before_any_census(capsys, monkeypatch,
                                                            argv, rank):
-    # mgf and shape need K_r and W_t, known for ranks <= 3
+    # shape needs W_t, known for ranks <= 3, and the mgf limit product
+    # diverges at rank 1
     def never(*args, **kwargs):
         raise AssertionError("census built for a refused statistic")
 
@@ -684,5 +709,6 @@ def test_rank_limited_statistics_refused_before_any_census(capsys, monkeypatch,
     assert code == 2
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("invalid config:")
-    assert "limit is known for rank <= 3" in lines[0]
+    assert ("diverges at rank 1" if rank == "1"
+            else "limit is known for rank <= 3") in lines[0]
     assert out == ""

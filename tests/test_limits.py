@@ -280,13 +280,19 @@ def test_count_mgf_normalization_and_validation():
 
 
 def test_count_mgf_cutoff_consistency():
-    small = enumerate_irreps(2, 20_000)
-    large = enumerate_irreps(2, 100_000)
-    for u in (-0.5, -0.25, 0.25, 0.5):
-        v_small, e_small = count_mgf(2, u, small)
-        v_large, e_large = count_mgf(2, u, large)
-        assert abs(v_small - v_large) <= e_small + e_large
-        assert e_large < e_small
+    us = np.array([-0.5, -0.25, 0.25, 0.5])
+    for r in (2, 3, 4, 5, 6):
+        small = enumerate_irreps(r, 20_000)
+        large = enumerate_irreps(r, 100_000)
+        values, errs = count_mgf(r, us, small)
+        for i, u in enumerate(us):
+            v_small, e_small = count_mgf(r, u, small)
+            v_large, e_large = count_mgf(r, u, large)
+            assert abs(v_small - v_large) <= e_small + e_large, (r, u)
+            assert e_large < e_small, (r, u)
+            # an array of points gives the pointwise values
+            assert values[i] == pytest.approx(v_small, rel=1e-14), (r, u)
+            assert errs[i] == pytest.approx(e_small, rel=1e-14), (r, u)
 
 
 def test_count_mgf_complex_argument():

@@ -489,12 +489,16 @@ def test_compare_rejects_unknown_statistic(monkeypatch):
 
 @pytest.mark.parametrize("which", ["shape", "mgf"])
 def test_compare_refuses_rank_limited_statistics_first(monkeypatch, which):
-    # the shape and mgf limits need W_t and K_r, known for ranks <= 3; above
-    # that the report is refused before the saddle is solved
+    # the shape limit needs W_t, known for ranks <= 3, and the mgf limit
+    # product diverges at rank 1; both are refused before the saddle is solved
     def never(*args, **kwargs):
         raise AssertionError("saddle solved for a refused statistic")
 
     monkeypatch.setattr("slrep.verify.solve_saddle", never)
-    for r in (4, 6):
-        with pytest.raises(NotImplementedError, match=f"{which} limit"):
-            compare_exact_to_limit(r, 10**6, which)
+    if which == "shape":
+        for r in (4, 6):
+            with pytest.raises(NotImplementedError, match="shape limit"):
+                compare_exact_to_limit(r, 10**6, which)
+    else:
+        with pytest.raises(ValueError, match="mgf limit diverges at rank 1"):
+            compare_exact_to_limit(1, 10**6, which)
