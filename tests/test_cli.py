@@ -688,12 +688,15 @@ def test_high_rank_support(capsys, label, rank):
 
 
 @pytest.mark.parametrize("argv, rank", [
-    (("dist", "--n", "1000000", "--stat", "shape"), "4"),
-    (("dist", "--n", "1000000", "--stat", "shape"), "6"),
-    (("verify", "limits", "--stat", "shape", "--n-grid", "10000,1000000"), "4"),
-    (("verify", "limits", "--stat", "shape", "--n-grid", "10000,1000000"), "6"),
-    (("dist", "--n", "1000", "--stat", "mgf"), "1"),
-    (("verify", "limits", "--stat", "mgf", "--n", "1000000"), "1"),
+    pytest.param(("dist", "--n", "1000000", "--stat", "shape"), "4", id="argv1-4"),
+    pytest.param(("dist", "--n", "1000000", "--stat", "shape"), "6", id="argv1-6"),
+    pytest.param(("verify", "limits", "--stat", "shape", "--n-grid", "10000,1000000"),
+                 "4", id="argv3-4"),
+    pytest.param(("verify", "limits", "--stat", "shape", "--n-grid", "10000,1000000"),
+                 "6", id="argv3-6"),
+    pytest.param(("dist", "--n", "1000", "--stat", "mgf"), "1", id="dist-mgf-1"),
+    pytest.param(("verify", "limits", "--stat", "mgf", "--n", "1000000"), "1",
+                 id="limits-mgf-1"),
 ])
 def test_rank_limited_statistics_refused_before_any_census(capsys, monkeypatch,
                                                            argv, rank):
