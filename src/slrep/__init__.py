@@ -22,7 +22,7 @@ from .boltzmann import (
     exact_prob_max_dim_le,
     expected_dim,
     rejection_uniform_sample,
-    sampling_census,
+    sampling_params,
     solve_saddle,
     truncation_tv_bound,
     variance_dim,

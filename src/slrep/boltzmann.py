@@ -15,10 +15,10 @@ one repeats within a class.
 
 `solve_saddle` tunes q so the expected total dimension equals n; writing
 q = exp(-s^nu) with nu = r(r+1)/2, the solved s shrinks like
-n^{-2/(r(r+3))}.  The solved parameters keep the census the solve was
-certified on (`params.census`); `sampling_census` returns it when it also
-certifies the sampling bound, and the exact distribution curves read it,
-so one census serves every stage.
+n^{-2/(r(r+3))}.  The solved parameters are the one state every later
+stage reads: q and the census the solve was certified on (`params.census`).
+`sampling_params` widens that census when sampling needs it, and the
+samplers and exact distribution curves take the parameters alone.
 
 Every truncated sum here carries a certified tail bound, returned as the
 second element of a (value, err) pair or recorded on the params object.
@@ -32,7 +32,7 @@ a Selberg integral at every rank).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import count
 
 import numpy as np
@@ -46,7 +46,8 @@ from .weights import degree, twice_height
 @dataclass(frozen=True)
 class BoltzmannParams:
     """Solved saddle point: E_q[total dimension] = n within solver_tol * n,
-    certified on `census`, which every later stage reads."""
+    certified on `census`, which every later stage reads.  Parameters
+    widened by `sampling_params` keep their solve's tail_bound and sigma2."""
 
     rank: int
     n: int
@@ -58,9 +59,13 @@ class BoltzmannParams:
     solver_tol: float
     census: IrrepCensus = field(repr=False, compare=False)
 
+    def __post_init__(self):
+        if self.census.rank != self.rank:
+            raise ValueError(f"census rank {self.census.rank} != params rank {self.rank}")
+
     @property
     def cutoff(self) -> int:
-        """Cutoff (max_dim) of the census the solve was certified on."""
+        """Cutoff (max_dim) of `census`."""
         return self.census.max_dim
 
 
@@ -78,8 +83,7 @@ def _moment_value(census, beta, p):
 
 
 def _moment_err(census, beta, p):
-    X = census.max_dim
-    scale = (-np.expm1(-beta * X)) ** (-p) if p else 1.0
+    scale = (-np.expm1(-beta * census.max_dim)) ** (-p)
     return scale * weighted_tail_bound(census, beta, p)
 
 
@@ -89,7 +93,7 @@ def _check_q(q):
     return -math.log(q)
 
 
-def expected_dim(r: int, q: float, census: IrrepCensus):
+def expected_dim(q: float, census: IrrepCensus):
     """(value, err): E_q[total dimension], truncated at the census cutoff.
 
     err is a certified bound on the ignored tail; a ValueError signals a
@@ -99,7 +103,7 @@ def expected_dim(r: int, q: float, census: IrrepCensus):
     return _moment_value(census, beta, 1), _moment_err(census, beta, 1)
 
 
-def variance_dim(r: int, q: float, census: IrrepCensus):
+def variance_dim(q: float, census: IrrepCensus):
     """(value, err): Var_q(total dimension) = sum a^2 q^a / (1-q^a)^2."""
     beta = _check_q(q)
     return _moment_value(census, beta, 2), _moment_err(census, beta, 2)
@@ -141,7 +145,6 @@ def solve_saddle(r: int, n: int, tol: float = 1e-8) -> BoltzmannParams:
     starts from the root just found, inside the bracket of the first
     search: a larger census only raises the truncated expectation, so the
     lower end stays valid unchecked and only the upper end is tested again.
-    The returned parameters keep the census the solve was certified on.
     """
     if n < 1:
         raise ValueError(f"target dimension must be >= 1, got {n}")
@@ -193,36 +196,39 @@ def solve_saddle(r: int, n: int, tol: float = 1e-8) -> BoltzmannParams:
         X *= 2
 
 
-def truncation_tv_bound(params: BoltzmannParams, census: IrrepCensus) -> float:
+def truncation_tv_bound(params: BoltzmannParams) -> float:
     """Certified TV distance between the full product law and the one
-    truncated at the census cutoff: at most sum of q^a beyond the cutoff."""
-    return weighted_tail_bound(census, params.beta, 0)
+    truncated at params.cutoff: at most sum of q^a beyond the cutoff."""
+    return weighted_tail_bound(params.census, params.beta, 0)
+
+
+def _tail_mean_bound(params):
+    """Certified bound on sum q^a / (1 - q^a) beyond the cutoff X, by q^X."""
+    return truncation_tv_bound(params) / -np.expm1(-params.beta * params.cutoff)
 
 
 SAMPLING_TV = 1e-12
 """Largest truncation TV distance a sampling census may leave."""
 
-
-def sampling_census(params: BoltzmannParams) -> IrrepCensus:
-    """Census wide enough to sample within SAMPLING_TV in TV.
-
-    The solver's census targets moment accuracy and is returned when it
-    already certifies the stricter truncation bound sampling needs;
-    otherwise the cutoff doubles until it certifies, as in `solve_saddle`."""
-    census = params.census
-    while truncation_tv_bound(params, census) > SAMPLING_TV:
-        census = enumerate_irreps(params.rank, 2 * census.max_dim)
-    return census
+REJECTION_ATTEMPT_FACTOR = 100.0  # attempt budget per sample, in expected attempts
 
 
-def _require_sampling_census(params, census):
-    if census.rank != params.rank:
-        raise ValueError(f"census rank {census.rank} != params rank {params.rank}")
-    tv = truncation_tv_bound(params, census)
+def sampling_params(params: BoltzmannParams) -> BoltzmannParams:
+    """params on a census wide enough to sample within SAMPLING_TV in TV: the
+    solver's census targets moment accuracy, so unless it already certifies
+    this stricter bound, its cutoff doubles until it does."""
+    while truncation_tv_bound(params) > SAMPLING_TV:
+        params = replace(params, census=enumerate_irreps(params.rank, 2 * params.cutoff))
+    return params
+
+
+def _require_sampling_census(params):
+    tv = truncation_tv_bound(params)
     if tv > SAMPLING_TV:
         raise ValueError(
-            f"census cutoff {census.max_dim} leaves truncation TV {tv:.3g} "
-            f"> {SAMPLING_TV:.3g}; enlarge the census")
+            f"census cutoff {params.cutoff} leaves truncation TV {tv:.3g} "
+            f"> {SAMPLING_TV:.3g}; widen it with sampling_params")
+    return params.census
 
 
 def _uniform_subsets(sizes, picks, rng):
@@ -276,8 +282,7 @@ def _class_rows(census, classes):
     return np.repeat(first - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())
 
 
-def boltzmann_sample(params: BoltzmannParams, census: IrrepCensus,
-                     rng: np.random.Generator) -> Representation:
+def boltzmann_sample(params: BoltzmannParams, rng: np.random.Generator) -> Representation:
     """One free (unconditioned) draw from the truncated product measure.
 
     Per dimension class, the number b of weights with nonzero multiplicity
@@ -289,7 +294,7 @@ def boltzmann_sample(params: BoltzmannParams, census: IrrepCensus,
     redraws all keys when one repeats within a class), and one geometric
     call, however many classes are hit.
     """
-    _require_sampling_census(params, census)
+    census = _require_sampling_census(params)
     m, rho, qm, one_minus = _term_arrays(census, params.beta)
     hits = rng.binomial(census.counts, qm)
     hit = np.flatnonzero(hits)
@@ -298,16 +303,15 @@ def boltzmann_sample(params: BoltzmannParams, census: IrrepCensus,
     return Representation.from_rows(census, _class_rows(census, hit)[chosen], values)
 
 
-def rejection_uniform_sample(params: BoltzmannParams, census: IrrepCensus,
-                             num_samples: int, rng: np.random.Generator,
-                             max_attempts: int | None = None) -> list:
+def rejection_uniform_sample(params: BoltzmannParams, num_samples: int,
+                             rng: np.random.Generator) -> list:
     """Exactly uniform representations of dimension n by rejection.
 
     Probabilistic divide-and-conquer (Arratia & DeSalvo 2016), deterministic
     second half.  Each attempt draws, per dimension class m >= 2, the class
     total c_m ~ NegBin(rho(m), 1 - q^m) (the sum of the rho(m) independent
     geometrics), sets k = n - sum m c_m, and is accepted when k >= 0 and
-    U < q^k with U uniform; the trivial module (the census's first class,
+    U < q^k with U uniform; the trivial module (params.census's first class,
     dimension 1) then takes multiplicity k.  Its own total is
     Geometric(1 - q), so accepted rows follow the product law conditioned on
     total n, and an attempt succeeds with probability P(T = n) / (1 - q).
@@ -318,19 +322,17 @@ def rejection_uniform_sample(params: BoltzmannParams, census: IrrepCensus,
     vectorized in batches; expected attempts per sample is about
     (1 - q) sqrt(2 pi sigma_n^2).
 
-    Raises RuntimeError when the attempt budget (default 100 times that
-    count, at least 100, per requested sample) is exhausted, and ValueError
-    for a census that does not start at the trivial module.
+    Raises RuntimeError when the attempt budget (REJECTION_ATTEMPT_FACTOR
+    times that count per requested sample) is exhausted, and ValueError for
+    a census that does not start at the trivial module.
     """
-    _require_sampling_census(params, census)
+    census = _require_sampling_census(params)
     if census.dims[0] != 1 or census.counts[0] != 1:
         raise ValueError("rejection sampling needs a census that starts at "
                          "the trivial module")
-    n = params.n
     expected = max(-math.expm1(-params.beta)
                    * math.sqrt(2.0 * math.pi * params.sigma2), 1.0)
-    if max_attempts is None:
-        max_attempts = int(math.ceil(100.0 * expected)) * num_samples
+    max_attempts = int(math.ceil(REJECTION_ATTEMPT_FACTOR * expected)) * num_samples
     m_vec = census.dims[1:]
     rho_vec = census.counts[1:]
     p_vec = -np.expm1(-params.beta * m_vec.astype(float))
@@ -343,7 +345,7 @@ def rejection_uniform_sample(params: BoltzmannParams, census: IrrepCensus,
                            32, max_rows))
         rows = min(rows, max(max_attempts - attempts, 1))
         mat = rng.negative_binomial(rho_vec, p_vec, size=(rows, len(m_vec)))
-        ks = n - mat @ m_vec
+        ks = params.n - mat @ m_vec
         u = rng.random(rows)
         accepted = (ks >= 0) & (u < np.exp(-params.beta * np.maximum(ks, 0)))
         for ridx in np.flatnonzero(accepted)[:num_samples - len(out)]:
@@ -363,78 +365,73 @@ def rejection_uniform_sample(params: BoltzmannParams, census: IrrepCensus,
 
 # ---- exact distribution curves under the product measure ----
 
-def _extremal_cdf(census, beta, keys, terms, ell):
+def _extremal_cdf(params, keys, terms, ell):
     """exp of the sum of terms over keys > ell, for a scalar ell or a 1-D
     array of them, with the shared truncation error of exact_prob_*_le."""
     ells = np.asarray(ell, dtype=float)
     if ells.ndim > 1:
         raise ValueError("ell must be a scalar or a 1-D array")
     values = [math.exp(float(np.sum(terms[keys > x]))) for x in np.atleast_1d(ells)]
-    t0 = _moment_err(census, beta, 0) / (-np.expm1(-beta * census.max_dim))
-    err = max(values) * -math.expm1(-t0)
+    err = max(values) * -math.expm1(-_tail_mean_bound(params))
     return (values[0] if ells.ndim == 0 else np.array(values)), err
 
 
-def exact_prob_max_dim_le(params: BoltzmannParams, census: IrrepCensus, ell):
+def exact_prob_max_dim_le(params: BoltzmannParams, ell):
     """(value, err): Q(largest used dimension <= ell), as
     prod over dims m > ell of (1 - q^m)^rho(m).  True value lies in
     [value - err, value].
 
     ell is a scalar or a 1-D array; an array gives an array of values from
-    one pass over the census, and err bounds every one of them."""
-    beta = params.beta
-    m, rho, qm, _ = _term_arrays(census, beta)
-    return _extremal_cdf(census, beta, m, rho * np.log1p(-qm), ell)
+    one pass over params.census, and err bounds every one of them."""
+    m, rho, qm, _ = _term_arrays(params.census, params.beta)
+    return _extremal_cdf(params, m, rho * np.log1p(-qm), ell)
 
 
-def exact_prob_height_le(params: BoltzmannParams, census: IrrepCensus, ell):
+def exact_prob_height_le(params: BoltzmannParams, ell):
     """(value, err): Q(largest weight height <= ell), the product of
     (1 - q^a) over all weights k with L(k - 1) > ell.  True value lies in
     [value - err, value].
 
     ell is a scalar or a 1-D array, as for exact_prob_max_dim_le."""
+    census = params.census
     h2 = twice_height(census.rank, census.weights - 1)
-    beta = params.beta
-    terms = np.log1p(-np.exp(-beta * census.dims.astype(float)))
+    terms = np.log1p(-np.exp(-params.beta * census.dims.astype(float)))
     # h2 is an exact integer, so h2 / 2 > ell exactly when h2 > 2 ell
-    return _extremal_cdf(census, beta, h2 / 2.0,
-                         np.repeat(terms, census.counts), ell)
+    return _extremal_cdf(params, h2 / 2.0, np.repeat(terms, census.counts), ell)
 
 
-def exact_expected_shape(params: BoltzmannParams, census: IrrepCensus, t):
+def exact_expected_shape(params: BoltzmannParams, t):
     """(value, err): E_Q[number of weights k with k_j >= t_j and X_k > 0
     counted with multiplicity], i.e. the expected shape functional
     sum q^a/(1-q^a) over the corner set.  True value in [value, value+err].
 
     t is one corner point (rank coordinates) or an (m, rank) array of
     corner points; an array gives an array of values from a single pass
-    over the census weights, and err bounds every one of them."""
+    over the weights of params.census, and err bounds every one of them."""
+    census = params.census
     t = np.asarray(t, dtype=float)
     if t.ndim not in (1, 2) or t.shape[-1] != census.rank:
         raise ValueError(f"corner point must have {census.rank} coordinates")
-    beta = params.beta
-    a = census.dims.astype(float)
-    terms = np.repeat(np.exp(-beta * a) / (-np.expm1(-beta * a)), census.counts)
-    K = census.weights
-    values = [float(np.sum(terms[np.all(K >= corner[None, :], axis=1)]))
+    _, _, qm, one_minus = _term_arrays(census, params.beta)
+    terms = np.repeat(qm / one_minus, census.counts)
+    values = [float(np.sum(terms[np.all(census.weights >= corner[None, :], axis=1)]))
               for corner in np.atleast_2d(t)]
-    t0 = _moment_err(census, beta, 0) / (-np.expm1(-beta * census.max_dim))
-    return (values[0] if t.ndim == 1 else np.array(values)), t0
+    return (values[0] if t.ndim == 1 else np.array(values)), _tail_mean_bound(params)
 
 
-def exact_count_mgf(params: BoltzmannParams, census: IrrepCensus, u: float):
+def exact_count_mgf(params: BoltzmannParams, u: float):
     """(value, err): E_Q[exp(u s^nu N)] with N the number of irreducible
     components, as prod (1-q^m)/(1-q^m e^{u s^nu}).  Defined for |u| < 1."""
     if not -1.0 < u < 1.0:
         raise ValueError(f"mgf argument must lie in (-1, 1), got {u}")
     beta = params.beta
-    m, rho, qm, one_minus = _term_arrays(census, beta)
+    m, rho, qm, one_minus = _term_arrays(params.census, beta)
     shifted = qm * math.exp(u * beta)
     if np.any(shifted >= 1.0):
         raise ValueError("mgf undefined: e^{u s^nu} q^m reaches 1 on the census")
     logs = float(np.sum(rho * (np.log1p(-qm) - np.log1p(-shifted))))
-    edge = math.exp(-beta * census.max_dim) * math.exp(abs(u) * beta)
+    edge = math.exp(-beta * params.cutoff) * math.exp(abs(u) * beta)
     t_u = (abs(u) * beta * math.exp(abs(u) * beta) / (1.0 - edge)
-           * weighted_tail_bound(census, beta, 0))
+           * truncation_tv_bound(params))
     value = math.exp(logs)
     return value, value * math.expm1(t_u)

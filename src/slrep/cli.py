@@ -29,7 +29,7 @@ from . import _IMPORT_STARTED, __version__
 from .boltzmann import (
     boltzmann_sample,
     rejection_uniform_sample,
-    sampling_census,
+    sampling_params,
     solve_saddle,
     truncation_tv_bound,
 )
@@ -215,17 +215,15 @@ def _cmd_sample(args, started):
             lines.append(json.dumps(_sample_record(i, rep), sort_keys=True))
         extra = {"truncation_tv_bound": 0.0}
     else:
-        params = solve_saddle(args.rank, args.n)
-        census = sampling_census(params)
+        params = sampling_params(solve_saddle(args.rank, args.n))
         for i in range(args.samples):
             rng = np.random.default_rng(np.random.SeedSequence((args.seed, i)))
             if args.mode == "boltzmann":
-                rep = boltzmann_sample(params, census, rng)
+                rep = boltzmann_sample(params, rng)
             else:
-                rep = rejection_uniform_sample(params, census, 1, rng)[0]
+                rep = rejection_uniform_sample(params, 1, rng)[0]
             lines.append(json.dumps(_sample_record(i, rep), sort_keys=True))
-        extra = {"truncation_tv_bound": truncation_tv_bound(params, census),
-                 "saddle_s": params.s}
+        extra = {"truncation_tv_bound": truncation_tv_bound(params), "saddle_s": params.s}
     results = {"samples": args.samples, "mode": args.mode, **extra}
     return _emit(args, started, results, "\n".join(lines) + "\n")
 
@@ -314,7 +312,7 @@ def _cmd_verify_weyl(args, started):
         "violations": report.violations,
     }
     if args.rank == 2:
-        ladder = appendix_window_check(args.N, args.eps, thetas, grid_note=note)
+        ladder = appendix_window_check(args.N, args.eps, thetas)
         results["ladder"] = {
             "pass": ladder.passed,
             "window_bound": ladder.ladder_bound,

@@ -48,8 +48,9 @@ is the box size minus a weighted bincount of that set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -364,8 +365,7 @@ class AppendixReport:
                 and not np.any(self.run_follow_violations))
 
 
-def appendix_window_check(box_size: int, epsilon: float, thetas,
-                          grid_note: str = "caller-supplied") -> AppendixReport:
+def appendix_window_check(box_size: int, epsilon: float, thetas) -> AppendixReport:
     """Check the two ladder steps of the rank-2 box-window count.
 
     The box count itself (at least N^2 / 32 points of the box N <= k <= 3N,
@@ -517,6 +517,14 @@ _STATISTICS = ("D", "H", "mult", "shape", "mgf")
 SHAPE_REL_ERR = 1e-6
 
 
+@cache
+def _mgf_limit(r, us):
+    """Read-only (limit, limit_err) of the mgf report on the u-grid tuple us."""
+    limit, limit_err = count_mgf(r, np.array(us), enumerate_irreps(r, _MGF_LIMIT_MAX_DIM))
+    limit.flags.writeable = limit_err.flags.writeable = False
+    return limit, limit_err
+
+
 def compare_exact_to_limit(r: int, n: int, which: str, *,
                            params: BoltzmannParams | None = None,
                            t_grid=None, u_grid=None, k=None) -> LimitGapReport:
@@ -532,11 +540,10 @@ def compare_exact_to_limit(r: int, n: int, which: str, *,
     transformed-count mgf against the limit product on a u-grid.
 
     D and H raise ValueError when n is too small for their normalizer (NaN
-    center or scale).  D, H and mgf read the census the saddle was certified
-    on.  The shape report needs a census that reaches every corner: it
-    doubles its cutoff until the certified truncation error is at most
-    SHAPE_REL_ERR of the exact value at every corner, as `solve_saddle`
-    does, so only the census cap (BudgetError) ends the loop.  Before the
+    center or scale).  D, H and mgf read params.census.  The shape report
+    widens it to reach every corner, doubling the cutoff until the certified
+    truncation error is at most SHAPE_REL_ERR of the exact value at every
+    corner, so only the census cap (BudgetError) ends the loop.  Before the
     saddle is solved, shape raises NotImplementedError above rank 3, where
     W_t is unknown, and mgf raises ValueError at rank 1, where the limit
     product diverges.
@@ -551,7 +558,6 @@ def compare_exact_to_limit(r: int, n: int, which: str, *,
                          "need rank >= 2")
     if params is None:
         params = solve_saddle(r, n)
-    census = params.census
     constants = compute_constants(r, n, s=params.s)
     s = params.s
 
@@ -566,7 +572,7 @@ def compare_exact_to_limit(r: int, n: int, which: str, *,
         if not (math.isfinite(center) and math.isfinite(scale)):
             raise ValueError(f"n = {n} is too small for the {which} normalizer "
                              f"at rank {r} (center {center}, scale {scale})")
-        exact, err = prob(params, census, center + scale * xs)
+        exact, err = prob(params, center + scale * xs)
         limit = gumbel_cdf(xs)
         gap = float(np.max(np.abs(exact - limit)))
         return LimitGapReport(which, r, n, xs, exact, limit, gap, False, err,
@@ -593,8 +599,8 @@ def compare_exact_to_limit(r: int, n: int, which: str, *,
         far = math.ceil(float(corners.max()))
         cutoff = max(params.cutoff, 2 * dim_irrep(r, (far,) * r))
         while True:
-            census = enumerate_irreps(r, cutoff)
-            values, err = exact_expected_shape(params, census, corners)
+            wide = replace(params, census=enumerate_irreps(r, cutoff))
+            values, err = exact_expected_shape(wide, corners)
             if err <= SHAPE_REL_ERR * float(values.min()):
                 break
             cutoff *= 2
@@ -611,9 +617,8 @@ def compare_exact_to_limit(r: int, n: int, which: str, *,
 
     # which == "mgf"
     us = np.asarray(_MGF_GRID if u_grid is None else u_grid, dtype=float)
-    exact, exact_err = np.array(
-        [exact_count_mgf(params, census, float(u)) for u in us]).T
-    limit, limit_err = count_mgf(r, us, enumerate_irreps(r, _MGF_LIMIT_MAX_DIM))
+    exact, exact_err = np.array([exact_count_mgf(params, float(u)) for u in us]).T
+    limit, limit_err = _mgf_limit(r, tuple(us.tolist()))
     gap = float(np.max(np.abs(exact - limit)))
     return LimitGapReport(
         which, r, n, us, exact, limit, gap, False, float(exact_err.max()),

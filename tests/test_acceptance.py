@@ -24,7 +24,7 @@ from scipy.stats import chi2_contingency, chisquare
 from slrep.boltzmann import (
     rejection_uniform_sample,
     boltzmann_sample,
-    sampling_census,
+    sampling_params,
     solve_saddle,
 )
 from slrep.census import cumulative_count, enumerate_irreps, region_volume
@@ -192,11 +192,10 @@ def _criterion_4_draws():
     dp_rng = random.Random(SEED)
     dp = [canonical(uniform_sample(table, 10, dp_rng)) for _ in range(100_000)]
 
-    params = solve_saddle(2, 10)
-    census = sampling_census(params)
+    params = sampling_params(solve_saddle(2, 10))
     rej_rng = np.random.default_rng(SEED)
     rej = [canonical(rep)
-           for rep in rejection_uniform_sample(params, census, 20_000, rej_rng)]
+           for rep in rejection_uniform_sample(params, 20_000, rej_rng)]
 
     blob = json.dumps({"dp": [[list(k), c] for key in dp for k, c in key],
                        "rejection": [[list(k), c] for key in rej for k, c in key]},
@@ -284,12 +283,11 @@ def test_criterion_6_limit_laws_exact_route(criterion_report):
 def _criterion_7_sample():
     """Normalized largest-dimension sample at (r=2, n=1e5) plus raw bytes."""
     n = 10**5
-    params = solve_saddle(2, n)
-    census = sampling_census(params)
+    params = sampling_params(solve_saddle(2, n))
     rng = np.random.default_rng(SEED)
     raws = []
     for _ in range(5000):
-        rep = boltzmann_sample(params, census, rng)
+        rep = boltzmann_sample(params, rng)
         raws.append(stat_max_dim(rep) if rep.num_irreps() else 0)
     blob = json.dumps(raws, separators=(",", ":")).encode()
     constants = compute_constants(2, n, s=params.s)
@@ -339,7 +337,7 @@ def test_criterion_8_weyl_window_bounds(criterion_report):
         random_t, adversarial_t = theta_grid(2, box, eps,
                                              num_random=10_000, seed=99)
         thetas = np.unique(np.concatenate([random_t, adversarial_t]))
-        report = appendix_window_check(box, eps, thetas, "acceptance")
+        report = appendix_window_check(box, eps, thetas)
         if not report.passed:
             failures.append(f"box-window ladder violated at N={box}")
 

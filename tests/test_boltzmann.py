@@ -1,6 +1,7 @@
 """Boltzmann calibration, samplers, and exact product-law distributions."""
 
 import dataclasses
+import inspect
 import math
 import random
 from collections import Counter
@@ -23,7 +24,7 @@ from slrep.boltzmann import (
     exact_prob_max_dim_le,
     expected_dim,
     rejection_uniform_sample,
-    sampling_census,
+    sampling_params,
     solve_saddle,
     truncation_tv_bound,
     variance_dim,
@@ -51,7 +52,7 @@ def test_moments_match_high_precision_sums(r):
     census = enumerate_irreps(r, 200)
     q = 0.5
     for fn, p in ((expected_dim, 1), (variance_dim, 2)):
-        value, err = fn(r, q, census)
+        value, err = fn(q, census)
         assert value == pytest.approx(mp_moment(census, q, p), rel=1e-12)
         assert 0.0 <= err < 1e-30  # at q = 1/2 the tail beyond 200 is ~ 2^-200
 
@@ -61,7 +62,7 @@ def test_rank_one_expectation_against_full_series():
     # is directly summable to high precision
     census = enumerate_irreps(1, 400)
     q = 0.5
-    value, err = expected_dim(1, q, census)
+    value, err = expected_dim(q, census)
     with mp.workdps(40):
         full = float(mp.nsum(lambda m: m * mp.mpf(q) ** m / (1 - mp.mpf(q) ** m),
                              [1, mp.inf]))
@@ -72,7 +73,7 @@ def test_moment_q_validation():
     census = enumerate_irreps(2, 50)
     for bad in (0.0, 1.0, -0.2, 1.7):
         with pytest.raises(ValueError):
-            expected_dim(2, bad, census)
+            expected_dim(bad, census)
 
 
 @pytest.mark.parametrize("r,n", [(1, 100), (2, 100), (2, 10_000), (3, 1000)])
@@ -84,7 +85,7 @@ def test_solve_saddle_certifies_target(r, n):
     assert params.sigma2 > 0.0
     # recheck the calibration on a census twice as wide
     wide = enumerate_irreps(r, 2 * params.cutoff)
-    value, err = expected_dim(r, params.q, wide)
+    value, err = expected_dim(params.q, wide)
     assert abs(value - n) <= 1e-8 * n + err
 
 
@@ -154,7 +155,7 @@ def test_solve_saddle_keeps_its_census():
         census = params.census
         assert census.rank == r and census.max_dim == params.cutoff
         assert params.cutoff == default_cutoff(r, n) * (1 if r == 2 else 2)
-        value, err = expected_dim(r, params.q, census)
+        value, err = expected_dim(params.q, census)
         assert err == pytest.approx(params.tail_bound, rel=1e-9)
         assert abs(value - n) <= params.solver_tol * n
     with pytest.raises(ValueError):
@@ -170,7 +171,7 @@ def test_solve_saddle_certifies_high_ranks(r):
     # exists, and is doubled too.
     for n in (1, 10**3, 10**6, 10**9):
         params = solve_saddle(r, n)
-        value, err = expected_dim(r, params.q, params.census)
+        value, err = expected_dim(params.q, params.census)
         assert params.census.max_dim * params.beta >= 1.0
         assert err == pytest.approx(params.tail_bound, rel=1e-9)
         assert err <= params.solver_tol * n / 2.0
@@ -193,7 +194,7 @@ def test_solve_saddle_rejects_unreachable_tolerance(monkeypatch, tol):
 
 def test_solve_saddle_accepts_the_tolerance_floor():
     params = solve_saddle(3, 1000, tol=1e-12)
-    value, err = expected_dim(3, params.q, params.census)
+    value, err = expected_dim(params.q, params.census)
     assert err + abs(value - 1000) <= 1e-12 * 1000
 
 
@@ -203,41 +204,58 @@ def test_default_cutoff_grows_with_target():
     assert cuts[0] >= 8
 
 
-def test_sampling_census_certifies_truncation():
-    # the saddle's census is returned when it already certifies the bound
+def test_sampling_params_certify_truncation():
+    # the saddle's params are returned when their census certifies the bound
     params = solve_saddle(2, 10**8)
-    assert truncation_tv_bound(params, params.census) <= 1e-12
-    assert sampling_census(params) is params.census
+    assert truncation_tv_bound(params) <= 1e-12
+    assert sampling_params(params) is params
     # at n = 300 it does not, and the cutoff doubles once (537 -> 1074)
     params = solve_saddle(2, 300)
-    census = sampling_census(params)
-    assert truncation_tv_bound(params, params.census) > 1e-12
-    assert census.max_dim == 2 * params.cutoff
-    assert truncation_tv_bound(params, census) <= 1e-12
+    sampling = sampling_params(params)
+    assert truncation_tv_bound(params) > 1e-12
+    assert sampling.cutoff == 2 * params.cutoff
+    assert truncation_tv_bound(sampling) <= 1e-12
+    # only the census changes: q, s, beta, sigma2 and tail_bound stay
+    assert sampling == params
     # widening the census can only shrink the bound
-    wide = enumerate_irreps(2, 2 * census.max_dim)
-    assert truncation_tv_bound(params, wide) <= truncation_tv_bound(params, census)
+    wide = dataclasses.replace(params, census=enumerate_irreps(2, 2 * sampling.cutoff))
+    assert truncation_tv_bound(wide) <= truncation_tv_bound(sampling)
 
 
 def test_boltzmann_sampler_requires_coverage():
     params = solve_saddle(2, 300)
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        boltzmann_sample(params, params.census, rng)
+        boltzmann_sample(params, rng)
     with pytest.raises(ValueError):
-        boltzmann_sample(params, enumerate_irreps(2, 20), rng)
+        boltzmann_sample(dataclasses.replace(params, census=enumerate_irreps(2, 20)), rng)
+
+
+def test_params_carry_the_only_census():
+    # every public function of the Boltzmann layer that takes the params
+    # reads the census from them, never from a second argument
+    takers = [fn for name, fn in vars(slrep.boltzmann).items()
+              if inspect.isfunction(fn) and not name.startswith("_")
+              and fn.__module__ == "slrep.boltzmann"
+              and "params" in inspect.signature(fn).parameters]
+    assert len(takers) >= 8
+    for fn in takers:
+        assert "census" not in inspect.signature(fn).parameters, fn.__name__
+    # the params refuse a census of another rank
+    params = solve_saddle(2, 300)
+    with pytest.raises(ValueError, match="census rank 3 != params rank 2"):
+        dataclasses.replace(params, census=enumerate_irreps(3, 50))
 
 
 def _boltzmann_draws(n, num, seed):
-    params = solve_saddle(2, n)
-    census = sampling_census(params)
+    params = sampling_params(solve_saddle(2, n))
     rng = np.random.default_rng(seed)
-    return params, census, [boltzmann_sample(params, census, rng) for _ in range(num)]
+    return params, [boltzmann_sample(params, rng) for _ in range(num)]
 
 
 def test_boltzmann_marginals_match_product_law():
     num = 4000
-    params, census, reps = _boltzmann_draws(300, num, seed=21)
+    params, reps = _boltzmann_draws(300, num, seed=21)
     q = params.q
 
     # multiplicity of the dimension-1 weight is geometric with mean q/(1-q)
@@ -255,7 +273,8 @@ def test_boltzmann_within_class_law():
     # the class of dimension 15 holds four weights; under the product law each
     # is occupied with probability q^15, independently of the others
     num = 4000
-    params, census, reps = _boltzmann_draws(300, num, seed=26)
+    params, reps = _boltzmann_draws(300, num, seed=26)
+    census = params.census
     cls = int(np.flatnonzero(census.dims == 15)[0])
     weights = [tuple(w) for w in census.weights[
         census.cumulative[cls] - census.counts[cls]:census.cumulative[cls]].tolist()]
@@ -276,9 +295,9 @@ def test_boltzmann_within_class_law():
 
 def test_exact_max_dim_distribution_against_monte_carlo():
     num = 4000
-    params, census, reps = _boltzmann_draws(300, num, seed=22)
+    params, reps = _boltzmann_draws(300, num, seed=22)
     for ell in (10, 40, 160):
-        value, err = exact_prob_max_dim_le(params, census, ell)
+        value, err = exact_prob_max_dim_le(params, ell)
         empirical = sum(1 for rep in reps if not rep.num_irreps()
                         or stat_max_dim(rep) <= ell) / num
         sigma = math.sqrt(max(value * (1.0 - value), 1e-12) / num)
@@ -287,9 +306,9 @@ def test_exact_max_dim_distribution_against_monte_carlo():
 
 def test_exact_height_distribution_against_monte_carlo():
     num = 4000
-    params, census, reps = _boltzmann_draws(300, num, seed=23)
+    params, reps = _boltzmann_draws(300, num, seed=23)
     for ell in (1.0, 4.0, 12.0):
-        value, err = exact_prob_height_le(params, census, ell)
+        value, err = exact_prob_height_le(params, ell)
         empirical = sum(1 for rep in reps if not rep.num_irreps()
                         or stat_height(rep) <= ell) / num
         sigma = math.sqrt(max(value * (1.0 - value), 1e-12) / num)
@@ -297,21 +316,20 @@ def test_exact_height_distribution_against_monte_carlo():
 
 
 def test_exact_prob_anchors():
-    params = solve_saddle(2, 300)
-    census = sampling_census(params)
-    assert exact_prob_max_dim_le(params, census, census.max_dim)[0] == 1.0
-    value, _ = exact_prob_max_dim_le(params, census, 0)
+    params = sampling_params(solve_saddle(2, 300))
+    assert exact_prob_max_dim_le(params, params.cutoff)[0] == 1.0
+    value, _ = exact_prob_max_dim_le(params, 0)
     assert 0.0 < value < 1.0  # probability of the empty representation
 
 
 def test_exact_prob_height_matches_direct_product():
-    params = solve_saddle(2, 300)
-    census = sampling_census(params)
+    params = sampling_params(solve_saddle(2, 300))
+    census = params.census
     dims = np.repeat(census.dims, census.counts)
     # L(k - 1) = (2 (k_1 - 1) + 2 (k_2 - 1)) / 2 at rank 2, weight by weight
     heights = [float(k1 + k2 - 2) for k1, k2 in census.weights.tolist()]
     for ell in (0.0, 1.5, 4.0, 12.0):
-        value, _ = exact_prob_height_le(params, census, ell)
+        value, _ = exact_prob_height_le(params, ell)
         direct = math.fsum(math.log1p(-params.q ** int(a))
                            for a, h in zip(dims, heights) if h > ell)
         assert value == pytest.approx(math.exp(direct), rel=1e-12)
@@ -319,37 +337,36 @@ def test_exact_prob_height_matches_direct_product():
 
 @pytest.mark.parametrize("prob", [exact_prob_max_dim_le, exact_prob_height_le])
 def test_exact_prob_grid_equals_pointwise_calls(prob):
-    params = solve_saddle(2, 300)
-    census = sampling_census(params)
+    params = sampling_params(solve_saddle(2, 300))
     ells = np.array([0.0, 1.5, 4.0, 12.0, 40.0, 160.0])
-    values, err = prob(params, census, ells)
-    pointwise = [prob(params, census, float(ell)) for ell in ells]
+    values, err = prob(params, ells)
+    pointwise = [prob(params, float(ell)) for ell in ells]
     assert values.tolist() == [value for value, _ in pointwise]
     assert err == max(e for _, e in pointwise)
     with pytest.raises(ValueError):
-        prob(params, census, ells.reshape(2, 3))
+        prob(params, ells.reshape(2, 3))
 
 
 def test_exact_expected_shape_matches_direct_sum():
-    params = solve_saddle(2, 300)
-    census = sampling_census(params)
+    params = sampling_params(solve_saddle(2, 300))
+    census = params.census
     dims, K = np.repeat(census.dims, census.counts), census.weights
     for t in ((1.0, 1.0), (2.0, 3.0), (5.5, 1.5)):
-        value, err = exact_expected_shape(params, census, t)
+        value, err = exact_expected_shape(params, t)
         direct = math.fsum(
             params.q ** int(a) / (1.0 - params.q ** int(a))
             for a, k in zip(dims, K) if k[0] >= t[0] and k[1] >= t[1])
         assert value == pytest.approx(direct, rel=1e-10)
         assert err >= 0.0
     with pytest.raises(ValueError):
-        exact_expected_shape(params, census, (1.0, 1.0, 1.0))
+        exact_expected_shape(params, (1.0, 1.0, 1.0))
 
 
 def test_exact_shape_against_monte_carlo():
     num = 4000
-    params, census, reps = _boltzmann_draws(300, num, seed=24)
+    params, reps = _boltzmann_draws(300, num, seed=24)
     t = (2.0, 2.0)
-    value, err = exact_expected_shape(params, census, t)
+    value, err = exact_expected_shape(params, t)
     counts = [sum(x for k, x in rep.components() if k[0] >= 2 and k[1] >= 2)
               for rep in reps]
     mean = sum(counts) / num
@@ -358,20 +375,19 @@ def test_exact_shape_against_monte_carlo():
 
 
 def test_exact_count_mgf_basics():
-    params = solve_saddle(2, 300)
-    census = sampling_census(params)
-    value, err = exact_count_mgf(params, census, 0.0)
+    params = sampling_params(solve_saddle(2, 300))
+    value, err = exact_count_mgf(params, 0.0)
     assert value == 1.0 and err >= 0.0
     for bad in (-1.0, 1.0, 2.0):
         with pytest.raises(ValueError):
-            exact_count_mgf(params, census, bad)
+            exact_count_mgf(params, bad)
 
 
 def test_exact_count_mgf_against_monte_carlo():
     num = 4000
-    params, census, reps = _boltzmann_draws(300, num, seed=25)
+    params, reps = _boltzmann_draws(300, num, seed=25)
     u = -0.4  # negative side keeps the Monte Carlo average light-tailed
-    value, err = exact_count_mgf(params, census, u)
+    value, err = exact_count_mgf(params, u)
     vals = [math.exp(u * params.beta * rep.num_irreps()) for rep in reps]
     mean = sum(vals) / num
     spread = math.sqrt(sum((v - mean) ** 2 for v in vals) / (num - 1) / num)
@@ -379,10 +395,9 @@ def test_exact_count_mgf_against_monte_carlo():
 
 
 def test_rejection_sampler_totals_and_agreement_with_dp():
-    params = solve_saddle(2, 10)
-    census = sampling_census(params)
+    params = sampling_params(solve_saddle(2, 10))
     rng = np.random.default_rng(31)
-    reps = rejection_uniform_sample(params, census, 2000, rng)
+    reps = rejection_uniform_sample(params, 2000, rng)
     assert len(reps) == 2000
     assert all(rep.total_dim() == 10 for rep in reps)
 
@@ -400,21 +415,21 @@ def test_rejection_sampler_totals_and_agreement_with_dp():
     assert pvalue > 1e-3
 
 
-def test_rejection_sampler_attempt_budget():
-    params = solve_saddle(2, 10)
-    census = sampling_census(params)
+def test_rejection_sampler_attempt_budget(monkeypatch):
+    params = sampling_params(solve_saddle(2, 10))
     rng = np.random.default_rng(33)
+    # a budget of one attempt per requested sample
+    monkeypatch.setattr(slrep.boltzmann, "REJECTION_ATTEMPT_FACTOR", 1e-9)
     with pytest.raises(RuntimeError):
-        rejection_uniform_sample(params, census, 50, rng, max_attempts=1)
+        rejection_uniform_sample(params, 50, rng)
 
 
 def test_rejection_sampler_is_uniform_at_rank_three():
     # 16 representations of dimension 12 at rank 3, 1000 expected draws each
     n = 12
-    params = solve_saddle(3, n)
-    census = sampling_census(params)
+    params = sampling_params(solve_saddle(3, n))
     rng = np.random.default_rng(34)
-    reps = rejection_uniform_sample(params, census, 16_000, rng)
+    reps = rejection_uniform_sample(params, 16_000, rng)
     seen = Counter(tuple(rep.components()) for rep in reps)
     assert len(seen) == count_representations(3, n).counts[n] == 16
     _, pvalue = chisquare(list(seen.values()))
@@ -423,12 +438,11 @@ def test_rejection_sampler_is_uniform_at_rank_three():
 
 def test_rejection_sampler_fills_the_trivial_weight():
     n = 2000
-    params = solve_saddle(2, n)
-    census = sampling_census(params)
-    trivial = tuple(census.weights[0].tolist())
+    params = sampling_params(solve_saddle(2, n))
+    trivial = tuple(params.census.weights[0].tolist())
     assert trivial == (1, 1)
     rng = np.random.default_rng(35)
-    reps = rejection_uniform_sample(params, census, 200, rng)
+    reps = rejection_uniform_sample(params, 200, rng)
     for rep in reps:
         mult = dict(rep.components())
         rest = sum(dim_irrep(2, k) * c for k, c in mult.items() if k != trivial)
@@ -437,14 +451,15 @@ def test_rejection_sampler_fills_the_trivial_weight():
 
 
 def test_rejection_sampler_refuses_census_without_trivial_class():
-    params = solve_saddle(2, 30)
-    census = sampling_census(params)
+    params = sampling_params(solve_saddle(2, 30))
+    census = params.census
     cut = dataclasses.replace(census, dims=census.dims[1:],
                               counts=census.counts[1:],
                               cumulative=census.cumulative[1:] - 1,
                               weights=census.weights[1:])
     with pytest.raises(ValueError):
-        rejection_uniform_sample(params, cut, 1, np.random.default_rng(36))
+        rejection_uniform_sample(dataclasses.replace(params, census=cut), 1,
+                                 np.random.default_rng(36))
 
 
 class _CountingRng:
@@ -521,19 +536,18 @@ def test_uniform_subsets_redraw_a_repeated_key():
 def test_sampler_generator_calls_do_not_grow_with_classes():
     per_draw = []
     for n in (300, 10**6):
-        params = solve_saddle(2, n)
-        census = sampling_census(params)
+        params = sampling_params(solve_saddle(2, n))
         rng = _CountingRng(np.random.default_rng(44))
         for _ in range(3):
-            boltzmann_sample(params, census, rng)
+            boltzmann_sample(params, rng)
         per_draw.append(rng.calls.total() / 3)
     assert per_draw[0] == per_draw[1] == 3
 
     # rejection: two calls per batch of attempts, one per accepted sample
-    params = solve_saddle(2, 10**4)
-    census = sampling_census(params)
+    params = sampling_params(solve_saddle(2, 10**4))
+    census = params.census
     rng = _CountingRng(np.random.default_rng(45))
-    reps = rejection_uniform_sample(params, census, 8, rng)
+    reps = rejection_uniform_sample(params, 8, rng)
     batches = rng.calls["negative_binomial"]
     assert rng.calls["random"] == batches
     assert rng.calls["integers"] == len(reps) == 8

@@ -14,6 +14,7 @@ import pytest
 
 import slrep
 import slrep.census
+import slrep.verify
 import slrep.weights
 from slrep.cli import main
 from slrep.weights import dim_irrep
@@ -200,6 +201,9 @@ CENSUS_BUILDS = {
     "dist-H": (("dist", "--rank", "2", "--n", "1000000", "--stat", "H"), 1),
     "dist-mgf": (("dist", "--rank", "2", "--n", "1000000", "--stat", "mgf"), 2),
     "dist-shape": (("dist", "--rank", "2", "--n", "1000000", "--stat", "shape"), 2),
+    # one saddle census per grid point, one limit-product census for all
+    "limits-mgf-grid": (("verify", "limits", "--rank", "2", "--stat", "mgf",
+                         "--n-grid", "10000,100000,1000000"), 4),
 }
 
 
@@ -218,6 +222,8 @@ def test_census_builds_per_command(capsys, monkeypatch, label):
         if (name == "slrep" or name.startswith("slrep.")) and \
                 getattr(module, "enumerate_irreps", None) is original:
             monkeypatch.setattr(module, "enumerate_irreps", counted)
+    # each CLI process starts without the limit products of earlier tests
+    slrep.verify._mgf_limit.cache_clear()
     code, _, _ = run_cli(capsys, *argv)
     assert code == 0
     assert len(calls) == expected, calls

@@ -292,7 +292,7 @@ def test_ladder_flags_and_runs_against_python_integers():
     longest, follow = run_structure(edge)
     windows = [box - sum(edge[s:s + box]) for s in range(2 * box + 1)]
 
-    report = appendix_window_check(box, eps, np.array([theta]), "pin")
+    report = appendix_window_check(box, eps, np.array([theta]))
     assert report.run_thetas.tolist() == [theta]
     assert int(report.run_max_lengths[0]) == longest == 1
     assert not follow and not report.run_follow_violations[0]
@@ -319,7 +319,7 @@ def test_ladder_run_structure_against_a_direct_scan(monkeypatch):
 
     monkeypatch.setattr("slrep.verify._window_blocks", blocks)
     thetas = np.linspace(eps / box, 0.5 - eps / box, 200)
-    report = appendix_window_check(box, eps, thetas, "stand-in")
+    report = appendix_window_check(box, eps, thetas)
     assert report.run_thetas.size == 200
     for i, edge in enumerate(edges.tolist()):
         longest, follow = run_structure(edge)
@@ -363,7 +363,7 @@ def test_appendix_check_passes_and_reports_structure():
     eps = 1.0 / 32.0
     random_t, adversarial_t = theta_grid(2, 8, eps, num_random=300, seed=2)
     thetas = np.unique(np.concatenate([random_t, adversarial_t]))
-    report = appendix_window_check(8, eps, thetas, "unit test grid")
+    report = appendix_window_check(8, eps, thetas)
     assert report.passed
     assert report.ladder_bound == 8.0 / 8.0
     assert report.run_length_bound == 8.0 / 2.0 + 1.0
