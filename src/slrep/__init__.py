@@ -62,10 +62,7 @@ from .limits import (
     zeta,
 )
 from .stats import (
-    STAT_NAMES,
-    StatSample,
     default_shape_grid,
-    normalize,
     stat_height,
     stat_max_dim,
     stat_multiplicity,

@@ -37,7 +37,7 @@ from itertools import count
 
 import numpy as np
 
-from .census import IrrepCensus, enumerate_irreps, weighted_tail_bound
+from .census import _U, IrrepCensus, enumerate_irreps, weighted_tail_bound
 from .exact_count import Representation
 from .limits import asymptotic_saddle
 from .weights import degree, twice_height
@@ -364,74 +364,126 @@ def rejection_uniform_sample(params: BoltzmannParams, num_samples: int,
 
 
 # ---- exact distribution curves under the product measure ----
+#
+# Each curve's err also bounds its float rounding, against the exact value
+# at the float beta.  Every exp, expm1 and log1p is taken to be within one
+# ulp (2u relative, u the unit roundoff), every other operation within u.
+# fl(beta m) and its exp put (beta m + 2)u on q^m, and log1p(-x) moves by
+# x / (1 - x) per unit relative change of x.  A sum of k terms in any order
+# is within (k - 1)u of their summed magnitudes.  The extra u here and there
+# covers the float evaluation of the bounds themselves.
 
-def _extremal_cdf(params, keys, terms, ell):
+def _log_factors(params):
+    """(m, rho, log(1 - q^m), slack) per census class: slack bounds the
+    rounding of rho log1p(-q^m), and is (beta m + 6)u q^m / (1 - q^m) per
+    weight (the error of q^m, log1p's own 2u of |log(1 - q^m)|, which is at
+    most q^m / (1 - q^m), and the product by rho)."""
+    m, rho, qm, one_minus = _term_arrays(params.census, params.beta)
+    return m, rho, np.log1p(-qm), (params.beta * m + 6.0) * _U * qm / one_minus
+
+
+def _extremal_cdf(params, keys, terms, slack, ell):
     """exp of the sum of terms over keys > ell, for a scalar ell or a 1-D
-    array of them, with the shared truncation error of exact_prob_*_le."""
+    array of them, with the err shared by exact_prob_*_le: the largest,
+    over the values, of the census truncation (which only lowers the true
+    value) plus the rounding, which is the slack of the summed terms,
+    (k - 1)u of the magnitude of a sum of k terms, and 2u of exp."""
     ells = np.asarray(ell, dtype=float)
     if ells.ndim > 1:
         raise ValueError("ell must be a scalar or a 1-D array")
-    values = [math.exp(float(np.sum(terms[keys > x]))) for x in np.atleast_1d(ells)]
-    err = max(values) * -math.expm1(-_tail_mean_bound(params))
-    return (values[0] if ells.ndim == 0 else np.array(values)), err
+    truncation = -math.expm1(-_tail_mean_bound(params))
+    values, errs = [], []
+    for x in np.atleast_1d(ells):
+        above = keys > x
+        total = float(np.sum(terms[above]))
+        value = math.exp(total)
+        drift = (float(np.sum(slack[above]))
+                 - (np.count_nonzero(above) - 1) * _U * total)
+        values.append(value)
+        errs.append(value * (truncation + math.expm1(drift) + 3.0 * _U))
+    return (values[0] if ells.ndim == 0 else np.array(values)), max(errs)
 
 
 def exact_prob_max_dim_le(params: BoltzmannParams, ell):
     """(value, err): Q(largest used dimension <= ell), as
-    prod over dims m > ell of (1 - q^m)^rho(m).  True value lies in
-    [value - err, value].
+    prod over dims m > ell of (1 - q^m)^rho(m).  The true value lies within
+    err of value.
 
     ell is a scalar or a 1-D array; an array gives an array of values from
     one pass over params.census, and err bounds every one of them."""
-    m, rho, qm, _ = _term_arrays(params.census, params.beta)
-    return _extremal_cdf(params, m, rho * np.log1p(-qm), ell)
+    m, rho, logs, slack = _log_factors(params)
+    return _extremal_cdf(params, m, rho * logs, rho * slack, ell)
 
 
 def exact_prob_height_le(params: BoltzmannParams, ell):
     """(value, err): Q(largest weight height <= ell), the product of
-    (1 - q^a) over all weights k with L(k - 1) > ell.  True value lies in
-    [value - err, value].
+    (1 - q^a) over all weights k with L(k - 1) > ell.  The true value lies
+    within err of value.
 
     ell is a scalar or a 1-D array, as for exact_prob_max_dim_le."""
     census = params.census
     h2 = twice_height(census.rank, census.weights - 1)
-    terms = np.log1p(-np.exp(-params.beta * census.dims.astype(float)))
+    _, _, logs, slack = _log_factors(params)
     # h2 is an exact integer, so h2 / 2 > ell exactly when h2 > 2 ell
-    return _extremal_cdf(params, h2 / 2.0, np.repeat(terms, census.counts), ell)
+    return _extremal_cdf(params, h2 / 2.0, np.repeat(logs, census.counts),
+                         np.repeat(slack, census.counts), ell)
 
 
 def exact_expected_shape(params: BoltzmannParams, t):
     """(value, err): E_Q[number of weights k with k_j >= t_j and X_k > 0
     counted with multiplicity], i.e. the expected shape functional
-    sum q^a/(1-q^a) over the corner set.  True value in [value, value+err].
+    sum q^a/(1-q^a) over the corner set.  The true value lies within err of
+    value; the census truncation only raises it.
 
     t is one corner point (rank coordinates) or an (m, rank) array of
-    corner points; an array gives an array of values from a single pass
-    over the weights of params.census, and err bounds every one of them."""
+    corner points; an array gives arrays of values and errors from a single
+    pass over the weights of params.census.  Each err is the truncation
+    bound plus the rounding, relative to the value because every term is
+    positive: (beta m + 6)u per term (q^m, expm1 of the rounded beta m, the
+    division) and (K - 1)u for a sum of at most K terms, K the census's
+    number of weights."""
     census = params.census
     t = np.asarray(t, dtype=float)
     if t.ndim not in (1, 2) or t.shape[-1] != census.rank:
         raise ValueError(f"corner point must have {census.rank} coordinates")
     _, _, qm, one_minus = _term_arrays(census, params.beta)
     terms = np.repeat(qm / one_minus, census.counts)
-    values = [float(np.sum(terms[np.all(census.weights >= corner[None, :], axis=1)]))
-              for corner in np.atleast_2d(t)]
-    return (values[0] if t.ndim == 1 else np.array(values)), _tail_mean_bound(params)
+    values = np.array([float(np.sum(terms[np.all(census.weights >= corner[None, :], axis=1)]))
+                       for corner in np.atleast_2d(t)])
+    rounding = (params.beta * params.cutoff + census.num_weights + 6.0) * _U
+    err = _tail_mean_bound(params) + rounding * values
+    return (float(values[0]), float(err[0])) if t.ndim == 1 else (values, err)
 
 
 def exact_count_mgf(params: BoltzmannParams, u: float):
     """(value, err): E_Q[exp(u s^nu N)] with N the number of irreducible
-    components, as prod (1-q^m)/(1-q^m e^{u s^nu}).  Defined for |u| < 1."""
+    components, as prod (1-q^m)/(1-q^m e^{u s^nu}).  Defined for |u| < 1.
+
+    err bounds the census truncation and the float rounding.  A class's
+    two logs nearly cancel, so their rounding is charged against the logs,
+    not against their difference.  c = e^{u beta} carries (|u| beta + 2)u,
+    the shifted x = q^m c one more u, and each log1p 2u of its log.  Both
+    logs read the same q^m, so its error moves their difference only by
+    |c - 1| q^m / ((1 - q^m)(1 - x)) times its relative size.  The
+    difference, the product by rho and the sum of the k class terms, which
+    share one sign, add (k + 1)u of |log value|, and exp 2u of the value."""
     if not -1.0 < u < 1.0:
         raise ValueError(f"mgf argument must lie in (-1, 1), got {u}")
     beta = params.beta
     m, rho, qm, one_minus = _term_arrays(params.census, beta)
-    shifted = qm * math.exp(u * beta)
+    growth = math.exp(u * beta)
+    shifted = qm * growth
     if np.any(shifted >= 1.0):
         raise ValueError("mgf undefined: e^{u s^nu} q^m reaches 1 on the census")
     logs = float(np.sum(rho * (np.log1p(-qm) - np.log1p(-shifted))))
     edge = math.exp(-beta * params.cutoff) * math.exp(abs(u) * beta)
     t_u = (abs(u) * beta * math.exp(abs(u) * beta) / (1.0 - edge)
            * truncation_tv_bound(params))
+    rest = 1.0 - shifted
+    drift = _U * float(np.sum(rho * (
+        abs(growth - 1.0) * qm * (beta * m + 3.0) / (one_minus * rest)
+        + shifted * (abs(u) * beta + 4.0) / rest
+        + 2.0 * (qm / one_minus + shifted / rest))))
+    drift += (m.size + 1) * _U * abs(logs)
     value = math.exp(logs)
-    return value, value * math.expm1(t_u)
+    return value, value * (math.expm1(t_u + drift) + 3.0 * _U)

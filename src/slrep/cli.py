@@ -298,12 +298,11 @@ def _cmd_verify_weyl(args, started):
     thetas = np.unique(np.concatenate([random_part, adversarial]))
     note = (f"{args.num_thetas} log-uniform (seed {args.seed}) + "
             f"{adversarial.size} adversarial rationals")
-    report = weyl_lower_bound_check(args.rank, args.N, args.eps, thetas,
-                                    grid_note=note)
+    report = weyl_lower_bound_check(args.rank, args.N, args.eps, thetas)
     results = {
         "pass": report.passed,
         "num_thetas": int(thetas.size),
-        "grid": report.grid_note,
+        "grid": note,
         "window": report.window,
         "count_bound": report.count_bound,
         "min_count": int(report.counts.min()),
@@ -331,7 +330,7 @@ def _cmd_verify_ensembles(args, started):
     k = (_parse_weight(args.k, args.rank) if args.k
          else (1,) * args.rank)
     table = count_representations(args.rank, max(grid))
-    tvs = [ensembles_tv(args.rank, n, k, table=table) for n in grid]
+    tvs = [ensembles_tv(table, n, k) for n in grid]
     ok = shrinking(tvs, allow_single_step_fraction=0.1)
     results = {
         "pass": bool(ok), "n_grid": grid, "k": list(k), "tv": tvs,

@@ -138,16 +138,10 @@ class CountTable:
                                       compare=False)
 
 
-def _census_for(r, n, census):
+def _census_for(r, n):
     if n < 0:
         raise ValueError(f"total dimension must be >= 0, got {n}")
-    if census is None:
-        return enumerate_irreps(r, max(n, 1))
-    if census.max_dim < n:
-        raise ValueError(f"census cutoff {census.max_dim} below requested total {n}")
-    if census.rank != r:
-        raise ValueError(f"census has rank {census.rank}, expected {r}")
-    return census
+    return enumerate_irreps(r, max(n, 1))
 
 
 def _classes(census, n):
@@ -156,7 +150,7 @@ def _classes(census, n):
             if d <= n]
 
 
-def count_representations(r: int, n: int, census: IrrepCensus | None = None) -> CountTable:
+def count_representations(r: int, n: int) -> CountTable:
     """Exact table of representation counts for totals 0..n.
 
     Multiplies out prod_d (1 - t^d)^(-rho(d)) on int64 limbs of radix 2^31
@@ -166,7 +160,7 @@ def count_representations(r: int, n: int, census: IrrepCensus | None = None) -> 
     if n >= _MAX_TOTAL:
         raise ValueError(f"count table needs n < 2^31 for its int64 limbs "
                          f"to provably not overflow, got {n}")
-    census = _census_for(r, n, census)
+    census = _census_for(r, n)
     p = np.zeros((n + 1, 1), dtype=np.int64)
     p[0, 0] = 1
     bound = 1  # every limb of p is at most bound
@@ -204,9 +198,9 @@ def _normalize(p):
         p = np.concatenate([p, top[:, None]], axis=1)
 
 
-def count_by_recurrence(r: int, n: int, census: IrrepCensus | None = None) -> list:
+def count_by_recurrence(r: int, n: int) -> list:
     """Second exact route: the counts by the Euler-identity recurrence."""
-    census = _census_for(r, n, census)
+    census = _census_for(r, n)
 
     # c[j] = sum of d*rho(d) over divisors d <= n of j, by sieving
     c = [0] * (n + 1)

@@ -498,20 +498,19 @@ def limit_shape(r: int, corners):
 
 # ---- moment generating function of the limiting component count ----
 
-def count_mgf(r: int, u, census: IrrepCensus):
+def count_mgf(u, census: IrrepCensus):
     """(value, err): M(u) = prod over weights (1 - u/a)^{-1}, the mgf of the
-    limiting scaled component count.  Meromorphic with poles at the module
-    dimensions; converges only for r >= 2 (the rank-1 product diverges like
-    the harmonic series).  u is one point or an array of points, real or
-    complex; an array gives arrays of values and errors, one per point, all
-    from one set of census tails.  Census factors are exact; the tail uses a
-    three-term log expansion whose sums come from `inverse_moment_tail`
-    with their certified errors, and needs |u| <= max_dim / 2.
+    limiting scaled component count at the census's rank.  Meromorphic with
+    poles at the module dimensions; converges only for rank >= 2 (the
+    rank-1 product diverges like the harmonic series).  u is one point or an
+    array of points, real or complex; an array gives arrays of values and
+    errors, one per point, all from one set of census tails.  Census factors
+    are exact; the tail uses a three-term log expansion whose sums come from
+    `inverse_moment_tail` with their certified errors, and needs
+    |u| <= max_dim / 2.
     """
-    if r < 2:
-        raise ValueError("count mgf diverges at rank 1 (harmonic series); need r >= 2")
-    if census.rank != r:
-        raise ValueError(f"census has rank {census.rank}, expected {r}")
+    if census.rank < 2:
+        raise ValueError("count mgf diverges at rank 1 (harmonic series); need rank >= 2")
     uc = np.asarray(u, dtype=complex)
     size = np.abs(uc)
     X = census.max_dim

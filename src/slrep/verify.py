@@ -49,13 +49,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import cache
 
 import numpy as np
 
 from .boltzmann import (
-    BoltzmannParams,
     exact_count_mgf,
     exact_expected_shape,
     exact_prob_height_le,
@@ -63,7 +61,7 @@ from .boltzmann import (
     solve_saddle,
 )
 from .census import enumerate_irreps
-from .exact_count import CountTable, count_representations, counts_excluding_one_weight
+from .exact_count import CountTable, counts_excluding_one_weight
 from .limits import (
     compute_constants,
     count_mgf,
@@ -76,6 +74,8 @@ from .weights import degree, dim_irrep, superfactorial, weyl_numerator
 
 _MAX_DIM = 2**53
 _MAX_SHIFT = 127
+# adversarial frequencies of theta_grid: reduced fractions p/q with q up to this
+_MAX_DENOMINATOR = 50
 # words (frequencies x distinct dimensions) that one block of the window
 # kernel may hold: a block's work arrays then stay in a core's cache
 _BLOCK_ELEMENTS = 2**16
@@ -221,7 +221,6 @@ class WeylWindowReport:
     thetas: np.ndarray
     counts: np.ndarray
     sin2_lower: np.ndarray
-    grid_note: str
 
     @property
     def violations(self) -> int:
@@ -281,11 +280,11 @@ def _window_arrays(thetas, dims, window):
 
 
 def theta_grid(r: int, box_size: int, epsilon: float, num_random: int = 10_000,
-               seed: int = 99, max_denominator: int = 50):
+               seed: int = 99):
     """(random, adversarial) frequency grids on [epsilon N^-nu, 1/2].
 
     The random part is log-uniform.  The adversarial part holds every
-    reduced fraction p/q with q <= max_denominator, rescaled by powers
+    reduced fraction p/q with q <= _MAX_DENOMINATOR, rescaled by powers
     1/N^j until it lands in range (rational frequencies concentrate the
     fractional parts on few residues), plus both interval endpoints.
     """
@@ -296,7 +295,7 @@ def theta_grid(r: int, box_size: int, epsilon: float, num_random: int = 10_000,
     random_part = np.exp(rng.uniform(math.log(lo), math.log(hi), size=num_random))
     np.clip(random_part, lo, hi, out=random_part)
     adversarial = {lo, hi}
-    for q in range(2, max_denominator + 1):
+    for q in range(2, _MAX_DENOMINATOR + 1):
         for p in range(1, q):
             if math.gcd(p, q) != 1:
                 continue
@@ -308,8 +307,7 @@ def theta_grid(r: int, box_size: int, epsilon: float, num_random: int = 10_000,
 
 
 def weyl_lower_bound_check(r: int, box_size: int, epsilon: float,
-                           thetas, grid_note: str = "caller-supplied"
-                           ) -> WeylWindowReport:
+                           thetas) -> WeylWindowReport:
     """Check the window-count and sin^2 lower bounds over the lattice box.
 
     For every theta in [epsilon N^-nu, 1/2], at least N^r / 32 box points
@@ -338,8 +336,7 @@ def weyl_lower_bound_check(r: int, box_size: int, epsilon: float,
         rank=r, box_size=box_size, epsilon=epsilon, window=window,
         count_bound=box_size**r / 32.0,
         sin2_bound=math.sin(math.pi * epsilon * 2.0**-nu) ** 2 / 32.0 * box_size**r,
-        thetas=thetas, counts=counts, sin2_lower=sin2_lower,
-        grid_note=grid_note)
+        thetas=thetas, counts=counts, sin2_lower=sin2_lower)
 
 
 @dataclass(frozen=True)
@@ -432,35 +429,29 @@ def appendix_window_check(box_size: int, epsilon: float, thetas) -> AppendixRepo
         run_follow_violations=follows[run_mask])
 
 
-def ensembles_tv(r: int, n: int, k, table: CountTable | None = None,
-                 params: BoltzmannParams | None = None) -> float:
+def ensembles_tv(table: CountTable, n: int, k) -> float:
     """Exact total variation between the uniform-model and Boltzmann-model
     laws of the multiplicity of weight k at total dimension n.
 
     The uniform side is exact big-integer counting (the count table with
     the weight's factor removed, shifted by multiples of its dimension);
-    the Boltzmann side is the geometric law at the solved saddle.  The
-    only inexactness is the final float conversion, below 1e-12 here.
+    the Boltzmann side is the geometric law at the saddle solved for
+    (table.rank, n).  The only inexactness is the final float conversion,
+    below 1e-12 here.
     """
     k = tuple(k)
-    a = dim_irrep(r, k)
-    if table is None:
-        table = count_representations(r, n)
-    if table.rank != r:
-        raise ValueError(f"count table has rank {table.rank}, expected {r}")
+    a = dim_irrep(table.rank, k)
     if table.max_total < n:
         raise ValueError(f"count table stops at {table.max_total} < {n}")
-    if params is None:
-        params = solve_saddle(r, n)
+    params = solve_saddle(table.rank, n)
     removed = counts_excluding_one_weight(table, a)
     total = table.counts[n]
     log_qa = -params.beta * a
-    qa = math.exp(log_qa)
     tv = 0.0
     for ell in range(n // a + 1):
-        uniform_mass = Fraction(removed[n - ell * a], total)
+        uniform_mass = removed[n - ell * a] / total  # correctly rounded
         boltzmann_mass = -math.expm1(log_qa) * math.exp(log_qa * ell)
-        tv += abs(float(uniform_mass) - boltzmann_mass)
+        tv += abs(uniform_mass - boltzmann_mass)
     tv += math.exp(log_qa * (n // a + 1))  # Boltzmann mass above n // a
     return 0.5 * tv
 
@@ -493,9 +484,11 @@ def shrinking(values, allow_single_step_fraction: float | None = None) -> bool:
 class LimitGapReport:
     """Exact-vs-limit gap for one observable at one size, with the grid,
     both curves, and error bounds for both routes (certified, except the
-    rank-3 limit shape's, which the note marks as an estimate).  Any
-    finite tolerance judged against the gap is an engineering choice; the
-    theory fixes only that gaps shrink as the size grows."""
+    rank-3 limit shape's, which the note marks as an estimate).  The error
+    bounds are absolute, except where the gap is relative (the shape), where
+    each is the largest relative error of its column.  Any finite tolerance
+    judged against the gap is an engineering choice; the theory fixes only
+    that gaps shrink as the size grows."""
 
     statistic: str
     rank: int
@@ -518,18 +511,17 @@ SHAPE_REL_ERR = 1e-6
 
 
 @cache
-def _mgf_limit(r, us):
-    """Read-only (limit, limit_err) of the mgf report on the u-grid tuple us."""
-    limit, limit_err = count_mgf(r, np.array(us), enumerate_irreps(r, _MGF_LIMIT_MAX_DIM))
+def _mgf_limit(r):
+    """Read-only (limit, limit_err) of the rank-r mgf report on _MGF_GRID."""
+    limit, limit_err = count_mgf(np.array(_MGF_GRID), enumerate_irreps(r, _MGF_LIMIT_MAX_DIM))
     limit.flags.writeable = limit_err.flags.writeable = False
     return limit, limit_err
 
 
-def compare_exact_to_limit(r: int, n: int, which: str, *,
-                           params: BoltzmannParams | None = None,
-                           t_grid=None, u_grid=None, k=None) -> LimitGapReport:
+def compare_exact_to_limit(r: int, n: int, which: str, *, k=None) -> LimitGapReport:
     """Gap between an exact Boltzmann-model distribution at size n and its
-    limit law, computed without any sampling.
+    limit law, computed without any sampling, at the saddle solved for
+    (r, n).
 
     which selects the observable: "D" and "H" compare the exact extremal
     CDFs against the doubly exponential law on an x-grid; "mult" compares
@@ -540,9 +532,9 @@ def compare_exact_to_limit(r: int, n: int, which: str, *,
     transformed-count mgf against the limit product on a u-grid.
 
     D and H raise ValueError when n is too small for their normalizer (NaN
-    center or scale).  D, H and mgf read params.census.  The shape report
-    widens it to reach every corner, doubling the cutoff until the certified
-    truncation error is at most SHAPE_REL_ERR of the exact value at every
+    center or scale).  D, H and mgf read the saddle's census.  The shape
+    report widens it to reach every corner, doubling the cutoff until the
+    certified error is at most SHAPE_REL_ERR of the exact value at every
     corner, so only the census cap (BudgetError) ends the loop.  Before the
     saddle is solved, shape raises NotImplementedError above rank 3, where
     W_t is unknown, and mgf raises ValueError at rank 1, where the limit
@@ -556,8 +548,7 @@ def compare_exact_to_limit(r: int, n: int, which: str, *,
     if which == "mgf" and r < 2:
         raise ValueError("the mgf limit diverges at rank 1 (harmonic series); "
                          "need rank >= 2")
-    if params is None:
-        params = solve_saddle(r, n)
+    params = solve_saddle(r, n)
     constants = compute_constants(r, n, s=params.s)
     s = params.s
 
@@ -592,7 +583,7 @@ def compare_exact_to_limit(r: int, n: int, which: str, *,
             f"weight {k}: exact geometric law; sup-gap 1 - q^a is closed form")
 
     if which == "shape":
-        ts = default_shape_grid(r) if t_grid is None else np.asarray(t_grid)
+        ts = default_shape_grid(r)
         corners = np.repeat(ts[:, None] / s, r, axis=1)
         # the farthest corner starts at dim(K, ..., K); twice that cutoff
         # leaves a tail far below the corner's own value
@@ -601,7 +592,7 @@ def compare_exact_to_limit(r: int, n: int, which: str, *,
         while True:
             wide = replace(params, census=enumerate_irreps(r, cutoff))
             values, err = exact_expected_shape(wide, corners)
-            if err <= SHAPE_REL_ERR * float(values.min()):
+            if np.all(err <= SHAPE_REL_ERR * values):
                 break
             cutoff *= 2
         exact = s**r * values
@@ -609,16 +600,16 @@ def compare_exact_to_limit(r: int, n: int, which: str, *,
         gap = float(np.max(np.abs(exact - limit) / limit))
         kind = "an estimate" if r == 3 else "certified"
         return LimitGapReport(
-            which, r, n, ts, exact, limit, gap, True, s**r * err,
+            which, r, n, ts, exact, limit, gap, True, float(np.max(err / values)),
             float(np.max(limit_err / limit)),
             "relative gap of the mean shape functional on the diagonal grid; "
             f"census truncation certified below {SHAPE_REL_ERR} of every corner; "
             f"limit_err is the largest relative error of the limit column, {kind}")
 
     # which == "mgf"
-    us = np.asarray(_MGF_GRID if u_grid is None else u_grid, dtype=float)
-    exact, exact_err = np.array([exact_count_mgf(params, float(u)) for u in us]).T
-    limit, limit_err = _mgf_limit(r, tuple(us.tolist()))
+    us = np.array(_MGF_GRID)
+    exact, exact_err = np.array([exact_count_mgf(params, u) for u in _MGF_GRID]).T
+    limit, limit_err = _mgf_limit(r)
     gap = float(np.max(np.abs(exact - limit)))
     return LimitGapReport(
         which, r, n, us, exact, limit, gap, False, float(exact_err.max()),

@@ -1,8 +1,10 @@
 """Boltzmann calibration, samplers, and exact product-law distributions."""
 
 import dataclasses
+import importlib
 import inspect
 import math
+import pkgutil
 import random
 from collections import Counter
 
@@ -31,9 +33,9 @@ from slrep.boltzmann import (
 )
 from slrep.census import enumerate_irreps
 from slrep.exact_count import count_representations, uniform_sample
-from slrep.limits import asymptotic_saddle
-from slrep.stats import stat_height, stat_max_dim, stat_multiplicity
-from slrep.weights import degree, dim_irrep
+from slrep.limits import asymptotic_saddle, compute_constants
+from slrep.stats import default_shape_grid, stat_height, stat_max_dim, stat_multiplicity
+from slrep.weights import degree, dim_irrep, twice_height
 
 
 def mp_moment(census, q, p):
@@ -82,6 +84,7 @@ def test_solve_saddle_certifies_target(r, n):
     assert params.rank == r and params.n == n
     assert 0.0 < params.q < 1.0
     assert params.beta == pytest.approx(-math.log(params.q), rel=1e-12)
+    assert params.beta == pytest.approx(params.s ** degree(r), rel=1e-12)
     assert params.sigma2 > 0.0
     # recheck the calibration on a census twice as wide
     wide = enumerate_irreps(r, 2 * params.cutoff)
@@ -245,6 +248,32 @@ def test_params_carry_the_only_census():
     params = solve_saddle(2, 300)
     with pytest.raises(ValueError, match="census rank 3 != params rank 2"):
         dataclasses.replace(params, census=enumerate_irreps(3, 50))
+    # package-wide, no public function takes a carrier of the rank (params,
+    # a census or a count table) together with a rank of its own, which the
+    # two would have to agree on
+    functions = list(_public_functions())
+    assert len(functions) >= 60
+    offenders = [name for name, fn in functions
+                 if {"params", "census", "table"} & set(inspect.signature(fn).parameters)
+                 and {"r", "rank"} & set(inspect.signature(fn).parameters)]
+    assert offenders == []
+
+
+def _public_functions():
+    """(dotted name, function) for every public function and method that a
+    module of the slrep package defines."""
+    for info in pkgutil.iter_modules(slrep.__path__):
+        module = importlib.import_module(f"slrep.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(inspect.unwrap(obj)):  # lru_cache wrappers too
+                yield f"{info.name}.{name}", obj
+            elif inspect.isclass(obj):
+                for method, fn in vars(obj).items():
+                    fn = getattr(fn, "__func__", fn)  # unwrap classmethods
+                    if not method.startswith("_") and inspect.isfunction(fn):
+                        yield f"{info.name}.{name}.{method}", fn
 
 
 def _boltzmann_draws(n, num, seed):
@@ -392,6 +421,65 @@ def test_exact_count_mgf_against_monte_carlo():
     mean = sum(vals) / num
     spread = math.sqrt(sum((v - mean) ** 2 for v in vals) / (num - 1) / num)
     assert abs(mean - value) <= 5.0 * spread + err
+
+
+def _mp_suffix_logs(keys, logs):
+    """(sorted keys, S) with S[i] the 40-digit sum of logs over the keys
+    from the i-th smallest up, so the sum over keys > x is S[i] at the
+    first i with sorted_keys[i] > x."""
+    order = np.argsort(keys, kind="stable")
+    suffix = [mp.mpf(0)]
+    for i in order[::-1]:
+        suffix.append(suffix[-1] + logs[i])
+    return np.asarray(keys)[order], suffix[::-1]
+
+
+def test_exact_curves_err_covers_rounding():
+    # each curve against a 40-digit evaluation of the same census product or
+    # sum at the same float beta: the values are computed in floats, where
+    # the mgf's two logs per class nearly cancel, so err must hold the
+    # rounding as well as the census truncation
+    with mp.workdps(40):
+        for r, u in ((2, 0.5), (4, -0.5)):
+            params = solve_saddle(r, 10**6)
+            census, beta = params.census, mp.mpf(params.beta)
+            value, err = exact_count_mgf(params, u)
+            shift = mp.exp(mp.mpf(u) * beta)
+            log_ref = sum(int(rho) * (mp.log1p(-mp.exp(-beta * int(m)))
+                                      - mp.log1p(-mp.exp(-beta * int(m)) * shift))
+                          for m, rho in zip(census.dims, census.counts))
+            assert abs(mp.mpf(value) - mp.exp(log_ref)) <= err, (r, u)
+
+        params = solve_saddle(4, 10**6)
+        census, beta = params.census, mp.mpf(params.beta)
+        constants = compute_constants(4, 10**6, s=params.s)
+        xs = np.linspace(-3.0, 6.0, 181)
+        logs = [mp.log1p(-mp.exp(-beta * int(m))) for m in census.dims]
+        per_weight = [log for log, rho in zip(logs, census.counts) for _ in range(rho)]
+        heights = twice_height(4, census.weights - 1) / 2.0
+        for prob, keys, terms, center, scale in (
+                (exact_prob_max_dim_le, census.dims.astype(float),
+                 [int(rho) * log for log, rho in zip(logs, census.counts)],
+                 constants.max_dim_center, constants.max_dim_scale),
+                (exact_prob_height_le, heights, per_weight,
+                 constants.height_center, constants.height_scale)):
+            ells = center + scale * xs
+            values, err = prob(params, ells)
+            sorted_keys, suffix = _mp_suffix_logs(keys, terms)
+            for ell, value in zip(ells, values):
+                ref = mp.exp(suffix[int(np.searchsorted(sorted_keys, ell, side="right"))])
+                assert abs(mp.mpf(value) - ref) <= err, (prob.__name__, ell)
+
+        params = solve_saddle(2, 10**6)
+        census, beta = params.census, mp.mpf(params.beta)
+        corners = np.repeat(default_shape_grid(2)[:, None] / params.s, 2, axis=1)
+        values, errs = exact_expected_shape(params, corners)
+        dims = np.repeat(census.dims, census.counts)
+        ratios = [mp.exp(-beta * int(a)) / -mp.expm1(-beta * int(a)) for a in dims]
+        for corner, value, err in zip(corners, values, errs):
+            inside = np.flatnonzero(np.all(census.weights >= corner, axis=1))
+            ref = mp.fsum(ratios[i] for i in inside)
+            assert abs(mp.mpf(value) - ref) <= err, corner
 
 
 def test_rejection_sampler_totals_and_agreement_with_dp():

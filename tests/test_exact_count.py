@@ -137,16 +137,6 @@ def test_count_at_the_exact_cap_is_pinned():
     assert count_representations(2, 10**4).counts[-1] == COUNT_R2_10000
 
 
-def test_count_accepts_prebuilt_census():
-    census = enumerate_irreps(2, 64)
-    assert count_representations(2, 50, census=census).counts == \
-        count_representations(2, 50).counts
-    # a census reaching past n leaves the table unchanged at limb sizes too
-    census = enumerate_irreps(2, 2000)
-    assert count_representations(2, 1500, census=census).counts == \
-        count_representations(2, 1500).counts
-
-
 def test_count_rejects_negative_total():
     with pytest.raises(ValueError):
         count_representations(2, -1)

@@ -1,14 +1,10 @@
-"""Statistics of a representation and their limit normalizations."""
+"""Statistics of a representation and the shape report's corner grid."""
 
 import numpy as np
 import pytest
 
-from slrep.boltzmann import solve_saddle
-from slrep.limits import compute_constants
 from slrep.stats import (
-    STAT_NAMES,
     default_shape_grid,
-    normalize,
     stat_height,
     stat_max_dim,
     stat_multiplicity,
@@ -22,10 +18,6 @@ from oracles import representation
 
 def rep(mult):
     return representation(2, mult)
-
-
-def test_stat_names_enumeration():
-    assert STAT_NAMES == ("D", "H", "N", "mult", "shape")
 
 
 def test_max_dim_examples():
@@ -80,51 +72,3 @@ def test_default_shape_grid_is_geometric():
     for r in (1, 2, 3, 4):
         hi = default_shape_grid(r)[-1]
         assert hi ** degree(r) == pytest.approx(125.0, rel=1e-12)
-
-
-@pytest.fixture(scope="module")
-def calibration():
-    params = solve_saddle(2, 1000)
-    return params, compute_constants(2, 1000, s=params.s)
-
-
-def test_normalize_gumbel_statistics(calibration):
-    params, constants = calibration
-    raw = np.array([50.0, 120.0])
-    out = normalize("D", raw, params, constants)
-    np.testing.assert_allclose(
-        out.normalized, (raw - constants.max_dim_center) / constants.max_dim_scale)
-    assert out.stat == "D" and out.rank == 2 and out.n == 1000
-    np.testing.assert_array_equal(out.raw, raw)
-
-    out = normalize("H", raw, params, constants)
-    np.testing.assert_allclose(
-        out.normalized, (raw - constants.height_center) / constants.height_scale)
-
-
-def test_normalize_count_and_multiplicity(calibration):
-    params, constants = calibration
-    out = normalize("N", [10.0, 30.0], params, constants)
-    np.testing.assert_allclose(out.normalized, np.array([10.0, 30.0]) * params.beta)
-    assert params.beta == pytest.approx(params.s ** degree(2), rel=1e-12)
-
-    out = normalize("mult", [2.0], params, constants, k=(2, 1))
-    np.testing.assert_allclose(out.normalized, np.array([2.0]) * params.beta * 3.0)
-    assert out.meta["k"] == (2, 1)
-    with pytest.raises(ValueError):
-        normalize("mult", [2.0], params, constants)
-
-
-def test_normalize_shape(calibration):
-    params, constants = calibration
-    out = normalize("shape", [7.0], params, constants, t=1.5)
-    np.testing.assert_allclose(out.normalized, np.array([7.0]) * params.s**2)
-    assert out.meta["t"] == [1.5]
-    with pytest.raises(ValueError):
-        normalize("shape", [7.0], params, constants)
-
-
-def test_normalize_rejects_unknown_statistic(calibration):
-    params, constants = calibration
-    with pytest.raises(ValueError):
-        normalize("Z", [1.0], params, constants)

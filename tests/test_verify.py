@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from slrep.boltzmann import solve_saddle
+from slrep.boltzmann import exact_count_mgf, solve_saddle
+from slrep.census import enumerate_irreps
 from slrep.exact_count import count_representations
 from slrep.verify import (
     appendix_window_check,
@@ -16,11 +17,13 @@ from slrep.verify import (
     shrinking,
     theta_grid,
     weyl_lower_bound_check,
+    _MGF_LIMIT_MAX_DIM,
     _lambda_dims,
     _window_arrays,
     _window_blocks,
 )
-from slrep.limits import gumbel_cdf
+from slrep.limits import count_mgf, gumbel_cdf
+from slrep.stats import default_shape_grid
 from slrep.weights import dim_irrep
 
 from oracles import lambda_window
@@ -227,7 +230,7 @@ def test_lambda_dims_match_per_point_evaluation(r, N):
 def test_weyl_check_passes_on_its_default_grid():
     random_t, adversarial_t = theta_grid(2, 4, 1.0 / 32.0, num_random=500)
     thetas = np.unique(np.concatenate([random_t, adversarial_t]))
-    report = weyl_lower_bound_check(2, 4, 1.0 / 32.0, thetas, "unit test grid")
+    report = weyl_lower_bound_check(2, 4, 1.0 / 32.0, thetas)
     assert report.passed
     assert report.count_bound == 16.0 / 32.0
     nu = 3
@@ -239,7 +242,7 @@ def test_weyl_check_passes_on_its_default_grid():
 def test_weyl_counts_at_one_half_are_odd_dimensions():
     dims = _lambda_dims(2, 4)
     odd = int(np.sum(dims % 2 == 1))
-    report = weyl_lower_bound_check(2, 4, 1.0 / 32.0, np.array([0.5]), "pin")
+    report = weyl_lower_bound_check(2, 4, 1.0 / 32.0, np.array([0.5]))
     assert int(report.counts[0]) == odd == 36
     # at theta = 1/2 every window distance is 0 or 1/2 exactly
     direct = odd * math.sin(math.pi * 0.5) ** 2
@@ -259,8 +262,7 @@ def test_weyl_certified_sum_bounds_true_sum():
             np.exp(rng.uniform(math.log(lo), math.log(2.0**-12), size=3))])
         assert {route(t) for t in thetas} == {0, 1}
         for theta in thetas:
-            report = weyl_lower_bound_check(r, N, 1.0 / 32.0, np.array([theta]),
-                                            "pin")
+            report = weyl_lower_bound_check(r, N, 1.0 / 32.0, np.array([theta]))
             true_sum = float(np.sum(np.sin(math.pi * ((dims * Fraction(theta)) % 1)
                                            .astype(float)) ** 2))
             assert report.sin2_lower[0] <= true_sum + 1e-9
@@ -276,7 +278,7 @@ def test_weyl_count_is_exact_where_points_sit_next_to_the_window():
     eps = 1.0 / 32.0
     dims = _lambda_dims(3, 8)
     expected = sum(outside_reference(theta, dims, eps * 2.0**-6))
-    report = weyl_lower_bound_check(3, 8, eps, np.array([theta]), "pin")
+    report = weyl_lower_bound_check(3, 8, eps, np.array([theta]))
     assert int(report.counts[0]) == expected == 13997
 
 
@@ -334,17 +336,17 @@ def test_ladder_run_structure_against_a_direct_scan(monkeypatch):
 def test_weyl_check_validation():
     t = np.array([0.25])
     with pytest.raises(ValueError):
-        weyl_lower_bound_check(1, 4, 1.0 / 32.0, t, "bad rank")
+        weyl_lower_bound_check(1, 4, 1.0 / 32.0, t)
     with pytest.raises(ValueError):
-        weyl_lower_bound_check(2, 4, 0.2, t, "epsilon too large")
+        weyl_lower_bound_check(2, 4, 0.2, t)
     with pytest.raises(ValueError):
-        weyl_lower_bound_check(2, 4, 0.0, t, "epsilon zero")
+        weyl_lower_bound_check(2, 4, 0.0, t)
     with pytest.raises(ValueError):
-        weyl_lower_bound_check(2, 3, 1.0 / 32.0, t, "box too small")
+        weyl_lower_bound_check(2, 3, 1.0 / 32.0, t)
     with pytest.raises(ValueError):
-        weyl_lower_bound_check(2, 4, 1.0 / 32.0, np.array([0.6]), "theta high")
+        weyl_lower_bound_check(2, 4, 1.0 / 32.0, np.array([0.6]))
     with pytest.raises(ValueError):
-        weyl_lower_bound_check(2, 4, 1.0 / 32.0, np.array([1e-9]), "theta low")
+        weyl_lower_bound_check(2, 4, 1.0 / 32.0, np.array([1e-9]))
 
 
 def test_theta_grid_ranges_and_adversarial_content():
@@ -375,7 +377,7 @@ def test_appendix_check_passes_and_reports_structure():
     j = np.arange(8, 4 * 8 + 1)[None, :]
     assert np.array_equal(np.sort(_lambda_dims(2, 8)),
                           np.sort((k * j * (k + j) // 2).reshape(-1)))
-    box = weyl_lower_bound_check(2, 8, eps, thetas, "unit test grid")
+    box = weyl_lower_bound_check(2, 8, eps, thetas)
     assert box.window == eps / 8.0
     assert box.count_bound == 64.0 / 32.0
     assert np.all(box.counts >= box.count_bound)
@@ -390,19 +392,21 @@ def test_ensembles_tv_against_first_principles_at_total_one():
     terms = [abs(0.0 - (1.0 - q)), abs(1.0 - (1.0 - q) * q)]
     tail = 1.0 - (1.0 - q) * (1.0 + q)  # Q(X >= 2)
     expected = 0.5 * (sum(terms) + tail)
-    value = ensembles_tv(2, 1, (1, 1), params=params)
+    value = ensembles_tv(count_representations(2, 1), 1, (1, 1))
     assert value == pytest.approx(expected, rel=1e-12)
     assert value == pytest.approx(0.764487636016956, rel=1e-12)
 
 
 def test_ensembles_tv_reuses_table_and_stays_in_unit_interval():
     table = count_representations(2, 40)
-    params = solve_saddle(2, 40)
     for n in (5, 12, 27, 40):
-        tv = ensembles_tv(2, n, (1, 1), table=table)
+        tv = ensembles_tv(table, n, (1, 1))
         assert 0.0 <= tv <= 1.0
-    assert ensembles_tv(2, 40, (1, 1), table=table, params=params) == \
-        pytest.approx(ensembles_tv(2, 40, (1, 1)), rel=1e-12)
+    # a table reaching past n gives the TV of a table built for n itself
+    assert ensembles_tv(table, 27, (1, 1)) == \
+        ensembles_tv(count_representations(2, 27), 27, (1, 1))
+    with pytest.raises(ValueError, match="count table stops at 40 < 41"):
+        ensembles_tv(table, 41, (1, 1))
 
 
 def test_ks_distance_cases():
@@ -426,17 +430,24 @@ def test_shrinking_truth_table():
 
 def test_compare_multiplicity_gap_closed_form():
     params = solve_saddle(2, 500)
-    report = compare_exact_to_limit(2, 500, "mult", params=params, k=(1, 1))
+    report = compare_exact_to_limit(2, 500, "mult", k=(1, 1))
     assert report.gap == pytest.approx(-math.expm1(-params.beta), rel=1e-12)
     assert not report.gap_is_relative
-    report3 = compare_exact_to_limit(2, 500, "mult", params=params, k=(2, 1))
+    report3 = compare_exact_to_limit(2, 500, "mult", k=(2, 1))
     assert report3.gap == pytest.approx(-math.expm1(-3.0 * params.beta), rel=1e-12)
 
 
-def test_compare_mgf_gap_vanishes_at_zero():
-    report = compare_exact_to_limit(2, 500, "mgf", u_grid=(0.0,))
-    assert report.gap == 0.0
-    assert report.exact[0] == 1.0 and report.limit[0] == 1.0
+def test_compare_mgf_columns_on_the_standard_grid():
+    # the exact column is the product law at the saddle solved for (r, n),
+    # the limit column the limit product on its own census
+    report = compare_exact_to_limit(2, 500, "mgf")
+    params = solve_saddle(2, 500)
+    assert report.grid.tolist() == [-0.5, -0.25, 0.25, 0.5]
+    assert report.exact.tolist() == [exact_count_mgf(params, u)[0]
+                                     for u in report.grid.tolist()]
+    limit, _ = count_mgf(report.grid, enumerate_irreps(2, _MGF_LIMIT_MAX_DIM))
+    assert np.array_equal(report.limit, limit)
+    assert report.gap == float(np.max(np.abs(report.exact - report.limit)))
 
 
 def test_compare_extremal_statistics_report_fields():
@@ -455,10 +466,12 @@ def test_compare_gaps_shrink_on_small_grid():
 
 
 def test_compare_shape_is_relative():
-    report = compare_exact_to_limit(2, 500, "shape", t_grid=(1.0, 2.0))
+    report = compare_exact_to_limit(2, 500, "shape")
     assert report.gap_is_relative
-    assert report.grid.shape == (2,)
+    assert np.array_equal(report.grid, default_shape_grid(2))
     assert np.all(report.limit > 0.0)
+    assert report.gap == pytest.approx(
+        float(np.max(np.abs(report.exact - report.limit) / report.limit)), rel=1e-15)
 
 
 def test_compare_shape_certifies_every_corner():
@@ -466,9 +479,10 @@ def test_compare_shape_certifies_every_corner():
     # census; the report must enlarge its census until each corner's exact
     # value is positive and its certified truncation error is negligible
     params = solve_saddle(2, 10**4)
-    report = compare_exact_to_limit(2, 10**4, "shape", params=params)
+    report = compare_exact_to_limit(2, 10**4, "shape")
     assert np.all(report.exact > 0.0)
-    assert np.all(report.exact_err <= 1e-6 * report.exact)
+    # exact_err is the largest relative error of the exact column
+    assert 0.0 < report.exact_err <= 1e-6
     # limit_err is the largest relative error of the limit column, proven
     # at rank 2
     assert 0.0 < report.limit_err <= 1e-6
