@@ -20,17 +20,14 @@ from .boltzmann import (
     exact_expected_shape,
     exact_prob_height_le,
     exact_prob_max_dim_le,
-    expected_dim,
     rejection_uniform_sample,
     sampling_params,
     solve_saddle,
     truncation_tv_bound,
-    variance_dim,
 )
 from .census import (
     BudgetError,
     IrrepCensus,
-    cumulative_count,
     enumerate_irreps,
     inverse_moment_tail,
     region_volume,
@@ -41,7 +38,6 @@ from .census import (
 from .exact_count import (
     CountTable,
     Representation,
-    count_by_recurrence,
     count_representations,
     counts_excluding_one_weight,
     uniform_sample,
@@ -65,14 +61,10 @@ from .stats import (
     default_shape_grid,
     stat_height,
     stat_max_dim,
-    stat_multiplicity,
-    stat_num_irreps,
-    stat_shape,
 )
 from .weights import (
     degree,
     dim_irrep,
-    dim_poly,
     superfactorial,
     twice_height,
     weyl_numerator,

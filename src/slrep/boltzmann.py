@@ -87,28 +87,6 @@ def _moment_err(census, beta, p):
     return scale * weighted_tail_bound(census, beta, p)
 
 
-def _check_q(q):
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"Boltzmann parameter must satisfy 0 < q < 1, got {q}")
-    return -math.log(q)
-
-
-def expected_dim(q: float, census: IrrepCensus):
-    """(value, err): E_q[total dimension], truncated at the census cutoff.
-
-    err is a certified bound on the ignored tail; a ValueError signals a
-    census cutoff too small for the tail machinery at this q.
-    """
-    beta = _check_q(q)
-    return _moment_value(census, beta, 1), _moment_err(census, beta, 1)
-
-
-def variance_dim(q: float, census: IrrepCensus):
-    """(value, err): Var_q(total dimension) = sum a^2 q^a / (1-q^a)^2."""
-    beta = _check_q(q)
-    return _moment_value(census, beta, 2), _moment_err(census, beta, 2)
-
-
 _CHI = 48.0
 
 

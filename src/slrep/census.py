@@ -170,14 +170,6 @@ def enumerate_irreps(r: int, max_dim) -> IrrepCensus:
                        cumulative=np.cumsum(counts), weights=weights)
 
 
-def cumulative_count(census: IrrepCensus, x) -> int:
-    """Number of irreducible modules of dimension <= x (x real)."""
-    if x < 0 or x > census.max_dim:
-        raise ValueError(f"argument {x} outside census range [0, {census.max_dim}]")
-    i = int(np.searchsorted(census.dims, math.floor(x), side="right"))
-    return int(census.cumulative[i - 1]) if i else 0
-
-
 def write_csv(census: IrrepCensus, fileobj) -> None:
     """Dump as CSV with header m,rho,cumulative."""
     w = csv.writer(fileobj, lineterminator="\n")

@@ -36,7 +36,7 @@ from .boltzmann import (
 from .census import BudgetError, enumerate_irreps, region_volume, write_csv
 from .exact_count import count_representations, uniform_sample
 from .limits import compute_constants
-from .stats import stat_height, stat_max_dim, stat_num_irreps
+from .stats import stat_height, stat_max_dim
 from .verify import (
     appendix_window_check,
     compare_exact_to_limit,
@@ -192,7 +192,7 @@ def _sample_record(index: int, rep) -> dict:
     return {
         "index": index,
         "total_dim": rep.total_dim(),
-        "N": stat_num_irreps(rep),
+        "N": rep.num_irreps(),
         "D": None if empty else stat_max_dim(rep),
         "H": None if empty else stat_height(rep),
         "components": rep.components(),

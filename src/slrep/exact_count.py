@@ -25,11 +25,6 @@ ever overflows as long as (2^31 - 1) m < 2^62, which holds for n < 2^31;
 `count_representations` refuses larger n.  At the end every row becomes a
 Python int.
 
-`count_by_recurrence` runs the Euler identity as a recurrence instead
-(exact integers, the division by n never leaves a remainder); it is the
-independent oracle the tests compare the table with, coefficient for
-coefficient.
-
 `uniform_sample` draws an exactly uniform representation of dimension n by
 the recursive method (Nijenhuis & Wilf, Combinatorial Algorithms, 1978):
 read the Euler identity at v as a law on its terms, pick one weight of
@@ -138,12 +133,6 @@ class CountTable:
                                       compare=False)
 
 
-def _census_for(r, n):
-    if n < 0:
-        raise ValueError(f"total dimension must be >= 0, got {n}")
-    return enumerate_irreps(r, max(n, 1))
-
-
 def _classes(census, n):
     """(dimension, number of weights) for every dimension class up to n."""
     return [(int(d), int(rho)) for d, rho in zip(census.dims, census.counts)
@@ -160,7 +149,9 @@ def count_representations(r: int, n: int) -> CountTable:
     if n >= _MAX_TOTAL:
         raise ValueError(f"count table needs n < 2^31 for its int64 limbs "
                          f"to provably not overflow, got {n}")
-    census = _census_for(r, n)
+    if n < 0:
+        raise ValueError(f"total dimension must be >= 0, got {n}")
+    census = enumerate_irreps(r, max(n, 1))
     p = np.zeros((n + 1, 1), dtype=np.int64)
     p[0, 0] = 1
     bound = 1  # every limb of p is at most bound
@@ -196,29 +187,6 @@ def _normalize(p):
             return p
         p[:, -1] &= _LIMB_MASK
         p = np.concatenate([p, top[:, None]], axis=1)
-
-
-def count_by_recurrence(r: int, n: int) -> list:
-    """Second exact route: the counts by the Euler-identity recurrence."""
-    census = _census_for(r, n)
-
-    # c[j] = sum of d*rho(d) over divisors d <= n of j, by sieving
-    c = [0] * (n + 1)
-    for d, rho in _classes(census, n):
-        for j in range(d, n + 1, d):
-            c[j] += d * rho
-
-    p = [0] * (n + 1)
-    p[0] = 1
-    for v in range(1, n + 1):
-        acc = 0
-        for j in range(1, v + 1):
-            acc += c[j] * p[v - j]
-        q, rem = divmod(acc, v)
-        if rem:
-            raise ArithmeticError(f"Euler recurrence not divisible at v={v}")
-        p[v] = q
-    return p
 
 
 def counts_excluding_one_weight(table: CountTable, a: int) -> list:

@@ -1,10 +1,9 @@
-"""Observables of a representation, and the corner grid of the shape report.
+"""The extremal statistics of a representation, and the corner grid of the
+shape report.
 
-The five statistics: largest irreducible dimension D (Gumbel limit),
-largest weight height H (Gumbel), number of irreducible components N
-(limit characterized by its mgf), multiplicity of a fixed small weight
-(exponential limit), and the shape functional counting components above a
-corner (law of large numbers to the limit shape).
+D is the largest irreducible dimension and H the largest weight height;
+both have Gumbel limits.  The number of components N is
+`Representation.num_irreps`.
 """
 
 from __future__ import annotations
@@ -31,25 +30,6 @@ def stat_height(rep: Representation) -> float:
     if not rep.rows.size:
         raise ValueError("the zero representation has no height")
     return int(twice_height(rep.rank, rep.weights() - 1).max()) / 2.0
-
-
-def stat_num_irreps(rep: Representation) -> int:
-    """N: number of irreducible components with multiplicity (0 if empty)."""
-    return rep.num_irreps()
-
-
-def stat_multiplicity(rep: Representation, k) -> int:
-    """X_k: multiplicity of the weight k."""
-    return int(rep.mult[np.all(rep.weights() == np.asarray(k), axis=1)].sum())
-
-
-def stat_shape(rep: Representation, t) -> int:
-    """shape(t): number of components (with multiplicity) whose weight
-    dominates the corner t coordinatewise."""
-    t = np.asarray(t)
-    if t.shape != (rep.rank,):
-        raise ValueError(f"corner must have {rep.rank} coordinates")
-    return int(rep.mult[np.all(rep.weights() >= t, axis=1)].sum())
 
 
 def default_shape_grid(r: int):

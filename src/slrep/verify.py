@@ -456,16 +456,6 @@ def ensembles_tv(table: CountTable, n: int, k) -> float:
     return 0.5 * tv
 
 
-def ks_distance(sample, cdf) -> float:
-    """Sup distance between the empirical law of the sample and a CDF."""
-    xs = np.sort(np.asarray(sample, dtype=float))
-    if xs.size == 0:
-        raise ValueError("empty sample has no empirical law")
-    values = np.asarray(cdf(xs), dtype=float)
-    steps = np.arange(1, xs.size + 1, dtype=float) / xs.size
-    return float(max(np.max(steps - values), np.max(values - steps + 1.0 / xs.size)))
-
-
 def shrinking(values, allow_single_step_fraction: float | None = None) -> bool:
     """Whether the sequence decreases, optionally forgiving one upward step
     no larger than the stated fraction of the larger neighbor."""
@@ -603,7 +593,8 @@ def compare_exact_to_limit(r: int, n: int, which: str, *, k=None) -> LimitGapRep
             which, r, n, ts, exact, limit, gap, True, float(np.max(err / values)),
             float(np.max(limit_err / limit)),
             "relative gap of the mean shape functional on the diagonal grid; "
-            f"census truncation certified below {SHAPE_REL_ERR} of every corner; "
+            "exact_err is the largest relative error of the exact column, "
+            f"truncation and rounding, at most {SHAPE_REL_ERR} at every corner; "
             f"limit_err is the largest relative error of the limit column, {kind}")
 
     # which == "mgf"

@@ -77,11 +77,6 @@ def dim_irrep(r: int, k: Sequence[int]) -> int:
     return q
 
 
-def dim_poly(r: int, y: Sequence[float]) -> float:
-    """The dimension form evaluated at a real point y > 0 (for quadrature)."""
-    return weyl_numerator(r, y) / superfactorial(r)
-
-
 def twice_height(r: int, k):
     """2 L(k) = sum_j j (r+1-j) k_j, exact in int64, for one weight k or for
     each row of an (m, r) int array of weights."""

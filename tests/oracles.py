@@ -1,4 +1,4 @@
-"""Slow, independent routes kept as test oracles (some use scipy and mpmath).
+"""Independent routes kept as test oracles (some use scipy and mpmath).
 
 The package computes the region volume C_2 and the moment integrals in
 closed form, the limit shape by a certified one-dimensional rule, and the
@@ -6,8 +6,13 @@ window-box dimensions as one vectorized array.  These routes reach the
 same numbers another way: a Monte Carlo volume with an analytic tail, an
 adaptive box quadrature with an analytic strip correction, the simplex
 reduction of the rank-2 shape in mpmath, and a point-by-point walk over
-the window box.  Only tests call them.  `representation` builds a
-representation from a dict of weights, the form tests write by hand.
+the window box.  The second exact routes live here too: the counts by the
+Euler recurrence, the counting function of a census, the grand-ensemble
+moments summed over a census with their certified tails, the multiplicity
+and shape statistics of one representation, the dimension form at a real
+point, and the KS distance of a sample to a CDF.  Only tests call them.
+`representation` builds a representation from a dict of weights, the form
+tests write by hand.
 """
 
 import itertools
@@ -16,9 +21,103 @@ import warnings
 
 import numpy as np
 
-from slrep.census import enumerate_irreps
+from slrep.census import IrrepCensus, enumerate_irreps, weighted_tail_bound
 from slrep.exact_count import Representation
-from slrep.weights import dim_irrep, dim_poly
+from slrep.weights import dim_irrep, superfactorial, weyl_numerator
+
+
+def dim_poly(r: int, y) -> float:
+    """The dimension form evaluated at a real point y > 0 (for quadrature)."""
+    return weyl_numerator(r, y) / superfactorial(r)
+
+
+def count_by_recurrence(r: int, n: int) -> list:
+    """The counts p(0), ..., p(n) by the Euler identity
+
+        v p(v) = sum_d sum_{k>=1} d rho(d) p(v - k d),
+
+    run as a recurrence in exact integers (the division by v never leaves
+    a remainder): the route the count table is compared with, coefficient
+    for coefficient."""
+    census = enumerate_irreps(r, max(n, 1))
+
+    # c[j] = sum of d*rho(d) over divisors d <= n of j, by sieving
+    c = [0] * (n + 1)
+    for d, rho in zip(census.dims.tolist(), census.counts.tolist()):
+        for j in range(d, n + 1, d):
+            c[j] += d * rho
+
+    p = [0] * (n + 1)
+    p[0] = 1
+    for v in range(1, n + 1):
+        acc = 0
+        for j in range(1, v + 1):
+            acc += c[j] * p[v - j]
+        q, rem = divmod(acc, v)
+        if rem:
+            raise ArithmeticError(f"Euler recurrence not divisible at v={v}")
+        p[v] = q
+    return p
+
+
+def cumulative_count(census: IrrepCensus, x) -> int:
+    """Number of irreducible modules of dimension <= x (x real)."""
+    if x < 0 or x > census.max_dim:
+        raise ValueError(f"argument {x} outside census range [0, {census.max_dim}]")
+    i = int(np.searchsorted(census.dims, math.floor(x), side="right"))
+    return int(census.cumulative[i - 1]) if i else 0
+
+
+def _census_moment(q, census, p):
+    """(value, err): sum rho(m) m^p q^m / (1 - q^m)^p over the census, summed
+    exactly rounded, and the certified bound on the terms beyond its
+    cutoff X: `weighted_tail_bound` scaled by (1 - q^X)^-p."""
+    if not 0.0 < q < 1.0:
+        raise ValueError(f"Boltzmann parameter must satisfy 0 < q < 1, got {q}")
+    beta = -math.log(q)
+    m = census.dims.astype(float)
+    rho = census.counts.astype(float)
+    value = math.fsum(rho * m**p * np.exp(-beta * m) / (-np.expm1(-beta * m)) ** p)
+    scale = (-np.expm1(-beta * census.max_dim)) ** (-p)
+    return value, scale * weighted_tail_bound(census, beta, p)
+
+
+def expected_dim(q: float, census: IrrepCensus):
+    """(value, err): E_q[total dimension], truncated at the census cutoff.
+
+    err is a certified bound on the ignored tail; a ValueError signals a
+    census cutoff too small for the tail machinery at this q.
+    """
+    return _census_moment(q, census, 1)
+
+
+def variance_dim(q: float, census: IrrepCensus):
+    """(value, err): Var_q(total dimension) = sum a^2 q^a / (1-q^a)^2."""
+    return _census_moment(q, census, 2)
+
+
+def stat_multiplicity(rep: Representation, k) -> int:
+    """X_k: multiplicity of the weight k."""
+    return int(rep.mult[np.all(rep.weights() == np.asarray(k), axis=1)].sum())
+
+
+def stat_shape(rep: Representation, t) -> int:
+    """shape(t): number of components (with multiplicity) whose weight
+    dominates the corner t coordinatewise."""
+    t = np.asarray(t)
+    if t.shape != (rep.rank,):
+        raise ValueError(f"corner must have {rep.rank} coordinates")
+    return int(rep.mult[np.all(rep.weights() >= t, axis=1)].sum())
+
+
+def ks_distance(sample, cdf) -> float:
+    """Sup distance between the empirical law of the sample and a CDF."""
+    xs = np.sort(np.asarray(sample, dtype=float))
+    if xs.size == 0:
+        raise ValueError("empty sample has no empirical law")
+    values = np.asarray(cdf(xs), dtype=float)
+    steps = np.arange(1, xs.size + 1, dtype=float) / xs.size
+    return float(max(np.max(steps - values), np.max(values - steps + 1.0 / xs.size)))
 
 
 def representation(r: int, mult: dict) -> Representation:

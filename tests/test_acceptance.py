@@ -27,22 +27,21 @@ from slrep.boltzmann import (
     sampling_params,
     solve_saddle,
 )
-from slrep.census import cumulative_count, enumerate_irreps, region_volume
-from slrep.exact_count import count_by_recurrence, count_representations, uniform_sample
+from slrep.census import enumerate_irreps, region_volume
+from slrep.exact_count import count_representations, uniform_sample
 from slrep.limits import compute_constants, gumbel_cdf, saddle_scale_constant, variance_scale_constant
 from slrep.stats import stat_max_dim
 from slrep.verify import (
     appendix_window_check,
     compare_exact_to_limit,
     ensembles_tv,
-    ks_distance,
     shrinking,
     theta_grid,
     weyl_lower_bound_check,
 )
 
 from census_terms import counting_law, variance_law
-from oracles import region_volume_mc
+from oracles import count_by_recurrence, cumulative_count, ks_distance, region_volume_mc
 
 SEED = 20250818
 _RUNS = {}

@@ -13,7 +13,6 @@ from scipy.special import gamma as gamma_fn
 import slrep.census as census_module
 from slrep.census import (
     BudgetError,
-    cumulative_count,
     enumerate_irreps,
     inverse_moment_tail,
     region_volume,
@@ -29,7 +28,7 @@ from census_terms import (
     mellin_barnes_integral,
     mordell_tornheim_diagonal,
 )
-from oracles import region_volume_mc
+from oracles import cumulative_count, region_volume_mc
 
 # closed form for the rank-2 region volume: 2^{-1/3} Gamma(1/3)^2 / Gamma(2/3)
 VOLUME_R2 = 2.0 ** (-1.0 / 3.0) * gamma_fn(1.0 / 3.0) ** 2 / gamma_fn(2.0 / 3.0)

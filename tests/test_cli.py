@@ -282,6 +282,7 @@ def test_dist_shape_rank_three_certifies_every_corner():
     assert 0.0 < res["exact_err"] <= 1e-6
     assert 0.0 < res["limit_err"] <= 1e-6
     assert "estimate" in res["note"]
+    assert "relative" in res["note"] and "rounding" in res["note"]
 
 
 @pytest.mark.parametrize("argv", [

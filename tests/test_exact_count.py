@@ -11,14 +11,13 @@ from slrep import exact_count
 from slrep.census import enumerate_irreps
 from slrep.exact_count import (
     Representation,
-    count_by_recurrence,
     count_representations,
     counts_excluding_one_weight,
     uniform_sample,
 )
 from slrep.weights import dim_irrep
 
-from oracles import representation
+from oracles import count_by_recurrence, representation
 
 # p(10^4) at rank 2, the CLI's exact-counting cap
 COUNT_R2_10000 = 77286174609560949994788618084033615667449698306709202996900417272344870000

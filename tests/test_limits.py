@@ -26,10 +26,11 @@ from slrep.limits import (
     zeta,
 )
 from slrep.stats import default_shape_grid
-from slrep.weights import degree, dim_poly
+from slrep.weights import degree
 
 from oracles import (
     bose_tail_reference,
+    dim_poly,
     limit_shape_simplex_reference,
     moment_box_quadrature,
 )

@@ -3,17 +3,10 @@
 import numpy as np
 import pytest
 
-from slrep.stats import (
-    default_shape_grid,
-    stat_height,
-    stat_max_dim,
-    stat_multiplicity,
-    stat_num_irreps,
-    stat_shape,
-)
+from slrep.stats import default_shape_grid, stat_height, stat_max_dim
 from slrep.weights import degree
 
-from oracles import representation
+from oracles import representation, stat_multiplicity, stat_shape
 
 
 def rep(mult):
@@ -38,8 +31,8 @@ def test_height_examples():
 
 
 def test_num_irreps_counts_multiplicity():
-    assert stat_num_irreps(rep({})) == 0
-    assert stat_num_irreps(rep({(1, 1): 4, (2, 1): 2})) == 6
+    assert rep({}).num_irreps() == 0
+    assert rep({(1, 1): 4, (2, 1): 2}).num_irreps() == 6
 
 
 def test_multiplicity_lookup():

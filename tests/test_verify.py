@@ -13,7 +13,6 @@ from slrep.verify import (
     appendix_window_check,
     compare_exact_to_limit,
     ensembles_tv,
-    ks_distance,
     shrinking,
     theta_grid,
     weyl_lower_bound_check,
@@ -26,7 +25,7 @@ from slrep.limits import count_mgf, gumbel_cdf
 from slrep.stats import default_shape_grid
 from slrep.weights import dim_irrep
 
-from oracles import lambda_window
+from oracles import ks_distance, lambda_window
 
 
 def residue_distance(theta: float, a: int):

@@ -8,11 +8,12 @@ import pytest
 from slrep.weights import (
     degree,
     dim_irrep,
-    dim_poly,
     superfactorial,
     twice_height,
     weyl_numerator,
 )
+
+from oracles import dim_poly
 
 
 def brute_dim(r, k):
