@@ -361,17 +361,17 @@ def _log_factors(params):
 
 
 def _extremal_cdf(params, keys, terms, slack, ell):
-    """exp of the sum of terms over keys > ell, for a scalar ell or a 1-D
-    array of them, with the err shared by exact_prob_*_le: the largest,
-    over the values, of the census truncation (which only lowers the true
-    value) plus the rounding, which is the slack of the summed terms,
-    (k - 1)u of the magnitude of a sum of k terms, and 2u of exp."""
+    """exp of the sum of terms over keys > x, for each x of the 1-D array
+    ell, with the err shared by exact_prob_*_le: the largest, over the
+    values, of the census truncation (which only lowers the true value)
+    plus the rounding, which is the slack of the summed terms, (k - 1)u of
+    the magnitude of a sum of k terms, and 2u of exp."""
     ells = np.asarray(ell, dtype=float)
-    if ells.ndim > 1:
-        raise ValueError("ell must be a scalar or a 1-D array")
+    if ells.ndim != 1:
+        raise ValueError("ell must be a 1-D array")
     truncation = -math.expm1(-_tail_mean_bound(params))
     values, errs = [], []
-    for x in np.atleast_1d(ells):
+    for x in ells:
         above = keys > x
         total = float(np.sum(terms[above]))
         value = math.exp(total)
@@ -379,58 +379,50 @@ def _extremal_cdf(params, keys, terms, slack, ell):
                  - (np.count_nonzero(above) - 1) * _U * total)
         values.append(value)
         errs.append(value * (truncation + math.expm1(drift) + 3.0 * _U))
-    return (values[0] if ells.ndim == 0 else np.array(values)), max(errs)
+    return np.array(values), max(errs)
 
 
 def exact_prob_max_dim_le(params: BoltzmannParams, ell):
-    """(value, err): Q(largest used dimension <= ell), as
-    prod over dims m > ell of (1 - q^m)^rho(m).  The true value lies within
-    err of value.
-
-    ell is a scalar or a 1-D array; an array gives an array of values from
-    one pass over params.census, and err bounds every one of them."""
+    """(values, err): Q(largest used dimension <= x) for each x of the 1-D
+    array ell, as prod over dims m > x of (1 - q^m)^rho(m), from one pass
+    over params.census.  Every true value lies within err of its value."""
     m, rho, logs, slack = _log_factors(params)
     return _extremal_cdf(params, m, rho * logs, rho * slack, ell)
 
 
 def exact_prob_height_le(params: BoltzmannParams, ell):
-    """(value, err): Q(largest weight height <= ell), the product of
-    (1 - q^a) over all weights k with L(k - 1) > ell.  The true value lies
-    within err of value.
-
-    ell is a scalar or a 1-D array, as for exact_prob_max_dim_le."""
+    """(values, err): Q(largest weight height <= x) for each x of the 1-D
+    array ell, the product of (1 - q^a) over all weights k with
+    L(k - 1) > x.  Every true value lies within err of its value."""
     census = params.census
     h2 = twice_height(census.rank, census.weights - 1)
     _, _, logs, slack = _log_factors(params)
-    # h2 is an exact integer, so h2 / 2 > ell exactly when h2 > 2 ell
+    # h2 is an exact integer, so h2 / 2 > x exactly when h2 > 2 x
     return _extremal_cdf(params, h2 / 2.0, np.repeat(logs, census.counts),
                          np.repeat(slack, census.counts), ell)
 
 
 def exact_expected_shape(params: BoltzmannParams, t):
-    """(value, err): E_Q[number of weights k with k_j >= t_j and X_k > 0
-    counted with multiplicity], i.e. the expected shape functional
-    sum q^a/(1-q^a) over the corner set.  The true value lies within err of
-    value; the census truncation only raises it.
-
-    t is one corner point (rank coordinates) or an (m, rank) array of
-    corner points; an array gives arrays of values and errors from a single
-    pass over the weights of params.census.  Each err is the truncation
-    bound plus the rounding, relative to the value because every term is
-    positive: (beta m + 6)u per term (q^m, expm1 of the rounded beta m, the
+    """(values, errs): for each row t of the (m, rank) corner array,
+    E_Q[number of weights k with k_j >= t_j and X_k > 0 counted with
+    multiplicity], i.e. the expected shape functional sum q^a/(1-q^a) over
+    the corner set, from a single pass over the weights of params.census.
+    Each true value lies within its err of its value; the census
+    truncation only raises it.  Each err is the truncation bound plus the
+    rounding, relative to the value because every term is positive:
+    (beta m + 6)u per term (q^m, expm1 of the rounded beta m, the
     division) and (K - 1)u for a sum of at most K terms, K the census's
     number of weights."""
     census = params.census
     t = np.asarray(t, dtype=float)
-    if t.ndim not in (1, 2) or t.shape[-1] != census.rank:
-        raise ValueError(f"corner point must have {census.rank} coordinates")
+    if t.ndim != 2 or t.shape[1] != census.rank:
+        raise ValueError(f"corners must be an (m, {census.rank}) array")
     _, _, qm, one_minus = _term_arrays(census, params.beta)
     terms = np.repeat(qm / one_minus, census.counts)
     values = np.array([float(np.sum(terms[np.all(census.weights >= corner[None, :], axis=1)]))
-                       for corner in np.atleast_2d(t)])
+                       for corner in t])
     rounding = (params.beta * params.cutoff + census.num_weights + 6.0) * _U
-    err = _tail_mean_bound(params) + rounding * values
-    return (float(values[0]), float(err[0])) if t.ndim == 1 else (values, err)
+    return values, _tail_mean_bound(params) + rounding * values
 
 
 def exact_count_mgf(params: BoltzmannParams, u: float):

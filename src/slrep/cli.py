@@ -19,6 +19,7 @@ import argparse
 import io
 import json
 import math
+import os
 import random
 import sys
 import time
@@ -56,10 +57,10 @@ class ConfigError(ValueError):
 
 
 def _check_bounds(args, exact: bool) -> None:
-    if getattr(args, "unsafe", False):
+    if args.unsafe:
         return
-    r = getattr(args, "rank", None)
-    if r is not None and not 1 <= r <= MAX_RANK:
+    r = args.rank
+    if not 1 <= r <= MAX_RANK:
         raise ConfigError(f"rank {r} outside the default bound 1..{MAX_RANK} "
                           "(pass --unsafe to override)")
     n = getattr(args, "n", None)
@@ -108,21 +109,15 @@ def _manifest(args, results: dict, started: float, outputs) -> str:
 
 def _emit(args, started, results: dict, data: str | None = None,
           failed: bool = False) -> int:
-    outputs = []
-    out = getattr(args, "out", None)
-    if data is not None and out:
-        with open(out, "w") as fh:
+    # only the commands that produce data declare --out
+    to_file = data is not None and args.out
+    if to_file:
+        with open(args.out, "w") as fh:
             fh.write(data)
-        outputs.append(out)
-    print(_manifest(args, results, started, outputs))
-    if data is not None and not out:
+    print(_manifest(args, results, started, [args.out] if to_file else []))
+    if data is not None and not to_file:
         sys.stdout.write(data)
     return 1 if failed else 0
-
-
-def _check_tol(args) -> None:
-    if args.tol is not None and not 0.0 <= args.tol < math.inf:  # refuses nan too
-        raise ConfigError(f"--tol must be finite and nonnegative, got {args.tol}")
 
 
 def _parse_weight(text: str, r: int):
@@ -130,6 +125,15 @@ def _parse_weight(text: str, r: int):
     if len(parts) != r or min(parts) < 1:
         raise ConfigError(f"weight must be {r} positive integers, got {text!r}")
     return parts
+
+
+def _mult_weight(args):
+    """The --k weight of a gap report, which only `--stat mult` reads."""
+    if not args.k:
+        return None
+    if args.stat != "mult":
+        raise ConfigError(f"--k applies only to --stat mult, got --stat {args.stat}")
+    return _parse_weight(args.k, args.rank)
 
 
 def _parse_grid(args, exact: bool):
@@ -142,7 +146,7 @@ def _parse_grid(args, exact: bool):
     if min(grid) < 1:
         raise ConfigError(f"n-grid point {min(grid)} below 1")
     bound = MAX_N_EXACT if exact else MAX_N_NUMERIC
-    if not getattr(args, "unsafe", False) and max(grid) > bound:
+    if not args.unsafe and max(grid) > bound:
         kind = "exact-counting" if exact else "numeric"
         raise ConfigError(f"n-grid point {max(grid)} above the {kind} "
                           f"bound {bound} (pass --unsafe to override)")
@@ -228,9 +232,17 @@ def _cmd_sample(args, started):
     return _emit(args, started, results, "\n".join(lines) + "\n")
 
 
-def _gap_results(report) -> dict:
-    """The results every single-n gap report shares."""
-    return {
+def _cmd_dist(args, started):
+    _check_bounds(args, exact=False)
+    if args.tol is not None and not 0.0 <= args.tol < math.inf:  # refuses nan too
+        raise ConfigError(f"--tol must be finite and nonnegative, got {args.tol}")
+    report = compare_exact_to_limit(args.rank, args.n, args.stat, k=_mult_weight(args))
+    denom = report.limit if report.gap_is_relative else 1.0
+    gaps = np.abs(report.exact - report.limit) / denom
+    lines = ["grid,exact,limit,gap"]
+    lines += [f"{float(g)!r},{float(e)!r},{float(l)!r},{float(d)!r}"
+              for g, e, l, d in zip(report.grid, report.exact, report.limit, gaps)]
+    results = {
         "stat": report.statistic, "gap": report.gap,
         "gap_is_relative": report.gap_is_relative,
         "exact_err": report.exact_err, "limit_err": report.limit_err,
@@ -238,19 +250,6 @@ def _gap_results(report) -> dict:
         "tolerance_note": "no finite-n rate is available; any threshold "
                           "applied to this gap is an engineering choice",
     }
-
-
-def _cmd_dist(args, started):
-    _check_bounds(args, exact=False)
-    _check_tol(args)
-    k = _parse_weight(args.k, args.rank) if args.k else None
-    report = compare_exact_to_limit(args.rank, args.n, args.stat, k=k)
-    denom = report.limit if report.gap_is_relative else 1.0
-    gaps = np.abs(report.exact - report.limit) / denom
-    lines = ["grid,exact,limit,gap"]
-    lines += [f"{float(g)!r},{float(e)!r},{float(l)!r},{float(d)!r}"
-              for g, e, l, d in zip(report.grid, report.exact, report.limit, gaps)]
-    results = _gap_results(report)
     failed = False
     if args.tol is not None:
         results["tol"] = args.tol
@@ -290,7 +289,7 @@ def _cmd_verify_weyl(args, started):
         raise ConfigError(f"--num-thetas must be nonnegative, got {args.num_thetas}")
     box_points = math.prod((j + 1) * args.N + 1
                            for j in range(1, args.rank + 1))
-    if not getattr(args, "unsafe", False) and box_points > 2_000_000:
+    if not args.unsafe and box_points > 2_000_000:
         raise ConfigError(f"lattice box holds {box_points} points, above the "
                           "default 2e6 bound (pass --unsafe to override)")
     random_part, adversarial = theta_grid(
@@ -342,31 +341,20 @@ def _cmd_verify_ensembles(args, started):
 
 def _cmd_verify_limits(args, started):
     _check_bounds(args, exact=False)
-    _check_tol(args)
-    k = _parse_weight(args.k, args.rank) if args.k else None
-    if args.n_grid:
-        if args.tol is not None:
-            raise ConfigError("--tol applies to a single --n; an --n-grid "
-                              "asserts the shrinking trend instead")
-        grid = _parse_grid(args, exact=False)
-        reports = [compare_exact_to_limit(args.rank, n, args.stat, k=k)
-                   for n in grid]
-        gaps = [rep.gap for rep in reports]
-        ok = shrinking(gaps)
-        results = {
-            "pass": bool(ok), "stat": args.stat, "n_grid": grid, "gaps": gaps,
-            "exact_errs": [rep.exact_err for rep in reports],
-            "limit_errs": [rep.limit_err for rep in reports],
-            "trend": "gap must shrink along the n-grid",
-            "tolerance_note": "no finite-n rate is available; the trend is "
-                              "the assertion, thresholds are engineering choices",
-        }
-        return _emit(args, started, results, failed=not ok)
-    report = compare_exact_to_limit(args.rank, args.n, args.stat, k=k)
-    results = _gap_results(report)
-    results["pass"] = None if args.tol is None else bool(report.gap <= args.tol)
-    return _emit(args, started, results,
-                 failed=results["pass"] is False)
+    grid = _parse_grid(args, exact=False)
+    k = _mult_weight(args)
+    reports = [compare_exact_to_limit(args.rank, n, args.stat, k=k) for n in grid]
+    gaps = [rep.gap for rep in reports]
+    ok = shrinking(gaps)
+    results = {
+        "pass": bool(ok), "stat": args.stat, "n_grid": grid, "gaps": gaps,
+        "exact_errs": [rep.exact_err for rep in reports],
+        "limit_errs": [rep.limit_err for rep in reports],
+        "trend": "gap must shrink along the n-grid",
+        "tolerance_note": "no finite-n rate is available; the trend is "
+                          "the assertion, thresholds are engineering choices",
+    }
+    return _emit(args, started, results, failed=not ok)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -377,19 +365,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def common(p):
-        p.add_argument("--rank", type=int, required=True, help="rank r >= 1")
-        p.add_argument("--out", help="write table/sample output to this file")
+        p.add_argument("--rank", type=int, required=True, help="rank r of sl_{r+1}")
         p.add_argument("--unsafe", action="store_true",
                        help="lift the default rank/size bounds")
 
     p = sub.add_parser("census", help="enumerate irreducibles by dimension")
     common(p)
     p.add_argument("--max-dim", type=int, required=True)
+    p.add_argument("--out", help="write the CSV table to this file")
     p.set_defaults(func=_cmd_census)
 
     p = sub.add_parser("count", help="exact representation counts 0..n")
     common(p)
     p.add_argument("--n", type=int, required=True)
+    p.add_argument("--out", help="write the CSV table to this file")
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("saddle", help="solve the Boltzmann calibration")
@@ -405,6 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
                                       "uniform-rejection"), required=True)
     p.add_argument("--samples", type=int, default=1)
     p.add_argument("--seed", type=int, default=0, help="unsigned 64-bit seed")
+    p.add_argument("--out", help="write the JSONL samples to this file")
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("dist", help="exact distribution vs limit law")
@@ -416,6 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", help="weight for --stat mult, e.g. 1,1")
     p.add_argument("--tol", type=float,
                    help="optional gap threshold (engineering choice)")
+    p.add_argument("--out", help="write the CSV table to this file")
     p.set_defaults(func=_cmd_dist)
 
     p = sub.add_parser("constants", help="limit-law normalizing constants")
@@ -427,34 +418,29 @@ def build_parser() -> argparse.ArgumentParser:
     vsub = p.add_subparsers(dest="mode", required=True)
 
     v = vsub.add_parser("weyl", help="window lower bounds on a lattice box")
-    v.add_argument("--rank", type=int, required=True)
+    common(v)
     v.add_argument("--N", type=int, required=True, help="box parameter, >= 4")
     v.add_argument("--eps", type=float, required=True, help="in (0, 1/32]")
     v.add_argument("--num-thetas", type=int, default=10_000)
     v.add_argument("--seed", type=int, default=99)
-    v.add_argument("--unsafe", action="store_true")
-    v.add_argument("--out", help=argparse.SUPPRESS)
     v.set_defaults(func=_cmd_verify_weyl, subcommand="verify.weyl")
 
     v = vsub.add_parser("ensembles", help="exact uniform-vs-Boltzmann TV trend")
-    v.add_argument("--rank", type=int, required=True)
+    common(v)
     v.add_argument("--n-grid", default="100,500,2500,5000")
     v.add_argument("--k", default=None, help="weight, e.g. 1,1")
-    v.add_argument("--unsafe", action="store_true")
-    v.add_argument("--out", help=argparse.SUPPRESS)
     v.set_defaults(func=_cmd_verify_ensembles, subcommand="verify.ensembles")
 
-    v = vsub.add_parser("limits", help="exact-vs-limit gap reports")
-    v.add_argument("--rank", type=int, required=True)
+    # without abbreviations, the single-n --n of `dist` is refused here
+    # instead of read as --n-grid
+    v = vsub.add_parser("limits", help="exact-vs-limit gap trend over an n-grid",
+                        allow_abbrev=False)
+    common(v)
     v.add_argument("--stat", choices=("D", "H", "mult", "shape", "mgf"),
                    required=True)
-    v.add_argument("--n", type=int, default=10**6)
-    v.add_argument("--n-grid", default=None,
+    v.add_argument("--n-grid", required=True,
                    help="comma-separated sizes; asserts the shrinking trend")
-    v.add_argument("--k", default=None)
-    v.add_argument("--tol", type=float, default=None)
-    v.add_argument("--unsafe", action="store_true")
-    v.add_argument("--out", help=argparse.SUPPRESS)
+    v.add_argument("--k", default=None, help="weight for --stat mult, e.g. 1,1")
     v.set_defaults(func=_cmd_verify_limits, subcommand="verify.limits")
 
     return parser
@@ -465,7 +451,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.monotonic()
     try:
-        return args.func(args, started)
+        code = args.func(args, started)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull, so the
+        # flush at interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("failed: standard output was closed before all output was written",
+              file=sys.stderr)
+        return 1
     except (ValueError, NotImplementedError, BudgetError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2

@@ -68,13 +68,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .census import IrrepCensus, enumerate_irreps
+from .census import _U, IrrepCensus, enumerate_irreps
 
 _LIMB_BITS = 31
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
 _LIMB_CAP = 1 << 62  # limbs below this take a normalization's carries in int64
 _MAX_TOTAL = 1 << 31  # the no-overflow proof needs (2^31 - 1)(n + 1) < 2^62
-_UNIT = 2.0 ** -53  # unit roundoff of float64
 _TINY = 2.0 ** -1074  # smallest positive float64
 
 
@@ -218,7 +217,7 @@ def _pick_term(classes, p, v, u):
 def _gamma(m):
     """gamma_m = m u / (1 - m u), u = 2^-53: the relative error of m
     roundings of positive quantities; infinite once m u reaches 1."""
-    mu = m * _UNIT
+    mu = m * _U
     return mu / (1.0 - mu) if mu < 1.0 else np.inf
 
 

@@ -435,12 +435,10 @@ def _shape_rules(r: int, t: np.ndarray, x0: np.ndarray, refine: int = 1,
 
 
 def limit_shape(r: int, corners):
-    """(value, err): the limit shape f_r(t) = int over prod [t_j, inf) of
-    e^(-P(y)) / (1 - e^(-P(y))) dy, P the dimension form, at t > 0.
-
-    corners is one corner (r coordinates) or an (m, r) array of corners;
-    an array gives arrays of values and errors, one per corner.  Rank 1
-    is closed form.  Ranks 2 and 3 integrate x^(-c) G_c(x) W_t(x) over x
+    """(values, errs): the limit shape f_r(t) = int over prod [t_j, inf) of
+    e^(-P(y)) / (1 - e^(-P(y))) dy, P the dimension form, at each row
+    t > 0 of the (m, r) array corners, one value and error per corner.
+    Rank 1 is closed form.  Ranks 2 and 3 integrate x^(-c) G_c(x) W_t(x) over x
     from P(t) (see the module docstring) on cells that grow geometrically
     and then linearly, with an 8-point Gauss and a 9-point Lobatto rule.
 
@@ -460,10 +458,8 @@ def limit_shape(r: int, corners):
     the half-bracket and the bounds above on the refined mesh.
     """
     t = np.asarray(corners, dtype=float)
-    single = t.ndim < 2
-    t = t.reshape(1, -1) if single else t
     if t.ndim != 2 or t.shape[1] != r:
-        raise ValueError(f"corner point must have {r} coordinates")
+        raise ValueError(f"corners must be an (m, {r}) array")
     if not np.all(t > 0.0):
         raise ValueError(f"shape corner must be strictly positive, got {corners}")
     if r == 1:
@@ -493,43 +489,45 @@ def limit_shape(r: int, corners):
         err = err + 64.0 * _U * values
     else:
         raise NotImplementedError(f"limit shape implemented for rank <= 3, got {r}")
-    return (float(values[0]), float(err[0])) if single else (values, err)
+    return values, err
 
 
 # ---- moment generating function of the limiting component count ----
 
 def count_mgf(u, census: IrrepCensus):
-    """(value, err): M(u) = prod over weights (1 - u/a)^{-1}, the mgf of the
-    limiting scaled component count at the census's rank.  Meromorphic with
-    poles at the module dimensions; converges only for rank >= 2 (the
-    rank-1 product diverges like the harmonic series).  u is one point or an
-    array of points, real or complex; an array gives arrays of values and
-    errors, one per point, all from one set of census tails.  Census factors
-    are exact; the tail uses a three-term log expansion whose sums come from
-    `inverse_moment_tail` with their certified errors, and needs
-    |u| <= max_dim / 2.
+    """(values, errs): M(u) = prod over weights (1 - u/a)^{-1}, the mgf of
+    the limiting scaled component count at the census's rank, at each point
+    of the real 1-D array u in (-1, 1), all from one set of census tails.
+    Converges only for rank >= 2 (the rank-1 product diverges like the
+    harmonic series).  The census part is summed in floats: every factor
+    1 - u/m is positive, and its log1p(-u/m) moves by at most |log1p| u /
+    (1 - |u|) through the rounding of u/m and by 2u of itself, the product
+    by rho adds u, and the K class terms, which share one sign, (K - 1)u of
+    their sum.  The tail uses a three-term log expansion whose sums come
+    from `inverse_moment_tail` with their certified errors, rounded within
+    a few u of their magnitudes, and needs |u| <= max_dim / 2; exp adds 2u
+    of the value.
     """
     if census.rank < 2:
         raise ValueError("count mgf diverges at rank 1 (harmonic series); need rank >= 2")
-    uc = np.asarray(u, dtype=complex)
-    size = np.abs(uc)
+    us = np.asarray(u)
+    if us.ndim != 1 or not np.isrealobj(us) or not np.all((-1.0 < us) & (us < 1.0)):
+        raise ValueError(f"mgf points must be a real 1-D array in (-1, 1), got {u}")
+    size = np.abs(us)
     X = census.max_dim
     if np.any(size > X / 2.0):
         raise ValueError(f"|u| = {size.max():.3g} too large for census cutoff {X}")
-    rel = 1.0 - uc[..., None] / census.dims.astype(float)
-    if np.min(np.abs(rel)) < 1e-9:
-        raise ValueError(f"u = {u} is within 1e-9 of a pole of the product")
-    log_main = -np.sum(census.counts * np.log(rel), axis=-1)
+    log_main = -np.sum(census.counts * np.log1p(-us[:, None] / census.dims.astype(float)),
+                       axis=1)
 
     tails = {j: inverse_moment_tail(census, j) for j in (1, 2, 3, 4)}
-    log_tail = sum(uc**j / j * tails[j][0] for j in (1, 2, 3))
+    log_tail = sum(us**j / j * tails[j][0] for j in (1, 2, 3))
     err_log = sum(size**j / j * tails[j][1] for j in (1, 2, 3))
     s4 = tails[4][0] + tails[4][1]
     err_log += size**4 / (4.0 * (1.0 - size / X)) * s4
+    magnitude = np.abs(log_main) + sum(size**j / j * tails[j][0] for j in (1, 2, 3))
+    err_log += (census.dims.size + 8.0 + 1.0 / (1.0 - size)) * _U * magnitude
 
     value = np.exp(log_main + log_tail)
-    with np.errstate(over="ignore", invalid="ignore"):
-        err = np.where(err_log < 700.0, np.abs(value) * np.expm1(err_log), math.inf)
-    if not np.iscomplexobj(u):
-        value = value.real
-    return (value.item(), err.item()) if uc.ndim == 0 else (value, err)
+    with np.errstate(over="ignore"):
+        return value, value * (np.expm1(err_log) + 3.0 * _U)

@@ -373,7 +373,7 @@ def test_exact_max_dim_distribution_against_monte_carlo():
     num = 4000
     params, reps = _boltzmann_draws(300, num, seed=22)
     for ell in (10, 40, 160):
-        value, err = exact_prob_max_dim_le(params, ell)
+        (value,), err = exact_prob_max_dim_le(params, np.array([ell]))
         empirical = sum(1 for rep in reps if not rep.num_irreps()
                         or stat_max_dim(rep) <= ell) / num
         sigma = math.sqrt(max(value * (1.0 - value), 1e-12) / num)
@@ -384,7 +384,7 @@ def test_exact_height_distribution_against_monte_carlo():
     num = 4000
     params, reps = _boltzmann_draws(300, num, seed=23)
     for ell in (1.0, 4.0, 12.0):
-        value, err = exact_prob_height_le(params, ell)
+        (value,), err = exact_prob_height_le(params, np.array([ell]))
         empirical = sum(1 for rep in reps if not rep.num_irreps()
                         or stat_height(rep) <= ell) / num
         sigma = math.sqrt(max(value * (1.0 - value), 1e-12) / num)
@@ -393,8 +393,8 @@ def test_exact_height_distribution_against_monte_carlo():
 
 def test_exact_prob_anchors():
     params = sampling_params(solve_saddle(2, 300))
-    assert exact_prob_max_dim_le(params, params.cutoff)[0] == 1.0
-    value, _ = exact_prob_max_dim_le(params, 0)
+    assert exact_prob_max_dim_le(params, np.array([params.cutoff]))[0][0] == 1.0
+    (value,), _ = exact_prob_max_dim_le(params, np.array([0]))
     assert 0.0 < value < 1.0  # probability of the empty representation
 
 
@@ -405,7 +405,7 @@ def test_exact_prob_height_matches_direct_product():
     # L(k - 1) = (2 (k_1 - 1) + 2 (k_2 - 1)) / 2 at rank 2, weight by weight
     heights = [float(k1 + k2 - 2) for k1, k2 in census.weights.tolist()]
     for ell in (0.0, 1.5, 4.0, 12.0):
-        value, _ = exact_prob_height_le(params, ell)
+        (value,), _ = exact_prob_height_le(params, np.array([ell]))
         direct = math.fsum(math.log1p(-params.q ** int(a))
                            for a, h in zip(dims, heights) if h > ell)
         assert value == pytest.approx(math.exp(direct), rel=1e-12)
@@ -416,11 +416,12 @@ def test_exact_prob_grid_equals_pointwise_calls(prob):
     params = sampling_params(solve_saddle(2, 300))
     ells = np.array([0.0, 1.5, 4.0, 12.0, 40.0, 160.0])
     values, err = prob(params, ells)
-    pointwise = [prob(params, float(ell)) for ell in ells]
-    assert values.tolist() == [value for value, _ in pointwise]
+    pointwise = [prob(params, ells[i:i + 1]) for i in range(ells.size)]
+    assert values.tolist() == [value[0] for value, _ in pointwise]
     assert err == max(e for _, e in pointwise)
-    with pytest.raises(ValueError):
-        prob(params, ells.reshape(2, 3))
+    for bad in (ells.reshape(2, 3), 4.0):
+        with pytest.raises(ValueError):
+            prob(params, bad)
 
 
 def test_exact_expected_shape_matches_direct_sum():
@@ -428,21 +429,22 @@ def test_exact_expected_shape_matches_direct_sum():
     census = params.census
     dims, K = np.repeat(census.dims, census.counts), census.weights
     for t in ((1.0, 1.0), (2.0, 3.0), (5.5, 1.5)):
-        value, err = exact_expected_shape(params, t)
+        (value,), (err,) = exact_expected_shape(params, np.array([t]))
         direct = math.fsum(
             params.q ** int(a) / (1.0 - params.q ** int(a))
             for a, k in zip(dims, K) if k[0] >= t[0] and k[1] >= t[1])
         assert value == pytest.approx(direct, rel=1e-10)
         assert err >= 0.0
-    with pytest.raises(ValueError):
-        exact_expected_shape(params, (1.0, 1.0, 1.0))
+    for bad in ([(1.0, 1.0, 1.0)], (1.0, 1.0)):
+        with pytest.raises(ValueError):
+            exact_expected_shape(params, np.array(bad))
 
 
 def test_exact_shape_against_monte_carlo():
     num = 4000
     params, reps = _boltzmann_draws(300, num, seed=24)
     t = (2.0, 2.0)
-    value, err = exact_expected_shape(params, t)
+    (value,), (err,) = exact_expected_shape(params, np.array([t]))
     counts = [sum(x for k, x in rep.components() if k[0] >= 2 and k[1] >= 2)
               for rep in reps]
     mean = sum(counts) / num

@@ -1,5 +1,6 @@
 """Command-line interface: manifests, tables, samples, and exit codes."""
 
+import argparse
 import ast
 import filecmp
 import hashlib
@@ -16,7 +17,7 @@ import slrep
 import slrep.census
 import slrep.verify
 import slrep.weights
-from slrep.cli import main
+from slrep.cli import build_parser, main
 from slrep.weights import dim_irrep
 from test_exact_count import COUNT_R2_10000
 
@@ -384,13 +385,14 @@ def test_verify_ensembles_trend(capsys):
 
 
 def test_verify_limits_single_point_tolerance(capsys):
-    code, out, _ = run_cli(capsys, "verify", "limits", "--stat", "D",
+    # the single-n report with a threshold is `dist --tol`
+    code, out, _ = run_cli(capsys, "dist", "--stat", "D",
                            "--rank", "2", "--n", "300", "--tol", "0.9")
     assert code == 0
     manifest, _ = split_manifest(out)
     assert manifest["results"]["pass"] is True
 
-    code, out, _ = run_cli(capsys, "verify", "limits", "--stat", "D",
+    code, out, _ = run_cli(capsys, "dist", "--stat", "D",
                            "--rank", "2", "--n", "300", "--tol", "0.0001")
     assert code == 1
     manifest, _ = split_manifest(out)
@@ -420,8 +422,8 @@ def test_verify_limits_trend_mode(capsys):
      "--n-grid", "100,100000000000"),
     ("verify", "limits", "--rank", "2", "--stat", "mult", "--k", "1,1",
      "--n-grid", "0,1000"),
-    ("verify", "limits", "--rank", "2", "--stat", "mult", "--k", "1,1",
-     "--n-grid", "1000,10000", "--tol", "0.0"),
+    # a weight is read only by --stat mult
+    ("dist", "--rank", "2", "--n", "1000", "--stat", "D", "--k", "9,9"),
     # a saddle tolerance outside [1e-12, 1) is unreachable or meaningless
     ("saddle", "--rank", "2", "--n", "1000", "--tol", "0"),
     ("saddle", "--rank", "2", "--n", "1000", "--tol", "-1"),
@@ -439,6 +441,8 @@ def test_verify_limits_trend_mode(capsys):
     ("verify", "weyl", "--rank", "1", "--N", "4", "--eps", "0.03125"),
     ("verify", "weyl", "--rank", "2", "--N", "4", "--eps", "0.03125",
      "--num-thetas", "-1"),
+    ("verify", "limits", "--rank", "2", "--stat", "H", "--k", "1,1",
+     "--n-grid", "1000,10000"),
 ])
 def test_invalid_configurations_exit_two(capsys, monkeypatch, argv):
     # every case is refused before a census is enumerated, a frequency grid
@@ -455,8 +459,7 @@ def test_invalid_configurations_exit_two(capsys, monkeypatch, argv):
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
-@pytest.mark.parametrize("command", [("dist", "--stat", "D"),
-                                     ("verify", "limits", "--stat", "D")])
+@pytest.mark.parametrize("command", [("dist", "--stat", "D")])
 def test_bad_tolerance_is_refused(capsys, monkeypatch, command, tol):
     # before, nan failed with "tol": null, inf passed with "tol": null and a
     # negative tolerance failed every run
@@ -470,6 +473,39 @@ def test_bad_tolerance_is_refused(capsys, monkeypatch, command, tol):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("invalid config: --tol")
     assert out == ""
+
+
+def _options_by_command():
+    """{command: its option strings} over every subparser, --help left out."""
+    options = {}
+
+    def walk(parser, path):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for name, child in action.choices.items():
+                    walk(child, path + (name,))
+            elif action.option_strings and action.dest != "help":
+                options.setdefault(" ".join(path), set()).add(action.option_strings[0])
+
+    walk(build_parser(), ())
+    return options
+
+
+def test_out_only_on_commands_that_write_data():
+    options = _options_by_command()
+    assert {command for command, names in options.items() if "--out" in names} == {
+        "census", "count", "sample", "dist"}
+    assert options["verify limits"] == {"--rank", "--stat", "--n-grid", "--k", "--unsafe"}
+
+
+def test_verify_limits_has_no_single_n_options():
+    # the single-n report is `dist`; `verify limits` is the n-grid trend only
+    for option in (("--tol", "1"), ("--n", "1000")):
+        proc = run_fresh("verify", "limits", "--rank", "2", "--stat", "D",
+                         "--n-grid", "1000,10000", *option)
+        assert proc.returncode == 2, option
+        assert "unrecognized arguments" in proc.stderr
+        assert proc.stdout == ""
 
 
 def test_failed_computation_exits_one_without_traceback(capsys, monkeypatch):
@@ -550,20 +586,37 @@ def test_unsafe_lifts_rank_bound(capsys):
     assert manifest["results"]["num_irreps"] > 0
 
 
-def run_fresh(*argv, code=None):
+def run_fresh(*argv, code=None, stdout=subprocess.PIPE):
     """Run the CLI in a fresh interpreter.  With `code`, run that script
-    (it reads the CLI arguments from sys.argv[1:]) instead of the module."""
+    (it reads the CLI arguments from sys.argv[1:]) instead of the module;
+    with `stdout`, send its standard output there instead of capturing it."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     head = ["-c", code] if code else ["-m", "slrep.cli"]
-    return subprocess.run([sys.executable, *head, *argv], capture_output=True,
-                          text=True, env=env, timeout=300)
+    return subprocess.run([sys.executable, *head, *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=env, timeout=300)
+
+
+@pytest.mark.parametrize("n", ["8", "2000"])
+def test_closed_stdout_exits_one_without_traceback(n):
+    # the reader is gone before the first byte: at n = 8 all output is still
+    # buffered when the command returns, at n = 2000 the table overflows the
+    # buffer while it is written
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_fresh("count", "--rank", "2", "--n", n, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("failed: ")
 
 
 # Runs main, then reports its exit status and the scipy modules loaded.
 SCIPY_PROBE = """
 import contextlib, io, json, sys
-from slrep.cli import main
+from slrep.cli import build_parser, main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
 print(json.dumps({"code": code, "scipy": sorted(
@@ -644,7 +697,7 @@ RANK_FOUR_RUNS = {
     "uniform-rejection": ("sample", "--rank", "4", "--n", "100",
                           "--mode", "uniform-rejection"),
     "ensembles": ("verify", "ensembles", "--rank", "4", "--n-grid", "20,60"),
-    "limits": ("verify", "limits", "--rank", "4", "--stat", "D", "--n", "1000"),
+    "limits": ("verify", "limits", "--rank", "4", "--stat", "D", "--n-grid", "1000"),
     "census": ("census", "--rank", "4", "--max-dim", "100"),
     "count": ("count", "--rank", "4", "--n", "50"),
     "uniform-dp": ("sample", "--rank", "4", "--n", "50", "--mode", "uniform-dp",
@@ -679,7 +732,7 @@ HIGH_RANK_RUNS = {
     "uniform-rejection": ("sample", "--n", "1000000",
                           "--mode", "uniform-rejection", "--samples", "2"),
     "ensembles": ("verify", "ensembles", "--n-grid", "100,500,2500"),
-    "limits": ("verify", "limits", "--stat", "D", "--n", "1000000"),
+    "limits": ("verify", "limits", "--stat", "D", "--n-grid", "1000000"),
     "dist-mgf": ("dist", "--n", "1000000", "--stat", "mgf"),
     "limits-mgf": ("verify", "limits", "--stat", "mgf", "--n-grid", "10000,1000000"),
 }
@@ -707,7 +760,7 @@ def test_high_rank_support(capsys, label, rank):
     pytest.param(("verify", "limits", "--stat", "shape", "--n-grid", "10000,1000000"),
                  "6", id="argv3-6"),
     pytest.param(("dist", "--n", "1000", "--stat", "mgf"), "1", id="dist-mgf-1"),
-    pytest.param(("verify", "limits", "--stat", "mgf", "--n", "1000000"), "1",
+    pytest.param(("verify", "limits", "--stat", "mgf", "--n-grid", "1000000"), "1",
                  id="limits-mgf-1"),
 ])
 def test_rank_limited_statistics_refused_before_any_census(capsys, monkeypatch,

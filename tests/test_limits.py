@@ -9,8 +9,9 @@ import pytest
 from scipy.integrate import dblquad, tplquad
 from scipy.special import gamma as gamma_fn, zeta
 
+import slrep.limits
 from slrep.boltzmann import solve_saddle
-from slrep.census import enumerate_irreps, region_volume
+from slrep.census import enumerate_irreps, inverse_moment_tail, region_volume
 from slrep.limits import (
     asymptotic_saddle,
     bose_tail,
@@ -26,6 +27,7 @@ from slrep.limits import (
     zeta,
 )
 from slrep.stats import default_shape_grid
+from slrep.verify import _MGF_GRID, _MGF_LIMIT_MAX_DIM
 from slrep.weights import degree
 
 from oracles import (
@@ -199,7 +201,7 @@ def test_gumbel_and_exponential_reference_cdfs():
 
 def test_limit_shape_rank_one_closed_form():
     for t in (0.1, 0.7, 2.0, 5.0):
-        value, err = limit_shape(1, t)
+        (value,), (err,) = limit_shape(1, np.array([[t]]))
         assert value == pytest.approx(-math.log(-math.expm1(-t)), rel=1e-12)
         assert 0.0 < err <= 1e-14 * value
 
@@ -215,7 +217,7 @@ def test_limit_shape_rank_two_against_direct_quadrature(t):
 
     hi = (60.0 / t) ** 0.5 + t
     direct, _ = dblquad(f, t, hi, t, hi, epsabs=1e-10, epsrel=1e-9)
-    value, _ = limit_shape(2, (t, t))
+    (value,), _ = limit_shape(2, np.array([(t, t)]))
     assert value == pytest.approx(direct, rel=1e-6)
 
 
@@ -243,24 +245,26 @@ def test_limit_shape_rank_three_against_tplquad(t):
         return 0.0 if a > 700.0 else math.exp(-a) / -math.expm1(-a) / (u1 * u2 * u3)
 
     direct, _ = tplquad(f, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, epsabs=1e-10, epsrel=1e-7)
-    value, err = limit_shape(3, t)
+    (value,), (err,) = limit_shape(3, np.array([t]))
     assert abs(value - direct) <= err + 1e-7 * direct
     assert 0.0 < err <= 1e-6 * value
 
 
 def test_limit_shape_symmetry_and_validation():
-    left, left_err = limit_shape(2, (0.5, 1.5))
-    right, right_err = limit_shape(2, (1.5, 0.5))
+    (left,), (left_err,) = limit_shape(2, np.array([(0.5, 1.5)]))
+    (right,), (right_err,) = limit_shape(2, np.array([(1.5, 0.5)]))
     assert abs(left - right) <= left_err + right_err
-    assert limit_shape(3, (1.0, 1.0, 1.0))[0] > 0.0
+    assert limit_shape(3, np.array([(1.0, 1.0, 1.0)]))[0][0] > 0.0
     with pytest.raises(ValueError):
-        limit_shape(2, (1.0,))
+        limit_shape(2, np.array([(1.0,)]))
     with pytest.raises(ValueError):
-        limit_shape(2, (-1.0, 1.0))
+        limit_shape(2, np.array([(-1.0, 1.0)]))
     with pytest.raises(ValueError):
         limit_shape(2, np.ones((2, 2, 2)))
+    with pytest.raises(ValueError):
+        limit_shape(2, np.array((1.0, 1.0)))  # one corner is a 1-row array
     with pytest.raises(NotImplementedError):
-        limit_shape(4, (1.0, 1.0, 1.0, 1.0))
+        limit_shape(4, np.array([(1.0, 1.0, 1.0, 1.0)]))
 
 
 def test_limit_shape_is_decreasing_in_the_corner():
@@ -270,14 +274,17 @@ def test_limit_shape_is_decreasing_in_the_corner():
 
 def test_count_mgf_normalization_and_validation():
     census = enumerate_irreps(2, 20_000)
-    value, err = count_mgf(0.0, census)
+    (value,), (err,) = count_mgf(np.array([0.0]), census)
     assert value == 1.0 and err >= 0.0
     with pytest.raises(ValueError):
-        count_mgf(0.3, enumerate_irreps(1, 100))
+        count_mgf(np.array([0.3]), enumerate_irreps(1, 100))
     with pytest.raises(ValueError):
-        count_mgf(1.0 + 1e-12, census)  # within 1e-9 of the pole at m = 1
+        count_mgf(np.array([1.0 + 1e-12]), census)  # beyond the pole at m = 1
     with pytest.raises(ValueError):
-        count_mgf(20_000.0, census)
+        count_mgf(np.array([20_000.0]), census)
+    for bad in (np.float64(0.3), np.array([[0.3]]), np.array([0.3 + 0.2j])):
+        with pytest.raises(ValueError):
+            count_mgf(bad, census)
 
 
 def test_count_mgf_cutoff_consistency():
@@ -287,8 +294,8 @@ def test_count_mgf_cutoff_consistency():
         large = enumerate_irreps(r, 100_000)
         values, errs = count_mgf(us, small)
         for i, u in enumerate(us):
-            v_small, e_small = count_mgf(u, small)
-            v_large, e_large = count_mgf(u, large)
+            (v_small,), (e_small,) = count_mgf(us[i:i + 1], small)
+            (v_large,), (e_large,) = count_mgf(us[i:i + 1], large)
             assert abs(v_small - v_large) <= e_small + e_large, (r, u)
             assert e_large < e_small, (r, u)
             # an array of points gives the pointwise values
@@ -296,9 +303,22 @@ def test_count_mgf_cutoff_consistency():
             assert errs[i] == pytest.approx(e_small, rel=1e-14), (r, u)
 
 
-def test_count_mgf_complex_argument():
-    census = enumerate_irreps(2, 20_000)
-    value, err = count_mgf(0.3 + 0.2j, census)
-    assert isinstance(value, complex)
-    conj, _ = count_mgf(0.3 - 0.2j, census)
-    assert conj == pytest.approx(value.conjugate(), rel=1e-12)
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_count_mgf_err_covers_rounding(monkeypatch, r):
+    # the report's census product against 40 digits with the same three tail
+    # terms; their certified errors and the fourth-order remainder are set
+    # to zero, so err holds the float rounding alone
+    census = enumerate_irreps(r, _MGF_LIMIT_MAX_DIM)
+    tails = {j: inverse_moment_tail(census, j)[0] for j in (1, 2, 3)}
+    monkeypatch.setattr(slrep.limits, "inverse_moment_tail",
+                        lambda c, j: (tails.get(j, 0.0), 0.0))
+    us = np.array(_MGF_GRID)
+    values, errs = count_mgf(us, census)
+    pairs = list(zip(census.dims.tolist(), census.counts.tolist()))
+    with mp.workdps(40):
+        for u, value, err in zip(us, values, errs):
+            u = mp.mpf(u)
+            log_ref = -mp.fsum(rho * mp.log1p(-u / m) for m, rho in pairs)
+            log_ref += mp.fsum(u**j / j * mp.mpf(tails[j]) for j in (1, 2, 3))
+            assert abs(mp.mpf(value) - mp.exp(log_ref)) <= err, (r, float(u))
