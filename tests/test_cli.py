@@ -459,10 +459,12 @@ def test_invalid_configurations_exit_two(capsys, monkeypatch, argv):
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
-@pytest.mark.parametrize("command", [("dist", "--stat", "D")])
+@pytest.mark.parametrize("command", [("dist", "--stat", "D"),
+                                     ("dist", "--stat", "mult", "--k", "1,1")])
 def test_bad_tolerance_is_refused(capsys, monkeypatch, command, tol):
     # before, nan failed with "tol": null, inf passed with "tol": null and a
-    # negative tolerance failed every run
+    # negative tolerance failed every run; the tolerance is checked before a
+    # weight is read, on every statistic
     def never(*args, **kwargs):
         raise AssertionError("report built for a refused tolerance")
 
