@@ -21,8 +21,8 @@ and tail bounds read that same table instead of enumerating their own.
 
 from __future__ import annotations
 
-import csv
 import math
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, count
@@ -65,19 +65,16 @@ class IrrepCensus:
 MAX_WEIGHTS = 50_000_000
 """Most weights one census may hold, judged from its proven bound."""
 
-_CHUNK = 1 << 16  # scanned dims held as Python ints before they move to int64
-
 
 def _scan(r: int, X: int):
     """(dims, heads, runs): every weight with dim <= X in lexicographic
     order, as runs of the last coordinate.
 
-    dims is an int64 array of each weight's dimension; the scan moves them
-    there from a list every _CHUNK weights, since a Python int costs five
-    times the memory.  Each prefix k_1..k_{r-1} that some weight extends
-    adds its coordinates to the flat list heads and its run length to runs;
-    its weights are the prefix followed by k_r = 1..run, in that order in
-    dims.
+    The three are array("q") buffers of int64 words.  dims holds each
+    weight's dimension.  Each prefix k_1..k_{r-1} that some weight extends
+    adds its coordinates to the flat buffer heads and its run length to
+    runs; its weights are the prefix followed by k_r = 1..run, in that order
+    in dims.
 
     A depth-first scan over the prefix; for each prefix the last
     coordinate runs in one tight loop, whose Weyl numerator is
@@ -88,9 +85,8 @@ def _scan(r: int, X: int):
     """
     c = superfactorial(r)
     limit = c * X
-    dims, heads, runs = [], [], []
+    dims, heads, runs = array("q"), array("q"), array("q")
     append = dims.append
-    chunks = []
     prefix = [1] * (r - 1)
 
     def scan(depth):
@@ -112,14 +108,10 @@ def _scan(r: int, X: int):
         if found:
             heads.extend(prefix)
             runs.append(found)
-        while len(dims) >= _CHUNK:
-            chunks.append(np.array(dims[:_CHUNK], dtype=np.int64))
-            del dims[:_CHUNK]
         return found > 0
 
     scan(0)
-    chunks.append(np.array(dims, dtype=np.int64))
-    return np.concatenate(chunks), heads, runs
+    return dims, heads, runs
 
 
 def enumerate_irreps(r: int, max_dim) -> IrrepCensus:
@@ -143,7 +135,7 @@ def enumerate_irreps(r: int, max_dim) -> IrrepCensus:
         raise BudgetError(f"census at cutoff {X} may hold up to {bound:.3g} "
                           f"weights, above the cap {MAX_WEIGHTS}")
 
-    found, heads, runs = _scan(r, X)
+    found, heads, runs = (np.frombuffer(b, dtype=np.int64) for b in _scan(r, X))
     # a stable sort keeps each class in scan order; order[i] is the scan
     # position of the i-th weight by dimension
     order = np.argsort(found, kind="stable")
@@ -152,7 +144,6 @@ def enumerate_irreps(r: int, max_dim) -> IrrepCensus:
     dims = found[first]
     counts = np.diff(first, append=found.size)
     del found
-    runs = np.array(runs, dtype=np.int64)
     run_of = np.repeat(np.arange(runs.size), runs)[order]
     # filled column by column in place, so no second array of the weights
     # exists; every index is in range, and mode="clip" lets take write
@@ -163,7 +154,7 @@ def enumerate_irreps(r: int, max_dim) -> IrrepCensus:
     np.subtract(order, last, out=last)
     last += 1  # the last coordinate counts up from 1 along its run
     del order
-    heads = np.array(heads, dtype=np.int64).reshape(runs.size, r - 1)
+    heads = heads.reshape(runs.size, r - 1)
     for j in range(r - 1):
         np.take(heads[:, j], run_of, out=weights[:, j], mode="clip")
     return IrrepCensus(rank=r, max_dim=X, dims=dims, counts=counts,
@@ -172,10 +163,9 @@ def enumerate_irreps(r: int, max_dim) -> IrrepCensus:
 
 def write_csv(census: IrrepCensus, fileobj) -> None:
     """Dump as CSV with header m,rho,cumulative."""
-    w = csv.writer(fileobj, lineterminator="\n")
-    w.writerow(["m", "rho", "cumulative"])
+    fileobj.write("m,rho,cumulative\n")
     for m, c, s in zip(census.dims, census.counts, census.cumulative):
-        w.writerow([int(m), int(c), int(s)])
+        fileobj.write(f"{m},{c},{s}\n")
 
 
 _U = 2.0**-53          # unit roundoff of a double

@@ -357,8 +357,16 @@ def _cmd_verify_limits(args, started):
     return _emit(args, started, results, failed=not ok)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses abbreviated options, so --n is never read as --n-grid; its
+    subparsers are built from the same class."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="slrep",
         description="Exact counting, sampling, and limit-law analysis of "
                     "random representations of the special linear Lie algebras.")
@@ -431,10 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--k", default=None, help="weight, e.g. 1,1")
     v.set_defaults(func=_cmd_verify_ensembles, subcommand="verify.ensembles")
 
-    # without abbreviations, the single-n --n of `dist` is refused here
-    # instead of read as --n-grid
-    v = vsub.add_parser("limits", help="exact-vs-limit gap trend over an n-grid",
-                        allow_abbrev=False)
+    v = vsub.add_parser("limits", help="exact-vs-limit gap trend over an n-grid")
     common(v)
     v.add_argument("--stat", choices=("D", "H", "mult", "shape", "mgf"),
                    required=True)

@@ -262,12 +262,9 @@ def _window_arrays(thetas, dims, window):
     counts = np.empty(len(thetas), dtype=np.int64)
     sin2_lower = np.empty(len(thetas))
     squares = np.empty(max(_BLOCK_ELEMENTS, unique.size))
-    weights = mult  # mult once per row of a block, flat like the block
     for block, distances, inside in _window_blocks(thetas, unique, window):
-        if weights.size < distances.size:
-            weights = np.tile(mult, len(distances))
-        counts[block] = total - np.bincount(inside // unique.size,
-                                            weights=weights[inside],
+        row, column = np.divmod(inside, unique.size)
+        counts[block] = total - np.bincount(row, weights=mult[column],
                                             minlength=len(distances))
         square = squares[:distances.size].reshape(distances.shape)
         np.copyto(square, distances.view(np.int64), casting="unsafe")

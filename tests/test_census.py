@@ -171,23 +171,16 @@ def test_enumeration_validation_and_budget(monkeypatch):
             enumerate_irreps(r, X)
 
 
-def test_scan_moves_dims_to_int64_in_chunks(monkeypatch):
-    # the scan parks its dims in int64 chunks; tiny chunks, split inside
-    # runs, must give the same census and keep the weight cap exact
-    expected = {(r, X): enumerate_irreps(r, X)
-                for r, X in ((1, 50), (2, 500), (3, 500), (4, 10**5))}
-    monkeypatch.setattr(census_module, "_CHUNK", 7)
-    for (r, X), census in expected.items():
-        chunked = enumerate_irreps(r, X)
-        for field in ("dims", "counts", "cumulative", "weights"):
-            assert np.array_equal(getattr(chunked, field), getattr(census, field))
-    # the cap is judged from the bound before the scan, so chunking has no
-    # say in it: rank 4, X = 10^5 holds 1,271 weights and is refused under
-    # a cap of 5,849, just below its bound
+def test_weight_cap_is_exact_at_the_bound(monkeypatch):
+    # the cap is judged from the bound before the scan: rank 4, X = 10^5
+    # holds 1,271 weights and is built unchanged under a cap of ceil(bound)
+    # = 5,850, and refused without a scan under floor(bound) = 5,849
+    expected = enumerate_irreps(4, 10**5)
     bound = sum(region_volume(4)) * 1e5 ** 0.4
     monkeypatch.setattr(census_module, "MAX_WEIGHTS", math.ceil(bound))
-    assert np.array_equal(enumerate_irreps(4, 10**5).weights,
-                          expected[4, 10**5].weights)
+    capped = enumerate_irreps(4, 10**5)
+    for field in ("dims", "counts", "cumulative", "weights"):
+        assert np.array_equal(getattr(capped, field), getattr(expected, field))
 
     def never(*args):
         raise AssertionError("scan ran for an oversized census")
@@ -196,6 +189,20 @@ def test_scan_moves_dims_to_int64_in_chunks(monkeypatch):
     monkeypatch.setattr(census_module, "MAX_WEIGHTS", math.floor(bound))
     with pytest.raises(BudgetError):
         enumerate_irreps(4, 10**5)
+
+
+@pytest.mark.parametrize("r, X, Y", [(1, 300, 1000), (2, 10**4, 10**5),
+                                     (3, 10**5, 10**6), (4, 10**6, 10**7),
+                                     (5, 10**7, 10**8), (6, 10**8, 10**9)])
+def test_censuses_are_nested(r, X, Y):
+    # the census at X is the leading part of the census at Y: its classes
+    # are those of dimension <= X, and its weights the first rows
+    small, large = enumerate_irreps(r, X), enumerate_irreps(r, Y)
+    k = np.searchsorted(large.dims, X, side="right")
+    assert 0 < k < large.dims.size
+    for field in ("dims", "counts", "cumulative"):
+        assert np.array_equal(getattr(small, field), getattr(large, field)[:k])
+    assert np.array_equal(small.weights, large.weights[:small.num_weights])
 
 
 def test_write_csv_round_trip():

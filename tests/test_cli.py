@@ -510,6 +510,18 @@ def test_verify_limits_has_no_single_n_options():
         assert proc.stdout == ""
 
 
+def test_abbreviated_options_are_refused():
+    # an abbreviation is refused on every parser, not read as the option it
+    # starts: --n as --n-grid, --sam as --samples
+    for argv in (("verify", "ensembles", "--rank", "2", "--n", "100"),
+                 ("sample", "--rank", "2", "--n", "10", "--mode", "boltzmann",
+                  "--sam", "5")):
+        proc = run_fresh(*argv)
+        assert proc.returncode == 2, argv
+        assert "unrecognized arguments" in proc.stderr
+        assert proc.stdout == ""
+
+
 def test_failed_computation_exits_one_without_traceback(capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise RuntimeError("rejection sampler exceeded 1 attempts (0/1 accepted)")
