@@ -39,8 +39,10 @@ from .exact_count import count_representations, uniform_sample
 from .limits import compute_constants
 from .stats import stat_height, stat_max_dim
 from .verify import (
+    STATISTICS,
     appendix_window_check,
     compare_exact_to_limit,
+    default_weight,
     ensembles_tv,
     shrinking,
     theta_grid,
@@ -120,18 +122,22 @@ def _emit(args, started, results: dict, data: str | None = None,
     return 1 if failed else 0
 
 
-def _parse_weight(text: str, r: int):
-    parts = tuple(int(x) for x in text.split(","))
-    if len(parts) != r or min(parts) < 1:
+def _parse_weight(text: str | None, r: int):
+    """The --k weight, or None when --k is absent."""
+    if not text:
+        return None
+    try:
+        parts = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        parts = ()
+    if len(parts) != r or min(parts, default=0) < 1:
         raise ConfigError(f"weight must be {r} positive integers, got {text!r}")
     return parts
 
 
 def _mult_weight(args):
     """The --k weight of a gap report, which only `--stat mult` reads."""
-    if not args.k:
-        return None
-    if args.stat != "mult":
+    if args.k and args.stat != "mult":
         raise ConfigError(f"--k applies only to --stat mult, got --stat {args.stat}")
     return _parse_weight(args.k, args.rank)
 
@@ -237,11 +243,9 @@ def _cmd_dist(args, started):
     if args.tol is not None and not 0.0 <= args.tol < math.inf:  # refuses nan too
         raise ConfigError(f"--tol must be finite and nonnegative, got {args.tol}")
     report = compare_exact_to_limit(args.rank, args.n, args.stat, k=_mult_weight(args))
-    denom = report.limit if report.gap_is_relative else 1.0
-    gaps = np.abs(report.exact - report.limit) / denom
     lines = ["grid,exact,limit,gap"]
-    lines += [f"{float(g)!r},{float(e)!r},{float(l)!r},{float(d)!r}"
-              for g, e, l, d in zip(report.grid, report.exact, report.limit, gaps)]
+    lines += [",".join(repr(float(v)) for v in row)
+              for row in zip(report.grid, report.exact, report.limit, report.gaps)]
     results = {
         "stat": report.statistic, "gap": report.gap,
         "gap_is_relative": report.gap_is_relative,
@@ -326,15 +330,14 @@ def _cmd_verify_weyl(args, started):
 def _cmd_verify_ensembles(args, started):
     _check_bounds(args, exact=True)
     grid = _parse_grid(args, exact=True)
-    k = (_parse_weight(args.k, args.rank) if args.k
-         else (1,) * args.rank)
+    k = _parse_weight(args.k, args.rank) or default_weight(args.rank)
     table = count_representations(args.rank, max(grid))
-    tvs = [ensembles_tv(table, n, k) for n in grid]
+    tvs, errs = zip(*(ensembles_tv(table, n, k) for n in grid))
     ok = shrinking(tvs, allow_single_step_fraction=0.1)
     results = {
         "pass": bool(ok), "n_grid": grid, "k": list(k), "tv": tvs,
         "trend": "decreasing, one upward step of at most 10% forgiven",
-        "float_conversion_err": 1e-12,
+        "float_conversion_err": max(errs),
     }
     return _emit(args, started, results, failed=not ok)
 
@@ -408,8 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dist", help="exact distribution vs limit law")
     common(p)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--stat", choices=("D", "H", "mult", "shape", "mgf"),
-                   required=True,
+    p.add_argument("--stat", choices=STATISTICS, required=True,
                    help="mgf is the transform characterizing the count limit")
     p.add_argument("--k", help="weight for --stat mult, e.g. 1,1")
     p.add_argument("--tol", type=float,
@@ -441,8 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = vsub.add_parser("limits", help="exact-vs-limit gap trend over an n-grid")
     common(v)
-    v.add_argument("--stat", choices=("D", "H", "mult", "shape", "mgf"),
-                   required=True)
+    v.add_argument("--stat", choices=STATISTICS, required=True)
     v.add_argument("--n-grid", required=True,
                    help="comma-separated sizes; asserts the shrinking trend")
     v.add_argument("--k", default=None, help="weight for --stat mult, e.g. 1,1")

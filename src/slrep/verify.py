@@ -426,15 +426,26 @@ def appendix_window_check(box_size: int, epsilon: float, thetas) -> AppendixRepo
         run_follow_violations=follows[run_mask])
 
 
-def ensembles_tv(table: CountTable, n: int, k) -> float:
-    """Exact total variation between the uniform-model and Boltzmann-model
-    laws of the multiplicity of weight k at total dimension n.
+def default_weight(r: int) -> tuple:
+    """(1, ..., 1), the trivial irreducible: the default weight of a mult report."""
+    return (1,) * r
+
+
+def ensembles_tv(table: CountTable, n: int, k) -> tuple[float, float]:
+    """(tv, err): the total variation between the uniform-model and
+    Boltzmann-model laws of the multiplicity of weight k at total dimension
+    n, and a bound on its rounding error.
 
     The uniform side is exact big-integer counting (the count table with
     the weight's factor removed, shifted by multiples of its dimension);
-    the Boltzmann side is the geometric law at the saddle solved for
-    (table.rank, n).  The only inexactness is the final float conversion,
-    below 1e-12 here.
+    the Boltzmann side is the geometric law at the float saddle beta solved
+    for (table.rank, n).  With u = 2^-53, and exp and expm1 within one ulp,
+    to first order: the rounded quotients add u to S = 2 tv; each Boltzmann
+    mass (1 - q) q^ell, q = exp(-beta a), is off by (6 + 2 beta a ell) u of
+    itself and the tail q^m, m = n // a + 1, by (2 + 2 beta a m) u, at most
+    9 u in all as beta a q / (1 - q) <= 1 and beta a m q^m <= 1/e; rounding
+    the N = n // a + 2 terms and their sum adds N u S.  The TV is off by
+    half of this (10 + N S) u; err is all of it, for higher orders and underflow.
     """
     k = tuple(k)
     a = dim_irrep(table.rank, k)
@@ -450,7 +461,7 @@ def ensembles_tv(table: CountTable, n: int, k) -> float:
         boltzmann_mass = -math.expm1(log_qa) * math.exp(log_qa * ell)
         tv += abs(uniform_mass - boltzmann_mass)
     tv += math.exp(log_qa * (n // a + 1))  # Boltzmann mass above n // a
-    return 0.5 * tv
+    return 0.5 * tv, (10 + (n // a + 2) * tv) * 2.0**-53
 
 
 def shrinking(values, allow_single_step_fraction: float | None = None) -> bool:
@@ -471,11 +482,13 @@ def shrinking(values, allow_single_step_fraction: float | None = None) -> bool:
 class LimitGapReport:
     """Exact-vs-limit gap for one observable at one size, with the grid,
     both curves, and error bounds for both routes (certified, except the
-    rank-3 limit shape's, which the note marks as an estimate).  The error
-    bounds are absolute, except where the gap is relative (the shape), where
-    each is the largest relative error of its column.  Any finite tolerance
-    judged against the gap is an engineering choice; the theory fixes only
-    that gaps shrink as the size grows."""
+    rank-3 limit shape's, which the note marks as an estimate).  The gap
+    column `gaps` is |exact - limit|, over limit where the gap is relative
+    (the shape), and `gap` is its largest value.  The error bounds are
+    absolute, except where the gap is relative, where each is the largest
+    relative error of its column.  Any finite tolerance judged against the
+    gap is an engineering choice; the theory fixes only that gaps shrink as
+    n grows."""
 
     statistic: str
     rank: int
@@ -483,16 +496,24 @@ class LimitGapReport:
     grid: np.ndarray
     exact: np.ndarray
     limit: np.ndarray
-    gap: float
     gap_is_relative: bool
     exact_err: float
     limit_err: float
     note: str
 
+    @property
+    def gaps(self) -> np.ndarray:
+        gaps = np.abs(self.exact - self.limit)
+        return gaps / self.limit if self.gap_is_relative else gaps
+
+    @property
+    def gap(self) -> float:
+        return float(np.max(self.gaps))
+
 
 _MGF_GRID = (-0.5, -0.25, 0.25, 0.5)
 _MGF_LIMIT_MAX_DIM = 2_000_000  # census cutoff of the limit product's exact factors
-_STATISTICS = ("D", "H", "mult", "shape", "mgf")
+STATISTICS = ("D", "H", "mult", "shape", "mgf")
 # certified truncation error of the shape report, relative to each corner value
 SHAPE_REL_ERR = 1e-6
 
@@ -512,8 +533,8 @@ def compare_exact_to_limit(r: int, n: int, which: str, *, k=None) -> LimitGapRep
 
     which selects the observable: "D" and "H" compare the exact extremal
     CDFs against the doubly exponential law on an x-grid; "mult" compares
-    the exact geometric law of a fixed weight's multiplicity against the
-    exponential law (the sup over the jump points is closed-form); "shape"
+    the exact geometric law of weight k's multiplicity (default_weight(r)
+    when k is None) against the exponential law at its jump points; "shape"
     compares the rescaled expected shape functional against the limit
     shape on a corner grid, relatively; "mgf" compares the exact
     transformed-count mgf against the limit product on a u-grid.
@@ -527,9 +548,9 @@ def compare_exact_to_limit(r: int, n: int, which: str, *, k=None) -> LimitGapRep
     W_t is unknown, and mgf raises ValueError at rank 1, where the limit
     product diverges.
     """
-    if which not in _STATISTICS:
+    if which not in STATISTICS:
         raise ValueError(f"unknown observable {which!r}; "
-                         f"expected one of {', '.join(_STATISTICS)}")
+                         f"expected one of {', '.join(STATISTICS)}")
     if which == "shape" and r > 3:
         raise NotImplementedError(f"the shape limit is known for rank <= 3, got {r}")
     if which == "mgf" and r < 2:
@@ -537,10 +558,10 @@ def compare_exact_to_limit(r: int, n: int, which: str, *, k=None) -> LimitGapRep
                          "need rank >= 2")
     params = solve_saddle(r, n)
     constants = compute_constants(r, n, s=params.s)
-    s = params.s
+    exact_err = limit_err = 0.0
 
     if which in ("D", "H"):
-        xs = np.linspace(-3.0, 6.0, 181)
+        grid = np.linspace(-3.0, 6.0, 181)
         if which == "D":
             center, scale = constants.max_dim_center, constants.max_dim_scale
             prob = exact_prob_max_dim_le
@@ -550,28 +571,21 @@ def compare_exact_to_limit(r: int, n: int, which: str, *, k=None) -> LimitGapRep
         if not (math.isfinite(center) and math.isfinite(scale)):
             raise ValueError(f"n = {n} is too small for the {which} normalizer "
                              f"at rank {r} (center {center}, scale {scale})")
-        exact, err = prob(params, center + scale * xs)
-        limit = gumbel_cdf(xs)
-        gap = float(np.max(np.abs(exact - limit)))
-        return LimitGapReport(which, r, n, xs, exact, limit, gap, False, err,
-                              0.0, "sup over the x-grid; limit CDF is closed form")
-
-    if which == "mult":
-        k = (1,) * r if k is None else tuple(k)
-        a = dim_irrep(r, k)
-        beta_a = params.beta * a
+        exact, exact_err = prob(params, center + scale * grid)
+        limit = gumbel_cdf(grid)
+        note = "sup over the x-grid; limit CDF is closed form"
+    elif which == "mult":
+        k = default_weight(r) if k is None else tuple(k)
+        beta_a = params.beta * dim_irrep(r, k)
         jumps = np.arange(0, min(512, max(2, int(math.ceil(30.0 / beta_a)) + 1)))
         grid = beta_a * jumps
         exact = -np.expm1(-beta_a * (jumps + 1.0))  # CDF right of each jump
         limit = exp_cdf(grid)
-        gap = -math.expm1(-beta_a)  # sup over jumps, attained at zero
-        return LimitGapReport(
-            which, r, n, grid, exact, limit, gap, False, 0.0, 0.0,
-            f"weight {k}: exact geometric law; sup-gap 1 - q^a is closed form")
-
-    if which == "shape":
-        ts = default_shape_grid(r)
-        corners = np.repeat(ts[:, None] / s, r, axis=1)
+        # exact - limit is q^j (1 - q), q = exp(-beta a): largest at j = 0
+        note = f"weight {k}: exact geometric law; sup-gap 1 - q^a is closed form"
+    elif which == "shape":
+        grid = default_shape_grid(r)
+        corners = np.repeat(grid[:, None] / params.s, r, axis=1)
         # the farthest corner starts at dim(K, ..., K); twice that cutoff
         # leaves a tail far below the corner's own value
         far = math.ceil(float(corners.max()))
@@ -582,23 +596,21 @@ def compare_exact_to_limit(r: int, n: int, which: str, *, k=None) -> LimitGapRep
             if np.all(err <= SHAPE_REL_ERR * values):
                 break
             cutoff *= 2
-        exact = s**r * values
-        limit, limit_err = limit_shape(r, np.repeat(ts[:, None], r, axis=1))
-        gap = float(np.max(np.abs(exact - limit) / limit))
+        exact = params.s**r * values
+        limit, limit_err = limit_shape(r, np.repeat(grid[:, None], r, axis=1))
+        exact_err = float(np.max(err / values))
+        limit_err = float(np.max(limit_err / limit))
         kind = "an estimate" if r == 3 else "certified"
-        return LimitGapReport(
-            which, r, n, ts, exact, limit, gap, True, float(np.max(err / values)),
-            float(np.max(limit_err / limit)),
-            "relative gap of the mean shape functional on the diagonal grid; "
-            "exact_err is the largest relative error of the exact column, "
-            f"truncation and rounding, at most {SHAPE_REL_ERR} at every corner; "
-            f"limit_err is the largest relative error of the limit column, {kind}")
-
-    # which == "mgf"
-    us = np.array(_MGF_GRID)
-    exact, exact_err = np.array([exact_count_mgf(params, u) for u in _MGF_GRID]).T
-    limit, limit_err = _mgf_limit(r)
-    gap = float(np.max(np.abs(exact - limit)))
-    return LimitGapReport(
-        which, r, n, us, exact, limit, gap, False, float(exact_err.max()),
-        float(limit_err.max()), "transformed-count mgf on the standard u-grid")
+        note = ("relative gap of the mean shape functional on the diagonal grid; "
+                "exact_err is the largest relative error of the exact column, "
+                f"truncation and rounding, at most {SHAPE_REL_ERR} at every corner; "
+                f"limit_err is the largest relative error of the limit column, {kind}")
+    else:  # which == "mgf"
+        grid = np.array(_MGF_GRID)
+        exact, exact_err = np.array([exact_count_mgf(params, u) for u in _MGF_GRID]).T
+        limit, limit_err = _mgf_limit(r)
+        exact_err, limit_err = float(exact_err.max()), float(limit_err.max())
+        note = "transformed-count mgf on the standard u-grid"
+    return LimitGapReport(which, r, n, grid, exact, limit,
+                          gap_is_relative=which == "shape", exact_err=exact_err,
+                          limit_err=limit_err, note=note)

@@ -259,10 +259,25 @@ def test_dist_mult_defaults_to_all_ones_weight(capsys):
     manifest, _ = split_manifest(out)
     assert "(1, 1)" in manifest["results"]["note"]
 
-    code, _, err = run_cli(capsys, "dist", "--stat", "mult", "--rank", "2",
-                           "--n", "500", "--k", "0,1")
-    assert code == 2
-    assert "invalid config" in err
+    for weight in ("0,1", "a", "1,,1"):
+        code, out, err = run_cli(capsys, "dist", "--stat", "mult", "--rank", "2",
+                                 "--n", "500", "--k", weight)
+        assert code == 2 and out == ""
+        assert err.splitlines() == [
+            f"invalid config: weight must be 2 positive integers, got {weight!r}"]
+
+
+@pytest.mark.parametrize("stat", slrep.verify.STATISTICS)
+def test_dist_gap_is_the_largest_of_its_gap_column(capsys, stat):
+    code, out, _ = run_cli(capsys, "dist", "--rank", "2", "--n", "500", "--stat", stat)
+    assert code == 0
+    manifest, data = split_manifest(out)
+    lines = data.strip().splitlines()
+    assert lines[0] == "grid,exact,limit,gap"
+    rows = {"D": 181, "H": 181, "mult": 512, "shape": 16, "mgf": 4}[stat]
+    assert len(lines) == rows + 1
+    assert manifest["results"]["gap"] == max(float(line.split(",")[3])
+                                             for line in lines[1:])
 
 
 def test_dist_shape_rank_three_certifies_every_corner():
@@ -443,6 +458,8 @@ def test_verify_limits_trend_mode(capsys):
      "--num-thetas", "-1"),
     ("verify", "limits", "--rank", "2", "--stat", "H", "--k", "1,1",
      "--n-grid", "1000,10000"),
+    ("verify", "limits", "--rank", "2", "--stat", "mult", "--k", "a",
+     "--n-grid", "100,1000"),
 ])
 def test_invalid_configurations_exit_two(capsys, monkeypatch, argv):
     # every case is refused before a census is enumerated, a frequency grid
@@ -566,6 +583,8 @@ def test_dimension_beyond_floats_is_refused(command):
     (("--rank", "7", "--n-grid", "20,60"), "outside the default bound 1..6"),
     (("--rank", "2", "--n-grid", "0,60"), "n-grid point 0 below 1"),
     (("--rank", "2", "--n-grid", "20,60000"), "above the exact-counting bound"),
+    (("--rank", "2", "--n-grid", "20,60", "--k", "a"),
+     "weight must be 2 positive integers, got 'a'"),
 ])
 def test_verify_ensembles_refuses_before_counting(capsys, monkeypatch, argv, message):
     def never(*args, **kwargs):

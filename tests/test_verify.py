@@ -3,12 +3,13 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from slrep.boltzmann import exact_count_mgf, solve_saddle
 from slrep.census import enumerate_irreps
-from slrep.exact_count import count_representations
+from slrep.exact_count import count_representations, counts_excluding_one_weight
 from slrep.verify import (
     appendix_window_check,
     compare_exact_to_limit,
@@ -391,7 +392,7 @@ def test_ensembles_tv_against_first_principles_at_total_one():
     terms = [abs(0.0 - (1.0 - q)), abs(1.0 - (1.0 - q) * q)]
     tail = 1.0 - (1.0 - q) * (1.0 + q)  # Q(X >= 2)
     expected = 0.5 * (sum(terms) + tail)
-    value = ensembles_tv(count_representations(2, 1), 1, (1, 1))
+    value, _ = ensembles_tv(count_representations(2, 1), 1, (1, 1))
     assert value == pytest.approx(expected, rel=1e-12)
     assert value == pytest.approx(0.764487636016956, rel=1e-12)
 
@@ -399,13 +400,30 @@ def test_ensembles_tv_against_first_principles_at_total_one():
 def test_ensembles_tv_reuses_table_and_stays_in_unit_interval():
     table = count_representations(2, 40)
     for n in (5, 12, 27, 40):
-        tv = ensembles_tv(table, n, (1, 1))
+        tv, _ = ensembles_tv(table, n, (1, 1))
         assert 0.0 <= tv <= 1.0
     # a table reaching past n gives the TV of a table built for n itself
     assert ensembles_tv(table, 27, (1, 1)) == \
         ensembles_tv(count_representations(2, 27), 27, (1, 1))
     with pytest.raises(ValueError, match="count table stops at 40 < 41"):
         ensembles_tv(table, 41, (1, 1))
+
+
+@pytest.mark.parametrize("n, k", [(60, (1, 1)), (400, (2, 1))])
+def test_ensembles_tv_error_bounds_a_50_digit_tv(n, k):
+    # the same sum in 50-digit arithmetic, at the same float beta and the
+    # same exact counts, lies within the float sum's derived error
+    table = count_representations(2, n)
+    tv, err = ensembles_tv(table, n, k)
+    a = dim_irrep(2, k)
+    removed = counts_excluding_one_weight(table, a)
+    with mp.workdps(50):
+        q = mp.exp(-mp.mpf(solve_saddle(2, n).beta) * a)
+        terms = [abs(mp.mpf(removed[n - ell * a]) / table.counts[n] - (1 - q) * q**ell)
+                 for ell in range(n // a + 1)]
+        exact = (mp.fsum(terms) + q ** (n // a + 1)) / 2
+        assert abs(tv - exact) <= err
+    assert 0.0 < err < 1e-13
 
 
 def test_ks_distance_cases():
