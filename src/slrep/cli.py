@@ -36,7 +36,13 @@ from .boltzmann import (
 )
 from .census import BudgetError, enumerate_irreps, region_volume, write_csv
 from .exact_count import count_representations, uniform_sample
-from .limits import compute_constants
+from .limits import (
+    asymptotic_saddle,
+    compute_constants,
+    dispersion_constant,
+    saddle_scale_constant,
+    variance_scale_constant,
+)
 from .stats import stat_height, stat_max_dim
 from .verify import (
     STATISTICS,
@@ -124,7 +130,7 @@ def _emit(args, started, results: dict, data: str | None = None,
 
 def _parse_weight(text: str | None, r: int):
     """The --k weight, or None when --k is absent."""
-    if not text:
+    if text is None:
         return None
     try:
         parts = tuple(int(x) for x in text.split(","))
@@ -137,7 +143,7 @@ def _parse_weight(text: str | None, r: int):
 
 def _mult_weight(args):
     """The --k weight of a gap report, which only `--stat mult` reads."""
-    if args.k and args.stat != "mult":
+    if args.k is not None and args.stat != "mult":
         raise ConfigError(f"--k applies only to --stat mult, got --stat {args.stat}")
     return _parse_weight(args.k, args.rank)
 
@@ -264,14 +270,17 @@ def _cmd_dist(args, started):
 
 def _cmd_constants(args, started):
     _check_bounds(args, exact=False)
-    constants = compute_constants(args.rank, args.n)
-    vol, vol_err = region_volume(args.rank)
+    r = args.rank
+    params = solve_saddle(r, args.n)
+    constants = compute_constants(r, params.s)
+    vol, vol_err = region_volume(r)
     results = {
         "volume": vol, "volume_err": vol_err,
-        "saddle_scale": constants.saddle_scale,
-        "variance_scale": constants.variance_scale,
-        "dispersion": constants.dispersion,
-        "s_asymptotic": constants.s,
+        "saddle_scale": saddle_scale_constant(r),
+        "variance_scale": variance_scale_constant(r),
+        "dispersion": dispersion_constant(r),
+        "s": constants.s,
+        "s_asymptotic": asymptotic_saddle(r, args.n),
         "max_dim_center": constants.max_dim_center,
         "max_dim_scale": constants.max_dim_scale,
         "height_center": constants.height_center,
@@ -337,7 +346,7 @@ def _cmd_verify_ensembles(args, started):
     results = {
         "pass": bool(ok), "n_grid": grid, "k": list(k), "tv": tvs,
         "trend": "decreasing, one upward step of at most 10% forgiven",
-        "float_conversion_err": max(errs),
+        "tv_err": max(errs),
     }
     return _emit(args, started, results, failed=not ok)
 
@@ -421,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("constants", help="limit-law normalizing constants")
     common(p)
-    p.add_argument("--n", type=float, default=1e6)
+    p.add_argument("--n", type=int, default=10**6)
     p.set_defaults(func=_cmd_constants)
 
     p = sub.add_parser("verify", help="certified checks")

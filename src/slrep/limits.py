@@ -129,7 +129,8 @@ def asymptotic_saddle(r: int, n) -> float:
 
 @dataclass(frozen=True)
 class LimitConstants:
-    """Centering/scaling constants of the limit laws, at a given saddle s.
+    """Centering/scaling constants of the limit laws at the saddle s; every
+    field but `rank` depends on s.
 
     max_dim_* normalize the largest dimension (Gumbel limit), height_*
     the largest height (Gumbel), count_scale multiplies the number of
@@ -139,12 +140,7 @@ class LimitConstants:
     """
 
     rank: int
-    n: float
     s: float
-    volume: float
-    saddle_scale: float
-    variance_scale: float
-    dispersion: float
     alpha: float
     max_dim_center: float
     max_dim_scale: float
@@ -156,13 +152,10 @@ class LimitConstants:
         return self.s ** degree(self.rank)
 
 
-def compute_constants(r: int, n, s: float | None = None) -> LimitConstants:
-    """Evaluate every normalizer at the saddle s (pass the solved value from
-    `boltzmann.solve_saddle` for finite-n curves; defaults to the asymptotic
-    saddle).  A normalizer whose log-scale parameter is not positive (n too
-    small) is left NaN."""
-    if s is None:
-        s = asymptotic_saddle(r, n)
+def compute_constants(r: int, s: float) -> LimitConstants:
+    """Evaluate every normalizer at the saddle s, the solved value from
+    `boltzmann.solve_saddle` that the gap reports use.  A normalizer whose
+    log-scale parameter is not positive (s too coarse) is left NaN."""
     vol, _ = region_volume(r)
     nu = degree(r)
     omega = -r * math.log(s)
@@ -184,11 +177,7 @@ def compute_constants(r: int, n, s: float | None = None) -> LimitConstants:
     else:
         a_h, b_h = math.nan, math.nan
 
-    return LimitConstants(rank=r, n=float(n), s=s, volume=vol,
-                          saddle_scale=saddle_scale_constant(r),
-                          variance_scale=variance_scale_constant(r),
-                          dispersion=dispersion_constant(r),
-                          alpha=alpha,
+    return LimitConstants(rank=r, s=s, alpha=alpha,
                           max_dim_center=a_d, max_dim_scale=b_d,
                           height_center=a_h, height_scale=b_h)
 

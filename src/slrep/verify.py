@@ -557,7 +557,7 @@ def compare_exact_to_limit(r: int, n: int, which: str, *, k=None) -> LimitGapRep
         raise ValueError("the mgf limit diverges at rank 1 (harmonic series); "
                          "need rank >= 2")
     params = solve_saddle(r, n)
-    constants = compute_constants(r, n, s=params.s)
+    constants = compute_constants(r, params.s)
     exact_err = limit_err = 0.0
 
     if which in ("D", "H"):

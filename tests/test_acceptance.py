@@ -292,7 +292,7 @@ def _criterion_7_sample():
         rep = boltzmann_sample(params, rng)
         raws.append(stat_max_dim(rep) if rep.num_irreps() else 0)
     blob = json.dumps(raws, separators=(",", ":")).encode()
-    constants = compute_constants(2, n, s=params.s)
+    constants = compute_constants(2, params.s)
     normalized = ((np.asarray(raws, dtype=float) - constants.max_dim_center)
                   / constants.max_dim_scale)
     return normalized, blob

@@ -501,7 +501,7 @@ def test_exact_curves_err_covers_rounding():
 
         params = solve_saddle(4, 10**6)
         census, beta = params.census, mp.mpf(params.beta)
-        constants = compute_constants(4, 10**6, s=params.s)
+        constants = compute_constants(4, params.s)
         xs = np.linspace(-3.0, 6.0, 181)
         logs = [mp.log1p(-mp.exp(-beta * int(m))) for m in census.dims]
         per_weight = [log for log, rho in zip(logs, census.counts) for _ in range(rho)]

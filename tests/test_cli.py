@@ -17,7 +17,14 @@ import slrep
 import slrep.census
 import slrep.verify
 import slrep.weights
+from slrep.census import region_volume
 from slrep.cli import build_parser, main
+from slrep.limits import (
+    asymptotic_saddle,
+    dispersion_constant,
+    saddle_scale_constant,
+    variance_scale_constant,
+)
 from slrep.weights import dim_irrep
 from test_exact_count import COUNT_R2_10000
 
@@ -77,12 +84,50 @@ def test_constants_reports_normalizers(capsys):
     assert code == 0
     manifest, _ = split_manifest(out)
     res = manifest["results"]
-    for key in ("s_asymptotic", "volume", "volume_err", "saddle_scale",
+    for key in ("s", "s_asymptotic", "volume", "volume_err", "saddle_scale",
                 "variance_scale", "dispersion", "max_dim_center",
                 "max_dim_scale", "height_center", "height_scale",
                 "count_scale"):
         assert key in res
-    assert res["count_scale"] == pytest.approx(res["s_asymptotic"] ** 3, rel=1e-12)
+    assert res["count_scale"] == pytest.approx(res["s"] ** 3, rel=1e-12)
+    # the r-only constants come from their own functions
+    assert res["volume"] == region_volume(2)[0]
+    assert res["saddle_scale"] == saddle_scale_constant(2)
+    assert res["variance_scale"] == variance_scale_constant(2)
+    assert res["dispersion"] == dispersion_constant(2)
+    assert res["s_asymptotic"] == asymptotic_saddle(2, 100000)
+
+
+# the grid holds points where the leading-order saddle leaves the D center
+# undefined and the solved saddle does not (rank 6 at n = 300, rank 2 at
+# n = 3), and the one point where the solved saddle leaves it undefined too
+# (rank 1 at n = 1)
+@pytest.mark.parametrize("n", ["1", "3", "300", "1000000"])
+@pytest.mark.parametrize("rank", ["1", "2", "3", "4", "5", "6"])
+def test_constants_reads_the_saddle_the_reports_use(capsys, rank, n):
+    # `constants` prints the saddle of `saddle`, and a null center exactly
+    # where `dist` refuses the statistic that the center normalizes
+    runs = {}
+    for command in (("constants",), ("saddle",),
+                    ("dist", "--stat", "D"), ("dist", "--stat", "H")):
+        runs[command[-1]] = run_cli(capsys, *command, "--rank", rank, "--n", n)
+    constants = split_manifest(runs["constants"][1])[0]["results"]
+    assert constants["s"] == split_manifest(runs["saddle"][1])[0]["results"]["s"]
+    for stat, key in (("D", "max_dim_center"), ("H", "height_center")):
+        code, _, err = runs[stat]
+        assert code in (0, 2), err
+        assert (constants[key] is None) == (code == 2), (stat, err)
+
+
+def test_readme_command_lines_parse():
+    # every `slrep ...` line of the README parses as written; nothing runs
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme) as fh:
+        lines = [line.split()[1:] for line in fh if line.startswith("slrep ")]
+    assert lines
+    for argv in lines:
+        build_parser().parse_args(argv)
 
 
 @pytest.mark.parametrize("mode,n", [("uniform-dp", 50),
@@ -199,6 +244,7 @@ CENSUS_BUILDS = {
     "uniform-rejection": (("sample", "--rank", "2", "--n", "10000", "--mode",
                            "uniform-rejection", "--samples", "1"), 1),
     "dist-D": (("dist", "--rank", "2", "--n", "1000000", "--stat", "D"), 1),
+    "constants": (("constants", "--rank", "2", "--n", "1000000"), 1),
     "dist-H": (("dist", "--rank", "2", "--n", "1000000", "--stat", "H"), 1),
     "dist-mgf": (("dist", "--rank", "2", "--n", "1000000", "--stat", "mgf"), 2),
     "dist-shape": (("dist", "--rank", "2", "--n", "1000000", "--stat", "shape"), 2),
@@ -320,7 +366,9 @@ def test_constants_writes_undefined_normalizers_as_null():
     def strict(token):
         raise ValueError(f"non-standard JSON constant {token}")
 
-    proc = run_fresh("constants", "--rank", "2", "--n", "3")
+    # at rank 1 and n = 1 the solved saddle exceeds 1, so the D center is
+    # undefined
+    proc = run_fresh("constants", "--rank", "1", "--n", "1")
     assert proc.returncode == 0
     assert proc.stderr == ""
     manifest = json.loads(proc.stdout, parse_constant=strict)
@@ -439,6 +487,7 @@ def test_verify_limits_trend_mode(capsys):
      "--n-grid", "0,1000"),
     # a weight is read only by --stat mult
     ("dist", "--rank", "2", "--n", "1000", "--stat", "D", "--k", "9,9"),
+    ("dist", "--rank", "2", "--n", "100", "--stat", "D", "--k", ""),
     # a saddle tolerance outside [1e-12, 1) is unreachable or meaningless
     ("saddle", "--rank", "2", "--n", "1000", "--tol", "0"),
     ("saddle", "--rank", "2", "--n", "1000", "--tol", "-1"),
@@ -585,6 +634,8 @@ def test_dimension_beyond_floats_is_refused(command):
     (("--rank", "2", "--n-grid", "20,60000"), "above the exact-counting bound"),
     (("--rank", "2", "--n-grid", "20,60", "--k", "a"),
      "weight must be 2 positive integers, got 'a'"),
+    (("--rank", "2", "--n-grid", "20,60", "--k", ""),
+     "weight must be 2 positive integers, got ''"),
 ])
 def test_verify_ensembles_refuses_before_counting(capsys, monkeypatch, argv, message):
     def never(*args, **kwargs):

@@ -1,5 +1,6 @@
 """Limit-law constants, reference distributions, shape, and count mgf."""
 
+import dataclasses
 import math
 import warnings
 
@@ -143,11 +144,19 @@ def test_asymptotic_saddle_refuses_dimensions_beyond_floats(n):
 
 def test_compute_constants_fields():
     params = solve_saddle(2, 10**4)
-    constants = compute_constants(2, 10**4, s=params.s)
+    constants = compute_constants(2, params.s)
+    # the record holds only values of s; the r-only volume enters the D
+    # center from `region_volume`
+    assert [f.name for f in dataclasses.fields(constants)] == [
+        "rank", "s", "alpha", "max_dim_center", "max_dim_scale",
+        "height_center", "height_scale"]
     assert constants.s == params.s
     assert constants.count_scale == pytest.approx(params.s ** degree(2), rel=1e-12)
     assert constants.max_dim_scale == pytest.approx(params.s ** (-3), rel=1e-12)
-    assert constants.volume == pytest.approx(region_volume(2)[0], rel=1e-12)
+    omega = -2.0 * math.log(params.s)
+    center = params.s ** (-3) * (omega - math.log(omega) / 3.0
+                                 + math.log(2.0 * region_volume(2)[0] / 3.0))
+    assert constants.max_dim_center == pytest.approx(center, rel=1e-12)
     assert constants.max_dim_center > 0.0
     assert constants.height_center > 0.0 and constants.height_scale > 0.0
 
@@ -157,35 +166,24 @@ def test_compute_constants_nan_when_scale_degenerates():
     # quietly, and the other normalizer is unaffected
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        small_n = compute_constants(2, 1)
-        coarse_s = compute_constants(2, 1, s=2.0)
-    assert math.isnan(small_n.max_dim_center)
-    assert small_n.max_dim_scale > 0.0
-    assert small_n.height_center > 0.0 and small_n.height_scale > 0.0
+        unit_s = compute_constants(2, 1.0)
+        coarse_s = compute_constants(2, 2.0)
+    assert math.isnan(unit_s.max_dim_center)
+    assert unit_s.max_dim_scale > 0.0
+    assert unit_s.height_center > 0.0 and unit_s.height_scale > 0.0
     assert coarse_s.alpha <= 0.0
     assert math.isnan(coarse_s.height_center) and math.isnan(coarse_s.height_scale)
 
 
 @pytest.mark.parametrize("r", [4, 5, 6])
 def test_compute_constants_at_high_rank(r):
-    # at the asymptotic saddle every center and scale is finite and positive
-    # from n = 1000 on; below that only the D center is NaN, up to n = 10,
-    # 100 and 300 at ranks 4, 5 and 6.  At the solved saddle, which the gap
-    # reports use, all are finite down to n = 1.
-    for n in (10**3, 10**6, 10**9):
-        constants = compute_constants(r, n)
+    # at the solved saddle, which the gap reports use, every center and
+    # scale is finite and positive down to n = 1
+    for n in (1, 10, 100, 300, 10**3, 10**6, 10**9):
+        constants = compute_constants(r, solve_saddle(r, n).s)
         for value in (constants.max_dim_center, constants.max_dim_scale,
-                      constants.height_center, constants.height_scale,
-                      constants.volume, constants.saddle_scale):
+                      constants.height_center, constants.height_scale):
             assert math.isfinite(value) and value > 0.0, (n, value)
-    nan_up_to = {4: 10, 5: 100, 6: 300}[r]
-    for n in (1, 10, 100, 300):
-        constants = compute_constants(r, n)
-        assert math.isnan(constants.max_dim_center) == (n <= nan_up_to), n
-        assert constants.max_dim_scale > 0.0
-        assert constants.height_center > 0.0 and constants.height_scale > 0.0
-        solved = compute_constants(r, n, s=solve_saddle(r, n).s)
-        assert solved.max_dim_center > 0.0 and solved.height_center > 0.0
 
 
 def test_gumbel_and_exponential_reference_cdfs():
