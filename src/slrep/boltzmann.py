@@ -203,7 +203,7 @@ def sampling_params(params: BoltzmannParams) -> BoltzmannParams:
 def _require_sampling_census(params):
     tv = truncation_tv_bound(params)
     if tv > SAMPLING_TV:
-        raise ValueError(
+        raise RuntimeError(
             f"census cutoff {params.cutoff} leaves truncation TV {tv:.3g} "
             f"> {SAMPLING_TV:.3g}; widen it with sampling_params")
     return params.census
@@ -271,6 +271,9 @@ def boltzmann_sample(params: BoltzmannParams, rng: np.random.Generator) -> Repre
     64-bit keys that pick every class's subset (`_uniform_subsets`, which
     redraws all keys when one repeats within a class), and one geometric
     call, however many classes are hit.
+
+    Raises RuntimeError when the census cannot certify the draw: its
+    truncation TV exceeds SAMPLING_TV (widen it with sampling_params).
     """
     census = _require_sampling_census(params)
     m, rho, qm, one_minus = _term_arrays(census, params.beta)
@@ -300,9 +303,10 @@ def rejection_uniform_sample(params: BoltzmannParams, num_samples: int,
     vectorized in batches; expected attempts per sample is about
     (1 - q) sqrt(2 pi sigma_n^2).
 
-    Raises RuntimeError when the attempt budget (REJECTION_ATTEMPT_FACTOR
-    times that count per requested sample) is exhausted, and ValueError for
-    a census that does not start at the trivial module.
+    Raises RuntimeError when the census's truncation TV exceeds SAMPLING_TV
+    or the attempt budget (REJECTION_ATTEMPT_FACTOR times that count per
+    requested sample) is exhausted, and ValueError for a census that does
+    not start at the trivial module.
     """
     census = _require_sampling_census(params)
     if census.dims[0] != 1 or census.counts[0] != 1:

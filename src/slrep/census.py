@@ -266,7 +266,8 @@ def weighted_tail_bound(census: IrrepCensus, beta: float, p: float) -> float:
     Abel summation against the proven bound R(x) <= C_r x^c, c = 2/(r+1)
     (C_r taken at its value plus its error bound): with f(t) = t^p
     e^{-beta t} decreasing past the cutoff X (this needs X >= p/beta, or
-    the bound is invalid and we raise),
+    the bound is invalid and RuntimeError is raised: the census cannot
+    certify this tail),
 
         sum_{m > X} rho(m) f(m) <= C_r f(X) X^c
                                    + C_r c beta^{-(p+c)} Gamma(p+c, beta X),
@@ -280,7 +281,7 @@ def weighted_tail_bound(census: IrrepCensus, beta: float, p: float) -> float:
     if beta <= 0:
         raise ValueError(f"decay rate must be positive, got {beta}")
     if X < p / beta:
-        raise ValueError(
+        raise RuntimeError(
             f"census cutoff {census.max_dim} too small for a certified tail "
             f"(need at least {p / beta:.3g})")
     envelope = sum(region_volume(census.rank))

@@ -319,7 +319,6 @@ def _cmd_verify_weyl(args, started):
         "count_bound": report.count_bound,
         "min_count": int(report.counts.min()),
         "sin2_bound": report.sin2_bound,
-        "min_sin2_lower": float(report.sin2_lower.min()),
         "violations": report.violations,
     }
     if args.rank == 2:

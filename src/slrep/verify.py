@@ -1,10 +1,10 @@
 """Executable checks tying the limit theory to certified numbers.
 
 Three families: window lower bounds for fractional parts of the dimension
-polynomial on lattice boxes (count and sin^2 forms, plus the rank-2 ladder
-of box steps behind them), exact total-variation distances between the
-uniform and Boltzmann ensembles, and exact-vs-limit gap reports for the
-five observables.
+polynomial on lattice boxes (the count form, which implies the sin^2 form,
+plus the rank-2 ladder of box steps behind them), exact total-variation
+distances between the uniform and Boltzmann ensembles, and exact-vs-limit
+gap reports for the five observables.
 
 Window tests need the fractional part of theta * a for dimension values a
 up to 2^53, where a plain double product carries an absolute error of
@@ -210,7 +210,8 @@ def _lambda_dims(r: int, box_size: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WeylWindowReport:
-    """Exact window counts and certified sin^2 lower bounds over a lattice box."""
+    """Exact window counts over a lattice box; the sin^2 bound is their
+    corollary (see weyl_lower_bound_check)."""
 
     rank: int
     box_size: int
@@ -220,12 +221,10 @@ class WeylWindowReport:
     sin2_bound: float
     thetas: np.ndarray
     counts: np.ndarray
-    sin2_lower: np.ndarray
 
     @property
     def violations(self) -> int:
-        return int(np.sum((self.counts < self.count_bound)
-                          | (self.sin2_lower < self.sin2_bound)))
+        return int(np.sum(self.counts < self.count_bound))
 
     @property
     def passed(self) -> bool:
@@ -233,47 +232,22 @@ class WeylWindowReport:
 
 
 def _window_arrays(thetas, dims, window):
-    """Exact window counts and certified sin^2 lower bounds per theta.
+    """Exact window counts per theta.
 
     Equal dimension values are collapsed to multiplicity weights first (box
     sizes of practical interest repeat roughly a quarter of them), and
     `_window_blocks` evaluates the frequencies a block at a time.  A count
     is the box size minus the weighted bincount, by row, of the block's
     sparse inside set.
-
-    sin^2(pi d) >= 4 d^2 on 0 <= d <= 1/2, and (D - 1)_+ lies below 2^64 d
-    (D is less than one unit from it).  With D <= 2^63,
-    (D - 1)_+^2 >= D^2 - 2 D >= D^2 - 2^64, so over M box points
-    2^-126 (sum mult D^2) - M 2^-62 bounds the sin^2 sum without
-    transcendentals.  D^2 is squared in floats from the signed view of D,
-    whose one negative value -2^63 has the same square.  Every term is
-    nonnegative, and each passes through at most n + 4 roundings for n
-    distinct dimensions (the conversion, the square, the weight, n - 1
-    additions in any order, the scaling and the subtraction), each a
-    factor of at most 1 + 2^-53; so the sum is scaled down by
-    1 - (n + 4) 2^-53 before M 2^-62 (exact) is taken off, and the result
-    is clamped at zero.
     """
     unique, mult = np.unique(np.asarray(dims), return_counts=True)
     total = int(mult.sum())
-    mult = mult.astype(np.float64)
-    shrink = (1.0 - (unique.size + 4) * 2.0**-53) * 2.0**-126
-    slack = total * 2.0**-62
     counts = np.empty(len(thetas), dtype=np.int64)
-    sin2_lower = np.empty(len(thetas))
-    squares = np.empty(max(_BLOCK_ELEMENTS, unique.size))
-    for block, distances, inside in _window_blocks(thetas, unique, window):
+    for block, _, inside in _window_blocks(thetas, unique, window):
         row, column = np.divmod(inside, unique.size)
         counts[block] = total - np.bincount(row, weights=mult[column],
-                                            minlength=len(distances))
-        square = squares[:distances.size].reshape(distances.shape)
-        np.copyto(square, distances.view(np.int64), casting="unsafe")
-        square *= square
-        sums = square @ mult
-        sums *= shrink
-        sums -= slack
-        sin2_lower[block] = np.maximum(sums, 0.0)
-    return counts, sin2_lower
+                                            minlength=block.size)
+    return counts
 
 
 def theta_grid(r: int, box_size: int, epsilon: float, num_random: int = 10_000,
@@ -305,13 +279,16 @@ def theta_grid(r: int, box_size: int, epsilon: float, num_random: int = 10_000,
 
 def weyl_lower_bound_check(r: int, box_size: int, epsilon: float,
                            thetas) -> WeylWindowReport:
-    """Check the window-count and sin^2 lower bounds over the lattice box.
+    """Check the window-count lower bound over the lattice box.
 
     For every theta in [epsilon N^-nu, 1/2], at least N^r / 32 box points
-    must keep theta * a(k) at distance > 2^-nu epsilon from the integers,
-    and the sin^2 sum must reach sin^2(2^-nu pi epsilon) / 32 * N^r.
-    Counts are exact and the sin^2 sums certified lower bounds, so a
-    reported pass is a proof and a reported violation is a bug.
+    must keep theta * a(k) at distance > w = 2^-nu epsilon from the
+    integers.  Counts are exact, so a reported pass is a proof and a
+    reported violation is a bug.  The sin^2 bound follows from the count:
+    every counted point has ||theta a|| > w, and sin^2(pi x) increases on
+    [0, 1/2], so the sum of sin^2(pi theta a) over the box is at least
+    count * sin^2(pi w), which is at least sin2_bound = sin^2(pi w) N^r / 32
+    once count >= N^r / 32.
     """
     if r < 2:
         raise ValueError("window bounds need rank >= 2")
@@ -328,12 +305,12 @@ def weyl_lower_bound_check(r: int, box_size: int, epsilon: float,
         raise ValueError("frequencies must lie in [epsilon N^-nu, 1/2]")
     dims = _lambda_dims(r, box_size)
     window = epsilon * 2.0**-nu
-    counts, sin2_lower = _window_arrays(thetas, dims, window)
+    count_bound = box_size**r / 32.0
     return WeylWindowReport(
         rank=r, box_size=box_size, epsilon=epsilon, window=window,
-        count_bound=box_size**r / 32.0,
-        sin2_bound=math.sin(math.pi * epsilon * 2.0**-nu) ** 2 / 32.0 * box_size**r,
-        thetas=thetas, counts=counts, sin2_lower=sin2_lower)
+        count_bound=count_bound,
+        sin2_bound=math.sin(math.pi * window) ** 2 * count_bound,
+        thetas=thetas, counts=_window_arrays(thetas, dims, window))
 
 
 @dataclass(frozen=True)
@@ -601,7 +578,13 @@ def compare_exact_to_limit(r: int, n: int, which: str, *, k=None) -> LimitGapRep
         exact_err = float(np.max(err / values))
         limit_err = float(np.max(limit_err / limit))
         kind = "an estimate" if r == 3 else "certified"
+        # integer weights dominate the corner t / s exactly when they
+        # dominate its lattice corner ceil(t / s), which nearby rows can share
+        lattice = np.ceil(corners[:, 0])
+        repeats = np.flatnonzero(lattice[1:] == lattice[:-1]) + 1
         note = ("relative gap of the mean shape functional on the diagonal grid; "
+                "rows (from 0) that share the lattice corner ceil(t/s) of the row "
+                f"before: {', '.join(map(str, repeats)) or 'none'}; "
                 "exact_err is the largest relative error of the exact column, "
                 f"truncation and rounding, at most {SHAPE_REL_ERR} at every corner; "
                 f"limit_err is the largest relative error of the limit column, {kind}")

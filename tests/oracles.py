@@ -85,7 +85,7 @@ def _census_moment(q, census, p):
 def expected_dim(q: float, census: IrrepCensus):
     """(value, err): E_q[total dimension], truncated at the census cutoff.
 
-    err is a certified bound on the ignored tail; a ValueError signals a
+    err is a certified bound on the ignored tail; a RuntimeError signals a
     census cutoff too small for the tail machinery at this q.
     """
     return _census_moment(q, census, 1)

@@ -234,9 +234,9 @@ def test_sampling_params_certify_truncation():
 def test_boltzmann_sampler_requires_coverage():
     params = solve_saddle(2, 300)
     rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(RuntimeError, match="truncation TV"):
         boltzmann_sample(params, rng)
-    with pytest.raises(ValueError):
+    with pytest.raises(RuntimeError, match="truncation TV"):
         boltzmann_sample(dataclasses.replace(params, census=enumerate_irreps(2, 20)), rng)
 
 

@@ -430,7 +430,7 @@ def test_weighted_tail_bound_validation():
     small = enumerate_irreps(2, 30)
     with pytest.raises(ValueError):
         weighted_tail_bound(small, -1.0, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(RuntimeError):
         # cutoff below p/beta: f is not yet decreasing, the bound is invalid
         weighted_tail_bound(small, 1e-4, 2.0)
 

@@ -406,15 +406,14 @@ def test_verify_weyl_names_the_refused_option(capsys, argv, option):
 
 # `verify weyl` at the benchmark's two configurations, recorded with the
 # per-frequency window kernel that the blocked one replaced.  Counts are
-# exact, so every field repeats exactly; the sin^2 minimum is a certified
-# float bound and may move in its last digits.  The grid note echoes the
-# seed, which the benchmark's output check looks for
+# exact, so every field repeats exactly.  The grid note echoes the seed,
+# which the benchmark's output check looks for
 WEYL_PINS = {
     ("3", "8"): {"pass": True, "num_thetas": 5437, "min_count": 1152,
-                 "violations": 0, "min_sin2_lower": 436.8000000113519,
+                 "violations": 0,
                  "grid": "1000 log-uniform (seed 1) + 4437 adversarial rationals"},
     ("2", "32"): {"pass": True, "num_thetas": 3634, "min_count": 1398,
-                  "violations": 0, "min_sin2_lower": 621.3333333339535,
+                  "violations": 0,
                   "grid": "1000 log-uniform (seed 1) + 2634 adversarial rationals",
                   "ladder": {"pass": True, "window_bound": 4.0,
                              "min_window_count": 21, "run_length_bound": 17.0,
@@ -428,12 +427,14 @@ def test_verify_weyl_results_are_pinned(capsys, rank, N):
                            "--eps", "0.03125", "--num-thetas", "1000", "--seed", "1")
     assert code == 0
     results = split_manifest(out)[0]["results"]
-    pinned = dict(WEYL_PINS[rank, N])
-    assert results["min_sin2_lower"] == pytest.approx(pinned.pop("min_sin2_lower"),
-                                                      rel=1e-12)
+    pinned = WEYL_PINS[rank, N]
+    # a dropped or renamed key fails here: the sin^2 bound is implied by
+    # the count, so sin2_bound is the only sin^2 field
+    assert set(results) == ({"pass", "num_thetas", "grid", "window", "count_bound",
+                             "min_count", "sin2_bound", "violations"}
+                            | ({"ladder"} & set(pinned)))
     for field, value in pinned.items():
         assert results[field] == value, field
-    assert ("ladder" in results) == ("ladder" in pinned)
 
 
 def test_verify_ensembles_trend(capsys):

@@ -185,7 +185,7 @@ def test_window_kernel_blocks_mix_routes(monkeypatch, rows):
 
 def test_window_kernel_runs_one_row_per_block_on_a_large_box():
     # (3, 16) has more distinct dimensions than a block holds, so every
-    # block is one frequency; counts and sin^2 bounds still hold exactly
+    # block is one frequency; counts still hold exactly
     dims = _lambda_dims(3, 16)
     unique, mult = np.unique(dims, return_counts=True)
     assert unique.size > 2**16
@@ -194,18 +194,13 @@ def test_window_kernel_runs_one_row_per_block_on_a_large_box():
     assert sorted({route(t) for t in thetas}) == [0, 1, 2]
     window = 2.0**-11
     assert all(D.shape[0] == 1 for _, D, _ in _window_blocks(thetas, unique, window))
-    counts, sin2_lower = _window_arrays(np.array(thetas), dims, window)
+    counts = _window_arrays(np.array(thetas), dims, window)
     wp, wq = window.as_integer_ratio()
-    for theta, count, lower in zip(thetas, counts, sin2_lower):
+    for theta, count in zip(thetas, counts):
         m, q = theta.as_integer_ratio()
         nearest = [min(r, q - r) for r in (m * int(a) % q for a in unique)]
         outside = sum(int(c) for c, x in zip(mult, nearest) if x * wq > wp * q)
         assert int(count) == outside
-        four_d2 = Fraction(4 * sum(int(c) * x * x for c, x in zip(mult, nearest)),
-                           q * q)
-        assert 0.0 < lower <= four_d2
-        # the certified margin: n + 4 roundings of 2^-53 over n dimensions
-        assert lower == pytest.approx(float(four_d2), rel=(unique.size + 8) * 2.0**-53)
 
 
 def test_lambda_window_box_cardinality_and_ranges():
@@ -244,16 +239,15 @@ def test_weyl_counts_at_one_half_are_odd_dimensions():
     odd = int(np.sum(dims % 2 == 1))
     report = weyl_lower_bound_check(2, 4, 1.0 / 32.0, np.array([0.5]))
     assert int(report.counts[0]) == odd == 36
-    # at theta = 1/2 every window distance is 0 or 1/2 exactly
-    direct = odd * math.sin(math.pi * 0.5) ** 2
-    assert report.sin2_lower[0] <= direct
-    assert report.sin2_lower[0] == pytest.approx(direct, rel=1e-10)
 
 
-def test_weyl_certified_sum_bounds_true_sum():
+def test_weyl_sin2_bound_follows_from_the_count():
+    # the report certifies only the count; the sin^2 form is its corollary:
+    # every counted point lies beyond the window, where sin^2(pi x) is
+    # increasing, so the true sum reaches count sin^2(pi window) >= sin2_bound
     rng = np.random.default_rng(5)
+    cases = []
     for r, N in ((2, 8), (3, 4)):
-        dims = _lambda_dims(r, N)
         lo = 1.0 / 32.0 / N ** (r * (r + 1) // 2)
         # uniform draws sit on the one-word route; log-uniform ones below
         # 2^-12 have more than 64 binary places
@@ -261,14 +255,19 @@ def test_weyl_certified_sum_bounds_true_sum():
             rng.uniform(lo, 0.5, size=5),
             np.exp(rng.uniform(math.log(lo), math.log(2.0**-12), size=3))])
         assert {route(t) for t in thetas} == {0, 1}
-        for theta in thetas:
-            report = weyl_lower_bound_check(r, N, 1.0 / 32.0, np.array([theta]))
-            true_sum = float(np.sum(np.sin(math.pi * ((dims * Fraction(theta)) % 1)
-                                           .astype(float)) ** 2))
-            assert report.sin2_lower[0] <= true_sum + 1e-9
-            # the quantity the bound certifies: sum 4 d^2 over exact distances
-            four_d2 = sum(4 * residue_distance(theta, int(a))[1] ** 2 for a in dims)
-            assert report.sin2_lower[0] <= four_d2
+        cases.extend((r, N, theta) for theta in thetas)
+    # (1/30) 8^-6: box points within 2^-48 of the window edge
+    cases.append((3, 8, 1.2715657552083333e-07))
+    for r, N, theta in cases:
+        unique, mult = np.unique(_lambda_dims(r, N), return_counts=True)
+        report = weyl_lower_bound_check(r, N, 1.0 / 32.0, np.array([theta]))
+        assert report.passed
+        true_sum = math.fsum(
+            int(c) * math.sin(math.pi * float(residue_distance(theta, int(a))[1])) ** 2
+            for a, c in zip(unique, mult))
+        implied = int(report.counts[0]) * math.sin(math.pi * report.window) ** 2
+        assert true_sum >= implied * (1.0 - 1e-12)
+        assert implied >= report.sin2_bound * (1.0 - 1e-12)
 
 
 def test_weyl_count_is_exact_where_points_sit_next_to_the_window():
@@ -506,6 +505,23 @@ def test_compare_shape_certifies_every_corner():
     assert report.note.endswith("certified")
     far = math.ceil(float(report.grid.max()) / params.s)
     assert dim_irrep(2, (far, far)) > params.cutoff
+
+
+@pytest.mark.parametrize("r,n,repeats", [
+    (2, 10**6, [1, 3]),
+    (3, 10**5, [1, 2, 3, 4, 5, 7, 8, 9, 11]),
+    (2, 10**8, []),
+])
+def test_compare_shape_note_names_rows_that_share_a_lattice_corner(r, n, repeats):
+    # integer weights see only the lattice corner ceil(t/s): a row that
+    # shares it with the row before repeats that row's exact value, and
+    # every other row moves it
+    report = compare_exact_to_limit(r, n, "shape")
+    same = [i for i in range(1, report.grid.size) if report.exact[i] == report.exact[i - 1]]
+    assert same == repeats
+    named = ", ".join(map(str, repeats)) or "none"
+    assert f"share the lattice corner ceil(t/s) of the row before: {named};" in report.note
+    assert report.note.endswith("an estimate" if r == 3 else "certified")
 
 
 def test_compare_rejects_unknown_statistic(monkeypatch):
