@@ -31,7 +31,6 @@ from .census import (
     enumerate_irreps,
     inverse_moment_tail,
     region_volume,
-    upper_incomplete_gamma,
     weighted_tail_bound,
     write_csv,
 )

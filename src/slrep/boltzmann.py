@@ -118,8 +118,8 @@ def solve_saddle(r: int, n: int, tol: float = 1e-8) -> BoltzmannParams:
     certain), kept inside the bracket by bisection, then the truncation
     error at the root is checked against the tolerance budget.  The census
     starts at `default_cutoff`; it is doubled and the solve retried until
-    that check passes (a cutoff below 1/beta has no tail bound and fails
-    it), so only the census cap (BudgetError) ends the loop.  The retry
+    that check passes (a cutoff with beta X <= 1 has no tail bound and
+    fails it), so only the census cap (BudgetError) ends the loop.  The retry
     starts from the root just found, inside the bracket of the first
     search: a larger census only raises the truncated expectation, so the
     lower end stays valid unchecked and only the upper end is tested again.
@@ -165,7 +165,7 @@ def solve_saddle(r: int, n: int, tol: float = 1e-8) -> BoltzmannParams:
 
         beta = s**nu
         value = _moment_value(census, beta, 1)
-        err = _moment_err(census, beta, 1) if X >= 1.0 / beta else math.inf
+        err = _moment_err(census, beta, 1) if beta * X > 1.0 else math.inf
         if err <= tol * n / 2.0 and abs(value - n) <= tol * n / 2.0:
             sigma2 = _moment_value(census, beta, 2)
             return BoltzmannParams(rank=r, n=n, q=math.exp(-beta), s=s,

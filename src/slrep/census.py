@@ -209,89 +209,46 @@ def region_volume(r: int):
     return value, (128.0 * (r - 1) + 8.0 * math.log(sf)) * _U * value
 
 
-def upper_incomplete_gamma(a: float, x: float):
-    """(value, err): Gamma(a, x) = int_x^inf t^(a-1) e^(-t) dt for
-    0 < a <= 16 and x >= 0.
-
-    For x > a + 1 Legendre's continued fraction
-        Gamma(a, x) = x^a e^(-x) / (x+1-a - 1(1-a) / (x+3-a - 2(2-a) / ...))
-    is evaluated by the modified Lentz method until a step moves it by at
-    most one unit roundoff u; otherwise Gamma(a, x) = Gamma(a) - gamma(a, x)
-    with gamma(a, x) = x^a e^(-x) sum_k x^k / (a (a+1) ... (a+k)).  err
-    counts 8u per Lentz step, 2u per series term, 32u for math.gamma
-    (measured within 8u on (0, 17]), the geometric tail of the series, and
-    an absolute 2^-1022, so that a value lost to underflow is still covered.
-    """
-    if not (0.0 < a <= 16.0 and x >= 0.0):
-        raise ValueError(f"upper incomplete gamma needs 0 < a <= 16 and x >= 0, "
-                         f"got a = {a}, x = {x}")
-    if x > a + 1.0:
-        if a * math.log(x) - x < -708.0:
-            return 0.0, _TINY  # Gamma(a, x) <= x^a e^(-x) / 2 < 2^-1022
-        half = math.exp(-0.5 * x)
-        b = x + 1.0 - a
-        c, d = math.inf, 1.0 / b
-        h = d
-        for k in range(1, 10_000):
-            an = -k * (k - a)
-            b += 2.0
-            d = 1.0 / (an * d + b)
-            c = b + an / c
-            delta = c * d
-            h *= delta
-            if abs(delta - 1.0) <= _U:
-                break
-        value = x**a * half * half * h
-        return value, (8 * k + 32) * _U * value + _TINY
-    prefactor = x**a * math.exp(-x)
-    term = total = 1.0 / a
-    for k in range(1, 10_000):
-        term *= x / (a + k)
-        total += term
-        if term <= _U * total:
-            break
-    ratio = x / (a + k + 1)  # every later term shrinks by at least this
-    tail = term * ratio / (1.0 - ratio)
-    lower = prefactor * total
-    gamma_a = math.gamma(a)
-    value = gamma_a - lower
-    err = (32 * _U * gamma_a + (2 * k + 16) * _U * lower + prefactor * tail
-           + 2 * _U * value + _TINY)
-    return value, err
-
-
 def weighted_tail_bound(census: IrrepCensus, beta: float, p: float) -> float:
-    """Upper bound for sum over m > max_dim of rho(m) m^p e^{-beta m}.
+    """Upper bound for sum over m > max_dim of rho(m) m^p e^{-beta m}, p >= 0.
 
-    Abel summation against the proven bound R(x) <= C_r x^c, c = 2/(r+1)
-    (C_r taken at its value plus its error bound): with f(t) = t^p
-    e^{-beta t} decreasing past the cutoff X (this needs X >= p/beta, or
-    the bound is invalid and RuntimeError is raised: the census cannot
-    certify this tail),
+    Abel summation against the proven bound R(t) <= C_r t^c, c = 2/(r+1)
+    (C_r at its value plus its error bound), with f(t) = t^p e^{-beta t}
+    decreasing past the cutoff X, bounds the sum by C_r f(X) X^c + C_r c
+    int_X^inf t^(a-1) e^(-beta t) dt, a = p + c.  For t >= X, t^(a-1) <=
+    X^(a-1) e^(k (t-X)/X) with k = max(a - 1, 0), so with x = beta X the
+    integral is at most X^a e^(-x) / (x - k), and
 
-        sum_{m > X} rho(m) f(m) <= C_r f(X) X^c
-                                   + C_r c beta^{-(p+c)} Gamma(p+c, beta X),
+        sum_{m > X} rho(m) f(m) <= C_r X^a e^(-x) (1 + c / (x - k)).
 
-    Gamma(.,.) the upper incomplete gamma function, taken at its value plus
-    its error bound.  The result is rounded up by (beta X + 16) * 2u (u the
-    unit roundoff): the exponentials amplify the rounding of beta X by
-    beta X, and every other operation adds at most u.
+    Unless x >= p (f decreasing) and x > k, RuntimeError is raised: the
+    census cannot certify this tail.  Both tests and d = x - k are exact
+    (in rationals), so d is rounded once.  X^a e^(-x) is one
+    exp(a log X - x): with each operation within u, the unit roundoff, and
+    log and exp within 2u, its argument is off by at most (6.2 a log X +
+    1.1 a + 2.1 x) u, which exp turns into 1.01 times as much relative
+    error while that is below 1/100 (x below 2^40 at moderate p); a larger
+    x leaves the value far below 2^-1022, which is added so that a value
+    lost to underflow is still covered.  The other roundings add at most
+    12u, so the result is rounded up by (a (log X + 1) + x + 2) * 8u.
     """
-    X = float(census.max_dim)
-    if beta <= 0:
-        raise ValueError(f"decay rate must be positive, got {beta}")
-    if X < p / beta:
-        raise RuntimeError(
-            f"census cutoff {census.max_dim} too small for a certified tail "
-            f"(need at least {p / beta:.3g})")
-    envelope = sum(region_volume(census.rank))
-    c = 2.0 / (census.rank + 1)
-    x = beta * X
-    fX = X**p * math.exp(-x)
-    incomplete, incomplete_err = upper_incomplete_gamma(p + c, x)
-    bound = envelope * (fX * X**c
-                        + c * beta ** (-(p + c)) * (incomplete + incomplete_err))
-    return bound * (1.0 + (x + 16.0) * 2.0 * _U)
+    if not (0.0 < beta < math.inf and p >= 0.0):
+        raise ValueError(f"tail bound needs a finite decay rate beta > 0 and an "
+                         f"order p >= 0, got beta = {beta}, p = {p}")
+    from fractions import Fraction
+
+    r = census.rank
+    x = Fraction(beta) * census.max_dim
+    k = max(Fraction(p) + Fraction(2, r + 1) - 1, 0)
+    if x < p or x <= k:
+        raise RuntimeError(f"census cutoff {census.max_dim} too small for a certified "
+                           f"tail (need beta X >= {p} and > {float(k):.3g})")
+    c = 2.0 / (r + 1)
+    a = p + c
+    log_X = math.log(census.max_dim)
+    power = math.exp(a * log_X - float(x)) + _TINY  # X^a e^(-x)
+    bound = sum(region_volume(r)) * power * (1.0 + c / float(x - k))
+    return bound * (1.0 + (a * (log_X + 1.0) + float(x) + 2.0) * 8.0 * _U)
 
 
 _DILATIONS = 4000  # last lam of the lower bound; the terms it drops are positive

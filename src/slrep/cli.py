@@ -149,12 +149,15 @@ def _mult_weight(args):
 
 
 def _parse_grid(args, exact: bool):
-    """The --n-grid sizes, each checked against the bound `_check_bounds`
+    """The --n-grid sizes, strictly increasing, so that a trend along them
+    means something, and each checked against the bound `_check_bounds`
     applies to --n."""
     try:
         grid = [int(x) for x in args.n_grid.split(",")]
     except ValueError as exc:
         raise ConfigError(f"bad integer grid {args.n_grid!r}") from exc
+    if any(a >= b for a, b in zip(grid, grid[1:])):
+        raise ConfigError(f"n-grid {args.n_grid!r} is not strictly increasing")
     if min(grid) < 1:
         raise ConfigError(f"n-grid point {min(grid)} below 1")
     bound = MAX_N_EXACT if exact else MAX_N_NUMERIC
@@ -369,11 +372,15 @@ def _cmd_verify_limits(args, started):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Refuses abbreviated options, so --n is never read as --n-grid; its
-    subparsers are built from the same class."""
+    """Refuses abbreviated options, so --n is never read as --n-grid, and
+    raises every parse error as ConfigError, so that it prints as one
+    `invalid config:` line; its subparsers are built from the same class."""
 
     def __init__(self, **kwargs):
         super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -461,10 +468,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    started = time.monotonic()
     try:
+        args = build_parser().parse_args(argv)
+        started = time.monotonic()
         code = args.func(args, started)
         sys.stdout.flush()  # a closed pipe surfaces here, not at exit
         return code

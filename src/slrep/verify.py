@@ -191,11 +191,18 @@ def _window_blocks(thetas, dims, window):
 
 def _lambda_dims(r: int, box_size: int) -> np.ndarray:
     """Dimensions over the lattice box box_size <= k_j <= (j + 2) * box_size,
-    which holds prod_j ((j + 1) * box_size + 1) points, as a flat int64 array."""
+    which holds prod_j ((j + 1) * box_size + 1) points, as a flat int64 array.
+
+    A box whose corner dimension reaches the window kernel's 2^53 is refused
+    before it is built.  For box_size >= 4 that leaves ranks r <= 4 only,
+    where superfactorial(r) <= 288 < 2^9 keeps every Weyl numerator below
+    2^62, inside int64."""
     corner = [(j + 2) * box_size for j in range(1, r + 1)]
+    corner_dim = dim_irrep(r, corner)
+    if corner_dim >= _MAX_DIM:
+        raise NotImplementedError(f"box corner dimension {corner_dim} at or above "
+                                  "2^53 exceeds the exact window kernel")
     c = superfactorial(r)
-    if dim_irrep(r, corner) * c >= 2**62:
-        raise NotImplementedError("box corner dimension exceeds the int64 range")
     axes = [np.arange(box_size, (j + 2) * box_size + 1, dtype=np.int64)
             for j in range(1, r + 1)]
     grids = np.meshgrid(*axes, indexing="ij", sparse=True)

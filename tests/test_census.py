@@ -4,6 +4,7 @@ tail bounds."""
 import functools
 import io
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -16,7 +17,6 @@ from slrep.census import (
     enumerate_irreps,
     inverse_moment_tail,
     region_volume,
-    upper_incomplete_gamma,
     weighted_tail_bound,
     write_csv,
 )
@@ -376,9 +376,9 @@ def test_weighted_tail_bound_majorizes_true_tail():
 
 @functools.lru_cache(maxsize=None)
 def incomplete_gamma_grid():
-    """(a, x, Gamma(a, x) in 40 digits) for a = p + 2/(r+1), p = 0, 1, 2,
-    r = 1..6 (the orders weighted_tail_bound asks for), x from p to 800:
-    both sides of the branch point x = a + 1, and values that underflow."""
+    """(p, r, a, x, Gamma(a, x) in 40 digits) for a = p + 2/(r+1), p = 0, 1,
+    2, r = 1..6 (the orders weighted_tail_bound asks for), x from p to 800,
+    with x = a and x = a + 1, and values that underflow."""
     grid = []
     with mp.workdps(40):
         for p in (0, 1, 2):
@@ -390,49 +390,79 @@ def incomplete_gamma_grid():
     return grid
 
 
-def test_upper_incomplete_gamma_against_mpmath():
-    tiny = 2.0**-1022
-    grid = incomplete_gamma_grid()
-    for _, _, a, x, exact in grid:
-        value, err = upper_incomplete_gamma(a, x)
-        assert abs(mp.mpf(value) - exact) <= err, (a, x)
-        assert err <= 1e-12 * exact + tiny, (a, x)
-    assert any(x > a + 1.0 for _, _, a, x, _ in grid)
-    assert any(x <= a + 1.0 for _, _, a, x, _ in grid)
-    assert any(exact < tiny for *_, exact in grid)
-    for a, x in ((0.0, 1.0), (17.0, 1.0), (1.0, -1.0)):
-        with pytest.raises(ValueError):
-            upper_incomplete_gamma(a, x)
+# cutoffs of the formula tests: powers of two, so that beta X = x exactly;
+# at 2^40 the log X term of the rounding is large
+FORMULA_CUTOFFS = (2**12, 2**40)
+
+
+@functools.lru_cache(maxsize=None)
+def tail_bounds_against_formula():
+    """[(p, r, x, bound, formula)] over incomplete_gamma_grid at every cutoff
+    of FORMULA_CUTOFFS, where formula = C_r (f(X) X^c + c beta^-(p+c)
+    Gamma(p+c, beta X)) in 40 digits, with C_r from Selberg's product; bound
+    is None where weighted_tail_bound refuses (x <= (p+c-1)^+)."""
+    censuses = {r: enumerate_irreps(r, 2**12) for r in range(1, 7)}
+    with mp.workdps(40):
+        volumes = {r: selberg_volume(r) for r in range(1, 7)}
+    rows = []
+    for X in FORMULA_CUTOFFS:
+        for p, r, a, x, exact in incomplete_gamma_grid():
+            beta = x / X
+            if beta == 0.0:
+                continue
+            # weighted_tail_bound reads only the rank and the cutoff
+            census = replace(censuses[r], max_dim=X)
+            if x <= max(a - 1.0, 0.0):
+                with pytest.raises(RuntimeError):
+                    weighted_tail_bound(census, beta, p)
+                bound = None
+            else:
+                bound = weighted_tail_bound(census, beta, p)
+            c = 2.0 / (r + 1)
+            with mp.workdps(40):
+                formula = volumes[r] * (mp.mpf(X) ** a * mp.exp(-mp.mpf(x))
+                                        + c * mp.mpf(beta) ** -a * exact)
+            rows.append((p, r, x, bound, formula))
+    return rows
 
 
 def test_weighted_tail_bound_majorizes_its_formula():
-    # the float bound is at least C_r (f(X) X^c + c beta^-(p+c) Gamma(p+c, beta X))
-    # evaluated in 40 digits, with C_r from Selberg's product; X is a power
-    # of two so beta X = x exactly
-    X = 2**12
-    censuses = {r: enumerate_irreps(r, X) for r in range(1, 7)}
-    with mp.workdps(40):
-        volumes = {r: selberg_volume(r) for r in range(1, 7)}
-    for p, r, a, x, exact in incomplete_gamma_grid():
-        census = censuses[r]
-        beta = x / X
-        if beta == 0.0:
-            continue
-        bound = weighted_tail_bound(census, beta, p)
-        c = 2.0 / (r + 1)
-        with mp.workdps(40):
-            formula = volumes[r] * (mp.mpf(X) ** (p + c) * mp.exp(-mp.mpf(x))
-                                    + c * mp.mpf(beta) ** -a * exact)
-            assert bound >= formula, (p, r, x)
+    rows = tail_bounds_against_formula()
+    refused = {(p, r, x) for p, r, x, bound, _ in rows if bound is None}
+    # the closed form needs x > (p+c-1)^+: only x = p at rank 1 is refused
+    assert refused == {(1, 1, 1.0), (2, 1, 2.0)}
+    for p, r, x, bound, formula in rows:
+        if bound is not None:
+            with mp.workdps(40):
+                assert bound >= formula, (p, r, x)
+    assert any(bound is not None and formula < 2.0**-1022
+               for *_, bound, formula in rows)
+
+
+def test_weighted_tail_bound_is_tight():
+    # the closed form's Abel term c X^a e^-x / (x - (a-1)^+) exceeds the
+    # Gamma term by a relative O(1/x) of that term, and the Abel term is
+    # itself O(1/x) of the whole: a sloppier majorant fails here
+    checked = 0
+    for p, r, x, bound, formula in tail_bounds_against_formula():
+        if x >= 4.0 * (p + 1) and formula > 1e-290:
+            with mp.workdps(40):
+                assert bound <= (1 + mp.mpf(x) ** -2) * formula, (p, r, x)
+            checked += 1
+    assert checked >= 400
 
 
 def test_weighted_tail_bound_validation():
     small = enumerate_irreps(2, 30)
-    with pytest.raises(ValueError):
-        weighted_tail_bound(small, -1.0, 1.0)
+    for beta, p in ((-1.0, 1.0), (math.nan, 1.0), (math.inf, 1.0), (1.0, -1.0)):
+        with pytest.raises(ValueError):
+            weighted_tail_bound(small, beta, p)
     with pytest.raises(RuntimeError):
         # cutoff below p/beta: f is not yet decreasing, the bound is invalid
         weighted_tail_bound(small, 1e-4, 2.0)
+    with pytest.raises(RuntimeError):
+        # rank 1 at beta X = p: the Abel term's majorant needs beta X > p
+        weighted_tail_bound(enumerate_irreps(1, 64), 1.0 / 64.0, 1.0)
 
 
 def test_inverse_moment_tail_brackets_partial_sums():

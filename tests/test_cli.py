@@ -510,19 +510,30 @@ def test_verify_limits_trend_mode(capsys):
      "--n-grid", "1000,10000"),
     ("verify", "limits", "--rank", "2", "--stat", "mult", "--k", "a",
      "--n-grid", "100,1000"),
+    # a trend along the n-grid needs strictly increasing sizes
+    ("verify", "ensembles", "--rank", "2", "--n-grid", "100,100"),
+    ("verify", "ensembles", "--rank", "2", "--n-grid", "2500,100"),
+    ("verify", "limits", "--rank", "2", "--stat", "mult",
+     "--n-grid", "1000000,10000"),
+    # parse errors: a bad value, a missing required option and an
+    # unrecognized option print no usage text, and main returns 2
+    ("count", "--rank", "2", "--n", "abc"),
+    ("count", "--rank", "2"),
+    ("count", "--rank", "2", "--n", "10", "--samples", "3"),
 ])
 def test_invalid_configurations_exit_two(capsys, monkeypatch, argv):
-    # every case is refused before a census is enumerated, a frequency grid
-    # drawn or a report built
+    # every case is refused with one diagnostic line before a census is
+    # enumerated, a frequency grid drawn or a report built
     def never(*args, **kwargs):
         raise AssertionError("work started for a refused configuration")
 
     monkeypatch.setattr("slrep.census._scan", never)
     monkeypatch.setattr("slrep.cli.compare_exact_to_limit", never)
     monkeypatch.setattr("slrep.cli.theta_grid", never)
-    code, _, err = run_cli(capsys, *argv)
-    assert code == 2
-    assert "invalid config" in err
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("invalid config: "), err
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
@@ -565,6 +576,26 @@ def test_out_only_on_commands_that_write_data():
     assert {command for command, names in options.items() if "--out" in names} == {
         "census", "count", "sample", "dist"}
     assert options["verify limits"] == {"--rank", "--stat", "--n-grid", "--k", "--unsafe"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("--rank", "5", "--N", "4"),
+    ("--rank", "4", "--N", "9"),
+    ("--rank", "6", "--N", "4", "--unsafe"),
+])
+def test_verify_weyl_refuses_boxes_beyond_the_window_kernel(capsys, monkeypatch, argv):
+    # the corner dimension reaches 2^53 in these boxes; they are refused
+    # before their dimensions are computed
+    def never(*args, **kwargs):
+        raise AssertionError("box built for a refused configuration")
+
+    monkeypatch.setattr("slrep.verify.weyl_numerator", never)
+    code, out, err = run_cli(capsys, "verify", "weyl", "--eps", "0.03125",
+                             "--num-thetas", "0", *argv)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("invalid config: ")
+    assert "2^53" in lines[0]
 
 
 def test_verify_limits_has_no_single_n_options():
