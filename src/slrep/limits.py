@@ -155,7 +155,9 @@ class LimitConstants:
 def compute_constants(r: int, s: float) -> LimitConstants:
     """Evaluate every normalizer at the saddle s, the solved value from
     `boltzmann.solve_saddle` that the gap reports use.  A normalizer whose
-    log-scale parameter is not positive (s too coarse) is left NaN."""
+    log-scale parameter is not positive (s too coarse) is left NaN.  At
+    rank 1 the H normalizers are D's, rescaled: a_H = (a_D - 1) / 2 and
+    b_H = b_D / 2, NaN where D's are."""
     vol, _ = region_volume(r)
     nu = degree(r)
     omega = -r * math.log(s)
@@ -169,7 +171,11 @@ def compute_constants(r: int, s: float) -> LimitConstants:
     else:
         a_d = math.nan
 
-    if alpha > 0.0:
+    if r == 1:
+        # a rank-1 weight k has dimension k and height (k - 1) / 2, so
+        # H = (D - 1) / 2 and the H law is the D law under x -> (x - 1) / 2
+        a_h, b_h = (a_d - 1.0) / 2.0, b_d / 2.0
+    elif alpha > 0.0:
         b_h = (math.factorial(r) / 2.0 * s ** (-(r + 1) / 2.0)
                * alpha ** (-(r - 1) / r))
         a_h = b_h * (alpha / math.factorial(r - 1)

@@ -7,42 +7,26 @@ distances between the uniform and Boltzmann ensembles, and exact-vs-limit
 gap reports for the five observables.
 
 Window tests need the fractional part of theta * a for dimension values a
-up to 2^53, where a plain double product carries an absolute error of
-order 1e-3.  They are exact integer comparisons instead.  A double theta
-in [0, 1] is m 2^-sh exactly (float.as_integer_ratio, m odd), so the
-fractional part of theta * a is ((m a) mod 2^sh) / 2^sh, and the window
-kernel computes F = floor(2^64 frac(theta a)) in 64-bit words:
-
-* sh <= 64: F is the wrapping product a * (m 2^(64 - sh)), with no
-  remainder;
-* 64 < sh <= 96: split m at bit k = sh - 64 into m_hi 2^k + m_lo, and a
-  at bit 32 into a_hi 2^32 + a_lo.  Then
-  floor(m a / 2^k) = m_hi a + m_lo a_hi 2^(32 - k) + floor(m_lo a_lo / 2^k),
-  where m_lo a_lo < 2^(k + 32) <= 2^64, so F is three wrapping products,
-  a shift and two additions, all exact;
-* 96 < sh <= 127: m a = H 2^64 + L with L the wrapping product a * m and
-  H <= 2^42 (m and a lie below 2^53).  The double a m 2^-64 is within
-  2^-11 of m a 2^-64, so rounding it minus L 2^-64 returns H exactly, and
-  F = floor(m a / 2^(sh - 64)) mod 2^64 follows by shifts.
+up to 2^63, where a plain double product carries no exact digit at all.
+They are exact integer comparisons instead.  Every frequency lies on the
+grid of multiples of 2^-64 (theta_grid rounds up to it; the kernel refuses
+any other), so theta = M 2^-64 with M = m 2^(64 - sh) an integer
+(float.as_integer_ratio, m odd), and F = a M mod 2^64, one wrapping 64-bit
+product, is exactly 2^64 frac(theta a) for every int64 a.
 
 D = min(F, 2^64 - F) is |F| read as a signed word: F > 2^63 reads as
 F - 2^64, whose absolute value is 2^64 - F, and F = 2^63 reads as -2^63,
 whose absolute value wraps to itself, 2^63 as an unsigned word.  So one
-pass gives D, which is 2^64 times the distance of theta * a to the
-nearest integer when sh <= 64, and less than one unit from it otherwise.
-A window w is passed when D > T = floor(2^64 w), an integer comparison.
-With sh > 64, only D = T and D = T + 1 can disagree with the truth; those
-points are settled with Python integers.  So every window count is exact
-and no point is ever set aside.
+pass gives D, exactly 2^64 times the distance of theta * a to the nearest
+integer, and a window w is passed when D > T = floor(2^64 w), an integer
+comparison.  Every window count is exact and no point is set aside.
 
 The kernel evaluates a block of frequencies at once, one row of a
 (frequencies x dimensions) word array per frequency, with as many rows as
 keep the block within _BLOCK_ELEMENTS words; a box with more distinct
-dimensions than that runs one row per block.  Each block holds the
-frequencies of one of the three routes, so a block is a few whole-array
-passes with per-row words and shifts broadcast along the rows.  The points
-inside a window are gathered as a sparse set of flat indices, so a count
-is the box size minus a weighted bincount of that set.
+dimensions than that runs one row per block.  The points inside a window
+are gathered as a sparse set of flat indices, so a count is the box size
+minus a weighted bincount of that set.
 """
 
 from __future__ import annotations
@@ -72,8 +56,6 @@ from .limits import (
 from .stats import default_shape_grid
 from .weights import degree, dim_irrep, superfactorial, weyl_numerator
 
-_MAX_DIM = 2**53
-_MAX_SHIFT = 127
 # adversarial frequencies of theta_grid: reduced fractions p/q with q up to this
 _MAX_DENOMINATOR = 50
 # words (frequencies x distinct dimensions) that one block of the window
@@ -85,124 +67,54 @@ def _window_blocks(thetas, dims, window):
     """Exact window tests of theta * dims against the integers, a block of
     frequencies at a time.
 
-    dims must be nonnegative integers below 2^53, and every theta must lie
-    in [0, 1] with at most 127 binary places (every double from 2^-75 up);
-    both are checked before the first block.  Yields (block, D, inside):
-    block is an index array into thetas, with at most
+    dims are int64 values; every theta must be a multiple of 2^-64 in
+    [0, 1], which is checked before the first block.  Yields (block,
+    inside): block is an index array into thetas, with at most
     max(1, _BLOCK_ELEMENTS // len(dims)) entries, and the blocks together
-    take every index once.  D (uint64) has one row per frequency of the
-    block; it is less than one unit from 2^64 times the distance of
-    theta * dims to the nearest integer, and equal to it when theta has at
-    most 64 binary places.  inside holds the flat indices into D of the
-    points at distance at most window, exactly.  D is a reused buffer:
-    consume it before asking for the next block.
+    take every index once, in order.  inside holds the flat indices into
+    the (block.size, len(dims)) array of the block's points whose distance
+    to the nearest integer is at most window, exactly.
     """
     dims = np.asarray(dims, dtype=np.int64)
-    if dims.size and int(dims.max()) >= _MAX_DIM:
-        raise NotImplementedError("dimension values at or above 2^53 exceed the "
-                                  "exact window kernel")
-    ratios = []
-    # per frequency: the word a is multiplied by (m 2^(64 - sh) mod 2^64,
-    # m_hi or m), m_lo and k = sh - 64, in the notation of the module
-    # docstring
+    # per frequency: the word M = 2^64 theta mod 2^64 that a is multiplied by
     words = np.empty(len(thetas), dtype=np.uint64)
-    lows = np.zeros(len(thetas), dtype=np.uint64)
-    shifts = np.zeros(len(thetas), dtype=np.uint64)
     for i, theta in enumerate(thetas):
         theta = float(theta)
         if not 0.0 <= theta <= 1.0:
             raise ValueError(f"frequency must lie in [0, 1], got {theta}")
         m, denominator = theta.as_integer_ratio()
         sh = denominator.bit_length() - 1
-        if sh > _MAX_SHIFT:
-            raise NotImplementedError(
-                f"frequency {theta!r} has {sh} binary places, above the "
-                f"{_MAX_SHIFT} of the exact window kernel")
-        if sh <= 64:
-            words[i] = (m << (64 - sh)) % 2**64
-        elif sh <= 96:
-            words[i], lows[i] = divmod(m, 1 << (sh - 64))
-        else:
-            words[i] = m
-        shifts[i] = max(sh - 64, 0)
-        ratios.append((m, denominator))
+        if sh > 64:
+            raise ValueError(f"frequency {theta!r} is not a multiple of 2^-64")
+        words[i] = (m << (64 - sh)) % 2**64
     wp, wq = float(window).as_integer_ratio()
     threshold = np.uint64((wp << 64) // wq)
     n = dims.size
     rows = max(1, _BLOCK_ELEMENTS // max(n, 1))
     unsigned = dims.view(np.uint64)
-    dims_high = unsigned >> np.uint64(32)
-    dims_low = unsigned & np.uint64(2**32 - 1)
-    shape = (min(rows, len(thetas)), n)
-    frac = np.empty(shape, dtype=np.uint64)
-    spare = np.empty(shape, dtype=np.uint64)
-    estimate = np.empty(shape, dtype=np.float64)
-    # each block runs on one route: one word, the split, then the high word
-    routes = (shifts > 0).astype(np.int8) + (shifts > 32)
-    blocks = [group[start:start + rows]
-              for group in (np.flatnonzero(routes == route) for route in range(3))
-              for start in range(0, group.size, rows)]
-    for block in blocks:
+    frac = np.empty((min(rows, len(thetas)), n), dtype=np.uint64)
+    for start in range(0, len(thetas), rows):
+        block = np.arange(start, min(start + rows, len(thetas)))
         F = frac[:block.size]
         np.multiply(unsigned, words[block, None], out=F)
         signed = F.view(np.int64)
-        route = routes[block[0]]
-        k = shifts[block, None]
-        G = spare[:block.size]
-        if route == 1:
-            # F = m_hi a + m_lo a_hi 2^(32 - k) + floor(m_lo a_lo 2^-k)
-            np.multiply(dims_high, lows[block, None] << (np.uint64(32) - k), out=G)
-            np.add(F, G, out=F)
-            np.multiply(dims_low, lows[block, None], out=G)
-            np.right_shift(G, k, out=G)
-            np.add(F, G, out=F)
-        elif route == 2:
-            # F holds L.  With L read as a signed word L - b 2^64 (b = 1
-            # when L >= 2^63), the double a m 2^-64 - L 2^-64 lies within
-            # 2^-10 of H + b <= 2^42 and rounds to it exactly; the
-            # arithmetic shift of the signed L takes b 2^(128 - sh) back
-            # off, so the wrapping sum is floor(m a / 2^(sh - 64)) mod 2^64.
-            est, lo = estimate[:block.size], G.view(np.float64)
-            np.multiply(dims, words[block, None] * 2.0**-64, out=est)
-            np.multiply(signed, 2.0**-64, out=lo)
-            np.subtract(est, lo, out=est)
-            np.rint(est, out=est)
-            np.copyto(G, est, casting="unsafe")
-            np.left_shift(G, np.uint64(64) - k, out=G)
-            np.right_shift(signed, k.view(np.int64), out=signed)
-            np.add(F, G, out=F)
         np.abs(signed, out=signed)  # F now holds D
-        flat = F.reshape(-1)
-        if route == 0:
-            yield block, F, np.flatnonzero(flat <= threshold)
-            continue
-        # D is off by less than one unit, so only D = T and D = T + 1
-        # against T = floor(2^64 window) can disagree with the truth
-        near = np.flatnonzero(flat <= threshold + np.uint64(1))
-        values = flat[near]
-        keep = values <= threshold
-        for j in np.flatnonzero(values >= threshold):
-            row, col = divmod(int(near[j]), n)
-            m, denominator = ratios[block[row]]
-            residue = (m * int(dims[col])) % denominator
-            keep[j] = min(residue, denominator - residue) * wq <= wp * denominator
-        yield block, F, near[keep]
+        yield block, np.flatnonzero(F.reshape(-1) <= threshold)
 
 
 def _lambda_dims(r: int, box_size: int) -> np.ndarray:
     """Dimensions over the lattice box box_size <= k_j <= (j + 2) * box_size,
     which holds prod_j ((j + 1) * box_size + 1) points, as a flat int64 array.
 
-    A box whose corner dimension reaches the window kernel's 2^53 is refused
-    before it is built.  For box_size >= 4 that leaves ranks r <= 4 only,
-    where superfactorial(r) <= 288 < 2^9 keeps every Weyl numerator below
-    2^62, inside int64."""
+    The Weyl numerator grows in every coordinate and each partial product of
+    its factors is at most the whole, so a box whose corner numerator stays
+    below 2^63 is evaluated exactly in int64; any other box is refused
+    before it is built."""
     corner = [(j + 2) * box_size for j in range(1, r + 1)]
-    corner_dim = dim_irrep(r, corner)
-    if corner_dim >= _MAX_DIM:
-        raise NotImplementedError(f"box corner dimension {corner_dim} at or above "
-                                  "2^53 exceeds the exact window kernel")
     c = superfactorial(r)
+    if c * dim_irrep(r, corner) >= 2**63:
+        raise NotImplementedError(f"box corner Weyl numerator at or above 2^63 "
+                                  f"exceeds int64 (rank {r}, N {box_size})")
     axes = [np.arange(box_size, (j + 2) * box_size + 1, dtype=np.int64)
             for j in range(1, r + 1)]
     grids = np.meshgrid(*axes, indexing="ij", sparse=True)
@@ -250,7 +162,7 @@ def _window_arrays(thetas, dims, window):
     unique, mult = np.unique(np.asarray(dims), return_counts=True)
     total = int(mult.sum())
     counts = np.empty(len(thetas), dtype=np.int64)
-    for block, _, inside in _window_blocks(thetas, unique, window):
+    for block, inside in _window_blocks(thetas, unique, window):
         row, column = np.divmod(inside, unique.size)
         counts[block] = total - np.bincount(row, weights=mult[column],
                                             minlength=block.size)
@@ -259,7 +171,9 @@ def _window_arrays(thetas, dims, window):
 
 def theta_grid(r: int, box_size: int, epsilon: float, num_random: int = 10_000,
                seed: int = 99):
-    """(random, adversarial) frequency grids on [epsilon N^-nu, 1/2].
+    """(random, adversarial) frequency grids on [epsilon N^-nu, 1/2], every
+    frequency rounded up to the next multiple of 2^-64 (the window kernel's
+    grid; a no-op from 2^-12 up, where every double already lies on it).
 
     The random part is log-uniform.  The adversarial part holds every
     reduced fraction p/q with q <= _MAX_DENOMINATOR, rescaled by powers
@@ -281,7 +195,9 @@ def theta_grid(r: int, box_size: int, epsilon: float, num_random: int = 10_000,
                 y = (p / q) * float(box_size) ** -j
                 if lo <= y <= hi:
                     adversarial.add(y)
-    return np.sort(random_part), np.array(sorted(adversarial))
+    # theta 2^64 and its ceiling are exact doubles, and so is the quotient
+    return tuple(np.ceil(np.sort(part) * 2.0**64) / 2.0**64
+                 for part in (random_part, np.array(list(adversarial))))
 
 
 def weyl_lower_bound_check(r: int, box_size: int, epsilon: float,
@@ -290,8 +206,9 @@ def weyl_lower_bound_check(r: int, box_size: int, epsilon: float,
 
     For every theta in [epsilon N^-nu, 1/2], at least N^r / 32 box points
     must keep theta * a(k) at distance > w = 2^-nu epsilon from the
-    integers.  Counts are exact, so a reported pass is a proof and a
-    reported violation is a bug.  The sin^2 bound follows from the count:
+    integers.  Every theta must be a multiple of 2^-64, as theta_grid's
+    are.  Counts are exact, so a reported pass is a proof and a reported
+    violation is a bug.  The sin^2 bound follows from the count:
     every counted point has ||theta a|| > w, and sin^2(pi x) increases on
     [0, 1/2], so the sum of sin^2(pi theta a) over the box is at least
     count * sin^2(pi w), which is at least sin2_bound = sin^2(pi w) N^r / 32
@@ -355,7 +272,8 @@ def appendix_window_check(box_size: int, epsilon: float, thetas) -> AppendixRepo
     >= N / 8 on every length-N slice of them (theta >= epsilon / N), and
     the run structure of their edge set (distance <= epsilon / 2: runs no
     longer than N / 2 + 1, with matching follow runs) for theta in
-    [epsilon / N, 1/2 - epsilon / N].
+    [epsilon / N, 1/2 - epsilon / N].  Every theta must be a multiple of
+    2^-64, as theta_grid's are.
     """
     if not 0.0 < epsilon <= 1.0 / 32.0:
         raise ValueError(f"window parameter must lie in (0, 1/32], got {epsilon}")
@@ -375,10 +293,9 @@ def appendix_window_check(box_size: int, epsilon: float, thetas) -> AppendixRepo
     min_counts = np.empty(ladder_thetas.size, dtype=np.int64)
     max_lengths = np.empty(ladder_thetas.size, dtype=np.int64)
     follows = np.empty(ladder_thetas.size, dtype=bool)
-    for block, distances, inside in _window_blocks(ladder_thetas, odd,
-                                                   epsilon / 2.0):
-        rows = len(distances)
-        edge = np.zeros(distances.shape, dtype=np.int8)
+    for block, inside in _window_blocks(ladder_thetas, odd, epsilon / 2.0):
+        rows = block.size
+        edge = np.zeros((rows, length), dtype=np.int8)
         edge.reshape(-1)[inside] = 1
         # prefix[i, j]: edge points among the first j of row i
         prefix = np.zeros((rows, length + 1), dtype=np.int64)

@@ -367,14 +367,14 @@ def test_constants_writes_undefined_normalizers_as_null():
         raise ValueError(f"non-standard JSON constant {token}")
 
     # at rank 1 and n = 1 the solved saddle exceeds 1, so the D center is
-    # undefined
+    # undefined, and so is the H center derived from it
     proc = run_fresh("constants", "--rank", "1", "--n", "1")
     assert proc.returncode == 0
     assert proc.stderr == ""
     manifest = json.loads(proc.stdout, parse_constant=strict)
     res = manifest["results"]
-    assert res["max_dim_center"] is None
-    assert res["max_dim_scale"] > 0.0 and res["height_center"] > 0.0
+    assert res["max_dim_center"] is None and res["height_center"] is None
+    assert res["max_dim_scale"] > 0.0 and res["height_scale"] > 0.0
 
 
 def test_verify_weyl_passes(capsys):
@@ -580,12 +580,12 @@ def test_out_only_on_commands_that_write_data():
 
 @pytest.mark.parametrize("argv", [
     ("--rank", "5", "--N", "4"),
-    ("--rank", "4", "--N", "9"),
+    ("--rank", "4", "--N", "11"),
     ("--rank", "6", "--N", "4", "--unsafe"),
 ])
 def test_verify_weyl_refuses_boxes_beyond_the_window_kernel(capsys, monkeypatch, argv):
-    # the corner dimension reaches 2^53 in these boxes; they are refused
-    # before their dimensions are computed
+    # the corner Weyl numerator reaches 2^63 in these boxes, beyond int64;
+    # they are refused before their dimensions are computed
     def never(*args, **kwargs):
         raise AssertionError("box built for a refused configuration")
 
@@ -595,7 +595,7 @@ def test_verify_weyl_refuses_boxes_beyond_the_window_kernel(capsys, monkeypatch,
     assert code == 2 and out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("invalid config: ")
-    assert "2^53" in lines[0]
+    assert "2^63" in lines[0]
 
 
 def test_verify_limits_has_no_single_n_options():

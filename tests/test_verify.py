@@ -29,63 +29,57 @@ from slrep.weights import dim_irrep
 from oracles import ks_distance, lambda_window
 
 
-def residue_distance(theta: float, a: int):
-    """(D, distance) of theta * a to the nearest integer in Python integers:
-    the distance as a Fraction, and D = min(F, 2^64 - F) for
-    F = floor(2^64 frac(theta * a))."""
+def grid_ceiling(theta: float) -> float:
+    """The least multiple of 2^-64 at or above theta (theta_grid's rounding)."""
+    return math.ceil(theta * 2.0**64) * 2.0**-64
+
+
+def residue_distance(theta: float, a: int) -> Fraction:
+    """The distance of theta * a to the nearest integer, in Python integers."""
     m, q = float(theta).as_integer_ratio()
     residue = (m * a) % q
-    frac_word = (residue << 64) // q
-    return (min(frac_word, (2**64 - frac_word) % 2**64),
-            Fraction(min(residue, q - residue), q))
+    return Fraction(min(residue, q - residue), q)
 
 
 def outside_reference(theta: float, dims, window: float):
     """Whether each distance of theta * dims to the integers exceeds window."""
-    return [residue_distance(theta, int(a))[1] > Fraction(window) for a in dims]
+    return [residue_distance(theta, int(a)) > Fraction(window) for a in dims]
 
 
+# doubles as theta_grid receives them: the kernel is tested at their grid
+# ceilings, which move only those below 2^-12
 KERNEL_THETAS = (
     0.0, 1.0, 0.5, 0.25, 1.0 / 3.0, math.sqrt(2.0) - 1.0, 1.0 - 1e-9,
-    # both sides of 2^-12: 64 binary places above, 65 below
+    # both sides of 2^-12, below which a double may leave the 2^-64 grid,
+    # and the grid point next below it
     np.nextafter(2.0**-12, 1.0), 2.0**-12, np.nextafter(2.0**-12, 0.0),
+    2.0**-12 - 2.0**-64,
     1e-9, 1.2715657552083333e-07,
-    # the kernel's floor: 127 binary places, and 100 with a one-bit mantissa
-    2.0**-75 * (1.0 + 2.0**-52), 2.0**-100,
+    # the bottom of the grid, and two doubles far below it
+    2.0**-64, 3.0 * 2.0**-64, 2.0**-75 * (1.0 + 2.0**-52), 2.0**-100,
 )
 
 
 def kernel_dims():
     rng = np.random.default_rng(17)
-    dims = rng.integers(0, 2**53, size=400, dtype=np.int64)
-    dims[:8] = [0, 1, 2, 3, 2**53 - 1, 2**52, 2**52 + 1, 2**26 + 1]
+    dims = rng.integers(0, 2**63 - 1, size=400, dtype=np.int64, endpoint=True)
+    dims[:9] = [0, 1, 2, 3, 2**63 - 1, 2**62, 2**62 + 1, 2**53 + 1, 2**32 + 1]
     return dims
 
 
 def kernel_rows(thetas, dims, window):
-    """(outside, D) of the blocked window kernel, one row per frequency in
-    the order of thetas, after checking that its blocks take every
-    frequency once and each runs on one route."""
+    """Whether each point of the blocked window kernel lies outside the
+    window, one row per frequency in the order of thetas, after checking
+    that its blocks take every frequency once, in order."""
     outside = np.ones((len(thetas), len(dims)), dtype=bool)
-    distances = np.empty((len(thetas), len(dims)), dtype=np.uint64)
     taken = []
-    for block, D, inside in _window_blocks(thetas, dims, window):
-        assert D.shape == (block.size, len(dims))
-        assert len({route(thetas[i]) for i in block}) == 1
-        distances[block] = D
-        rows = np.ones(D.shape, dtype=bool)
+    for block, inside in _window_blocks(thetas, dims, window):
+        rows = np.ones((block.size, len(dims)), dtype=bool)
         rows.reshape(-1)[inside] = False
         outside[block] = rows
         taken.extend(block.tolist())
-    assert sorted(taken) == list(range(len(thetas)))
-    return outside, distances
-
-
-def route(theta: float) -> int:
-    """The kernel's route for theta = m 2^-sh: one word (sh <= 64), the
-    split (sh <= 96) or the high-word estimate."""
-    sh = float(theta).as_integer_ratio()[1].bit_length() - 1
-    return (sh > 64) + (sh > 96)
+    assert taken == list(range(len(thetas)))
+    return outside
 
 
 def run_structure(edge):
@@ -108,79 +102,61 @@ def run_structure(edge):
 
 @pytest.mark.parametrize("theta", KERNEL_THETAS)
 def test_window_kernel_distances_against_python_integers(theta):
+    theta = grid_ceiling(theta)
     dims = kernel_dims()
     # 2^-11 is a multiple of 2^-64, (1 + 2^-52) 2^-20 and 1e-25 are not
-    reference = [residue_distance(theta, int(a)) for a in dims]
     for window in (2.0**-11, (1.0 + 2.0**-52) * 2.0**-20, 1e-25, 0.0):
-        outside, distances = kernel_rows([theta], dims, window)
-        # the residues themselves, not only the masks: a slip in the high
-        # word shows up in D long before it flips a window test
-        assert [int(x) for x in distances[0]] == [word for word, _ in reference]
-        assert outside[0].tolist() == [dist > Fraction(window) for _, dist in reference]
+        outside = kernel_rows([theta], dims, window)
+        assert outside[0].tolist() == outside_reference(theta, dims, window)
 
 
 @pytest.mark.parametrize("theta", KERNEL_THETAS)
 def test_window_kernel_settles_windows_at_each_distance(theta):
     # a window equal to a point's own distance (rounded to a double), or one
-    # double either side, sits within a unit of D: the kernel must decide it
-    # exactly with Python integers when theta has more than 64 binary places
+    # double either side, is where an inexact distance would flip a test
+    theta = grid_ceiling(theta)
     dims = kernel_dims()[:40]
     for a in dims:
-        distance = float(residue_distance(theta, int(a))[1])
+        distance = float(residue_distance(theta, int(a)))
         for window in (distance, np.nextafter(distance, 0.0),
                        np.nextafter(distance, 1.0)):
-            outside, _ = kernel_rows([theta], dims, window)
+            outside = kernel_rows([theta], dims, window)
             assert outside[0].tolist() == outside_reference(theta, dims, window)
 
 
 def test_window_kernel_at_simple_frequencies():
     dims = np.arange(0, 50, dtype=np.int64)
-    outside, distances = kernel_rows([0.0, 1.0], dims, 0.0)
-    assert not distances.any() and not outside.any()
-    outside, distances = kernel_rows([0.5], dims, 0.25)
-    assert np.array_equal(distances[0], np.where(dims % 2 == 1, np.uint64(2**63), 0))
+    assert not kernel_rows([0.0, 1.0], dims, 0.0).any()
+    outside = kernel_rows([0.5], dims, 0.25)
     assert np.array_equal(outside[0], dims % 2 == 1)
 
 
 def test_window_kernel_guards():
-    with pytest.raises(NotImplementedError):
-        list(_window_blocks([0.25], np.array([2**53], dtype=np.int64), 0.01))
-    dims = np.array([1, 2**53 - 1], dtype=np.int64)
-    for theta in (1.5, -0.1, float("nan")):
+    dims = np.array([1, 2**63 - 1], dtype=np.int64)
+    # outside [0, 1], and off the 2^-64 grid
+    for theta in (1.5, -0.1, float("nan"), 1e-9, np.nextafter(2.0**-12, 0.0)):
         with pytest.raises(ValueError):
             list(_window_blocks([theta], dims, 0.01))
-    # 128 binary places: beyond the two-word route
-    with pytest.raises(NotImplementedError):
-        list(_window_blocks([2.0**-76 * (1.0 + 2.0**-52)], dims, 0.01))
-    list(_window_blocks([2.0**-75 * (1.0 + 2.0**-52)], dims, 0.01))
     # every frequency is checked before the first block is evaluated
-    with pytest.raises(ValueError):
-        next(_window_blocks([0.25, 1.5], dims, 0.01))
-
-
-# KERNEL_THETAS (both neighbours of 2^-12 and the tie frequency among them)
-# plus both two-word routes at their edge: 96 binary places with a 32-bit
-# low part m_lo, the widest the split takes, and 97 with 33 bits
-MIXED_THETAS = KERNEL_THETAS + (0.8 * 2.0**-44, 2.0 / 3.0 * 2.0**-44, 0.3)
+    for theta in (1.5, 1e-9):
+        with pytest.raises(ValueError):
+            next(_window_blocks([0.25, theta], dims, 0.01))
 
 
 @pytest.mark.parametrize("rows", [None, 3])
-def test_window_kernel_blocks_mix_routes(monkeypatch, rows):
-    # every route in one call, interleaved; at the module's block size each
-    # route is one partial block, and at 3 rows the one-word and split
-    # routes (10 and 4 frequencies) span full blocks and a partial one
+def test_window_kernel_blocks_take_every_frequency(monkeypatch, rows):
+    # all kernel frequencies in one call: at the module's block size they
+    # share one partial block, and at 3 rows they span full blocks and a
+    # partial one
     dims = kernel_dims()
     if rows is not None:
         monkeypatch.setattr("slrep.verify._BLOCK_ELEMENTS", rows * dims.size)
-    assert sorted({route(t) for t in MIXED_THETAS}) == [0, 1, 2]
-    assert len(MIXED_THETAS) % 3 != 0
+    thetas = [grid_ceiling(theta) for theta in KERNEL_THETAS]
+    assert len(thetas) % 3 != 0
     window = (1.0 + 2.0**-52) * 2.0**-20
-    outside, distances = kernel_rows(MIXED_THETAS, dims, window)
-    for i, theta in enumerate(MIXED_THETAS):
-        reference = [residue_distance(theta, int(a)) for a in dims]
-        assert [int(x) for x in distances[i]] == [word for word, _ in reference]
-        assert outside[i].tolist() == [dist > Fraction(window)
-                                       for _, dist in reference]
+    outside = kernel_rows(thetas, dims, window)
+    for i, theta in enumerate(thetas):
+        assert outside[i].tolist() == outside_reference(theta, dims, window)
 
 
 def test_window_kernel_runs_one_row_per_block_on_a_large_box():
@@ -189,11 +165,10 @@ def test_window_kernel_runs_one_row_per_block_on_a_large_box():
     dims = _lambda_dims(3, 16)
     unique, mult = np.unique(dims, return_counts=True)
     assert unique.size > 2**16
-    thetas = [0.5, math.sqrt(2.0) - 1.0, 1.2715657552083333e-07, 1e-9,
-              2.0 / 3.0 * 2.0**-44]
-    assert sorted({route(t) for t in thetas}) == [0, 1, 2]
+    thetas = [0.5, math.sqrt(2.0) - 1.0, grid_ceiling(1.2715657552083333e-07),
+              grid_ceiling(1e-9), grid_ceiling(2.0 / 3.0 * 2.0**-44)]
     window = 2.0**-11
-    assert all(D.shape[0] == 1 for _, D, _ in _window_blocks(thetas, unique, window))
+    assert all(block.size == 1 for block, _ in _window_blocks(thetas, unique, window))
     counts = _window_arrays(np.array(thetas), dims, window)
     wp, wq = window.as_integer_ratio()
     for theta, count in zip(thetas, counts):
@@ -249,21 +224,20 @@ def test_weyl_sin2_bound_follows_from_the_count():
     cases = []
     for r, N in ((2, 8), (3, 4)):
         lo = 1.0 / 32.0 / N ** (r * (r + 1) // 2)
-        # uniform draws sit on the one-word route; log-uniform ones below
-        # 2^-12 have more than 64 binary places
-        thetas = np.concatenate([
+        # uniform draws land above 2^-12, on the 2^-64 grid already;
+        # log-uniform ones below it are rounded up to the grid
+        thetas = [grid_ceiling(t) for t in np.concatenate([
             rng.uniform(lo, 0.5, size=5),
-            np.exp(rng.uniform(math.log(lo), math.log(2.0**-12), size=3))])
-        assert {route(t) for t in thetas} == {0, 1}
+            np.exp(rng.uniform(math.log(lo), math.log(2.0**-12), size=3))])]
         cases.extend((r, N, theta) for theta in thetas)
-    # (1/30) 8^-6: box points within 2^-48 of the window edge
-    cases.append((3, 8, 1.2715657552083333e-07))
+    # the grid ceiling of (1/30) 8^-6: box points within 2^-40 of the window edge
+    cases.append((3, 8, grid_ceiling(1.2715657552083333e-07)))
     for r, N, theta in cases:
         unique, mult = np.unique(_lambda_dims(r, N), return_counts=True)
         report = weyl_lower_bound_check(r, N, 1.0 / 32.0, np.array([theta]))
         assert report.passed
         true_sum = math.fsum(
-            int(c) * math.sin(math.pi * float(residue_distance(theta, int(a))[1])) ** 2
+            int(c) * math.sin(math.pi * float(residue_distance(theta, int(a)))) ** 2
             for a, c in zip(unique, mult))
         implied = int(report.counts[0]) * math.sin(math.pi * report.window) ** 2
         assert true_sum >= implied * (1.0 - 1e-12)
@@ -271,14 +245,18 @@ def test_weyl_sin2_bound_follows_from_the_count():
 
 
 def test_weyl_count_is_exact_where_points_sit_next_to_the_window():
-    # theta = (1/30) 8^-6 from the adversarial grid puts several box points
-    # within 2^-48 of the window edge 2^-11; every one is now decided
-    theta = 1.2715657552083333e-07
+    # the grid ceiling of theta = (1/30) 8^-6 from the adversarial grid puts
+    # six box points within 2^-40 of the window edge 2^-11
+    theta = grid_ceiling(1.2715657552083333e-07)
     eps = 1.0 / 32.0
+    window = eps * 2.0**-6
     dims = _lambda_dims(3, 8)
-    expected = sum(outside_reference(theta, dims, eps * 2.0**-6))
+    near = [a for a in dims
+            if abs(residue_distance(theta, int(a)) - Fraction(window)) < Fraction(1, 2**40)]
+    assert len(near) == 6
+    expected = sum(outside_reference(theta, dims, window))
     report = weyl_lower_bound_check(3, 8, eps, np.array([theta]))
-    assert int(report.counts[0]) == expected == 13997
+    assert int(report.counts[0]) == expected == 13991
 
 
 def test_ladder_flags_and_runs_against_python_integers():
@@ -287,7 +265,7 @@ def test_ladder_flags_and_runs_against_python_integers():
     theta, eps, box = 0.010584677419354838, 1.0 / 32.0, 8
     odd = [2 * k + 1 for k in range(3 * box, 6 * box)]
     edge = [not x for x in outside_reference(theta, odd, eps / 2.0)]
-    outside, _ = kernel_rows([theta], np.array(odd), eps / 2.0)
+    outside = kernel_rows([theta], np.array(odd), eps / 2.0)
     assert (~outside[0]).tolist() == edge
 
     longest, follow = run_structure(edge)
@@ -315,8 +293,7 @@ def test_ladder_run_structure_against_a_direct_scan(monkeypatch):
         assert len(dims) == length and window == eps / 2.0
         for start in range(0, len(thetas), 7):
             block = np.arange(start, min(start + 7, len(thetas)))
-            yield (block, np.zeros((block.size, length), dtype=np.uint64),
-                   np.flatnonzero(edges[block]))
+            yield block, np.flatnonzero(edges[block])
 
     monkeypatch.setattr("slrep.verify._window_blocks", blocks)
     thetas = np.linspace(eps / box, 0.5 - eps / box, 200)
@@ -358,6 +335,26 @@ def test_theta_grid_ranges_and_adversarial_content():
     assert len(random_t) == 200
     assert lo in adversarial_t and 0.5 in adversarial_t
     assert 1.0 / 3.0 in adversarial_t
+
+
+@pytest.mark.parametrize("r,N,lo", [
+    (2, 4, 2.0**-11),                           # on the grid
+    (3, 5, (1.0 / 32.0) * 5.0**-6),             # off it, above 2^-64
+    (4, 100, (1.0 / 32.0) * 100.0**-10),        # below 2^-64
+])
+def test_theta_grid_lies_on_the_2_to_the_64_grid(r, N, lo):
+    assert lo == (1.0 / 32.0) * float(N) ** -(r * (r + 1) // 2)
+    random_t, adversarial_t = theta_grid(r, N, 1.0 / 32.0, num_random=200, seed=4)
+    ceiling = Fraction(math.ceil(Fraction(lo) * 2**64), 2**64)
+    for arr in (random_t, adversarial_t):
+        assert np.array_equal(arr, np.sort(arr))
+        assert all(Fraction(t) * 2**64 == int(t * 2.0**64) for t in arr)
+        assert Fraction(float(arr[0])) >= ceiling and arr[-1] <= 0.5
+    # the lower end becomes its ceiling, exactly
+    assert Fraction(float(adversarial_t[0])) == ceiling
+    assert (ceiling == Fraction(lo)) == (r == 2)
+    assert (ceiling == Fraction(1, 2**64)) == (r == 4)
+    assert 0.5 in adversarial_t
 
 
 def test_appendix_check_passes_and_reports_structure():
@@ -474,6 +471,17 @@ def test_compare_extremal_statistics_report_fields():
     assert report.gap == pytest.approx(float(np.max(np.abs(report.exact
                                                            - report.limit))))
     assert np.all((report.exact >= 0.0) & (report.exact <= 1.0))
+
+
+@pytest.mark.parametrize("n", [10**4, 10**6])
+def test_rank_one_height_report_is_the_max_dim_report(n):
+    # at rank 1 the height is (D - 1) / 2 exactly, so with the H normalizers
+    # derived from D's both reports read the same exact CDF on the x-grid
+    d = compare_exact_to_limit(1, n, "D")
+    h = compare_exact_to_limit(1, n, "H")
+    assert np.array_equal(h.grid, d.grid)
+    assert np.all(np.abs(h.exact - d.exact) <= h.exact_err + d.exact_err)
+    assert h.gap == pytest.approx(d.gap, abs=h.exact_err + d.exact_err)
 
 
 def test_compare_gaps_shrink_on_small_grid():
