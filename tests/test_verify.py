@@ -337,13 +337,10 @@ def test_theta_grid_ranges_and_adversarial_content():
     assert 1.0 / 3.0 in adversarial_t
 
 
-@pytest.mark.parametrize("r,N,lo", [
-    (2, 4, 2.0**-11),                           # on the grid
-    (3, 5, (1.0 / 32.0) * 5.0**-6),             # off it, above 2^-64
-    (4, 100, (1.0 / 32.0) * 100.0**-10),        # below 2^-64
-])
-def test_theta_grid_lies_on_the_2_to_the_64_grid(r, N, lo):
-    assert lo == (1.0 / 32.0) * float(N) ** -(r * (r + 1) // 2)
+# lower ends epsilon N^-nu on the grid (2^-11), off it, and below 2^-64
+@pytest.mark.parametrize("r,N", [(2, 4), (3, 5), (4, 100)])
+def test_theta_grid_lies_on_the_2_to_the_64_grid(r, N):
+    lo = (1.0 / 32.0) * float(N) ** -(r * (r + 1) // 2)
     random_t, adversarial_t = theta_grid(r, N, 1.0 / 32.0, num_random=200, seed=4)
     ceiling = Fraction(math.ceil(Fraction(lo) * 2**64), 2**64)
     for arr in (random_t, adversarial_t):
