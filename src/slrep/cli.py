@@ -27,33 +27,11 @@ import time
 import numpy as np
 
 from . import _IMPORT_STARTED, __version__
-from .boltzmann import (
-    boltzmann_sample,
-    rejection_uniform_sample,
-    sampling_params,
-    solve_saddle,
-    truncation_tv_bound,
-)
+# the layers every command loads; boltzmann, limits and verify are imported
+# by the commands that run them
 from .census import BudgetError, enumerate_irreps, region_volume, write_csv
 from .exact_count import count_representations, uniform_sample
-from .limits import (
-    asymptotic_saddle,
-    compute_constants,
-    dispersion_constant,
-    saddle_scale_constant,
-    variance_scale_constant,
-)
-from .stats import stat_height, stat_max_dim
-from .verify import (
-    STATISTICS,
-    appendix_window_check,
-    compare_exact_to_limit,
-    default_weight,
-    ensembles_tv,
-    shrinking,
-    theta_grid,
-    weyl_lower_bound_check,
-)
+from .stats import STATISTICS, stat_height, stat_max_dim
 
 MAX_RANK = 6
 MAX_N_NUMERIC = 10**9
@@ -195,6 +173,7 @@ def _cmd_count(args, started):
 
 
 def _cmd_saddle(args, started):
+    from .boltzmann import solve_saddle
     _check_bounds(args, exact=False)
     params = solve_saddle(args.rank, args.n, tol=args.tol)
     results = {
@@ -234,6 +213,13 @@ def _cmd_sample(args, started):
             lines.append(json.dumps(_sample_record(i, rep), sort_keys=True))
         extra = {"truncation_tv_bound": 0.0}
     else:
+        from .boltzmann import (
+            boltzmann_sample,
+            rejection_uniform_sample,
+            sampling_params,
+            solve_saddle,
+            truncation_tv_bound,
+        )
         params = sampling_params(solve_saddle(args.rank, args.n))
         for i in range(args.samples):
             rng = np.random.default_rng(np.random.SeedSequence((args.seed, i)))
@@ -248,6 +234,7 @@ def _cmd_sample(args, started):
 
 
 def _cmd_dist(args, started):
+    from .verify import compare_exact_to_limit
     _check_bounds(args, exact=False)
     if args.tol is not None and not 0.0 <= args.tol < math.inf:  # refuses nan too
         raise ConfigError(f"--tol must be finite and nonnegative, got {args.tol}")
@@ -272,6 +259,14 @@ def _cmd_dist(args, started):
 
 
 def _cmd_constants(args, started):
+    from .boltzmann import solve_saddle
+    from .limits import (
+        asymptotic_saddle,
+        compute_constants,
+        dispersion_constant,
+        saddle_scale_constant,
+        variance_scale_constant,
+    )
     _check_bounds(args, exact=False)
     r = args.rank
     params = solve_saddle(r, args.n)
@@ -294,6 +289,7 @@ def _cmd_constants(args, started):
 
 
 def _cmd_verify_weyl(args, started):
+    from .verify import appendix_window_check, theta_grid, weyl_lower_bound_check
     _check_seed(args.seed)
     if not 2 <= args.rank <= MAX_RANK:
         raise ConfigError(f"--rank {args.rank} outside 2..{MAX_RANK}")
@@ -312,7 +308,7 @@ def _cmd_verify_weyl(args, started):
         args.rank, args.N, args.eps, num_random=args.num_thetas, seed=args.seed)
     thetas = np.unique(np.concatenate([random_part, adversarial]))
     note = (f"{args.num_thetas} log-uniform (seed {args.seed}) + "
-            f"{adversarial.size} adversarial rationals")
+            f"{adversarial.size} adversarial frequencies")
     report = weyl_lower_bound_check(args.rank, args.N, args.eps, thetas)
     results = {
         "pass": report.passed,
@@ -339,6 +335,7 @@ def _cmd_verify_weyl(args, started):
 
 
 def _cmd_verify_ensembles(args, started):
+    from .verify import default_weight, ensembles_tv, shrinking
     _check_bounds(args, exact=True)
     grid = _parse_grid(args, exact=True)
     k = _parse_weight(args.k, args.rank) or default_weight(args.rank)
@@ -354,6 +351,7 @@ def _cmd_verify_ensembles(args, started):
 
 
 def _cmd_verify_limits(args, started):
+    from .verify import compare_exact_to_limit, shrinking
     _check_bounds(args, exact=False)
     grid = _parse_grid(args, exact=False)
     k = _mult_weight(args)
@@ -492,7 +490,8 @@ def main(argv=None) -> int:
         return 1
 
 
-# from the first statement of slrep/__init__.py to here, where main can start
+# from the first statement of slrep/__init__.py to here, where main can start;
+# a command's own layers load inside its wall_time_s
 _IMPORT_S = time.monotonic() - _IMPORT_STARTED
 
 if __name__ == "__main__":

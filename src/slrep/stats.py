@@ -1,5 +1,5 @@
-"""The extremal statistics of a representation, and the corner grid of the
-shape report.
+"""The extremal statistics of a representation, the corner grid of the
+shape report, and the names of the five reported observables.
 
 D is the largest irreducible dimension and H the largest weight height;
 both have Gumbel limits.  The number of components N is
@@ -13,6 +13,8 @@ import numpy as np
 from .exact_count import Representation
 from .weights import degree, twice_height
 
+# the observables of the gap reports (`verify.compare_exact_to_limit`)
+STATISTICS = ("D", "H", "mult", "shape", "mgf")
 # the shape report's diagonal corner grid: its first corner and its size
 _SHAPE_GRID_LO = 0.1
 _SHAPE_GRID_POINTS = 16

@@ -53,7 +53,7 @@ from .limits import (
     gumbel_cdf,
     limit_shape,
 )
-from .stats import default_shape_grid
+from .stats import STATISTICS, default_shape_grid
 from .weights import degree, dim_irrep, superfactorial, weyl_numerator
 
 # adversarial frequencies of theta_grid: reduced fractions p/q with q up to this
@@ -178,7 +178,9 @@ def theta_grid(r: int, box_size: int, epsilon: float, num_random: int = 10_000,
     The random part is log-uniform.  The adversarial part holds every
     reduced fraction p/q with q <= _MAX_DENOMINATOR, rescaled by powers
     1/N^j until it lands in range (rational frequencies concentrate the
-    fractional parts on few residues), plus both interval endpoints.
+    fractional parts on few residues), plus both interval endpoints.  It
+    holds each rounded point once: doubles that round up to the same
+    multiple of 2^-64 count once.
     """
     nu = degree(r)
     lo = epsilon * float(box_size) ** -nu
@@ -196,8 +198,9 @@ def theta_grid(r: int, box_size: int, epsilon: float, num_random: int = 10_000,
                 if lo <= y <= hi:
                     adversarial.add(y)
     # theta 2^64 and its ceiling are exact doubles, and so is the quotient
-    return tuple(np.ceil(np.sort(part) * 2.0**64) / 2.0**64
-                 for part in (random_part, np.array(list(adversarial))))
+    random_part = np.ceil(np.sort(random_part) * 2.0**64) / 2.0**64
+    adversarial = np.ceil(np.array(list(adversarial)) * 2.0**64) / 2.0**64
+    return random_part, np.unique(adversarial)
 
 
 def weyl_lower_bound_check(r: int, box_size: int, epsilon: float,
@@ -414,7 +417,6 @@ class LimitGapReport:
 
 _MGF_GRID = (-0.5, -0.25, 0.25, 0.5)
 _MGF_LIMIT_MAX_DIM = 2_000_000  # census cutoff of the limit product's exact factors
-STATISTICS = ("D", "H", "mult", "shape", "mgf")
 # certified truncation error of the shape report, relative to each corner value
 SHAPE_REL_ERR = 1e-6
 

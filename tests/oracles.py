@@ -7,10 +7,11 @@ same numbers another way: a Monte Carlo volume with an analytic tail, an
 adaptive box quadrature with an analytic strip correction, the simplex
 reduction of the rank-2 shape in mpmath, and a point-by-point walk over
 the window box.  The second exact routes live here too: the counts by the
-Euler recurrence, the counting function of a census, the grand-ensemble
-moments summed over a census with their certified tails, the multiplicity
-and shape statistics of one representation, the dimension form at a real
-point, and the KS distance of a sample to a CDF.  Only tests call them.
+Euler recurrence, the partition numbers (the rank-1 counts) by Euler's
+pentagonal-number recurrence, the counting function of a census, the
+grand-ensemble moments summed over a census with their certified tails,
+the multiplicity and shape statistics of one representation, the
+dimension form at a real point, and the KS distance of a sample to a CDF.  Only tests call them.
 `representation` builds a representation from a dict of weights, the form
 tests write by hand.
 """
@@ -57,6 +58,26 @@ def count_by_recurrence(r: int, n: int) -> list:
         if rem:
             raise ArithmeticError(f"Euler recurrence not divisible at v={v}")
         p[v] = q
+    return p
+
+
+def partitions_by_pentagonal_recurrence(n: int) -> list:
+    """The partition numbers p(0), ..., p(n) by Euler's pentagonal-number
+    theorem,
+
+        p(v) = sum_{k>=1} (-1)^(k+1) (p(v - k(3k-1)/2) + p(v - k(3k+1)/2)),
+
+    in exact integers, with p of a negative argument zero: O(n^(3/2))
+    additions, and no census."""
+    p = [0] * (n + 1)
+    p[0] = 1
+    for v in range(1, n + 1):
+        acc, k = 0, 1
+        while (g := k * (3 * k - 1) // 2) <= v:
+            term = p[v - g] + (p[v - g - k] if g + k <= v else 0)
+            acc += term if k % 2 else -term
+            k += 1
+        p[v] = acc
     return p
 
 

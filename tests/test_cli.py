@@ -7,10 +7,12 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 import slrep
@@ -411,10 +413,10 @@ def test_verify_weyl_names_the_refused_option(capsys, argv, option):
 WEYL_PINS = {
     ("3", "8"): {"pass": True, "num_thetas": 5437, "min_count": 1152,
                  "violations": 0,
-                 "grid": "1000 log-uniform (seed 1) + 4437 adversarial rationals"},
+                 "grid": "1000 log-uniform (seed 1) + 4437 adversarial frequencies"},
     ("2", "32"): {"pass": True, "num_thetas": 3634, "min_count": 1398,
                   "violations": 0,
-                  "grid": "1000 log-uniform (seed 1) + 2634 adversarial rationals",
+                  "grid": "1000 log-uniform (seed 1) + 2634 adversarial frequencies",
                   "ladder": {"pass": True, "window_bound": 4.0,
                              "min_window_count": 21, "run_length_bound": 17.0,
                              "max_run_length": 6, "follow_violations": 0}},
@@ -435,6 +437,40 @@ def test_verify_weyl_results_are_pinned(capsys, rank, N):
                             | ({"ladder"} & set(pinned)))
     for field, value in pinned.items():
         assert results[field] == value, field
+
+
+@pytest.mark.parametrize("rank,N", [("3", "8"), ("4", "9"), ("3", "12"),
+                                    ("2", "32"), ("2", "33")])
+def test_verify_weyl_grid_note_counts_the_frequencies_added(capsys, monkeypatch,
+                                                            rank, N):
+    # the note's adversarial count is what the grid adds to the random part,
+    # also where N is not a power of two and several doubles round to one
+    # point; the checks are stubbed, so no box is built
+    checked = []
+
+    def weyl_check(r, box_size, epsilon, thetas):
+        checked.append(thetas)
+        return slrep.verify.WeylWindowReport(
+            rank=r, box_size=box_size, epsilon=epsilon, window=0.0, count_bound=0.0,
+            sin2_bound=0.0, thetas=thetas, counts=np.zeros(thetas.size))
+
+    def ladder_check(box_size, epsilon, thetas):
+        return slrep.verify.AppendixReport(
+            box_size=box_size, epsilon=epsilon, thetas=thetas, ladder_thetas=thetas,
+            ladder_min_counts=np.zeros(1), ladder_bound=0.0, run_thetas=thetas,
+            run_max_lengths=np.zeros(1), run_length_bound=0.0,
+            run_follow_violations=np.zeros(1))
+
+    monkeypatch.setattr("slrep.verify.weyl_lower_bound_check", weyl_check)
+    monkeypatch.setattr("slrep.verify.appendix_window_check", ladder_check)
+    code, out, _ = run_cli(capsys, "verify", "weyl", "--rank", rank, "--N", N,
+                           "--eps", "0.03125", "--num-thetas", "1000")
+    assert code == 0
+    results = split_manifest(out)[0]["results"]
+    note = re.fullmatch(r"1000 log-uniform \(seed 99\) \+ (\d+) adversarial frequencies",
+                        results["grid"])
+    assert note, results["grid"]
+    assert results["num_thetas"] == 1000 + int(note[1]) == checked[0].size
 
 
 def test_verify_ensembles_trend(capsys):
@@ -528,8 +564,8 @@ def test_invalid_configurations_exit_two(capsys, monkeypatch, argv):
         raise AssertionError("work started for a refused configuration")
 
     monkeypatch.setattr("slrep.census._scan", never)
-    monkeypatch.setattr("slrep.cli.compare_exact_to_limit", never)
-    monkeypatch.setattr("slrep.cli.theta_grid", never)
+    monkeypatch.setattr("slrep.verify.compare_exact_to_limit", never)
+    monkeypatch.setattr("slrep.verify.theta_grid", never)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     lines = err.splitlines()
@@ -546,7 +582,7 @@ def test_bad_tolerance_is_refused(capsys, monkeypatch, command, tol):
     def never(*args, **kwargs):
         raise AssertionError("report built for a refused tolerance")
 
-    monkeypatch.setattr("slrep.cli.compare_exact_to_limit", never)
+    monkeypatch.setattr("slrep.verify.compare_exact_to_limit", never)
     code, out, err = run_cli(capsys, *command, "--rank", "2", "--n", "1000",
                              f"--tol={tol}")
     assert code == 2
@@ -624,7 +660,7 @@ def test_failed_computation_exits_one_without_traceback(capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise RuntimeError("rejection sampler exceeded 1 attempts (0/1 accepted)")
 
-    monkeypatch.setattr("slrep.cli.rejection_uniform_sample", exhausted)
+    monkeypatch.setattr("slrep.boltzmann.rejection_uniform_sample", exhausted)
     code, _, err = run_cli(capsys, "sample", "--mode", "uniform-rejection",
                            "--rank", "2", "--n", "30", "--seed", "7")
     assert code == 1
@@ -729,19 +765,23 @@ def test_closed_stdout_exits_one_without_traceback(n):
     assert len(lines) == 1 and lines[0].startswith("failed: ")
 
 
-# Runs main, then reports its exit status and the scipy modules loaded.
+# Runs main, then reports its exit status and the scipy and slrep modules
+# loaded.
 SCIPY_PROBE = """
 import contextlib, io, json, sys
 from slrep.cli import build_parser, main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps({"code": code, "scipy": sorted(
-    m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}))
+loaded = sorted(sys.modules)
+print(json.dumps({"code": code,
+                  "scipy": [m for m in loaded if m == "scipy" or m.startswith("scipy.")],
+                  "slrep": [m for m in loaded if m.startswith("slrep.")]}))
 """
 
 
-# the benchmark's commands at its sizes
+# the benchmark's commands at its sizes, and its no-work probe
 BENCHMARK_COMMANDS = {
+    "probe": ("count", "--rank", "2", "--n", "1"),
     "count": ("count", "--rank", "2", "--n", "10000"),
     "uniform-dp": ("sample", "--rank", "2", "--mode", "uniform-dp", "--n", "2000",
                    "--samples", "20", "--seed", "1"),
@@ -766,14 +806,37 @@ BENCHMARK_COMMANDS = {
 }
 
 
+# the layers a benchmark command never runs, so never loads
+UNUSED_LAYERS = {
+    "probe": ("boltzmann", "limits", "verify"),
+    "count": ("boltzmann", "limits", "verify"),
+    "uniform-dp": ("boltzmann", "limits", "verify"),
+    "saddle-r2": ("verify",),
+    "saddle-r3": ("verify",),
+    "boltzmann": ("verify",),
+    "uniform-rejection": ("verify",),
+}
+
+
 @pytest.mark.parametrize("label", BENCHMARK_COMMANDS)
 def test_cli_runs_without_scipy_submodules(label):
-    # scipy is a test dependency only: no command loads any part of it
+    # scipy is a test dependency only: no command loads any part of it; and
+    # a command loads only the slrep layers it runs
     proc = run_fresh(*BENCHMARK_COMMANDS[label], code=SCIPY_PROBE)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["code"] == 0
     assert report["scipy"] == []
+    assert "slrep.cli" in report["slrep"]
+    unused = {f"slrep.{layer}" for layer in UNUSED_LAYERS.get(label, ())}
+    assert not unused & set(report["slrep"]), report["slrep"]
+
+
+def test_package_root_loads_no_layer():
+    proc = run_fresh(code="import json, sys, slrep; print(json.dumps(sorted("
+                          "m for m in sys.modules if m.startswith('slrep'))))")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == ["slrep"]
 
 
 ENVIRONMENT_READS = {("os", "environ"), ("os", "getenv")}

@@ -17,7 +17,7 @@ from slrep.exact_count import (
 )
 from slrep.weights import dim_irrep
 
-from oracles import count_by_recurrence, representation
+from oracles import count_by_recurrence, partitions_by_pentagonal_recurrence, representation
 
 # p(10^4) at rank 2, the CLI's exact-counting cap
 COUNT_R2_10000 = 77286174609560949994788618084033615667449698306709202996900417272344870000
@@ -66,6 +66,14 @@ def test_rank_one_counts_are_partition_numbers():
     table = count_representations(1, 50)
     assert table.counts == partition_numbers(50)
     assert table.counts[:7] == [1, 1, 2, 3, 5, 7, 11]
+
+
+def test_rank_one_counts_follow_the_pentagonal_recurrence():
+    # rank 1 is integer partitions: the table matches Euler's recurrence,
+    # which reads no census, entry by entry up to the exact-counting cap
+    table = count_representations(1, 10**4)
+    assert table.counts == partitions_by_pentagonal_recurrence(10**4)
+    assert table.counts[100] == 190569292
 
 
 def test_rank_two_small_counts_pinned():

@@ -481,6 +481,15 @@ def test_rank_one_height_report_is_the_max_dim_report(n):
     assert h.gap == pytest.approx(d.gap, abs=h.exact_err + d.exact_err)
 
 
+def test_rank_one_max_dim_gap_converges_at_a_rate():
+    # at rank 1 (integer partitions) the largest part is Gumbel (Erdős and
+    # Lehner).  The gap falls at least fivefold per factor 100 in n
+    # (0.00349, 0.000248, 0.0000365): a rate, which a shrinking trend alone
+    # does not check
+    gaps = [compare_exact_to_limit(1, n, "D").gap for n in (10**4, 10**6, 10**8)]
+    assert all(later <= earlier / 5 for earlier, later in zip(gaps, gaps[1:])), gaps
+
+
 def test_compare_gaps_shrink_on_small_grid():
     gaps = [compare_exact_to_limit(2, n, "D").gap for n in (200, 2000)]
     assert gaps[1] < gaps[0]
