@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import count
 
 import numpy as np
@@ -67,6 +68,12 @@ class BoltzmannParams:
     def cutoff(self) -> int:
         """Cutoff (max_dim) of `census`."""
         return self.census.max_dim
+
+    @cached_property
+    def term_arrays(self):
+        """(m, rho, q^m, 1 - q^m) per class of `census`, as floats, computed
+        on first use: the samplers and exact curves read them on every call."""
+        return _term_arrays(self.census, self.beta)
 
 
 def _term_arrays(census, beta):
@@ -276,7 +283,7 @@ def boltzmann_sample(params: BoltzmannParams, rng: np.random.Generator) -> Repre
     truncation TV exceeds SAMPLING_TV (widen it with sampling_params).
     """
     census = _require_sampling_census(params)
-    m, rho, qm, one_minus = _term_arrays(census, params.beta)
+    _, _, qm, one_minus = params.term_arrays
     hits = rng.binomial(census.counts, qm)
     hit = np.flatnonzero(hits)
     chosen = _uniform_subsets(census.counts[hit], hits[hit], rng)
@@ -360,7 +367,7 @@ def _log_factors(params):
     rounding of rho log1p(-q^m), and is (beta m + 6)u q^m / (1 - q^m) per
     weight (the error of q^m, log1p's own 2u of |log(1 - q^m)|, which is at
     most q^m / (1 - q^m), and the product by rho)."""
-    m, rho, qm, one_minus = _term_arrays(params.census, params.beta)
+    m, rho, qm, one_minus = params.term_arrays
     return m, rho, np.log1p(-qm), (params.beta * m + 6.0) * _U * qm / one_minus
 
 
@@ -421,7 +428,7 @@ def exact_expected_shape(params: BoltzmannParams, t):
     t = np.asarray(t, dtype=float)
     if t.ndim != 2 or t.shape[1] != census.rank:
         raise ValueError(f"corners must be an (m, {census.rank}) array")
-    _, _, qm, one_minus = _term_arrays(census, params.beta)
+    _, _, qm, one_minus = params.term_arrays
     terms = np.repeat(qm / one_minus, census.counts)
     values = np.array([float(np.sum(terms[np.all(census.weights >= corner[None, :], axis=1)]))
                        for corner in t])
@@ -444,7 +451,7 @@ def exact_count_mgf(params: BoltzmannParams, u: float):
     if not -1.0 < u < 1.0:
         raise ValueError(f"mgf argument must lie in (-1, 1), got {u}")
     beta = params.beta
-    m, rho, qm, one_minus = _term_arrays(params.census, beta)
+    m, rho, qm, one_minus = params.term_arrays
     growth = math.exp(u * beta)
     shifted = qm * growth
     if np.any(shifted >= 1.0):

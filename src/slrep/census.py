@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, count
 from math import prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +37,7 @@ class BudgetError(RuntimeError):
     """Raised when a census may hold more than MAX_WEIGHTS weights."""
 
 
-@dataclass(frozen=True)
-class IrrepCensus:
+class IrrepCensus(NamedTuple):
     """All irreducible modules with dimension <= max_dim, grouped by dimension.
 
     dims        distinct realized dimensions, ascending (int64)

@@ -98,8 +98,13 @@ def _emit(args, started, results: dict, data: str | None = None,
     # only the commands that produce data declare --out
     to_file = data is not None and args.out
     if to_file:
-        with open(args.out, "w") as fh:
-            fh.write(data)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(data)
+        except OSError as exc:  # before the manifest, so stdout stays empty
+            print(f"failed: cannot write --out {args.out}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return 1
     print(_manifest(args, results, started, [args.out] if to_file else []))
     if data is not None and not to_file:
         sys.stdout.write(data)

@@ -64,7 +64,7 @@ stays O(n).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,14 +77,15 @@ _MAX_TOTAL = 1 << 31  # the no-overflow proof needs (2^31 - 1)(n + 1) < 2^62
 _TINY = 2.0 ** -1074  # smallest positive float64
 
 
-@dataclass(eq=False)
 class Representation:
     """Multiset of irreducibles: mult[i] copies of the weight in census row
-    rows[i]; rows sorted and distinct, mult positive, both int64."""
+    rows[i]; rows sorted and distinct, mult positive, both int64.  Equal
+    only to itself."""
 
-    census: IrrepCensus
-    rows: np.ndarray
-    mult: np.ndarray
+    def __init__(self, census: IrrepCensus, rows: np.ndarray, mult: np.ndarray):
+        self.census = census
+        self.rows = rows
+        self.mult = mult
 
     @classmethod
     def from_rows(cls, census: IrrepCensus, rows, mult) -> "Representation":
@@ -120,16 +121,15 @@ class Representation:
         return [(tuple(row[:-1]), row[-1]) for row in table]
 
 
-@dataclass
 class CountTable:
     """counts[v] = number of representations of total dimension v; counts[0] = 1."""
 
-    rank: int
-    max_total: int
-    counts: list
-    census: IrrepCensus
-    _screen: "_Screen | None" = field(default=None, init=False, repr=False,
-                                      compare=False)
+    def __init__(self, rank: int, max_total: int, counts: list, census: IrrepCensus):
+        self.rank = rank
+        self.max_total = max_total
+        self.counts = counts
+        self.census = census
+        self._screen = None  # the sampler's `_Screen`, built on first use
 
 
 def _classes(census, n):
@@ -221,8 +221,7 @@ def _gamma(m):
     return mu / (1.0 - mu) if mu < 1.0 else np.inf
 
 
-@dataclass
-class _Screen:
+class _Screen(NamedTuple):
     """What `_screen_term` reads, built once per count table.
 
     scale        p(max_total), the one denominator of every float here

@@ -590,10 +590,10 @@ def test_rejection_sampler_fills_the_trivial_weight():
 def test_rejection_sampler_refuses_census_without_trivial_class():
     params = sampling_params(solve_saddle(2, 30))
     census = params.census
-    cut = dataclasses.replace(census, dims=census.dims[1:],
-                              counts=census.counts[1:],
-                              cumulative=census.cumulative[1:] - 1,
-                              weights=census.weights[1:])
+    cut = census._replace(dims=census.dims[1:],
+                          counts=census.counts[1:],
+                          cumulative=census.cumulative[1:] - 1,
+                          weights=census.weights[1:])
     with pytest.raises(ValueError):
         rejection_uniform_sample(dataclasses.replace(params, census=cut), 1,
                                  np.random.default_rng(36))
@@ -668,6 +668,26 @@ def test_uniform_subsets_redraw_a_repeated_key():
     # sorted order
     stub = Stub([[1, 5, 5, 9]])
     assert np.flatnonzero(_uniform_subsets([2, 2], [1, 1], stub)).tolist() == [0, 2]
+
+
+def test_draws_compute_the_term_arrays_once(monkeypatch):
+    # the exp and expm1 over every class depend on the params alone, so
+    # repeated draws and curves read one copy of them
+    params = sampling_params(solve_saddle(2, 10**8))
+    made = []
+
+    def counted(census, beta):
+        made.append(beta)
+        return term_arrays(census, beta)
+
+    term_arrays = slrep.boltzmann._term_arrays
+    monkeypatch.setattr(slrep.boltzmann, "_term_arrays", counted)
+    rng = np.random.default_rng(46)
+    for _ in range(20):
+        boltzmann_sample(params, rng)
+    exact_count_mgf(params, 0.5)
+    exact_prob_max_dim_le(params, [10.0])
+    assert made == [params.beta]
 
 
 def test_sampler_generator_calls_do_not_grow_with_classes():

@@ -4,7 +4,6 @@ tail bounds."""
 import functools
 import io
 import math
-from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -411,7 +410,7 @@ def tail_bounds_against_formula():
             if beta == 0.0:
                 continue
             # weighted_tail_bound reads only the rank and the cutoff
-            census = replace(censuses[r], max_dim=X)
+            census = censuses[r]._replace(max_dim=X)
             if x <= max(a - 1.0, 0.0):
                 with pytest.raises(RuntimeError):
                     weighted_tail_bound(census, beta, p)

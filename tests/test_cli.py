@@ -668,6 +668,23 @@ def test_failed_computation_exits_one_without_traceback(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", [
+    ("census", "--rank", "2", "--max-dim", "50"),
+    ("count", "--rank", "2", "--n", "5"),
+    ("sample", "--rank", "2", "--n", "20", "--mode", "uniform-dp"),
+    ("dist", "--rank", "2", "--n", "1000", "--stat", "D"),
+], ids=lambda command: command[0])
+@pytest.mark.parametrize("target, reason", [("missing/out.csv", "No such file or directory"),
+                                            (".", "Is a directory")],
+                         ids=["missing-directory", "directory"])
+def test_unwritable_out_exits_one_without_traceback(capsys, tmp_path, command,
+                                                    target, reason):
+    out = tmp_path / target
+    code, stdout, err = run_cli(capsys, *command, "--out", str(out))
+    assert code == 1 and stdout == ""
+    assert err.splitlines() == [f"failed: cannot write --out {out}: {reason}"]
+
+
 @pytest.mark.parametrize("detail", ["Unable to allocate 16.0 GiB for an array", ""])
 def test_out_of_memory_exits_one_without_traceback(capsys, monkeypatch, detail):
     # --unsafe sizes may outgrow the machine; that is a failed run, not a crash
@@ -765,8 +782,8 @@ def test_closed_stdout_exits_one_without_traceback(n):
     assert len(lines) == 1 and lines[0].startswith("failed: ")
 
 
-# Runs main, then reports its exit status and the scipy and slrep modules
-# loaded.
+# Runs main, then reports its exit status and the scipy, slrep and
+# dataclasses modules loaded.
 SCIPY_PROBE = """
 import contextlib, io, json, sys
 from slrep.cli import build_parser, main
@@ -775,12 +792,14 @@ with contextlib.redirect_stdout(io.StringIO()):
 loaded = sorted(sys.modules)
 print(json.dumps({"code": code,
                   "scipy": [m for m in loaded if m == "scipy" or m.startswith("scipy.")],
-                  "slrep": [m for m in loaded if m.startswith("slrep.")]}))
+                  "modules": [m for m in loaded
+                              if m.startswith("slrep.") or m == "dataclasses"]}))
 """
 
 
-# the benchmark's commands at its sizes, and its no-work probe
-BENCHMARK_COMMANDS = {
+# the benchmark's commands at its sizes, its no-work probe, and `census`,
+# which no workload runs
+PROBED_COMMANDS = {
     "probe": ("count", "--rank", "2", "--n", "1"),
     "count": ("count", "--rank", "2", "--n", "10000"),
     "uniform-dp": ("sample", "--rank", "2", "--mode", "uniform-dp", "--n", "2000",
@@ -803,33 +822,38 @@ BENCHMARK_COMMANDS = {
                 "--num-thetas", "1000", "--seed", "1"),
     "weyl-r2": ("verify", "weyl", "--rank", "2", "--N", "32", "--eps", "0.03125",
                 "--num-thetas", "1000", "--seed", "1"),
+    "census": ("census", "--rank", "2", "--max-dim", "100000"),
 }
 
 
-# the layers a benchmark command never runs, so never loads
-UNUSED_LAYERS = {
-    "probe": ("boltzmann", "limits", "verify"),
-    "count": ("boltzmann", "limits", "verify"),
-    "uniform-dp": ("boltzmann", "limits", "verify"),
-    "saddle-r2": ("verify",),
-    "saddle-r3": ("verify",),
-    "boltzmann": ("verify",),
-    "uniform-rejection": ("verify",),
+# the layers a command never runs, so never loads; the layers every command
+# loads define their records without dataclasses, so a command that runs
+# no other layer never loads it either
+ONLY_SHARED_LAYERS = ("slrep.boltzmann", "slrep.limits", "slrep.verify", "dataclasses")
+UNUSED_MODULES = {
+    "probe": ONLY_SHARED_LAYERS,
+    "count": ONLY_SHARED_LAYERS,
+    "uniform-dp": ONLY_SHARED_LAYERS,
+    "census": ONLY_SHARED_LAYERS,
+    "saddle-r2": ("slrep.verify",),
+    "saddle-r3": ("slrep.verify",),
+    "boltzmann": ("slrep.verify",),
+    "uniform-rejection": ("slrep.verify",),
 }
 
 
-@pytest.mark.parametrize("label", BENCHMARK_COMMANDS)
+@pytest.mark.parametrize("label", PROBED_COMMANDS)
 def test_cli_runs_without_scipy_submodules(label):
     # scipy is a test dependency only: no command loads any part of it; and
     # a command loads only the slrep layers it runs
-    proc = run_fresh(*BENCHMARK_COMMANDS[label], code=SCIPY_PROBE)
+    proc = run_fresh(*PROBED_COMMANDS[label], code=SCIPY_PROBE)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["code"] == 0
     assert report["scipy"] == []
-    assert "slrep.cli" in report["slrep"]
-    unused = {f"slrep.{layer}" for layer in UNUSED_LAYERS.get(label, ())}
-    assert not unused & set(report["slrep"]), report["slrep"]
+    assert "slrep.cli" in report["modules"]
+    unused = set(UNUSED_MODULES.get(label, ()))
+    assert not unused & set(report["modules"]), report["modules"]
 
 
 def test_package_root_loads_no_layer():
