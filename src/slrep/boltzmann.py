@@ -4,14 +4,12 @@ Under the product measure with parameter q in (0, 1), the multiplicities
 X_k of the irreducible modules are independent geometrics,
 P(X_k = l) = (1 - q^a) q^{a l} with a the module dimension.  Conditioned on
 total dimension n this measure is exactly uniform, which is what the
-rejection sampler exploits: it draws every class but the trivial module and
+rejection sampler exploits: it draws every weight but the trivial module and
 accepts with probability q^k, k the dimension left to it, at an expected
-(1 - q) sqrt(2 pi sigma^2) attempts per sample.  Both samplers make their
-within-class choices in one batch, whatever the number of classes: which
-weights of a class are occupied, and how a class total splits over its
-weights, are uniform subsets drawn by `_uniform_subsets`, which ranks one
-random 64-bit key per slot with a single sort and redraws every key when
-one repeats within a class.
+(1 - q) sqrt(2 pi sigma^2) attempts per sample.  Both samplers draw that
+measure directly, one geometric per census weight (Duchon, Flajolet,
+Louchard & Schaeffer 2004), in one generator call per draw or batch of
+attempts, whatever the number of weights.
 
 `solve_saddle` tunes q so the expected total dimension equals n; writing
 q = exp(-s^nu) with nu = r(r+1)/2, the solved s shrinks like
@@ -216,79 +214,20 @@ def _require_sampling_census(params):
     return params.census
 
 
-def _uniform_subsets(sizes, picks, rng):
-    """Uniform picks[i]-subsets of range(sizes[i]) for every class i at once.
-
-    Returns a boolean mask over the slots of all classes laid end to end,
-    class i owning sizes[i] consecutive slots, with picks[i] of them set.
-    Every slot gets one random 64-bit key from a single generator call; one
-    lexsort by (class, key) ranks the slots of each class, and the picks[i]
-    smallest keys are chosen.  Given distinct keys within each class, the
-    ranking of a class is a uniform permutation, independent across classes,
-    so each subset is exactly uniform.  A repeated key within a class (at
-    most sum sizes^2 2^-65 likely) redraws every key, never settled by sort
-    order."""
-    sizes = np.asarray(sizes, dtype=np.int64)
-    picks = np.asarray(picks, dtype=np.int64)
-    # cls is sorted, so the j-th slot of the sorted order lies in class cls[j]
-    cls = np.repeat(np.arange(sizes.size), sizes)
-    while True:
-        keys = rng.integers(0, 1 << 64, size=cls.size, dtype=np.uint64)
-        order = np.lexsort((keys, cls))
-        ranked = keys[order]
-        if not np.any((ranked[1:] == ranked[:-1]) & (cls[1:] == cls[:-1])):
-            break
-    first = np.cumsum(sizes) - sizes
-    mask = np.zeros(cls.size, dtype=bool)
-    mask[order[np.arange(cls.size) - first[cls] < picks[cls]]] = True
-    return mask
-
-
-def _compositions(totals, sizes, rng):
-    """Uniform ordered compositions of totals[i] into sizes[i] nonnegative
-    parts for every class i at once, concatenated class by class.
-
-    Stars and bars: class i lays out totals[i] + sizes[i] - 1 slots and
-    `_uniform_subsets` sets sizes[i] - 1 of them as bars; a star belongs to
-    the part numbered by the bars before it in its class."""
-    totals = np.asarray(totals, dtype=np.int64)
-    sizes = np.asarray(sizes, dtype=np.int64)
-    bars = _uniform_subsets(totals + sizes - 1, sizes - 1, rng)
-    cls = np.repeat(np.arange(sizes.size), totals + sizes - 1)
-    # bars before a slot overall, plus one per earlier class, is its part
-    part = np.cumsum(bars) - bars + cls
-    return np.bincount(part[~bars], minlength=int(sizes.sum()))
-
-
-def _class_rows(census, classes):
-    """Census rows of every weight of the given classes, class by class."""
-    sizes = census.counts[classes]
-    first = census.cumulative[classes] - sizes
-    return np.repeat(first - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())
-
-
 def boltzmann_sample(params: BoltzmannParams, rng: np.random.Generator) -> Representation:
-    """One free (unconditioned) draw from the truncated product measure.
-
-    Per dimension class, the number b of weights with nonzero multiplicity
-    is Binomial(rho, q^m) since P(X_k >= 1) = q^a; which b weights is a
-    uniform subset of the class, and they get conditional multiplicities
-    1 + geometric, which is exactly numpy's geometric(1 - q^m).  The draw is
-    batched over all hit classes: one binomial call, one call for the
-    64-bit keys that pick every class's subset (`_uniform_subsets`, which
-    redraws all keys when one repeats within a class), and one geometric
-    call, however many classes are hit.
+    """One free (unconditioned) draw from the truncated product measure:
+    one geometric call gives every census weight its multiplicity.  numpy's
+    geometric(p) counts trials, so with p = 1 - q^a, geometric(p) - 1 takes
+    l with probability (1 - q^a) q^{a l}, the weight's own law (Duchon,
+    Flajolet, Louchard & Schaeffer 2004).
 
     Raises RuntimeError when the census cannot certify the draw: its
     truncation TV exceeds SAMPLING_TV (widen it with sampling_params).
     """
     census = _require_sampling_census(params)
-    _, _, qm, one_minus = params.term_arrays
-    hits = rng.binomial(census.counts, qm)
-    hit = np.flatnonzero(hits)
-    chosen = _uniform_subsets(census.counts[hit], hits[hit], rng)
-    values = rng.geometric(np.repeat(one_minus[hit], hits[hit]))
-    return Representation.from_rows(census, _class_rows(census, hit)[chosen], values)
+    mult = rng.geometric(np.repeat(params.term_arrays[3], census.counts)) - 1
+    rows = np.flatnonzero(mult)
+    return Representation(census, rows, mult[rows])
 
 
 def rejection_uniform_sample(params: BoltzmannParams, num_samples: int,
@@ -296,19 +235,15 @@ def rejection_uniform_sample(params: BoltzmannParams, num_samples: int,
     """Exactly uniform representations of dimension n by rejection.
 
     Probabilistic divide-and-conquer (Arratia & DeSalvo 2016), deterministic
-    second half.  Each attempt draws, per dimension class m >= 2, the class
-    total c_m ~ NegBin(rho(m), 1 - q^m) (the sum of the rho(m) independent
-    geometrics), sets k = n - sum m c_m, and is accepted when k >= 0 and
-    U < q^k with U uniform; the trivial module (params.census's first class,
-    dimension 1) then takes multiplicity k.  Its own total is
-    Geometric(1 - q), so accepted rows follow the product law conditioned on
-    total n, and an attempt succeeds with probability P(T = n) / (1 - q).
-    Accepted class totals are split uniformly over ordered compositions,
-    which is the exact conditional law: one `_compositions` call per
-    accepted row splits all its classes with one draw of 64-bit keys
-    (redrawn whole when one repeats within a class).  Attempts are
-    vectorized in batches; expected attempts per sample is about
-    (1 - q) sqrt(2 pi sigma_n^2).
+    second half.  Each attempt draws the multiplicity X_k of every census
+    weight but the trivial module (params.census's row 0, dimension 1) from
+    its own geometric law, sets k = n - sum a X_k, and is accepted when
+    k >= 0 and U < q^k with U uniform; the trivial module then takes
+    multiplicity k.  Its own multiplicity is Geometric(1 - q), so accepted
+    rows follow the product law conditioned on total n, and an attempt
+    succeeds with probability P(T = n) / (1 - q).  Attempts are vectorized
+    in batches, one geometric and one uniform call per batch; expected
+    attempts per sample is about (1 - q) sqrt(2 pi sigma_n^2).
 
     Raises RuntimeError when the census's truncation TV exceeds SAMPLING_TV
     or the attempt budget (REJECTION_ATTEMPT_FACTOR times that count per
@@ -322,9 +257,9 @@ def rejection_uniform_sample(params: BoltzmannParams, num_samples: int,
     expected = max(-math.expm1(-params.beta)
                    * math.sqrt(2.0 * math.pi * params.sigma2), 1.0)
     max_attempts = int(math.ceil(REJECTION_ATTEMPT_FACTOR * expected)) * num_samples
-    m_vec = census.dims[1:]
-    rho_vec = census.counts[1:]
-    p_vec = -np.expm1(-params.beta * m_vec.astype(float))
+    # one column per weight after the trivial row 0
+    m_vec = np.repeat(census.dims, census.counts)[1:]
+    p_vec = np.repeat(params.term_arrays[3], census.counts)[1:]
     max_rows = max((1 << 22) // max(len(m_vec), 1), 32)  # 32 MB batches
 
     out = []
@@ -333,17 +268,15 @@ def rejection_uniform_sample(params: BoltzmannParams, num_samples: int,
         rows = int(np.clip(2.0 * expected * (num_samples - len(out)),
                            32, max_rows))
         rows = min(rows, max(max_attempts - attempts, 1))
-        mat = rng.negative_binomial(rho_vec, p_vec, size=(rows, len(m_vec)))
+        mat = rng.geometric(p_vec, size=(rows, len(m_vec)))
+        mat -= 1  # in place: a batch may fill 32 MB
         ks = params.n - mat @ m_vec
         u = rng.random(rows)
         accepted = (ks >= 0) & (u < np.exp(-params.beta * np.maximum(ks, 0)))
         for ridx in np.flatnonzero(accepted)[:num_samples - len(out)]:
-            # census row 0 is the trivial module; class i + 1 is column i
-            used = np.flatnonzero(mat[ridx]) + 1
-            mult = _compositions(mat[ridx, used - 1], census.counts[used], rng)
-            out.append(Representation.from_rows(
-                census, np.append(0, _class_rows(census, used)),
-                np.append(ks[ridx], mult)))
+            mult = np.append(ks[ridx], mat[ridx])
+            used = np.flatnonzero(mult)
+            out.append(Representation(census, used, mult[used]))
         attempts += rows
         if len(out) < num_samples and attempts >= max_attempts:
             raise RuntimeError(

@@ -19,8 +19,6 @@ from scipy.stats import chi2_contingency, chisquare
 import slrep.boltzmann
 from slrep.boltzmann import (
     BoltzmannParams,
-    _compositions,
-    _uniform_subsets,
     boltzmann_sample,
     default_cutoff,
     exact_count_mgf,
@@ -345,6 +343,28 @@ def test_boltzmann_marginals_match_product_law():
     assert abs(sum(totals) / num - 300.0) <= 5.0 * math.sqrt(params.sigma2 / num)
 
 
+def test_boltzmann_weights_of_one_class_are_independent_geometrics():
+    # census rows 1 and 2 are the two weights of dimension 3; under the
+    # product law their multiplicities are independent Geometric(1 - q^3),
+    # P(X = i, Y = j) = (1 - x)^2 x^(i + j) with x = q^3
+    num, top = 4000, 8
+    params, reps = _boltzmann_draws(300, num, seed=27)
+    census = params.census
+    assert census.weights[1:3].tolist() == [[1, 2], [2, 1]]
+    assert census.dims[1] == 3 and census.counts[1] == 2
+    cells = np.zeros((top + 1, top + 1))
+    for rep in reps:
+        i, j = (min(int(rep.mult[rep.rows == row].sum()), top) for row in (1, 2))
+        cells[i, j] += 1
+    x = params.q ** 3
+    marginal = (1.0 - x) * x ** np.arange(top + 1.0)
+    marginal[top] = x**top  # the last bin pools every multiplicity >= top
+    expected = num * np.outer(marginal, marginal)
+    assert expected.min() > 5.0
+    _, pvalue = chisquare(cells.ravel(), expected.ravel())
+    assert pvalue > 1e-3
+
+
 def test_boltzmann_within_class_law():
     # the class of dimension 15 holds four weights; under the product law each
     # is occupied with probability q^15, independently of the others
@@ -615,61 +635,6 @@ class _CountingRng:
         return counted
 
 
-def test_uniform_subsets_edge_cases():
-    rng = np.random.default_rng(41)
-    sizes = [3, 5, 1, 1, 4, 0]
-    picks = [0, 5, 1, 0, 4, 0]
-    mask = _uniform_subsets(sizes, picks, rng)
-    assert mask.dtype == bool
-    assert mask.tolist() == [False] * 3 + [True] * 5 + [True, False] + [True] * 4
-    assert _uniform_subsets([], [], rng).size == 0
-    # b = 0, b = g and g = 1 split as stars and bars: one part or every star
-    assert _compositions([4, 0, 2], [1, 3, 1], rng).tolist() == [4, 0, 0, 0, 2]
-    assert _compositions([], [], rng).size == 0
-
-
-def test_uniform_subsets_are_uniform():
-    num = 6000
-    mask = _uniform_subsets([4] * num, [2] * num, np.random.default_rng(42))
-    subsets = Counter(tuple(np.flatnonzero(row)) for row in mask.reshape(num, 4))
-    assert len(subsets) == 6
-    assert all(len(s) == 2 for s in subsets)
-    _, pvalue = chisquare(list(subsets.values()))
-    assert pvalue > 1e-3
-
-
-def test_compositions_are_uniform():
-    num = 10_000
-    parts = _compositions([3] * num, [3] * num, np.random.default_rng(43))
-    seen = Counter(map(tuple, parts.reshape(num, 3).tolist()))
-    assert len(seen) == 10
-    assert all(sum(c) == 3 and min(c) >= 0 for c in seen)
-    _, pvalue = chisquare(list(seen.values()))
-    assert pvalue > 1e-3
-
-
-def test_uniform_subsets_redraw_a_repeated_key():
-    class Stub:
-        def __init__(self, draws):
-            self.draws = list(draws)
-
-        def integers(self, *args, size, **kwargs):
-            keys = np.array(self.draws.pop(0), dtype=np.uint64)
-            assert keys.size == size
-            return keys
-
-    # a key repeated within a class redraws every key; the second draw ranks
-    # slot 1 (key 10) and slot 3 (key 20) of the first class lowest
-    stub = Stub([[7, 7, 1, 2, 5, 9], [40, 10, 30, 20, 9, 5]])
-    mask = _uniform_subsets([4, 2], [2, 1], stub)
-    assert stub.draws == []
-    assert np.flatnonzero(mask).tolist() == [1, 3, 5]
-    # equal keys in different classes are no tie, even when adjacent in the
-    # sorted order
-    stub = Stub([[1, 5, 5, 9]])
-    assert np.flatnonzero(_uniform_subsets([2, 2], [1, 1], stub)).tolist() == [0, 2]
-
-
 def test_draws_compute_the_term_arrays_once(monkeypatch):
     # the exp and expm1 over every class depend on the params alone, so
     # repeated draws and curves read one copy of them
@@ -697,20 +662,16 @@ def test_sampler_generator_calls_do_not_grow_with_classes():
         rng = _CountingRng(np.random.default_rng(44))
         for _ in range(3):
             boltzmann_sample(params, rng)
+        assert rng.calls["geometric"] == rng.calls.total()
         per_draw.append(rng.calls.total() / 3)
-    assert per_draw[0] == per_draw[1] == 3
+    assert per_draw[0] == per_draw[1] == 1
 
-    # rejection: two calls per batch of attempts, one per accepted sample
+    # rejection: one geometric and one uniform call per batch of attempts,
+    # none per accepted sample
     params = sampling_params(solve_saddle(2, 10**4))
-    census = params.census
     rng = _CountingRng(np.random.default_rng(45))
     reps = rejection_uniform_sample(params, 8, rng)
-    batches = rng.calls["negative_binomial"]
+    assert len(reps) == 8
+    batches = rng.calls["geometric"]
     assert rng.calls["random"] == batches
-    assert rng.calls["integers"] == len(reps) == 8
-    assert rng.calls.total() == 2 * batches + 8
-    # a call per split class would make more than ten times as many
-    split = sum(np.unique(np.searchsorted(census.cumulative, rep.rows[rep.rows > 0],
-                                          side="right")).size
-                for rep in reps)
-    assert split > 10 * rng.calls.total()
+    assert rng.calls.total() == 2 * batches

@@ -215,6 +215,19 @@ def test_write_csv_round_trip():
     assert len(lines) == 1 + len(census.dims)
 
 
+@pytest.mark.parametrize("r,X", [(1, 10**4), (2, 10**6), (3, 10**7),
+                                 (4, 10**8), (5, 10**10), (6, 10**11)])
+def test_write_csv_matches_numpy_scalar_rows(r, X):
+    # the rows are formatted from Python ints; the bytes are those of the
+    # numpy scalars they came from
+    census = enumerate_irreps(r, X)
+    buf = io.StringIO()
+    write_csv(census, buf)
+    rows = "".join(f"{m},{c},{s}\n" for m, c, s in
+                   zip(census.dims, census.counts, census.cumulative))
+    assert buf.getvalue() == "m,rho,cumulative\n" + rows
+
+
 def test_region_volume_rank_one_exact():
     assert region_volume(1) == (1.0, 0.0)
 

@@ -177,8 +177,8 @@ def test_sample_seed_changes_output(tmp_path, capsys):
 
 
 # sha256 of the data stream of seeded sample runs.  The boltzmann and
-# uniform-rejection entries were recorded when both samplers drew their
-# within-class subsets and compositions with one batched call of 64-bit keys;
+# uniform-rejection entries were recorded when both samplers drew one
+# geometric multiplicity per census weight, in one call per draw or batch;
 # of the uniform-dp entries, the first was recorded when the census kept its
 # weights as per-class tuples, the second when a representation was a dict of
 # weight tuples, and the last three when every step of the exact sampler
@@ -186,17 +186,17 @@ def test_sample_seed_changes_output(tmp_path, capsys):
 # of the census or of the random streams shows here
 PINNED_SAMPLES = {
     ("2", "300", "boltzmann", "5"):
-        "2b63c0e1195d5521c0ccd8ed64cdba3d6f41c3d0536ded60958fe65fcad3b2d6",
+        "f3d161ddda3b8246c2feaeeb4881c2e94115bae6f4df4919e3ffae12aa647040",
     ("2", "300", "uniform-rejection", "5"):
-        "a25fbb900b42642f2e14a27d6bb9f842e7a0eb3e52a2004cc562f1c9a8eaa394",
+        "6aae48b2b6d5d98285ac7edc574d678045773e55698486f25307ccac284314e0",
     ("2", "300", "uniform-dp", "5"):
         "795a6fbe39a7dfb447fe47340ee38e93a9016112771ad7ef80d2cebde7d5a1cb",
     ("3", "1000", "boltzmann", "3"):
-        "5e801eb544ed1b7a9314d44a68ee74cb1a0f4b88194f1d7746a24c16b8a7ae59",
+        "56b46525a1e636712e009574406ea61393e4142bf1bef40776b103e3777da20b",
     ("4", "200", "uniform-dp", "3"):
         "8a09531551686c5e7804d42503a3d2028d805406ca8fd7ec438f91bfb418168c",
     ("3", "1000", "uniform-rejection", "3"):
-        "e254c8b33714f2e3e83eea1aed6b8ae6d3a5ae7c72e8a5cea4795e0f4d73bed9",
+        "4d7185c85d7eaa873af6984177346941629f1cd4c1cedd7ded1ff7e695c62267",
     ("2", "2000", "uniform-dp", "20"):
         "844aff85454cdeb186484c12b7c16d775fbe1d140a6007fffaffd4e3b392e608",
     ("1", "2000", "uniform-dp", "5"):
