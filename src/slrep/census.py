@@ -1,9 +1,10 @@
 """Census of irreducible sl_{r+1} modules ordered by dimension.
 
 `enumerate_irreps` lists every highest weight whose module dimension is at
-most a cutoff X by one depth-first scan for every rank, exploiting that the
-dimension form is strictly increasing in each coordinate (each loop stops
-as soon as the cheapest completion overshoots).  The result is a table of
+most a cutoff X by one numpy scan, a coordinate level at a time, on the
+exact word kernel `weights.dimension_words`; the dimension form increases
+strictly in each coordinate, so each prefix's next coordinate runs up to
+the last one whose cheapest completion fits.  The result is a table of
 distinct dimensions with multiplicities plus one int64 array holding every
 weight, ordered by dimension.  The number of weights up to x grows like
 C_r x^{2/(r+1)}, where C_r is the volume of the region {y > 0 : dim form <= 1}.
@@ -22,15 +23,12 @@ and tail bounds read that same table instead of enumerating their own.
 from __future__ import annotations
 
 import math
-from array import array
 from functools import lru_cache
-from itertools import accumulate, count
-from math import prod
 from typing import NamedTuple
 
 import numpy as np
 
-from .weights import degree, superfactorial, weyl_numerator
+from .weights import degree, dimension_words, superfactorial
 
 
 class BudgetError(RuntimeError):
@@ -66,51 +64,35 @@ MAX_WEIGHTS = 50_000_000
 
 
 def _scan(r: int, X: int):
-    """(dims, heads, runs): every weight with dim <= X in lexicographic
-    order, as runs of the last coordinate.
-
-    The three are array("q") buffers of int64 words.  dims holds each
-    weight's dimension.  Each prefix k_1..k_{r-1} that some weight extends
-    adds its coordinates to the flat buffer heads and its run length to
-    runs; its weights are the prefix followed by k_r = 1..run, in that order
-    in dims.
-
-    A depth-first scan over the prefix; for each prefix the last
-    coordinate runs in one tight loop, whose Weyl numerator is
-    weyl_numerator(r - 1, prefix) * prod_l (k_l + ... + k_{r-1} + k_r).  The
-    form increases in each coordinate, so the loop stops at the first
-    overshoot, and a prefix whose cheapest completion (every later
-    coordinate 1, the loop's first row) overshoots ends the scan one level up.
-    """
-    c = superfactorial(r)
-    limit = c * X
-    dims, heads, runs = array("q"), array("q"), array("q")
-    append = dims.append
-    prefix = [1] * (r - 1)
-
-    def scan(depth):
-        # True when some weight extends prefix[:depth]
-        if depth < r - 1:
-            prefix[depth] = 1
-            while scan(depth + 1):
-                prefix[depth] += 1
-            return prefix[depth] > 1
-        base = weyl_numerator(r - 1, prefix)
-        start = len(dims)
-        # row t holds the factors t, k_{r-1} + t, ..., k_1 + ... + k_{r-1} + t
-        for row in zip(*map(count, accumulate(reversed(prefix), initial=1))):
-            numerator = base * prod(row)
-            if numerator > limit:
-                break
-            append(numerator // c)
-        found = len(dims) - start
-        if found:
-            heads.extend(prefix)
-            runs.append(found)
-        return found > 0
-
-    scan(0)
-    return dims, heads, runs
+    """The r int64 coordinate columns of every weight with dim <= X, in
+    lexicographic order.  Level by level, each prefix gets the largest next
+    coordinate m whose cheapest completion (later coordinates 1) fits, by
+    doubling while the step equals m and then bisection, and np.repeat
+    expands it into the prefix followed by 1, ..., m.  A candidate fits when
+    its estimate is below 1.5 X and its word lies in [0, X]: above X, a
+    dimension has a word outside [0, X] up to 2^64, and from there an
+    estimate above 1.5 X, as X < 2^63."""
+    columns, size = [], 1
+    for depth in range(r):
+        ones = [1] * (r - depth - 1)
+        # m = 1 fits, as each prefix came from a fitting completion
+        last, step = np.ones((2, size), dtype=np.int64)
+        rows = np.arange(size)
+        while rows.size:
+            s = step[rows]
+            k = last[rows] + s
+            words, est = dimension_words(r, [c[rows] for c in columns] + [k] + ones)
+            ok = (est < 1.5 * X) & (words >= 0) & (words <= X)
+            step[rows] = np.where(ok & (s == last[rows]), 2 * s, s // 2)
+            last[rows[ok]] = k[ok]
+            rows = rows[step[rows] > 0]
+        columns = [np.repeat(c, last) for c in columns]
+        ends = np.cumsum(last)
+        size = int(ends[-1])
+        run = np.ones(size, dtype=np.int64)  # counts 1, ..., m along each prefix's run
+        run[ends[:-1]] -= last[:-1]
+        columns.append(np.cumsum(run, out=run))
+    return columns
 
 
 def enumerate_irreps(r: int, max_dim) -> IrrepCensus:
@@ -134,7 +116,12 @@ def enumerate_irreps(r: int, max_dim) -> IrrepCensus:
         raise BudgetError(f"census at cutoff {X} may hold up to {bound:.3g} "
                           f"weights, above the cap {MAX_WEIGHTS}")
 
-    found, heads, runs = (np.frombuffer(b, dtype=np.int64) for b in _scan(r, X))
+    columns = _scan(r, X)
+    # each word is its dimension (X < 2^63); 2^15 weights a call keep work arrays small
+    found = np.empty(columns[0].size, dtype=np.int64)
+    for i in range(0, found.size, 2**15):
+        rows = slice(i, i + 2**15)
+        found[rows] = dimension_words(r, [c[rows] for c in columns])[0]
     # a stable sort keeps each class in scan order; order[i] is the scan
     # position of the i-th weight by dimension
     order = np.argsort(found, kind="stable")
@@ -143,19 +130,12 @@ def enumerate_irreps(r: int, max_dim) -> IrrepCensus:
     dims = found[first]
     counts = np.diff(first, append=found.size)
     del found
-    run_of = np.repeat(np.arange(runs.size), runs)[order]
-    # filled column by column in place, so no second array of the weights
-    # exists; every index is in range, and mode="clip" lets take write
-    # straight into a column instead of through a buffer
-    weights = np.empty((order.size, r), dtype=np.int64)
-    last = weights[:, -1]
-    np.take(np.cumsum(runs) - runs, run_of, out=last, mode="clip")
-    np.subtract(order, last, out=last)
-    last += 1  # the last coordinate counts up from 1 along its run
-    del order
-    heads = heads.reshape(runs.size, r - 1)
-    for j in range(r - 1):
-        np.take(heads[:, j], run_of, out=weights[:, j], mode="clip")
+    # column-major, so each scan column is freed once placed; every index
+    # is in range, and mode="clip" lets take write into a column unbuffered
+    weights = np.empty((order.size, r), dtype=np.int64, order="F")
+    for j in range(r):
+        np.take(columns[j], order, out=weights[:, j], mode="clip")
+        columns[j] = None
     return IrrepCensus(rank=r, max_dim=X, dims=dims, counts=counts,
                        cumulative=np.cumsum(counts), weights=weights)
 

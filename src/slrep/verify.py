@@ -7,12 +7,12 @@ distances between the uniform and Boltzmann ensembles, and exact-vs-limit
 gap reports for the five observables.
 
 Window tests need the fractional part of theta * a for dimension values a
-up to 2^63, where a plain double product carries no exact digit at all.
+of any size, where a plain double product carries no exact digit at all.
 They are exact integer comparisons instead.  Every frequency lies on the
 grid of multiples of 2^-64 (theta_grid rounds up to it; the kernel refuses
 any other), so theta = M 2^-64 with M = m 2^(64 - sh) an integer
 (float.as_integer_ratio, m odd), and F = a M mod 2^64, one wrapping 64-bit
-product, is exactly 2^64 frac(theta a) for every int64 a.
+product of a's word (`weights.dimension_words`), is exactly 2^64 frac(theta a).
 
 D = min(F, 2^64 - F) is |F| read as a signed word: F > 2^63 reads as
 F - 2^64, whose absolute value is 2^64 - F, and F = 2^63 reads as -2^63,
@@ -54,7 +54,7 @@ from .limits import (
     limit_shape,
 )
 from .stats import STATISTICS, default_shape_grid
-from .weights import degree, dim_irrep, superfactorial, weyl_numerator
+from .weights import degree, dim_irrep, dimension_words
 
 # adversarial frequencies of theta_grid: reduced fractions p/q with q up to this
 _MAX_DENOMINATOR = 50
@@ -67,13 +67,13 @@ def _window_blocks(thetas, dims, window):
     """Exact window tests of theta * dims against the integers, a block of
     frequencies at a time.
 
-    dims are int64 values; every theta must be a multiple of 2^-64 in
-    [0, 1], which is checked before the first block.  Yields (block,
-    inside): block is an index array into thetas, with at most
-    max(1, _BLOCK_ELEMENTS // len(dims)) entries, and the blocks together
-    take every index once, in order.  inside holds the flat indices into
-    the (block.size, len(dims)) array of the block's points whose distance
-    to the nearest integer is at most window, exactly.
+    dims are int64 words (dimensions mod 2^64); every theta must be a
+    multiple of 2^-64 in [0, 1], which is checked before the first block.
+    Yields (block, inside): block is an index array into thetas, with at
+    most max(1, _BLOCK_ELEMENTS // len(dims)) entries, and the blocks
+    together take every index once, in order.  inside holds the flat
+    indices into the (block.size, len(dims)) array of the block's points
+    whose distance to the nearest integer is at most window, exactly.
     """
     dims = np.asarray(dims, dtype=np.int64)
     # per frequency: the word M = 2^64 theta mod 2^64 that a is multiplied by
@@ -103,28 +103,12 @@ def _window_blocks(thetas, dims, window):
 
 
 def _lambda_dims(r: int, box_size: int) -> np.ndarray:
-    """Dimensions over the lattice box box_size <= k_j <= (j + 2) * box_size,
-    which holds prod_j ((j + 1) * box_size + 1) points, as a flat int64 array.
-
-    The Weyl numerator grows in every coordinate and each partial product of
-    its factors is at most the whole, so a box whose corner numerator stays
-    below 2^63 is evaluated exactly in int64; any other box is refused
-    before it is built."""
-    corner = [(j + 2) * box_size for j in range(1, r + 1)]
-    c = superfactorial(r)
-    if c * dim_irrep(r, corner) >= 2**63:
-        raise NotImplementedError(f"box corner Weyl numerator at or above 2^63 "
-                                  f"exceeds int64 (rank {r}, N {box_size})")
-    axes = [np.arange(box_size, (j + 2) * box_size + 1, dtype=np.int64)
-            for j in range(1, r + 1)]
+    """Dimension words (`dimension_words`), all a window count reads, over
+    the box box_size <= k_j <= (j + 2) * box_size: one flat int64 array of
+    its prod_j ((j + 1) * box_size + 1) points."""
+    axes = [np.arange(box_size, (j + 2) * box_size + 1) for j in range(1, r + 1)]
     grids = np.meshgrid(*axes, indexing="ij", sparse=True)
-    flat = weyl_numerator(r, grids).reshape(-1)
-    if flat.size != math.prod((j + 1) * box_size + 1 for j in range(1, r + 1)):
-        raise AssertionError("box enumeration lost points")
-    quotient, remainder = np.divmod(flat, c)
-    if remainder.any():
-        raise ArithmeticError("dimension polynomial not divisible by the rank factor")
-    return quotient
+    return dimension_words(r, grids)[0].ravel()
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,9 @@ The height of a weight is L(k) = (1/2) sum_{1 <= l <= j <= r} (k_l + ... + k_j)
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -75,6 +77,40 @@ def dim_irrep(r: int, k: Sequence[int]) -> int:
     if rem:
         raise ArithmeticError(f"Weyl numerator {h} not divisible by {c} at {tuple(k)}")
     return q
+
+
+def dimension_words(r: int, columns):
+    """(words, estimate) for r int64 coordinate columns (positive entries)
+    that broadcast together: each dimension mod 2^64 as an int64 word (its
+    own value below 2^63), and as a float within g dim, g = 4 nu u / (1 -
+    4 nu u) for its 4 nu roundings (u = 2^-53); far weights may read inf.
+
+    Exact at every rank: for factors f = 2^t o (o odd), T = sum t, O = prod
+    o (odd), 1! 2! ... r! = 2^e o_c (o_c odd) divides 2^T O, so o_c | O,
+    e <= T, dim = 2^(T-e) O / o_c and O / o_c = O o_c^-1 mod 2^64.  So the
+    word is the wrapping product of the o times that inverse, shifted left
+    by T - e (numpy gives 0 from 64 on); T < e is a fault (ArithmeticError).
+    """
+    sums = [0, *accumulate(np.asarray(x, dtype=np.int64) for x in columns)]
+    words, twos = np.ones_like(sums[-1]), np.zeros_like(sums[-1])  # broadcast shape
+    estimate = np.ones(words.shape)
+    with np.errstate(over="ignore"):
+        for j in range(1, r + 1):
+            for l in range(j):
+                f = sums[j] - sums[l]  # k_{l+1} + ... + k_j
+                np.multiply(estimate, f, out=estimate)
+                # f & -f = 2^t is an exact double, whose exponent field holds t + 1023
+                t = ((f & -f).astype(np.float64).view(np.int64) >> 52) - 1023
+                twos += t
+                words *= f >> t
+            estimate /= math.factorial(j)
+    c = superfactorial(r)
+    e = (c & -c).bit_length() - 1
+    if (twos < e).any():
+        raise ArithmeticError(f"Weyl numerator not divisible by {c} at rank {r}")
+    words *= (pow(c >> e, -1, 2**64) ^ 2**63) - 2**63  # the inverse as a signed word
+    words <<= twos - e
+    return words, estimate
 
 
 def twice_height(r: int, k):

@@ -77,8 +77,12 @@ def brute_census(r, X):
             k[i] = 1
 
 
+# (7, 10^9) has 1!...7! X >= 2^63, beyond any int64 numerator, and rank 13
+# has 1!...13! = 2^66 o, so a plain low word of the numerator keeps no bit
+# of the dimension there
 @pytest.mark.parametrize("r,X", [(1, 40), (2, 200), (2, 500), (3, 500),
-                                 (4, 10**6), (5, 10**6), (6, 10**7)])
+                                 (4, 10**6), (5, 10**6), (6, 10**7),
+                                 (7, 10**9), (13, 190_530)])
 def test_enumeration_matches_box_scan(r, X):
     # the weights of each class must come in the box scan's order, which is
     # the order the samplers index

@@ -614,24 +614,19 @@ def test_out_only_on_commands_that_write_data():
     assert options["verify limits"] == {"--rank", "--stat", "--n-grid", "--k", "--unsafe"}
 
 
-@pytest.mark.parametrize("argv", [
-    ("--rank", "5", "--N", "4"),
-    ("--rank", "4", "--N", "11"),
-    ("--rank", "6", "--N", "4", "--unsafe"),
-])
-def test_verify_weyl_refuses_boxes_beyond_the_window_kernel(capsys, monkeypatch, argv):
-    # the corner Weyl numerator reaches 2^63 in these boxes, beyond int64;
-    # they are refused before their dimensions are computed
+def test_verify_weyl_refuses_boxes_above_the_point_bound(capsys, monkeypatch):
+    # every box gets exact counts from its dimension words, so only the size
+    # of the box bounds verify weyl: 30,282,525 points at rank 6, N = 4
     def never(*args, **kwargs):
         raise AssertionError("box built for a refused configuration")
 
-    monkeypatch.setattr("slrep.verify.weyl_numerator", never)
+    monkeypatch.setattr("slrep.verify._lambda_dims", never)
     code, out, err = run_cli(capsys, "verify", "weyl", "--eps", "0.03125",
-                             "--num-thetas", "0", *argv)
+                             "--num-thetas", "0", "--rank", "6", "--N", "4")
     assert code == 2 and out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("invalid config: ")
-    assert "2^63" in lines[0]
+    assert "30282525 points" in lines[0] and "--unsafe" in lines[0]
 
 
 def test_verify_limits_has_no_single_n_options():

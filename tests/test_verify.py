@@ -197,6 +197,32 @@ def test_lambda_dims_match_per_point_evaluation(r, N):
     assert sorted(map(int, dims)) == sorted(expected)
 
 
+@pytest.mark.parametrize("r,N", [(5, 4), (4, 11)])
+def test_lambda_dims_are_dimension_words_on_boxes_beyond_int64(r, N):
+    # the corner numerator (dimension times 1!...r!) reaches 2^63 in both
+    # boxes, and at (5, 4) the corner dimension itself passes 2^64; every
+    # word is the dimension mod 2^64 (checked at 2,000 seeded points and
+    # both corners)
+    dims = _lambda_dims(r, N)
+    lengths = [(j + 1) * N + 1 for j in range(1, r + 1)]
+    assert dims.dtype == np.int64 and dims.size == math.prod(lengths)
+    rng = np.random.default_rng(11)
+    sample = [0, dims.size - 1] + rng.integers(0, dims.size, size=2000).tolist()
+    for flat in sample:
+        k = [N + int(i) for i in np.unravel_index(flat, lengths)]
+        assert int(dims[flat]) % 2**64 == dim_irrep(r, k) % 2**64
+
+
+def test_weyl_check_passes_on_a_rank_five_box():
+    # the box the window kernel once refused; four log-uniform frequencies
+    # and the four smallest and largest adversarial ones
+    random_t, adversarial_t = theta_grid(5, 4, 1.0 / 32.0, num_random=4, seed=7)
+    thetas = np.unique(np.concatenate([random_t, adversarial_t[:4], adversarial_t[-4:]]))
+    report = weyl_lower_bound_check(5, 4, 1.0 / 32.0, thetas)
+    assert report.passed and thetas.size == 12
+    assert report.count_bound == 4**5 / 32.0
+
+
 def test_weyl_check_passes_on_its_default_grid():
     random_t, adversarial_t = theta_grid(2, 4, 1.0 / 32.0, num_random=500)
     thetas = np.unique(np.concatenate([random_t, adversarial_t]))

@@ -2,12 +2,16 @@
 
 import math
 import random
+import warnings
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from slrep.weights import (
     degree,
     dim_irrep,
+    dimension_words,
     superfactorial,
     twice_height,
     weyl_numerator,
@@ -76,6 +80,49 @@ def test_weyl_numerator_division_is_exact():
         r = rng.randrange(1, 6)
         k = tuple(rng.randrange(1, 7) for _ in range(r))
         assert weyl_numerator(r, k) == dim_irrep(r, k) * superfactorial(r)
+
+
+def test_dimension_words_are_exact_dimensions_mod_two_to_64():
+    # 1,200 seeded weights per rank 1-13, coordinates scaled by powers of two
+    # so that many dimensions pass 2^64 and some are multiples of it (a
+    # shift of 64 or more); 1!...r! holds 2^66 at rank 13
+    rng = np.random.default_rng(64)
+    beyond = multiples = 0
+    for r in range(1, 14):
+        k = rng.integers(1, 60, size=(1200, r)) << rng.integers(0, 3, size=(1200, r))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            words, estimate = dimension_words(r, list(k.T))
+        assert words.dtype == np.int64 and words.shape == estimate.shape == (1200,)
+        g = Fraction(4 * degree(r), 2**53)
+        g /= 1 - g
+        for row, word, est in zip(k.tolist(), words.tolist(), estimate.tolist()):
+            d = dim_irrep(r, row)
+            assert word % 2**64 == d % 2**64, (r, row)
+            assert abs(Fraction(est) - d) <= g * d, (r, row)
+            beyond += d >= 2**64
+            multiples += d % 2**64 == 0
+    assert beyond > 10_000 and multiples > 1_000
+
+
+def test_dimension_words_broadcast_and_rule_out_far_weights():
+    # scalar columns broadcast against arrays, as in the census scan
+    words, estimate = dimension_words(3, [np.arange(1, 6), 2, 1])
+    assert words.tolist() == [dim_irrep(3, (k, 2, 1)) for k in range(1, 6)]
+    assert estimate.tolist() == [float(w) for w in words.tolist()]
+    # far weights at high rank overflow the estimate to inf, silently, so
+    # a cutoff test rules them out
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        words, estimate = dimension_words(13, [np.full(2, 2**40)] * 13)
+        assert np.isinf(estimate).all() and not (estimate < 1.5 * 2**62).any()
+
+
+def test_dimension_words_refuse_a_zero_factor():
+    # (2, 0) is no weight: its factor k_2 = 0 has no power of two to read,
+    # and the fault check refuses it instead of returning a word
+    with pytest.raises(ArithmeticError):
+        dimension_words(2, [np.array([2, 1]), np.array([0, 1])])
 
 
 def test_dim_poly_is_homogeneous_of_known_degree():
