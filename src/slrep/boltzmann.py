@@ -74,17 +74,24 @@ class BoltzmannParams:
         return _term_arrays(self.census, self.beta)
 
 
+def _class_terms(m, beta):
+    """q^m and 1 - q^m for the float class dimensions m, q = e^(-beta): the
+    one per-class kernel of the saddle solve, the samplers and the curves."""
+    return np.exp(-beta * m), -np.expm1(-beta * m)
+
+
 def _term_arrays(census, beta):
     m = census.dims.astype(float)
     rho = census.counts.astype(float)
-    qm = np.exp(-beta * m)
-    one_minus = -np.expm1(-beta * m)
-    return m, rho, qm, one_minus
+    return (m, rho, *_class_terms(m, beta))
 
 
-def _moment_value(census, beta, p):
-    m, rho, qm, one_minus = _term_arrays(census, beta)
-    return math.fsum(rho * m**p * qm / one_minus**p)
+def _moment_terms(arrays, beta, p):
+    """rho m^p q^m / (1 - q^m)^p per class of the float arrays (m, rho),
+    with 1 - q^m."""
+    m, rho = arrays
+    qm, one_minus = _class_terms(m, beta)
+    return rho * m**p * qm / one_minus**p, one_minus
 
 
 def _moment_err(census, beta, p):
@@ -106,12 +113,8 @@ def _saddle_gap(arrays, s: float, nu: int, n: int):
     derivative in s: -nu s^(nu-1) sum rho m^2 q^m / (1 - q^m)^2, q^m =
     exp(-s^nu m).  The gap is summed exactly rounded; the derivative only
     steers Newton steps, so a plain sum serves."""
-    m, rho = arrays
-    beta = s**nu
-    qm = np.exp(-beta * m)
-    one_minus = -np.expm1(-beta * m)
-    terms = rho * m * qm / one_minus
-    slope = -nu * s ** (nu - 1) * float(np.sum(terms * m / one_minus))
+    terms, one_minus = _moment_terms(arrays, s**nu, 1)
+    slope = -nu * s ** (nu - 1) * float(np.sum(terms * arrays[0] / one_minus))
     return math.fsum(terms) - n, slope
 
 
@@ -169,10 +172,10 @@ def solve_saddle(r: int, n: int, tol: float = 1e-8) -> BoltzmannParams:
             s = s - step if below < s - step < above else 0.5 * (below + above)
 
         beta = s**nu
-        value = _moment_value(census, beta, 1)
+        value = math.fsum(_moment_terms(arrays, beta, 1)[0])
         err = _moment_err(census, beta, 1) if beta * X > 1.0 else math.inf
         if err <= tol * n / 2.0 and abs(value - n) <= tol * n / 2.0:
-            sigma2 = _moment_value(census, beta, 2)
+            sigma2 = math.fsum(_moment_terms(arrays, beta, 2)[0])
             return BoltzmannParams(rank=r, n=n, q=math.exp(-beta), s=s,
                                    beta=beta, sigma2=sigma2, tail_bound=err,
                                    solver_tol=tol, census=census)

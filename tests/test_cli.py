@@ -179,30 +179,30 @@ def test_sample_seed_changes_output(tmp_path, capsys):
 # sha256 of the data stream of seeded sample runs.  The boltzmann and
 # uniform-rejection entries were recorded when both samplers drew one
 # geometric multiplicity per census weight, in one call per draw or batch;
-# of the uniform-dp entries, the first was recorded when the census kept its
-# weights as per-class tuples, the second when a representation was a dict of
-# weight tuples, and the last three when every step of the exact sampler
-# scanned the Euler identity in big integers.  Any change to the samplers' use
-# of the census or of the random streams shows here
+# the uniform-dp entries when each step of the exact sampler scanned the
+# Euler identity's terms grouped by the dimension j they remove, j = 1, 2, ...
+# (the law of a step is the recursive method's, checked draw by draw in
+# test_exact_count.py).  Any change to the samplers' use of the census or of
+# the random streams shows here
 PINNED_SAMPLES = {
     ("2", "300", "boltzmann", "5"):
         "f3d161ddda3b8246c2feaeeb4881c2e94115bae6f4df4919e3ffae12aa647040",
     ("2", "300", "uniform-rejection", "5"):
         "6aae48b2b6d5d98285ac7edc574d678045773e55698486f25307ccac284314e0",
     ("2", "300", "uniform-dp", "5"):
-        "795a6fbe39a7dfb447fe47340ee38e93a9016112771ad7ef80d2cebde7d5a1cb",
+        "73eae1ed063092a6367379fe56e54c10874117ad175a60aeb3158fb818a9aeb5",
     ("3", "1000", "boltzmann", "3"):
         "56b46525a1e636712e009574406ea61393e4142bf1bef40776b103e3777da20b",
     ("4", "200", "uniform-dp", "3"):
-        "8a09531551686c5e7804d42503a3d2028d805406ca8fd7ec438f91bfb418168c",
+        "d7bb4b8e8b432dcea4d93be58d0162198d2799432022fb4ddb6facd6a472dc42",
     ("3", "1000", "uniform-rejection", "3"):
         "4d7185c85d7eaa873af6984177346941629f1cd4c1cedd7ded1ff7e695c62267",
     ("2", "2000", "uniform-dp", "20"):
-        "844aff85454cdeb186484c12b7c16d775fbe1d140a6007fffaffd4e3b392e608",
+        "0ccf593d6e0cf73ec056032e526cd3b7387d07dc99f726ae230cf08e02e819bd",
     ("1", "2000", "uniform-dp", "5"):
-        "f807343ef16cff074ebedc4aa54f6f9165d40965586c476661e5b24e9f9adf92",
+        "babb15576bc2d803692df19ac0cc35e5e971daa43100b7967210260642f05612",
     ("2", "10000", "uniform-dp", "3"):
-        "be76f9074d22cd40920732b719492766a14ef3a5617f43939ad2744735bd0516",
+        "af31fb23a481f61cc2efd22fe4e6414110cbeca18bdc5dfd35b8f5f1140fb3df",
 }
 
 

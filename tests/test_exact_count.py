@@ -1,7 +1,9 @@
 """Exact representation counting and exactly uniform sampling."""
 
 import random
+from bisect import bisect_right
 from collections import Counter
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -229,88 +231,119 @@ def test_uniform_sample_edge_cases():
         uniform_sample(table, 13, random.Random(1))
 
 
-def euler_boundaries(table, v):
-    """Every integer boundary of the blocks `_pick_term` scans at v: the
-    start of each (weight, k) block in class, k, weight order, and v p(v)."""
-    census = table.census
-    bounds, b = [0], 0
-    for d, rho in zip(census.dims.tolist(), census.counts.tolist()):
-        if d > v:
-            break
+def step_key(table, v, u):
+    """(census row, k) of the sampler's step at v for the draw u."""
+    return exact_count._pick_term(table, v, u)[:2]
+
+
+def step_law(table, v):
+    """How many u in [0, v p(v)) the sampler's step maps to each
+    (census row, k), every u tried."""
+    return Counter(step_key(table, v, u) for u in range(v * table.counts[v]))
+
+
+def euler_terms(table, v):
+    """The Euler-identity term d p(v - k d) of each (census row, k) at v,
+    read from the census in class order."""
+    census, p = table.census, table.counts
+    terms = {}
+    for d, rho, end in zip(census.dims.tolist(), census.counts.tolist(),
+                           census.cumulative.tolist()):
         for k in range(1, v // d + 1):
-            for _ in range(rho):
-                b += d * table.counts[v - k * d]
-                bounds.append(b)
-    assert b == v * table.counts[v]  # the Euler identity
-    return bounds
+            for row in range(end - rho, end):
+                terms[row, k] = d * p[v - k * d]
+    return terms
 
 
-def screened_agrees(table, v, u):
-    """True when the float screen answers the step (v, u) and False when it
-    hands the step to the exact scan; an answer must equal the exact one."""
-    screen = exact_count._Screen.of(table)
-    screened = exact_count._screen_term(screen, table.counts, v, u)
-    if screened is None:
-        return False
-    assert screened == exact_count._pick_term(screen.classes, table.counts, v, u), (v, u)
-    return True
+@pytest.mark.parametrize("r, n", [(1, 20), (2, 26), (3, 34), (4, 40)])
+def test_step_law_is_the_euler_identity(r, n):
+    # every u of every step: each (weight, k) of class d takes exactly
+    # d p(v - k d) of the v p(v) values, the recursive method's law
+    table = count_representations(r, n)
+    for v in range(1, n + 1):
+        assert step_law(table, v) == euler_terms(table, v), v
 
 
-def near_boundaries(table, v, bounds):
-    """u = b - 1, b, b + 1 for each boundary b, kept inside [0, v p(v))."""
-    return [u for b in bounds for u in (b - 1, b, b + 1)
-            if 0 <= u < v * table.counts[v]]
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_sigma_groups_the_euler_identity(r):
+    # v p(v) = sum_j sigma(j) p(v - j), with sigma(j) the sum of d rho(d)
+    # over the classes whose dimension divides j
+    table = count_representations(r, 200)
+    p, sigma = table.counts, table.sigma
+    assert sigma[0] == 0
+    for v in range(201):
+        assert sum(sigma[j] * p[v - j] for j in range(1, v + 1)) == v * p[v]
+
+
+def scan_blocks(table, v):
+    """(starts, keys): the blocks of integers the step at v scans, built
+    from the census.  The (weight, k) terms are ordered by the dimension
+    j = k d they remove, then by d, then by row; the block of keys[i] is
+    [starts[i], starts[i + 1]), d p(v - j) integers long."""
+    census, p = table.census, table.counts
+    terms = sorted((k * d, d, row)
+                   for d, rho, end in zip(census.dims.tolist(), census.counts.tolist(),
+                                          census.cumulative.tolist()) if d <= v
+                   for k in range(1, v // d + 1) for row in range(end - rho, end))
+    starts = list(accumulate((d * p[v - j] for j, d, _ in terms), initial=0))
+    assert starts[-1] == v * p[v]  # the Euler identity
+    return starts, [(row, j // d) for j, d, row in terms]
 
 
 @pytest.mark.parametrize("r, n", [(1, 40), (2, 60), (3, 60)])
-def test_screened_step_at_every_block_boundary(r, n):
-    # u next to a boundary is where a float position can land on the wrong
-    # side, so these are the draws the screen must hand to the exact scan
+def test_step_at_every_block_boundary(r, n):
+    # the first and the last u of every block, where an off-by-one
+    # comparison in the scan or the class walk would pick a neighbour
     table = count_representations(r, n)
-    answers = Counter(screened_agrees(table, v, u) for v in range(1, n + 1)
-                      for u in near_boundaries(table, v, euler_boundaries(table, v)))
-    assert answers[True] and answers[False]
+    for v in range(1, n + 1):
+        starts, keys = scan_blocks(table, v)
+        for i, key in enumerate(keys):
+            assert step_key(table, v, starts[i]) == key, (v, i)
+            assert step_key(table, v, starts[i + 1] - 1) == key, (v, i)
 
 
-def test_screened_step_near_boundaries_of_large_counts():
-    # at (2, 2000) one unit of u is far below the floats' resolution, so
-    # both neighbours of a boundary must go to the exact scan
+def test_step_near_boundaries_of_large_counts():
+    # at (2, 2000) blocks hold up to about 10^34 integers: both sides of
+    # sampled boundaries, and random draws, land in the block that holds them
     table = count_representations(2, 2000)
     rng = random.Random(2024)
-    answers = Counter()
     for _ in range(40):
         v = rng.randrange(1000, 2001)
-        bounds = rng.sample(euler_boundaries(table, v)[1:-1], 10)
-        answers.update(screened_agrees(table, v, u)
-                       for u in near_boundaries(table, v, bounds))
-    assert answers[False] == 1200
-    for _ in range(3000):
-        v = rng.randrange(1, 2001)
-        answers.update([screened_agrees(table, v, rng.randrange(v * table.counts[v]))])
-    assert answers[True] > 2900  # the screen settles almost every step itself
+        starts, keys = scan_blocks(table, v)
+        for i in rng.sample(range(1, len(keys)), 10):
+            assert step_key(table, v, starts[i] - 1) == keys[i - 1]
+            assert step_key(table, v, starts[i]) == keys[i]
+            assert step_key(table, v, starts[i + 1] - 1) == keys[i]
+        for u in (rng.randrange(v * table.counts[v]) for _ in range(75)):
+            assert step_key(table, v, u) == keys[bisect_right(starts, u) - 1]
 
 
-@pytest.mark.parametrize("r, n", [(1, 40), (2, 40)])
-def test_boundaries_defeat_a_screen_without_margin(r, n, monkeypatch):
-    # the boundary draws above are sharp: with the rounding margin taken
-    # away, the float screen answers some of them wrongly
-    monkeypatch.setattr(exact_count, "_gamma", lambda m: 0.0)
-    monkeypatch.setattr(exact_count, "_TINY", 0.0)
-    table = count_representations(r, n)
-    screen = exact_count._Screen.of(table)
-    p = table.counts
-    wrong = sum(exact_count._screen_term(screen, p, v, u)
-                not in (None, exact_count._pick_term(screen.classes, p, v, u))
-                for v in range(1, n + 1)
-                for u in near_boundaries(table, v, euler_boundaries(table, v)))
-    assert wrong
-
-
-def test_screen_is_built_once_per_table():
-    # one table serves every sample and every total up to its maximum
+def test_one_table_serves_every_total():
+    # sigma and the class list are built with the counts; sampling reads
+    # them and changes nothing, at every total up to the table's maximum
     table = count_representations(2, 40)
+    sigma, classes = list(table.sigma), list(table.classes)
     uniform_sample(table, 40, random.Random(1))
-    screen = table._screen
     rep = uniform_sample(table, 30, random.Random(2))
-    assert table._screen is screen
+    assert table.sigma == sigma and table.classes == classes
     assert rep.total_dim() == 30
+
+
+class _FixedDraw:
+    """Stands in for random.Random: randrange(x) returns pick(x)."""
+
+    def __init__(self, pick):
+        self.randrange = pick
+
+
+def test_a_table_that_breaks_the_identity_raises():
+    # one count too many: the last u lies beyond every block of the scan
+    table = count_representations(2, 20)
+    table.counts[20] += 1
+    with pytest.raises(ArithmeticError):
+        uniform_sample(table, 20, _FixedDraw(lambda x: x - 1))
+    # sigma(1) one too large: w = 1 in the block of j = 1 finds no class
+    table = count_representations(2, 20)
+    table.sigma[1] += 1
+    with pytest.raises(ArithmeticError):
+        uniform_sample(table, 20, _FixedDraw(lambda x: table.counts[19]))
