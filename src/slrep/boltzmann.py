@@ -14,9 +14,11 @@ attempts, whatever the number of weights.
 `solve_saddle` tunes q so the expected total dimension equals n; writing
 q = exp(-s^nu) with nu = r(r+1)/2, the solved s shrinks like
 n^{-2/(r(r+3))}.  The solved parameters are the one state every later
-stage reads: q and the census the solve was certified on (`params.census`).
-`sampling_params` widens that census when sampling needs it, and the
-samplers and exact distribution curves take the parameters alone.
+stage reads: q and the census the solve was certified on (`params.census`),
+with its per-class term arrays.  `params.with_cutoff` moves them to another
+census of their rank, which `sampling_params` does when sampling needs a
+wider one, and the samplers and exact distribution curves take the
+parameters alone.
 
 Every truncated sum here carries a certified tail bound, returned as the
 second element of a (value, err) pair or recorded on the params object.
@@ -30,9 +32,8 @@ a Selberg integral at every rank).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from functools import cached_property
 from itertools import count
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,11 +43,11 @@ from .limits import asymptotic_saddle
 from .weights import degree, twice_height
 
 
-@dataclass(frozen=True)
-class BoltzmannParams:
+class BoltzmannParams(NamedTuple):
     """Solved saddle point: E_q[total dimension] = n within solver_tol * n,
-    certified on `census`, which every later stage reads.  Parameters
-    widened by `sampling_params` keep their solve's tail_bound and sigma2."""
+    certified on `census`, which every later stage reads, with its
+    `term_arrays`.  Parameters moved to another cutoff by `with_cutoff` keep
+    their solve's tail_bound and sigma2."""
 
     rank: int
     n: int
@@ -56,22 +57,19 @@ class BoltzmannParams:
     sigma2: float     # Var_q(total dimension), census part
     tail_bound: float  # certified truncation error of E_q[dim] at the solution
     solver_tol: float
-    census: IrrepCensus = field(repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.census.rank != self.rank:
-            raise ValueError(f"census rank {self.census.rank} != params rank {self.rank}")
+    census: IrrepCensus
+    term_arrays: tuple  # (m, rho, q^m, 1 - q^m) per class of census, as floats
 
     @property
     def cutoff(self) -> int:
         """Cutoff (max_dim) of `census`."""
         return self.census.max_dim
 
-    @cached_property
-    def term_arrays(self):
-        """(m, rho, q^m, 1 - q^m) per class of `census`, as floats, computed
-        on first use: the samplers and exact curves read them on every call."""
-        return _term_arrays(self.census, self.beta)
+    def with_cutoff(self, cutoff: int) -> BoltzmannParams:
+        """These parameters on their rank's census up to `cutoff`, with its
+        term arrays."""
+        census = enumerate_irreps(self.rank, cutoff)
+        return self._replace(census=census, term_arrays=_term_arrays(census, self.beta))
 
 
 def _class_terms(m, beta):
@@ -178,7 +176,8 @@ def solve_saddle(r: int, n: int, tol: float = 1e-8) -> BoltzmannParams:
             sigma2 = math.fsum(_moment_terms(arrays, beta, 2)[0])
             return BoltzmannParams(rank=r, n=n, q=math.exp(-beta), s=s,
                                    beta=beta, sigma2=sigma2, tail_bound=err,
-                                   solver_tol=tol, census=census)
+                                   solver_tol=tol, census=census,
+                                   term_arrays=_term_arrays(census, beta))
         X *= 2
 
 
@@ -202,9 +201,9 @@ REJECTION_ATTEMPT_FACTOR = 100.0  # attempt budget per sample, in expected attem
 def sampling_params(params: BoltzmannParams) -> BoltzmannParams:
     """params on a census wide enough to sample within SAMPLING_TV in TV: the
     solver's census targets moment accuracy, so unless it already certifies
-    this stricter bound, its cutoff doubles until it does."""
+    this stricter bound, `with_cutoff` doubles its cutoff until it does."""
     while truncation_tv_bound(params) > SAMPLING_TV:
-        params = replace(params, census=enumerate_irreps(params.rank, 2 * params.cutoff))
+        params = params.with_cutoff(2 * params.cutoff)
     return params
 
 

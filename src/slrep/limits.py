@@ -30,8 +30,8 @@ closed form and the integrand is completely monotone, which is what lets
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -127,8 +127,7 @@ def asymptotic_saddle(r: int, n) -> float:
 
 # ---- normalizing constants for the statistics ----
 
-@dataclass(frozen=True)
-class LimitConstants:
+class LimitConstants(NamedTuple):
     """Centering/scaling constants of the limit laws at the saddle s; every
     field but `rank` depends on s.
 

@@ -10,9 +10,9 @@ Window tests need the fractional part of theta * a for dimension values a
 of any size, where a plain double product carries no exact digit at all.
 They are exact integer comparisons instead.  Every frequency lies on the
 grid of multiples of 2^-64 (theta_grid rounds up to it; the kernel refuses
-any other), so theta = M 2^-64 with M = m 2^(64 - sh) an integer
-(float.as_integer_ratio, m odd), and F = a M mod 2^64, one wrapping 64-bit
-product of a's word (`weights.dimension_words`), is exactly 2^64 frac(theta a).
+any other), so M = 2^64 theta, exact for every double in [0, 1], is an
+integer, and F = a M mod 2^64, one wrapping 64-bit product of a's word
+(`weights.dimension_words`), is exactly 2^64 frac(theta a).
 
 D = min(F, 2^64 - F) is |F| read as a signed word: F > 2^63 reads as
 F - 2^64, whose absolute value is 2^64 - F, and F = 2^63 reads as -2^63,
@@ -32,8 +32,8 @@ minus a weighted bincount of that set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,17 +76,17 @@ def _window_blocks(thetas, dims, window):
     whose distance to the nearest integer is at most window, exactly.
     """
     dims = np.asarray(dims, dtype=np.int64)
+    thetas = np.asarray(thetas, dtype=float)
     # per frequency: the word M = 2^64 theta mod 2^64 that a is multiplied by
-    words = np.empty(len(thetas), dtype=np.uint64)
-    for i, theta in enumerate(thetas):
-        theta = float(theta)
-        if not 0.0 <= theta <= 1.0:
+    scaled = thetas * 2.0**64
+    in_range = (thetas >= 0.0) & (thetas <= 1.0)
+    bad = np.flatnonzero(~in_range | (scaled != np.floor(scaled)))
+    if bad.size:
+        theta = float(thetas[bad[0]])
+        if not in_range[bad[0]]:
             raise ValueError(f"frequency must lie in [0, 1], got {theta}")
-        m, denominator = theta.as_integer_ratio()
-        sh = denominator.bit_length() - 1
-        if sh > 64:
-            raise ValueError(f"frequency {theta!r} is not a multiple of 2^-64")
-        words[i] = (m << (64 - sh)) % 2**64
+        raise ValueError(f"frequency {theta!r} is not a multiple of 2^-64")
+    words = np.fmod(scaled, 2.0**64).astype(np.uint64)
     wp, wq = float(window).as_integer_ratio()
     threshold = np.uint64((wp << 64) // wq)
     n = dims.size
@@ -111,8 +111,7 @@ def _lambda_dims(r: int, box_size: int) -> np.ndarray:
     return dimension_words(r, grids)[0].ravel()
 
 
-@dataclass(frozen=True)
-class WeylWindowReport:
+class WeylWindowReport(NamedTuple):
     """Exact window counts over a lattice box; the sin^2 bound is their
     corollary (see weyl_lower_bound_check)."""
 
@@ -224,8 +223,7 @@ def weyl_lower_bound_check(r: int, box_size: int, epsilon: float,
         thetas=thetas, counts=_window_arrays(thetas, dims, window))
 
 
-@dataclass(frozen=True)
-class AppendixReport:
+class AppendixReport(NamedTuple):
     """Exact results for the rank-2 ladder: the sliding odd-multiplier
     window count and the run structure of the odd-multiplier sequence."""
 
@@ -366,8 +364,7 @@ def shrinking(values, allow_single_step_fraction: float | None = None) -> bool:
     return values[i + 1] - values[i] <= allow_single_step_fraction * larger
 
 
-@dataclass(frozen=True)
-class LimitGapReport:
+class LimitGapReport(NamedTuple):
     """Exact-vs-limit gap for one observable at one size, with the grid,
     both curves, and error bounds for both routes (certified, except the
     rank-3 limit shape's, which the note marks as an estimate).  The gap
@@ -478,7 +475,7 @@ def compare_exact_to_limit(r: int, n: int, which: str, *, k=None) -> LimitGapRep
         far = math.ceil(float(corners.max()))
         cutoff = max(params.cutoff, 2 * dim_irrep(r, (far,) * r))
         while True:
-            wide = replace(params, census=enumerate_irreps(r, cutoff))
+            wide = params.with_cutoff(cutoff)
             values, err = exact_expected_shape(wide, corners)
             if np.all(err <= SHAPE_REL_ERR * values):
                 break

@@ -821,11 +821,9 @@ PROBED_COMMANDS = {
 }
 
 
-# the layers a command never runs, so never loads; the layers every command
-# loads define their records without dataclasses, so a command that runs
-# no other layer never loads it either
-ONLY_SHARED_LAYERS = ("slrep.boltzmann", "slrep.limits", "slrep.verify", "dataclasses")
-UNUSED_MODULES = {
+# the layers a command never runs, so never loads
+ONLY_SHARED_LAYERS = ("slrep.boltzmann", "slrep.limits", "slrep.verify")
+UNUSED_LAYERS = {
     "probe": ONLY_SHARED_LAYERS,
     "count": ONLY_SHARED_LAYERS,
     "uniform-dp": ONLY_SHARED_LAYERS,
@@ -835,6 +833,9 @@ UNUSED_MODULES = {
     "boltzmann": ("slrep.verify",),
     "uniform-rejection": ("slrep.verify",),
 }
+# every layer defines its records without dataclasses, so no command loads it
+UNUSED_MODULES = {label: UNUSED_LAYERS.get(label, ()) + ("dataclasses",)
+                  for label in PROBED_COMMANDS}
 
 
 @pytest.mark.parametrize("label", PROBED_COMMANDS)
@@ -847,7 +848,7 @@ def test_cli_runs_without_scipy_submodules(label):
     assert report["code"] == 0
     assert report["scipy"] == []
     assert "slrep.cli" in report["modules"]
-    unused = set(UNUSED_MODULES.get(label, ()))
+    unused = set(UNUSED_MODULES[label])
     assert not unused & set(report["modules"]), report["modules"]
 
 
