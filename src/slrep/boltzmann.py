@@ -307,25 +307,24 @@ def _log_factors(params):
 
 
 def _extremal_cdf(params, keys, terms, slack, ell):
-    """exp of the sum of terms over keys > x, for each x of the 1-D array
-    ell, with the err shared by exact_prob_*_le: the largest, over the
-    values, of the census truncation (which only lowers the true value)
-    plus the rounding, which is the slack of the summed terms, (k - 1)u of
-    the magnitude of a sum of k terms, and 2u of exp."""
+    """exp of the sum of terms over keys > x, a suffix sum over the sorted
+    keys, for each x of the 1-D array ell, with the err shared by
+    exact_prob_*_le: the largest, over the values, of the census truncation
+    (which only lowers the true value) plus the rounding: the slack of the
+    summed terms, (k - 1)u of the magnitude of a k-term sum, 2u of exp."""
     ells = np.asarray(ell, dtype=float)
     if ells.ndim != 1:
         raise ValueError("ell must be a 1-D array")
     truncation = -math.expm1(-_tail_mean_bound(params))
-    values, errs = [], []
-    for x in ells:
-        above = keys > x
-        total = float(np.sum(terms[above]))
-        value = math.exp(total)
-        drift = (float(np.sum(slack[above]))
-                 - (np.count_nonzero(above) - 1) * _U * total)
-        values.append(value)
-        errs.append(value * (truncation + math.expm1(drift) + 3.0 * _U))
-    return np.array(values), max(errs)
+    order = np.argsort(keys, kind="stable")
+    at = np.searchsorted(keys[order], ells, side="right")  # first key > x
+    # sums from the largest key down, 0 where no key lies above x
+    total, slack = (np.append(np.cumsum(a[order][::-1])[::-1], 0.0)[at]
+                    for a in (terms, slack))
+    values = np.fromiter(map(math.exp, total), float, at.size)
+    drift = slack - (keys.size - at - 1) * _U * total
+    expm1 = np.fromiter(map(math.expm1, drift), float, at.size)
+    return values, float(np.max(values * (truncation + expm1 + 3.0 * _U)))
 
 
 def exact_prob_max_dim_le(params: BoltzmannParams, ell):
@@ -352,7 +351,7 @@ def exact_expected_shape(params: BoltzmannParams, t):
     """(values, errs): for each row t of the (m, rank) corner array,
     E_Q[number of weights k with k_j >= t_j and X_k > 0 counted with
     multiplicity], i.e. the expected shape functional sum q^a/(1-q^a) over
-    the corner set, from a single pass over the weights of params.census.
+    the corner set, one mask of the weights of params.census per corner.
     Each true value lies within its err of its value; the census
     truncation only raises it.  Each err is the truncation bound plus the
     rounding, relative to the value because every term is positive:

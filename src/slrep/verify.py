@@ -152,6 +152,15 @@ def _window_arrays(thetas, dims, window):
     return counts
 
 
+def _lowest_frequency(box_size: int, epsilon: float, nu: int) -> float:
+    """epsilon N^-nu, the window's lowest frequency, for a valid window."""
+    if not 0.0 < epsilon <= 1.0 / 32.0:
+        raise ValueError(f"window parameter must lie in (0, 1/32], got {epsilon}")
+    if box_size < 4:
+        raise ValueError(f"box parameter must be at least 4, got {box_size}")
+    return epsilon * float(box_size) ** -nu
+
+
 def theta_grid(r: int, box_size: int, epsilon: float, num_random: int = 10_000,
                seed: int = 99):
     """(random, adversarial) frequency grids on [epsilon N^-nu, 1/2], every
@@ -166,8 +175,7 @@ def theta_grid(r: int, box_size: int, epsilon: float, num_random: int = 10_000,
     multiple of 2^-64 count once.
     """
     nu = degree(r)
-    lo = epsilon * float(box_size) ** -nu
-    hi = 0.5
+    lo, hi = _lowest_frequency(box_size, epsilon, nu), 0.5
     rng = np.random.default_rng(seed)
     random_part = np.exp(rng.uniform(math.log(lo), math.log(hi), size=num_random))
     np.clip(random_part, lo, hi, out=random_part)
@@ -202,12 +210,8 @@ def weyl_lower_bound_check(r: int, box_size: int, epsilon: float,
     """
     if r < 2:
         raise ValueError("window bounds need rank >= 2")
-    if not 0.0 < epsilon <= 1.0 / 32.0:
-        raise ValueError(f"window parameter must lie in (0, 1/32], got {epsilon}")
-    if box_size < 4:
-        raise ValueError(f"box parameter must be at least 4, got {box_size}")
     nu = degree(r)
-    lo = epsilon * float(box_size) ** -nu
+    lo = _lowest_frequency(box_size, epsilon, nu)
     thetas = np.asarray(thetas, dtype=float)
     if thetas.size == 0:
         raise ValueError("no frequencies supplied")
@@ -260,11 +264,7 @@ def appendix_window_check(box_size: int, epsilon: float, thetas) -> AppendixRepo
     [epsilon / N, 1/2 - epsilon / N].  Every theta must be a multiple of
     2^-64, as theta_grid's are.
     """
-    if not 0.0 < epsilon <= 1.0 / 32.0:
-        raise ValueError(f"window parameter must lie in (0, 1/32], got {epsilon}")
-    if box_size < 4:
-        raise ValueError(f"box parameter must be at least 4, got {box_size}")
-    lo = epsilon * float(box_size) ** -3
+    lo = _lowest_frequency(box_size, epsilon, 3)
     thetas = np.asarray(thetas, dtype=float)
     if thetas.size == 0:
         raise ValueError("no frequencies supplied")

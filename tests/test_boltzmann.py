@@ -437,16 +437,24 @@ def test_exact_prob_anchors():
     assert 0.0 < value < 1.0  # probability of the empty representation
 
 
-def test_exact_prob_height_matches_direct_product():
+@pytest.mark.parametrize("prob", [exact_prob_max_dim_le, exact_prob_height_le])
+def test_exact_prob_matches_direct_product(prob):
     params = sampling_params(solve_saddle(2, 300))
     census = params.census
-    dims = np.repeat(census.dims, census.counts)
-    # L(k - 1) = (2 (k_1 - 1) + 2 (k_2 - 1)) / 2 at rank 2, weight by weight
-    heights = [float(k1 + k2 - 2) for k1, k2 in census.weights.tolist()]
-    for ell in (0.0, 1.5, 4.0, 12.0):
-        (value,), _ = exact_prob_height_le(params, np.array([ell]))
-        direct = math.fsum(math.log1p(-params.q ** int(a))
-                           for a, h in zip(dims, heights) if h > ell)
+    if prob is exact_prob_max_dim_le:
+        # class by class, m > ell; 1, 3 and 10 are class dimensions
+        factors = [(float(m), int(rho), int(m)) for m, rho in zip(census.dims, census.counts)]
+        ells = (0.0, 1.0, 3.0, 10.0, 40.0, 160.0)
+    else:
+        # L(k - 1) = (2 (k_1 - 1) + 2 (k_2 - 1)) / 2 at rank 2, weight by weight
+        dims = np.repeat(census.dims, census.counts)
+        factors = [(float(k1 + k2 - 2), 1, int(a))
+                   for (k1, k2), a in zip(census.weights.tolist(), dims)]
+        ells = (0.0, 1.5, 4.0, 12.0)
+    for ell in ells:
+        (value,), _ = prob(params, np.array([ell]))
+        direct = math.fsum(rho * math.log1p(-params.q ** a)
+                           for key, rho, a in factors if key > ell)
         assert value == pytest.approx(math.exp(direct), rel=1e-12)
 
 

@@ -351,6 +351,25 @@ def test_weyl_check_validation():
         weyl_lower_bound_check(2, 4, 1.0 / 32.0, np.array([1e-9]))
 
 
+@pytest.mark.parametrize("box_size, epsilon, message", [
+    (4, float("nan"), "window parameter"),   # was OverflowError
+    (4, 0.0, "window parameter"),            # was a math domain error
+    (4, -0.25, "window parameter"),
+    (4, 1.0, "window parameter"),            # was a grid
+    (4, float("inf"), "window parameter"),
+    (0, 1.0 / 32.0, "box parameter"),        # was ZeroDivisionError
+    (2, 1.0 / 32.0, "box parameter"),        # was a grid
+])
+def test_theta_grid_refuses_an_invalid_window_as_the_checks_do(box_size, epsilon, message):
+    # the grid and both window checks refuse the same windows with the same message
+    t = np.array([0.25])
+    for call in (lambda: theta_grid(2, box_size, epsilon, num_random=4),
+                 lambda: weyl_lower_bound_check(2, box_size, epsilon, t),
+                 lambda: appendix_window_check(box_size, epsilon, t)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 def test_theta_grid_ranges_and_adversarial_content():
     eps = 1.0 / 32.0
     random_t, adversarial_t = theta_grid(2, 4, eps, num_random=200, seed=1)
