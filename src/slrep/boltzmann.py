@@ -306,21 +306,26 @@ def _log_factors(params):
     return m, rho, np.log1p(-qm), (params.beta * m + 6.0) * _U * qm / one_minus
 
 
-def _extremal_cdf(params, keys, terms, slack, ell):
-    """exp of the sum of terms over keys > x, a suffix sum over the sorted
-    keys, for each x of the 1-D array ell, with the err shared by
-    exact_prob_*_le: the largest, over the values, of the census truncation
-    (which only lowers the true value) plus the rounding: the slack of the
-    summed terms, (k - 1)u of the magnitude of a k-term sum, 2u of exp."""
-    ells = np.asarray(ell, dtype=float)
-    if ells.ndim != 1:
-        raise ValueError("ell must be a 1-D array")
-    truncation = -math.expm1(-_tail_mean_bound(params))
+def _suffix_sums(keys, arrays, points, side):
+    """(at, sums): at[i] is where points[i] falls, on `side`, among the
+    stably sorted keys, and sums holds each array's sum over the sorted
+    keys from at[i] up (from the largest down), 0 past the last key."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 1:
+        raise ValueError("the grid must be a 1-D array")
     order = np.argsort(keys, kind="stable")
-    at = np.searchsorted(keys[order], ells, side="right")  # first key > x
-    # sums from the largest key down, 0 where no key lies above x
-    total, slack = (np.append(np.cumsum(a[order][::-1])[::-1], 0.0)[at]
-                    for a in (terms, slack))
+    at = np.searchsorted(keys[order], points, side=side)
+    return at, [np.append(np.cumsum(a[order][::-1])[::-1], 0.0)[at] for a in arrays]
+
+
+def _extremal_cdf(params, keys, terms, slack, ell):
+    """exp of the sum of terms over keys > x, for each x of the 1-D array
+    ell, with the err shared by exact_prob_*_le: the largest, over the
+    values, of the census truncation (which only lowers the true value)
+    plus the rounding: the slack of the summed terms, (k - 1)u of the
+    magnitude of a k-term sum, 2u of exp."""
+    truncation = -math.expm1(-_tail_mean_bound(params))
+    at, (total, slack) = _suffix_sums(keys, (terms, slack), ell, "right")
     values = np.fromiter(map(math.exp, total), float, at.size)
     drift = slack - (keys.size - at - 1) * _U * total
     expm1 = np.fromiter(map(math.expm1, drift), float, at.size)
@@ -347,25 +352,20 @@ def exact_prob_height_le(params: BoltzmannParams, ell):
                          np.repeat(slack, census.counts), ell)
 
 
-def exact_expected_shape(params: BoltzmannParams, t):
-    """(values, errs): for each row t of the (m, rank) corner array,
-    E_Q[number of weights k with k_j >= t_j and X_k > 0 counted with
-    multiplicity], i.e. the expected shape functional sum q^a/(1-q^a) over
-    the corner set, one mask of the weights of params.census per corner.
-    Each true value lies within its err of its value; the census
-    truncation only raises it.  Each err is the truncation bound plus the
-    rounding, relative to the value because every term is positive:
-    (beta m + 6)u per term (q^m, expm1 of the rounded beta m, the
-    division) and (K - 1)u for a sum of at most K terms, K the census's
-    number of weights."""
+def exact_expected_shape(params: BoltzmannParams, levels):
+    """(values, errs): E_Q[number of weights k >= (t, ..., t), counted with
+    multiplicity], the expected shape functional sum q^a/(1-q^a) over the
+    diagonal corner set of params.census, for each level t of the 1-D array
+    levels.  One suffix sum reads the exact integer key min_j k_j on the
+    left, so each level sums the keys >= t.  Each true value lies within
+    its err of its value; the census truncation only raises it.  Each err
+    is the truncation bound plus the rounding, relative to the value as
+    every term is positive: (beta m + 6)u per term (q^m, expm1 of the
+    rounded beta m, the division) and (K - 1)u for the census's K weights."""
     census = params.census
-    t = np.asarray(t, dtype=float)
-    if t.ndim != 2 or t.shape[1] != census.rank:
-        raise ValueError(f"corners must be an (m, {census.rank}) array")
     _, _, qm, one_minus = params.term_arrays
     terms = np.repeat(qm / one_minus, census.counts)
-    values = np.array([float(np.sum(terms[np.all(census.weights >= corner[None, :], axis=1)]))
-                       for corner in t])
+    _, (values,) = _suffix_sums(census.weights.min(axis=1), (terms,), levels, "left")
     rounding = (params.beta * params.cutoff + census.num_weights + 6.0) * _U
     return values, _tail_mean_bound(params) + rounding * values
 

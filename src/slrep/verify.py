@@ -469,14 +469,14 @@ def compare_exact_to_limit(r: int, n: int, which: str, *, k=None) -> LimitGapRep
         note = f"weight {k}: exact geometric law; sup-gap 1 - q^a is closed form"
     elif which == "shape":
         grid = default_shape_grid(r)
-        corners = np.repeat(grid[:, None] / params.s, r, axis=1)
+        levels = grid / params.s  # the corners (t / s, ..., t / s)
         # the farthest corner starts at dim(K, ..., K); twice that cutoff
         # leaves a tail far below the corner's own value
-        far = math.ceil(float(corners.max()))
+        far = math.ceil(float(levels.max()))
         cutoff = max(params.cutoff, 2 * dim_irrep(r, (far,) * r))
         while True:
             wide = params.with_cutoff(cutoff)
-            values, err = exact_expected_shape(wide, corners)
+            values, err = exact_expected_shape(wide, levels)
             if np.all(err <= SHAPE_REL_ERR * values):
                 break
             cutoff *= 2
@@ -487,7 +487,7 @@ def compare_exact_to_limit(r: int, n: int, which: str, *, k=None) -> LimitGapRep
         kind = "an estimate" if r == 3 else "certified"
         # integer weights dominate the corner t / s exactly when they
         # dominate its lattice corner ceil(t / s), which nearby rows can share
-        lattice = np.ceil(corners[:, 0])
+        lattice = np.ceil(levels)
         repeats = np.flatnonzero(lattice[1:] == lattice[:-1]) + 1
         note = ("relative gap of the mean shape functional on the diagonal grid; "
                 "rows (from 0) that share the lattice corner ceil(t/s) of the row "

@@ -458,7 +458,14 @@ def test_exact_prob_matches_direct_product(prob):
         assert value == pytest.approx(math.exp(direct), rel=1e-12)
 
 
-@pytest.mark.parametrize("prob", [exact_prob_max_dim_le, exact_prob_height_le])
+def _shape_curve(params, levels):
+    """exact_expected_shape with its errs folded to one, as the curves'."""
+    values, errs = exact_expected_shape(params, levels)
+    return values, float(np.max(errs))
+
+
+@pytest.mark.parametrize("prob", [exact_prob_max_dim_le, exact_prob_height_le,
+                                  _shape_curve])
 def test_exact_prob_grid_equals_pointwise_calls(prob):
     params = sampling_params(solve_saddle(2, 300))
     ells = np.array([0.0, 1.5, 4.0, 12.0, 40.0, 160.0])
@@ -475,14 +482,15 @@ def test_exact_expected_shape_matches_direct_sum():
     params = sampling_params(solve_saddle(2, 300))
     census = params.census
     dims, K = np.repeat(census.dims, census.counts), census.weights
-    for t in ((1.0, 1.0), (2.0, 3.0), (5.5, 1.5)):
+    for t in (1.0, 2.0, 2.5, 5.5):
+        # the level t is the corner (t, t)
         (value,), (err,) = exact_expected_shape(params, np.array([t]))
         direct = math.fsum(
             params.q ** int(a) / (1.0 - params.q ** int(a))
-            for a, k in zip(dims, K) if k[0] >= t[0] and k[1] >= t[1])
+            for a, k in zip(dims, K) if k[0] >= t and k[1] >= t)
         assert value == pytest.approx(direct, rel=1e-10)
         assert err >= 0.0
-    for bad in ([(1.0, 1.0, 1.0)], (1.0, 1.0)):
+    for bad in ([[1.0, 1.0]], 1.0):
         with pytest.raises(ValueError):
             exact_expected_shape(params, np.array(bad))
 
@@ -490,8 +498,7 @@ def test_exact_expected_shape_matches_direct_sum():
 def test_exact_shape_against_monte_carlo():
     num = 4000
     params, reps = _boltzmann_draws(300, num, seed=24)
-    t = (2.0, 2.0)
-    (value,), (err,) = exact_expected_shape(params, np.array([t]))
+    (value,), (err,) = exact_expected_shape(params, np.array([2.0]))
     counts = [sum(x for k, x in rep.components() if k[0] >= 2 and k[1] >= 2)
               for rep in reps]
     mean = sum(counts) / num
@@ -568,14 +575,14 @@ def test_exact_curves_err_covers_rounding():
 
         params = solve_saddle(2, 10**6)
         census, beta = params.census, mp.mpf(params.beta)
-        corners = np.repeat(default_shape_grid(2)[:, None] / params.s, 2, axis=1)
-        values, errs = exact_expected_shape(params, corners)
+        levels = default_shape_grid(2) / params.s
+        values, errs = exact_expected_shape(params, levels)
         dims = np.repeat(census.dims, census.counts)
         ratios = [mp.exp(-beta * int(a)) / -mp.expm1(-beta * int(a)) for a in dims]
-        for corner, value, err in zip(corners, values, errs):
-            inside = np.flatnonzero(np.all(census.weights >= corner, axis=1))
+        for level, value, err in zip(levels, values, errs):
+            inside = np.flatnonzero(np.all(census.weights >= level, axis=1))
             ref = mp.fsum(ratios[i] for i in inside)
-            assert abs(mp.mpf(value) - ref) <= err, corner
+            assert abs(mp.mpf(value) - ref) <= err, level
 
 
 def test_rejection_sampler_totals_and_agreement_with_dp():
