@@ -22,7 +22,8 @@ integrating along the ray in closed form gives
     f_r(t) = int_{P(t)}^inf x^{-c} G_c(x) W_t(x) dx,   c = 2/(r+1),
 
 with G_c(x) = int_x^inf w^{c-1}/(e^w - 1) dw (`bose_tail`) and W_t(x) =
-(1/nu) sum_j t_j d/dx area{z on face j : P(z) <= x}.  At rank 2 W_t is
+(1/nu) sum_j t_j d/dx area{z on face j : P(z) <= x}.  `limit_shape`
+evaluates f_r on the diagonal t = (t, ..., t) only.  At rank 2 W_t is
 closed form and the integrand is completely monotone, which is what lets
 `limit_shape` certify its error there.
 """
@@ -135,7 +136,7 @@ class LimitConstants(NamedTuple):
     the largest height (Gumbel), count_scale multiplies the number of
     irreducible components (mgf-characterized limit), mult of weight k is
     scaled by count_scale * dim(k) (exponential limit), and the shape
-    functional at corner t is s^r * shape(t / s).
+    functional at level t is s^r * shape(t / s).
     """
 
     rank: int
@@ -329,10 +330,9 @@ def _shape_cells(x0: float, refine: int = 1) -> np.ndarray:
 
 
 def _rank_two_weight(t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """W_t(x) at rank 2: on face j, x = P(z) gives t_j dz = 2 dx /
-    sqrt(t_j^2 + 8x/t_j)."""
-    return (2.0 / 3.0) * ((t[:, 0] ** 2 + 8.0 * x / t[:, 0]) ** -0.5
-                          + (t[:, 1] ** 2 + 8.0 * x / t[:, 1]) ** -0.5)
+    """W_t(x) at rank 2 on the diagonal corner (t, t): on either face,
+    x = P(z) gives t dz = 2 dx / sqrt(t^2 + 8x/t)."""
+    return (4.0 / 3.0) * (t**2 + 8.0 * x / t) ** -0.5
 
 
 def _solve_log(log_form, log_x, u):
@@ -350,27 +350,27 @@ def _solve_log(log_form, log_x, u):
 
 
 def _rank_three_weight(t: np.ndarray, x: np.ndarray, nodes: int) -> np.ndarray:
-    """W_t(x) at rank 3 by Gauss-Legendre along each level curve.
+    """W_t(x) at rank 3 on the diagonal corner (t, t, t), by Gauss-Legendre
+    along each level curve.
 
-    On face j the dimension form is (t_j/12) prod (a + b p + c z) over five
+    On face j the dimension form is (t/12) prod (a + b p + c z) over five
     linear factors in the free coordinates (p, z), so log P is convex and
-    increasing in log p and in log z.  The level curve P = x runs in log p
-    from p = t_p to the edge where z = t_z; `_solve_log` finds the edge and
-    z(p).  The curve's co-area density is dp / (dP/dz), with dP/dz =
-    x sum c / (a + b p + c z)."""
-    t1, t2, t3 = (t[:, j, None] for j in range(3))
-    zero = np.zeros_like(t1)
-    faces = (  # t_j, lower end of p, lower end of z, factors (a, b, c)
-        (t1, t2, t3, ((zero, 1, 0), (zero, 0, 1), (t1, 1, 0), (zero, 1, 1), (t1, 1, 1))),
-        (t2, t1, t3, ((zero, 1, 0), (zero, 0, 1), (t2, 1, 0), (t2, 0, 1), (t2, 1, 1))),
-        (t3, t2, t1, ((zero, 1, 0), (zero, 0, 1), (t3, 1, 0), (zero, 1, 1), (t3, 1, 1))),
+    increasing in log p and in log z.  Reversing the coordinates keeps the
+    dimension form and swaps faces 1 and 3, so face 1 counts twice.  The
+    level curve P = x runs in log p from p = t to the edge where z = t;
+    `_solve_log` finds the edge and z(p).  The curve's co-area density is
+    dp / (dP/dz), with dP/dz = x sum c / (a + b p + c z)."""
+    t = t[:, None]
+    faces = (  # how often the face counts, factors (a, b, c)
+        (2, ((0, 1, 0), (0, 0, 1), (t, 1, 0), (0, 1, 1), (t, 1, 1))),
+        (1, ((0, 1, 0), (0, 0, 1), (t, 1, 0), (t, 0, 1), (t, 1, 1))),
     )
     (s, w), _ = _gauss_lobatto(nodes)
     log_x = np.log(x)[:, None]
     total = np.zeros_like(x)
-    for T, p_lo, z_lo, factors in faces:
+    for count, factors in faces:
         def log_form(p, z, wrt_p):
-            value, slope = np.log(T / 12.0), 0.0
+            value, slope = np.log(t / 12.0), 0.0
             for a, b, c in factors:
                 lin = a + b * p + c * z
                 value = value + np.log(lin)
@@ -378,32 +378,32 @@ def _rank_three_weight(t: np.ndarray, x: np.ndarray, nodes: int) -> np.ndarray:
             return value, slope
 
         span = np.maximum(_solve_log(
-            lambda u: log_form(p_lo * np.exp(u), z_lo, True), log_x, zero), 0.0)
-        p = p_lo * np.exp(span * s)
-        z = z_lo * np.exp(_solve_log(
-            lambda v: log_form(p, z_lo * np.exp(v), False), log_x, np.zeros_like(p)))
+            lambda u: log_form(t * np.exp(u), t, True), log_x, np.zeros_like(t)), 0.0)
+        p = t * np.exp(span * s)
+        z = t * np.exp(_solve_log(
+            lambda v: log_form(p, t * np.exp(v), False), log_x, np.zeros_like(p)))
         slope = sum(c / (a + b * p + c * z) for a, b, c in factors)
-        total += (T * span)[:, 0] * ((p / slope) @ w)
+        total += count * (t * span)[:, 0] * ((p / slope) @ w)
     return total / (6.0 * x)
 
 
 def _shape_rules(r: int, t: np.ndarray, x0: np.ndarray, refine: int = 1,
                  face_nodes: int = _FACE_NODES):
-    """Per corner: the Gauss and Lobatto sums of f = x^(-c) G_c(x) W_t(x)
-    over the cells from x0 = P(t), the error those sums carry from the node
-    values, and a bound for the integral beyond the last cell."""
+    """Per level t: the Gauss and Lobatto sums of f = x^(-c) G_c(x) W_t(x)
+    over the cells from x0 = P(t, ..., t), the error those sums carry from
+    the node values, and a bound for the integral beyond the last cell."""
     c = 2.0 / (r + 1)
     m = x0.size
     bounds = [_shape_cells(float(x), refine) for x in x0]
-    corner = np.repeat(np.arange(m), [b.size - 1 for b in bounds])
+    level = np.repeat(np.arange(m), [b.size - 1 for b in bounds])
     lo = np.concatenate([b[:-1] for b in bounds])
     width = np.concatenate([np.diff(b) for b in bounds])
     x_end = np.array([b[-1] for b in bounds])
     rules = _gauss_lobatto(_SHAPE_NODES)
-    # every rule's nodes in every cell, then each corner's x0 and last bound
+    # every rule's nodes in every cell, then each level's x0 and last bound
     x = np.concatenate([(lo[:, None] + width[:, None] * nodes).ravel()
                         for nodes, _ in rules] + [x0, x_end])
-    owner = np.concatenate([np.repeat(corner, nodes.size) for nodes, _ in rules]
+    owner = np.concatenate([np.repeat(level, nodes.size) for nodes, _ in rules]
                            + [np.arange(m), np.arange(m)])
     if r == 2:
         weight = _rank_two_weight(t[owner], x)
@@ -419,7 +419,7 @@ def _shape_rules(r: int, t: np.ndarray, x0: np.ndarray, refine: int = 1,
         stop = start + width.size * nodes.size
         for values in (f, f_err):
             cell = width * (values[start:stop].reshape(width.size, -1) @ weights)
-            sums.append(np.bincount(corner, weights=cell, minlength=m))
+            sums.append(np.bincount(level, weights=cell, minlength=m))
         start = stop
     gauss, gauss_err, lobatto, lobatto_err = sums
     # x0 carries at most 8 roundings, and f is largest there at rank 2
@@ -428,62 +428,57 @@ def _shape_rules(r: int, t: np.ndarray, x0: np.ndarray, refine: int = 1,
     return gauss, lobatto, node_err, tail
 
 
-def limit_shape(r: int, corners):
-    """(values, errs): the limit shape f_r(t) = int over prod [t_j, inf) of
-    e^(-P(y)) / (1 - e^(-P(y))) dy, P the dimension form, at each row
-    t > 0 of the (m, r) array corners, one value and error per corner.
-    Rank 1 is closed form.  Ranks 2 and 3 integrate x^(-c) G_c(x) W_t(x) over x
-    from P(t) (see the module docstring) on cells that grow geometrically
-    and then linearly, with an 8-point Gauss and a 9-point Lobatto rule.
+def limit_shape(r: int, levels):
+    """(values, errs): the limit shape f_r(t) = int over [t, inf)^r of
+    e^(-P(y)) / (1 - e^(-P(y))) dy, P the dimension form, on the diagonal
+    corner (t, ..., t) for each level t > 0 of the 1-D array levels, one
+    value and error per level.  P is homogeneous of degree nu and
+    P(1, ..., 1) = 1, the dimension of the trivial module, so P(t, ..., t)
+    = t^nu.  Rank 1 is closed form.  Ranks 2 and 3 integrate x^(-c) G_c(x)
+    W_t(x) over x from t^nu (see the module docstring) on cells that grow
+    geometrically and then linearly, with an 8-point Gauss and a 9-point
+    Lobatto rule.
 
     At rank 2 the integrand is completely monotone: x^(-c), G_c (whose
-    -G_c' = x^(c-1)/(e^x - 1) is) and each (t_j^2 + 8x/t_j)^(-1/2) are, and
-    so is their product.  Its eighth derivative is therefore positive, so
-    the Gauss sum lies below the integral and the Lobatto sum above it.
-    err is half that bracket widened by the node error bounds of
-    `bose_tail`, the rounding of the nodes and of P(t), the integral
-    beyond the last cell (W_t(X) e^(-X) / (X (1 - e^(-X))), because
-    x^(-c) G_c(x) <= e^(-x) / (x (1 - e^(-x)))) and 64u of the value: a
-    proven bound, below 1e-11 relative on the default corner grid.
+    -G_c' = x^(c-1)/(e^x - 1) is) and (t^2 + 8x/t)^(-1/2) are, and so is
+    their product.  Its eighth derivative is therefore positive, so the
+    Gauss sum lies below the integral and the Lobatto sum above it.  err
+    is half that bracket widened by the node error bounds of `bose_tail`,
+    the rounding of the nodes and of t^nu, the integral beyond the last
+    cell (W_t(X) e^(-X) / (X (1 - e^(-X))), because x^(-c) G_c(x) <=
+    e^(-x) / (x (1 - e^(-x)))) and 64u of the value: a proven bound, below
+    1e-11 relative on the default grid.
 
-    At rank 3 W_t(x) vanishes at P(t) and is not monotone, so the bracket
+    At rank 3 W_t(x) vanishes at t^nu and is not monotone, so the bracket
     does not hold.  err is then an estimate: the change of the midpoint
     value when every cell is halved and the level-curve rule doubled, plus
     the half-bracket and the bounds above on the refined mesh.
     """
-    t = np.asarray(corners, dtype=float)
-    if t.ndim != 2 or t.shape[1] != r:
-        raise ValueError(f"corners must be an (m, {r}) array")
-    if not np.all(t > 0.0):
-        raise ValueError(f"shape corner must be strictly positive, got {corners}")
-    if r == 1:
-        x = t[:, 0]
-        values = np.where(x < math.log(2.0), -np.log(-np.expm1(-x)),
-                          -np.log1p(-np.exp(-x)))
-        err = 8.0 * _U * values
-    elif r in (2, 3):
-        t1, t2 = t[:, 0], t[:, 1]
-        if r == 2:
-            x0 = t1 * t2 * (t1 + t2) / 2.0
-        else:
-            t3 = t[:, 2]
-            x0 = t1 * t2 * t3 * (t1 + t2) * (t2 + t3) * (t1 + t2 + t3) / 12.0
-        if not np.all((x0 > 0.0) & (x0 < math.inf)):
-            raise ValueError(f"shape corner {corners} puts P(t) outside the floats")
-        gauss, lobatto, node_err, tail = _shape_rules(r, t, x0)
-        values = 0.5 * (gauss + lobatto + tail)
-        err = 0.5 * (np.abs(lobatto - gauss) + tail) + node_err
-        if r == 3:
-            coarse = values
-            gauss, lobatto, node_err, tail = _shape_rules(
-                r, t, x0, refine=2, face_nodes=2 * _FACE_NODES)
-            values = 0.5 * (gauss + lobatto + tail)
-            err = (np.abs(values - coarse) + 0.5 * (np.abs(lobatto - gauss) + tail)
-                   + node_err)
-        err = err + 64.0 * _U * values
-    else:
+    if r not in (1, 2, 3):
         raise NotImplementedError(f"limit shape implemented for rank <= 3, got {r}")
-    return values, err
+    t = np.asarray(levels, dtype=float)
+    if t.ndim != 1:
+        raise ValueError(f"levels must be a 1-D array, got shape {t.shape}")
+    if not np.all(t > 0.0):
+        raise ValueError(f"shape level must be strictly positive, got {levels}")
+    x0 = t ** degree(r)
+    if r == 1:
+        values = np.where(x0 < math.log(2.0), -np.log(-np.expm1(-x0)),
+                          -np.log1p(-np.exp(-x0)))
+        return values, 8.0 * _U * values
+    if not np.all((x0 > 0.0) & (x0 < math.inf)):
+        raise ValueError(f"shape level {levels} puts P(t, ..., t) outside the floats")
+    gauss, lobatto, node_err, tail = _shape_rules(r, t, x0)
+    values = 0.5 * (gauss + lobatto + tail)
+    err = 0.5 * (np.abs(lobatto - gauss) + tail) + node_err
+    if r == 3:
+        coarse = values
+        gauss, lobatto, node_err, tail = _shape_rules(
+            r, t, x0, refine=2, face_nodes=2 * _FACE_NODES)
+        values = 0.5 * (gauss + lobatto + tail)
+        err = (np.abs(values - coarse) + 0.5 * (np.abs(lobatto - gauss) + tail)
+               + node_err)
+    return values, err + 64.0 * _U * values
 
 
 # ---- moment generating function of the limiting component count ----

@@ -1,5 +1,5 @@
-"""The extremal statistics of a representation, the corner grid of the
-shape report, and the names of the five reported observables.
+"""The extremal statistics of a representation, the diagonal levels of
+the shape report, and the names of the five reported observables.
 
 D is the largest irreducible dimension and H the largest weight height;
 both have Gumbel limits.  The number of components N is
@@ -15,7 +15,7 @@ from .weights import degree, twice_height
 
 # the observables of the gap reports (`verify.compare_exact_to_limit`)
 STATISTICS = ("D", "H", "mult", "shape", "mgf")
-# the shape report's diagonal corner grid: its first corner and its size
+# the shape report's diagonal levels: the first level and how many
 _SHAPE_GRID_LO = 0.1
 _SHAPE_GRID_POINTS = 16
 
@@ -35,8 +35,8 @@ def stat_height(rep: Representation) -> float:
 
 
 def default_shape_grid(r: int):
-    """Diagonal corner grid: geometric from _SHAPE_GRID_LO to
-    hi = 5^(3/nu), nu the degree of the dimension form, so that
-    P(hi, ..., hi) = 125 at every rank and the far corners' shape values
-    stay well above underflow."""
+    """Levels t of the diagonal corners (t, ..., t): geometric from
+    _SHAPE_GRID_LO to hi = 5^(3/nu), nu the degree of the dimension form,
+    so that P(hi, ..., hi) = hi^nu = 125 at every rank and the far
+    corners' shape values stay well above underflow."""
     return np.geomspace(_SHAPE_GRID_LO, 5.0 ** (3.0 / degree(r)), _SHAPE_GRID_POINTS)

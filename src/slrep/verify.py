@@ -161,6 +161,18 @@ def _lowest_frequency(box_size: int, epsilon: float, nu: int) -> float:
     return epsilon * float(box_size) ** -nu
 
 
+def _window_frequencies(thetas, box_size: int, epsilon: float, nu: int) -> np.ndarray:
+    """thetas as a float array, for a valid window, refused unless it is
+    nonempty and lies in [epsilon N^-nu, 1/2]."""
+    lo = _lowest_frequency(box_size, epsilon, nu)
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.size == 0:
+        raise ValueError("no frequencies supplied")
+    if float(thetas.min()) < lo or float(thetas.max()) > 0.5:
+        raise ValueError(f"frequencies must lie in [epsilon N^-{nu}, 1/2]")
+    return thetas
+
+
 def theta_grid(r: int, box_size: int, epsilon: float, num_random: int = 10_000,
                seed: int = 99):
     """(random, adversarial) frequency grids on [epsilon N^-nu, 1/2], every
@@ -211,12 +223,7 @@ def weyl_lower_bound_check(r: int, box_size: int, epsilon: float,
     if r < 2:
         raise ValueError("window bounds need rank >= 2")
     nu = degree(r)
-    lo = _lowest_frequency(box_size, epsilon, nu)
-    thetas = np.asarray(thetas, dtype=float)
-    if thetas.size == 0:
-        raise ValueError("no frequencies supplied")
-    if float(thetas.min()) < lo or float(thetas.max()) > 0.5:
-        raise ValueError("frequencies must lie in [epsilon N^-nu, 1/2]")
+    thetas = _window_frequencies(thetas, box_size, epsilon, nu)
     dims = _lambda_dims(r, box_size)
     window = epsilon * 2.0**-nu
     count_bound = box_size**r / 32.0
@@ -264,12 +271,7 @@ def appendix_window_check(box_size: int, epsilon: float, thetas) -> AppendixRepo
     [epsilon / N, 1/2 - epsilon / N].  Every theta must be a multiple of
     2^-64, as theta_grid's are.
     """
-    lo = _lowest_frequency(box_size, epsilon, 3)
-    thetas = np.asarray(thetas, dtype=float)
-    if thetas.size == 0:
-        raise ValueError("no frequencies supplied")
-    if float(thetas.min()) < lo or float(thetas.max()) > 0.5:
-        raise ValueError("frequencies must lie in [epsilon N^-3, 1/2]")
+    thetas = _window_frequencies(thetas, box_size, epsilon, 3)
     ladder_mask = thetas >= epsilon / box_size
     ladder_thetas = thetas[ladder_mask]
     run_mask = ladder_thetas <= 0.5 - epsilon / box_size
@@ -420,8 +422,9 @@ def compare_exact_to_limit(r: int, n: int, which: str, *, k=None) -> LimitGapRep
     the exact geometric law of weight k's multiplicity (default_weight(r)
     when k is None) against the exponential law at its jump points; "shape"
     compares the rescaled expected shape functional against the limit
-    shape on a corner grid, relatively; "mgf" compares the exact
-    transformed-count mgf against the limit product on a u-grid.
+    shape at the diagonal levels of `default_shape_grid`, relatively;
+    "mgf" compares the exact transformed-count mgf against the limit
+    product on a u-grid.
 
     D and H raise ValueError when n is too small for their normalizer (NaN
     center or scale).  D, H and mgf read the saddle's census.  The shape
@@ -470,10 +473,10 @@ def compare_exact_to_limit(r: int, n: int, which: str, *, k=None) -> LimitGapRep
     elif which == "shape":
         grid = default_shape_grid(r)
         levels = grid / params.s  # the corners (t / s, ..., t / s)
-        # the farthest corner starts at dim(K, ..., K); twice that cutoff
-        # leaves a tail far below the corner's own value
+        # the farthest corner starts at dim(K, ..., K) = K^nu; twice that
+        # cutoff leaves a tail far below the corner's own value
         far = math.ceil(float(levels.max()))
-        cutoff = max(params.cutoff, 2 * dim_irrep(r, (far,) * r))
+        cutoff = max(params.cutoff, 2 * far ** degree(r))
         while True:
             wide = params.with_cutoff(cutoff)
             values, err = exact_expected_shape(wide, levels)
@@ -481,7 +484,7 @@ def compare_exact_to_limit(r: int, n: int, which: str, *, k=None) -> LimitGapRep
                 break
             cutoff *= 2
         exact = params.s**r * values
-        limit, limit_err = limit_shape(r, np.repeat(grid[:, None], r, axis=1))
+        limit, limit_err = limit_shape(r, grid)
         exact_err = float(np.max(err / values))
         limit_err = float(np.max(limit_err / limit))
         kind = "an estimate" if r == 3 else "certified"

@@ -197,10 +197,11 @@ def test_gumbel_and_exponential_reference_cdfs():
 
 
 def test_limit_shape_rank_one_closed_form():
-    for t in (0.1, 0.7, 2.0, 5.0):
-        (value,), (err,) = limit_shape(1, np.array([[t]]))
+    levels = np.array([0.1, 0.7, 2.0, 5.0])
+    values, err = limit_shape(1, levels)
+    for t, value, e in zip(levels, values, err):
         assert value == pytest.approx(-math.log(-math.expm1(-t)), rel=1e-12)
-        assert 0.0 < err <= 1e-14 * value
+        assert 0.0 < e <= 1e-14 * value
 
 
 @pytest.mark.parametrize("t", [0.5, 1.5])
@@ -214,25 +215,24 @@ def test_limit_shape_rank_two_against_direct_quadrature(t):
 
     hi = (60.0 / t) ** 0.5 + t
     direct, _ = dblquad(f, t, hi, t, hi, epsabs=1e-10, epsrel=1e-9)
-    (value,), _ = limit_shape(2, np.array([(t, t)]))
+    (value,), _ = limit_shape(2, np.array([t]))
     assert value == pytest.approx(direct, rel=1e-6)
 
 
 def test_limit_shape_rank_two_against_simplex_reduction():
-    # the default corners and three off the diagonal, against the simplex
-    # integral in mpmath; err must be a true bound and at most 1e-6
-    corners = np.array([(t, t) for t in default_shape_grid(2)]
-                       + [(0.5, 2.0), (2.0, 0.5), (1.0, 3.0)])
-    values, err = limit_shape(2, corners)
-    assert values.shape == err.shape == (len(corners),)
+    # the default levels and three more, against the simplex integral at
+    # the corner (t, t) in mpmath; err must be a true bound and at most 1e-6
+    levels = np.concatenate([default_shape_grid(2), [0.5, 2.0, 3.0]])
+    values, err = limit_shape(2, levels)
+    assert values.shape == err.shape == levels.shape
     with mp.workdps(20):
-        for (t1, t2), value, e in zip(corners, values, err):
-            exact = limit_shape_simplex_reference(t1, t2)
-            assert abs(mp.mpf(value) - exact) <= e, (t1, t2)
-            assert 0.0 < e <= 1e-6 * value, (t1, t2)
+        for t, value, e in zip(levels, values, err):
+            exact = limit_shape_simplex_reference(t, t)
+            assert abs(mp.mpf(value) - exact) <= e, t
+            assert 0.0 < e <= 1e-6 * value, t
 
 
-@pytest.mark.parametrize("t", [(1.0, 1.0, 1.0), (0.5, 1.0, 2.0), (0.3, 0.3, 1.5)])
+@pytest.mark.parametrize("t", [(0.3, 0.3, 0.3), (1.0, 1.0, 1.0), (2.0, 2.0, 2.0)])
 def test_limit_shape_rank_three_against_tplquad(t):
     # the cube route the package used before the reduction: y_j = t_j -
     # log u_j maps the corner set onto the unit cube
@@ -242,30 +242,26 @@ def test_limit_shape_rank_three_against_tplquad(t):
         return 0.0 if a > 700.0 else math.exp(-a) / -math.expm1(-a) / (u1 * u2 * u3)
 
     direct, _ = tplquad(f, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, epsabs=1e-10, epsrel=1e-7)
-    (value,), (err,) = limit_shape(3, np.array([t]))
+    (value,), (err,) = limit_shape(3, np.array(t[:1]))
     assert abs(value - direct) <= err + 1e-7 * direct
     assert 0.0 < err <= 1e-6 * value
 
 
-def test_limit_shape_symmetry_and_validation():
-    (left,), (left_err,) = limit_shape(2, np.array([(0.5, 1.5)]))
-    (right,), (right_err,) = limit_shape(2, np.array([(1.5, 0.5)]))
-    assert abs(left - right) <= left_err + right_err
-    assert limit_shape(3, np.array([(1.0, 1.0, 1.0)]))[0][0] > 0.0
+def test_limit_shape_validation():
+    assert limit_shape(3, np.array([1.0]))[0][0] > 0.0
     with pytest.raises(ValueError):
-        limit_shape(2, np.array([(1.0,)]))
+        limit_shape(2, np.array([(1.0, 1.0)]))  # corners, not levels
     with pytest.raises(ValueError):
-        limit_shape(2, np.array([(-1.0, 1.0)]))
-    with pytest.raises(ValueError):
-        limit_shape(2, np.ones((2, 2, 2)))
-    with pytest.raises(ValueError):
-        limit_shape(2, np.array((1.0, 1.0)))  # one corner is a 1-row array
+        limit_shape(2, np.array(1.0))  # one level is a 1-element array
+    for bad in (-1.0, 0.0):
+        with pytest.raises(ValueError):
+            limit_shape(2, np.array([1.0, bad]))
     with pytest.raises(NotImplementedError):
-        limit_shape(4, np.array([(1.0, 1.0, 1.0, 1.0)]))
+        limit_shape(4, np.array([1.0]))
 
 
 def test_limit_shape_is_decreasing_in_the_corner():
-    values, _ = limit_shape(2, np.repeat([[0.2], [0.5], [1.0], [2.0], [4.0]], 2, axis=1))
+    values, _ = limit_shape(2, np.array([0.2, 0.5, 1.0, 2.0, 4.0]))
     assert list(values) == sorted(values, reverse=True)
 
 

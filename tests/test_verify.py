@@ -345,10 +345,19 @@ def test_weyl_check_validation():
         weyl_lower_bound_check(2, 4, 0.0, t)
     with pytest.raises(ValueError):
         weyl_lower_bound_check(2, 3, 1.0 / 32.0, t)
-    with pytest.raises(ValueError):
-        weyl_lower_bound_check(2, 4, 1.0 / 32.0, np.array([0.6]))
-    with pytest.raises(ValueError):
-        weyl_lower_bound_check(2, 4, 1.0 / 32.0, np.array([1e-9]))
+
+
+@pytest.mark.parametrize("thetas, message", [
+    ([], "no frequencies"),
+    ([0.25, 0.6], "frequencies must lie"),    # above 1/2
+    ([1e-9, 0.25], "frequencies must lie"),   # below epsilon N^-3
+])
+def test_window_checks_refuse_the_same_frequencies(thetas, message):
+    # both window checks read their frequencies through one refusal
+    for call in (lambda: weyl_lower_bound_check(2, 4, 1.0 / 32.0, thetas),
+                 lambda: appendix_window_check(4, 1.0 / 32.0, thetas)):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 @pytest.mark.parametrize("box_size, epsilon, message", [

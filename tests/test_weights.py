@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from slrep.census import enumerate_irreps
 from slrep.weights import (
     degree,
     dim_irrep,
@@ -80,6 +81,28 @@ def test_weyl_numerator_division_is_exact():
         r = rng.randrange(1, 6)
         k = tuple(rng.randrange(1, 7) for _ in range(r))
         assert weyl_numerator(r, k) == dim_irrep(r, k) * superfactorial(r)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+def test_dim_is_invariant_under_reversing_the_weight(r):
+    # reversal maps each consecutive sum k_l + ... + k_j to another one, so
+    # the limit shape's diagonal corner sees face j and face r + 1 - j alike
+    for k in enumerate_irreps(r, 10_000).weights.tolist():
+        assert dim_irrep(r, k) == dim_irrep(r, k[::-1]), k
+
+
+def test_weyl_numerator_is_invariant_under_reversal_at_real_points():
+    rng = random.Random(9)
+    for _ in range(200):
+        y = [rng.uniform(0.01, 10.0) for _ in range(3)]
+        assert weyl_numerator(3, y) == pytest.approx(weyl_numerator(3, y[::-1]), rel=1e-13)
+
+
+def test_dim_on_the_diagonal_is_a_power_of_the_level():
+    # homogeneous of degree nu with dim(1, ..., 1) = 1, the trivial module
+    for r in range(1, 7):
+        for K in range(1, 21):
+            assert dim_irrep(r, (K,) * r) == K ** degree(r), (r, K)
 
 
 def test_dimension_words_are_exact_dimensions_mod_two_to_64():
