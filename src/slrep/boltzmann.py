@@ -11,14 +11,15 @@ measure directly, one geometric per census weight (Duchon, Flajolet,
 Louchard & Schaeffer 2004), in one generator call per draw or batch of
 attempts, whatever the number of weights.
 
-`solve_saddle` tunes q so the expected total dimension equals n; writing
-q = exp(-s^nu) with nu = r(r+1)/2, the solved s shrinks like
-n^{-2/(r(r+3))}.  The solved parameters are the one state every later
-stage reads: q and the census the solve was certified on (`params.census`),
-with its per-class term arrays.  `params.with_cutoff` moves them to another
-census of their rank, which `sampling_params` does when sampling needs a
-wider one, and the samplers and exact distribution curves take the
-parameters alone.
+`solve_saddle` tunes q so the expected total dimension equals n, by Newton
+steps in beta = -log q that need no bracket, as the expectation is convex
+and decreasing in beta; writing q = exp(-s^nu) with nu = r(r+1)/2, the
+solved s shrinks like n^{-2/(r(r+3))}.  The solved parameters are the one
+state every later stage reads: q and the census the solve was certified on
+(`params.census`), with its per-class term arrays.  `params.with_cutoff`
+moves them to another census of their rank, which `sampling_params` does
+when sampling needs a wider one, and the samplers and exact distribution
+curves take the parameters alone.
 
 Every truncated sum here carries a certified tail bound, returned as the
 second element of a (value, err) pair or recorded on the params object.
@@ -32,7 +33,6 @@ a Selberg integral at every rank).
 from __future__ import annotations
 
 import math
-from itertools import count
 from typing import NamedTuple
 
 import numpy as np
@@ -106,29 +106,31 @@ def default_cutoff(r: int, n: int) -> int:
     return max(int(math.ceil(_CHI / beta_guess)), 8)
 
 
-def _saddle_gap(arrays, s: float, nu: int, n: int):
-    """E_s[total] - n on the census arrays (dims, counts), with its
-    derivative in s: -nu s^(nu-1) sum rho m^2 q^m / (1 - q^m)^2, q^m =
-    exp(-s^nu m).  The gap is summed exactly rounded; the derivative only
-    steers Newton steps, so a plain sum serves."""
-    terms, one_minus = _moment_terms(arrays, s**nu, 1)
-    slope = -nu * s ** (nu - 1) * float(np.sum(terms * arrays[0] / one_minus))
+def _saddle_gap(arrays, beta: float, n: int):
+    """E - n on the census arrays (dims, counts), with dE/dbeta = -sum rho
+    m^2 q^m / (1 - q^m)^2, q^m = exp(-beta m).  E = sum rho m sum_{k >= 1}
+    e^(-k beta m) is a sum of decreasing convex exponentials, so it is
+    convex and decreasing in beta, and a larger census only adds terms to
+    it.  The gap is summed exactly rounded; the derivative only steers
+    Newton steps, so a plain sum serves."""
+    terms, one_minus = _moment_terms(arrays, beta, 1)
+    slope = -float(np.sum(terms * arrays[0] / one_minus))
     return math.fsum(terms) - n, slope
 
 
 def solve_saddle(r: int, n: int, tol: float = 1e-8) -> BoltzmannParams:
     """Solve E_q[total dimension] = n for q, with |E - n| <= tol * n certified.
 
-    Monotone in s = (-log q)^{1/nu}: Newton steps on the census-truncated
-    expectation (a strict lower bound of the true one, so bracket signs are
-    certain), kept inside the bracket by bisection, then the truncation
-    error at the root is checked against the tolerance budget.  The census
-    starts at `default_cutoff`; it is doubled and the solve retried until
-    that check passes (a cutoff with beta X <= 1 has no tail bound and
-    fails it), so only the census cap (BudgetError) ends the loop.  The retry
-    starts from the root just found, inside the bracket of the first
-    search: a larger census only raises the truncated expectation, so the
-    lower end stays valid unchecked and only the upper end is tested again.
+    Newton in beta = -log q on the census-truncated E, from the leading-order
+    guess asymptotic_saddle(r, n)^nu.  E is convex and decreasing in beta, so
+    each tangent meets n at or left of the root: a guess right of it steps
+    left (or halves, where a step would reach beta <= 0), and from the first
+    iterate left of it on, each step rises to the root without passing it,
+    so the last gap bounds E - n at the beta returned.  The census starts at
+    `default_cutoff` and doubles, the solve resuming from its beta (a larger
+    census only raises E), until the truncation error there fits the
+    tolerance budget (a cutoff with beta X <= 1 has no tail bound and fails
+    it), so only the census cap (BudgetError) ends the loop.
     """
     if n < 1:
         raise ValueError(f"target dimension must be >= 1, got {n}")
@@ -137,47 +139,26 @@ def solve_saddle(r: int, n: int, tol: float = 1e-8) -> BoltzmannParams:
     if not 1e-12 <= tol < 1.0:
         raise ValueError(f"saddle tolerance must satisfy 1e-12 <= tol < 1, got {tol}")
     nu = degree(r)
-    s = asymptotic_saddle(r, n)
+    beta = asymptotic_saddle(r, n) ** nu
     X = default_cutoff(r, n)
-    lo, hi = s / 4.0, s * 4.0
-
-    for attempt in count():
+    while True:
         census = enumerate_irreps(r, X)
         arrays = census.dims.astype(float), census.counts.astype(float)
-        if attempt == 0:
-            for _ in range(80):
-                if _saddle_gap(arrays, lo, nu, n)[0] > 0.0:
-                    break
-                lo /= 2.0
-        for _ in range(80):
-            if _saddle_gap(arrays, hi, nu, n)[0] < 0.0:
-                break
-            hi *= 2.0
-        below, above = lo, hi   # Newton narrows a copy of the bracket
-        s = s if below < s < above else 0.5 * (below + above)
         for _ in range(200):
-            g, slope = _saddle_gap(arrays, s, nu, n)
-            if g == 0.0:
+            g, slope = _saddle_gap(arrays, beta, n)
+            # a flat tangent (every q^m underflows) lies right of the root
+            step = g / slope if slope else math.inf
+            if abs(step) <= 4.0 * math.ulp(beta):  # g == 0 included
+                beta -= step
                 break
-            if g > 0.0:
-                below = s
-            else:
-                above = s
-            step = g / slope
-            if abs(step) <= 4.0 * math.ulp(s):
-                s -= step
-                break
-            s = s - step if below < s - step < above else 0.5 * (below + above)
-
-        beta = s**nu
-        value = math.fsum(_moment_terms(arrays, beta, 1)[0])
+            beta = beta - step if step < beta else 0.5 * beta
         err = _moment_err(census, beta, 1) if beta * X > 1.0 else math.inf
-        if err <= tol * n / 2.0 and abs(value - n) <= tol * n / 2.0:
+        if err <= tol * n / 2.0 and abs(g) <= tol * n / 2.0:
             sigma2 = math.fsum(_moment_terms(arrays, beta, 2)[0])
-            return BoltzmannParams(rank=r, n=n, q=math.exp(-beta), s=s,
-                                   beta=beta, sigma2=sigma2, tail_bound=err,
-                                   solver_tol=tol, census=census,
-                                   term_arrays=_term_arrays(census, beta))
+            return BoltzmannParams(
+                rank=r, n=n, q=math.exp(-beta), s=beta ** (1.0 / nu), beta=beta,
+                sigma2=sigma2, tail_bound=err, solver_tol=tol, census=census,
+                term_arrays=_term_arrays(census, beta))
         X *= 2
 
 

@@ -294,7 +294,12 @@ def _cmd_constants(args, started):
 
 
 def _cmd_verify_weyl(args, started):
-    from .verify import appendix_window_check, theta_grid, weyl_lower_bound_check
+    from .verify import (
+        appendix_window_check,
+        sorted_distinct,
+        theta_grid,
+        weyl_lower_bound_check,
+    )
     _check_seed(args.seed)
     if not 2 <= args.rank <= MAX_RANK:
         raise ConfigError(f"--rank {args.rank} outside 2..{MAX_RANK}")
@@ -311,7 +316,7 @@ def _cmd_verify_weyl(args, started):
                           "default 2e6 bound (pass --unsafe to override)")
     random_part, adversarial = theta_grid(
         args.rank, args.N, args.eps, num_random=args.num_thetas, seed=args.seed)
-    thetas = np.unique(np.concatenate([random_part, adversarial]))
+    thetas = sorted_distinct(np.concatenate([random_part, adversarial]))
     note = (f"{args.num_thetas} log-uniform (seed {args.seed}) + "
             f"{adversarial.size} adversarial frequencies")
     report = weyl_lower_bound_check(args.rank, args.N, args.eps, thetas)

@@ -173,6 +173,15 @@ def _window_frequencies(thetas, box_size: int, epsilon: float, nu: int) -> np.nd
     return thetas
 
 
+def sorted_distinct(values) -> np.ndarray:
+    """The distinct values of a 1-D float array, ascending: what np.unique
+    returns, without the numpy.ma import its first call makes."""
+    values = np.sort(values)
+    keep = np.ones(values.size, dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
 def theta_grid(r: int, box_size: int, epsilon: float, num_random: int = 10_000,
                seed: int = 99):
     """(random, adversarial) frequency grids on [epsilon N^-nu, 1/2], every
@@ -203,7 +212,7 @@ def theta_grid(r: int, box_size: int, epsilon: float, num_random: int = 10_000,
     # theta 2^64 and its ceiling are exact doubles, and so is the quotient
     random_part = np.ceil(np.sort(random_part) * 2.0**64) / 2.0**64
     adversarial = np.ceil(np.array(list(adversarial)) * 2.0**64) / 2.0**64
-    return random_part, np.unique(adversarial)
+    return random_part, sorted_distinct(adversarial)
 
 
 def weyl_lower_bound_check(r: int, box_size: int, epsilon: float,

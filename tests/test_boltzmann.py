@@ -97,9 +97,10 @@ def test_solve_saddle_certifies_target(r, n):
 
 
 def brent_saddle(r, n, cutoff):
-    """(s, gap evaluations): the census-truncated saddle equation solved by
-    scipy's brentq after the solver's bracket search, on censuses from the
-    default cutoff doubling up to `cutoff`, as the solver enlarges them."""
+    """(s, gap evaluations): the census-truncated saddle equation in s solved
+    by scipy's brentq, on censuses from the default cutoff doubling up to
+    `cutoff`, as the solver enlarges them.  The solver needs no bracket; the
+    oracle keeps its own search, outward from the leading-order guess."""
     from scipy.optimize import brentq
 
     nu, calls = degree(r), 0
@@ -126,7 +127,8 @@ def brent_saddle(r, n, cutoff):
 
 
 @pytest.mark.parametrize("r,n", [(1, 10**6), (2, 10**4), (2, 10**6),
-                                 (2, 10**9), (3, 10**5), (3, 10**8)])
+                                 (2, 10**9), (3, 10**5), (3, 10**8),
+                                 (4, 10**6), (6, 10**3), (6, 10**6)])
 def test_solve_saddle_agrees_with_brent(monkeypatch, r, n):
     calls = 0
     gap = slrep.boltzmann._saddle_gap
@@ -140,13 +142,41 @@ def test_solve_saddle_agrees_with_brent(monkeypatch, r, n):
     params = solve_saddle(r, n)
     s, brent_calls = brent_saddle(r, n, params.cutoff)
     assert params.s == pytest.approx(s, rel=1e-13, abs=0.0)
-    # bracketed Newton needs no more gap evaluations than Brent did
+    # Newton in beta needs no more gap evaluations than Brent did, also
+    # where the seed overshoots and the census doubles (ranks 4 and 6)
     assert calls <= brent_calls
     if (r, n) == (3, 10**5):
         # this solve enlarges its census once; the retry starts from the
         # first root (22 evaluations when it restarted from scratch)
         assert params.cutoff > default_cutoff(r, n)
         assert calls <= 14
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
+def test_solve_saddle_steps_rise_to_the_root(monkeypatch, r):
+    # E is convex and decreasing in beta, so a tangent meets n at or left of
+    # the root: iterates right of it (the seed, and halvings where a step
+    # would reach beta <= 0) only fall, and from the first one left of it on,
+    # every step rises, across census retries too, as a larger census only
+    # raises E
+    gap = slrep.boltzmann._saddle_gap
+    for n in (1, 10**3, 10**6, 10**9):
+        seen = []
+
+        def recorded(arrays, beta, *rest):
+            g = gap(arrays, beta, *rest)
+            seen.append((beta, g[0]))
+            return g
+
+        monkeypatch.setattr(slrep.boltzmann, "_saddle_gap", recorded)
+        params = solve_saddle(r, n)
+        betas = [beta for beta, _ in seen]
+        left = next((i for i, (_, g) in enumerate(seen) if g >= 0.0), len(seen))
+        assert all(b < a for a, b in zip(betas[:left], betas[1:left]))
+        assert all(b >= a - 4.0 * math.ulp(a)
+                   for a, b in zip(betas[left:], betas[left + 1:])), (n, betas)
+        value, _ = expected_dim(params.q, params.census)
+        assert abs(value - n) <= params.solver_tol * n / 2.0
 
 
 def test_solve_saddle_is_monotone_in_target():
@@ -187,6 +217,15 @@ def test_solve_saddle_certifies_high_ranks(r):
         assert solve_saddle(6, 10**6).cutoff == 16 * default_cutoff(6, 10**6)
         params = solve_saddle(6, 10**3)
         assert default_cutoff(6, 10**3) * params.beta < 1.0
+
+
+def test_solve_saddle_halves_past_a_flat_tangent():
+    # at rank 8, n = 1 the seed beta = 2008 underflows every q^m, so the
+    # gap's slope is 0; beta halves until the terms return
+    params = solve_saddle(8, 1)
+    value, err = expected_dim(params.q, params.census)
+    assert err <= params.solver_tol / 2.0
+    assert abs(value - 1) <= params.solver_tol / 2.0
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf, 1.0, 5.0, 1e-16])
