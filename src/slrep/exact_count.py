@@ -16,20 +16,20 @@ the second form grouping the terms by the dimension j = k d they remove
 one factor 1/(1 - t^d) per weight, the classes in ascending dimension.  The
 table is an (n + 1, L) int64 array: row v holds p(v) in L limbs of radix
 2^31, least significant first, p(v) = sum_i limb_i 2^(31 i).  A factor is
-the in-place recurrence p[v] += p[v - d], run as one vectorized add per
-block of d rows, `p[j:j+d] += p[j-d:j]`; above n/2 a pass is a single
-slice add.  Carries are lazy: limbs are added limb by limb, and a Python
-integer `bound` caps every limb.  After a pass each new entry is a sum of at
-most m = n // d + 1 old entries, so every limb is at most bound * m.  The
-pass runs only when bound * m < 2^62; otherwise the limbs are first
-normalized: carries are rippled up and limbs appended while the top one
-carries, which leaves every limb below 2^31 and resets `bound` to 2^31 - 1.
-A limb below 2^62 plus a carry below 2^32 stays below 2^63, so no int64
-ever overflows as long as (2^31 - 1) m < 2^62, which holds for n < 2^31;
-`count_representations` refuses larger n.  At the end every row becomes a
-Python int.  The same class loop sieves sigma in int64: sigma(j) <= j R(j),
-where R(j) counts the weights of dimension at most j, fewer than the
-census cap MAX_WEIGHTS < 2^26, so sigma(j) < 2^31 2^26 = 2^57.
+the in-place recurrence p[v] += p[v - d]: one prefix sum over the blocks
+of d rows where the (n + 1) // d blocks outnumber the d rows of one,
+otherwise one vectorized add per block, `p[j:j+d] += p[j-d:j]`.  Carries
+are lazy: limbs are added limb by limb, and a pass makes each entry a sum
+of at most m = n // d + 1 old entries.  So a pass first reads the largest
+limb M, and when M m reaches 2^62 one carry round comes first: each limb
+keeps its low 31 bits and hands the rest, below 2^31, to the next limb, a
+new top limb taking the top one's carries.  Every limb then ends below
+2^32, and a pass leaves it below 2^32 (n + 1) <= 2^62 as long as n < 2^30;
+`count_representations` refuses larger n, whose table would need 8 GiB
+per limb.  At the end every row becomes a Python int.  The same class loop
+sieves sigma in int64: sigma(j) <= j R(j), where R(j) counts the weights
+of dimension at most j, fewer than the census cap MAX_WEIGHTS < 2^26, so
+sigma(j) < 2^30 2^26 = 2^56.
 
 `uniform_sample` draws an exactly uniform representation of dimension n by
 the recursive method (Nijenhuis & Wilf, Combinatorial Algorithms, 1978):
@@ -64,8 +64,8 @@ from .census import IrrepCensus, enumerate_irreps
 
 _LIMB_BITS = 31
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
-_LIMB_CAP = 1 << 62  # limbs below this take a normalization's carries in int64
-_MAX_TOTAL = 1 << 31  # the no-overflow proof needs (2^31 - 1)(n + 1) < 2^62
+_LIMB_CAP = 1 << 62  # limbs below this take a carry round's carries in int64
+_MAX_TOTAL = 1 << 30  # the no-overflow proof needs 2^32 (n + 1) <= 2^62
 
 
 class Representation:
@@ -139,7 +139,7 @@ def count_representations(r: int, n: int) -> CountTable:
     are lists of Python ints.
     """
     if n >= _MAX_TOTAL:
-        raise ValueError(f"count table needs n < 2^31 for its int64 limbs "
+        raise ValueError(f"count table needs n < 2^30 for its int64 limbs "
                          f"to provably not overflow, got {n}")
     if n < 0:
         raise ValueError(f"total dimension must be >= 0, got {n}")
@@ -150,22 +150,20 @@ def count_representations(r: int, n: int) -> CountTable:
     sigma = np.zeros(n + 1, dtype=np.int64)
     p = np.zeros((n + 1, 1), dtype=np.int64)
     p[0, 0] = 1
-    bound = 1  # every limb of p is at most bound
     for d, rho, _ in classes:
         sigma[d::d] += d * rho
         m = n // d + 1
-        whole = n + 1 - d  # blocks starting below row `whole` are d rows long
+        blocks = (n + 1) // d
         for _ in range(rho):
-            if bound * m >= _LIMB_CAP:
+            if int(p.max()) * m >= _LIMB_CAP:
                 p = _normalize(p)
-                bound = _LIMB_MASK
-            # in-place multiplication by 1/(1 - t^d), one block of d rows at a time
-            j = d
-            while j < whole:
-                p[j:j + d] += p[j - d:j]
-                j += d
-            p[j:] += p[j - d:whole]
-            bound *= m
+            if blocks > d:
+                v = p[:blocks * d].reshape(blocks, d, -1)
+                np.add.accumulate(v, axis=0, out=v)
+                p[blocks * d:] += p[(blocks - 1) * d:n + 1 - d]
+            else:
+                for j in range(d, n + 1, d):
+                    p[j:j + d] += p[j - d:min(j, n + 1 - d)]
     counts = p[:, -1].astype(object)
     for i in range(p.shape[1] - 2, -1, -1):
         counts = (counts << _LIMB_BITS) + p[:, i].astype(object)
@@ -174,17 +172,15 @@ def count_representations(r: int, n: int) -> CountTable:
 
 
 def _normalize(p):
-    """Ripple the carries of the limb array p up, so every limb is below
-    2^31; limbs are appended while the top one carries."""
-    for i in range(p.shape[1] - 1):
-        p[:, i + 1] += p[:, i] >> _LIMB_BITS
-        p[:, i] &= _LIMB_MASK
-    while True:
-        top = p[:, -1] >> _LIMB_BITS
-        if not top.any():
-            return p
-        p[:, -1] &= _LIMB_MASK
-        p = np.concatenate([p, top[:, None]], axis=1)
+    """One carry round on the limb array p, whose limbs are below 2^62:
+    every limb ends below 2^32, and the top limb's carries become a new
+    limb when any is nonzero."""
+    carry = p >> _LIMB_BITS
+    p &= _LIMB_MASK
+    p[:, 1:] += carry[:, :-1]
+    if carry[:, -1].any():
+        p = np.concatenate([p, carry[:, -1:]], axis=1)
+    return p
 
 
 def counts_excluding_one_weight(table: CountTable, a: int) -> list:

@@ -532,8 +532,9 @@ def test_verify_limits_trend_mode(capsys):
     ("saddle", "--rank", "2", "--n", "1000", "--tol", "5"),
     ("saddle", "--rank", "3", "--n", "1000", "--tol", "1e-16"),
     ("census", "--rank", "6", "--max-dim", "1000000000000000000"),
-    # the count table's int64 limbs are proven safe only below 2^31
-    ("count", "--rank", "2", "--n", "2147483648", "--unsafe"),
+    # the count table's int64 limbs are proven safe only below 2^30,
+    # the smallest refused total
+    ("count", "--rank", "2", "--n", "1073741824", "--unsafe"),
     # window options are checked before the frequency grid is drawn
     ("verify", "weyl", "--rank", "2", "--N", "4", "--eps", "nan"),
     ("verify", "weyl", "--rank", "2", "--N", "4", "--eps", "inf"),

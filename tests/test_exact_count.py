@@ -1,5 +1,6 @@
 """Exact representation counting and exactly uniform sampling."""
 
+import hashlib
 import random
 from bisect import bisect_right
 from collections import Counter
@@ -23,6 +24,14 @@ from oracles import count_by_recurrence, partitions_by_pentagonal_recurrence, re
 
 # p(10^4) at rank 2, the CLI's exact-counting cap
 COUNT_R2_10000 = 77286174609560949994788618084033615667449698306709202996900417272344870000
+
+# sha256 of ",".join(map(str, counts)) for the table of totals 0..10^4
+COUNT_DIGESTS_10000 = {
+    1: "47bcead18dd7cb418228880c94df90188ffd68dc3240ee0fafa729d83b20ad62",
+    2: "a96b5c1aca0e82d1470f701d5bf95436575a6f35d29b0a8d3faa51af6e51a3d5",
+    3: "19abc704430d3da897e34808344ebea07bbf4dde4ab1ea155012c381aaa130b6",
+    6: "81b518b5b52ab51a3b5af21373dfb32d13b6685757225b7e0bc50a4a3cef5bf5",
+}
 
 
 def partition_numbers(n):
@@ -97,10 +106,8 @@ def test_recurrence_equals_truncated_product(r):
     assert count_by_recurrence(r, 120) == table.counts
 
 
-@pytest.mark.parametrize("r, n", [(1, 1000), (2, 1500), (3, 2000), (4, 1000)])
-def test_limb_table_equals_recurrence(r, n, monkeypatch):
-    # sizes whose counts outgrow one 31-bit limb, so the table normalizes
-    # its lazy carries and appends limbs on the way
+def count_carry_rounds(monkeypatch):
+    """Record the limb count of the table at each carry round."""
     calls = []
     normalize = exact_count._normalize
 
@@ -109,20 +116,39 @@ def test_limb_table_equals_recurrence(r, n, monkeypatch):
         return normalize(p)
 
     monkeypatch.setattr(exact_count, "_normalize", counted)
+    return calls
+
+
+@pytest.mark.parametrize("r, n", [(1, 1000), (2, 1500), (3, 2000), (4, 3000)])
+def test_limb_table_equals_recurrence(r, n, monkeypatch):
+    # sizes whose counts outgrow one 62-bit limb, so the table runs carry
+    # rounds and appends limbs on the way
+    calls = count_carry_rounds(monkeypatch)
     table = count_representations(r, n)
     assert len(calls) >= 2 and calls[-1] > calls[0]  # limbs were appended
     assert table.counts[n].bit_length() > exact_count._LIMB_BITS
     assert table.counts == count_by_recurrence(r, n)
 
 
+@pytest.mark.parametrize("r, n", [(1, 1000), (2, 1500)])
+def test_table_is_exact_when_every_pass_carries(r, n, monkeypatch):
+    # with the cap at 2^36 nearly every pass runs a carry round first;
+    # limbs below 2^32 times m <= 1501 entries stay far inside int64
+    monkeypatch.setattr(exact_count, "_LIMB_CAP", 1 << 36)
+    calls = count_carry_rounds(monkeypatch)
+    table = count_representations(r, n)
+    assert len(calls) >= 100 and calls[-1] > calls[0]
+    assert table.counts == count_by_recurrence(r, n)
+
+
 def test_normalize_at_the_limb_bound():
-    # the largest limbs a pass may leave carry through without int64
-    # overflow, and the appended limbs end below 2^31 as well
+    # the largest limbs a pass may leave carry in one round without int64
+    # overflow: every limb ends below 2^32, the top carries become a limb
     top = exact_count._LIMB_CAP - 1
     p = np.full((3, 2), top, dtype=np.int64)
     q = exact_count._normalize(p)
-    assert q.shape[1] > 2
-    assert (q >= 0).all() and (q <= exact_count._LIMB_MASK).all()
+    assert q.shape[1] == 3
+    assert (q >= 0).all() and (q < 1 << 32).all()
     value = top + (top << exact_count._LIMB_BITS)
     for row in q:
         assert sum(int(x) << (exact_count._LIMB_BITS * i)
@@ -146,20 +172,27 @@ def test_count_at_the_exact_cap_is_pinned():
     assert count_representations(2, 10**4).counts[-1] == COUNT_R2_10000
 
 
+@pytest.mark.parametrize("r", sorted(COUNT_DIGESTS_10000))
+def test_whole_table_at_the_exact_cap_is_pinned(r):
+    counts = count_representations(r, 10**4).counts
+    digest = hashlib.sha256(",".join(map(str, counts)).encode()).hexdigest()
+    assert digest == COUNT_DIGESTS_10000[r]
+
+
 def test_count_rejects_negative_total():
     with pytest.raises(ValueError):
         count_representations(2, -1)
 
 
 def test_count_refuses_totals_beyond_the_limb_proof(monkeypatch):
-    # the int64 limbs are proven not to overflow only for n < 2^31; the
+    # the int64 limbs are proven not to overflow only for n < 2^30; the
     # refusal comes before any census or table is built
     def never(*args, **kwargs):
         raise AssertionError("census built for a refused total")
 
     monkeypatch.setattr(exact_count, "enumerate_irreps", never)
-    with pytest.raises(ValueError, match="2\\^31"):
-        count_representations(2, 2**31)
+    with pytest.raises(ValueError, match="2\\^30"):
+        count_representations(2, 2**30)
 
 
 @pytest.mark.parametrize("a", [1, 3, 6])
