@@ -243,7 +243,7 @@ def rejection_uniform_sample(params: BoltzmannParams, num_samples: int,
     # one column per weight after the trivial row 0
     m_vec = np.repeat(census.dims, census.counts)[1:]
     p_vec = np.repeat(params.term_arrays[3], census.counts)[1:]
-    max_rows = max((1 << 22) // max(len(m_vec), 1), 32)  # 32 MB batches
+    max_rows = max((1 << 22) // max(len(m_vec), 1), 1)  # 32 MB batches
 
     out = []
     attempts = 0

@@ -42,19 +42,21 @@ class ConfigError(ValueError):
     """Invalid configuration; maps to exit status 2."""
 
 
-def _check_bounds(args, exact: bool) -> None:
+def _check_bounds(args, exact: bool, sizes=()) -> None:
+    """The default caps on the rank and on every size a command runs at,
+    --n or each --n-grid point; --unsafe lifts them."""
     if args.unsafe:
         return
     r = args.rank
     if not 1 <= r <= MAX_RANK:
         raise ConfigError(f"rank {r} outside the default bound 1..{MAX_RANK} "
                           "(pass --unsafe to override)")
-    n = getattr(args, "n", None)
     bound = MAX_N_EXACT if exact else MAX_N_NUMERIC
-    if n is not None and not 1 <= n <= bound:
-        kind = "exact counting" if exact else "numeric"
-        raise ConfigError(f"n = {n} outside the default {kind} bound 1..{bound} "
-                          "(pass --unsafe to override)")
+    for n in sizes:
+        if not 1 <= n <= bound:
+            kind = "exact counting" if exact else "numeric"
+            raise ConfigError(f"n = {n} outside the default {kind} bound 1..{bound} "
+                              "(pass --unsafe to override)")
 
 
 def _check_seed(seed: int) -> None:
@@ -63,12 +65,8 @@ def _check_seed(seed: int) -> None:
 
 
 def _json_safe(value):
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value) if math.isfinite(value) else None
-    if isinstance(value, np.ndarray):
-        return [_json_safe(v) for v in value.tolist()]
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
     if isinstance(value, dict):
         return {k: _json_safe(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -131,23 +129,17 @@ def _mult_weight(args):
     return _parse_weight(args.k, args.rank)
 
 
-def _parse_grid(args, exact: bool):
+def _parse_grid(text: str):
     """The --n-grid sizes, strictly increasing, so that a trend along them
-    means something, and each checked against the bound `_check_bounds`
-    applies to --n."""
+    means something."""
     try:
-        grid = [int(x) for x in args.n_grid.split(",")]
+        grid = [int(x) for x in text.split(",")]
     except ValueError as exc:
-        raise ConfigError(f"bad integer grid {args.n_grid!r}") from exc
+        raise ConfigError(f"bad integer grid {text!r}") from exc
     if any(a >= b for a, b in zip(grid, grid[1:])):
-        raise ConfigError(f"n-grid {args.n_grid!r} is not strictly increasing")
+        raise ConfigError(f"n-grid {text!r} is not strictly increasing")
     if min(grid) < 1:
         raise ConfigError(f"n-grid point {min(grid)} below 1")
-    bound = MAX_N_EXACT if exact else MAX_N_NUMERIC
-    if not args.unsafe and max(grid) > bound:
-        kind = "exact-counting" if exact else "numeric"
-        raise ConfigError(f"n-grid point {max(grid)} above the {kind} "
-                          f"bound {bound} (pass --unsafe to override)")
     return grid
 
 
@@ -168,7 +160,7 @@ def _cmd_census(args, started):
 
 
 def _cmd_count(args, started):
-    _check_bounds(args, exact=True)
+    _check_bounds(args, exact=True, sizes=[args.n])
     table = count_representations(args.rank, args.n)
     lines = ["n,count"]
     lines += [f"{m},{table.counts[m]}" for m in range(args.n + 1)]
@@ -179,7 +171,7 @@ def _cmd_count(args, started):
 
 def _cmd_saddle(args, started):
     from .boltzmann import solve_saddle
-    _check_bounds(args, exact=False)
+    _check_bounds(args, exact=False, sizes=[args.n])
     params = solve_saddle(args.rank, args.n, tol=args.tol)
     results = {
         "s": params.s, "beta": params.beta, "q": params.q,
@@ -204,7 +196,7 @@ def _sample_record(index: int, rep) -> dict:
 
 def _cmd_sample(args, started):
     _check_seed(args.seed)
-    _check_bounds(args, exact=args.mode == "uniform-dp")
+    _check_bounds(args, exact=args.mode == "uniform-dp", sizes=[args.n])
     if args.samples < 1:
         raise ConfigError(f"sample count must be positive, got {args.samples}")
     lines = []
@@ -240,7 +232,7 @@ def _cmd_sample(args, started):
 
 def _cmd_dist(args, started):
     from .verify import compare_exact_to_limit
-    _check_bounds(args, exact=False)
+    _check_bounds(args, exact=False, sizes=[args.n])
     if args.tol is not None and not 0.0 <= args.tol < math.inf:  # refuses nan too
         raise ConfigError(f"--tol must be finite and nonnegative, got {args.tol}")
     report = compare_exact_to_limit(args.rank, args.n, args.stat, k=_mult_weight(args))
@@ -272,7 +264,7 @@ def _cmd_constants(args, started):
         saddle_scale_constant,
         variance_scale_constant,
     )
-    _check_bounds(args, exact=False)
+    _check_bounds(args, exact=False, sizes=[args.n])
     r = args.rank
     params = solve_saddle(r, args.n)
     constants = compute_constants(r, params.s)
@@ -346,8 +338,8 @@ def _cmd_verify_weyl(args, started):
 
 def _cmd_verify_ensembles(args, started):
     from .verify import default_weight, ensembles_tv, shrinking
-    _check_bounds(args, exact=True)
-    grid = _parse_grid(args, exact=True)
+    grid = _parse_grid(args.n_grid)
+    _check_bounds(args, exact=True, sizes=grid)
     k = _parse_weight(args.k, args.rank) or default_weight(args.rank)
     table = count_representations(args.rank, max(grid))
     tvs, errs = zip(*(ensembles_tv(table, n, k) for n in grid))
@@ -362,8 +354,8 @@ def _cmd_verify_ensembles(args, started):
 
 def _cmd_verify_limits(args, started):
     from .verify import compare_exact_to_limit, shrinking
-    _check_bounds(args, exact=False)
-    grid = _parse_grid(args, exact=False)
+    grid = _parse_grid(args.n_grid)
+    _check_bounds(args, exact=False, sizes=grid)
     k = _mult_weight(args)
     reports = [compare_exact_to_limit(args.rank, n, args.stat, k=k) for n in grid]
     gaps = [rep.gap for rep in reports]

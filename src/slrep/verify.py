@@ -25,8 +25,8 @@ The kernel evaluates a block of frequencies at once, one row of a
 (frequencies x dimensions) word array per frequency, with as many rows as
 keep the block within _BLOCK_ELEMENTS words; a box with more distinct
 dimensions than that runs one row per block.  The points inside a window
-are gathered as a sparse set of flat indices, so a count is the box size
-minus a weighted bincount of that set.
+are marked in a boolean mask of the block, so a count is the box size
+minus a weighted bincount of the mask's flat nonzero indices.
 """
 
 from __future__ import annotations
@@ -71,9 +71,9 @@ def _window_blocks(thetas, dims, window):
     multiple of 2^-64 in [0, 1], which is checked before the first block.
     Yields (block, inside): block is an index array into thetas, with at
     most max(1, _BLOCK_ELEMENTS // len(dims)) entries, and the blocks
-    together take every index once, in order.  inside holds the flat
-    indices into the (block.size, len(dims)) array of the block's points
-    whose distance to the nearest integer is at most window, exactly.
+    together take every index once, in order.  inside is the boolean
+    (block.size, len(dims)) mask of the block's points whose distance to
+    the nearest integer is at most window, exactly.
     """
     dims = np.asarray(dims, dtype=np.int64)
     thetas = np.asarray(thetas, dtype=float)
@@ -99,7 +99,7 @@ def _window_blocks(thetas, dims, window):
         np.multiply(unsigned, words[block, None], out=F)
         signed = F.view(np.int64)
         np.abs(signed, out=signed)  # F now holds D
-        yield block, np.flatnonzero(F.reshape(-1) <= threshold)
+        yield block, F <= threshold
 
 
 def _lambda_dims(r: int, box_size: int) -> np.ndarray:
@@ -140,13 +140,13 @@ def _window_arrays(thetas, dims, window):
     sizes of practical interest repeat roughly a quarter of them), and
     `_window_blocks` evaluates the frequencies a block at a time.  A count
     is the box size minus the weighted bincount, by row, of the block's
-    sparse inside set.
+    inside mask.
     """
     unique, mult = np.unique(np.asarray(dims), return_counts=True)
     total = int(mult.sum())
     counts = np.empty(len(thetas), dtype=np.int64)
     for block, inside in _window_blocks(thetas, unique, window):
-        row, column = np.divmod(inside, unique.size)
+        row, column = np.divmod(np.flatnonzero(inside), unique.size)
         counts[block] = total - np.bincount(row, weights=mult[column],
                                             minlength=block.size)
     return counts
@@ -289,10 +289,8 @@ def appendix_window_check(box_size: int, epsilon: float, thetas) -> AppendixRepo
     min_counts = np.empty(ladder_thetas.size, dtype=np.int64)
     max_lengths = np.empty(ladder_thetas.size, dtype=np.int64)
     follows = np.empty(ladder_thetas.size, dtype=bool)
-    for block, inside in _window_blocks(ladder_thetas, odd, epsilon / 2.0):
+    for block, edge in _window_blocks(ladder_thetas, odd, epsilon / 2.0):
         rows = block.size
-        edge = np.zeros((rows, length), dtype=np.int8)
-        edge.reshape(-1)[inside] = 1
         # prefix[i, j]: edge points among the first j of row i
         prefix = np.zeros((rows, length + 1), dtype=np.int64)
         np.cumsum(edge, axis=1, out=prefix[:, 1:])
@@ -414,9 +412,13 @@ SHAPE_REL_ERR = 1e-6
 
 
 @cache
-def _mgf_limit(r):
-    """Read-only (limit, limit_err) of the rank-r mgf report on _MGF_GRID."""
-    limit, limit_err = count_mgf(np.array(_MGF_GRID), enumerate_irreps(r, _MGF_LIMIT_MAX_DIM))
+def _limit_column(r, which):
+    """Read-only (limit, limit_err) of the mgf or shape report: it depends on r alone."""
+    if which == "mgf":
+        limit, limit_err = count_mgf(np.array(_MGF_GRID),
+                                     enumerate_irreps(r, _MGF_LIMIT_MAX_DIM))
+    else:
+        limit, limit_err = limit_shape(r, default_shape_grid(r))
     limit.flags.writeable = limit_err.flags.writeable = False
     return limit, limit_err
 
@@ -493,7 +495,7 @@ def compare_exact_to_limit(r: int, n: int, which: str, *, k=None) -> LimitGapRep
                 break
             cutoff *= 2
         exact = params.s**r * values
-        limit, limit_err = limit_shape(r, grid)
+        limit, limit_err = _limit_column(r, "shape")
         exact_err = float(np.max(err / values))
         limit_err = float(np.max(limit_err / limit))
         kind = "an estimate" if r == 3 else "certified"
@@ -510,7 +512,7 @@ def compare_exact_to_limit(r: int, n: int, which: str, *, k=None) -> LimitGapRep
     else:  # which == "mgf"
         grid = np.array(_MGF_GRID)
         exact, exact_err = np.array([exact_count_mgf(params, u) for u in _MGF_GRID]).T
-        limit, limit_err = _mgf_limit(r)
+        limit, limit_err = _limit_column(r, "mgf")
         exact_err, limit_err = float(exact_err.max()), float(limit_err.max())
         note = "transformed-count mgf on the standard u-grid"
     return LimitGapReport(which, r, n, grid, exact, limit,

@@ -749,3 +749,26 @@ def test_sampler_generator_calls_do_not_grow_with_classes():
     batches = rng.calls["geometric"]
     assert rng.calls["random"] == batches
     assert rng.calls.total() == 2 * batches
+
+
+def test_rejection_batches_stay_within_32_mb():
+    # 2^18 - 1 columns after the trivial row: the batch floor must not hold
+    # more rows than fit in 2^22 words
+    params = solve_saddle(1, 10**4).with_cutoff(2**18)
+    sizes = []
+
+    class Recording:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def geometric(self, p, size):
+            sizes.append(size)
+            return self.rng.geometric(p, size=size)
+
+        def random(self, size):
+            return self.rng.random(size)
+
+    reps = rejection_uniform_sample(params, 1, Recording(np.random.default_rng(47)))
+    assert reps[0].total_dim() == 10**4
+    assert sizes and sizes[0][1] == 2**18 - 1
+    assert all(rows * columns <= 2**22 for rows, columns in sizes)

@@ -272,7 +272,7 @@ def test_census_builds_per_command(capsys, monkeypatch, label):
                 getattr(module, "enumerate_irreps", None) is original:
             monkeypatch.setattr(module, "enumerate_irreps", counted)
     # each CLI process starts without the limit products of earlier tests
-    slrep.verify._mgf_limit.cache_clear()
+    slrep.verify._limit_column.cache_clear()
     code, _, _ = run_cli(capsys, *argv)
     assert code == 0
     assert len(calls) == expected, calls
@@ -712,7 +712,8 @@ def test_dimension_beyond_floats_is_refused(command):
      "weight must be 4 positive integers"),
     (("--rank", "7", "--n-grid", "20,60"), "outside the default bound 1..6"),
     (("--rank", "2", "--n-grid", "0,60"), "n-grid point 0 below 1"),
-    (("--rank", "2", "--n-grid", "20,60000"), "above the exact-counting bound"),
+    (("--rank", "2", "--n-grid", "20,60000"),
+     "n = 60000 outside the default exact counting bound 1..10000"),
     (("--rank", "2", "--n-grid", "20,60", "--k", "a"),
      "weight must be 2 positive integers, got 'a'"),
     (("--rank", "2", "--n-grid", "20,60", "--k", ""),

@@ -7,10 +7,12 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import slrep.verify
 from slrep.boltzmann import exact_count_mgf, solve_saddle
 from slrep.census import enumerate_irreps
 from slrep.exact_count import count_representations, counts_excluding_one_weight
 from slrep.verify import (
+    SHAPE_REL_ERR,
     appendix_window_check,
     compare_exact_to_limit,
     ensembles_tv,
@@ -74,9 +76,7 @@ def kernel_rows(thetas, dims, window):
     outside = np.ones((len(thetas), len(dims)), dtype=bool)
     taken = []
     for block, inside in _window_blocks(thetas, dims, window):
-        rows = np.ones((block.size, len(dims)), dtype=bool)
-        rows.reshape(-1)[inside] = False
-        outside[block] = rows
+        outside[block] = ~inside
         taken.extend(block.tolist())
     assert taken == list(range(len(thetas)))
     return outside
@@ -319,7 +319,7 @@ def test_ladder_run_structure_against_a_direct_scan(monkeypatch):
         assert len(dims) == length and window == eps / 2.0
         for start in range(0, len(thetas), 7):
             block = np.arange(start, min(start + 7, len(thetas)))
-            yield block, np.flatnonzero(edges[block])
+            yield block, edges[block]
 
     monkeypatch.setattr("slrep.verify._window_blocks", blocks)
     thetas = np.linspace(eps / box, 0.5 - eps / box, 200)
@@ -573,6 +573,28 @@ def test_compare_shape_certifies_every_corner():
     assert report.note.endswith("certified")
     far = math.ceil(float(report.grid.max()) / params.s)
     assert dim_irrep(2, (far, far)) > params.cutoff
+
+
+def test_compare_shape_doubles_an_uncertified_census(monkeypatch):
+    # the first shape census reports a truncation error above the target, so
+    # the report must build one more at twice the cutoff; every later call
+    # is real, so a report that stops doubling ends at once and fails here
+    original = slrep.verify.exact_expected_shape
+    cutoffs = []
+
+    def first_uncertified(params, levels):
+        values, err = original(params, levels)
+        cutoffs.append(params.cutoff)
+        if len(cutoffs) == 1:
+            err = np.maximum(err, 2 * SHAPE_REL_ERR * values)
+        return values, err
+
+    unforced = compare_exact_to_limit(2, 10**4, "shape")
+    monkeypatch.setattr(slrep.verify, "exact_expected_shape", first_uncertified)
+    report = compare_exact_to_limit(2, 10**4, "shape")
+    assert len(cutoffs) == 2 and cutoffs[1] == 2 * cutoffs[0]
+    assert report.exact_err <= SHAPE_REL_ERR
+    np.testing.assert_allclose(report.exact, unforced.exact, rtol=1e-6, atol=0)
 
 
 @pytest.mark.parametrize("r,n,repeats", [
