@@ -140,18 +140,6 @@ def enumerate_irreps(r: int, max_dim) -> IrrepCensus:
                        cumulative=np.cumsum(counts), weights=weights)
 
 
-def write_csv(census: IrrepCensus, fileobj) -> None:
-    """Dump as CSV with header m,rho,cumulative."""
-    fileobj.write("m,rho,cumulative\n")
-    # Python ints format about twice as fast as numpy scalars; 2^16 rows at
-    # a time keep their lists small
-    for i in range(0, census.dims.size, 2**16):
-        rows = slice(i, i + 2**16)
-        fileobj.write("".join(f"{m},{c},{s}\n" for m, c, s in zip(
-            census.dims[rows].tolist(), census.counts[rows].tolist(),
-            census.cumulative[rows].tolist())))
-
-
 _U = 2.0**-53          # unit roundoff of a double
 _TINY = 2.0**-1022     # smallest normal double
 

@@ -461,7 +461,8 @@ def limit_shape(r: int, levels):
         raise ValueError(f"levels must be a 1-D array, got shape {t.shape}")
     if not np.all(t > 0.0):
         raise ValueError(f"shape level must be strictly positive, got {levels}")
-    x0 = t ** degree(r)
+    with np.errstate(over="ignore"):  # refused below
+        x0 = t ** degree(r)
     if r == 1:
         values = np.where(x0 < math.log(2.0), -np.log(-np.expm1(-x0)),
                           -np.log1p(-np.exp(-x0)))

@@ -222,12 +222,12 @@ def weyl_lower_bound_check(r: int, box_size: int, epsilon: float,
     For every theta in [epsilon N^-nu, 1/2], at least N^r / 32 box points
     must keep theta * a(k) at distance > w = 2^-nu epsilon from the
     integers.  Every theta must be a multiple of 2^-64, as theta_grid's
-    are.  Counts are exact, so a reported pass is a proof and a reported
-    violation is a bug.  The sin^2 bound follows from the count:
-    every counted point has ||theta a|| > w, and sin^2(pi x) increases on
-    [0, 1/2], so the sum of sin^2(pi theta a) over the box is at least
-    count * sin^2(pi w), which is at least sin2_bound = sin^2(pi w) N^r / 32
-    once count >= N^r / 32.
+    are.  Counts are exact, so a reported pass proves the bound at the
+    frequencies given, not between them; a reported violation is a bug.
+    The sin^2 bound follows from the count: every counted point has
+    ||theta a|| > w, and sin^2(pi x) increases on [0, 1/2], so the sum of
+    sin^2(pi theta a) over the box is at least count * sin^2(pi w), which
+    is at least sin2_bound = sin^2(pi w) N^r / 32 once count >= N^r / 32.
     """
     if r < 2:
         raise ValueError("window bounds need rank >= 2")

@@ -2,7 +2,6 @@
 tail bounds."""
 
 import functools
-import io
 import math
 
 import mpmath as mp
@@ -17,8 +16,8 @@ from slrep.census import (
     inverse_moment_tail,
     region_volume,
     weighted_tail_bound,
-    write_csv,
 )
+from slrep.cli import main
 from slrep.weights import degree, dim_irrep, superfactorial
 
 from census_terms import (
@@ -208,11 +207,17 @@ def test_censuses_are_nested(r, X, Y):
     assert np.array_equal(small.weights, large.weights[:small.num_weights])
 
 
-def test_write_csv_round_trip():
+def cli_census_csv(tmp_path, r, X):
+    """The CSV table that `slrep census --out` writes."""
+    path = tmp_path / "census.csv"
+    assert main(["census", "--rank", str(r), "--max-dim", str(X),
+                 "--out", str(path)]) == 0
+    return path.read_text()
+
+
+def test_write_csv_round_trip(tmp_path):
     census = enumerate_irreps(2, 10)
-    buf = io.StringIO()
-    write_csv(census, buf)
-    lines = buf.getvalue().splitlines()
+    lines = cli_census_csv(tmp_path, 2, 10).splitlines()
     assert lines[0] == "m,rho,cumulative"
     assert lines[1] == "1,1,1"
     assert lines[-1] == "10,2,8"
@@ -221,15 +226,13 @@ def test_write_csv_round_trip():
 
 @pytest.mark.parametrize("r,X", [(1, 10**4), (2, 10**6), (3, 10**7),
                                  (4, 10**8), (5, 10**10), (6, 10**11)])
-def test_write_csv_matches_numpy_scalar_rows(r, X):
+def test_write_csv_matches_numpy_scalar_rows(tmp_path, r, X):
     # the rows are formatted from Python ints; the bytes are those of the
     # numpy scalars they came from
     census = enumerate_irreps(r, X)
-    buf = io.StringIO()
-    write_csv(census, buf)
     rows = "".join(f"{m},{c},{s}\n" for m, c, s in
                    zip(census.dims, census.counts, census.cumulative))
-    assert buf.getvalue() == "m,rho,cumulative\n" + rows
+    assert cli_census_csv(tmp_path, r, X) == "m,rho,cumulative\n" + rows
 
 
 def test_region_volume_rank_one_exact():
@@ -502,6 +505,8 @@ def test_inverse_moment_tail_brackets_partial_sums():
             assert est - err > 0.0, r
     with pytest.raises(ValueError):
         inverse_moment_tail(enumerate_irreps(1, 50), 1)
+    with pytest.raises(ValueError):
+        inverse_moment_tail(enumerate_irreps(2, 100), 0.5)  # order below 2/(r+1)
 
 
 def test_inverse_moment_tail_matches_its_direct_sum():

@@ -278,6 +278,28 @@ def test_census_builds_per_command(capsys, monkeypatch, label):
     assert len(calls) == expected, calls
 
 
+# sha256 of `census` tables, recorded when the CSV was written from one
+# in-memory copy; the streamed table repeats them byte for byte
+CENSUS_CSV_DIGESTS = {
+    ("1", "1000000"): "7d4eddd56de301891558dce22b27a310b0dc1ebaa8d1acb621e5c757667d9742",
+    ("4", "10000000000"): "9caec070ef897131d6a1038a47a212af216110ce59c149c8305525116e1e33ad",
+    ("6", "1000000000000"): "3719270bbb9cf6e197a15fdcd96c76e1c0643c332fac7b7bfd5f7ca24e612545",
+}
+
+
+@pytest.mark.parametrize("rank,max_dim", CENSUS_CSV_DIGESTS)
+def test_census_csv_is_pinned(tmp_path, capsys, rank, max_dim):
+    # --out and stdout write the same bytes
+    path = tmp_path / "census.csv"
+    argv = ("census", "--rank", rank, "--max-dim", max_dim)
+    code, out, _ = run_cli(capsys, *argv, "--out", str(path))
+    assert code == 0 and split_manifest(out)[1] == ""
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    for data in (path.read_bytes(), split_manifest(out)[1].encode()):
+        assert hashlib.sha256(data).hexdigest() == CENSUS_CSV_DIGESTS[rank, max_dim]
+
+
 def test_out_file_is_listed_in_manifest(tmp_path, capsys):
     path = tmp_path / "table.csv"
     code, out, _ = run_cli(capsys, "count", "--rank", "2", "--n", "8",
@@ -439,13 +461,17 @@ def test_verify_weyl_results_are_pinned(capsys, rank, N):
         assert results[field] == value, field
 
 
-@pytest.mark.parametrize("rank,N", [("3", "8"), ("4", "9"), ("3", "12"),
-                                    ("2", "32"), ("2", "33")])
+@pytest.mark.parametrize("rank,N,eps", [
+    ("3", "8", "0.03125"), ("4", "9", "0.03125"), ("3", "12", "0.03125"),
+    ("2", "32", "0.03125"), ("2", "33", "0.03125"), ("2", "4", "1e-25"),
+], ids=["3-8", "4-9", "3-12", "2-32", "2-33", "2-4-1e-25"])
 def test_verify_weyl_grid_note_counts_the_frequencies_added(capsys, monkeypatch,
-                                                            rank, N):
+                                                            rank, N, eps):
     # the note's adversarial count is what the grid adds to the random part,
     # also where N is not a power of two and several doubles round to one
-    # point; the checks are stubbed, so no box is built
+    # point; at eps 1e-25 log-uniform draws below 2^-64 round up to it, and
+    # the note counts the frequencies merged.  The checks are stubbed, so no
+    # box is built
     checked = []
 
     def weyl_check(r, box_size, epsilon, thetas):
@@ -464,13 +490,16 @@ def test_verify_weyl_grid_note_counts_the_frequencies_added(capsys, monkeypatch,
     monkeypatch.setattr("slrep.verify.weyl_lower_bound_check", weyl_check)
     monkeypatch.setattr("slrep.verify.appendix_window_check", ladder_check)
     code, out, _ = run_cli(capsys, "verify", "weyl", "--rank", rank, "--N", N,
-                           "--eps", "0.03125", "--num-thetas", "1000")
+                           "--eps", eps, "--num-thetas", "1000")
     assert code == 0
     results = split_manifest(out)[0]["results"]
-    note = re.fullmatch(r"1000 log-uniform \(seed 99\) \+ (\d+) adversarial frequencies",
+    note = re.fullmatch(r"1000 log-uniform \(seed 99\) \+ (\d+) adversarial frequencies"
+                        r"(?:, (\d+) merged by rounding to multiples of 2\^-64)?",
                         results["grid"])
     assert note, results["grid"]
-    assert results["num_thetas"] == 1000 + int(note[1]) == checked[0].size
+    merged = int(note[2] or 0)
+    assert (merged > 0) == (eps == "1e-25")
+    assert results["num_thetas"] == 1000 + int(note[1]) - merged == checked[0].size
 
 
 def test_verify_ensembles_trend(capsys):
@@ -763,15 +792,20 @@ def run_fresh(*argv, code=None, stdout=subprocess.PIPE):
                           stderr=subprocess.PIPE, text=True, env=env, timeout=300)
 
 
-@pytest.mark.parametrize("n", ["8", "2000"])
-def test_closed_stdout_exits_one_without_traceback(n):
+@pytest.mark.parametrize("argv", [
+    ("count", "--rank", "2", "--n", "8"),
+    ("count", "--rank", "2", "--n", "2000"),
+    ("census", "--rank", "2", "--max-dim", "1000000"),
+], ids=["8", "2000", "census"])
+def test_closed_stdout_exits_one_without_traceback(argv):
     # the reader is gone before the first byte: at n = 8 all output is still
     # buffered when the command returns, at n = 2000 the table overflows the
-    # buffer while it is written
+    # buffer while it is written, and the census's 17,192 rows overflow it
+    # while they are formatted
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = run_fresh("count", "--rank", "2", "--n", n, stdout=write_end)
+        proc = run_fresh(*argv, stdout=write_end)
     finally:
         os.close(write_end)
     assert proc.returncode == 1

@@ -258,6 +258,10 @@ def test_limit_shape_validation():
             limit_shape(2, np.array([1.0, bad]))
     with pytest.raises(NotImplementedError):
         limit_shape(4, np.array([1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # t^nu overflows: refused, not warned
+        with pytest.raises(ValueError):
+            limit_shape(2, [1e200])
 
 
 def test_limit_shape_is_decreasing_in_the_corner():
@@ -275,6 +279,8 @@ def test_count_mgf_normalization_and_validation():
         count_mgf(np.array([1.0 + 1e-12]), census)  # beyond the pole at m = 1
     with pytest.raises(ValueError):
         count_mgf(np.array([20_000.0]), census)
+    with pytest.raises(ValueError):
+        count_mgf(np.array([0.9]), enumerate_irreps(2, 1))  # |u| above X / 2
     for bad in (np.float64(0.3), np.array([[0.3]]), np.array([0.3 + 0.2j])):
         with pytest.raises(ValueError):
             count_mgf(bad, census)

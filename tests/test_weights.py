@@ -38,6 +38,8 @@ def brute_dim(r, k):
 
 def test_superfactorial_values():
     assert [superfactorial(r) for r in (1, 2, 3, 4)] == [1, 2, 12, 288]
+    with pytest.raises(ValueError):
+        superfactorial(-1)
 
 
 def test_degree_is_triangular():
@@ -69,10 +71,10 @@ def test_dim_matches_brute_product():
 
 
 def test_dim_rejects_nonpositive_entries():
-    with pytest.raises(ValueError):
-        dim_irrep(2, (1, 0))
-    with pytest.raises(ValueError):
-        dim_irrep(3, (1, -2, 1))
+    # and a rank below 1 or a weight of the wrong length
+    for r, k in ((2, (1, 0)), (3, (1, -2, 1)), (0, ()), (2, (1,))):
+        with pytest.raises(ValueError):
+            dim_irrep(r, k)
 
 
 def test_weyl_numerator_division_is_exact():
