@@ -178,6 +178,10 @@ SAMPLING_TV = 1e-12
 
 REJECTION_ATTEMPT_FACTOR = 100.0  # attempt budget per sample, in expected attempts
 
+REJECTION_MAX_N = 2**62
+"""The rejection sampler's bound on n, which it holds in int64 (see
+rejection_uniform_sample)."""
+
 
 def sampling_params(params: BoltzmannParams) -> BoltzmannParams:
     """params on a census wide enough to sample within SAMPLING_TV in TV: the
@@ -228,11 +232,19 @@ def rejection_uniform_sample(params: BoltzmannParams, num_samples: int,
     in batches, one geometric and one uniform call per batch; expected
     attempts per sample is about (1 - q) sqrt(2 pi sigma_n^2).
 
+    An attempt's total sum a X_k is an int64 dot product, exact below 2^63,
+    and n < REJECTION_MAX_N keeps n and k = n - total in int64 for every
+    total up to n.  The terms are nonnegative, so only a total above n can
+    wrap; an accepted row is kept when its exact total_dim is n, which
+    drops the rows a wrap let through and no other.
+
     Raises RuntimeError when the census's truncation TV exceeds SAMPLING_TV
     or the attempt budget (REJECTION_ATTEMPT_FACTOR times that count per
-    requested sample) is exhausted, and ValueError for a census that does
-    not start at the trivial module.
+    requested sample) is exhausted, and ValueError for n >= REJECTION_MAX_N
+    or a census that does not start at the trivial module.
     """
+    if params.n >= REJECTION_MAX_N:
+        raise ValueError(f"rejection sampling needs n < 2^62, got {params.n}")
     census = _require_sampling_census(params)
     if census.dims[0] != 1 or census.counts[0] != 1:
         raise ValueError("rejection sampling needs a census that starts at "
@@ -256,10 +268,14 @@ def rejection_uniform_sample(params: BoltzmannParams, num_samples: int,
         ks = params.n - mat @ m_vec
         u = rng.random(rows)
         accepted = (ks >= 0) & (u < np.exp(-params.beta * np.maximum(ks, 0)))
-        for ridx in np.flatnonzero(accepted)[:num_samples - len(out)]:
+        for ridx in np.flatnonzero(accepted):
+            if len(out) == num_samples:
+                break
             mult = np.append(ks[ridx], mat[ridx])
             used = np.flatnonzero(mult)
-            out.append(Representation(census, used, mult[used]))
+            rep = Representation(census, used, mult[used])
+            if rep.total_dim() == params.n:
+                out.append(rep)
         attempts += rows
         if len(out) < num_samples and attempts >= max_attempts:
             raise RuntimeError(

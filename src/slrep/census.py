@@ -114,7 +114,7 @@ def enumerate_irreps(r: int, max_dim) -> IrrepCensus:
     bound = sum(region_volume(r)) * X ** (2.0 / (r + 1))
     if bound > MAX_WEIGHTS:
         raise BudgetError(f"census at cutoff {X} may hold up to {bound:.3g} "
-                          f"weights, above the cap {MAX_WEIGHTS}")
+                          f"weights, above the census cap {MAX_WEIGHTS}")
 
     columns = _scan(r, X)
     # each word is its dimension (X < 2^63); 2^15 weights a call keep work arrays small

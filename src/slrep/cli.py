@@ -31,9 +31,9 @@ from . import _IMPORT_STARTED, __version__
 from .census import BudgetError, enumerate_irreps, region_volume
 from .exact_count import count_representations, uniform_sample
 from .stats import STATISTICS, stat_height, stat_max_dim
+from .weights import degree
 
 MAX_RANK = 6
-MAX_N_NUMERIC = 10**9
 MAX_N_EXACT = 10**4
 
 
@@ -41,21 +41,20 @@ class ConfigError(ValueError):
     """Invalid configuration; maps to exit status 2."""
 
 
-def _check_bounds(args, exact: bool, sizes=()) -> None:
-    """The default caps on the rank and on every size a command runs at,
-    --n or each --n-grid point; --unsafe lifts them."""
+def _check_bounds(args, sizes=()) -> None:
+    """The default bounds: the rank, and each exact-counting size, --n or
+    every --n-grid point; --unsafe lifts them.  A numeric command passes no
+    sizes: the census cap (BudgetError) bounds its n."""
     if args.unsafe:
         return
     r = args.rank
     if not 1 <= r <= MAX_RANK:
         raise ConfigError(f"rank {r} outside the default bound 1..{MAX_RANK} "
                           "(pass --unsafe to override)")
-    bound = MAX_N_EXACT if exact else MAX_N_NUMERIC
     for n in sizes:
-        if not 1 <= n <= bound:
-            kind = "exact counting" if exact else "numeric"
-            raise ConfigError(f"n = {n} outside the default {kind} bound 1..{bound} "
-                              "(pass --unsafe to override)")
+        if not 1 <= n <= MAX_N_EXACT:
+            raise ConfigError(f"n = {n} outside the default exact counting bound "
+                              f"1..{MAX_N_EXACT} (pass --unsafe to override)")
 
 
 def _check_seed(seed: int) -> None:
@@ -145,7 +144,7 @@ def _parse_grid(text: str):
 # ---- subcommands ----
 
 def _cmd_census(args, started):
-    _check_bounds(args, exact=False)
+    _check_bounds(args)
     census = enumerate_irreps(args.rank, args.max_dim)
     vol, vol_err = region_volume(args.rank)
     results = {
@@ -167,7 +166,7 @@ def _cmd_census(args, started):
 
 
 def _cmd_count(args, started):
-    _check_bounds(args, exact=True, sizes=[args.n])
+    _check_bounds(args, [args.n])
     table = count_representations(args.rank, args.n)
     lines = ["n,count"]
     lines += [f"{m},{table.counts[m]}" for m in range(args.n + 1)]
@@ -178,7 +177,7 @@ def _cmd_count(args, started):
 
 def _cmd_saddle(args, started):
     from .boltzmann import solve_saddle
-    _check_bounds(args, exact=False, sizes=[args.n])
+    _check_bounds(args)
     params = solve_saddle(args.rank, args.n, tol=args.tol)
     results = {
         "s": params.s, "beta": params.beta, "q": params.q,
@@ -203,7 +202,7 @@ def _sample_record(index: int, rep) -> dict:
 
 def _cmd_sample(args, started):
     _check_seed(args.seed)
-    _check_bounds(args, exact=args.mode == "uniform-dp", sizes=[args.n])
+    _check_bounds(args, [args.n] if args.mode == "uniform-dp" else ())
     if args.samples < 1:
         raise ConfigError(f"sample count must be positive, got {args.samples}")
     lines = []
@@ -218,12 +217,16 @@ def _cmd_sample(args, started):
         extra = {"truncation_tv_bound": 0.0}
     else:
         from .boltzmann import (
+            REJECTION_MAX_N,
             boltzmann_sample,
             rejection_uniform_sample,
             sampling_params,
             solve_saddle,
             truncation_tv_bound,
         )
+        if args.mode == "uniform-rejection" and args.n >= REJECTION_MAX_N:
+            raise ConfigError(f"uniform-rejection needs n < 2^62, got {args.n}: "
+                              "its attempts sum dimensions in int64")
         params = sampling_params(solve_saddle(args.rank, args.n))
         for i in range(args.samples):
             rng = np.random.default_rng(np.random.SeedSequence((args.seed, i)))
@@ -239,7 +242,7 @@ def _cmd_sample(args, started):
 
 def _cmd_dist(args, started):
     from .verify import compare_exact_to_limit
-    _check_bounds(args, exact=False, sizes=[args.n])
+    _check_bounds(args)
     if args.tol is not None and not 0.0 <= args.tol < math.inf:  # refuses nan too
         raise ConfigError(f"--tol must be finite and nonnegative, got {args.tol}")
     report = compare_exact_to_limit(args.rank, args.n, args.stat, k=_mult_weight(args))
@@ -271,7 +274,7 @@ def _cmd_constants(args, started):
         saddle_scale_constant,
         variance_scale_constant,
     )
-    _check_bounds(args, exact=False, sizes=[args.n])
+    _check_bounds(args)
     r = args.rank
     params = solve_saddle(r, args.n)
     constants = compute_constants(r, params.s)
@@ -306,6 +309,10 @@ def _cmd_verify_weyl(args, started):
         raise ConfigError(f"--eps must lie in (0, 1/32], got {args.eps}")
     if args.N < 4:
         raise ConfigError(f"--N must be at least 4, got {args.N}")
+    nu = degree(args.rank)
+    if args.eps * 2.0**64 < args.N ** nu:  # an exact comparison at any N
+        raise ConfigError(f"--eps {args.eps} puts the lowest frequency eps N^-{nu} "
+                          "below 2^-64, the window kernel's grid")
     if args.num_thetas < 0:
         raise ConfigError(f"--num-thetas must be nonnegative, got {args.num_thetas}")
     box_points = math.prod((j + 1) * args.N + 1
@@ -349,7 +356,7 @@ def _cmd_verify_weyl(args, started):
 def _cmd_verify_ensembles(args, started):
     from .verify import default_weight, ensembles_tv, shrinking
     grid = _parse_grid(args.n_grid)
-    _check_bounds(args, exact=True, sizes=grid)
+    _check_bounds(args, grid)
     k = _parse_weight(args.k, args.rank) or default_weight(args.rank)
     table = count_representations(args.rank, max(grid))
     tvs, errs = zip(*(ensembles_tv(table, n, k) for n in grid))
@@ -365,7 +372,7 @@ def _cmd_verify_ensembles(args, started):
 def _cmd_verify_limits(args, started):
     from .verify import compare_exact_to_limit, shrinking
     grid = _parse_grid(args.n_grid)
-    _check_bounds(args, exact=False, sizes=grid)
+    _check_bounds(args)
     k = _mult_weight(args)
     reports = [compare_exact_to_limit(args.rank, n, args.stat, k=k) for n in grid]
     gaps = [rep.gap for rep in reports]
@@ -403,7 +410,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--rank", type=int, required=True, help="rank r of sl_{r+1}")
         p.add_argument("--unsafe", action="store_true",
-                       help="lift the default rank/size bounds")
+                       help="lift the default rank bound and the exact-counting "
+                            "size bound; the census cap and the arithmetic "
+                            "bounds still hold")
 
     p = sub.add_parser("census", help="enumerate irreducibles by dimension")
     common(p)
@@ -455,7 +464,9 @@ def build_parser() -> argparse.ArgumentParser:
     v = vsub.add_parser("weyl", help="window lower bounds on a lattice box")
     common(v)
     v.add_argument("--N", type=int, required=True, help="box parameter, >= 4")
-    v.add_argument("--eps", type=float, required=True, help="in (0, 1/32]")
+    v.add_argument("--eps", type=float, required=True,
+                   help="in (0, 1/32], with eps N^-nu at least 2^-64, the "
+                        "window kernel's grid")
     v.add_argument("--num-thetas", type=int, default=10_000)
     v.add_argument("--seed", type=int, default=99)
     v.set_defaults(func=_cmd_verify_weyl, subcommand="verify.weyl")

@@ -56,6 +56,7 @@ sum_{d <= v} floor(v / d).  A step reads sigma and the counts at indices
 
 from __future__ import annotations
 
+import operator
 import random
 
 import numpy as np
@@ -100,7 +101,14 @@ class Representation:
         return c.dims[np.searchsorted(c.cumulative, self.rows, side="right")]
 
     def total_dim(self) -> int:
-        return int(self.dims() @ self.mult)
+        """Exact at any size.  The terms are nonnegative and the float sum
+        lies within 2^-26 of the true one (fewer than 2^26 census weights),
+        so below 2^62 it proves that the int64 dot product cannot wrap;
+        above, the sum is taken in Python ints."""
+        dims = self.dims()
+        if dims @ self.mult.astype(float) < 2.0**62:
+            return int(dims @ self.mult)
+        return sum(map(operator.mul, dims.tolist(), self.mult.tolist()))
 
     def num_irreps(self) -> int:
         return int(self.mult.sum())

@@ -153,12 +153,18 @@ def _window_arrays(thetas, dims, window):
 
 
 def _lowest_frequency(box_size: int, epsilon: float, nu: int) -> float:
-    """epsilon N^-nu, the window's lowest frequency, for a valid window."""
+    """epsilon N^-nu, the window's lowest frequency, for a valid window: one
+    at or above 2^-64, the window kernel's grid, below which every
+    frequency would round up to 2^-64 and the range below it go unchecked."""
     if not 0.0 < epsilon <= 1.0 / 32.0:
         raise ValueError(f"window parameter must lie in (0, 1/32], got {epsilon}")
     if box_size < 4:
         raise ValueError(f"box parameter must be at least 4, got {box_size}")
-    return epsilon * float(box_size) ** -nu
+    lo = epsilon * float(box_size) ** -nu
+    if lo < 2.0**-64:
+        raise ValueError(f"lowest frequency epsilon N^-{nu} = {lo:.3g} lies below "
+                         "2^-64, the window kernel's grid")
+    return lo
 
 
 def _window_frequencies(thetas, box_size: int, epsilon: float, nu: int) -> np.ndarray:

@@ -17,6 +17,7 @@ from scipy.stats import chi2_contingency, chisquare
 
 import slrep.boltzmann
 from slrep.boltzmann import (
+    REJECTION_MAX_N,
     BoltzmannParams,
     _term_arrays,
     boltzmann_sample,
@@ -652,6 +653,35 @@ def test_rejection_sampler_attempt_budget(monkeypatch):
     monkeypatch.setattr(slrep.boltzmann, "REJECTION_ATTEMPT_FACTOR", 1e-9)
     with pytest.raises(RuntimeError):
         rejection_uniform_sample(params, 50, rng)
+
+
+def test_rejection_sampler_refuses_n_from_2_to_the_62():
+    params = sampling_params(solve_saddle(1, 10))
+    for n in (REJECTION_MAX_N, 10**20):
+        with pytest.raises(ValueError, match="n < 2\\^62"):
+            rejection_uniform_sample(params._replace(n=n), 1, np.random.default_rng(1))
+
+
+def test_rejection_drops_a_row_whose_total_wrapped():
+    # rank 1, n = 10, columns of dimensions 2, 3, 4, ...: attempt 0 sums to
+    # 2 * 2^62 + 3 * 2 + 4 * 2^61 = 2^64 + 6, which int64 reads as 6, so it
+    # leaves k = 4 as attempt 1 does (dimension 2 three times); u = 0 accepts
+    # both, and only attempt 1 is a representation of dimension 10
+    params = sampling_params(solve_saddle(1, 10))
+
+    class Wrapping:
+        def geometric(self, p, size):
+            mat = np.ones(size, dtype=np.int64)
+            mat[0, :3] += (2**62, 2, 2**61)
+            mat[1, 0] += 3
+            return mat
+
+        def random(self, size):
+            return np.zeros(size)
+
+    rep, = rejection_uniform_sample(params, 1, Wrapping())
+    assert rep.components() == [((1,), 4), ((2,), 3)]
+    assert rep.total_dim() == 10
 
 
 def test_rejection_sampler_is_uniform_at_rank_three():

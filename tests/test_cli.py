@@ -419,6 +419,8 @@ def test_verify_weyl_passes(capsys):
     (("--eps", "0.03125", "--rank", "1"), "--rank"),
     (("--eps", "0.03125", "--N", "3"), "--N"),
     (("--eps", "0.03125", "--num-thetas", "-1"), "--num-thetas"),
+    # eps N^-3 below 2^-64, the window kernel's grid
+    (("--eps", "1e-25"), "--eps"),
 ])
 def test_verify_weyl_names_the_refused_option(capsys, argv, option):
     code, out, err = run_cli(capsys, "verify", "weyl", "--rank", "2", "--N", "4",
@@ -463,15 +465,15 @@ def test_verify_weyl_results_are_pinned(capsys, rank, N):
 
 @pytest.mark.parametrize("rank,N,eps", [
     ("3", "8", "0.03125"), ("4", "9", "0.03125"), ("3", "12", "0.03125"),
-    ("2", "32", "0.03125"), ("2", "33", "0.03125"), ("2", "4", "1e-25"),
-], ids=["3-8", "4-9", "3-12", "2-32", "2-33", "2-4-1e-25"])
+    ("2", "32", "0.03125"), ("2", "33", "0.03125"), ("2", "4", "4e-18"),
+], ids=["3-8", "4-9", "3-12", "2-32", "2-33", "2-4-4e-18"])
 def test_verify_weyl_grid_note_counts_the_frequencies_added(capsys, monkeypatch,
                                                             rank, N, eps):
     # the note's adversarial count is what the grid adds to the random part,
     # also where N is not a power of two and several doubles round to one
-    # point; at eps 1e-25 log-uniform draws below 2^-64 round up to it, and
-    # the note counts the frequencies merged.  The checks are stubbed, so no
-    # box is built
+    # point; at eps 4e-18 the lower end is 1.15 * 2^-64, log-uniform draws
+    # near it round up onto each other, and the note counts the frequencies
+    # merged.  The checks are stubbed, so no box is built
     checked = []
 
     def weyl_check(r, box_size, epsilon, thetas):
@@ -498,7 +500,7 @@ def test_verify_weyl_grid_note_counts_the_frequencies_added(capsys, monkeypatch,
                         results["grid"])
     assert note, results["grid"]
     merged = int(note[2] or 0)
-    assert (merged > 0) == (eps == "1e-25")
+    assert (merged > 0) == (eps == "4e-18")
     assert results["num_thetas"] == 1000 + int(note[1]) - merged == checked[0].size
 
 
@@ -547,8 +549,9 @@ def test_verify_limits_trend_mode(capsys):
     ("census", "--rank", "1", "--max-dim", "60000000"),
     ("census", "--rank", "2", "--max-dim", "10000000000000"),
     ("census", "--rank", "3", "--max-dim", "100000000000000000"),
-    ("verify", "limits", "--rank", "2", "--stat", "mult", "--k", "1,1",
-     "--n-grid", "100,100000000000"),
+    # the census cap bounds every numeric command, before the scan
+    ("saddle", "--rank", "2", "--n", "10000000000000000"),
+    ("saddle", "--rank", "6", "--n", "10000000000000000000000000"),
     ("verify", "limits", "--rank", "2", "--stat", "mult", "--k", "1,1",
      "--n-grid", "0,1000"),
     # a weight is read only by --stat mult
@@ -564,6 +567,10 @@ def test_verify_limits_trend_mode(capsys):
     # the count table's int64 limbs are proven safe only below 2^30,
     # the smallest refused total
     ("count", "--rank", "2", "--n", "1073741824", "--unsafe"),
+    # the rejection sampler holds n in int64, and is refused from 2^62 on,
+    # before the saddle is solved
+    ("sample", "--rank", "6", "--n", "4611686018427387904", "--mode",
+     "uniform-rejection"),
     # window options are checked before the frequency grid is drawn
     ("verify", "weyl", "--rank", "2", "--N", "4", "--eps", "nan"),
     ("verify", "weyl", "--rank", "2", "--N", "4", "--eps", "inf"),
@@ -721,6 +728,27 @@ def test_out_of_memory_exits_one_without_traceback(capsys, monkeypatch, detail):
     assert code == 1 and out == ""
     lines = err.splitlines()
     assert lines == [f"failed: out of memory ({detail or 'no detail'})"]
+
+
+def test_verify_limits_runs_past_10_to_the_9_without_unsafe(capsys):
+    # the census cap, not a fixed size cap, bounds the numeric commands; the
+    # rank-3 D gap keeps shrinking and each exact_err stays certified
+    code, out, _ = run_cli(capsys, "verify", "limits", "--rank", "3", "--stat", "D",
+                           "--n-grid", "1000000000,1000000000000,1000000000000000")
+    assert code == 0
+    results = split_manifest(out)[0]["results"]
+    assert results["pass"] is True
+    assert [round(gap, 4) for gap in results["gaps"]] == [0.1988, 0.1272, 0.0841]
+    assert all(err < 1e-9 for err in results["exact_errs"])
+
+
+@pytest.mark.parametrize("command", [
+    ("saddle",), ("constants",), ("dist", "--stat", "D")])
+def test_numeric_commands_run_at_10_to_the_11_without_unsafe(command):
+    proc = run_fresh(*command, "--rank", "2", "--n", "100000000000")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert split_manifest(proc.stdout)[0]["config"]["unsafe"] is False
 
 
 @pytest.mark.parametrize("command", [

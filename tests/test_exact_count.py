@@ -226,6 +226,16 @@ def test_representation_accessors():
     assert merged.components() == [((1, 1), 2), ((2, 1), 3)]
 
 
+def test_total_dim_is_exact_past_2_to_the_63():
+    # dimension 4 (row 3 at rank 1) 2^62 times: an int64 dot product reads 0
+    rep = Representation(enumerate_irreps(1, 4), np.array([3]), np.array([2**62]))
+    assert rep.total_dim() == 2**64
+    # 2^63 - 1 fits int64, but above 2^62 the float sum proves nothing
+    rep = Representation(enumerate_irreps(1, 4), np.array([0, 1]),
+                         np.array([2**62 - 1, 2**61]))
+    assert rep.total_dim() == 2**63 - 1
+
+
 @pytest.mark.parametrize("r, n", [(2, 4), (3, 12)])
 def test_uniform_sample_hits_every_class_uniformly(r, n):
     table = count_representations(r, n)

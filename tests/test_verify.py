@@ -368,6 +368,7 @@ def test_window_checks_refuse_the_same_frequencies(thetas, message):
     (4, float("inf"), "window parameter"),
     (0, 1.0 / 32.0, "box parameter"),        # was ZeroDivisionError
     (2, 1.0 / 32.0, "box parameter"),        # was a grid
+    (4, 1e-25, "below 2\\^-64"),              # was a grid collapsed onto 2^-64
 ])
 def test_theta_grid_refuses_an_invalid_window_as_the_checks_do(box_size, epsilon, message):
     # the grid and both window checks refuse the same windows with the same message
@@ -391,8 +392,8 @@ def test_theta_grid_ranges_and_adversarial_content():
     assert 1.0 / 3.0 in adversarial_t
 
 
-# lower ends epsilon N^-nu on the grid (2^-11), off it, and below 2^-64
-@pytest.mark.parametrize("r,N", [(2, 4), (3, 5), (4, 100)])
+# lower ends epsilon N^-nu on the grid (2^-11), off it, and just above 2^-64
+@pytest.mark.parametrize("r,N", [(2, 4), (3, 5), (4, 59)])
 def test_theta_grid_lies_on_the_2_to_the_64_grid(r, N):
     lo = (1.0 / 32.0) * float(N) ** -(r * (r + 1) // 2)
     random_t, adversarial_t = theta_grid(r, N, 1.0 / 32.0, num_random=200, seed=4)
@@ -404,7 +405,7 @@ def test_theta_grid_lies_on_the_2_to_the_64_grid(r, N):
     # the lower end becomes its ceiling, exactly
     assert Fraction(float(adversarial_t[0])) == ceiling
     assert (ceiling == Fraction(lo)) == (r == 2)
-    assert (ceiling == Fraction(1, 2**64)) == (r == 4)
+    assert (ceiling == Fraction(2, 2**64)) == (r == 4)
     assert 0.5 in adversarial_t
 
 
