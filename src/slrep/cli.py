@@ -297,6 +297,7 @@ def _cmd_constants(args, started):
 
 def _cmd_verify_weyl(args, started):
     from .verify import (
+        _lowest_frequency,
         appendix_window_check,
         sorted_distinct,
         theta_grid,
@@ -310,9 +311,10 @@ def _cmd_verify_weyl(args, started):
     if args.N < 4:
         raise ConfigError(f"--N must be at least 4, got {args.N}")
     nu = degree(args.rank)
-    if args.eps * 2.0**64 < args.N ** nu:  # an exact comparison at any N
-        raise ConfigError(f"--eps {args.eps} puts the lowest frequency eps N^-{nu} "
-                          "below 2^-64, the window kernel's grid")
+    try:
+        _lowest_frequency(args.N, args.eps, nu)
+    except ValueError as exc:  # the range checks above leave only its 2^-64 floor
+        raise ConfigError(f"--eps {args.eps}: {exc}") from exc
     if args.num_thetas < 0:
         raise ConfigError(f"--num-thetas must be nonnegative, got {args.num_thetas}")
     box_points = math.prod((j + 1) * args.N + 1

@@ -101,14 +101,8 @@ class Representation:
         return c.dims[np.searchsorted(c.cumulative, self.rows, side="right")]
 
     def total_dim(self) -> int:
-        """Exact at any size.  The terms are nonnegative and the float sum
-        lies within 2^-26 of the true one (fewer than 2^26 census weights),
-        so below 2^62 it proves that the int64 dot product cannot wrap;
-        above, the sum is taken in Python ints."""
-        dims = self.dims()
-        if dims @ self.mult.astype(float) < 2.0**62:
-            return int(dims @ self.mult)
-        return sum(map(operator.mul, dims.tolist(), self.mult.tolist()))
+        """Exact at any size: the sum is taken in Python ints."""
+        return sum(map(operator.mul, self.dims().tolist(), self.mult.tolist()))
 
     def num_irreps(self) -> int:
         return int(self.mult.sum())

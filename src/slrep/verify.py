@@ -160,11 +160,10 @@ def _lowest_frequency(box_size: int, epsilon: float, nu: int) -> float:
         raise ValueError(f"window parameter must lie in (0, 1/32], got {epsilon}")
     if box_size < 4:
         raise ValueError(f"box parameter must be at least 4, got {box_size}")
-    lo = epsilon * float(box_size) ** -nu
-    if lo < 2.0**-64:
-        raise ValueError(f"lowest frequency epsilon N^-{nu} = {lo:.3g} lies below "
-                         "2^-64, the window kernel's grid")
-    return lo
+    if epsilon * 2.0**64 < box_size ** nu:  # an exact comparison at any N
+        raise ValueError(f"lowest frequency epsilon N^-{nu} lies below 2^-64, "
+                         "the window kernel's grid")
+    return epsilon * float(box_size) ** -nu
 
 
 def _window_frequencies(thetas, box_size: int, epsilon: float, nu: int) -> np.ndarray:

@@ -430,6 +430,16 @@ def test_verify_weyl_names_the_refused_option(capsys, argv, option):
     assert len(lines) == 1 and lines[0].startswith(f"invalid config: {option} ")
 
 
+def test_verify_weyl_accepts_a_lower_end_exactly_at_2_to_the_minus_64(capsys):
+    # eps 9^3 = 2^-64 exactly, though the float product eps * 9.0^-3 rounds
+    # just below 2^-64: the command and the library judge the floor alike
+    eps = 729 * 2.0**-64
+    code, out, err = run_cli(capsys, "verify", "weyl", "--rank", "2", "--N", "9",
+                             "--eps", repr(eps), "--num-thetas", "20")
+    assert code == 0 and err == ""
+    assert split_manifest(out)[0]["results"]["pass"] is True
+
+
 # `verify weyl` at the benchmark's two configurations, recorded with the
 # per-frequency window kernel that the blocked one replaced.  Counts are
 # exact, so every field repeats exactly.  The grid note echoes the seed,
