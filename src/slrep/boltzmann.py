@@ -18,8 +18,8 @@ solved s shrinks like n^{-2/(r(r+3))}.  The solved parameters are the one
 state every later stage reads: q and the census the solve was certified on
 (`params.census`), with its per-class term arrays.  `params.with_cutoff`
 moves them to another census of their rank, which `sampling_params` does
-when sampling needs a wider one, and the samplers and exact distribution
-curves take the parameters alone.
+when sampling needs a wider one, sized before its scan, and the samplers
+and exact distribution curves take the parameters alone.
 
 Every truncated sum here carries a certified tail bound, returned as the
 second element of a (value, err) pair or recorded on the params object.
@@ -92,11 +92,6 @@ def _moment_terms(arrays, beta, p):
     return rho * m**p * qm / one_minus**p, one_minus
 
 
-def _moment_err(census, beta, p):
-    scale = (-np.expm1(-beta * census.max_dim)) ** (-p)
-    return scale * weighted_tail_bound(census, beta, p)
-
-
 _CHI = 48.0
 
 
@@ -152,7 +147,8 @@ def solve_saddle(r: int, n: int, tol: float = 1e-8) -> BoltzmannParams:
                 beta -= step
                 break
             beta = beta - step if step < beta else 0.5 * beta
-        err = _moment_err(census, beta, 1) if beta * X > 1.0 else math.inf
+        err = ((-np.expm1(-beta * X)) ** -1 * weighted_tail_bound(r, X, beta, 1)
+               if beta * X > 1.0 else math.inf)
         if err <= tol * n / 2.0 and abs(g) <= tol * n / 2.0:
             sigma2 = math.fsum(_moment_terms(arrays, beta, 2)[0])
             return BoltzmannParams(
@@ -165,7 +161,7 @@ def solve_saddle(r: int, n: int, tol: float = 1e-8) -> BoltzmannParams:
 def truncation_tv_bound(params: BoltzmannParams) -> float:
     """Certified TV distance between the full product law and the one
     truncated at params.cutoff: at most sum of q^a beyond the cutoff."""
-    return weighted_tail_bound(params.census, params.beta, 0)
+    return weighted_tail_bound(params.rank, params.cutoff, params.beta, 0)
 
 
 def _tail_mean_bound(params):
@@ -186,10 +182,12 @@ rejection_uniform_sample)."""
 def sampling_params(params: BoltzmannParams) -> BoltzmannParams:
     """params on a census wide enough to sample within SAMPLING_TV in TV: the
     solver's census targets moment accuracy, so unless it already certifies
-    this stricter bound, `with_cutoff` doubles its cutoff until it does."""
-    while truncation_tv_bound(params) > SAMPLING_TV:
-        params = params.with_cutoff(2 * params.cutoff)
-    return params
+    this stricter bound, the cutoff doubles in arithmetic until the
+    closed-form tail bound does, and `with_cutoff` scans that one census."""
+    X = params.cutoff
+    while weighted_tail_bound(params.rank, X, params.beta, 0) > SAMPLING_TV:
+        X *= 2
+    return params if X == params.cutoff else params.with_cutoff(X)
 
 
 def _require_sampling_census(params):
@@ -367,11 +365,11 @@ def exact_expected_shape(params: BoltzmannParams, levels):
     return values, _tail_mean_bound(params) + rounding * values
 
 
-def exact_count_mgf(params: BoltzmannParams, u: float):
-    """(value, err): E_Q[exp(u s^nu N)] with N the number of irreducible
-    components, as prod (1-q^m)/(1-q^m e^{u s^nu}).  Defined for |u| < 1.
+def exact_count_mgf(params: BoltzmannParams, us):
+    """(values, errs): E_Q[exp(u s^nu N)], N the number of irreducible components,
+    as prod (1-q^m)/(1-q^m e^{u s^nu}) at each u of the real 1-D array us in (-1, 1).
 
-    err bounds the census truncation and the float rounding.  A class's
+    Each err bounds the census truncation and the float rounding.  A class's
     two logs nearly cancel, so their rounding is charged against the logs,
     not against their difference.  c = e^{u beta} carries (|u| beta + 2)u,
     the shifted x = q^m c one more u, and each log1p 2u of its log.  Both
@@ -379,23 +377,26 @@ def exact_count_mgf(params: BoltzmannParams, u: float):
     |c - 1| q^m / ((1 - q^m)(1 - x)) times its relative size.  The
     difference, the product by rho and the sum of the k class terms, which
     share one sign, add (k + 1)u of |log value|, and exp 2u of the value."""
-    if not -1.0 < u < 1.0:
-        raise ValueError(f"mgf argument must lie in (-1, 1), got {u}")
+    us = np.asarray(us)
+    if us.ndim != 1 or not np.isrealobj(us) or not np.all((-1.0 < us) & (us < 1.0)):
+        raise ValueError(f"mgf points must be a real 1-D array in (-1, 1), got {us}")
     beta = params.beta
     m, rho, qm, one_minus = params.term_arrays
-    growth = math.exp(u * beta)
-    shifted = qm * growth
+    # math.exp, whose last bit np.exp may not match
+    spread = np.fromiter(map(math.exp, abs(us) * beta), float, us.size)
+    growth = np.fromiter(map(math.exp, us * beta), float, us.size)[:, None]
+    shifted = qm * growth  # one row per point
     if np.any(shifted >= 1.0):
         raise ValueError("mgf undefined: e^{u s^nu} q^m reaches 1 on the census")
-    logs = float(np.sum(rho * (np.log1p(-qm) - np.log1p(-shifted))))
-    edge = math.exp(-beta * params.cutoff) * math.exp(abs(u) * beta)
-    t_u = (abs(u) * beta * math.exp(abs(u) * beta) / (1.0 - edge)
-           * truncation_tv_bound(params))
+    logs = np.sum(rho * (np.log1p(-qm) - np.log1p(-shifted)), axis=1)
+    edge = math.exp(-beta * params.cutoff) * spread
+    t_u = abs(us) * beta * spread / (1.0 - edge) * truncation_tv_bound(params)
     rest = 1.0 - shifted
-    drift = _U * float(np.sum(rho * (
+    drift = _U * np.sum(rho * (
         abs(growth - 1.0) * qm * (beta * m + 3.0) / (one_minus * rest)
-        + shifted * (abs(u) * beta + 4.0) / rest
-        + 2.0 * (qm / one_minus + shifted / rest))))
+        + shifted * (abs(us)[:, None] * beta + 4.0) / rest
+        + 2.0 * (qm / one_minus + shifted / rest)), axis=1)
     drift += (m.size + 1) * _U * abs(logs)
-    value = math.exp(logs)
-    return value, value * (math.expm1(t_u + drift) + 3.0 * _U)
+    values = np.fromiter(map(math.exp, logs), float, us.size)
+    relative = np.fromiter(map(math.expm1, t_u + drift), float, us.size)
+    return values, values * (relative + 3.0 * _U)

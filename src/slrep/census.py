@@ -15,9 +15,9 @@ scan and bounds every tail beyond one.  Dilation proves R(lam^nu y) >=
 lam^r R(y) for every integer lam >= 1 (`inverse_moment_tail`), so a census
 also bounds the counting function beyond its cutoff from below.
 
-The census is immutable and shared: the saddle solver keeps the census it
-certified on its parameters, and the samplers, exact distribution curves
-and tail bounds read that same table instead of enumerating their own.
+The census is immutable and shared: the saddle solver keeps its census on
+its parameters for the samplers and curves.  The tail bound beyond a cutoff
+reads the rank and cutoff alone, so a stage can size a census before its scan.
 """
 
 from __future__ import annotations
@@ -181,8 +181,9 @@ def region_volume(r: int):
     return value, (128.0 * (r - 1) + 8.0 * math.log(sf)) * _U * value
 
 
-def weighted_tail_bound(census: IrrepCensus, beta: float, p: float) -> float:
-    """Upper bound for sum over m > max_dim of rho(m) m^p e^{-beta m}, p >= 0.
+def weighted_tail_bound(r: int, X: int, beta: float, p: float) -> float:
+    """Upper bound for sum over m > X of rho(m) m^p e^{-beta m} at rank r, p >= 0,
+    X >= 1, from (r, X) alone: no census is read.
 
     Abel summation against the proven bound R(t) <= C_r t^c, c = 2/(r+1)
     (C_r at its value plus its error bound), with f(t) = t^p e^{-beta t}
@@ -194,7 +195,7 @@ def weighted_tail_bound(census: IrrepCensus, beta: float, p: float) -> float:
         sum_{m > X} rho(m) f(m) <= C_r X^a e^(-x) (1 + c / (x - k)).
 
     Unless x >= p (f decreasing) and x > k, RuntimeError is raised: the
-    census cannot certify this tail.  Both tests and d = x - k are exact
+    cutoff cannot certify this tail.  Both tests and d = x - k are exact
     (in rationals), so d is rounded once.  X^a e^(-x) is one
     exp(a log X - x): with each operation within u, the unit roundoff, and
     log and exp within 2u, its argument is off by at most (6.2 a log X +
@@ -207,17 +208,18 @@ def weighted_tail_bound(census: IrrepCensus, beta: float, p: float) -> float:
     if not (0.0 < beta < math.inf and p >= 0.0):
         raise ValueError(f"tail bound needs a finite decay rate beta > 0 and an "
                          f"order p >= 0, got beta = {beta}, p = {p}")
+    if X < 1:
+        raise ValueError(f"tail bound needs a cutoff X >= 1, got {X}")
     from fractions import Fraction
 
-    r = census.rank
-    x = Fraction(beta) * census.max_dim
+    x = Fraction(beta) * X
     k = max(Fraction(p) + Fraction(2, r + 1) - 1, 0)
     if x < p or x <= k:
-        raise RuntimeError(f"census cutoff {census.max_dim} too small for a certified "
+        raise RuntimeError(f"census cutoff {X} too small for a certified "
                            f"tail (need beta X >= {p} and > {float(k):.3g})")
     c = 2.0 / (r + 1)
     a = p + c
-    log_X = math.log(census.max_dim)
+    log_X = math.log(X)
     power = math.exp(a * log_X - float(x)) + _TINY  # X^a e^(-x)
     bound = sum(region_volume(r)) * power * (1.0 + c / float(x - k))
     return bound * (1.0 + (a * (log_X + 1.0) + float(x) + 2.0) * 8.0 * _U)

@@ -141,7 +141,6 @@ class LimitConstants(NamedTuple):
 
     rank: int
     s: float
-    alpha: float
     max_dim_center: float
     max_dim_scale: float
     height_center: float
@@ -183,8 +182,7 @@ def compute_constants(r: int, s: float) -> LimitConstants:
     else:
         a_h, b_h = math.nan, math.nan
 
-    return LimitConstants(rank=r, s=s, alpha=alpha,
-                          max_dim_center=a_d, max_dim_scale=b_d,
+    return LimitConstants(rank=r, s=s, max_dim_center=a_d, max_dim_scale=b_d,
                           height_center=a_h, height_scale=b_h)
 
 

@@ -444,12 +444,13 @@ def compare_exact_to_limit(r: int, n: int, which: str, *, k=None) -> LimitGapRep
 
     D and H raise ValueError when n is too small for their normalizer (NaN
     center or scale).  D, H and mgf read the saddle's census.  The shape
-    report widens it to reach every corner, doubling the cutoff until the
-    certified error is at most SHAPE_REL_ERR of the exact value at every
-    corner, so only the census cap (BudgetError) ends the loop.  Before the
-    saddle is solved, shape raises NotImplementedError above rank 3, where
-    W_t is unknown, and mgf raises ValueError at rank 1, where the limit
-    product diverges.
+    report reads one census, at twice the dimension K^nu of the farthest
+    lattice corner (K, ..., K) or at the saddle's cutoff if that is wider,
+    and raises RuntimeError when its certified error exceeds SHAPE_REL_ERR
+    of the exact value at any corner, BudgetError when that census passes
+    the census cap.  Before the saddle is solved, shape raises
+    NotImplementedError above rank 3, where W_t is unknown, and mgf raises
+    ValueError at rank 1, where the limit product diverges.
     """
     if which not in STATISTICS:
         raise ValueError(f"unknown observable {which!r}; "
@@ -492,13 +493,11 @@ def compare_exact_to_limit(r: int, n: int, which: str, *, k=None) -> LimitGapRep
         # the farthest corner starts at dim(K, ..., K) = K^nu; twice that
         # cutoff leaves a tail far below the corner's own value
         far = math.ceil(float(levels.max()))
-        cutoff = max(params.cutoff, 2 * far ** degree(r))
-        while True:
-            wide = params.with_cutoff(cutoff)
-            values, err = exact_expected_shape(wide, levels)
-            if np.all(err <= SHAPE_REL_ERR * values):
-                break
-            cutoff *= 2
+        wide = params.with_cutoff(max(params.cutoff, 2 * far ** degree(r)))
+        values, err = exact_expected_shape(wide, levels)
+        if not np.all(err <= SHAPE_REL_ERR * values):
+            raise RuntimeError(f"the shape census at cutoff {wide.cutoff} cannot certify "
+                               f"every corner within {SHAPE_REL_ERR} at n = {n}")
         exact = params.s**r * values
         limit, limit_err = _limit_column(r, "shape")
         exact_err = float(np.max(err / values))
@@ -516,7 +515,7 @@ def compare_exact_to_limit(r: int, n: int, which: str, *, k=None) -> LimitGapRep
                 f"limit_err is the largest relative error of the limit column, {kind}")
     else:  # which == "mgf"
         grid = np.array(_MGF_GRID)
-        exact, exact_err = np.array([exact_count_mgf(params, u) for u in _MGF_GRID]).T
+        exact, exact_err = exact_count_mgf(params, grid)
         limit, limit_err = _limit_column(r, "mgf")
         exact_err, limit_err = float(exact_err.max()), float(limit_err.max())
         note = "transformed-count mgf on the standard u-grid"

@@ -100,7 +100,7 @@ def _census_moment(q, census, p):
     rho = census.counts.astype(float)
     value = math.fsum(rho * m**p * np.exp(-beta * m) / (-np.expm1(-beta * m)) ** p)
     scale = (-np.expm1(-beta * census.max_dim)) ** (-p)
-    return value, scale * weighted_tail_bound(census, beta, p)
+    return value, scale * weighted_tail_bound(census.rank, census.max_dim, beta, p)
 
 
 def expected_dim(q: float, census: IrrepCensus):

@@ -548,18 +548,21 @@ def test_exact_shape_against_monte_carlo():
 
 def test_exact_count_mgf_basics():
     params = sampling_params(solve_saddle(2, 300))
-    value, err = exact_count_mgf(params, 0.0)
+    (value,), (err,) = exact_count_mgf(params, np.array([0.0]))
     assert value == 1.0 and err >= 0.0
     for bad in (-1.0, 1.0, 2.0):
         with pytest.raises(ValueError):
-            exact_count_mgf(params, bad)
+            exact_count_mgf(params, np.array([bad]))
+        # each point is checked, not only the first
+        with pytest.raises(ValueError):
+            exact_count_mgf(params, np.array([0.25, bad]))
 
 
 def test_exact_count_mgf_against_monte_carlo():
     num = 4000
     params, reps = _boltzmann_draws(300, num, seed=25)
     u = -0.4  # negative side keeps the Monte Carlo average light-tailed
-    value, err = exact_count_mgf(params, u)
+    (value,), (err,) = exact_count_mgf(params, np.array([u]))
     vals = [math.exp(u * params.beta * rep.num_irreps()) for rep in reps]
     mean = sum(vals) / num
     spread = math.sqrt(sum((v - mean) ** 2 for v in vals) / (num - 1) / num)
@@ -586,7 +589,7 @@ def test_exact_curves_err_covers_rounding():
         for r, u in ((2, 0.5), (4, -0.5)):
             params = solve_saddle(r, 10**6)
             census, beta = params.census, mp.mpf(params.beta)
-            value, err = exact_count_mgf(params, u)
+            (value,), (err,) = exact_count_mgf(params, np.array([u]))
             shift = mp.exp(mp.mpf(u) * beta)
             log_ref = sum(int(rho) * (mp.log1p(-mp.exp(-beta * int(m)))
                                       - mp.log1p(-mp.exp(-beta * int(m)) * shift))
@@ -754,7 +757,7 @@ def test_draws_compute_the_term_arrays_once(monkeypatch):
     rng = np.random.default_rng(46)
     for _ in range(20):
         boltzmann_sample(params, rng)
-    exact_count_mgf(params, 0.5)
+    exact_count_mgf(params, np.array([0.5]))
     exact_prob_max_dim_le(params, [10.0])
     assert made == []
 

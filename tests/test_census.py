@@ -383,9 +383,8 @@ def test_weighted_tail_bound_majorizes_true_tail():
     # small prefix must cover the exactly known middle part of the tail
     X, beta, p = 200, 0.05, 1.0
     for r in (2, 3):
-        small = enumerate_irreps(r, X)
         big = enumerate_irreps(r, 20 * X)
-        bound = weighted_tail_bound(small, beta, p)
+        bound = weighted_tail_bound(r, X, beta, p)
         m = big.dims.astype(float)
         mask = m > X
         partial = float(np.sum(big.counts[mask] * m[mask] ** p
@@ -420,7 +419,6 @@ def tail_bounds_against_formula():
     of FORMULA_CUTOFFS, where formula = C_r (f(X) X^c + c beta^-(p+c)
     Gamma(p+c, beta X)) in 40 digits, with C_r from Selberg's product; bound
     is None where weighted_tail_bound refuses (x <= (p+c-1)^+)."""
-    censuses = {r: enumerate_irreps(r, 2**12) for r in range(1, 7)}
     with mp.workdps(40):
         volumes = {r: selberg_volume(r) for r in range(1, 7)}
     rows = []
@@ -429,14 +427,12 @@ def tail_bounds_against_formula():
             beta = x / X
             if beta == 0.0:
                 continue
-            # weighted_tail_bound reads only the rank and the cutoff
-            census = censuses[r]._replace(max_dim=X)
             if x <= max(a - 1.0, 0.0):
                 with pytest.raises(RuntimeError):
-                    weighted_tail_bound(census, beta, p)
+                    weighted_tail_bound(r, X, beta, p)
                 bound = None
             else:
-                bound = weighted_tail_bound(census, beta, p)
+                bound = weighted_tail_bound(r, X, beta, p)
             c = 2.0 / (r + 1)
             with mp.workdps(40):
                 formula = volumes[r] * (mp.mpf(X) ** a * mp.exp(-mp.mpf(x))
@@ -472,16 +468,18 @@ def test_weighted_tail_bound_is_tight():
 
 
 def test_weighted_tail_bound_validation():
-    small = enumerate_irreps(2, 30)
     for beta, p in ((-1.0, 1.0), (math.nan, 1.0), (math.inf, 1.0), (1.0, -1.0)):
         with pytest.raises(ValueError):
-            weighted_tail_bound(small, beta, p)
+            weighted_tail_bound(2, 30, beta, p)
+    for X in (0, -5):
+        with pytest.raises(ValueError, match="cutoff X >= 1"):
+            weighted_tail_bound(2, X, 1.0, 1.0)
     with pytest.raises(RuntimeError):
         # cutoff below p/beta: f is not yet decreasing, the bound is invalid
-        weighted_tail_bound(small, 1e-4, 2.0)
+        weighted_tail_bound(2, 30, 1e-4, 2.0)
     with pytest.raises(RuntimeError):
         # rank 1 at beta X = p: the Abel term's majorant needs beta X > p
-        weighted_tail_bound(enumerate_irreps(1, 64), 1.0 / 64.0, 1.0)
+        weighted_tail_bound(1, 64, 1.0 / 64.0, 1.0)
 
 
 def test_inverse_moment_tail_brackets_partial_sums():

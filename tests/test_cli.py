@@ -239,7 +239,8 @@ def test_sample_reads_dimensions_from_the_census(capsys, monkeypatch, mode):
 
 
 # census enumerations per command: the saddle's census serves every later
-# stage that it certifies; mgf adds its limit census and shape its own cutoff
+# stage that it certifies; mgf adds its limit census, shape its own cutoff
+# and a sampler a wider census where the saddle's leaves too much TV
 CENSUS_BUILDS = {
     "boltzmann": (("sample", "--rank", "2", "--n", "100000000", "--mode",
                    "boltzmann", "--samples", "1"), 1),
@@ -250,20 +251,25 @@ CENSUS_BUILDS = {
     "dist-H": (("dist", "--rank", "2", "--n", "1000000", "--stat", "H"), 1),
     "dist-mgf": (("dist", "--rank", "2", "--n", "1000000", "--stat", "mgf"), 2),
     "dist-shape": (("dist", "--rank", "2", "--n", "1000000", "--stat", "shape"), 2),
+    "boltzmann-r3": (("sample", "--rank", "3", "--n", "1000000", "--mode",
+                      "boltzmann", "--samples", "1"), 2),
+    "dist-shape-r3": (("dist", "--rank", "3", "--n", "1000000", "--stat", "shape"), 2),
     # one saddle census per grid point, one limit-product census for all
     "limits-mgf-grid": (("verify", "limits", "--rank", "2", "--stat", "mgf",
                          "--n-grid", "10000,100000,1000000"), 4),
 }
 
 
-@pytest.mark.parametrize("label", CENSUS_BUILDS)
-def test_census_builds_per_command(capsys, monkeypatch, label):
-    argv, expected = CENSUS_BUILDS[label]
+def count_census_builds(monkeypatch, most=None):
+    """The list of (rank, cutoff) of every census built from here on, in
+    every slrep module; a build past the first `most` raises AssertionError."""
     original = slrep.census.enumerate_irreps
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)
+        if most is not None and len(calls) > most:
+            raise AssertionError(f"census build {len(calls)}: {calls}")
         return original(*args, **kwargs)
 
     for module in list(sys.modules.values()):
@@ -273,9 +279,31 @@ def test_census_builds_per_command(capsys, monkeypatch, label):
             monkeypatch.setattr(module, "enumerate_irreps", counted)
     # each CLI process starts without the limit products of earlier tests
     slrep.verify._limit_column.cache_clear()
+    return calls
+
+
+@pytest.mark.parametrize("label", CENSUS_BUILDS)
+def test_census_builds_per_command(capsys, monkeypatch, label):
+    argv, expected = CENSUS_BUILDS[label]
+    calls = count_census_builds(monkeypatch)
     code, _, _ = run_cli(capsys, *argv)
     assert code == 0
     assert len(calls) == expected, calls
+
+
+def test_dist_shape_refuses_an_uncertified_census(capsys, monkeypatch):
+    # where the shape census cannot certify every corner, the report exits 1
+    # with one line after the saddle's census and its own, and builds no
+    # third, where doubling the cutoff would run on to the census cap
+    calls = count_census_builds(monkeypatch, most=3)
+    monkeypatch.setattr(slrep.verify, "SHAPE_REL_ERR", 1e-300)
+    code, out, err = run_cli(capsys, "dist", "--rank", "2", "--n", "10000",
+                             "--stat", "shape")
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("failed: "), lines
+    assert "cannot certify" in lines[0] and "n = 10000" in lines[0]
+    assert len(calls) == 2, calls
 
 
 # sha256 of `census` tables, recorded when the CSV was written from one

@@ -147,7 +147,7 @@ def test_compute_constants_fields():
     # the record holds only values of s; the r-only volume enters the D
     # center from `region_volume`
     assert list(constants._fields) == [
-        "rank", "s", "alpha", "max_dim_center", "max_dim_scale",
+        "rank", "s", "max_dim_center", "max_dim_scale",
         "height_center", "height_scale"]
     assert constants.s == params.s
     assert constants.count_scale == pytest.approx(params.s ** degree(2), rel=1e-12)
@@ -170,7 +170,8 @@ def test_compute_constants_nan_when_scale_degenerates():
     assert math.isnan(unit_s.max_dim_center)
     assert unit_s.max_dim_scale > 0.0
     assert unit_s.height_center > 0.0 and unit_s.height_scale > 0.0
-    assert coarse_s.alpha <= 0.0
+    # the H log scale r! log(2 (r-1)! s^(-(r+1)/2)) is not positive at s = 2
+    assert 2.0 * math.log(2.0 * 2.0 ** -1.5) <= 0.0
     assert math.isnan(coarse_s.height_center) and math.isnan(coarse_s.height_scale)
 
 

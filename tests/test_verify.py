@@ -12,7 +12,6 @@ from slrep.boltzmann import exact_count_mgf, solve_saddle
 from slrep.census import enumerate_irreps
 from slrep.exact_count import count_representations, counts_excluding_one_weight
 from slrep.verify import (
-    SHAPE_REL_ERR,
     appendix_window_check,
     compare_exact_to_limit,
     ensembles_tv,
@@ -508,7 +507,8 @@ def test_compare_mgf_columns_on_the_standard_grid():
     report = compare_exact_to_limit(2, 500, "mgf")
     params = solve_saddle(2, 500)
     assert report.grid.tolist() == [-0.5, -0.25, 0.25, 0.5]
-    assert report.exact.tolist() == [exact_count_mgf(params, u)[0]
+    # one call over the grid gives each point's own value
+    assert report.exact.tolist() == [exact_count_mgf(params, np.array([u]))[0][0]
                                      for u in report.grid.tolist()]
     limit, _ = count_mgf(report.grid, enumerate_irreps(2, _MGF_LIMIT_MAX_DIM))
     assert np.array_equal(report.limit, limit)
@@ -561,8 +561,8 @@ def test_compare_shape_is_relative():
 
 def test_compare_shape_certifies_every_corner():
     # the far corners of the default grid lie beyond the saddle solver's
-    # census; the report must enlarge its census until each corner's exact
-    # value is positive and its certified truncation error is negligible
+    # census; the report reads one wider census, on which each corner's
+    # exact value is positive and its certified truncation error negligible
     params = solve_saddle(2, 10**4)
     report = compare_exact_to_limit(2, 10**4, "shape")
     assert np.all(report.exact > 0.0)
@@ -576,26 +576,22 @@ def test_compare_shape_certifies_every_corner():
     assert dim_irrep(2, (far, far)) > params.cutoff
 
 
-def test_compare_shape_doubles_an_uncertified_census(monkeypatch):
-    # the first shape census reports a truncation error above the target, so
-    # the report must build one more at twice the cutoff; every later call
-    # is real, so a report that stops doubling ends at once and fails here
+def test_compare_shape_refuses_an_uncertified_census(monkeypatch):
+    # the shape report reads one census; where its certified error misses
+    # the target at some corner it refuses, naming the cutoff and n, and
+    # takes no second census
     original = slrep.verify.exact_expected_shape
     cutoffs = []
 
-    def first_uncertified(params, levels):
-        values, err = original(params, levels)
+    def recorded(params, levels):
         cutoffs.append(params.cutoff)
-        if len(cutoffs) == 1:
-            err = np.maximum(err, 2 * SHAPE_REL_ERR * values)
-        return values, err
+        return original(params, levels)
 
-    unforced = compare_exact_to_limit(2, 10**4, "shape")
-    monkeypatch.setattr(slrep.verify, "exact_expected_shape", first_uncertified)
-    report = compare_exact_to_limit(2, 10**4, "shape")
-    assert len(cutoffs) == 2 and cutoffs[1] == 2 * cutoffs[0]
-    assert report.exact_err <= SHAPE_REL_ERR
-    np.testing.assert_allclose(report.exact, unforced.exact, rtol=1e-6, atol=0)
+    monkeypatch.setattr(slrep.verify, "exact_expected_shape", recorded)
+    monkeypatch.setattr(slrep.verify, "SHAPE_REL_ERR", 1e-300)
+    with pytest.raises(RuntimeError, match=r"cutoff \d+ cannot certify .* at n = 10000"):
+        compare_exact_to_limit(2, 10**4, "shape")
+    assert len(cutoffs) == 1
 
 
 @pytest.mark.parametrize("r,n,repeats", [
