@@ -39,7 +39,7 @@ import numpy as np
 
 from .census import _U, IrrepCensus, enumerate_irreps, weighted_tail_bound
 from .exact_count import Representation
-from .limits import asymptotic_saddle
+from .limits import _mgf_points, asymptotic_saddle
 from .weights import degree, twice_height
 
 
@@ -302,28 +302,28 @@ def _log_factors(params):
 
 
 def _suffix_sums(keys, arrays, points, side):
-    """(at, sums): at[i] is where points[i] falls, on `side`, among the
-    stably sorted keys, and sums holds each array's sum over the sorted
-    keys from at[i] up (from the largest down), 0 past the last key."""
+    """Each array's sum over the keys from where each point of the 1-D
+    array points falls among them, on `side`, up to the largest, 0 past
+    the last key.  The keys must ascend: nothing is sorted here."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 1:
         raise ValueError("the grid must be a 1-D array")
-    order = np.argsort(keys, kind="stable")
-    at = np.searchsorted(keys[order], points, side=side)
-    return at, [np.append(np.cumsum(a[order][::-1])[::-1], 0.0)[at] for a in arrays]
+    at = np.searchsorted(keys, points, side=side)
+    return [np.append(np.cumsum(a[::-1])[::-1], 0.0)[at] for a in arrays]
 
 
-def _extremal_cdf(params, keys, terms, slack, ell):
-    """exp of the sum of terms over keys > x, for each x of the 1-D array
-    ell, with the err shared by exact_prob_*_le: the largest, over the
-    values, of the census truncation (which only lowers the true value)
-    plus the rounding: the slack of the summed terms, (k - 1)u of the
-    magnitude of a k-term sum, 2u of exp."""
+def _extremal_cdf(params, keys, terms, slack, sizes, ell):
+    """exp of the sum of terms over the ascending keys > x, for each x of
+    the 1-D array ell, with the err shared by exact_prob_*_le: the largest,
+    over the values, of the census truncation (which only lowers the true
+    value) plus the rounding: the slack of the summed terms, (k - 1)u of
+    the magnitude of a k-term sum, 2u of exp.  sizes[i] is the number of
+    float terms summed into terms[i], so k is their sum over the keys > x."""
     truncation = -math.expm1(-_tail_mean_bound(params))
-    at, (total, slack) = _suffix_sums(keys, (terms, slack), ell, "right")
-    values = np.fromiter(map(math.exp, total), float, at.size)
-    drift = slack - (keys.size - at - 1) * _U * total
-    expm1 = np.fromiter(map(math.expm1, drift), float, at.size)
+    total, slack, sizes = _suffix_sums(keys, (terms, slack, sizes), ell, "right")
+    values = np.fromiter(map(math.exp, total), float, total.size)
+    drift = slack - (sizes - 1) * _U * total
+    expm1 = np.fromiter(map(math.expm1, drift), float, total.size)
     return values, float(np.max(values * (truncation + expm1 + 3.0 * _U)))
 
 
@@ -332,7 +332,10 @@ def exact_prob_max_dim_le(params: BoltzmannParams, ell):
     array ell, as prod over dims m > x of (1 - q^m)^rho(m), from one pass
     over params.census.  Every true value lies within err of its value."""
     m, rho, logs, slack = _log_factors(params)
-    return _extremal_cdf(params, m, rho * logs, rho * slack, ell)
+    logs *= rho
+    slack *= rho
+    # the census dims ascend, one float term per class
+    return _extremal_cdf(params, m, logs, slack, np.broadcast_to(1.0, m.shape), ell)
 
 
 def exact_prob_height_le(params: BoltzmannParams, ell):
@@ -340,27 +343,33 @@ def exact_prob_height_le(params: BoltzmannParams, ell):
     array ell, the product of (1 - q^a) over all weights k with
     L(k - 1) > x.  Every true value lies within err of its value."""
     census = params.census
-    h2 = twice_height(census.rank, census.weights - 1)
+    r = census.rank
+    # 2 L(k - 1) = 2 L(k) - r(r+1)(r+2)/6, a non-negative integer bin
+    h2 = twice_height(r, census.weights)
+    h2 -= r * (r + 1) * (r + 2) // 6
     _, _, logs, slack = _log_factors(params)
-    # h2 is an exact integer, so h2 / 2 > x exactly when h2 > 2 x
-    return _extremal_cdf(params, h2 / 2.0, np.repeat(logs, census.counts),
-                         np.repeat(slack, census.counts), ell)
+    terms = np.bincount(h2, np.repeat(logs, census.counts))
+    slack = np.bincount(h2, np.repeat(slack, census.counts))
+    sizes = np.bincount(h2)
+    # the bin keys b / 2 are exact, so b / 2 > x exactly when b > 2 x
+    return _extremal_cdf(params, np.arange(sizes.size) / 2.0, terms, slack, sizes, ell)
 
 
 def exact_expected_shape(params: BoltzmannParams, levels):
     """(values, errs): E_Q[number of weights k >= (t, ..., t), counted with
     multiplicity], the expected shape functional sum q^a/(1-q^a) over the
     diagonal corner set of params.census, for each level t of the 1-D array
-    levels.  One suffix sum reads the exact integer key min_j k_j on the
-    left, so each level sums the keys >= t.  Each true value lies within
-    its err of its value; the census truncation only raises it.  Each err
-    is the truncation bound plus the rounding, relative to the value as
-    every term is positive: (beta m + 6)u per term (q^m, expm1 of the
-    rounded beta m, the division) and (K - 1)u for the census's K weights."""
+    levels.  The terms are binned on the exact integer key min_j k_j, and
+    one suffix sum reads the bins on the left, so each level sums the keys
+    >= t.  Each true value lies within its err of its value; the census
+    truncation only raises it.  Each err is the truncation bound plus the
+    rounding, relative to the value as every term is positive: (beta m +
+    6)u per term (q^m, expm1 of the rounded beta m, the division) and
+    (K - 1)u for the census's K weights."""
     census = params.census
     _, _, qm, one_minus = params.term_arrays
-    terms = np.repeat(qm / one_minus, census.counts)
-    _, (values,) = _suffix_sums(census.weights.min(axis=1), (terms,), levels, "left")
+    bins = np.bincount(census.weights.min(axis=1), np.repeat(qm / one_minus, census.counts))
+    (values,) = _suffix_sums(np.arange(bins.size), (bins,), levels, "left")
     rounding = (params.beta * params.cutoff + census.num_weights + 6.0) * _U
     return values, _tail_mean_bound(params) + rounding * values
 
@@ -377,9 +386,7 @@ def exact_count_mgf(params: BoltzmannParams, us):
     |c - 1| q^m / ((1 - q^m)(1 - x)) times its relative size.  The
     difference, the product by rho and the sum of the k class terms, which
     share one sign, add (k + 1)u of |log value|, and exp 2u of the value."""
-    us = np.asarray(us)
-    if us.ndim != 1 or not np.isrealobj(us) or not np.all((-1.0 < us) & (us < 1.0)):
-        raise ValueError(f"mgf points must be a real 1-D array in (-1, 1), got {us}")
+    us = _mgf_points(us)
     beta = params.beta
     m, rho, qm, one_minus = params.term_arrays
     # math.exp, whose last bit np.exp may not match

@@ -482,6 +482,14 @@ def limit_shape(r: int, levels):
 
 # ---- moment generating function of the limiting component count ----
 
+def _mgf_points(u):
+    """u as an array, which must be a real 1-D array in (-1, 1)."""
+    us = np.asarray(u)
+    if us.ndim != 1 or not np.isrealobj(us) or not np.all((-1.0 < us) & (us < 1.0)):
+        raise ValueError(f"mgf points must be a real 1-D array in (-1, 1), got {u}")
+    return us
+
+
 def count_mgf(u, census: IrrepCensus):
     """(values, errs): M(u) = prod over weights (1 - u/a)^{-1}, the mgf of
     the limiting scaled component count at the census's rank, at each point
@@ -498,9 +506,7 @@ def count_mgf(u, census: IrrepCensus):
     """
     if census.rank < 2:
         raise ValueError("count mgf diverges at rank 1 (harmonic series); need rank >= 2")
-    us = np.asarray(u)
-    if us.ndim != 1 or not np.isrealobj(us) or not np.all((-1.0 < us) & (us < 1.0)):
-        raise ValueError(f"mgf points must be a real 1-D array in (-1, 1), got {u}")
+    us = _mgf_points(u)
     size = np.abs(us)
     X = census.max_dim
     if np.any(size > X / 2.0):

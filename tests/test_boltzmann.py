@@ -479,23 +479,25 @@ def test_exact_prob_anchors():
 
 @pytest.mark.parametrize("prob", [exact_prob_max_dim_le, exact_prob_height_le])
 def test_exact_prob_matches_direct_product(prob):
-    params = sampling_params(solve_saddle(2, 300))
-    census = params.census
-    if prob is exact_prob_max_dim_le:
-        # class by class, m > ell; 1, 3 and 10 are class dimensions
-        factors = [(float(m), int(rho), int(m)) for m, rho in zip(census.dims, census.counts)]
-        ells = (0.0, 1.0, 3.0, 10.0, 40.0, 160.0)
-    else:
-        # L(k - 1) = (2 (k_1 - 1) + 2 (k_2 - 1)) / 2 at rank 2, weight by weight
-        dims = np.repeat(census.dims, census.counts)
-        factors = [(float(k1 + k2 - 2), 1, int(a))
-                   for (k1, k2), a in zip(census.weights.tolist(), dims)]
-        ells = (0.0, 1.5, 4.0, 12.0)
-    for ell in ells:
-        (value,), _ = prob(params, np.array([ell]))
-        direct = math.fsum(rho * math.log1p(-params.q ** a)
-                           for key, rho, a in factors if key > ell)
-        assert value == pytest.approx(math.exp(direct), rel=1e-12)
+    # D class by class at rank 2, where 1, 3 and 10 are class dimensions;
+    # H weight by weight at ranks 1-4, keyed on L(k - 1) of each weight
+    for r in (2,) if prob is exact_prob_max_dim_le else (1, 2, 3, 4):
+        params = sampling_params(solve_saddle(r, 300))
+        census = params.census
+        if prob is exact_prob_max_dim_le:
+            factors = [(float(m), int(rho), int(m))
+                       for m, rho in zip(census.dims, census.counts)]
+            ells = (0.0, 1.0, 3.0, 10.0, 40.0, 160.0)
+        else:
+            dims = np.repeat(census.dims, census.counts)
+            factors = [(int(twice_height(r, np.array(k) - 1)) / 2.0, 1, int(a))
+                       for k, a in zip(census.weights.tolist(), dims)]
+            ells = (0.0, 1.5, 4.0, 12.0, 30.0)
+        for ell in ells:
+            (value,), _ = prob(params, np.array([ell]))
+            direct = math.fsum(rho * math.log1p(-params.q ** a)
+                               for key, rho, a in factors if key > ell)
+            assert value == pytest.approx(math.exp(direct), rel=1e-12), (r, ell)
 
 
 def _shape_curve(params, levels):
@@ -508,28 +510,31 @@ def _shape_curve(params, levels):
                                   _shape_curve])
 def test_exact_prob_grid_equals_pointwise_calls(prob):
     params = sampling_params(solve_saddle(2, 300))
-    ells = np.array([0.0, 1.5, 4.0, 12.0, 40.0, 160.0])
+    # -1 lies below every key and 1e6 above every key, height and min_j k_j
+    ells = np.array([-1.0, 0.0, 1.5, 4.0, 12.0, 40.0, 160.0, 1e6])
     values, err = prob(params, ells)
     pointwise = [prob(params, ells[i:i + 1]) for i in range(ells.size)]
     assert values.tolist() == [value[0] for value, _ in pointwise]
     assert err == max(e for _, e in pointwise)
-    for bad in (ells.reshape(2, 3), 4.0):
+    assert values[-1] == (0.0 if prob is _shape_curve else 1.0)
+    for bad in (ells.reshape(2, 4), 4.0):
         with pytest.raises(ValueError):
             prob(params, bad)
 
 
 def test_exact_expected_shape_matches_direct_sum():
-    params = sampling_params(solve_saddle(2, 300))
-    census = params.census
-    dims, K = np.repeat(census.dims, census.counts), census.weights
-    for t in (1.0, 2.0, 2.5, 5.5):
-        # the level t is the corner (t, t)
-        (value,), (err,) = exact_expected_shape(params, np.array([t]))
-        direct = math.fsum(
-            params.q ** int(a) / (1.0 - params.q ** int(a))
-            for a, k in zip(dims, K) if k[0] >= t and k[1] >= t)
-        assert value == pytest.approx(direct, rel=1e-10)
-        assert err >= 0.0
+    for r in (1, 2, 3, 4):
+        params = sampling_params(solve_saddle(r, 300))
+        census = params.census
+        dims, K = np.repeat(census.dims, census.counts), census.weights
+        for t in (1.0, 2.0, 2.5, 5.5):
+            # the level t is the corner (t, ..., t)
+            (value,), (err,) = exact_expected_shape(params, np.array([t]))
+            direct = math.fsum(
+                params.q ** int(a) / (1.0 - params.q ** int(a))
+                for a, k in zip(dims, K) if all(k >= t))
+            assert value == pytest.approx(direct, rel=1e-10), (r, t)
+            assert err >= 0.0
     for bad in ([[1.0, 1.0]], 1.0):
         with pytest.raises(ValueError):
             exact_expected_shape(params, np.array(bad))
