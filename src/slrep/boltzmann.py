@@ -8,8 +8,8 @@ rejection sampler exploits: it draws every weight but the trivial module and
 accepts with probability q^k, k the dimension left to it, at an expected
 (1 - q) sqrt(2 pi sigma^2) attempts per sample.  Both samplers draw that
 measure directly, one geometric per census weight (Duchon, Flajolet,
-Louchard & Schaeffer 2004), in one generator call per draw or batch of
-attempts, whatever the number of weights.
+Louchard & Schaeffer 2004), in one generator call per draw or attempt,
+whatever the number of weights.
 
 `solve_saddle` tunes q so the expected total dimension equals n, by Newton
 steps in beta = -log q that need no bracket, as the expectation is convex
@@ -51,14 +51,22 @@ class BoltzmannParams(NamedTuple):
 
     rank: int
     n: int
-    q: float
-    s: float
     beta: float       # -log q = s^nu
     sigma2: float     # Var_q(total dimension), census part
     tail_bound: float  # certified truncation error of E_q[dim] at the solution
     solver_tol: float
     census: IrrepCensus
     term_arrays: tuple  # (m, rho, q^m, 1 - q^m) per class of census, as floats
+
+    @property
+    def q(self) -> float:
+        """exp(-beta)."""
+        return math.exp(-self.beta)
+
+    @property
+    def s(self) -> float:
+        """beta^(1/nu), nu = r(r+1)/2."""
+        return self.beta ** (1.0 / degree(self.rank))
 
     @property
     def cutoff(self) -> int:
@@ -133,8 +141,7 @@ def solve_saddle(r: int, n: int, tol: float = 1e-8) -> BoltzmannParams:
     # each (u = 2^-53, beta m up to about 50), so 1e-12 keeps it negligible
     if not 1e-12 <= tol < 1.0:
         raise ValueError(f"saddle tolerance must satisfy 1e-12 <= tol < 1, got {tol}")
-    nu = degree(r)
-    beta = asymptotic_saddle(r, n) ** nu
+    beta = asymptotic_saddle(r, n) ** degree(r)
     X = default_cutoff(r, n)
     while True:
         census = enumerate_irreps(r, X)
@@ -152,9 +159,8 @@ def solve_saddle(r: int, n: int, tol: float = 1e-8) -> BoltzmannParams:
         if err <= tol * n / 2.0 and abs(g) <= tol * n / 2.0:
             sigma2 = math.fsum(_moment_terms(arrays, beta, 2)[0])
             return BoltzmannParams(
-                rank=r, n=n, q=math.exp(-beta), s=beta ** (1.0 / nu), beta=beta,
-                sigma2=sigma2, tail_bound=err, solver_tol=tol, census=census,
-                term_arrays=_term_arrays(census, beta))
+                rank=r, n=n, beta=beta, sigma2=sigma2, tail_bound=err,
+                solver_tol=tol, census=census, term_arrays=_term_arrays(census, beta))
         X *= 2
 
 
@@ -215,31 +221,31 @@ def boltzmann_sample(params: BoltzmannParams, rng: np.random.Generator) -> Repre
     return Representation(census, rows, mult[rows])
 
 
-def rejection_uniform_sample(params: BoltzmannParams, num_samples: int,
-                             rng: np.random.Generator) -> list:
-    """Exactly uniform representations of dimension n by rejection.
+def rejection_uniform_sample(params: BoltzmannParams,
+                             rng: np.random.Generator) -> Representation:
+    """One exactly uniform representation of dimension n, by rejection.
 
     Probabilistic divide-and-conquer (Arratia & DeSalvo 2016), deterministic
     second half.  Each attempt draws the multiplicity X_k of every census
     weight but the trivial module (params.census's row 0, dimension 1) from
-    its own geometric law, sets k = n - sum a X_k, and is accepted when
-    k >= 0 and U < q^k with U uniform; the trivial module then takes
-    multiplicity k.  Its own multiplicity is Geometric(1 - q), so accepted
-    rows follow the product law conditioned on total n, and an attempt
-    succeeds with probability P(T = n) / (1 - q).  Attempts are vectorized
-    in batches, one geometric and one uniform call per batch; expected
-    attempts per sample is about (1 - q) sqrt(2 pi sigma_n^2).
+    its own geometric law, in one generator call, sets k = n - sum a X_k,
+    and is accepted when k >= 0 and U < q^k, with U uniform from one more
+    call; the trivial module then takes multiplicity k.  Its own
+    multiplicity is Geometric(1 - q), so an accepted attempt follows the
+    product law conditioned on total n, and succeeds with probability
+    P(T = n) / (1 - q): about (1 - q) sqrt(2 pi sigma_n^2) attempts are
+    expected.
 
     An attempt's total sum a X_k is an int64 dot product, exact below 2^63,
-    and n < REJECTION_MAX_N keeps n and k = n - total in int64 for every
-    total up to n.  The terms are nonnegative, so only a total above n can
-    wrap; an accepted row is kept when its exact total_dim is n, which
-    drops the rows a wrap let through and no other.
+    and n < REJECTION_MAX_N keeps every total up to n in int64.  The terms
+    are nonnegative, so only a total above n can wrap; an accepted attempt
+    is kept when its exact total_dim is n, which drops the attempts a wrap
+    let through and no other.
 
     Raises RuntimeError when the census's truncation TV exceeds SAMPLING_TV
-    or the attempt budget (REJECTION_ATTEMPT_FACTOR times that count per
-    requested sample) is exhausted, and ValueError for n >= REJECTION_MAX_N
-    or a census that does not start at the trivial module.
+    or the attempt budget (REJECTION_ATTEMPT_FACTOR times the expected
+    count) is spent, and ValueError for n >= REJECTION_MAX_N or a census
+    that does not start at the trivial module.
     """
     if params.n >= REJECTION_MAX_N:
         raise ValueError(f"rejection sampling needs n < 2^62, got {params.n}")
@@ -249,37 +255,20 @@ def rejection_uniform_sample(params: BoltzmannParams, num_samples: int,
                          "the trivial module")
     expected = max(-math.expm1(-params.beta)
                    * math.sqrt(2.0 * math.pi * params.sigma2), 1.0)
-    max_attempts = int(math.ceil(REJECTION_ATTEMPT_FACTOR * expected)) * num_samples
-    # one column per weight after the trivial row 0
+    max_attempts = int(math.ceil(REJECTION_ATTEMPT_FACTOR * expected))
+    # one entry per weight after the trivial row 0
     m_vec = np.repeat(census.dims, census.counts)[1:]
     p_vec = np.repeat(params.term_arrays[3], census.counts)[1:]
-    max_rows = max((1 << 22) // max(len(m_vec), 1), 1)  # 32 MB batches
-
-    out = []
-    attempts = 0
-    while len(out) < num_samples:
-        rows = int(np.clip(2.0 * expected * (num_samples - len(out)),
-                           32, max_rows))
-        rows = min(rows, max(max_attempts - attempts, 1))
-        mat = rng.geometric(p_vec, size=(rows, len(m_vec)))
-        mat -= 1  # in place: a batch may fill 32 MB
-        ks = params.n - mat @ m_vec
-        u = rng.random(rows)
-        accepted = (ks >= 0) & (u < np.exp(-params.beta * np.maximum(ks, 0)))
-        for ridx in np.flatnonzero(accepted):
-            if len(out) == num_samples:
-                break
-            mult = np.append(ks[ridx], mat[ridx])
+    for _ in range(max_attempts):
+        mult = rng.geometric(p_vec) - 1
+        k = params.n - int(mult @ m_vec)
+        if k >= 0 and rng.random() < math.exp(-params.beta * k):
+            mult = np.append(k, mult)
             used = np.flatnonzero(mult)
             rep = Representation(census, used, mult[used])
             if rep.total_dim() == params.n:
-                out.append(rep)
-        attempts += rows
-        if len(out) < num_samples and attempts >= max_attempts:
-            raise RuntimeError(
-                f"rejection sampler exceeded {max_attempts} attempts "
-                f"({len(out)}/{num_samples} accepted)")
-    return out
+                return rep
+    raise RuntimeError(f"rejection sampler exceeded {max_attempts} attempts")
 
 
 # ---- exact distribution curves under the product measure ----

@@ -227,13 +227,11 @@ def _cmd_sample(args, started):
         if args.mode == "uniform-rejection" and args.n >= REJECTION_MAX_N:
             raise ConfigError(f"uniform-rejection needs n < 2^62, got {args.n}: "
                               "its attempts sum dimensions in int64")
+        draw = boltzmann_sample if args.mode == "boltzmann" else rejection_uniform_sample
         params = sampling_params(solve_saddle(args.rank, args.n))
         for i in range(args.samples):
             rng = np.random.default_rng(np.random.SeedSequence((args.seed, i)))
-            if args.mode == "boltzmann":
-                rep = boltzmann_sample(params, rng)
-            else:
-                rep = rejection_uniform_sample(params, 1, rng)[0]
+            rep = draw(params, rng)
             lines.append(json.dumps(_sample_record(i, rep), sort_keys=True))
         extra = {"truncation_tv_bound": truncation_tv_bound(params), "saddle_s": params.s}
     results = {"samples": args.samples, "mode": args.mode, **extra}

@@ -193,8 +193,7 @@ def _criterion_4_draws():
 
     params = sampling_params(solve_saddle(2, 10))
     rej_rng = np.random.default_rng(SEED)
-    rej = [canonical(rep)
-           for rep in rejection_uniform_sample(params, 20_000, rej_rng)]
+    rej = [canonical(rejection_uniform_sample(params, rej_rng)) for _ in range(20_000)]
 
     blob = json.dumps({"dp": [[list(k), c] for key in dp for k, c in key],
                        "rejection": [[list(k), c] for key in rej for k, c in key]},

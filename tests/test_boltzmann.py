@@ -17,6 +17,7 @@ from scipy.stats import chi2_contingency, chisquare
 
 import slrep.boltzmann
 from slrep.boltzmann import (
+    REJECTION_ATTEMPT_FACTOR,
     REJECTION_MAX_N,
     BoltzmannParams,
     _term_arrays,
@@ -90,6 +91,10 @@ def test_solve_saddle_certifies_target(r, n):
     assert 0.0 < params.q < 1.0
     assert params.beta == pytest.approx(-math.log(params.q), rel=1e-12)
     assert params.beta == pytest.approx(params.s ** degree(r), rel=1e-12)
+    # q and s are read off beta, so a moved beta moves them too
+    moved = params._replace(beta=2.0 * params.beta)
+    assert moved.q == math.exp(-2.0 * params.beta)
+    assert moved.s == (2.0 * params.beta) ** (1.0 / degree(r))
     assert params.sigma2 > 0.0
     # recheck the calibration on a census twice as wide
     wide = enumerate_irreps(r, 2 * params.cutoff)
@@ -251,10 +256,14 @@ def test_default_cutoff_grows_with_target():
     assert cuts[0] >= 8
 
 
+SCALARS = ("rank", "n", "beta", "sigma2", "tail_bound", "solver_tol", "q", "s")
+
+
 def scalar_fields(params):
-    """The params' eight scalar fields: all but the census and its arrays."""
-    assert BoltzmannParams._fields[8:] == ("census", "term_arrays")
-    return params[:8]
+    """The params' scalars by name: every field but the census and its
+    arrays, and q and s, which are read off beta."""
+    assert set(BoltzmannParams._fields) == {*SCALARS[:6], "census", "term_arrays"}
+    return tuple(getattr(params, name) for name in SCALARS)
 
 
 @pytest.mark.parametrize("r,n", [(2, 300), (3, 1000)])
@@ -290,12 +299,13 @@ def test_sampling_params_certify_truncation():
 
 
 def test_boltzmann_sampler_requires_coverage():
+    # both samplers refuse a census that leaves more than SAMPLING_TV
     params = solve_saddle(2, 300)
     rng = np.random.default_rng(0)
-    with pytest.raises(RuntimeError, match="truncation TV"):
-        boltzmann_sample(params, rng)
-    with pytest.raises(RuntimeError, match="truncation TV"):
-        boltzmann_sample(params.with_cutoff(20), rng)
+    for draw in (boltzmann_sample, rejection_uniform_sample):
+        for narrow in (params, params.with_cutoff(20)):
+            with pytest.raises(RuntimeError, match="truncation TV"):
+                draw(narrow, rng)
 
 
 def test_params_carry_the_only_census():
@@ -636,8 +646,7 @@ def test_exact_curves_err_covers_rounding():
 def test_rejection_sampler_totals_and_agreement_with_dp():
     params = sampling_params(solve_saddle(2, 10))
     rng = np.random.default_rng(31)
-    reps = rejection_uniform_sample(params, 2000, rng)
-    assert len(reps) == 2000
+    reps = [rejection_uniform_sample(params, rng) for _ in range(2000)]
     assert all(rep.total_dim() == 10 for rep in reps)
 
     table = count_representations(2, 10)
@@ -654,40 +663,49 @@ def test_rejection_sampler_totals_and_agreement_with_dp():
     assert pvalue > 1e-3
 
 
-def test_rejection_sampler_attempt_budget(monkeypatch):
+def test_rejection_sampler_attempt_budget():
+    # a uniform of 1 accepts no attempt, so one call spends the whole
+    # budget, one geometric vector per attempt, and then raises
     params = sampling_params(solve_saddle(2, 10))
-    rng = np.random.default_rng(33)
-    # a budget of one attempt per requested sample
-    monkeypatch.setattr(slrep.boltzmann, "REJECTION_ATTEMPT_FACTOR", 1e-9)
-    with pytest.raises(RuntimeError):
-        rejection_uniform_sample(params, 50, rng)
+    expected = max(-math.expm1(-params.beta)
+                   * math.sqrt(2.0 * math.pi * params.sigma2), 1.0)
+    budget = math.ceil(REJECTION_ATTEMPT_FACTOR * expected)
+
+    class Refusing(_CountingRng):
+        def random(self):
+            return 1.0
+
+    rng = Refusing(np.random.default_rng(33))
+    with pytest.raises(RuntimeError, match=f"exceeded {budget} attempts"):
+        rejection_uniform_sample(params, rng)
+    assert rng.calls["geometric"] == budget
 
 
 def test_rejection_sampler_refuses_n_from_2_to_the_62():
     params = sampling_params(solve_saddle(1, 10))
     for n in (REJECTION_MAX_N, 10**20):
         with pytest.raises(ValueError, match="n < 2\\^62"):
-            rejection_uniform_sample(params._replace(n=n), 1, np.random.default_rng(1))
+            rejection_uniform_sample(params._replace(n=n), np.random.default_rng(1))
 
 
 def test_rejection_drops_a_row_whose_total_wrapped():
-    # rank 1, n = 10, columns of dimensions 2, 3, 4, ...: attempt 0 sums to
+    # rank 1, n = 10, weights of dimensions 2, 3, 4, ...: attempt 0 sums to
     # 2 * 2^62 + 3 * 2 + 4 * 2^61 = 2^64 + 6, which int64 reads as 6, so it
     # leaves k = 4 as attempt 1 does (dimension 2 three times); u = 0 accepts
     # both, and only attempt 1 is a representation of dimension 10
     params = sampling_params(solve_saddle(1, 10))
+    attempts = iter([(2**62, 2, 2**61), (3, 0, 0)])
 
     class Wrapping:
-        def geometric(self, p, size):
-            mat = np.ones(size, dtype=np.int64)
-            mat[0, :3] += (2**62, 2, 2**61)
-            mat[1, 0] += 3
-            return mat
+        def geometric(self, p):
+            vec = np.ones(p.size, dtype=np.int64)
+            vec[:3] += next(attempts)
+            return vec
 
-        def random(self, size):
-            return np.zeros(size)
+        def random(self):
+            return 0.0
 
-    rep, = rejection_uniform_sample(params, 1, Wrapping())
+    rep = rejection_uniform_sample(params, Wrapping())
     assert rep.components() == [((1,), 4), ((2,), 3)]
     assert rep.total_dim() == 10
 
@@ -697,7 +715,7 @@ def test_rejection_sampler_is_uniform_at_rank_three():
     n = 12
     params = sampling_params(solve_saddle(3, n))
     rng = np.random.default_rng(34)
-    reps = rejection_uniform_sample(params, 16_000, rng)
+    reps = [rejection_uniform_sample(params, rng) for _ in range(16_000)]
     seen = Counter(tuple(rep.components()) for rep in reps)
     assert len(seen) == count_representations(3, n).counts[n] == 16
     _, pvalue = chisquare(list(seen.values()))
@@ -710,7 +728,7 @@ def test_rejection_sampler_fills_the_trivial_weight():
     trivial = tuple(params.census.weights[0].tolist())
     assert trivial == (1, 1)
     rng = np.random.default_rng(35)
-    reps = rejection_uniform_sample(params, 200, rng)
+    reps = [rejection_uniform_sample(params, rng) for _ in range(200)]
     for rep in reps:
         mult = dict(rep.components())
         rest = sum(dim_irrep(2, k) * c for k, c in mult.items() if k != trivial)
@@ -727,7 +745,7 @@ def test_rejection_sampler_refuses_census_without_trivial_class():
                           weights=census.weights[1:])
     cut_params = params._replace(census=cut, term_arrays=_term_arrays(cut, params.beta))
     with pytest.raises(ValueError):
-        rejection_uniform_sample(cut_params, 1, np.random.default_rng(36))
+        rejection_uniform_sample(cut_params, np.random.default_rng(36))
 
 
 class _CountingRng:
@@ -778,35 +796,23 @@ def test_sampler_generator_calls_do_not_grow_with_classes():
         per_draw.append(rng.calls.total() / 3)
     assert per_draw[0] == per_draw[1] == 1
 
-    # rejection: one geometric and one uniform call per batch of attempts,
-    # none per accepted sample
-    params = sampling_params(solve_saddle(2, 10**4))
-    rng = _CountingRng(np.random.default_rng(45))
-    reps = rejection_uniform_sample(params, 8, rng)
-    assert len(reps) == 8
-    batches = rng.calls["geometric"]
-    assert rng.calls["random"] == batches
-    assert rng.calls.total() == 2 * batches
+    # rejection: one geometric call per attempt and one uniform call per
+    # attempt that leaves k >= 0, none per accepted sample
+    n = 10**4
+    params = sampling_params(solve_saddle(2, n))
+    dims = np.repeat(params.census.dims, params.census.counts)[1:]
+    fits = []
 
+    class Recording(_CountingRng):
+        def geometric(self, p):
+            self.calls["geometric"] += 1
+            vec = self.rng.geometric(p)
+            fits.append(int((vec - 1) @ dims) <= n)
+            return vec
 
-def test_rejection_batches_stay_within_32_mb():
-    # 2^18 - 1 columns after the trivial row: the batch floor must not hold
-    # more rows than fit in 2^22 words
-    params = solve_saddle(1, 10**4).with_cutoff(2**18)
-    sizes = []
-
-    class Recording:
-        def __init__(self, rng):
-            self.rng = rng
-
-        def geometric(self, p, size):
-            sizes.append(size)
-            return self.rng.geometric(p, size=size)
-
-        def random(self, size):
-            return self.rng.random(size)
-
-    reps = rejection_uniform_sample(params, 1, Recording(np.random.default_rng(47)))
-    assert reps[0].total_dim() == 10**4
-    assert sizes and sizes[0][1] == 2**18 - 1
-    assert all(rows * columns <= 2**22 for rows, columns in sizes)
+    rng = Recording(np.random.default_rng(45))
+    reps = [rejection_uniform_sample(params, rng) for _ in range(8)]
+    assert all(rep.total_dim() == n for rep in reps)
+    assert rng.calls["geometric"] == len(fits) > 8
+    assert rng.calls["random"] == sum(fits)
+    assert rng.calls.total() == len(fits) + sum(fits)
