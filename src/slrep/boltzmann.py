@@ -44,19 +44,21 @@ from .weights import degree, twice_height
 
 
 class BoltzmannParams(NamedTuple):
-    """Solved saddle point: E_q[total dimension] = n within solver_tol * n,
-    certified on `census`, which every later stage reads, with its
-    `term_arrays`.  Parameters moved to another cutoff by `with_cutoff` keep
-    their solve's tail_bound and sigma2."""
+    """Solved saddle point: E_q[total dimension] = n within SADDLE_TOL * n,
+    certified on `census`, whose rank is theirs and which every later stage
+    reads, with its `term_arrays`.  Parameters moved to another cutoff by
+    `with_cutoff` keep their solve's tail_bound and sigma2."""
 
-    rank: int
     n: int
     beta: float       # -log q = s^nu
     sigma2: float     # Var_q(total dimension), census part
     tail_bound: float  # certified truncation error of E_q[dim] at the solution
-    solver_tol: float
     census: IrrepCensus
     term_arrays: tuple  # (m, rho, q^m, 1 - q^m) per class of census, as floats
+
+    @property
+    def rank(self) -> int:
+        return self.census.rank
 
     @property
     def q(self) -> float:
@@ -121,8 +123,13 @@ def _saddle_gap(arrays, beta: float, n: int):
     return math.fsum(terms) - n, slope
 
 
-def solve_saddle(r: int, n: int, tol: float = 1e-8) -> BoltzmannParams:
-    """Solve E_q[total dimension] = n for q, with |E - n| <= tol * n certified.
+# err leaves out the rounding of E_q's float terms, about (beta m + 8) u
+# each (u = 2^-53, beta m up to about 50), so SADDLE_TOL keeps it negligible
+SADDLE_TOL = 1e-8  # every solve: |E_q[total dimension] - n| <= SADDLE_TOL * n
+
+
+def solve_saddle(r: int, n: int) -> BoltzmannParams:
+    """Solve E_q[total dimension] = n for q, |E - n| <= SADDLE_TOL * n certified.
 
     Newton in beta = -log q on the census-truncated E, from the leading-order
     guess asymptotic_saddle(r, n)^nu.  E is convex and decreasing in beta, so
@@ -137,10 +144,6 @@ def solve_saddle(r: int, n: int, tol: float = 1e-8) -> BoltzmannParams:
     """
     if n < 1:
         raise ValueError(f"target dimension must be >= 1, got {n}")
-    # err leaves out the rounding of E_q's float terms, about (beta m + 8) u
-    # each (u = 2^-53, beta m up to about 50), so 1e-12 keeps it negligible
-    if not 1e-12 <= tol < 1.0:
-        raise ValueError(f"saddle tolerance must satisfy 1e-12 <= tol < 1, got {tol}")
     beta = asymptotic_saddle(r, n) ** degree(r)
     X = default_cutoff(r, n)
     while True:
@@ -156,11 +159,10 @@ def solve_saddle(r: int, n: int, tol: float = 1e-8) -> BoltzmannParams:
             beta = beta - step if step < beta else 0.5 * beta
         err = ((-np.expm1(-beta * X)) ** -1 * weighted_tail_bound(r, X, beta, 1)
                if beta * X > 1.0 else math.inf)
-        if err <= tol * n / 2.0 and abs(g) <= tol * n / 2.0:
+        if err <= SADDLE_TOL * n / 2.0 and abs(g) <= SADDLE_TOL * n / 2.0:
             sigma2 = math.fsum(_moment_terms(arrays, beta, 2)[0])
-            return BoltzmannParams(
-                rank=r, n=n, beta=beta, sigma2=sigma2, tail_bound=err,
-                solver_tol=tol, census=census, term_arrays=_term_arrays(census, beta))
+            return BoltzmannParams(n=n, beta=beta, sigma2=sigma2, tail_bound=err,
+                                   census=census, term_arrays=_term_arrays(census, beta))
         X *= 2
 
 

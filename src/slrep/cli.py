@@ -176,13 +176,13 @@ def _cmd_count(args, started):
 
 
 def _cmd_saddle(args, started):
-    from .boltzmann import solve_saddle
+    from .boltzmann import SADDLE_TOL, solve_saddle
     _check_bounds(args)
-    params = solve_saddle(args.rank, args.n, tol=args.tol)
+    params = solve_saddle(args.rank, args.n)
     results = {
         "s": params.s, "beta": params.beta, "q": params.q,
         "sigma2": params.sigma2, "cutoff": params.cutoff,
-        "expected_dim_err": params.solver_tol * args.n,
+        "expected_dim_err": SADDLE_TOL * args.n,
         "tail_bound": params.tail_bound,
     }
     return _emit(args, started, results)
@@ -429,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("saddle", help="solve the Boltzmann calibration")
     common(p)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
     p.set_defaults(func=_cmd_saddle)
 
     p = sub.add_parser("sample", help="draw representations")

@@ -79,15 +79,6 @@ class Representation:
         self.rows = rows
         self.mult = mult
 
-    @classmethod
-    def from_rows(cls, census: IrrepCensus, rows, mult) -> "Representation":
-        """rows in any order; a repeated row adds up, a zero total is dropped."""
-        rows, inverse = np.unique(np.asarray(rows, dtype=np.int64),
-                                  return_inverse=True)
-        total = np.zeros(rows.size, dtype=np.int64)
-        np.add.at(total, inverse, np.asarray(mult, dtype=np.int64))
-        return cls(census, rows[total > 0], total[total > 0])
-
     @property
     def rank(self) -> int:
         return self.census.rank
@@ -120,16 +111,21 @@ class CountTable:
     sigma[j] = sum of d rho(d) over the classes whose dimension d divides j,
     sigma[0] = 0; classes lists (d, rho(d), census row of the class's first
     weight) for every class with d <= max_total, in ascending d.  Both hold
-    Python ints, and every sampler step reads them."""
+    Python ints, and every sampler step reads them; the rank is the census's."""
 
-    def __init__(self, rank: int, max_total: int, counts: list, census: IrrepCensus,
-                 sigma: list, classes: list):
-        self.rank = rank
-        self.max_total = max_total
+    def __init__(self, counts: list, census: IrrepCensus, sigma: list, classes: list):
         self.counts = counts
         self.census = census
         self.sigma = sigma
         self.classes = classes
+
+    @property
+    def rank(self) -> int:
+        return self.census.rank
+
+    @property
+    def max_total(self) -> int:
+        return len(self.counts) - 1
 
 
 def count_representations(r: int, n: int) -> CountTable:
@@ -169,8 +165,8 @@ def count_representations(r: int, n: int) -> CountTable:
     counts = p[:, -1].astype(object)
     for i in range(p.shape[1] - 2, -1, -1):
         counts = (counts << _LIMB_BITS) + p[:, i].astype(object)
-    return CountTable(rank=r, max_total=n, counts=counts.tolist(), census=census,
-                      sigma=sigma.tolist(), classes=classes)
+    return CountTable(counts=counts.tolist(), census=census, sigma=sigma.tolist(),
+                      classes=classes)
 
 
 def _normalize(p):
@@ -226,11 +222,12 @@ def uniform_sample(table: CountTable, n: int, rng: random.Random) -> Representat
     p = table.counts
     if p[n] == 0:
         raise ValueError(f"no representation has total dimension {n}")
-    rows, mult = [], []  # a row drawn twice adds up its steps
+    mult = {}  # census row -> multiplicity: a row drawn twice adds up its steps
     v = n
     while v:
         row, k, d = _pick_term(table, v, rng.randrange(v * p[v]))
-        rows.append(row)
-        mult.append(k)
+        mult[row] = mult.get(row, 0) + k
         v -= k * d
-    return Representation.from_rows(table.census, rows, mult)
+    rows = sorted(mult)
+    return Representation(table.census, np.array(rows, dtype=np.int64),
+                          np.array([mult[row] for row in rows], dtype=np.int64))

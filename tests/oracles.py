@@ -143,11 +143,13 @@ def ks_distance(sample, cdf) -> float:
 
 def representation(r: int, mult: dict) -> Representation:
     """The representation with multiplicity mult[k] at each weight tuple k,
-    its rows looked up in a census that reaches every weight."""
+    its rows looked up in a census that reaches every weight and sorted, a
+    zero multiplicity dropped."""
     census = enumerate_irreps(r, max((dim_irrep(r, k) for k in mult), default=1))
     index = {k: i for i, k in enumerate(map(tuple, census.weights.tolist()))}
-    return Representation.from_rows(census, [index[k] for k in mult],
-                                    list(mult.values()))
+    rows = sorted((index[k], m) for k, m in mult.items() if m)
+    return Representation(census, np.array([i for i, _ in rows], dtype=np.int64),
+                          np.array([m for _, m in rows], dtype=np.int64))
 
 
 def boundary_root_r2(y1: float) -> float:

@@ -19,6 +19,7 @@ import slrep.boltzmann
 from slrep.boltzmann import (
     REJECTION_ATTEMPT_FACTOR,
     REJECTION_MAX_N,
+    SADDLE_TOL,
     BoltzmannParams,
     _term_arrays,
     boltzmann_sample,
@@ -86,7 +87,7 @@ def test_moment_q_validation():
 
 @pytest.mark.parametrize("r,n", [(1, 100), (2, 100), (2, 10_000), (3, 1000)])
 def test_solve_saddle_certifies_target(r, n):
-    params = solve_saddle(r, n, tol=1e-8)
+    params = solve_saddle(r, n)
     assert params.rank == r and params.n == n
     assert 0.0 < params.q < 1.0
     assert params.beta == pytest.approx(-math.log(params.q), rel=1e-12)
@@ -182,7 +183,7 @@ def test_solve_saddle_steps_rise_to_the_root(monkeypatch, r):
         assert all(b >= a - 4.0 * math.ulp(a)
                    for a, b in zip(betas[left:], betas[left + 1:])), (n, betas)
         value, _ = expected_dim(params.q, params.census)
-        assert abs(value - n) <= params.solver_tol * n / 2.0
+        assert abs(value - n) <= SADDLE_TOL * n / 2.0
 
 
 def test_solve_saddle_is_monotone_in_target():
@@ -200,7 +201,7 @@ def test_solve_saddle_keeps_its_census():
         assert params.cutoff == default_cutoff(r, n) * (1 if r == 2 else 2)
         value, err = expected_dim(params.q, census)
         assert err == pytest.approx(params.tail_bound, rel=1e-9)
-        assert abs(value - n) <= params.solver_tol * n
+        assert abs(value - n) <= SADDLE_TOL * n
     with pytest.raises(ValueError):
         solve_saddle(2, 0)
 
@@ -217,8 +218,8 @@ def test_solve_saddle_certifies_high_ranks(r):
         value, err = expected_dim(params.q, params.census)
         assert params.census.max_dim * params.beta >= 1.0
         assert err == pytest.approx(params.tail_bound, rel=1e-9)
-        assert err <= params.solver_tol * n / 2.0
-        assert abs(value - n) <= params.solver_tol * n / 2.0
+        assert err <= SADDLE_TOL * n / 2.0
+        assert abs(value - n) <= SADDLE_TOL * n / 2.0
     if r == 6:
         assert solve_saddle(6, 10**6).cutoff == 16 * default_cutoff(6, 10**6)
         params = solve_saddle(6, 10**3)
@@ -230,24 +231,8 @@ def test_solve_saddle_halves_past_a_flat_tangent():
     # gap's slope is 0; beta halves until the terms return
     params = solve_saddle(8, 1)
     value, err = expected_dim(params.q, params.census)
-    assert err <= params.solver_tol / 2.0
-    assert abs(value - 1) <= params.solver_tol / 2.0
-
-
-@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf, 1.0, 5.0, 1e-16])
-def test_solve_saddle_rejects_unreachable_tolerance(monkeypatch, tol):
-    def never(*args):
-        raise AssertionError("census built for a refused tolerance")
-
-    monkeypatch.setattr(slrep.boltzmann, "enumerate_irreps", never)
-    with pytest.raises(ValueError, match="tolerance"):
-        solve_saddle(2, 1000, tol=tol)
-
-
-def test_solve_saddle_accepts_the_tolerance_floor():
-    params = solve_saddle(3, 1000, tol=1e-12)
-    value, err = expected_dim(params.q, params.census)
-    assert err + abs(value - 1000) <= 1e-12 * 1000
+    assert err <= SADDLE_TOL / 2.0
+    assert abs(value - 1) <= SADDLE_TOL / 2.0
 
 
 def test_default_cutoff_grows_with_target():
@@ -256,13 +241,14 @@ def test_default_cutoff_grows_with_target():
     assert cuts[0] >= 8
 
 
-SCALARS = ("rank", "n", "beta", "sigma2", "tail_bound", "solver_tol", "q", "s")
+SCALARS = ("n", "beta", "sigma2", "tail_bound", "rank", "q", "s")
 
 
 def scalar_fields(params):
     """The params' scalars by name: every field but the census and its
-    arrays, and q and s, which are read off beta."""
-    assert set(BoltzmannParams._fields) == {*SCALARS[:6], "census", "term_arrays"}
+    arrays, the rank, which is read off the census, and q and s, which are
+    read off beta."""
+    assert BoltzmannParams._fields == (*SCALARS[:4], "census", "term_arrays")
     return tuple(getattr(params, name) for name in SCALARS)
 
 
@@ -318,9 +304,10 @@ def test_params_carry_the_only_census():
     assert len(takers) >= 8
     for fn in takers:
         assert "census" not in inspect.signature(fn).parameters, fn.__name__
-    # the one method that swaps the census keeps the params' rank
-    wide = solve_saddle(2, 300).with_cutoff(50)
-    assert wide.census.rank == wide.rank == 2
+    # the params' rank is their census's, whichever census they carry
+    params = solve_saddle(2, 300)
+    for moved in (params.with_cutoff(50), sampling_params(params)):
+        assert moved.rank == moved.census.rank == 2
     # package-wide, no public function takes a carrier of the rank (params,
     # a census or a count table) together with a rank of its own, which the
     # two would have to agree on
@@ -329,6 +316,13 @@ def test_params_carry_the_only_census():
     offenders = [name for name, fn in functions
                  if {"params", "census", "table"} & set(inspect.signature(fn).parameters)
                  and {"r", "rank"} & set(inspect.signature(fn).parameters)]
+    assert offenders == []
+    # nor does a record: no named tuple's fields and no plain class's
+    # __init__ hold a census together with a rank
+    records = list(_record_fields())
+    assert {"boltzmann.BoltzmannParams", "exact_count.CountTable"} <= dict(records).keys()
+    offenders = [name for name, fields in records
+                 if "census" in fields and {"r", "rank"} & fields]
     assert offenders == []
 
 
@@ -388,6 +382,21 @@ def _public_functions():
                     fn = getattr(fn, "__func__", fn)  # unwrap classmethods
                     if not method.startswith("_") and inspect.isfunction(fn):
                         yield f"{info.name}.{name}.{method}", fn
+
+
+def _record_fields():
+    """(dotted name, field names) for every class that a module of the slrep
+    package defines: a named tuple's fields, or the parameters of a plain
+    class's own __init__."""
+    for info in pkgutil.iter_modules(slrep.__path__):
+        module = importlib.import_module(f"slrep.{info.name}")
+        for name, obj in vars(module).items():
+            if not inspect.isclass(obj) or obj.__module__ != module.__name__:
+                continue
+            if hasattr(obj, "_fields"):
+                yield f"{info.name}.{name}", set(obj._fields)
+            elif "__init__" in vars(obj):
+                yield f"{info.name}.{name}", set(inspect.signature(obj).parameters)
 
 
 def _boltzmann_draws(n, num, seed):

@@ -19,6 +19,7 @@ import slrep
 import slrep.census
 import slrep.verify
 import slrep.weights
+from slrep.boltzmann import SADDLE_TOL
 from slrep.census import region_volume
 from slrep.cli import build_parser, main
 from slrep.limits import (
@@ -78,7 +79,7 @@ def test_saddle_results_are_consistent(capsys):
     res = manifest["results"]
     assert res["beta"] == pytest.approx(-math.log(res["q"]), rel=1e-12)
     assert res["s"] ** 3 == pytest.approx(res["beta"], rel=1e-12)
-    assert res["tail_bound"] <= res["expected_dim_err"]
+    assert res["tail_bound"] <= res["expected_dim_err"] == SADDLE_TOL * 1000
 
 
 def test_constants_reports_normalizers(capsys):
@@ -119,6 +120,18 @@ def test_constants_reads_the_saddle_the_reports_use(capsys, rank, n):
         code, _, err = runs[stat]
         assert code in (0, 2), err
         assert (constants[key] is None) == (code == 2), (stat, err)
+
+
+@pytest.mark.parametrize("rank,n", [("2", "1000000"), ("3", "10000")])
+def test_saddle_constants_and_boltzmann_print_one_s(capsys, rank, n):
+    # the three commands read one solve, so their s agree bit for bit
+    printed = []
+    for command, key in ((("saddle",), "s"), (("constants",), "s"),
+                         (("sample", "--mode", "boltzmann"), "saddle_s")):
+        code, out, err = run_cli(capsys, *command, "--rank", rank, "--n", n)
+        assert code == 0, err
+        printed.append(split_manifest(out)[0]["results"][key].hex())
+    assert len(set(printed)) == 1, printed
 
 
 def test_readme_command_lines_parse():
@@ -597,12 +610,6 @@ def test_verify_limits_trend_mode(capsys):
     # a weight is read only by --stat mult
     ("dist", "--rank", "2", "--n", "1000", "--stat", "D", "--k", "9,9"),
     ("dist", "--rank", "2", "--n", "100", "--stat", "D", "--k", ""),
-    # a saddle tolerance outside [1e-12, 1) is unreachable or meaningless
-    ("saddle", "--rank", "2", "--n", "1000", "--tol", "0"),
-    ("saddle", "--rank", "2", "--n", "1000", "--tol", "-1"),
-    ("saddle", "--rank", "2", "--n", "1000", "--tol", "nan"),
-    ("saddle", "--rank", "2", "--n", "1000", "--tol", "5"),
-    ("saddle", "--rank", "3", "--n", "1000", "--tol", "1e-16"),
     ("census", "--rank", "6", "--max-dim", "1000000000000000000"),
     # the count table's int64 limbs are proven safe only below 2^30,
     # the smallest refused total
@@ -714,6 +721,17 @@ def test_verify_limits_has_no_single_n_options():
         assert proc.returncode == 2, option
         assert "unrecognized arguments" in proc.stderr
         assert proc.stdout == ""
+
+
+def test_saddle_has_no_tolerance_option():
+    # every saddle is solved to the one SADDLE_TOL, so no command prints a
+    # solve that the others do not run
+    proc = run_fresh("saddle", "--rank", "2", "--n", "1000", "--tol", "1e-6")
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("invalid config: ")
+    assert "unrecognized arguments" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_abbreviated_options_are_refused():

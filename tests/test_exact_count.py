@@ -159,6 +159,10 @@ def test_smallest_tables():
     assert count_representations(2, 0).counts == [1]
     assert count_representations(2, 1).counts == [1, 1]
     assert count_representations(1, 1).counts == [1, 1]
+    # the rank and the largest total are read off the census and the counts
+    table = count_representations(3, 0)
+    assert (table.rank, table.max_total) == (3, 0)
+    assert set(vars(table)) == {"counts", "census", "sigma", "classes"}
 
 
 def test_counts_are_python_ints():
@@ -221,9 +225,18 @@ def test_representation_accessors():
     assert empty.total_dim() == 0
     assert empty.num_irreps() == 0
     assert empty.components() == []
-    # rows come in any order: a repeated row adds up, a zero total is dropped
-    merged = Representation.from_rows(rep.census, [2, 0, 2, 1], [1, 2, 2, 0])
-    assert merged.components() == [((1, 1), 2), ((2, 1), 3)]
+
+
+def test_uniform_sample_adds_up_a_repeated_row():
+    # a draw of 0 takes the first term of the Euler identity at every step,
+    # the trivial module with k = 1, so its five steps add up to one row
+    class FirstTerm:
+        def randrange(self, stop):
+            return 0
+
+    rep = uniform_sample(count_representations(2, 5), 5, FirstTerm())
+    assert rep.components() == [((1, 1), 5)]
+    assert rep.rows.tolist() == [0] and rep.mult.tolist() == [5]
 
 
 def test_total_dim_is_exact_past_2_to_the_63():
