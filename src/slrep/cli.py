@@ -177,13 +177,29 @@ def _cmd_count(args, started):
 
 def _cmd_saddle(args, started):
     from .boltzmann import SADDLE_TOL, solve_saddle
+    from .limits import (
+        asymptotic_saddle,
+        compute_constants,
+        dispersion_constant,
+        saddle_scale_constant,
+        variance_scale_constant,
+    )
     _check_bounds(args)
-    params = solve_saddle(args.rank, args.n)
+    r = args.rank
+    params = solve_saddle(r, args.n)
+    vol, vol_err = region_volume(r)
     results = {
         "s": params.s, "beta": params.beta, "q": params.q,
         "sigma2": params.sigma2, "cutoff": params.cutoff,
         "expected_dim_err": SADDLE_TOL * args.n,
         "tail_bound": params.tail_bound,
+        # the normalizers at this saddle, the ones `dist` and `verify limits` use
+        **compute_constants(r, params.s)._asdict(),
+        "s_asymptotic": asymptotic_saddle(r, args.n),
+        "volume": vol, "volume_err": vol_err,
+        "saddle_scale": saddle_scale_constant(r),
+        "variance_scale": variance_scale_constant(r),
+        "dispersion": dispersion_constant(r),
     }
     return _emit(args, started, results)
 
@@ -261,36 +277,6 @@ def _cmd_dist(args, started):
         results["pass"] = bool(report.gap <= args.tol)
         failed = not results["pass"]
     return _emit(args, started, results, ["\n".join(lines) + "\n"], failed)
-
-
-def _cmd_constants(args, started):
-    from .boltzmann import solve_saddle
-    from .limits import (
-        asymptotic_saddle,
-        compute_constants,
-        dispersion_constant,
-        saddle_scale_constant,
-        variance_scale_constant,
-    )
-    _check_bounds(args)
-    r = args.rank
-    params = solve_saddle(r, args.n)
-    constants = compute_constants(r, params.s)
-    vol, vol_err = region_volume(r)
-    results = {
-        "volume": vol, "volume_err": vol_err,
-        "saddle_scale": saddle_scale_constant(r),
-        "variance_scale": variance_scale_constant(r),
-        "dispersion": dispersion_constant(r),
-        "s": constants.s,
-        "s_asymptotic": asymptotic_saddle(r, args.n),
-        "max_dim_center": constants.max_dim_center,
-        "max_dim_scale": constants.max_dim_scale,
-        "height_center": constants.height_center,
-        "height_scale": constants.height_scale,
-        "count_scale": constants.count_scale,
-    }
-    return _emit(args, started, results)
 
 
 def _cmd_verify_weyl(args, started):
@@ -426,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the CSV table to this file")
     p.set_defaults(func=_cmd_count)
 
-    p = sub.add_parser("saddle", help="solve the Boltzmann calibration")
+    p = sub.add_parser("saddle", help="Boltzmann calibration and limit-law normalizers")
     common(p)
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=_cmd_saddle)
@@ -451,11 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="optional gap threshold (engineering choice)")
     p.add_argument("--out", help="write the CSV table to this file")
     p.set_defaults(func=_cmd_dist)
-
-    p = sub.add_parser("constants", help="limit-law normalizing constants")
-    common(p)
-    p.add_argument("--n", type=int, default=10**6)
-    p.set_defaults(func=_cmd_constants)
 
     p = sub.add_parser("verify", help="certified checks")
     vsub = p.add_subparsers(dest="mode", required=True)

@@ -129,26 +129,20 @@ def asymptotic_saddle(r: int, n) -> float:
 # ---- normalizing constants for the statistics ----
 
 class LimitConstants(NamedTuple):
-    """Centering/scaling constants of the limit laws at the saddle s; every
-    field but `rank` depends on s.
+    """Centering/scaling constants of the extremal limit laws at the saddle s.
 
-    max_dim_* normalize the largest dimension (Gumbel limit), height_*
-    the largest height (Gumbel), count_scale multiplies the number of
-    irreducible components (mgf-characterized limit), mult of weight k is
-    scaled by count_scale * dim(k) (exponential limit), and the shape
-    functional at level t is s^r * shape(t / s).
+    max_dim_* normalize the largest dimension (Gumbel limit) and height_*
+    the largest height (Gumbel).  The other observables are scaled by the
+    saddle itself: the number of irreducible components by beta = s^nu
+    (mgf-characterized limit), mult of weight k by beta * dim(k)
+    (exponential limit), and the shape functional at level t is
+    s^r * shape(t / s).
     """
 
-    rank: int
-    s: float
     max_dim_center: float
     max_dim_scale: float
     height_center: float
     height_scale: float
-
-    @property
-    def count_scale(self) -> float:
-        return self.s ** degree(self.rank)
 
 
 def compute_constants(r: int, s: float) -> LimitConstants:
@@ -182,7 +176,7 @@ def compute_constants(r: int, s: float) -> LimitConstants:
     else:
         a_h, b_h = math.nan, math.nan
 
-    return LimitConstants(rank=r, s=s, max_dim_center=a_d, max_dim_scale=b_d,
+    return LimitConstants(max_dim_center=a_d, max_dim_scale=b_d,
                           height_center=a_h, height_scale=b_h)
 
 

@@ -395,10 +395,13 @@ class LimitGapReport(NamedTuple):
     grid: np.ndarray
     exact: np.ndarray
     limit: np.ndarray
-    gap_is_relative: bool
     exact_err: float
     limit_err: float
     note: str
+
+    @property
+    def gap_is_relative(self) -> bool:
+        return self.statistic == "shape"
 
     @property
     def gaps(self) -> np.ndarray:
@@ -519,6 +522,5 @@ def compare_exact_to_limit(r: int, n: int, which: str, *, k=None) -> LimitGapRep
         limit, limit_err = _limit_column(r, "mgf")
         exact_err, limit_err = float(exact_err.max()), float(limit_err.max())
         note = "transformed-count mgf on the standard u-grid"
-    return LimitGapReport(which, r, n, grid, exact, limit,
-                          gap_is_relative=which == "shape", exact_err=exact_err,
+    return LimitGapReport(which, r, n, grid, exact, limit, exact_err=exact_err,
                           limit_err=limit_err, note=note)

@@ -83,16 +83,16 @@ def test_saddle_results_are_consistent(capsys):
 
 
 def test_constants_reports_normalizers(capsys):
-    code, out, _ = run_cli(capsys, "constants", "--rank", "2", "--n", "100000")
+    # `saddle` prints the normalizers at the saddle it solves
+    code, out, _ = run_cli(capsys, "saddle", "--rank", "2", "--n", "100000")
     assert code == 0
     manifest, _ = split_manifest(out)
     res = manifest["results"]
     for key in ("s", "s_asymptotic", "volume", "volume_err", "saddle_scale",
                 "variance_scale", "dispersion", "max_dim_center",
-                "max_dim_scale", "height_center", "height_scale",
-                "count_scale"):
+                "max_dim_scale", "height_center", "height_scale"):
         assert key in res
-    assert res["count_scale"] == pytest.approx(res["s"] ** 3, rel=1e-12)
+    assert "count_scale" not in res
     # the r-only constants come from their own functions
     assert res["volume"] == region_volume(2)[0]
     assert res["saddle_scale"] == saddle_scale_constant(2)
@@ -108,14 +108,14 @@ def test_constants_reports_normalizers(capsys):
 @pytest.mark.parametrize("n", ["1", "3", "300", "1000000"])
 @pytest.mark.parametrize("rank", ["1", "2", "3", "4", "5", "6"])
 def test_constants_reads_the_saddle_the_reports_use(capsys, rank, n):
-    # `constants` prints the saddle of `saddle`, and a null center exactly
-    # where `dist` refuses the statistic that the center normalizes
+    # `saddle` prints a null center exactly where `dist` refuses the
+    # statistic that the center normalizes
     runs = {}
-    for command in (("constants",), ("saddle",),
-                    ("dist", "--stat", "D"), ("dist", "--stat", "H")):
+    for command in (("saddle",), ("dist", "--stat", "D"), ("dist", "--stat", "H")):
         runs[command[-1]] = run_cli(capsys, *command, "--rank", rank, "--n", n)
-    constants = split_manifest(runs["constants"][1])[0]["results"]
-    assert constants["s"] == split_manifest(runs["saddle"][1])[0]["results"]["s"]
+    code, out, err = runs["saddle"]
+    assert code == 0, err
+    constants = split_manifest(out)[0]["results"]
     for stat, key in (("D", "max_dim_center"), ("H", "height_center")):
         code, _, err = runs[stat]
         assert code in (0, 2), err
@@ -124,9 +124,9 @@ def test_constants_reads_the_saddle_the_reports_use(capsys, rank, n):
 
 @pytest.mark.parametrize("rank,n", [("2", "1000000"), ("3", "10000")])
 def test_saddle_constants_and_boltzmann_print_one_s(capsys, rank, n):
-    # the three commands read one solve, so their s agree bit for bit
+    # the two commands read one solve, so their s agree bit for bit
     printed = []
-    for command, key in ((("saddle",), "s"), (("constants",), "s"),
+    for command, key in ((("saddle",), "s"),
                          (("sample", "--mode", "boltzmann"), "saddle_s")):
         code, out, err = run_cli(capsys, *command, "--rank", rank, "--n", n)
         assert code == 0, err
@@ -262,7 +262,7 @@ CENSUS_BUILDS = {
     "uniform-rejection": (("sample", "--rank", "2", "--n", "10000", "--mode",
                            "uniform-rejection", "--samples", "1"), 1),
     "dist-D": (("dist", "--rank", "2", "--n", "1000000", "--stat", "D"), 1),
-    "constants": (("constants", "--rank", "2", "--n", "1000000"), 1),
+    "saddle": (("saddle", "--rank", "2", "--n", "1000000"), 1),
     "dist-H": (("dist", "--rank", "2", "--n", "1000000", "--stat", "H"), 1),
     "dist-mgf": (("dist", "--rank", "2", "--n", "1000000", "--stat", "mgf"), 2),
     "dist-shape": (("dist", "--rank", "2", "--n", "1000000", "--stat", "shape"), 2),
@@ -435,7 +435,7 @@ def test_constants_writes_undefined_normalizers_as_null():
 
     # at rank 1 and n = 1 the solved saddle exceeds 1, so the D center is
     # undefined, and so is the H center derived from it
-    proc = run_fresh("constants", "--rank", "1", "--n", "1")
+    proc = run_fresh("saddle", "--rank", "1", "--n", "1")
     assert proc.returncode == 0
     assert proc.stderr == ""
     manifest = json.loads(proc.stdout, parse_constant=strict)
@@ -592,54 +592,63 @@ def test_verify_limits_trend_mode(capsys):
     assert len(manifest["results"]["gaps"]) == 3
 
 
+# explicit ids, so that a case keeps its id when another is added or removed
 @pytest.mark.parametrize("argv", [
-    ("count", "--rank", "9", "--n", "8"),
-    ("count", "--rank", "2", "--n", "99999"),
-    ("sample", "--mode", "uniform-dp", "--rank", "2", "--n", "50",
-     "--seed", "-1"),
-    ("verify", "weyl", "--rank", "2", "--N", "4", "--eps", "0.5"),
-    ("verify", "weyl", "--rank", "2", "--N", "3", "--eps", "0.03125"),
-    ("census", "--rank", "1", "--max-dim", "60000000"),
-    ("census", "--rank", "2", "--max-dim", "10000000000000"),
-    ("census", "--rank", "3", "--max-dim", "100000000000000000"),
+    pytest.param(("count", "--rank", "9", "--n", "8"), id="argv0"),
+    pytest.param(("count", "--rank", "2", "--n", "99999"), id="argv1"),
+    pytest.param(("sample", "--mode", "uniform-dp", "--rank", "2", "--n", "50",
+                  "--seed", "-1"), id="argv2"),
+    pytest.param(("verify", "weyl", "--rank", "2", "--N", "4", "--eps", "0.5"), id="argv3"),
+    pytest.param(("verify", "weyl", "--rank", "2", "--N", "3", "--eps", "0.03125"),
+                 id="argv4"),
+    pytest.param(("census", "--rank", "1", "--max-dim", "60000000"), id="argv5"),
+    pytest.param(("census", "--rank", "2", "--max-dim", "10000000000000"), id="argv6"),
+    pytest.param(("census", "--rank", "3", "--max-dim", "100000000000000000"), id="argv7"),
     # the census cap bounds every numeric command, before the scan
-    ("saddle", "--rank", "2", "--n", "10000000000000000"),
-    ("saddle", "--rank", "6", "--n", "10000000000000000000000000"),
-    ("verify", "limits", "--rank", "2", "--stat", "mult", "--k", "1,1",
-     "--n-grid", "0,1000"),
+    pytest.param(("saddle", "--rank", "2", "--n", "10000000000000000"), id="argv8"),
+    pytest.param(("saddle", "--rank", "6", "--n", "10000000000000000000000000"), id="argv9"),
+    pytest.param(("verify", "limits", "--rank", "2", "--stat", "mult", "--k", "1,1",
+                  "--n-grid", "0,1000"), id="argv10"),
     # a weight is read only by --stat mult
-    ("dist", "--rank", "2", "--n", "1000", "--stat", "D", "--k", "9,9"),
-    ("dist", "--rank", "2", "--n", "100", "--stat", "D", "--k", ""),
-    ("census", "--rank", "6", "--max-dim", "1000000000000000000"),
+    pytest.param(("dist", "--rank", "2", "--n", "1000", "--stat", "D", "--k", "9,9"),
+                 id="argv11"),
+    pytest.param(("dist", "--rank", "2", "--n", "100", "--stat", "D", "--k", ""),
+                 id="argv12"),
+    pytest.param(("census", "--rank", "6", "--max-dim", "1000000000000000000"), id="argv13"),
     # the count table's int64 limbs are proven safe only below 2^30,
     # the smallest refused total
-    ("count", "--rank", "2", "--n", "1073741824", "--unsafe"),
+    pytest.param(("count", "--rank", "2", "--n", "1073741824", "--unsafe"), id="argv14"),
     # the rejection sampler holds n in int64, and is refused from 2^62 on,
     # before the saddle is solved
-    ("sample", "--rank", "6", "--n", "4611686018427387904", "--mode",
-     "uniform-rejection"),
+    pytest.param(("sample", "--rank", "6", "--n", "4611686018427387904", "--mode",
+                  "uniform-rejection"), id="argv15"),
     # window options are checked before the frequency grid is drawn
-    ("verify", "weyl", "--rank", "2", "--N", "4", "--eps", "nan"),
-    ("verify", "weyl", "--rank", "2", "--N", "4", "--eps", "inf"),
-    ("verify", "weyl", "--rank", "2", "--N", "4", "--eps", "0"),
-    ("verify", "weyl", "--rank", "2", "--N", "4", "--eps", "-0.01"),
-    ("verify", "weyl", "--rank", "1", "--N", "4", "--eps", "0.03125"),
-    ("verify", "weyl", "--rank", "2", "--N", "4", "--eps", "0.03125",
-     "--num-thetas", "-1"),
-    ("verify", "limits", "--rank", "2", "--stat", "H", "--k", "1,1",
-     "--n-grid", "1000,10000"),
-    ("verify", "limits", "--rank", "2", "--stat", "mult", "--k", "a",
-     "--n-grid", "100,1000"),
+    pytest.param(("verify", "weyl", "--rank", "2", "--N", "4", "--eps", "nan"), id="argv16"),
+    pytest.param(("verify", "weyl", "--rank", "2", "--N", "4", "--eps", "inf"), id="argv17"),
+    pytest.param(("verify", "weyl", "--rank", "2", "--N", "4", "--eps", "0"), id="argv18"),
+    pytest.param(("verify", "weyl", "--rank", "2", "--N", "4", "--eps", "-0.01"),
+                 id="argv19"),
+    pytest.param(("verify", "weyl", "--rank", "1", "--N", "4", "--eps", "0.03125"),
+                 id="argv20"),
+    pytest.param(("verify", "weyl", "--rank", "2", "--N", "4", "--eps", "0.03125",
+                  "--num-thetas", "-1"), id="argv21"),
+    pytest.param(("verify", "limits", "--rank", "2", "--stat", "H", "--k", "1,1",
+                  "--n-grid", "1000,10000"), id="argv22"),
+    pytest.param(("verify", "limits", "--rank", "2", "--stat", "mult", "--k", "a",
+                  "--n-grid", "100,1000"), id="argv23"),
     # a trend along the n-grid needs strictly increasing sizes
-    ("verify", "ensembles", "--rank", "2", "--n-grid", "100,100"),
-    ("verify", "ensembles", "--rank", "2", "--n-grid", "2500,100"),
-    ("verify", "limits", "--rank", "2", "--stat", "mult",
-     "--n-grid", "1000000,10000"),
+    pytest.param(("verify", "ensembles", "--rank", "2", "--n-grid", "100,100"), id="argv24"),
+    pytest.param(("verify", "ensembles", "--rank", "2", "--n-grid", "2500,100"),
+                 id="argv25"),
+    pytest.param(("verify", "limits", "--rank", "2", "--stat", "mult",
+                  "--n-grid", "1000000,10000"), id="argv26"),
     # parse errors: a bad value, a missing required option and an
     # unrecognized option print no usage text, and main returns 2
-    ("count", "--rank", "2", "--n", "abc"),
-    ("count", "--rank", "2"),
-    ("count", "--rank", "2", "--n", "10", "--samples", "3"),
+    pytest.param(("count", "--rank", "2", "--n", "abc"), id="argv27"),
+    pytest.param(("count", "--rank", "2"), id="argv28"),
+    pytest.param(("count", "--rank", "2", "--n", "10", "--samples", "3"), id="argv29"),
+    # there is no `constants` command: `saddle` prints the normalizers
+    pytest.param(("constants", "--rank", "2", "--n", "1000"), id="argv30"),
 ])
 def test_invalid_configurations_exit_two(capsys, monkeypatch, argv):
     # every case is refused with one diagnostic line before a census is
@@ -689,6 +698,12 @@ def _options_by_command():
 
     walk(build_parser(), ())
     return options
+
+
+def test_one_command_per_job():
+    # `saddle` prints the normalizers at its solve, so no second command does
+    assert {command.split()[0] for command in _options_by_command()} == {
+        "census", "count", "saddle", "sample", "dist", "verify"}
 
 
 def test_out_only_on_commands_that_write_data():
@@ -800,8 +815,7 @@ def test_verify_limits_runs_past_10_to_the_9_without_unsafe(capsys):
     assert all(err < 1e-9 for err in results["exact_errs"])
 
 
-@pytest.mark.parametrize("command", [
-    ("saddle",), ("constants",), ("dist", "--stat", "D")])
+@pytest.mark.parametrize("command", [("saddle",), ("dist", "--stat", "D")])
 def test_numeric_commands_run_at_10_to_the_11_without_unsafe(command):
     proc = run_fresh(*command, "--rank", "2", "--n", "100000000000")
     assert proc.returncode == 0, proc.stderr
@@ -809,8 +823,7 @@ def test_numeric_commands_run_at_10_to_the_11_without_unsafe(command):
     assert split_manifest(proc.stdout)[0]["config"]["unsafe"] is False
 
 
-@pytest.mark.parametrize("command", [
-    ("saddle",), ("dist", "--stat", "D"), ("constants",)])
+@pytest.mark.parametrize("command", [("saddle",), ("dist", "--stat", "D")])
 def test_dimension_beyond_floats_is_refused(command):
     # 10^400 has no float, and every saddle starts from float(n)
     proc = run_fresh(*command, "--rank", "2", "--unsafe", "--n", str(10**400))
@@ -1016,7 +1029,6 @@ def test_package_sources_do_not_import_scipy():
 # every rank
 RANK_FOUR_RUNS = {
     "saddle": ("saddle", "--rank", "4", "--n", "1000"),
-    "constants": ("constants", "--rank", "4", "--n", "1000"),
     "dist-D": ("dist", "--rank", "4", "--n", "1000", "--stat", "D"),
     "dist-mult": ("dist", "--rank", "4", "--n", "1000", "--stat", "mult"),
     "boltzmann": ("sample", "--rank", "4", "--n", "100", "--mode", "boltzmann"),
@@ -1049,7 +1061,6 @@ def test_rank_four_support(label):
 HIGH_RANK_RUNS = {
     "saddle": ("saddle", "--n", "1000000"),
     "saddle-cap": ("saddle", "--n", "1000000000"),
-    "constants": ("constants", "--n", "1000000"),
     "dist-D": ("dist", "--n", "1000000", "--stat", "D"),
     "dist-H": ("dist", "--n", "1000000", "--stat", "H"),
     "dist-mult": ("dist", "--n", "1000000", "--stat", "mult"),
