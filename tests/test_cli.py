@@ -815,7 +815,10 @@ def test_verify_limits_runs_past_10_to_the_9_without_unsafe(capsys):
     assert all(err < 1e-9 for err in results["exact_errs"])
 
 
-@pytest.mark.parametrize("command", [("saddle",), ("dist", "--stat", "D")])
+@pytest.mark.parametrize("command", [
+    pytest.param(("saddle",), id="command0"),
+    pytest.param(("dist", "--stat", "D"), id="command2"),
+])
 def test_numeric_commands_run_at_10_to_the_11_without_unsafe(command):
     proc = run_fresh(*command, "--rank", "2", "--n", "100000000000")
     assert proc.returncode == 0, proc.stderr
@@ -823,7 +826,10 @@ def test_numeric_commands_run_at_10_to_the_11_without_unsafe(command):
     assert split_manifest(proc.stdout)[0]["config"]["unsafe"] is False
 
 
-@pytest.mark.parametrize("command", [("saddle",), ("dist", "--stat", "D")])
+@pytest.mark.parametrize("command", [
+    pytest.param(("saddle",), id="command0"),
+    pytest.param(("dist", "--stat", "D"), id="command1"),
+])
 def test_dimension_beyond_floats_is_refused(command):
     # 10^400 has no float, and every saddle starts from float(n)
     proc = run_fresh(*command, "--rank", "2", "--unsafe", "--n", str(10**400))
