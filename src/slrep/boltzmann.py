@@ -96,10 +96,10 @@ def _term_arrays(census, beta):
 
 def _moment_terms(arrays, beta, p):
     """rho m^p q^m / (1 - q^m)^p per class of the float arrays (m, rho),
-    with 1 - q^m."""
+    with the term arrays (m, rho, q^m, 1 - q^m) it read."""
     m, rho = arrays
     qm, one_minus = _class_terms(m, beta)
-    return rho * m**p * qm / one_minus**p, one_minus
+    return rho * m**p * qm / one_minus**p, (m, rho, qm, one_minus)
 
 
 _CHI = 48.0
@@ -118,8 +118,8 @@ def _saddle_gap(arrays, beta: float, n: int):
     convex and decreasing in beta, and a larger census only adds terms to
     it.  The gap is summed exactly rounded; the derivative only steers
     Newton steps, so a plain sum serves."""
-    terms, one_minus = _moment_terms(arrays, beta, 1)
-    slope = -float(np.sum(terms * arrays[0] / one_minus))
+    terms, (m, _, _, one_minus) = _moment_terms(arrays, beta, 1)
+    slope = -float(np.sum(terms * m / one_minus))
     return math.fsum(terms) - n, slope
 
 
@@ -160,9 +160,10 @@ def solve_saddle(r: int, n: int) -> BoltzmannParams:
         err = ((-np.expm1(-beta * X)) ** -1 * weighted_tail_bound(r, X, beta, 1)
                if beta * X > 1.0 else math.inf)
         if err <= SADDLE_TOL * n / 2.0 and abs(g) <= SADDLE_TOL * n / 2.0:
-            sigma2 = math.fsum(_moment_terms(arrays, beta, 2)[0])
-            return BoltzmannParams(n=n, beta=beta, sigma2=sigma2, tail_bound=err,
-                                   census=census, term_arrays=_term_arrays(census, beta))
+            terms, term_arrays = _moment_terms(arrays, beta, 2)
+            return BoltzmannParams(n=n, beta=beta, sigma2=math.fsum(terms),
+                                   tail_bound=err, census=census,
+                                   term_arrays=term_arrays)
         X *= 2
 
 

@@ -393,12 +393,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "random representations of the special linear Lie algebras.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p):
+    def common(p, unsafe="lift the default rank bound and the exact-counting "
+                         "size bound; the census cap and the arithmetic "
+                         "bounds still hold"):
         p.add_argument("--rank", type=int, required=True, help="rank r of sl_{r+1}")
-        p.add_argument("--unsafe", action="store_true",
-                       help="lift the default rank bound and the exact-counting "
-                            "size bound; the census cap and the arithmetic "
-                            "bounds still hold")
+        p.add_argument("--unsafe", action="store_true", help=unsafe)
 
     p = sub.add_parser("census", help="enumerate irreducibles by dimension")
     common(p)
@@ -442,7 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
     vsub = p.add_subparsers(dest="mode", required=True)
 
     v = vsub.add_parser("weyl", help="window lower bounds on a lattice box")
-    common(v)
+    common(v, unsafe="lift the default 2e6 bound on the lattice box's points; "
+                     f"the rank stays 2..{MAX_RANK}")
     v.add_argument("--N", type=int, required=True, help="box parameter, >= 4")
     v.add_argument("--eps", type=float, required=True,
                    help="in (0, 1/32], with eps N^-nu at least 2^-64, the "

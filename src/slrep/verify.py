@@ -115,14 +115,14 @@ class WeylWindowReport(NamedTuple):
     """Exact window counts over a lattice box; the sin^2 bound is their
     corollary (see weyl_lower_bound_check)."""
 
-    rank: int
-    box_size: int
-    epsilon: float
     window: float
     count_bound: float
-    sin2_bound: float
     thetas: np.ndarray
     counts: np.ndarray
+
+    @property
+    def sin2_bound(self) -> float:
+        return math.sin(math.pi * self.window) ** 2 * self.count_bound
 
     @property
     def violations(self) -> int:
@@ -187,8 +187,8 @@ def sorted_distinct(values) -> np.ndarray:
     return values[keep]
 
 
-def theta_grid(r: int, box_size: int, epsilon: float, num_random: int = 10_000,
-               seed: int = 99):
+def theta_grid(r: int, box_size: int, epsilon: float, *, num_random: int,
+               seed: int):
     """(random, adversarial) frequency grids on [epsilon N^-nu, 1/2], every
     frequency rounded up to the next multiple of 2^-64 (the window kernel's
     grid; a no-op from 2^-12 up, where every double already lies on it).
@@ -240,21 +240,14 @@ def weyl_lower_bound_check(r: int, box_size: int, epsilon: float,
     thetas = _window_frequencies(thetas, box_size, epsilon, nu)
     dims = _lambda_dims(r, box_size)
     window = epsilon * 2.0**-nu
-    count_bound = box_size**r / 32.0
-    return WeylWindowReport(
-        rank=r, box_size=box_size, epsilon=epsilon, window=window,
-        count_bound=count_bound,
-        sin2_bound=math.sin(math.pi * window) ** 2 * count_bound,
-        thetas=thetas, counts=_window_arrays(thetas, dims, window))
+    return WeylWindowReport(window=window, count_bound=box_size**r / 32.0,
+                            thetas=thetas, counts=_window_arrays(thetas, dims, window))
 
 
 class AppendixReport(NamedTuple):
     """Exact results for the rank-2 ladder: the sliding odd-multiplier
     window count and the run structure of the odd-multiplier sequence."""
 
-    box_size: int
-    epsilon: float
-    thetas: np.ndarray
     ladder_thetas: np.ndarray
     ladder_min_counts: np.ndarray
     ladder_bound: float
@@ -317,7 +310,6 @@ def appendix_window_check(box_size: int, epsilon: float, thetas) -> AppendixRepo
         violation = prefix[row, reach] > prefix[row, after]
         follows[block] = np.bincount(row[violation], minlength=rows) > 0
     return AppendixReport(
-        box_size=box_size, epsilon=epsilon, thetas=thetas,
         ladder_thetas=ladder_thetas, ladder_min_counts=min_counts,
         ladder_bound=box_size / 8.0,
         run_thetas=ladder_thetas[run_mask],
@@ -390,8 +382,6 @@ class LimitGapReport(NamedTuple):
     n grows."""
 
     statistic: str
-    rank: int
-    n: int
     grid: np.ndarray
     exact: np.ndarray
     limit: np.ndarray
@@ -522,5 +512,5 @@ def compare_exact_to_limit(r: int, n: int, which: str, *, k=None) -> LimitGapRep
         limit, limit_err = _limit_column(r, "mgf")
         exact_err, limit_err = float(exact_err.max()), float(limit_err.max())
         note = "transformed-count mgf on the standard u-grid"
-    return LimitGapReport(which, r, n, grid, exact, limit, exact_err=exact_err,
+    return LimitGapReport(which, grid, exact, limit, exact_err=exact_err,
                           limit_err=limit_err, note=note)

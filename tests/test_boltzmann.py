@@ -21,6 +21,7 @@ from slrep.boltzmann import (
     REJECTION_MAX_N,
     SADDLE_TOL,
     BoltzmannParams,
+    _moment_terms,
     _term_arrays,
     boltzmann_sample,
     default_cutoff,
@@ -264,6 +265,24 @@ def test_with_cutoff_refills_the_term_arrays(r, n):
     assert len(wide.term_arrays) == 4
     for got, want in zip(wide.term_arrays, _term_arrays(census, params.beta)):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("r,n", [(1, 1), (1, 10**6), (2, 300), (2, 10**8), (3, 1000),
+                                 (3, 10**6), (4, 10**4), (5, 10**6), (6, 10**3),
+                                 (6, 10**6)])
+def test_solve_saddle_keeps_the_arrays_it_solved_on(r, n):
+    # the solve's own float census arrays and its last q^m, 1 - q^m become
+    # the params' term arrays, bit for bit what a fresh conversion of the
+    # census at the returned beta gives; sigma2 sums the p = 2 moment terms
+    # at that beta
+    params = solve_saddle(r, n)
+    census = params.census
+    want = _term_arrays(census, params.beta)
+    assert len(params.term_arrays) == 4
+    for got, expected in zip(params.term_arrays, want):
+        assert got.dtype == np.float64 and np.array_equal(got, expected)
+    arrays = census.dims.astype(float), census.counts.astype(float)
+    assert params.sigma2 == math.fsum(_moment_terms(arrays, params.beta, 2)[0])
 
 
 def test_sampling_params_certify_truncation():

@@ -532,14 +532,12 @@ def test_verify_weyl_grid_note_counts_the_frequencies_added(capsys, monkeypatch,
     def weyl_check(r, box_size, epsilon, thetas):
         checked.append(thetas)
         return slrep.verify.WeylWindowReport(
-            rank=r, box_size=box_size, epsilon=epsilon, window=0.0, count_bound=0.0,
-            sin2_bound=0.0, thetas=thetas, counts=np.zeros(thetas.size))
+            window=0.0, count_bound=0.0, thetas=thetas, counts=np.zeros(thetas.size))
 
     def ladder_check(box_size, epsilon, thetas):
         return slrep.verify.AppendixReport(
-            box_size=box_size, epsilon=epsilon, thetas=thetas, ladder_thetas=thetas,
-            ladder_min_counts=np.zeros(1), ladder_bound=0.0, run_thetas=thetas,
-            run_max_lengths=np.zeros(1), run_length_bound=0.0,
+            ladder_thetas=thetas, ladder_min_counts=np.zeros(1), ladder_bound=0.0,
+            run_thetas=thetas, run_max_lengths=np.zeros(1), run_length_bound=0.0,
             run_follow_violations=np.zeros(1))
 
     monkeypatch.setattr("slrep.verify.weyl_lower_bound_check", weyl_check)
@@ -728,6 +726,33 @@ def test_verify_weyl_refuses_boxes_above_the_point_bound(capsys, monkeypatch):
     assert "30282525 points" in lines[0] and "--unsafe" in lines[0]
 
 
+def _unsafe_help(*command):
+    """The --unsafe help text of the subparser that `command` names."""
+    parser = build_parser()
+    for name in command:
+        parser = next(action.choices[name] for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    return next(action.help for action in parser._actions if action.dest == "unsafe")
+
+
+def test_verify_weyl_unsafe_help_names_only_the_point_bound(capsys):
+    # under --unsafe, verify weyl drops its 2e6 box-point bound and no other:
+    # it counts nothing exactly from a table, and its rank stays 2..6
+    text = _unsafe_help("verify", "weyl")
+    assert "2e6" in text and "2..6" in text
+    assert "exact-counting" not in text and "rank bound" not in text
+    code, out, err = run_cli(capsys, "verify", "weyl", "--rank", "7", "--N", "4",
+                             "--eps", "0.03125", "--num-thetas", "0", "--unsafe")
+    assert code == 2 and out == ""
+    assert err.startswith("invalid config: --rank 7 outside 2..6")
+    # the other commands keep their text
+    for command in (("census",), ("count",), ("saddle",), ("sample",), ("dist",),
+                    ("verify", "ensembles"), ("verify", "limits")):
+        assert _unsafe_help(*command) == (
+            "lift the default rank bound and the exact-counting size bound; "
+            "the census cap and the arithmetic bounds still hold"), command
+
+
 def test_verify_limits_has_no_single_n_options():
     # the single-n report is `dist`; `verify limits` is the n-grid trend only
     for option in (("--tol", "1"), ("--n", "1000")):
@@ -895,6 +920,27 @@ def run_fresh(*argv, code=None, stdout=subprocess.PIPE):
     head = ["-c", code] if code else ["-m", "slrep.cli"]
     return subprocess.run([sys.executable, *head, *argv], stdout=stdout,
                           stderr=subprocess.PIPE, text=True, env=env, timeout=300)
+
+
+TRACE_CHILD = os.path.join(os.path.dirname(SRC), "perfbench", "trace_child.py")
+
+
+@pytest.mark.parametrize("span,argv", [
+    ("verify.weyl_lower_bound_check",
+     ("verify", "weyl", "--rank", "2", "--N", "4", "--eps", "0.03125", "--num-thetas", "20")),
+    ("census.enumerate_irreps", ("census", "--rank", "2", "--max-dim", "100")),
+], ids=["verify-weyl", "census"])
+def test_benchmark_tracer_records_its_work_sizes(tmp_path, span, argv):
+    # the benchmark's traced runs size these spans from the call's result
+    # (the tracer's SIZES: a census's num_weights, a window report's
+    # thetas), so a record that drops what the tracer reads crashes them
+    spans_path = tmp_path / "spans.json"
+    proc = run_fresh(str(spans_path), *argv,
+                     code=f"import runpy; runpy.run_path({TRACE_CHILD!r}, run_name='__main__')")
+    assert proc.returncode == 0, proc.stderr
+    sizes = [size for name, *_, raised, size in json.loads(spans_path.read_text())["spans"]
+             if name == span and not raised]
+    assert sizes and min(sizes) > 0
 
 
 @pytest.mark.parametrize("argv", [

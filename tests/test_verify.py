@@ -223,7 +223,7 @@ def test_weyl_check_passes_on_a_rank_five_box():
 
 
 def test_weyl_check_passes_on_its_default_grid():
-    random_t, adversarial_t = theta_grid(2, 4, 1.0 / 32.0, num_random=500)
+    random_t, adversarial_t = theta_grid(2, 4, 1.0 / 32.0, num_random=500, seed=99)
     thetas = np.unique(np.concatenate([random_t, adversarial_t]))
     report = weyl_lower_bound_check(2, 4, 1.0 / 32.0, thetas)
     assert report.passed
@@ -232,6 +232,31 @@ def test_weyl_check_passes_on_its_default_grid():
     assert report.sin2_bound == pytest.approx(
         math.sin(math.pi * (1.0 / 32.0) / 2**nu) ** 2 / 32.0 * 16.0)
     assert report.window == (1.0 / 32.0) / 2**nu
+
+
+def test_reports_keep_only_what_their_checks_measured():
+    # the reports hold no copy of their builders' arguments: the caller
+    # already has the rank, size, box and window parameter it passed
+    assert slrep.verify.WeylWindowReport._fields == (
+        "window", "count_bound", "thetas", "counts")
+    assert slrep.verify.AppendixReport._fields == (
+        "ladder_thetas", "ladder_min_counts", "ladder_bound", "run_thetas",
+        "run_max_lengths", "run_length_bound", "run_follow_violations")
+    assert slrep.verify.LimitGapReport._fields == (
+        "statistic", "grid", "exact", "limit", "exact_err", "limit_err", "note")
+
+
+@pytest.mark.parametrize("r,N,eps", [(2, 4, 1.0 / 32.0), (2, 9, 0.01), (3, 5, 1.0 / 32.0),
+                                     (4, 4, 0.003), (6, 4, 1.0 / 32.0)])
+def test_weyl_sin2_bound_is_the_builders_expression(r, N, eps):
+    # the property reads the window and the count bound it is built from,
+    # bit for bit the value the report stored as a field before
+    thetas = np.array([0.25, 0.5])
+    report = weyl_lower_bound_check(r, N, eps, thetas)
+    window = eps * 2.0**-(r * (r + 1) // 2)
+    count_bound = N**r / 32.0
+    assert report.window == window and report.count_bound == count_bound
+    assert report.sin2_bound == math.sin(math.pi * window) ** 2 * count_bound
 
 
 def test_weyl_counts_at_one_half_are_odd_dimensions():
@@ -372,7 +397,7 @@ def test_window_checks_refuse_the_same_frequencies(thetas, message):
 def test_theta_grid_refuses_an_invalid_window_as_the_checks_do(box_size, epsilon, message):
     # the grid and both window checks refuse the same windows with the same message
     t = np.array([0.25])
-    for call in (lambda: theta_grid(2, box_size, epsilon, num_random=4),
+    for call in (lambda: theta_grid(2, box_size, epsilon, num_random=4, seed=99),
                  lambda: weyl_lower_bound_check(2, box_size, epsilon, t),
                  lambda: appendix_window_check(box_size, epsilon, t)):
         with pytest.raises(ValueError, match=message):
@@ -517,7 +542,7 @@ def test_compare_mgf_columns_on_the_standard_grid():
 
 def test_compare_extremal_statistics_report_fields():
     report = compare_exact_to_limit(2, 500, "D")
-    assert report.statistic == "D" and report.rank == 2 and report.n == 500
+    assert report.statistic == "D"
     assert report.grid.shape == report.exact.shape == report.limit.shape
     assert 0.0 <= report.gap <= 1.0
     assert report.gap == pytest.approx(float(np.max(np.abs(report.exact
