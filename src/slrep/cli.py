@@ -37,10 +37,6 @@ MAX_RANK = 6
 MAX_N_EXACT = 10**4
 
 
-class ConfigError(ValueError):
-    """Invalid configuration; maps to exit status 2."""
-
-
 def _check_bounds(args, sizes=()) -> None:
     """The default bounds: the rank, and each exact-counting size, --n or
     every --n-grid point; --unsafe lifts them.  A numeric command passes no
@@ -49,17 +45,17 @@ def _check_bounds(args, sizes=()) -> None:
         return
     r = args.rank
     if not 1 <= r <= MAX_RANK:
-        raise ConfigError(f"rank {r} outside the default bound 1..{MAX_RANK} "
-                          "(pass --unsafe to override)")
+        raise ValueError(f"rank {r} outside the default bound 1..{MAX_RANK} "
+                         "(pass --unsafe to override)")
     for n in sizes:
         if not 1 <= n <= MAX_N_EXACT:
-            raise ConfigError(f"n = {n} outside the default exact counting bound "
-                              f"1..{MAX_N_EXACT} (pass --unsafe to override)")
+            raise ValueError(f"n = {n} outside the default exact counting bound "
+                             f"1..{MAX_N_EXACT} (pass --unsafe to override)")
 
 
 def _check_seed(seed: int) -> None:
     if not 0 <= seed < 2**64:
-        raise ConfigError(f"seed must be an unsigned 64-bit integer, got {seed}")
+        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
 
 
 def _json_safe(value):
@@ -73,7 +69,7 @@ def _json_safe(value):
 
 
 def _manifest(args, results: dict, started: float, outputs) -> str:
-    config = {k: _json_safe(v) for k, v in sorted(vars(args).items())
+    config = {k: _json_safe(v) for k, v in vars(args).items()
               if k != "func" and not k.startswith("_")}
     body = {
         "command": args.subcommand,
@@ -116,14 +112,14 @@ def _parse_weight(text: str | None, r: int):
     except ValueError:
         parts = ()
     if len(parts) != r or min(parts, default=0) < 1:
-        raise ConfigError(f"weight must be {r} positive integers, got {text!r}")
+        raise ValueError(f"weight must be {r} positive integers, got {text!r}")
     return parts
 
 
 def _mult_weight(args):
     """The --k weight of a gap report, which only `--stat mult` reads."""
     if args.k is not None and args.stat != "mult":
-        raise ConfigError(f"--k applies only to --stat mult, got --stat {args.stat}")
+        raise ValueError(f"--k applies only to --stat mult, got --stat {args.stat}")
     return _parse_weight(args.k, args.rank)
 
 
@@ -133,11 +129,11 @@ def _parse_grid(text: str):
     try:
         grid = [int(x) for x in text.split(",")]
     except ValueError as exc:
-        raise ConfigError(f"bad integer grid {text!r}") from exc
+        raise ValueError(f"bad integer grid {text!r}") from exc
     if any(a >= b for a, b in zip(grid, grid[1:])):
-        raise ConfigError(f"n-grid {text!r} is not strictly increasing")
+        raise ValueError(f"n-grid {text!r} is not strictly increasing")
     if min(grid) < 1:
-        raise ConfigError(f"n-grid point {min(grid)} below 1")
+        raise ValueError(f"n-grid point {min(grid)} below 1")
     return grid
 
 
@@ -220,16 +216,15 @@ def _cmd_sample(args, started):
     _check_seed(args.seed)
     _check_bounds(args, [args.n] if args.mode == "uniform-dp" else ())
     if args.samples < 1:
-        raise ConfigError(f"sample count must be positive, got {args.samples}")
-    lines = []
+        raise ValueError(f"sample count must be positive, got {args.samples}")
     if args.mode == "uniform-dp":
         table = count_representations(args.rank, args.n)
-        for i in range(args.samples):
+
+        def draw(i):
             seed_i = int.from_bytes(
                 np.random.SeedSequence((args.seed, i)).generate_state(
                     4, dtype=np.uint64).tobytes(), "little")
-            rep = uniform_sample(table, args.n, random.Random(seed_i))
-            lines.append(json.dumps(_sample_record(i, rep), sort_keys=True))
+            return uniform_sample(table, args.n, random.Random(seed_i))
         extra = {"truncation_tv_bound": 0.0}
     else:
         from .boltzmann import (
@@ -241,24 +236,26 @@ def _cmd_sample(args, started):
             truncation_tv_bound,
         )
         if args.mode == "uniform-rejection" and args.n >= REJECTION_MAX_N:
-            raise ConfigError(f"uniform-rejection needs n < 2^62, got {args.n}: "
-                              "its attempts sum dimensions in int64")
-        draw = boltzmann_sample if args.mode == "boltzmann" else rejection_uniform_sample
+            raise ValueError(f"uniform-rejection needs n < 2^62, got {args.n}: "
+                             "its attempts sum dimensions in int64")
+        sampler = boltzmann_sample if args.mode == "boltzmann" else rejection_uniform_sample
         params = sampling_params(solve_saddle(args.rank, args.n))
-        for i in range(args.samples):
+
+        def draw(i):
             rng = np.random.default_rng(np.random.SeedSequence((args.seed, i)))
-            rep = draw(params, rng)
-            lines.append(json.dumps(_sample_record(i, rep), sort_keys=True))
+            return sampler(params, rng)
         extra = {"truncation_tv_bound": truncation_tv_bound(params), "saddle_s": params.s}
+    lines = [json.dumps(_sample_record(i, draw(i)), sort_keys=True) + "\n"
+             for i in range(args.samples)]
     results = {"samples": args.samples, "mode": args.mode, **extra}
-    return _emit(args, started, results, ["\n".join(lines) + "\n"])
+    return _emit(args, started, results, lines)
 
 
 def _cmd_dist(args, started):
     from .verify import compare_exact_to_limit
     _check_bounds(args)
     if args.tol is not None and not 0.0 <= args.tol < math.inf:  # refuses nan too
-        raise ConfigError(f"--tol must be finite and nonnegative, got {args.tol}")
+        raise ValueError(f"--tol must be finite and nonnegative, got {args.tol}")
     report = compare_exact_to_limit(args.rank, args.n, args.stat, k=_mult_weight(args))
     lines = ["grid,exact,limit,gap"]
     lines += [",".join(repr(float(v)) for v in row)
@@ -268,8 +265,6 @@ def _cmd_dist(args, started):
         "gap_is_relative": report.gap_is_relative,
         "exact_err": report.exact_err, "limit_err": report.limit_err,
         "note": report.note,
-        "tolerance_note": "no finite-n rate is available; any threshold "
-                          "applied to this gap is an engineering choice",
     }
     failed = False
     if args.tol is not None:
@@ -289,23 +284,23 @@ def _cmd_verify_weyl(args, started):
     )
     _check_seed(args.seed)
     if not 2 <= args.rank <= MAX_RANK:
-        raise ConfigError(f"--rank {args.rank} outside 2..{MAX_RANK}")
+        raise ValueError(f"--rank {args.rank} outside 2..{MAX_RANK}")
     if not 0.0 < args.eps <= 1.0 / 32.0:  # refuses nan and inf too
-        raise ConfigError(f"--eps must lie in (0, 1/32], got {args.eps}")
+        raise ValueError(f"--eps must lie in (0, 1/32], got {args.eps}")
     if args.N < 4:
-        raise ConfigError(f"--N must be at least 4, got {args.N}")
+        raise ValueError(f"--N must be at least 4, got {args.N}")
     nu = degree(args.rank)
     try:
         _lowest_frequency(args.N, args.eps, nu)
     except ValueError as exc:  # the range checks above leave only its 2^-64 floor
-        raise ConfigError(f"--eps {args.eps}: {exc}") from exc
+        raise ValueError(f"--eps {args.eps}: {exc}") from exc
     if args.num_thetas < 0:
-        raise ConfigError(f"--num-thetas must be nonnegative, got {args.num_thetas}")
+        raise ValueError(f"--num-thetas must be nonnegative, got {args.num_thetas}")
     box_points = math.prod((j + 1) * args.N + 1
                            for j in range(1, args.rank + 1))
     if not args.unsafe and box_points > 2_000_000:
-        raise ConfigError(f"lattice box holds {box_points} points, above the "
-                          "default 2e6 bound (pass --unsafe to override)")
+        raise ValueError(f"lattice box holds {box_points} points, above the "
+                         "default 2e6 bound (pass --unsafe to override)")
     random_part, adversarial = theta_grid(
         args.rank, args.N, args.eps, num_random=args.num_thetas, seed=args.seed)
     thetas = sorted_distinct(np.concatenate([random_part, adversarial]))
@@ -368,22 +363,20 @@ def _cmd_verify_limits(args, started):
         "exact_errs": [rep.exact_err for rep in reports],
         "limit_errs": [rep.limit_err for rep in reports],
         "trend": "gap must shrink along the n-grid",
-        "tolerance_note": "no finite-n rate is available; the trend is "
-                          "the assertion, thresholds are engineering choices",
     }
     return _emit(args, started, results, failed=not ok)
 
 
 class _Parser(argparse.ArgumentParser):
     """Refuses abbreviated options, so --n is never read as --n-grid, and
-    raises every parse error as ConfigError, so that it prints as one
+    raises every parse error as ValueError, so that it prints as one
     `invalid config:` line; its subparsers are built from the same class."""
 
     def __init__(self, **kwargs):
         super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
-        raise ConfigError(message)
+        raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:

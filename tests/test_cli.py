@@ -4,6 +4,7 @@ import argparse
 import ast
 import filecmp
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -19,7 +20,7 @@ import slrep
 import slrep.census
 import slrep.verify
 import slrep.weights
-from slrep.boltzmann import SADDLE_TOL
+from slrep.boltzmann import SADDLE_TOL, solve_saddle
 from slrep.census import region_volume
 from slrep.cli import build_parser, main
 from slrep.limits import (
@@ -391,6 +392,24 @@ def test_dist_gap_is_the_largest_of_its_gap_column(capsys, stat):
     assert len(lines) == rows + 1
     assert manifest["results"]["gap"] == max(float(line.split(",")[3])
                                              for line in lines[1:])
+
+
+@pytest.mark.parametrize("argv", [
+    ("dist", "--rank", "2", "--n", "1000", "--stat", "mult"),
+    ("verify", "limits", "--rank", "2", "--stat", "mult", "--n-grid", "100,1000"),
+], ids=["dist", "verify-limits"])
+def test_mult_manifest_claims_no_missing_rate(capsys, argv):
+    # the mult gap is the closed form 1 - q^a at every n, here with a = 1,
+    # the dimension of the default weight (1, 1), as the report's note says;
+    # so no line may claim that no finite-n rate is available
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert "finite-n rate" not in out
+    results = split_manifest(out)[0]["results"]
+    gaps = results["gaps"] if "gaps" in results else [results["gap"]]
+    sizes = results["n_grid"] if "n_grid" in results else [1000]
+    a = dim_irrep(2, (1, 1))
+    assert gaps == [-math.expm1(-solve_saddle(2, n).beta * a) for n in sizes]
 
 
 def test_dist_shape_rank_three_certifies_every_corner():
@@ -922,7 +941,36 @@ def run_fresh(*argv, code=None, stdout=subprocess.PIPE):
                           stderr=subprocess.PIPE, text=True, env=env, timeout=300)
 
 
-TRACE_CHILD = os.path.join(os.path.dirname(SRC), "perfbench", "trace_child.py")
+PERFBENCH = os.path.join(os.path.dirname(SRC), "perfbench")
+TRACE_CHILD = os.path.join(PERFBENCH, "trace_child.py")
+
+
+def load_benchmark(monkeypatch):
+    """perfbench/run.py as the benchmark loads it, with its own directory on
+    the path for `checks` and `trace_child`; no bytecode is written there."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(PERFBENCH)
+    spec = importlib.util.spec_from_file_location("perfbench_run",
+                                                  os.path.join(PERFBENCH, "run.py"))
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["exact", "sampling", "certify"])
+def test_benchmark_commands_pass_their_checks(monkeypatch, workload):
+    # each command of the workload, as the benchmark runs it (a fresh
+    # interpreter with the benchmark's environment) and checked by its own
+    # output check, so that a change the benchmark would find incorrect
+    # fails here first
+    bench = load_benchmark(monkeypatch)
+    for cmd in bench.workload_commands(workload, 1):
+        proc = subprocess.run([sys.executable, "-c", bench.ENTRY, *cmd.args],
+                              cwd=bench.ROOT, env=bench.child_env(1), capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, (cmd.label, proc.stderr)
+        assert cmd.check(proc.stdout) == [], cmd.label
 
 
 @pytest.mark.parametrize("span,argv", [
