@@ -140,10 +140,9 @@ def solve_saddle(r: int, n: int) -> BoltzmannParams:
     `default_cutoff` and doubles, the solve resuming from its beta (a larger
     census only raises E), until the truncation error there fits the
     tolerance budget (a cutoff with beta X <= 1 has no tail bound and fails
-    it), so only the census cap (BudgetError) ends the loop.
+    it), so only the census cap, a ValueError of `enumerate_irreps`, ends
+    the loop.
     """
-    if n < 1:
-        raise ValueError(f"target dimension must be >= 1, got {n}")
     beta = asymptotic_saddle(r, n) ** degree(r)
     X = default_cutoff(r, n)
     while True:

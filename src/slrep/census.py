@@ -31,10 +31,6 @@ import numpy as np
 from .weights import degree, dimension_words, superfactorial
 
 
-class BudgetError(RuntimeError):
-    """Raised when a census may hold more than MAX_WEIGHTS weights."""
-
-
 class IrrepCensus(NamedTuple):
     """All irreducible modules with dimension <= max_dim, grouped by dimension.
 
@@ -100,9 +96,8 @@ def enumerate_irreps(r: int, max_dim) -> IrrepCensus:
     class the weights stay in lexicographic order.
 
     Raises ValueError for max_dim outside [1, 2^63) (dimensions are kept in
-    int64), and BudgetError before the scan when the proven bound
-    R(X) <= C_r X^(2/(r+1)) exceeds MAX_WEIGHTS (at rank 1 exactly when
-    X > MAX_WEIGHTS).
+    int64), and before the scan when the proven bound R(X) <= C_r X^(2/(r+1))
+    exceeds MAX_WEIGHTS (at rank 1 exactly when X > MAX_WEIGHTS).
     """
     X = int(max_dim)
     if X < 1:
@@ -113,8 +108,8 @@ def enumerate_irreps(r: int, max_dim) -> IrrepCensus:
         raise ValueError(f"rank must be >= 1, got {r}")
     bound = sum(region_volume(r)) * X ** (2.0 / (r + 1))
     if bound > MAX_WEIGHTS:
-        raise BudgetError(f"census at cutoff {X} may hold up to {bound:.3g} "
-                          f"weights, above the census cap {MAX_WEIGHTS}")
+        raise ValueError(f"census at cutoff {X} may hold up to {bound:.3g} "
+                         f"weights, above the census cap {MAX_WEIGHTS}")
 
     columns = _scan(r, X)
     # each word is its dimension (X < 2^63); 2^15 weights a call keep work arrays small

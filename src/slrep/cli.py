@@ -28,10 +28,9 @@ import numpy as np
 from . import _IMPORT_STARTED, __version__
 # the layers every command loads; boltzmann, limits and verify are imported
 # by the commands that run them
-from .census import BudgetError, enumerate_irreps, region_volume
+from .census import enumerate_irreps, region_volume
 from .exact_count import count_representations, uniform_sample
 from .stats import STATISTICS, stat_height, stat_max_dim
-from .weights import degree
 
 MAX_RANK = 6
 MAX_N_EXACT = 10**4
@@ -40,7 +39,7 @@ MAX_N_EXACT = 10**4
 def _check_bounds(args, sizes=()) -> None:
     """The default bounds: the rank, and each exact-counting size, --n or
     every --n-grid point; --unsafe lifts them.  A numeric command passes no
-    sizes: the census cap (BudgetError) bounds its n."""
+    sizes: the census cap bounds its n."""
     if args.unsafe:
         return
     r = args.rank
@@ -276,7 +275,6 @@ def _cmd_dist(args, started):
 
 def _cmd_verify_weyl(args, started):
     from .verify import (
-        _lowest_frequency,
         appendix_window_check,
         sorted_distinct,
         theta_grid,
@@ -289,11 +287,6 @@ def _cmd_verify_weyl(args, started):
         raise ValueError(f"--eps must lie in (0, 1/32], got {args.eps}")
     if args.N < 4:
         raise ValueError(f"--N must be at least 4, got {args.N}")
-    nu = degree(args.rank)
-    try:
-        _lowest_frequency(args.N, args.eps, nu)
-    except ValueError as exc:  # the range checks above leave only its 2^-64 floor
-        raise ValueError(f"--eps {args.eps}: {exc}") from exc
     if args.num_thetas < 0:
         raise ValueError(f"--num-thetas must be nonnegative, got {args.num_thetas}")
     box_points = math.prod((j + 1) * args.N + 1
@@ -301,8 +294,11 @@ def _cmd_verify_weyl(args, started):
     if not args.unsafe and box_points > 2_000_000:
         raise ValueError(f"lattice box holds {box_points} points, above the "
                          "default 2e6 bound (pass --unsafe to override)")
-    random_part, adversarial = theta_grid(
-        args.rank, args.N, args.eps, num_random=args.num_thetas, seed=args.seed)
+    try:
+        random_part, adversarial = theta_grid(
+            args.rank, args.N, args.eps, num_random=args.num_thetas, seed=args.seed)
+    except ValueError as exc:  # the checks above leave only its 2^-64 floor
+        raise ValueError(f"--eps {args.eps}: {exc}") from exc
     thetas = sorted_distinct(np.concatenate([random_part, adversarial]))
     note = (f"{args.num_thetas} log-uniform (seed {args.seed}) + "
             f"{adversarial.size} adversarial frequencies")
@@ -475,7 +471,7 @@ def main(argv=None) -> int:
         print("failed: standard output was closed before all output was written",
               file=sys.stderr)
         return 1
-    except (ValueError, NotImplementedError, BudgetError) as exc:
+    except ValueError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

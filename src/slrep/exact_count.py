@@ -13,9 +13,13 @@ the second form grouping the terms by the dimension j = k d they remove
 (d runs over the classes whose dimension divides j).
 
 `count_representations` fills its table by multiplying the product out,
-one factor 1/(1 - t^d) per weight, the classes in ascending dimension.  The
-table is an (n + 1, L) int64 array: row v holds p(v) in L limbs of radix
-2^31, least significant first, p(v) = sum_i limb_i 2^(31 i).  A factor is
+one factor 1/(1 - t^d) per weight, the classes largest first: until the
+small classes come, the table counts only representations by large
+modules, so its entries stay small and most passes run on one limb (at
+n = 10^4, 1.3 limbs a pass on average at ranks 1-3, against 6.7-11.9 in
+ascending order).  The table is an (n + 1, L) int64 array: row v holds
+p(v) in L limbs of radix 2^31, least significant first, p(v) = sum_i
+limb_i 2^(31 i).  A factor is
 the in-place recurrence p[v] += p[v - d]: one prefix sum over the blocks
 of d rows where the (n + 1) // d blocks outnumber the d rows of one,
 otherwise one vectorized add per block, `p[j:j+d] += p[j-d:j]`.  Carries
@@ -148,7 +152,7 @@ def count_representations(r: int, n: int) -> CountTable:
     sigma = np.zeros(n + 1, dtype=np.int64)
     p = np.zeros((n + 1, 1), dtype=np.int64)
     p[0, 0] = 1
-    for d, rho, _ in classes:
+    for d, rho, _ in reversed(classes):
         sigma[d::d] += d * rho
         m = n // d + 1
         blocks = (n + 1) // d

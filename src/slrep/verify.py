@@ -440,16 +440,16 @@ def compare_exact_to_limit(r: int, n: int, which: str, *, k=None) -> LimitGapRep
     report reads one census, at twice the dimension K^nu of the farthest
     lattice corner (K, ..., K) or at the saddle's cutoff if that is wider,
     and raises RuntimeError when its certified error exceeds SHAPE_REL_ERR
-    of the exact value at any corner, BudgetError when that census passes
-    the census cap.  Before the saddle is solved, shape raises
-    NotImplementedError above rank 3, where W_t is unknown, and mgf raises
-    ValueError at rank 1, where the limit product diverges.
+    of the exact value at any corner, ValueError when that census passes
+    the census cap.  Before the saddle is solved, shape raises ValueError
+    above rank 3, where W_t is unknown, and mgf at rank 1, where the limit
+    product diverges.
     """
     if which not in STATISTICS:
         raise ValueError(f"unknown observable {which!r}; "
                          f"expected one of {', '.join(STATISTICS)}")
     if which == "shape" and r > 3:
-        raise NotImplementedError(f"the shape limit is known for rank <= 3, got {r}")
+        raise ValueError(f"the shape limit is known for rank <= 3, got {r}")
     if which == "mgf" and r < 2:
         raise ValueError("the mgf limit diverges at rank 1 (harmonic series); "
                          "need rank >= 2")

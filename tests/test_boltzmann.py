@@ -207,6 +207,22 @@ def test_solve_saddle_keeps_its_census():
         solve_saddle(2, 0)
 
 
+@pytest.mark.parametrize("r, n, message", [
+    (2, 0, "target dimension must be >= 1, got 0"),
+    (2, 10**16, "above the census cap"),
+    (6, 10**25, "above the census cap"),
+])
+def test_solve_saddle_refuses_bad_input_before_any_scan(monkeypatch, r, n, message):
+    # a size below 1 and a first census past the census cap are bad input:
+    # a plain ValueError, raised before any census is scanned
+    def never(*args):
+        raise AssertionError("census scanned for a refused size")
+
+    monkeypatch.setattr("slrep.census._scan", never)
+    with pytest.raises(ValueError, match=message):
+        solve_saddle(r, n)
+
+
 @pytest.mark.parametrize("r", [4, 5, 6])
 def test_solve_saddle_certifies_high_ranks(r):
     # the asymptotic seed overshoots the root's decay rate at high rank (at

@@ -682,6 +682,79 @@ def test_invalid_configurations_exit_two(capsys, monkeypatch, argv):
     assert len(lines) == 1 and lines[0].startswith("invalid config: "), err
 
 
+def exit_contract_breach(capsys, argv):
+    """How one run of main breaks the exit contract, or None: exit 0 with a
+    manifest and an empty stderr, exit 2 with one `invalid config:` line
+    and an empty stdout, exit 1 with one `failed:` line and an empty stdout
+    or with a manifest whose `pass` is false, and no exception."""
+    try:
+        code = main(list(argv))
+    except Exception as exc:
+        capsys.readouterr()
+        return f"{exc!r} escaped main"
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    one_line = len(lines) == 1 and out == ""
+    if code == 0:
+        ok = err == "" and "results" in split_manifest(out)[0]
+    elif code == 2:
+        ok = one_line and lines[0].startswith("invalid config: ")
+    elif code == 1:
+        ok = (one_line and lines[0].startswith("failed: ")) or (
+            err == "" and split_manifest(out)[0]["results"].get("pass") is False)
+    else:
+        ok = False
+    return None if ok else f"exit {code}, stdout {out[:300]!r}, stderr {err!r}"
+
+
+def every_command(r: int, n: int):
+    """Every command at rank r, with n as its size, cutoff or box, and the
+    n-grid n, 10 n."""
+    r, n, grid = str(r), str(n), f"{n},{10 * n}"
+    commands = [("census", "--rank", r, "--max-dim", n),
+                ("count", "--rank", r, "--n", n),
+                ("saddle", "--rank", r, "--n", n),
+                ("verify", "weyl", "--rank", r, "--N", n, "--eps", "0.03125",
+                 "--num-thetas", "20"),
+                ("verify", "ensembles", "--rank", r, "--n-grid", grid)]
+    commands += [("sample", "--rank", r, "--n", n, "--mode", mode, "--samples", "2")
+                 for mode in ("boltzmann", "uniform-dp", "uniform-rejection")]
+    for stat in slrep.verify.STATISTICS:
+        commands += [("dist", "--rank", r, "--n", n, "--stat", stat),
+                     ("verify", "limits", "--rank", r, "--stat", stat, "--n-grid", grid)]
+    return commands
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 6])
+def test_every_command_keeps_the_exit_contract(capsys, rank):
+    # exit 0, 1 or 2, each with its own output, and never a traceback
+    breaches = {" ".join(argv): breach for n in (1, 2, 3, 10, 100)
+                for argv in every_command(rank, n)
+                if (breach := exit_contract_breach(capsys, argv))}
+    assert not breaches, breaches
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("census", "--rank", "1", "--max-dim", "50000001"), "above the census cap"),
+    (("dist", "--rank", "2", "--n", "100000000000000000000000000", "--stat", "D"),
+     "above the census cap"),
+    (("dist", "--rank", "4", "--n", "1000000", "--stat", "shape"),
+     "shape limit is known for rank <= 3"),
+])
+def test_library_refusals_exit_two_before_any_scan(capsys, monkeypatch, argv, message):
+    # the census cap and the shape rank are refused by the layer that owns
+    # them, as the ValueError that main maps to exit 2
+    def never(*args, **kwargs):
+        raise AssertionError("census scanned for a refused configuration")
+
+    monkeypatch.setattr("slrep.census._scan", never)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("invalid config: ")
+    assert message in lines[0]
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
 @pytest.mark.parametrize("command", [("dist", "--stat", "D"),
                                      ("dist", "--stat", "mult", "--k", "1,1")])

@@ -130,10 +130,12 @@ def test_limb_table_equals_recurrence(r, n, monkeypatch):
     assert table.counts == count_by_recurrence(r, n)
 
 
-@pytest.mark.parametrize("r, n", [(1, 1000), (2, 1500)])
+@pytest.mark.parametrize("r, n", [(1, 1500), (2, 4000)])
 def test_table_is_exact_when_every_pass_carries(r, n, monkeypatch):
-    # with the cap at 2^36 nearly every pass runs a carry round first;
-    # limbs below 2^32 times m <= 1501 entries stay far inside int64
+    # with the cap at 2^36, 134 and 118 passes run a carry round first
+    # (the large classes come first, while the entries fit one limb, so
+    # smaller sizes carry in fewer passes); limbs below 2^32 times
+    # m <= 4001 entries stay far inside int64
     monkeypatch.setattr(exact_count, "_LIMB_CAP", 1 << 36)
     calls = count_carry_rounds(monkeypatch)
     table = count_representations(r, n)

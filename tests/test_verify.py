@@ -657,7 +657,7 @@ def test_compare_refuses_rank_limited_statistics_first(monkeypatch, which):
     monkeypatch.setattr("slrep.verify.solve_saddle", never)
     if which == "shape":
         for r in (4, 6):
-            with pytest.raises(NotImplementedError, match="shape limit"):
+            with pytest.raises(ValueError, match="shape limit is known for rank <= 3"):
                 compare_exact_to_limit(r, 10**6, which)
     else:
         with pytest.raises(ValueError, match="mgf limit diverges at rank 1"):
