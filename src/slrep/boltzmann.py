@@ -22,7 +22,7 @@ when sampling needs a wider one, sized before its scan, and the samplers
 and exact distribution curves take the parameters alone.
 
 Every truncated sum here carries a certified tail bound, returned as the
-second element of a (value, err) pair or recorded on the params object.
+second element of a (value, err) pair or read off the params object.
 The bounds rest on R(x) <= C_r x^{2/(r+1)} for the number R(x) of weights
 with dim <= x: the dimension form increases in each coordinate, so the
 unit cubes [k - 1, k] of the counted weights are disjoint and lie in
@@ -46,13 +46,11 @@ from .weights import degree, twice_height
 class BoltzmannParams(NamedTuple):
     """Solved saddle point: E_q[total dimension] = n within SADDLE_TOL * n,
     certified on `census`, whose rank is theirs and which every later stage
-    reads, with its `term_arrays`.  Parameters moved to another cutoff by
-    `with_cutoff` keep their solve's tail_bound and sigma2."""
+    reads, with its `term_arrays`.  Every other number is read off beta and
+    that census, so no census swap (`with_cutoff`) leaves one stale."""
 
     n: int
     beta: float       # -log q = s^nu
-    sigma2: float     # Var_q(total dimension), census part
-    tail_bound: float  # certified truncation error of E_q[dim] at the solution
     census: IrrepCensus
     term_arrays: tuple  # (m, rho, q^m, 1 - q^m) per class of census, as floats
 
@@ -75,31 +73,36 @@ class BoltzmannParams(NamedTuple):
         """Cutoff (max_dim) of `census`."""
         return self.census.max_dim
 
+    @property
+    def sigma2(self) -> float:
+        """Var_q(total dimension), census part."""
+        return math.fsum(_moment_terms(self.term_arrays, 2))
+
+    @property
+    def tail_bound(self) -> float:
+        """Certified truncation error of E_q[total dimension] on the census."""
+        X, beta = self.cutoff, self.beta
+        return ((-np.expm1(-beta * X)) ** -1 * weighted_tail_bound(self.rank, X, beta, 1)
+                if beta * X > 1.0 else math.inf)
+
     def with_cutoff(self, cutoff: int) -> BoltzmannParams:
         """These parameters on their rank's census up to `cutoff`, with its
-        term arrays."""
+        term arrays, so sigma2 and tail_bound describe that census."""
         census = enumerate_irreps(self.rank, cutoff)
-        return self._replace(census=census, term_arrays=_term_arrays(census, self.beta))
+        m, rho = census.dims.astype(float), census.counts.astype(float)
+        return self._replace(census=census, term_arrays=_term_arrays(m, rho, self.beta))
 
 
-def _class_terms(m, beta):
-    """q^m and 1 - q^m for the float class dimensions m, q = e^(-beta): the
-    one per-class kernel of the saddle solve, the samplers and the curves."""
-    return np.exp(-beta * m), -np.expm1(-beta * m)
+def _term_arrays(m, rho, beta):
+    """(m, rho, q^m, 1 - q^m) for float class dimensions m and counts rho, q =
+    e^(-beta): the one per-class kernel of the solve, samplers and curves."""
+    return m, rho, np.exp(-beta * m), -np.expm1(-beta * m)
 
 
-def _term_arrays(census, beta):
-    m = census.dims.astype(float)
-    rho = census.counts.astype(float)
-    return (m, rho, *_class_terms(m, beta))
-
-
-def _moment_terms(arrays, beta, p):
-    """rho m^p q^m / (1 - q^m)^p per class of the float arrays (m, rho),
-    with the term arrays (m, rho, q^m, 1 - q^m) it read."""
-    m, rho = arrays
-    qm, one_minus = _class_terms(m, beta)
-    return rho * m**p * qm / one_minus**p, (m, rho, qm, one_minus)
+def _moment_terms(arrays, p):
+    """rho m^p q^m / (1 - q^m)^p per class of the term arrays."""
+    m, rho, qm, one_minus = arrays
+    return rho * m**p * qm / one_minus**p
 
 
 _CHI = 48.0
@@ -118,12 +121,13 @@ def _saddle_gap(arrays, beta: float, n: int):
     convex and decreasing in beta, and a larger census only adds terms to
     it.  The gap is summed exactly rounded; the derivative only steers
     Newton steps, so a plain sum serves."""
-    terms, (m, _, _, one_minus) = _moment_terms(arrays, beta, 1)
+    m, _, _, one_minus = arrays = _term_arrays(*arrays, beta)
+    terms = _moment_terms(arrays, 1)
     slope = -float(np.sum(terms * m / one_minus))
     return math.fsum(terms) - n, slope
 
 
-# err leaves out the rounding of E_q's float terms, about (beta m + 8) u
+# tail_bound leaves out the rounding of E_q's float terms, about (beta m + 8) u
 # each (u = 2^-53, beta m up to about 50), so SADDLE_TOL keeps it negligible
 SADDLE_TOL = 1e-8  # every solve: |E_q[total dimension] - n| <= SADDLE_TOL * n
 
@@ -156,13 +160,9 @@ def solve_saddle(r: int, n: int) -> BoltzmannParams:
                 beta -= step
                 break
             beta = beta - step if step < beta else 0.5 * beta
-        err = ((-np.expm1(-beta * X)) ** -1 * weighted_tail_bound(r, X, beta, 1)
-               if beta * X > 1.0 else math.inf)
-        if err <= SADDLE_TOL * n / 2.0 and abs(g) <= SADDLE_TOL * n / 2.0:
-            terms, term_arrays = _moment_terms(arrays, beta, 2)
-            return BoltzmannParams(n=n, beta=beta, sigma2=math.fsum(terms),
-                                   tail_bound=err, census=census,
-                                   term_arrays=term_arrays)
+        params = BoltzmannParams(n, beta, census, _term_arrays(*arrays, beta))
+        if params.tail_bound <= SADDLE_TOL * n / 2.0 and abs(g) <= SADDLE_TOL * n / 2.0:
+            return params
         X *= 2
 
 
@@ -235,8 +235,8 @@ def rejection_uniform_sample(params: BoltzmannParams,
     call; the trivial module then takes multiplicity k.  Its own
     multiplicity is Geometric(1 - q), so an accepted attempt follows the
     product law conditioned on total n, and succeeds with probability
-    P(T = n) / (1 - q): about (1 - q) sqrt(2 pi sigma_n^2) attempts are
-    expected.
+    P(T = n) / (1 - q): about (1 - q) sqrt(2 pi sigma2) are expected, with
+    the sigma2 of the census it samples.
 
     An attempt's total sum a X_k is an int64 dot product, exact below 2^63,
     and n < REJECTION_MAX_N keeps every total up to n in int64.  The terms

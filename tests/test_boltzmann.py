@@ -34,7 +34,7 @@ from slrep.boltzmann import (
     solve_saddle,
     truncation_tv_bound,
 )
-from slrep.census import enumerate_irreps
+from slrep.census import enumerate_irreps, weighted_tail_bound
 from slrep.exact_count import count_representations, uniform_sample
 from slrep.limits import asymptotic_saddle, compute_constants
 from slrep.stats import default_shape_grid, stat_height, stat_max_dim
@@ -258,15 +258,59 @@ def test_default_cutoff_grows_with_target():
     assert cuts[0] >= 8
 
 
-SCALARS = ("n", "beta", "sigma2", "tail_bound", "rank", "q", "s")
+SCALARS = ("n", "beta", "rank", "q", "s")
 
 
 def scalar_fields(params):
-    """The params' scalars by name: every field but the census and its
-    arrays, the rank, which is read off the census, and q and s, which are
+    """The params' scalars that no census swap moves: the two scalar fields,
+    the rank, which every census of theirs shares, and q and s, which are
     read off beta."""
-    assert BoltzmannParams._fields == (*SCALARS[:4], "census", "term_arrays")
+    assert BoltzmannParams._fields == (*SCALARS[:2], "census", "term_arrays")
     return tuple(getattr(params, name) for name in SCALARS)
+
+
+def census_term_arrays(census, beta):
+    """The term arrays of `census` at beta."""
+    return _term_arrays(census.dims.astype(float), census.counts.astype(float), beta)
+
+
+def fresh_numbers(params):
+    """rank, q, s, cutoff, sigma2 and tail_bound computed afresh from the
+    census and beta the params hold: sigma2 sums rho m^2 q^m / (1 - q^m)^2
+    exactly rounded, and the tail bound is `weighted_tail_bound` at p = 1
+    scaled by (1 - q^X)^-1, or inf where beta X <= 1."""
+    census, beta = params.census, params.beta
+    r, X = census.rank, census.max_dim
+    m, rho = census.dims.astype(float), census.counts.astype(float)
+    sigma2 = math.fsum(rho * m**2 * np.exp(-beta * m) / (-np.expm1(-beta * m)) ** 2)
+    tail = ((-np.expm1(-beta * X)) ** -1 * weighted_tail_bound(r, X, beta, 1)
+            if beta * X > 1.0 else math.inf)
+    return {"rank": r, "q": math.exp(-beta), "s": beta ** (1.0 / degree(r)),
+            "cutoff": X, "sigma2": sigma2, "tail_bound": tail}
+
+
+def assert_numbers_are_fresh(params):
+    for name, want in fresh_numbers(params).items():
+        assert getattr(params, name) == want, name
+
+
+@pytest.mark.parametrize("r,n", [(2, 300), (3, 10**6), (6, 10**3)])
+def test_params_hold_no_stale_numbers(r, n):
+    # every number the params report describes the census and beta they
+    # hold, on the solve's census and on every census swapped in after it
+    params = solve_saddle(r, n)
+    X = params.cutoff
+    wider = enumerate_irreps(r, 3 * X)
+    moved = [params, params.with_cutoff(2 * X), params.with_cutoff(X // 2),
+             sampling_params(params),
+             params._replace(census=wider,
+                             term_arrays=census_term_arrays(wider, params.beta)),
+             # a cutoff X with beta X <= 1 has no tail bound
+             params.with_cutoff(int(1.0 / params.beta))]
+    assert moved[-1].tail_bound == math.inf
+    for each in moved:
+        assert scalar_fields(each) == scalar_fields(params)
+        assert_numbers_are_fresh(each)
 
 
 @pytest.mark.parametrize("r,n", [(2, 300), (3, 1000)])
@@ -279,8 +323,11 @@ def test_with_cutoff_refills_the_term_arrays(r, n):
     for got, want in zip(wide.census, census):
         assert np.array_equal(got, want)
     assert len(wide.term_arrays) == 4
-    for got, want in zip(wide.term_arrays, _term_arrays(census, params.beta)):
+    for got, want in zip(wide.term_arrays, census_term_arrays(census, params.beta)):
         assert np.array_equal(got, want)
+    # the wider census adds variance terms and shrinks the tail it leaves
+    assert wide.sigma2 >= params.sigma2 and wide.tail_bound <= params.tail_bound
+    assert_numbers_are_fresh(wide)
 
 
 @pytest.mark.parametrize("r,n", [(1, 1), (1, 10**6), (2, 300), (2, 10**8), (3, 1000),
@@ -292,13 +339,11 @@ def test_solve_saddle_keeps_the_arrays_it_solved_on(r, n):
     # census at the returned beta gives; sigma2 sums the p = 2 moment terms
     # at that beta
     params = solve_saddle(r, n)
-    census = params.census
-    want = _term_arrays(census, params.beta)
+    want = census_term_arrays(params.census, params.beta)
     assert len(params.term_arrays) == 4
     for got, expected in zip(params.term_arrays, want):
         assert got.dtype == np.float64 and np.array_equal(got, expected)
-    arrays = census.dims.astype(float), census.counts.astype(float)
-    assert params.sigma2 == math.fsum(_moment_terms(arrays, params.beta, 2)[0])
+    assert params.sigma2 == math.fsum(_moment_terms(want, 2))
 
 
 def test_sampling_params_certify_truncation():
@@ -312,8 +357,11 @@ def test_sampling_params_certify_truncation():
     assert truncation_tv_bound(params) > 1e-12
     assert sampling.cutoff == 2 * params.cutoff
     assert truncation_tv_bound(sampling) <= 1e-12
-    # only the census changes: q, s, beta, sigma2 and tail_bound stay
+    # n, beta, q and s stay; sigma2 and the tail bound are the wider census's
     assert scalar_fields(sampling) == scalar_fields(params)
+    assert sampling.sigma2 >= params.sigma2
+    assert sampling.tail_bound <= params.tail_bound
+    assert_numbers_are_fresh(sampling)
     # widening the census can only shrink the bound
     wide = params.with_cutoff(2 * sampling.cutoff)
     assert truncation_tv_bound(wide) <= truncation_tv_bound(sampling)
@@ -787,7 +835,8 @@ def test_rejection_sampler_refuses_census_without_trivial_class():
                           counts=census.counts[1:],
                           cumulative=census.cumulative[1:] - 1,
                           weights=census.weights[1:])
-    cut_params = params._replace(census=cut, term_arrays=_term_arrays(cut, params.beta))
+    cut_params = params._replace(census=cut,
+                                 term_arrays=census_term_arrays(cut, params.beta))
     with pytest.raises(ValueError):
         rejection_uniform_sample(cut_params, np.random.default_rng(36))
 
@@ -815,9 +864,9 @@ def test_draws_compute_the_term_arrays_once(monkeypatch):
     params = sampling_params(solve_saddle(2, 10**8))
     made = []
 
-    def counted(census, beta):
+    def counted(m, rho, beta):
         made.append(beta)
-        return term_arrays(census, beta)
+        return term_arrays(m, rho, beta)
 
     term_arrays = slrep.boltzmann._term_arrays
     monkeypatch.setattr(slrep.boltzmann, "_term_arrays", counted)

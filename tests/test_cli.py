@@ -83,6 +83,30 @@ def test_saddle_results_are_consistent(capsys):
     assert res["tail_bound"] <= res["expected_dim_err"] == SADDLE_TOL * 1000
 
 
+# `saddle` at the benchmark's two sizes and at rank 6, n = 10^6, whose
+# census doubles four times: beta, sigma2 and tail_bound as float.hex, when
+# the solve stored sigma2 and tail_bound as fields.  Read off the census and
+# beta the params hold, they repeat bit for bit
+SADDLE_PINS = {
+    ("2", "1000000000"): ("0x1.50f0cbda3d270p-17", "0x1.3270ec062954fp+47",
+                          "0x1.2682253d69e77p-25", 4395085),
+    ("3", "100000000"): ("0x1.54213315ffc78p-16", "0x1.c5686b246ed68p+42",
+                         "0x1.433db221f4958p-9", 1484859),
+    ("6", "1000000"): ("0x1.479cf73abe4bdp-13", "0x1.1e478074afefcp+33",
+                       "0x1.defb4185943bbp-12", 192080),
+}
+
+
+@pytest.mark.parametrize("rank,n", SADDLE_PINS)
+def test_saddle_solve_is_pinned(capsys, rank, n):
+    code, out, _ = run_cli(capsys, "saddle", "--rank", rank, "--n", n)
+    assert code == 0
+    res = split_manifest(out)[0]["results"]
+    got = (*(float(res[key]).hex() for key in ("beta", "sigma2", "tail_bound")),
+           res["cutoff"])
+    assert got == SADDLE_PINS[rank, n]
+
+
 def test_constants_reports_normalizers(capsys):
     # `saddle` prints the normalizers at the saddle it solves
     code, out, _ = run_cli(capsys, "saddle", "--rank", "2", "--n", "100000")
